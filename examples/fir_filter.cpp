@@ -5,6 +5,8 @@
 // (MUL + shifts + ADDs), verified against a host-side reference.
 
 #include <cstdio>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "host/coprocessor.hpp"
@@ -20,6 +22,13 @@ constexpr int kTaps = 5;
 // Simple low-pass kernel in Q16.16: [1, 4, 6, 4, 1] / 16.
 const std::uint64_t kH[kTaps] = {0x1000, 0x4000, 0x6000, 0x4000, 0x1000};
 
+/// Input name of delay-line tap k ("x0".."x4").
+std::string tap_name(int k) {
+  std::string name = "x";
+  name += std::to_string(k);
+  return name;
+}
+
 }  // namespace
 
 int main() {
@@ -31,7 +40,7 @@ int main() {
   using host::Expr;
   Expr acc = Expr::constant(0);
   for (int k = 0; k < kTaps; ++k) {
-    const Expr tap = Expr::input("x" + std::to_string(k)) *
+    const Expr tap = Expr::input(tap_name(k)) *
                      Expr::constant(kH[static_cast<std::size_t>(k)]);
     // Product of two Q16.16 values is Q32.32; renormalise to Q16.16.
     acc = acc + (tap >> Expr::constant(16));
@@ -57,7 +66,7 @@ int main() {
     std::uint64_t expect = 0;
     for (int k = 0; k < kTaps; ++k) {
       const std::uint64_t xv = x[static_cast<std::size_t>(n - k)];
-      bind["x" + std::to_string(k)] = xv;
+      bind[tap_name(k)] = xv;
       expect = (expect +
                 (((xv * kH[static_cast<std::size_t>(k)]) & 0xffffffffu) >>
                  16)) &

@@ -74,9 +74,10 @@ void ReliableTransport::push_frame(Flight&& f) {
 ReliableTransport::ProgramId ReliableTransport::submit(
     const isa::Program& program, std::optional<std::uint64_t> budget_cycles,
     bool stream) {
-  check(!window_full(), "ReliableTransport::submit: window is full (" +
-                            std::to_string(config_.window) +
-                            " programs in flight)");
+  if (window_full()) {
+    throw SimError("ReliableTransport::submit: window is full (" +
+                   std::to_string(config_.window) + " programs in flight)");
+  }
   if (window_.empty() && outstanding_.empty()) {
     // A new exchange may follow an external reset; re-mirror the decoder.
     sync_generation();
@@ -105,9 +106,10 @@ ReliableTransport::ProgramId ReliableTransport::submit(
 std::vector<ReliableTransport::ProgramId> ReliableTransport::submit_coalesced(
     const std::vector<CoalescedItem>& items) {
   check(!items.empty(), "ReliableTransport::submit_coalesced: empty frame");
-  check(!window_full(),
-        "ReliableTransport::submit_coalesced: window is full (" +
-            std::to_string(config_.window) + " frames in flight)");
+  if (window_full()) {
+    throw SimError("ReliableTransport::submit_coalesced: window is full (" +
+                   std::to_string(config_.window) + " frames in flight)");
+  }
   if (window_.empty() && outstanding_.empty()) {
     sync_generation();
   }

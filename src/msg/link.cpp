@@ -16,7 +16,7 @@ Link::Link(sim::Simulator& sim, std::string name, LinkTiming down_timing,
       down_capacity_(down_capacity),
       up_capacity_(up_capacity) {}
 
-void Link::enqueue(std::deque<InFlight>& queue, LinkWord word,
+void Link::enqueue(CompactingQueue<InFlight>& queue, LinkWord word,
                    std::uint64_t arrives_at) {
   if (!queue.empty()) {
     arrives_at = std::max(arrives_at, queue.back().arrives_at);

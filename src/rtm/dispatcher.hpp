@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -100,18 +101,18 @@ class Dispatcher : public sim::Component {
     // would leak and wedge quiescence forever.
     exec_error_ = plan.packet.di.error;
 
-    for (std::uint32_t i = 0; i < table_->size(); ++i) {
-      if (!table_->slot_active(i)) {
-        continue;
-      }
-      fu::FunctionalUnit& unit = table_->unit(i);
-      const bool selected =
-          plan.route == Route::kToUnit && plan.unit_index == i;
-      unit.ports.dispatch.set(selected);
-      if (selected) {
-        unit.ports.request.set(plan.request);
-      }
+    // Only the selected unit's dispatch is high, so only the previously
+    // selected unit and the newly selected one need driving, in ascending
+    // slot order.  The previous one is still attached: a unit whose
+    // dispatch fired holds a destination lock until its write retires, and
+    // Rtm::detach refuses a unit that holds locks.
+    const std::uint32_t selected =
+        plan.route == Route::kToUnit ? plan.unit_index : kNoUnit;
+    drive_unit(std::min(driven_, selected), selected, plan.request);
+    if (driven_ != selected) {
+      drive_unit(std::max(driven_, selected), selected, plan.request);
     }
+    driven_ = selected;
     if (plan.route == Route::kToExec) {
       to_exec.offer(plan.packet);
     } else {
@@ -158,8 +159,7 @@ class Dispatcher : public sim::Component {
         }
         counters_->bump(h_dispatch_unit_);
         if (trace_ != nullptr) {
-          trace_->event(simulator().cycle(),
-                        "dispatch.unit" + std::to_string(owner), di.seq);
+          trace_->event(simulator().cycle(), unit_labels_[owner], di.seq);
         }
         break;
       }
@@ -181,10 +181,27 @@ class Dispatcher : public sim::Component {
     route_ = Route::kNone;
     stall_reason_ = kNoCounter;
     exec_error_ = msg::ErrorCode::kNone;
+    driven_ = kNoUnit;
   }
 
  private:
   enum class Route { kNone, kToUnit, kToExec };
+
+  static constexpr std::uint32_t kNoUnit = ~std::uint32_t{0};
+
+  /// Drive slot `i`'s dispatch (and, when selected, its request); no-op
+  /// for kNoUnit.
+  void drive_unit(std::uint32_t i, std::uint32_t selected,
+                  const fu::FuRequest& request) {
+    if (i == kNoUnit) {
+      return;
+    }
+    fu::FunctionalUnit& unit = table_->unit(i);
+    unit.ports.dispatch.set(i == selected);
+    if (i == selected) {
+      unit.ports.request.set(request);
+    }
+  }
 
   /// Sentinel for "no stall counter to bump this cycle".
   static constexpr sim::Counters::Handle kNoCounter =
@@ -366,6 +383,9 @@ class Dispatcher : public sim::Component {
   /// Error the routing decision annotated onto the exec packet this cycle
   /// (kNone when the instruction is clean); see eval().
   msg::ErrorCode exec_error_ = msg::ErrorCode::kNone;
+  /// Slot whose dispatch eval() last drove high (kNoUnit: none).
+  std::uint32_t driven_ = kNoUnit;
+  sim::IndexedLabels unit_labels_{"dispatch.unit"};
 };
 
 }  // namespace fpgafu::rtm

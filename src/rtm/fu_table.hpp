@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -27,12 +28,26 @@ namespace fpgafu::rtm {
 ///  * `find`/`index_of` are O(1) via a code-indexed lookup table kept
 ///    coherent across attach/detach — the decode hot path must not pay a
 ///    linear scan over a table that now churns at runtime.
-class FunctionalUnitTable {
+///
+/// The table also keeps the *ready set* the write arbiter grants from: one
+/// bit per slot, set while the slot is attached (resident or draining) and
+/// its unit asserts `data_ready`.  The bits follow `data_ready` edges (the
+/// table watches each attached unit's wire), so the arbiter finds the next
+/// requester with a find-next-set-bit instead of reading every slot.
+/// Detach clears the bit and stops the watch, so a reused slot starts from
+/// its new unit's wire, never from the old one's.  The table must outlive
+/// changes to an attached unit's `data_ready`; detach first otherwise.
+class FunctionalUnitTable final : public sim::WireWatcher {
  public:
   FunctionalUnitTable() {
     index_.fill(kNoSlot);
     unavailable_.fill(false);
   }
+  FunctionalUnitTable(const FunctionalUnitTable&) = delete;
+  FunctionalUnitTable& operator=(const FunctionalUnitTable&) = delete;
+
+  /// Returned by next_ready() when no slot is ready.
+  static constexpr std::size_t kNone = ~std::size_t{0};
 
   /// Attach a unit under a function code.  Returns the unit's table index
   /// (used as the lock-owner id).  Codes must be unique and not fc::kRtm.
@@ -42,17 +57,21 @@ class FunctionalUnitTable {
   std::uint32_t attach(isa::FunctionCode code, fu::FunctionalUnit& unit) {
     check(code != isa::fc::kRtm, "fc::kRtm is reserved for the RTM itself");
     check(index_[code] == kNoSlot, "function code already attached");
-    unavailable_[code] = false;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].unit == nullptr) {
-        entries_[i] = {code, &unit, false};
-        index_[code] = static_cast<std::int16_t>(i);
-        return static_cast<std::uint32_t>(i);
-      }
+    std::size_t slot = 0;
+    while (slot < entries_.size() && entries_[slot].unit != nullptr) {
+      ++slot;
     }
-    entries_.push_back({code, &unit, false});
-    index_[code] = static_cast<std::int16_t>(entries_.size() - 1);
-    return static_cast<std::uint32_t>(entries_.size() - 1);
+    unit.ports.data_ready.watch(this, static_cast<std::uint32_t>(slot));
+    unavailable_[code] = false;
+    if (slot == entries_.size()) {
+      entries_.push_back({});
+      ready_.resize((entries_.size() + 63) / 64);
+    }
+    entries_[slot] = {code, &unit, false};
+    index_[code] = static_cast<std::int16_t>(slot);
+    set_ready(slot, unit.ports.data_ready.peek());
+    ++generation_;
+    return static_cast<std::uint32_t>(slot);
   }
 
   /// Detach the unit under `code` — the model's equivalent of partial
@@ -65,9 +84,13 @@ class FunctionalUnitTable {
   void detach(isa::FunctionCode code) {
     const std::int16_t slot = index_[code];
     check(slot != kNoSlot, "detach: function code not attached");
-    entries_[static_cast<std::size_t>(slot)].unit = nullptr;
-    entries_[static_cast<std::size_t>(slot)].draining = false;
+    Entry& e = entries_[static_cast<std::size_t>(slot)];
+    e.unit->ports.data_ready.watch(nullptr);
+    set_ready(static_cast<std::size_t>(slot), false);
+    e.unit = nullptr;
+    e.draining = false;
     index_[code] = kNoSlot;
+    ++generation_;
   }
 
   /// Unit registered under `code` and dispatchable, or nullptr.  This is
@@ -146,8 +169,57 @@ class FunctionalUnitTable {
     return entries_.at(index).code;
   }
 
+  /// Bumped by every attach and detach: a slot may now hold a different
+  /// unit (or none).  Stages that remember which slot's wires they drove
+  /// compare this to know when to drive every slot again.
+  std::uint64_t generation() const { return generation_; }
+
+  // -- Ready set --------------------------------------------------------------
+  /// First ready slot at or after `from`, wrapping past the end; kNone when
+  /// no slot is ready.  `from` must be below size() (or 0).
+  std::size_t next_ready(std::size_t from) const {
+    if (ready_count_ == 0) {
+      return kNone;
+    }
+    std::size_t w = from / 64;
+    std::uint64_t bits = ready_[w] & (~std::uint64_t{0} << (from % 64));
+    // Up to one pass over every word, then the low bits of the first one.
+    for (std::size_t k = 0; k <= ready_.size(); ++k) {
+      if (bits != 0) {
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      }
+      w = w + 1 == ready_.size() ? 0 : w + 1;
+      bits = ready_[w];
+    }
+    return kNone;
+  }
+  /// True while the slot is attached and its unit asserts data_ready.
+  bool ready(std::size_t slot) const {
+    return (ready_[slot / 64] >> (slot % 64) & 1u) != 0;
+  }
+  /// Number of ready slots.
+  std::size_t ready_count() const { return ready_count_; }
+
+  /// data_ready of the unit in slot `tag` changed (sim::WireWatcher).
+  void wire_edge(std::uint32_t tag) override {
+    set_ready(tag, entries_[tag].unit->ports.data_ready.peek());
+  }
+
  private:
   static constexpr std::int16_t kNoSlot = -1;
+
+  void set_ready(std::size_t slot, bool ready) {
+    std::uint64_t& word = ready_[slot / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    if (((word & bit) != 0) != ready) {
+      word ^= bit;
+      if (ready) {
+        ++ready_count_;
+      } else {
+        --ready_count_;
+      }
+    }
+  }
 
   struct Entry {
     isa::FunctionCode code;
@@ -160,6 +232,10 @@ class FunctionalUnitTable {
   std::array<std::int16_t, 256> index_;
   /// Codes declared known-but-not-resident by a hot-swap manager.
   std::array<bool, 256> unavailable_;
+  /// Ready set: bit i of word i/64 for slot i (see the class comment).
+  std::vector<std::uint64_t> ready_;
+  std::size_t ready_count_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace fpgafu::rtm

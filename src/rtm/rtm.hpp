@@ -73,7 +73,10 @@ class Rtm {
   /// Attach a functional unit under an instruction function code.
   void attach(isa::FunctionCode code, fu::FunctionalUnit& unit) {
     table_.attach(code, unit);
-    // Both the dispatcher and the arbiter iterate the table in eval();
+    // The arbiter grants from the table's ready set instead of reading
+    // data_ready, so the kernel cannot see that dependency on its own.
+    unit.ports.data_ready.sensitive_to(arbiter_);
+    // Both the dispatcher and the arbiter read the table in eval();
     // reconfiguration is a non-Wire change they must observe.
     dispatcher_.wake();
     arbiter_.wake();

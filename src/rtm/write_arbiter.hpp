@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "rtm/execution.hpp"
@@ -44,26 +45,25 @@ class WriteArbiter : public sim::Component {
         round_robin_(round_robin) {}
 
   void eval() override {
-    // Grant exactly one requesting unit; deassert all other acks.
-    const std::size_t n = table_->size();
-    grant_ = kNoGrant;
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = round_robin_ ? (next_ + k) % n : k;
-      if (!table_->slot_active(static_cast<std::uint32_t>(i))) {
-        continue;
+    // Grant exactly one requesting unit: the first ready slot, counting
+    // from 0 (fixed priority) or from the slot after the last grant.
+    grant_ = table_->next_ready(round_robin_ ? next_ : 0);
+    // Every other ack is already low: only the previous grantee's and the
+    // new one's need driving — unless a slot changed hands since, in which
+    // case every slot is driven once, as on the first evaluation.
+    if (table_->generation() != driven_generation_) {
+      driven_generation_ = table_->generation();
+      for (std::size_t i = 0; i < table_->size(); ++i) {
+        if (table_->slot_active(static_cast<std::uint32_t>(i))) {
+          drive_ack(i);
+        }
       }
-      fu::FunctionalUnit& unit = table_->unit(static_cast<std::uint32_t>(i));
-      if (grant_ == kNoGrant && unit.ports.data_ready.get()) {
-        grant_ = i;
-      }
+    } else if (acked_ != grant_) {
+      // Ascending slot order, as the full sweep writes them.
+      drive_ack(std::min(acked_, grant_));
+      drive_ack(std::max(acked_, grant_));
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!table_->slot_active(static_cast<std::uint32_t>(i))) {
-        continue;
-      }
-      table_->unit(static_cast<std::uint32_t>(i))
-          .ports.data_acknowledge.set(i == grant_);
-    }
+    acked_ = grant_;
   }
 
   void commit() override {
@@ -102,23 +102,16 @@ class WriteArbiter : public sim::Component {
       }
       counters_->bump(h_unit_writes_);
       if (trace_ != nullptr) {
-        trace_->event(simulator().cycle(),
-                      "writeback.unit" + std::to_string(grant_), r.dst_reg);
+        trace_->event(simulator().cycle(), unit_labels_[grant_], r.dst_reg);
       }
       if (round_robin_) {
         next_ = (grant_ + 1) % table_->size();
       }
     }
     // Contention statistic: units left waiting this cycle.
-    std::uint64_t waiting = 0;
-    for (std::size_t i = 0; i < table_->size(); ++i) {
-      if (table_->slot_active(static_cast<std::uint32_t>(i)) &&
-          table_->unit(static_cast<std::uint32_t>(i))
-              .ports.data_ready.get() &&
-          i != grant_) {
-        ++waiting;
-      }
-    }
+    const std::uint64_t waiting =
+        table_->ready_count() -
+        (grant_ != kNoGrant && table_->ready(grant_) ? 1u : 0u);
     if (waiting > 0) {
       counters_->bump(h_contention_, waiting);
     }
@@ -133,6 +126,8 @@ class WriteArbiter : public sim::Component {
   void reset() override {
     grant_ = kNoGrant;
     next_ = 0;
+    acked_ = kNoGrant;
+    driven_generation_ = kNeverDriven;
   }
 
   /// Attach an event trace recording every retirement (`writeback.hp`,
@@ -140,7 +135,17 @@ class WriteArbiter : public sim::Component {
   void set_trace(sim::EventTrace* trace) { trace_ = trace; }
 
  private:
-  static constexpr std::size_t kNoGrant = ~std::size_t{0};
+  static constexpr std::size_t kNoGrant = FunctionalUnitTable::kNone;
+  static constexpr std::uint64_t kNeverDriven = ~std::uint64_t{0};
+
+  /// Drive slot `i`'s acknowledge from the current grant (no-op for
+  /// kNoGrant).
+  void drive_ack(std::size_t i) {
+    if (i != kNoGrant) {
+      table_->unit(static_cast<std::uint32_t>(i))
+          .ports.data_acknowledge.set(i == grant_);
+    }
+  }
 
   RegisterFile* regs_;
   FlagRegisterFile* flags_;
@@ -156,6 +161,11 @@ class WriteArbiter : public sim::Component {
   bool round_robin_;
   std::size_t grant_ = kNoGrant;
   std::size_t next_ = 0;
+  /// Slot whose acknowledge eval() last drove high (kNoGrant: none), and
+  /// the table generation the acks were last driven for.
+  std::size_t acked_ = kNoGrant;
+  std::uint64_t driven_generation_ = kNeverDriven;
+  sim::IndexedLabels unit_labels_{"writeback.unit"};
 };
 
 }  // namespace fpgafu::rtm

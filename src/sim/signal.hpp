@@ -10,6 +10,17 @@
 
 namespace fpgafu::sim {
 
+/// Receives the value changes of a watched wire (see WireBase::watch).
+class WireWatcher {
+ public:
+  /// The watched wire tagged `tag` changed value; the new value is already
+  /// visible through `peek()`.
+  virtual void wire_edge(std::uint32_t tag) = 0;
+
+ protected:
+  ~WireWatcher() = default;
+};
+
 /// Untyped part of a Wire: identity, the owning simulator, and the
 /// sensitivity list — the set of components observed reading this wire from
 /// their `eval()` (and, under the event kernel, from their `commit()`: a
@@ -39,6 +50,18 @@ class WireBase {
   /// Explicitly subscribe `component` for re-evaluation whenever this wire
   /// changes, as if it had been observed reading it.
   void sensitive_to(Component& component) { subscribe(&component); }
+
+  /// Report every value change of this wire to `watcher` as
+  /// `wire_edge(tag)`, so state derived from many wires can be kept by
+  /// edges instead of re-read every pass.  At most one watcher per wire;
+  /// pass nullptr to stop.  Changes deferred by a parallel settle level are
+  /// reported when they are applied, at the level barrier.
+  void watch(WireWatcher* watcher, std::uint32_t tag = 0) {
+    check(watcher == nullptr || watcher_ == nullptr,
+          "wire already has a watcher");
+    watcher_ = watcher;
+    watch_tag_ = tag;
+  }
 
  protected:
   explicit WireBase(Simulator& sim) : sim_(&sim) { sim_->register_wire(*this); }
@@ -72,7 +95,12 @@ class WireBase {
   }
 
   /// The value changed: mark the pass dirty and queue/wake the readers.
-  void on_change() { sim_->wire_changed(*this); }
+  void on_change() {
+    sim_->wire_changed(*this);
+    if (watcher_ != nullptr) {
+      watcher_->wire_edge(watch_tag_);
+    }
+  }
 
   /// True while the simulator is running a level across multiple lanes;
   /// typed Wire subclasses divert their writes through defer_write() then.
@@ -105,6 +133,8 @@ class WireBase {
   /// Last sub_epoch_ in which a read of this wire was recorded (see class
   /// comment); mutable because get() is logically const.
   mutable std::uint64_t last_sub_epoch_ = ~std::uint64_t{0};
+  WireWatcher* watcher_ = nullptr;
+  std::uint32_t watch_tag_ = 0;
 };
 
 /// A combinational signal (a VHDL wire / unregistered std_logic_vector).

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace fpgafu::sim {
@@ -45,6 +46,26 @@ class EventTrace {
   std::vector<Entry> entries_;
   std::size_t max_entries_;
   std::uint64_t dropped_ = 0;
+};
+
+/// Event names of the form `<prefix><index>` ("dispatch.unit3"), each
+/// formatted once, the first time its index is traced, so a traced
+/// component does not build a string per event.
+class IndexedLabels {
+ public:
+  explicit IndexedLabels(std::string prefix) : prefix_(std::move(prefix)) {}
+
+  const std::string& operator[](std::size_t index) {
+    while (labels_.size() <= index) {
+      labels_.push_back(prefix_);
+      labels_.back() += std::to_string(labels_.size() - 1);
+    }
+    return labels_[index];
+  }
+
+ private:
+  std::string prefix_;
+  std::vector<std::string> labels_;
 };
 
 /// Named monotonically increasing counters for cycle statistics

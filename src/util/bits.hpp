@@ -62,7 +62,7 @@ constexpr std::uint16_t crc16_byte(std::uint16_t crc, std::uint8_t byte) {
   crc = static_cast<std::uint16_t>(crc ^ (static_cast<std::uint16_t>(byte) << 8));
   for (int i = 0; i < 8; ++i) {
     crc = (crc & 0x8000u) != 0
-              ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021u)
+              ? static_cast<std::uint16_t>((unsigned{crc} << 1) ^ 0x1021u)
               : static_cast<std::uint16_t>(crc << 1);
   }
   return crc;

@@ -72,4 +72,44 @@ class RingBuffer {
   std::size_t size_ = 0;
 };
 
+/// Unbounded FIFO that keeps its storage.  Popped slots are reclaimed by
+/// sliding the live elements back to the front once at least half the
+/// vector is consumed, so a steady stream reaches its high-water capacity
+/// and then never allocates — unlike std::deque, which frees and allocates
+/// a block every few dozen elements.  Iteration runs front to back.
+template <typename T>
+class CompactingQueue {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  const T& front() const { return items_[head_]; }
+  const T& back() const { return items_.back(); }
+  auto begin() const {
+    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  auto end() const { return items_.end(); }
+
+  void push_back(T value) { items_.push_back(std::move(value)); }
+
+  void pop_front() {
+    ++head_;
+    if (head_ == items_.size()) {
+      clear();
+    } else if (2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
 }  // namespace fpgafu

@@ -13,7 +13,9 @@ CellArray::CellArray(const XsortConfig& config)
       lower_(config.cells, 0),
       upper_(config.cells, 0),
       selected_(config.cells, 0),
-      saved_(config.cells, 0) {
+      saved_(config.cells, 0),
+      count_leaves_(config.cells, 0),
+      leftmost_leaves_(config.cells) {
   check(config.cells >= 1, "cell array needs at least one cell");
   check(config.data_bits >= 1 && config.data_bits <= 64,
         "data_bits must be in [1, 64]");
@@ -124,43 +126,45 @@ void CellArray::apply(const CellCmd& cmd, std::uint64_t broadcast) {
   }
 }
 
+namespace {
+
+std::uint64_t add(std::uint64_t a, std::uint64_t b) { return a + b; }
+
+}  // namespace
+
 std::uint64_t CellArray::count_selected() const {
-  std::vector<std::uint64_t> leaves(selected_.begin(), selected_.end());
-  return tree_fold<std::uint64_t>(
-      leaves, 0, [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  for (std::size_t i = 0; i < data_.size(); ++i) {
+    count_leaves_[i] = selected_[i];
+  }
+  return tree_fold<std::uint64_t>(count_leaves_, 0, add);
 }
 
 std::uint64_t CellArray::count_imprecise() const {
-  std::vector<std::uint64_t> leaves(data_.size());
   for (std::size_t i = 0; i < data_.size(); ++i) {
-    leaves[i] = lower_[i] != upper_[i] ? 1 : 0;
+    count_leaves_[i] = lower_[i] != upper_[i] ? 1 : 0;
   }
-  return tree_fold<std::uint64_t>(
-      leaves, 0, [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  return tree_fold<std::uint64_t>(count_leaves_, 0, add);
 }
 
 Leftmost CellArray::first_selected() const {
-  std::vector<Leftmost> leaves(data_.size());
   for (std::size_t i = 0; i < data_.size(); ++i) {
-    leaves[i] = {selected_[i] != 0, i, data_[i], lower_[i], upper_[i]};
+    leftmost_leaves_[i] = {selected_[i] != 0, i, data_[i], lower_[i],
+                           upper_[i]};
   }
-  return tree_fold<Leftmost>(leaves, Leftmost{}, leftmost_combine);
+  return tree_fold<Leftmost>(leftmost_leaves_, Leftmost{}, leftmost_combine);
 }
 
 Leftmost CellArray::first_imprecise() const {
-  std::vector<Leftmost> leaves(data_.size());
   for (std::size_t i = 0; i < data_.size(); ++i) {
-    leaves[i] = {lower_[i] != upper_[i], i, data_[i], lower_[i], upper_[i]};
+    leftmost_leaves_[i] = {lower_[i] != upper_[i], i, data_[i], lower_[i],
+                           upper_[i]};
   }
-  return tree_fold<Leftmost>(leaves, Leftmost{}, leftmost_combine);
+  return tree_fold<Leftmost>(leftmost_leaves_, Leftmost{}, leftmost_combine);
 }
 
 unsigned CellArray::tree_depth() const {
   unsigned depth = 0;
-  std::vector<std::uint64_t> leaves(data_.size(), 0);
-  tree_fold<std::uint64_t>(
-      leaves, 0, [](std::uint64_t a, std::uint64_t b) { return a + b; },
-      &depth);
+  tree_fold<std::uint64_t>(count_leaves_, 0, add, &depth);
   return depth;
 }
 

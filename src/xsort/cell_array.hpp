@@ -61,6 +61,11 @@ class CellArray {
   std::vector<std::uint64_t> upper_;
   std::vector<std::uint8_t> selected_;
   std::vector<std::uint8_t> saved_;
+  /// Leaf buffers the tree queries fold in place (see tree_fold), kept so
+  /// a query does not allocate.  Like the rest of the simulated hardware, a
+  /// cell array belongs to one thread, so const queries may share them.
+  mutable std::vector<std::uint64_t> count_leaves_;
+  mutable std::vector<Leftmost> leftmost_leaves_;
 };
 
 }  // namespace fpgafu::xsort

@@ -2,8 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <vector>
+#include <span>
 
 namespace fpgafu::xsort {
 
@@ -17,33 +16,30 @@ namespace fpgafu::xsort {
 /// pairwise combination over ceil(log2 n) levels — so associativity bugs
 /// (a combine that silently depends on fold order) surface in tests, and
 /// the depth is available for the area/latency model.
+///
+/// The fold runs in place: each tree level is combined into the front of
+/// `level`, whose contents are consumed.  A caller that keeps the buffer
+/// across calls folds without allocating.
 template <typename T, typename Combine>
-T tree_fold(const std::vector<T>& leaves, T identity, Combine combine,
+T tree_fold(std::span<T> level, T identity, Combine combine,
             unsigned* depth_out = nullptr) {
-  if (leaves.empty()) {
-    if (depth_out != nullptr) {
-      *depth_out = 0;
-    }
-    return identity;
-  }
-  std::vector<T> level = leaves;
   unsigned depth = 0;
-  while (level.size() > 1) {
-    std::vector<T> next;
-    next.reserve((level.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(combine(level[i], level[i + 1]));
+  std::size_t n = level.size();
+  while (n > 1) {
+    // Slot i / 2 is written only after slots up to i - 1 were read.
+    for (std::size_t i = 0; i + 1 < n; i += 2) {
+      level[i / 2] = combine(level[i], level[i + 1]);
     }
-    if (level.size() % 2 == 1) {
-      next.push_back(level.back());
+    if (n % 2 == 1) {
+      level[n / 2] = level[n - 1];
     }
-    level = std::move(next);
+    n = (n + 1) / 2;
     ++depth;
   }
   if (depth_out != nullptr) {
     *depth_out = depth;
   }
-  return level.front();
+  return n == 0 ? identity : level.front();
 }
 
 /// Leaf payload for "leftmost matching cell" selections: the tree keeps the

@@ -71,7 +71,9 @@ TEST(ExprCompiler, BalancedTreePressureIsDepthPlusOne) {
   ExprCompiler compiler(cfg);
   std::vector<Expr> layer;
   for (int i = 0; i < 64; ++i) {
-    layer.push_back(Expr::input("v" + std::to_string(i)));
+    std::string name = "v";
+    name += std::to_string(i);
+    layer.push_back(Expr::input(name));
   }
   while (layer.size() > 1) {
     std::vector<Expr> next;
@@ -94,7 +96,9 @@ TEST(ExprCompiler, RegisterExhaustionThrows) {
   ExprCompiler compiler(cfg);
   std::vector<Expr> layer;
   for (int i = 0; i < 8; ++i) {
-    layer.push_back(Expr::input("v" + std::to_string(i)));
+    std::string name = "v";
+    name += std::to_string(i);
+    layer.push_back(Expr::input(name));
   }
   while (layer.size() > 1) {
     std::vector<Expr> next;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -72,7 +74,9 @@ TEST_P(MulDivOps, MatchesNativeSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, MulDivOps, ::testing::Values(8u, 16u, 32u),
                          [](const ::testing::TestParamInfo<unsigned>& pinfo) {
-                           return "w" + std::to_string(pinfo.param);
+                           std::string name = "w";
+                           name += std::to_string(pinfo.param);
+                           return name;
                          });
 
 TEST(MulDiv, Width64SignedHighProduct) {

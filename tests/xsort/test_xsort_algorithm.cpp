@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "util/rng.hpp"
 #include "xsort/baseline.hpp"
@@ -101,8 +102,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3)),
     [](const ::testing::TestParamInfo<std::tuple<std::size_t, std::uint64_t>>&
            pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_s" +
-             std::to_string(std::get<1>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_s";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 TEST(XsortAlgorithmSoft, SortPaddedHandlesPartialArrays) {
