@@ -26,6 +26,7 @@
 
 #include "bench_util.hpp"
 #include "host/hpcc.hpp"
+#include "sim/simulator.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -33,22 +34,18 @@ namespace {
 using namespace fpgafu;
 namespace hpcc = host::hpcc;
 
+// Benchmark arg: kernel index into Simulator::kAllKernels.
 hpcc::Kernel kernel_of(std::int64_t arg) {
-  switch (arg) {
-    case 0: return hpcc::Kernel::kBruteForce;
-    case 1: return hpcc::Kernel::kSensitivity;
-    case 2: return hpcc::Kernel::kEvent;
-    default: return hpcc::Kernel::kLevelized;
-  }
+  return sim::Simulator::kAllKernels[static_cast<std::size_t>(arg)];
 }
 
 const char* label_of(std::int64_t arg) {
-  return hpcc::kernel_name(kernel_of(arg));
+  return sim::Simulator::kernel_name(kernel_of(arg));
 }
 
 // Workload sizes for the checked-in tables and JSON.  The unit tests run
 // the same code at smaller sizes; these are big enough that per-call
-// overhead is amortised but a full 3-kernel sweep stays in seconds.
+// overhead is amortised but a full all-kernel sweep stays in seconds.
 hpcc::StreamConfig stream_config() {
   hpcc::StreamConfig cfg;
   cfg.elements = 256;
@@ -91,7 +88,7 @@ void add_result_row(TextTable& t, const hpcc::WorkloadResult& r,
 
 void print_suite_tables() {
   bench::section("E12",
-                 "HPCC-style macro workloads (oracle-validated, all four "
+                 "HPCC-style macro workloads (oracle-validated, both "
                  "settle kernels)");
   bench::note("STREAM 3x256 words, RandomAccess 256-word table / 512 "
               "updates, GEMM 16x16 (4x4 blocks), b_eff 1..128-word "
@@ -99,8 +96,8 @@ void print_suite_tables() {
   TextTable t({"workload", "kernel", "jobs", "cycles", "jobs/cycle",
                "jobs/s", "wall ms", "check"});
   std::vector<hpcc::BeffOutcome> beff_clean, beff_faulty;
-  for (const auto kernel : hpcc::all_kernels()) {
-    const char* kn = hpcc::kernel_name(kernel);
+  for (const auto kernel : sim::Simulator::kAllKernels) {
+    const char* kn = sim::Simulator::kernel_name(kernel);
     for (const auto& r : hpcc::run_stream(kernel, stream_config())) {
       add_result_row(t, r, kn);
     }
@@ -115,11 +112,11 @@ void print_suite_tables() {
   bench::note("jobs/cycle is simulated-hardware efficiency; jobs/s is "
               "host-side simulation speed.");
 
-  bench::section("E12b", "b_eff link efficiency vs message size (levelized "
+  bench::section("E12b", "b_eff link efficiency vs message size (event "
                          "kernel; payload words per cycle, both directions)");
   TextTable bt({"message words", "clean cycles", "clean words/cycle",
                 "faulty cycles", "faulty words/cycle"});
-  const auto& clean = beff_clean.back();   // levelized kernel (last pushed)
+  const auto& clean = beff_clean.back();   // event kernel (last pushed)
   const auto& faulty = beff_faulty.back();
   for (std::size_t i = 0; i < clean.points.size(); ++i) {
     const auto& cp = clean.points[i];
@@ -174,8 +171,6 @@ void BM_HpccStream(benchmark::State& state) {
 BENCHMARK(BM_HpccStream)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_HpccRandomAccess(benchmark::State& state) {
@@ -203,8 +198,6 @@ void BM_HpccRandomAccess(benchmark::State& state) {
 BENCHMARK(BM_HpccRandomAccess)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_HpccGemm(benchmark::State& state) {
@@ -231,8 +224,6 @@ void BM_HpccGemm(benchmark::State& state) {
 BENCHMARK(BM_HpccGemm)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_HpccBeff(benchmark::State& state) {
@@ -266,12 +257,8 @@ void BM_HpccBeff(benchmark::State& state) {
 BENCHMARK(BM_HpccBeff)
     ->Args({0, 0})
     ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({3, 0})
     ->Args({0, 1})
     ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({3, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

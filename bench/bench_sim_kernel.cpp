@@ -3,19 +3,13 @@
 // The fixed-point settle is the simulator's inner loop.  The brute-force
 // kernel re-runs every component's eval() on every settle pass, so its
 // cost per cycle grows with the *total* number of attached components even
-// when almost all of them are idle.  The sensitivity-scheduled kernel
-// evaluates everything once per cycle (registered state may have changed
-// at the commit) and then re-evaluates only components whose recorded
-// input wires changed.  On the paper's target topology — a controller with
-// many attached functional units, few of them active in any given cycle —
-// that is exactly the sparse-activity regime where event-driven scheduling
-// pays.
-//
-// The event kernel extends that across the clock edge (idle components
-// skip the first pass and commit too), and the levelized kernel compiles
-// the observed graph into a static level-order sweep that replaces the
-// dirty-queue bookkeeping entirely — optionally splitting wide levels
-// across a small thread pool (the `mt` rows).
+// when almost all of them are idle.  The event kernel evaluates only
+// components with a reason to have changed — woken by a recorded input
+// wire, an explicit wake or their own commit's activity — and commits only
+// the clocked-active ones.  On the paper's target topology — a controller
+// with many attached functional units, few of them active in any given
+// cycle — that is exactly the sparse-activity regime where event-driven
+// scheduling pays.
 //
 // The measured system: an RTM with 32 multi-cycle FSM arithmetic units
 // plus the χ-sort engine (256-cell SIMD array), driven over the tight
@@ -133,11 +127,9 @@ struct KernelResult {
   double wall_ms = 0;
 };
 
-KernelResult run_wide(sim::Simulator::Kernel kernel, const isa::Program& p,
-                      unsigned settle_threads = 0) {
+KernelResult run_wide(sim::Simulator::Kernel kernel, const isa::Program& p) {
   top::System sys(wide_config());
   sys.simulator().set_kernel(kernel);
-  sys.simulator().set_settle_threads(settle_threads);
   auto units = attach_wide_units(sys);
   host::Coprocessor copro(sys);
   const auto t0 = std::chrono::steady_clock::now();
@@ -161,10 +153,10 @@ void print_kernel_table() {
   const isa::Program p = sparse_workload(16);
   // Best-of-3 so the wall column is not dominated by cold-start noise
   // (the google-benchmark runs below give the statistically solid view).
-  const auto best_of = [&](sim::Simulator::Kernel k, unsigned threads = 0) {
-    KernelResult best = run_wide(k, p, threads);
+  const auto best_of = [&](sim::Simulator::Kernel k) {
+    KernelResult best = run_wide(k, p);
     for (int i = 0; i < 2; ++i) {
-      const KernelResult r = run_wide(k, p, threads);
+      const KernelResult r = run_wide(k, p);
       if (r.wall_ms < best.wall_ms) {
         best = r;
       }
@@ -172,10 +164,7 @@ void print_kernel_table() {
     return best;
   };
   const KernelResult brute = best_of(sim::Simulator::Kernel::kBruteForce);
-  const KernelResult sens = best_of(sim::Simulator::Kernel::kSensitivity);
   const KernelResult event = best_of(sim::Simulator::Kernel::kEvent);
-  const KernelResult lvl = best_of(sim::Simulator::Kernel::kLevelized);
-  const KernelResult lvl_mt = best_of(sim::Simulator::Kernel::kLevelized, 2);
   TextTable t({"kernel", "cycles", "eval() calls", "evals/cycle",
                "max settle", "wall ms"});
   const auto row = [&](const char* name, const KernelResult& r) {
@@ -186,76 +175,45 @@ void print_kernel_table() {
                std::to_string(r.max_settle), format_fixed(r.wall_ms, 2)});
   };
   row("brute force", brute);
-  row("sensitivity", sens);
   row("event", event);
-  row("levelized", lvl);
-  row("levelized mt2", lvl_mt);
   t.print(std::cout);
-  std::printf("  eval-call ratio (brute/sensitivity): %.2fx\n",
+  std::printf("  eval-call ratio (brute/event): %.2fx\n",
               static_cast<double>(brute.evals) /
-                  static_cast<double>(sens.evals));
-  std::printf("  eval-call ratio (sensitivity/event): %.2fx\n",
-              static_cast<double>(sens.evals) /
                   static_cast<double>(event.evals));
-  std::printf("  wall-time ratio (brute/sensitivity): %.2fx\n",
-              brute.wall_ms / sens.wall_ms);
-  std::printf("  wall-time ratio (sensitivity/event): %.2fx\n",
-              sens.wall_ms / event.wall_ms);
-  std::printf("  wall-time ratio (event/levelized): %.2fx\n",
-              event.wall_ms / lvl.wall_ms);
+  std::printf("  wall-time ratio (brute/event): %.2fx\n",
+              brute.wall_ms / event.wall_ms);
   bench::note("Identical cycle counts are required (the kernels are pinned");
   bench::note("bit-identical by tests/rtm/test_kernel_differential.cpp and");
   bench::note("the randomized-topology fuzzer tests/rtm/test_kernel_fuzz.cpp).");
-  bench::note("The sensitivity kernel drops re-evaluations of idle");
-  bench::note("components on settle passes after the first; the event");
-  bench::note("kernel carries activity across the clock edge and skips");
-  bench::note("idle components in the first pass and in commit too; the");
-  bench::note("levelized kernel compiles the observed graph into a static");
-  bench::note("level-order sweep with no per-eval queue bookkeeping.");
-  bench::note("levelized mt2 = same schedule, wide levels split across 2");
-  bench::note("lanes (set_settle_threads(2)); this topology's levels are");
-  bench::note("too narrow for the barrier cost to pay off — the row is the");
-  bench::note("honest negative result, the knob stays opt-in.");
-  if (brute.cycles != sens.cycles || brute.cycles != event.cycles ||
-      brute.cycles != lvl.cycles || brute.cycles != lvl_mt.cycles) {
-    std::printf("  ERROR: cycle counts diverged (%llu vs %llu vs %llu vs "
-                "%llu vs %llu)\n",
+  bench::note("The event kernel carries activity across the clock edge: idle");
+  bench::note("components skip the first settle pass and the commit, and later");
+  bench::note("passes re-evaluate only readers of wires that changed.");
+  if (brute.cycles != event.cycles) {
+    std::printf("  ERROR: cycle counts diverged (%llu vs %llu)\n",
                 static_cast<unsigned long long>(brute.cycles),
-                static_cast<unsigned long long>(sens.cycles),
-                static_cast<unsigned long long>(event.cycles),
-                static_cast<unsigned long long>(lvl.cycles),
-                static_cast<unsigned long long>(lvl_mt.cycles));
+                static_cast<unsigned long long>(event.cycles));
   }
 }
 
-// Args: {kernel index into Simulator::kAllKernels, settle threads}.  The
-// thread count is an explicit knob — only the levelized kernel consults it,
-// and only the {3, 2} variant turns it on.
+// Arg: kernel index into Simulator::kAllKernels.
 void BM_WideSystemSettle(benchmark::State& state) {
   const auto kernel =
       sim::Simulator::kAllKernels[static_cast<std::size_t>(state.range(0))];
-  const auto threads = static_cast<unsigned>(state.range(1));
-  // Same 16-sweep workload as the table above: long enough that the
-  // levelized kernel's one-time schedule elaboration is amortised and the
-  // rows measure steady-state settle cost, not System construction.
+  // Same 16-sweep workload as the table above: long enough that the rows
+  // measure steady-state settle cost, not System construction.
   const isa::Program p = sparse_workload(16);
   std::uint64_t cycles = 0;
   std::uint64_t evals = 0;
   for (auto _ : state) {
     top::System sys(wide_config());
     sys.simulator().set_kernel(kernel);
-    sys.simulator().set_settle_threads(threads);
     auto units = attach_wide_units(sys);
     host::Coprocessor copro(sys);
     copro.call(p);
     cycles += sys.simulator().cycle();
     evals += sys.simulator().evals_performed();
   }
-  std::string label = sim::Simulator::kernel_name(kernel);
-  if (threads > 1) {
-    label += "_mt" + std::to_string(threads);
-  }
-  state.SetLabel(label);
+  state.SetLabel(sim::Simulator::kernel_name(kernel));
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
   // Scheduler-efficiency figure the CI perf smoke asserts on: average
   // eval() calls per simulated cycle.
@@ -264,15 +222,11 @@ void BM_WideSystemSettle(benchmark::State& state) {
                   : static_cast<double>(evals) / static_cast<double>(cycles));
 }
 BENCHMARK(BM_WideSystemSettle)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({3, 0})
-    ->Args({3, 2})
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
-
 int main(int argc, char** argv) {
   fpgafu::bench::init(&argc, argv);
   print_kernel_table();

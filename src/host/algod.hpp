@@ -106,16 +106,16 @@ class CostAwarePolicy final : public ReplacementPolicy {
   std::string name() const override { return "cost"; }
   void on_load(const std::string& image, std::uint64_t now,
                std::uint64_t load_cycles) override {
-    entries_[image] = Entry{level_ + load_cycles, now};
+    entries_[image] = Entry{aging_level_ + load_cycles, now};
   }
   void on_hit(const std::string& image, std::uint64_t now,
               std::uint64_t load_cycles) override {
-    entries_[image] = Entry{level_ + load_cycles, now};
+    entries_[image] = Entry{aging_level_ + load_cycles, now};
   }
   void on_evict(const std::string& image) override {
     auto it = entries_.find(image);
     if (it != entries_.end()) {
-      level_ = std::max(level_, it->second.credit);
+      aging_level_ = std::max(aging_level_, it->second.credit);
       entries_.erase(it);
     }
   }
@@ -127,7 +127,7 @@ class CostAwarePolicy final : public ReplacementPolicy {
     std::uint64_t touch = 0;   ///< touch tick, tie-break (older loses)
   };
   std::map<std::string, Entry> entries_;
-  std::uint64_t level_ = 0;  ///< running max of evicted credits
+  std::uint64_t aging_level_ = 0;  ///< running max of evicted credits
 };
 
 /// The reconfiguration port, as a simulated hardware block: while a load is

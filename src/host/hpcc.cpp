@@ -147,15 +147,6 @@ void verify_vector(const std::vector<isa::Word>& got,
 
 }  // namespace
 
-std::vector<Kernel> all_kernels() {
-  return std::vector<Kernel>(sim::Simulator::kAllKernels.begin(),
-                             sim::Simulator::kAllKernels.end());
-}
-
-const char* kernel_name(Kernel kernel) {
-  return sim::Simulator::kernel_name(kernel);
-}
-
 // ---------------------------------------------------------------------------
 // STREAM
 // ---------------------------------------------------------------------------

@@ -135,8 +135,4 @@ struct BeffOutcome {
 };
 BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg = {});
 
-/// Every pinned settle kernel, in calibration order (Simulator::kAllKernels).
-std::vector<Kernel> all_kernels();
-const char* kernel_name(Kernel kernel);
-
 }  // namespace fpgafu::host::hpcc

@@ -64,10 +64,10 @@ class Component {
   /// sets.  Bound `Reg`s call this automatically on a real q-value change.
   void mark_active() { sim_.wake(*this); }
 
-  /// Opt out of event-kernel demotion: eval and commit every cycle, exactly
-  /// as under the sensitivity kernel.  For free-running components whose
-  /// behaviour is a function of *time* or of per-cycle RNG draws rather than
-  /// of wires + registered state (monitors, VCD probes, duty-cycle drivers).
+  /// Opt out of event-kernel demotion: eval and commit every cycle.  For
+  /// free-running components whose behaviour is a function of *time* or of
+  /// per-cycle RNG draws rather than of wires + registered state (monitors,
+  /// VCD probes, duty-cycle drivers).
   void make_always_active() {
     always_active_ = true;
     sim_.wake(*this);
@@ -81,36 +81,26 @@ class Component {
 
   Simulator& sim_;
   std::string name_;
-  /// Scheduling state of the sensitivity kernel: true while this component
-  /// sits in the simulator's dirty queue awaiting re-evaluation.
+  /// Event-kernel scheduling state: true while this component sits in the
+  /// simulator's dirty queue awaiting re-evaluation within a settle.
   bool queued_ = false;
   /// Event-kernel scheduling state: member of the cross-cycle wake set
   /// (evaluate on the next cycle's first settle pass)?
   bool woken_ = false;
   /// Event-kernel scheduling state: member of the commit set?
   bool commit_armed_ = false;
-  /// Levelized-kernel scheduling state: already placed in a level bucket of
-  /// the settle sweep currently being executed?
-  bool sweep_pending_ = false;
   /// Exempt from event-kernel demotion (see make_always_active()).
   bool always_active_ = false;
-  /// Levelized-kernel schedule: topological level of this component in the
-  /// observed combinational graph (0 = no recorded wire-driving
-  /// predecessor), assigned by Simulator::rebuild_schedule().
-  std::uint32_t level_ = 0;
-  /// Levelized-kernel schedule: global sweep slot.  Orders components by
-  /// (level, concrete type, registration), so a level's bucket — sorted by
-  /// slot — batches same-type components back-to-back for cache locality.
-  std::uint64_t slot_ = 0;
   /// Registration ordinal, assigned by Simulator::add().  The event kernel
   /// sorts its commit set by this so its commit sequence is a subsequence
-  /// of the full-commit kernels' registration-order sequence — any probe
+  /// of the brute-force kernel's registration-order sequence — any probe
   /// or monitor reading other components' clocked state mid-commit then
   /// observes identical values under every kernel.
   std::uint64_t order_ = 0;
   /// Wires this component is on the sensitivity list of — the O(1)
-  /// membership side of WireBase's epoch-stamped subscription.
-  std::unordered_set<const WireBase*> subscribed_;
+  /// membership side of WireBase's epoch-stamped subscription, and the list
+  /// Simulator::remove() walks to unsubscribe a destroyed component.
+  std::unordered_set<WireBase*> subscribed_;
 };
 
 }  // namespace fpgafu::sim

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -54,8 +53,7 @@ class WireBase {
   /// Report every value change of this wire to `watcher` as
   /// `wire_edge(tag)`, so state derived from many wires can be kept by
   /// edges instead of re-read every pass.  At most one watcher per wire;
-  /// pass nullptr to stop.  Changes deferred by a parallel settle level are
-  /// reported when they are applied, at the level barrier.
+  /// pass nullptr to stop.
   void watch(WireWatcher* watcher, std::uint32_t tag = 0) {
     check(watcher == nullptr || watcher_ == nullptr,
           "wire already has a watcher");
@@ -64,19 +62,12 @@ class WireBase {
   }
 
  protected:
-  explicit WireBase(Simulator& sim) : sim_(&sim) { sim_->register_wire(*this); }
+  explicit WireBase(Simulator& sim) : sim_(&sim) {}
   ~WireBase() { sim_->unregister_wire(*this); }
 
   /// Record the currently evaluating (or, under kEvent, committing)
   /// component as a reader.
   void on_read() const {
-    if (sim_->parallel_phase_) {
-      // Mid-parallel-level: the epoch/back-slot fast paths are not
-      // thread-safe; new subscriptions are deferred to per-lane scratch
-      // and applied at the level barrier.
-      sim_->parallel_on_read(*this);
-      return;
-    }
     Component* reader = sim_->recording_reader();
     if (reader == nullptr) {
       return;  // read from a test, host code, or an untracked commit()
@@ -102,34 +93,17 @@ class WireBase {
     }
   }
 
-  /// True while the simulator is running a level across multiple lanes;
-  /// typed Wire subclasses divert their writes through defer_write() then.
-  bool parallel_phase() const { return sim_->parallel_phase_; }
-
-  /// Queue a write for serial application at the current level barrier,
-  /// attributed to the lane's evaluating component (the wire's driver).
-  void defer_write(std::function<void()> apply) const {
-    sim_->parallel_defer_write(std::move(apply));
-  }
-
  private:
   friend class Simulator;
 
   void subscribe(Component* reader) {
     if (reader->subscribed_.insert(this).second) {
       readers_.push_back(reader);
-      // A new reader edge can raise the reader's topological level.
-      sim_->graph_changed();
     }
   }
 
   Simulator* sim_;
   std::vector<Component*> readers_;
-  /// Components observed *driving* this wire from their eval() — the
-  /// writer half of the edge set the levelized schedule is built from.
-  /// Recorded by Simulator::wire_changed (one driver per wire in practice,
-  /// so the dedup scan is a single compare).
-  std::vector<Component*> writers_;
   /// Last sub_epoch_ in which a read of this wire was recorded (see class
   /// comment); mutable because get() is logically const.
   mutable std::uint64_t last_sub_epoch_ = ~std::uint64_t{0};
@@ -159,16 +133,6 @@ class Wire : public WireBase {
   const T& peek() const { return value_; }
 
   void set(const T& v) {
-    if (parallel_phase()) {
-      // One driver per wire, so only this lane's component writes value_;
-      // other lanes may be reading it concurrently, which is why the
-      // mutation itself is deferred to the level barrier (every lane sees
-      // pre-level values; the change then propagates via the scheduler).
-      if (!(value_ == v)) {
-        defer_write([this, v] { set(v); });
-      }
-      return;
-    }
     if (!(value_ == v)) {
       value_ = v;
       on_change();

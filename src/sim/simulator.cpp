@@ -1,183 +1,23 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <cstdlib>
-#include <mutex>
-#include <string_view>
-#include <typeindex>
-#include <typeinfo>
 
 #include "sim/component.hpp"
 #include "sim/signal.hpp"
 
 namespace fpgafu::sim {
 
-namespace {
-
-Simulator::Kernel default_kernel() {
-  // Cached: getenv once per process.  `FPGAFU_KERNEL` lets CI run the whole
-  // suite under a non-default kernel without touching every test.
-  static const Simulator::Kernel kernel =
-      Simulator::kernel_from_env(std::getenv("FPGAFU_KERNEL"));
-  return kernel;
-}
-
-}  // namespace
-
-thread_local Component* Simulator::tl_reading_ = nullptr;
-thread_local Simulator::ParallelScratch* Simulator::tl_scratch_ = nullptr;
-
 const char* Simulator::kernel_name(Kernel kernel) {
   switch (kernel) {
     case Kernel::kBruteForce: return "brute";
-    case Kernel::kSensitivity: return "sensitivity";
     case Kernel::kEvent: return "event";
-    case Kernel::kLevelized: return "levelized";
   }
   return "?";
 }
 
-Simulator::Kernel Simulator::parse_kernel(std::string_view name) {
-  for (const Kernel k : kAllKernels) {
-    if (name == kernel_name(k)) {
-      return k;
-    }
-  }
-  throw SimError("unknown settle kernel '" + std::string(name) +
-                 "' (expected brute, sensitivity, event or levelized)");
-}
-
-Simulator::Kernel Simulator::kernel_from_env(const char* value) {
-  if (value == nullptr) {
-    return Kernel::kSensitivity;
-  }
-  try {
-    return parse_kernel(value);
-  } catch (const SimError& e) {
-    // Re-raise with the variable named, so a typo'd CI line fails with a
-    // diagnosis instead of silently running the default kernel.
-    throw SimError("FPGAFU_KERNEL: " + std::string(e.what()));
-  }
-}
-
-/// A tiny persistent worker pool for parallel levels.  Lane 0 is the
-/// simulator's owner thread (it participates in every level); lanes 1..N-1
-/// are pool threads that sleep between levels.  One condition-variable
-/// handoff in, one barrier out, work claimed by atomic index — nothing else
-/// is shared, which is what keeps the levelized parallel path TSan-clean.
-class Simulator::SettlePool {
- public:
-  explicit SettlePool(unsigned workers) {
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) {
-      threads_.emplace_back([this, i] { worker_loop(i + 1); });
-    }
-  }
-
-  ~SettlePool() {
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      stop_ = true;
-      ++generation_;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) {
-      t.join();
-    }
-  }
-
-  unsigned lanes() const {
-    return static_cast<unsigned>(threads_.size()) + 1;
-  }
-
-  /// Run fn(item, lane) for every item in [0, n), partitioned dynamically
-  /// across all lanes; returns only after every item completed and every
-  /// worker has quiesced (a full barrier).
-  void run(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn) {
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      fn_ = &fn;
-      n_ = n;
-      next_.store(0, std::memory_order_relaxed);
-      active_ = static_cast<unsigned>(threads_.size());
-      ++generation_;
-    }
-    cv_.notify_all();
-    drain(0);
-    std::unique_lock<std::mutex> lock(m_);
-    done_cv_.wait(lock, [this] { return active_ == 0; });
-    fn_ = nullptr;
-  }
-
- private:
-  void drain(unsigned lane) {
-    const auto& fn = *fn_;
-    while (true) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n_) {
-        break;
-      }
-      fn(i, lane);
-    }
-  }
-
-  void worker_loop(unsigned lane) {
-    std::uint64_t seen = 0;
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(m_);
-        cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) {
-          return;
-        }
-        seen = generation_;
-      }
-      drain(lane);
-      {
-        std::lock_guard<std::mutex> lock(m_);
-        if (--active_ == 0) {
-          done_cv_.notify_one();
-        }
-      }
-    }
-  }
-
-  std::vector<std::thread> threads_;
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t, unsigned)>* fn_ = nullptr;
-  std::size_t n_ = 0;
-  std::atomic<std::size_t> next_{0};
-  unsigned active_ = 0;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-};
-
-Simulator::Simulator() : kernel_(default_kernel()) {}
-
-Simulator::~Simulator() = default;
-
-void Simulator::set_settle_threads(unsigned threads) {
-  settle_threads_ = threads;
-  if (threads <= 1) {
-    pool_.reset();
-    scratch_.clear();
-    return;
-  }
-  pool_ = std::make_unique<SettlePool>(threads - 1);
-  scratch_.assign(threads, ParallelScratch{});
-}
-
 void Simulator::add(Component& component) {
   component.order_ = next_order_++;
-  // Until the next schedule rebuild the newcomer sweeps at level 0 in
-  // registration order; graph_changed() forces that rebuild.
-  component.slot_ = component.order_;
   components_.push_back(&component);
-  graph_changed();
   // A freshly constructed component has never run: wake it and arm its
   // commit so the event kernel evaluates and commits it at least once.
   wake(component);
@@ -188,8 +28,9 @@ void Simulator::remove(Component& component) {
       std::remove(components_.begin(), components_.end(), &component),
       components_.end());
   // The component may sit in the dirty queue, the cross-cycle wake/commit
-  // sets, the levelized sweep buckets, and on sensitivity/writer lists of
-  // wires it does not own; purge all so no dangling pointer survives it.
+  // sets, and on the sensitivity lists of wires it does not own; purge all
+  // so no dangling pointer survives it.  Its subscribed_ set names exactly
+  // those wires (its own wires already unregistered in their destructors).
   queue_.erase(std::remove(queue_.begin(), queue_.end(), &component),
                queue_.end());
   wake_set_.erase(std::remove(wake_set_.begin(), wake_set_.end(), &component),
@@ -200,22 +41,12 @@ void Simulator::remove(Component& component) {
   commit_work_.erase(
       std::remove(commit_work_.begin(), commit_work_.end(), &component),
       commit_work_.end());
-  for (std::vector<Component*>& bucket : buckets_) {
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), &component),
-                 bucket.end());
-  }
-  for (WireBase* w : wires_) {
+  for (WireBase* w : component.subscribed_) {
     w->readers_.erase(
         std::remove(w->readers_.begin(), w->readers_.end(), &component),
         w->readers_.end());
-    w->writers_.erase(
-        std::remove(w->writers_.begin(), w->writers_.end(), &component),
-        w->writers_.end());
   }
-  graph_changed();
 }
-
-void Simulator::register_wire(WireBase& wire) { wires_.push_back(&wire); }
 
 void Simulator::unregister_wire(WireBase& wire) {
   // Readers hold this wire in their O(1) membership sets; drop it there too
@@ -223,8 +54,6 @@ void Simulator::unregister_wire(WireBase& wire) {
   for (Component* reader : wire.readers_) {
     reader->subscribed_.erase(&wire);
   }
-  wires_.erase(std::remove(wires_.begin(), wires_.end(), &wire), wires_.end());
-  graph_changed();
 }
 
 void Simulator::enqueue(Component& component) {
@@ -239,7 +68,6 @@ void Simulator::clear_queue() {
     c->queued_ = false;
   }
   queue_.clear();
-  requeue_all_ = false;
 }
 
 void Simulator::arm_commit(Component& component) {
@@ -250,23 +78,8 @@ void Simulator::arm_commit(Component& component) {
 }
 
 void Simulator::wake(Component& component) {
-  if (parallel_phase_) {
-    // A lane may not touch the shared scheduler; apply at the barrier.
-    tl_scratch_->wakes.push_back(&component);
-    return;
-  }
-  if (in_sweep_ && component.level_ > current_level_ &&
-      component.level_ < buckets_.size()) {
-    // Mid-sweep forward edge: the component's level has not been swept yet,
-    // so just drop it into its bucket — it will be evaluated exactly once,
-    // after everything that feeds it.  This is the levelized hot path.
-    if (!component.sweep_pending_) {
-      component.sweep_pending_ = true;
-      buckets_[component.level_].push_back(&component);
-    }
-  } else if (settling_) {
-    // Mid-settle (or a backward/stale edge mid-sweep): fold the component
-    // into the current fixed-point search.
+  if (settling_) {
+    // Mid-settle: fold the component into the current fixed-point search.
     enqueue(component);
   } else if (!component.woken_) {
     component.woken_ = true;
@@ -281,53 +94,15 @@ void Simulator::wake_all() {
   }
 }
 
-/// Record `reading_` as a driver of `wire` — the writer half of the edge
-/// set the levelized schedule is built from.  Recorded under every kernel
-/// (the data is cheap and makes a later switch to kLevelized start warm).
-void Simulator::record_writer(WireBase& wire) {
-  Component* writer = reading_;
-  if (writer == nullptr) {
-    return;  // host code or a commit() wrote the wire: not a settle edge
-  }
-  for (Component* known : wire.writers_) {
-    if (known == writer) {
-      return;  // one driver per wire: a single compare in the steady state
-    }
-  }
-  wire.writers_.push_back(writer);
-  graph_changed();
-}
-
 void Simulator::wire_changed(WireBase& wire) {
   changed_ = true;
-  record_writer(wire);
-  if (kernel_ == Kernel::kSensitivity) {
-    for (Component* reader : wire.readers_) {
-      enqueue(*reader);
-    }
-  } else if (kernel_ == Kernel::kEvent || kernel_ == Kernel::kLevelized) {
-    // Re-schedule the readers' evals (into the running sweep or settle if
-    // we are inside one, next cycle's wake set otherwise) and re-promote
-    // their commits: a recorded input changed, so a demoted commit may now
-    // act.
+  if (kernel_ == Kernel::kEvent) {
+    // Re-schedule the readers' evals (into the running settle if we are
+    // inside one, next cycle's wake set otherwise) and re-promote their
+    // commits: a recorded input changed, so a demoted commit may now act.
     for (Component* reader : wire.readers_) {
       wake(*reader);
     }
-  }
-}
-
-void Simulator::note_change() {
-  if (parallel_phase_) {
-    tl_scratch_->note_change = true;
-    return;
-  }
-  changed_ = true;
-  requeue_all_ = true;
-  if (kernel_ == Kernel::kEvent || kernel_ == Kernel::kLevelized) {
-    // Untracked change: conservatively wake + commit-arm everything.  Inside
-    // a settle, requeue_all_ already forces a full eval pass; the wake_all()
-    // covers the commit set (and, between cycles, the next first pass).
-    wake_all();
   }
 }
 
@@ -346,24 +121,15 @@ void Simulator::reset() {
   ++reset_generation_;
   max_settle_ = 0;
   // Drop dirty state so a stray Wire::set between reset() and the first
-  // step() cannot leak a stale flag or queue entry into the first settle.
-  changed_ = false;
+  // step() cannot leak a stale queue entry into the first settle.
   clear_queue();
   // Drop all cross-cycle activity state and rebuild it as everything-active:
   // after a reset the event kernel must re-observe the whole design.
   wake_set_.clear();
   commit_set_.clear();
-  // Levelized transient state is dropped the same way: no component stays
-  // pre-placed in a sweep bucket across a reset.  The schedule itself (the
-  // level/slot assignment) survives — the graph topology did not change.
-  for (std::vector<Component*>& bucket : buckets_) {
-    bucket.clear();
-  }
-  in_sweep_ = false;
   for (Component* c : components_) {
     c->woken_ = false;
     c->commit_armed_ = false;
-    c->sweep_pending_ = false;
   }
   wake_all();
 }
@@ -373,56 +139,6 @@ void Simulator::run_eval(Component& component) {
   ++sub_epoch_;
   component.eval();
   ++evals_;
-}
-
-/// Sensitivity-scheduled settle: pass 1 evaluates every component (their
-/// registered state may have changed at the previous commit, which the wire
-/// tracker cannot see); every further pass drains only the components whose
-/// recorded input wires changed in the pass before.  All kernels count a
-/// pass the same way, so `settle_limit_` and `max_settle_iterations()` keep
-/// their meaning, and a combinational loop keeps re-queueing its components
-/// until the limit trips exactly as the brute-force kernel would.
-void Simulator::settle_sensitivity() {
-  // Stray dirty state from between cycles (direct Wire::set by a test or
-  // host) is fully absorbed by the full first pass.
-  clear_queue();
-  settling_ = true;
-  unsigned iterations = 1;
-  changed_ = false;
-  for (Component* c : components_) {
-    run_eval(*c);
-  }
-  reading_ = nullptr;
-  while (!queue_.empty() || requeue_all_) {
-    if (++iterations > settle_limit_) {
-      clear_queue();
-      settling_ = false;
-      throw SimError("combinational loop: signals did not settle within " +
-                     std::to_string(settle_limit_) + " iterations");
-    }
-    const bool evaluate_all = requeue_all_;
-    requeue_all_ = false;
-    changed_ = false;
-    if (evaluate_all) {
-      // An untracked note_change(): fall back to a full pass.
-      clear_queue();
-      for (Component* c : components_) {
-        run_eval(*c);
-      }
-    } else {
-      work_.clear();
-      work_.swap(queue_);
-      for (Component* c : work_) {
-        c->queued_ = false;
-      }
-      for (Component* c : work_) {
-        run_eval(*c);
-      }
-    }
-    reading_ = nullptr;
-  }
-  settling_ = false;
-  max_settle_ = std::max(max_settle_, iterations);
 }
 
 void Simulator::settle_brute_force() {
@@ -445,253 +161,45 @@ void Simulator::settle_brute_force() {
 /// Event-driven settle: the first pass evaluates only the cross-cycle wake
 /// set — components woken by a wire change since the previous settle, an
 /// explicit wake(), a commit that reported activity, or reset()/add().
-/// Subsequent passes are the same dirty-queue drain as settle_sensitivity.
-/// Sound by the same induction as the sensitivity kernel, extended across
-/// the clock edge: a quiet component's eval() output can only change after
-/// one of its recorded inputs changes or its own registered state changes
+/// Every further pass drains only the components whose recorded input wires
+/// changed in the pass before.  Sound by induction, extended across the
+/// clock edge: a quiet component's eval() output can only change after one
+/// of its recorded inputs changes or its own registered state changes
 /// (which its previous commit reported as activity) — and each such event
-/// wakes it.
+/// wakes it.  Passes count like the brute-force kernel's, so settle_limit_
+/// and max_settle_iterations() keep their meaning, and a combinational loop
+/// keeps re-queueing its components until the limit trips.
 void Simulator::settle_event() {
   clear_queue();
   settling_ = true;
-  unsigned iterations = 1;
-  changed_ = false;
   work_.clear();
   work_.swap(wake_set_);
   for (Component* c : work_) {
     c->woken_ = false;
   }
-  for (Component* c : work_) {
-    run_eval(*c);
-  }
-  reading_ = nullptr;
-  drain_dirty_queue(iterations);
-  settling_ = false;
-  max_settle_ = std::max(max_settle_, iterations);
-}
-
-/// Shared fixed-point tail of the scheduled cross-cycle kernels (kEvent's
-/// later passes; kLevelized's fallback after the level-order sweep): drain
-/// the dirty queue until nothing re-queues, counting passes against
-/// settle_limit_.  On the combinational-loop throw a recoverable scheduler
-/// state is left behind (everything woken), so the caller may raise the
-/// limit and continue stepping.
-void Simulator::drain_dirty_queue(unsigned& iterations) {
-  while (!queue_.empty() || requeue_all_) {
+  unsigned iterations = 1;
+  while (true) {
+    for (Component* c : work_) {
+      run_eval(*c);
+    }
+    reading_ = nullptr;
+    if (queue_.empty()) {
+      break;
+    }
     if (++iterations > settle_limit_) {
+      // Leave a recoverable scheduler state behind (everything woken), so
+      // the caller may raise the limit and continue stepping.
       clear_queue();
       settling_ = false;
       wake_all();
       throw SimError("combinational loop: signals did not settle within " +
                      std::to_string(settle_limit_) + " iterations");
     }
-    const bool evaluate_all = requeue_all_;
-    requeue_all_ = false;
-    changed_ = false;
-    if (evaluate_all) {
-      clear_queue();
-      for (Component* c : components_) {
-        run_eval(*c);
-      }
-    } else {
-      work_.clear();
-      work_.swap(queue_);
-      for (Component* c : work_) {
-        c->queued_ = false;
-      }
-      for (Component* c : work_) {
-        run_eval(*c);
-      }
+    work_.clear();
+    work_.swap(queue_);
+    for (Component* c : work_) {
+      c->queued_ = false;
     }
-    reading_ = nullptr;
-  }
-}
-
-/// Rebuild the levelized schedule from the recorded reader/writer wire
-/// edges: longest-path levels by iterative relaxation (rounds capped so a
-/// combinational cycle clamps instead of spinning — the settle-time
-/// fallback drain still detects it against settle_limit_), then a global
-/// slot order of (level, concrete type, registration) so each level's
-/// bucket, sorted by slot, evaluates same-type components back-to-back.
-void Simulator::rebuild_schedule() {
-  schedule_epoch_ = graph_epoch_;
-  for (Component* c : components_) {
-    c->level_ = 0;
-  }
-  const std::uint32_t cap =
-      static_cast<std::uint32_t>(components_.size()) + 1;
-  bool grew = true;
-  std::uint32_t rounds = 0;
-  while (grew && rounds++ < cap) {
-    grew = false;
-    for (WireBase* w : wires_) {
-      if (w->writers_.empty() || w->readers_.empty()) {
-        continue;
-      }
-      for (Component* writer : w->writers_) {
-        const std::uint32_t need = writer->level_ + 1;
-        if (need >= cap) {
-          continue;  // cyclic: clamp, the fallback drain raises SimError
-        }
-        for (Component* reader : w->readers_) {
-          if (reader != writer && reader->level_ < need) {
-            reader->level_ = need;
-            grew = true;
-          }
-        }
-      }
-    }
-  }
-  std::uint32_t max_level = 0;
-  for (Component* c : components_) {
-    max_level = std::max(max_level, c->level_);
-  }
-  for (std::vector<Component*>& bucket : buckets_) {
-    bucket.clear();  // paranoia: buckets are empty between cycles
-  }
-  buckets_.resize(static_cast<std::size_t>(max_level) + 1);
-  std::vector<Component*> order(components_);
-  std::sort(order.begin(), order.end(),
-            [](const Component* a, const Component* b) {
-              if (a->level_ != b->level_) {
-                return a->level_ < b->level_;
-              }
-              const std::type_index ta(typeid(*a));
-              const std::type_index tb(typeid(*b));
-              if (ta != tb) {
-                return ta < tb;
-              }
-              return a->order_ < b->order_;
-            });
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i]->slot_ = i;
-  }
-}
-
-void Simulator::parallel_on_read(const WireBase& wire) {
-  Component* reader = tl_reading_;
-  if (reader == nullptr || reader->subscribed_.count(&wire) != 0) {
-    return;  // already subscribed: nothing mutates subscribed_ mid-level
-  }
-  tl_scratch_->reads.emplace_back(const_cast<WireBase*>(&wire), reader);
-}
-
-void Simulator::parallel_defer_write(std::function<void()> apply) {
-  tl_scratch_->writes.emplace_back(tl_reading_, std::move(apply));
-}
-
-/// Evaluate one wide level across the pool lanes, then apply every lane's
-/// deferred mutations serially.  Within the level all lanes read the
-/// pre-level wire values (writes are deferred), so a same-level read of a
-/// same-level driver's output simply sees the old value and is re-scheduled
-/// when the write applies — the fixed point is unchanged.
-void Simulator::run_level_parallel(std::vector<Component*>& bucket) {
-  for (Component* c : bucket) {
-    c->sweep_pending_ = false;
-  }
-  parallel_phase_ = true;
-  pool_->run(bucket.size(), [&](std::size_t i, unsigned lane) {
-    ParallelScratch& scratch = scratch_[lane];
-    tl_scratch_ = &scratch;
-    tl_reading_ = bucket[i];
-    bucket[i]->eval();
-    ++scratch.evals;
-    tl_reading_ = nullptr;
-  });
-  parallel_phase_ = false;
-  for (ParallelScratch& scratch : scratch_) {
-    evals_ += scratch.evals;
-    scratch.evals = 0;
-    for (auto& [wire, reader] : scratch.reads) {
-      wire->subscribe(reader);
-    }
-    scratch.reads.clear();
-    for (auto& [writer, apply] : scratch.writes) {
-      // Attribute the write to its driving lane component so the writer
-      // edge is recorded exactly as in the serial path.
-      reading_ = writer;
-      apply();
-    }
-    reading_ = nullptr;
-    scratch.writes.clear();
-    for (Component* c : scratch.wakes) {
-      wake(*c);
-    }
-    scratch.wakes.clear();
-    if (scratch.note_change) {
-      scratch.note_change = false;
-      note_change();
-    }
-  }
-}
-
-/// Levelized settle: seed the per-level buckets from the cross-cycle wake
-/// set, sweep the levels in order (each woken component evaluated exactly
-/// once, after everything that feeds it), then drain whatever fell back to
-/// the dirty queue — backward edges, components whose level is stale, the
-/// warm-up cycles before the schedule has observed the graph.
-void Simulator::settle_levelized() {
-  clear_queue();
-  if (schedule_epoch_ != graph_epoch_) {
-    rebuild_schedule();
-  }
-  settling_ = true;
-  unsigned iterations = 1;
-  changed_ = false;
-  try {
-    in_sweep_ = true;
-    for (Component* c : wake_set_) {
-      c->woken_ = false;
-      if (c->sweep_pending_) {
-        continue;
-      }
-      if (c->level_ < buckets_.size()) {
-        c->sweep_pending_ = true;
-        buckets_[c->level_].push_back(c);
-      } else {
-        enqueue(*c);  // stale level (schedule shrank): fallback path
-      }
-    }
-    wake_set_.clear();
-    for (std::size_t level = 0; level < buckets_.size(); ++level) {
-      current_level_ = level;
-      std::vector<Component*>& bucket = buckets_[level];
-      if (bucket.empty()) {
-        continue;
-      }
-      std::sort(bucket.begin(), bucket.end(),
-                [](const Component* a, const Component* b) {
-                  return a->slot_ < b->slot_;
-                });
-      if (pool_ != nullptr && bucket.size() >= kParallelLevelThreshold) {
-        run_level_parallel(bucket);
-      } else {
-        for (Component* c : bucket) {
-          c->sweep_pending_ = false;
-          run_eval(*c);
-        }
-        reading_ = nullptr;
-      }
-      bucket.clear();
-    }
-    in_sweep_ = false;
-    drain_dirty_queue(iterations);
-  } catch (...) {
-    // Leave a recoverable scheduler state behind any throw (combinational
-    // loop from the drain, a SimError out of a component's eval mid-sweep):
-    // buckets emptied, flags consistent, everything woken for next cycle.
-    for (std::vector<Component*>& bucket : buckets_) {
-      for (Component* c : bucket) {
-        c->sweep_pending_ = false;
-      }
-      bucket.clear();
-    }
-    in_sweep_ = false;
-    reading_ = nullptr;
-    clear_queue();
-    settling_ = false;
-    wake_all();
-    throw;
   }
   settling_ = false;
   max_settle_ = std::max(max_settle_, iterations);
@@ -705,23 +213,11 @@ void Simulator::step() {
          "sim::Simulator is thread-affine: step() called off the owner "
          "thread (construct the System on the thread that drives it, or "
          "rebind_owner() at a quiescent hand-off)");
-  switch (kernel_) {
-    case Kernel::kSensitivity:
-      settle_sensitivity();
-      break;
-    case Kernel::kBruteForce:
-      settle_brute_force();
-      break;
-    case Kernel::kEvent:
-      settle_event();
-      break;
-    case Kernel::kLevelized:
-      settle_levelized();
-      break;
-  }
-  if (kernel_ == Kernel::kEvent || kernel_ == Kernel::kLevelized) {
+  if (kernel_ == Kernel::kEvent) {
+    settle_event();
     commit_scheduled();
   } else {
+    settle_brute_force();
     for (Component* c : components_) {
       c->commit();
     }
@@ -729,18 +225,18 @@ void Simulator::step() {
   ++cycle_;
 }
 
-/// Commit phase of the cross-cycle scheduled kernels (kEvent, kLevelized):
-/// run only armed commits.  Each component is provisionally demoted; it
-/// stays in the (fresh) commit set only if its commit reported activity
-/// (bound Reg change or mark_active(), both of which wake()), a wire it
-/// read gets changed later, someone wakes it, or it opted out of demotion.
+/// Commit phase of the event kernel: run only armed commits.  Each
+/// component is provisionally demoted; it stays in the (fresh) commit set
+/// only if its commit reported activity (bound Reg change or mark_active(),
+/// both of which wake()), a wire it read gets changed later, someone wakes
+/// it, or it opted out of demotion.
 /// Commit-time wire reads are recorded (recording_reader()) so conditional
 /// commit read sets stay conservative, exactly like eval sensitivities.
 void Simulator::commit_scheduled() {
   commit_work_.clear();
   commit_work_.swap(commit_set_);
   // Registration order, so the armed subsequence commits in exactly the
-  // order the full-commit kernels would (skipped components are by
+  // order the brute-force kernel would (skipped components are by
   // definition unchanged): probes reading non-wire state mid-commit see
   // kernel-independent values.
   std::sort(commit_work_.begin(), commit_work_.end(),

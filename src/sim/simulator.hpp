@@ -4,11 +4,8 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -37,57 +34,28 @@ class WireBase;
 ///      pre-commit state only, so commit order is immaterial — all registers
 ///      update "simultaneously" exactly as flip-flops do on a clock edge.
 ///
-/// Three settle/commit kernels implement the cycle (see `Kernel`):
+/// Two settle/commit kernels implement the cycle (see `Kernel`):
 ///
-///   * `kSensitivity` (default): the first settle pass of each cycle
-///     evaluates every component (registered state may have changed at the
-///     previous commit), and Wire reads made during any `eval()` are
-///     recorded as sensitivities.  Subsequent passes re-evaluate only the
-///     components whose input wires actually changed — a dirty work-queue,
-///     the same idea as an event-driven HDL simulator's sensitivity lists.
-///     Because `eval()` is required to be a pure function of wires +
-///     registered state, skipping a component whose recorded inputs are
-///     unchanged cannot alter the fixed point.  Every `commit()` runs every
-///     cycle.
-///   * `kEvent`: activity tracking carried *across* the clock edge.  The
-///     first settle pass evaluates only components in the persistent wake
-///     set — woken by a Wire change during the previous cycle, by an
-///     explicit `Component::wake()`, or by `note_change()`'s conservative
-///     requeue; subsequent passes drain the same dirty queue as
-///     `kSensitivity`.  The commit phase runs only "clocked-active"
-///     components: a component whose last `commit()` reported no activity
-///     (no bound-`Reg` change, no `mark_active()`) is demoted from the
-///     commit set and re-promoted when any wire it was observed reading —
-///     in `eval()` *or* `commit()` — changes, or when it is woken.  Sound
-///     because `commit()` is a pure function of wires + registered state:
-///     re-running it with neither changed is the identity.  Idle hardware
-///     costs zero host cycles.
-///   * `kLevelized`: the event kernel's cross-cycle wake/commit tracking
-///     plus a *statically scheduled* first settle pass.  At elaboration
-///     (lazily, whenever the observed combinational graph changes) the
-///     components are topologically levelized from the recorded
-///     reader/writer wire edges into flat per-level buckets, slot-ordered
-///     so same-type components batch back-to-back for cache locality.
-///     Each settle sweeps the woken subset once in level order: a wire
-///     change simply drops its readers into their (later) level's bucket —
-///     no dirty-queue bookkeeping on the hot path.  Backward or
-///     not-yet-observed edges fall back to the sensitivity drain after the
-///     sweep, which keeps the kernel sound while the schedule is still
-///     warming up (and turns a genuine combinational loop into the same
-///     SimError).  Wide levels can optionally be partitioned across a
-///     small thread pool (`set_settle_threads`) with one barrier per
-///     level; all shared scheduler state is updated through per-lane
-///     deferred scratch, applied serially at the barrier.
+///   * `kEvent` (default): activity tracking carried *across* the clock
+///     edge.  Wire reads made during any `eval()` are recorded as
+///     sensitivities.  The first settle pass evaluates only components in
+///     the persistent wake set — woken by a Wire change during the previous
+///     cycle or by an explicit `Component::wake()`; subsequent passes
+///     re-evaluate only the components whose recorded input wires changed in
+///     the pass before — a dirty work-queue, the same idea as an
+///     event-driven HDL simulator's sensitivity lists.  The commit phase
+///     runs only "clocked-active" components: a component whose last
+///     `commit()` reported no activity (no bound-`Reg` change, no
+///     `mark_active()`) is demoted from the commit set and re-promoted when
+///     any wire it was observed reading — in `eval()` *or* `commit()` —
+///     changes, or when it is woken.  Sound because `eval()` and `commit()`
+///     are pure functions of wires + registered state: re-running either
+///     with neither changed is the identity.  Idle hardware costs zero host
+///     cycles.
 ///   * `kBruteForce`: the original kernel — every settle pass re-runs every
 ///     component until a pass changes nothing, and every commit runs every
 ///     cycle.  Kept as the reference implementation; differential tests pin
-///     all kernels to bit-identical architectural behaviour.
-///
-/// The environment variable `FPGAFU_KERNEL` (`brute` | `sensitivity` |
-/// `event` | `levelized`) overrides the construction-time default — used by
-/// CI to run the whole suite under a non-default kernel.  An unrecognised
-/// value raises SimError at the first Simulator construction
-/// (`kernel_from_env`), instead of silently falling back to the default.
+///     the event kernel to bit-identical architectural behaviour.
 ///
 /// **Thread affinity.**  A Simulator — and everything built on it: every
 /// Component, the whole top::System — belongs to exactly one thread, the
@@ -101,37 +69,22 @@ class WireBase;
 class Simulator {
  public:
   enum class Kernel {
-    kSensitivity,  ///< dirty-queue scheduled settle (default)
-    kBruteForce,   ///< evaluate every component every pass (reference)
-    kEvent,        ///< cross-cycle wake/commit sets: skip idle components
-    kLevelized,    ///< statically levelized sweep over the wake set
+    kBruteForce,  ///< evaluate every component every pass (reference)
+    kEvent,       ///< cross-cycle wake/commit sets: skip idle components
   };
 
   /// Every kernel, reference implementation first.  The single source of
   /// truth for "all kernels" loops — differential tests, the fuzzer and the
-  /// bench iterate this, so a fifth kernel is a one-line addition here.
-  static constexpr std::array<Kernel, 4> kAllKernels = {
+  /// bench iterate this.
+  static constexpr std::array<Kernel, 2> kAllKernels = {
       Kernel::kBruteForce,
-      Kernel::kSensitivity,
       Kernel::kEvent,
-      Kernel::kLevelized,
   };
 
-  /// Canonical name of a kernel — the same spelling `FPGAFU_KERNEL` and
-  /// `parse_kernel` accept.
+  /// Canonical name of a kernel (`brute` | `event`).
   static const char* kernel_name(Kernel kernel);
 
-  /// Parse a kernel name (`brute` | `sensitivity` | `event` | `levelized`).
-  /// Throws SimError naming the unknown value and the accepted spellings.
-  static Kernel parse_kernel(std::string_view name);
-
-  /// The `FPGAFU_KERNEL` environment-variable policy: null (unset) selects
-  /// the default kernel, anything else must parse.  Factored out of the
-  /// construction path so the typed-error contract is unit-testable.
-  static Kernel kernel_from_env(const char* value);
-
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -176,23 +129,6 @@ class Simulator {
   void set_kernel(Kernel kernel);
   Kernel kernel() const { return kernel_; }
 
-  /// Opt-in intra-System settle parallelism for the levelized kernel:
-  /// levels with at least `kParallelLevelThreshold` scheduled components
-  /// are partitioned across `threads` lanes (the owner thread plus a small
-  /// persistent pool) with one barrier per level.  `threads <= 1` disables
-  /// the pool (the default).  Only the levelized kernel consults this; the
-  /// other kernels stay strictly single-threaded.  Call between cycles.
-  ///
-  /// Parallel lanes never touch shared scheduler state directly: wire
-  /// writes, new subscriptions, wakes and note_change() are collected in
-  /// per-lane scratch and applied serially at the level barrier, so the
-  /// architectural result is identical to the single-threaded sweep.
-  void set_settle_threads(unsigned threads);
-  unsigned settle_threads() const { return settle_threads_; }
-
-  /// Minimum bucket width before a level is worth farming out to the pool.
-  static constexpr std::size_t kParallelLevelThreshold = 8;
-
   /// Largest number of settle iterations any cycle has needed so far.
   /// Exposed so tests can assert the model contains no pathological
   /// combinational chains (see DESIGN.md §6).
@@ -226,16 +162,10 @@ class Simulator {
   /// cycle count; bench_sim_kernel reports the ratio.
   std::uint64_t evals_performed() const { return evals_; }
 
-  /// Called on any Wire value change; marks the settle pass dirty and, under
-  /// the scheduled kernels, queues/wakes the wire's recorded readers (under
-  /// kEvent their commits are re-armed too).
+  /// Called on any Wire value change; marks the settle pass dirty and,
+  /// under kEvent, wakes the wire's recorded readers (re-arming their
+  /// commits too).
   void wire_changed(WireBase& wire);
-
-  /// Legacy entry point for code that signals a change without a WireBase
-  /// (kept for custom components); forces the conservative path: the pass is
-  /// marked dirty and every component is re-evaluated next pass (under
-  /// kEvent, every component is also woken and commit-armed).
-  void note_change();
 
   /// Schedule `component` for evaluation and arm its commit (see
   /// Component::wake()).  During a settle this re-queues it into the current
@@ -246,49 +176,15 @@ class Simulator {
   friend class Component;
   friend class WireBase;
 
-  void register_wire(WireBase& wire);
   void unregister_wire(WireBase& wire);
   void enqueue(Component& component);
   void clear_queue();
   void arm_commit(Component& component);
   void wake_all();
   void run_eval(Component& component);
-  void settle_sensitivity();
   void settle_brute_force();
   void settle_event();
-  void settle_levelized();
-  void drain_dirty_queue(unsigned& iterations);
   void commit_scheduled();
-
-  /// The observed combinational graph changed shape (new reader/writer
-  /// edge, component added/removed, wire destroyed): the levelized schedule
-  /// is stale and will be rebuilt at the next levelized settle.
-  void graph_changed() { ++graph_epoch_; }
-  void rebuild_schedule();
-  void record_writer(WireBase& wire);
-  void run_level_parallel(std::vector<Component*>& bucket);
-
-  /// Per-lane deferred mutations collected while a level runs in parallel;
-  /// applied serially (in lane order) at the level barrier.
-  struct ParallelScratch {
-    /// (writer, apply) pairs: Wire::set calls captured with their driving
-    /// component so writer edges are still recorded at apply time.
-    std::vector<std::pair<Component*, std::function<void()>>> writes;
-    std::vector<std::pair<WireBase*, Component*>> reads;
-    std::vector<Component*> wakes;
-    std::uint64_t evals = 0;
-    bool note_change = false;
-  };
-  class SettlePool;
-  void parallel_on_read(const WireBase& wire);
-  void parallel_defer_write(std::function<void()> apply);
-
-  /// Lane-local state of a parallel level: the component this lane is
-  /// evaluating (stands in for reading_) and its deferral scratch.
-  /// Thread-local rather than per-simulator so a host::Farm of simulators,
-  /// each with its own pool, can never alias another shard's lanes.
-  static thread_local Component* tl_reading_;
-  static thread_local ParallelScratch* tl_scratch_;
 
   /// The component whose reads should currently be recorded as
   /// subscriptions: the eval() being settled, or — under kEvent only — the
@@ -298,17 +194,11 @@ class Simulator {
   }
 
   std::vector<Component*> components_;
-  std::vector<WireBase*> wires_;
   std::vector<Component*> queue_;  ///< components to re-evaluate next pass
   std::vector<Component*> work_;   ///< pass currently being drained
-  std::vector<Component*> wake_set_;     ///< kEvent/kLevelized: eval next cycle
-  std::vector<Component*> commit_set_;   ///< kEvent/kLevelized: commit next
+  std::vector<Component*> wake_set_;     ///< kEvent: eval next cycle
+  std::vector<Component*> commit_set_;   ///< kEvent: commit next cycle
   std::vector<Component*> commit_work_;  ///< scheduled commits being run
-  /// kLevelized: per-level buckets of the sweep currently being seeded or
-  /// executed.  Sized by rebuild_schedule(); all empty between cycles.
-  std::vector<std::vector<Component*>> buckets_;
-  std::vector<ParallelScratch> scratch_;  ///< one per parallel lane
-  std::unique_ptr<SettlePool> pool_;      ///< non-null iff settle_threads_>1
   Component* reading_ = nullptr;    ///< component whose eval() is running
   Component* committing_ = nullptr;  ///< kEvent: component whose commit() runs
   std::thread::id owner_ = std::this_thread::get_id();
@@ -319,23 +209,11 @@ class Simulator {
   /// Bumped before every recorded eval()/commit() invocation; wires stamp it
   /// on first read so repeat reads in the same invocation are O(1) no-ops.
   std::uint64_t sub_epoch_ = 0;
-  /// kLevelized: monotonically bumped by graph_changed(); the schedule is
-  /// rebuilt when it disagrees with schedule_epoch_.  Starts ahead so the
-  /// first levelized settle always elaborates.
-  std::uint64_t graph_epoch_ = 1;
-  std::uint64_t schedule_epoch_ = 0;
-  std::size_t current_level_ = 0;  ///< kLevelized: level being swept
-  bool changed_ = false;
-  bool requeue_all_ = false;  ///< set by note_change(): untracked change
+  bool changed_ = false;  ///< kBruteForce: a wire changed this pass
   bool settling_ = false;     ///< inside a settle (wake() targets this cycle)
-  bool in_sweep_ = false;     ///< inside the levelized level-order sweep
-  /// A level is currently being evaluated on multiple lanes: scheduler
-  /// mutations must divert to the per-lane scratch (see ParallelScratch).
-  bool parallel_phase_ = false;
-  Kernel kernel_ = Kernel::kSensitivity;
+  Kernel kernel_ = Kernel::kEvent;
   unsigned settle_limit_ = 64;
   unsigned max_settle_ = 0;
-  unsigned settle_threads_ = 0;
 };
 
 }  // namespace fpgafu::sim

@@ -62,7 +62,7 @@ enum class Churn : std::uint8_t {
   kNone,
   kDetachScratch,   ///< partial-reconfiguration analogue: unit goes away
   kAttachScratch,   ///< ... and comes back
-  kSimulatorReset,  ///< full reset mid-activity (schedule state must drop)
+  kSimulatorReset,  ///< full reset mid-activity (activity state must drop)
 };
 
 /// One fuzzed System, decided entirely up front from the seed so the same
@@ -74,7 +74,6 @@ struct FuzzSpec {
   std::vector<isa::Program> segments;
   std::vector<Churn> churn;  ///< churn[i] runs after segments[i]
   bool with_vcd = false;
-  unsigned levelized_threads = 0;  ///< settle threads for the levelized run
 };
 
 /// A few scratchpad operations: set up address/data registers with PUTs,
@@ -170,7 +169,7 @@ FuzzSpec make_spec(std::uint64_t seed) {
   cfg.stateless_skeleton = skeletons[rng.below(4)];
 
   // A quarter of the Systems carry the χ-sort cell array: a wide, mostly
-  // idle component population that stresses level construction.
+  // idle component population that stresses the wake and commit sets.
   if (rng.chance(1, 4)) {
     cfg.with_xsort = true;
     cfg.xsort.cells = static_cast<std::size_t>(rng.range(4, 32));
@@ -208,9 +207,6 @@ FuzzSpec make_spec(std::uint64_t seed) {
   }
 
   s.with_vcd = (seed % 4) == 0;
-  // Every eighth System exercises the multi-threaded levelized settle path;
-  // architectural results must not depend on the lane count.
-  s.levelized_threads = (seed % 8) == 0 ? 2u : 0u;
   return s;
 }
 
@@ -228,9 +224,6 @@ struct FuzzRun {
 FuzzRun run_spec_or_throw(const FuzzSpec& s, Simulator::Kernel kernel) {
   top::System sys(s.config);
   sys.simulator().set_kernel(kernel);
-  if (kernel == Simulator::Kernel::kLevelized && s.levelized_threads > 1) {
-    sys.simulator().set_settle_threads(s.levelized_threads);
-  }
   std::unique_ptr<fu::ScratchpadUnit> scratch;
   if (s.scratch_words > 0) {
     scratch = std::make_unique<fu::ScratchpadUnit>(

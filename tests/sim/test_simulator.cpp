@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -166,6 +165,18 @@ TEST(Simulator, ComponentUnregistersOnDestruction) {
   // Stepping after the component died must not touch freed memory.
   sim.step();
   EXPECT_EQ(sim.cycle(), 2u);
+
+  // A reader destroyed mid-run must leave the sensitivity list of a wire it
+  // does not own: changing that wire afterwards must not wake freed memory.
+  Counter c(sim);
+  auto reader = std::make_unique<Doubler>(sim, c.next);
+  sim.run(2);
+  EXPECT_EQ(reader->out.peek(), 2 * c.value());
+  reader.reset();
+  c.next.set(999);
+  sim.run(2);
+  EXPECT_EQ(sim.pending_reevals(), 0u);
+  EXPECT_EQ(c.value(), 4u);
 }
 
 TEST(Simulator, WireChangeDetectionOnlyOnValueChange) {
@@ -194,11 +205,7 @@ class Quiet : public Component {
 
 TEST(Simulator, KernelFlagSelectsSettleStrategy) {
   Simulator sim;
-  // The construction default follows FPGAFU_KERNEL; without it the
-  // sensitivity kernel is the default.
-  if (std::getenv("FPGAFU_KERNEL") == nullptr) {
-    EXPECT_EQ(sim.kernel(), Simulator::Kernel::kSensitivity);
-  }
+  EXPECT_EQ(sim.kernel(), Simulator::Kernel::kEvent);
   sim.set_kernel(Simulator::Kernel::kBruteForce);
   EXPECT_EQ(sim.kernel(), Simulator::Kernel::kBruteForce);
   Counter c(sim);
@@ -206,30 +213,6 @@ TEST(Simulator, KernelFlagSelectsSettleStrategy) {
   sim.run(4);
   EXPECT_EQ(c.value(), 4u);
   EXPECT_EQ(d.out.peek(), 8u);
-}
-
-TEST(Simulator, SensitivityKernelReachesSameFixedPointWithFewerEvals) {
-  // Counter -> Doubler plus eight quiet components.  Both kernels must
-  // settle to the same values; the sensitivity kernel must get there
-  // without re-running the quiet components on every pass.
-  const auto run = [](Simulator::Kernel k) {
-    Simulator sim;
-    sim.set_kernel(k);
-    Counter c(sim);
-    Doubler d(sim, c.next);
-    std::vector<std::unique_ptr<Quiet>> quiet;
-    for (int i = 0; i < 8; ++i) {
-      quiet.push_back(std::make_unique<Quiet>(sim));
-    }
-    sim.run(50);
-    return std::pair<std::uint64_t, std::uint64_t>(sim.evals_performed(),
-                                                   d.out.peek());
-  };
-  const auto [evals_sens, out_sens] = run(Simulator::Kernel::kSensitivity);
-  const auto [evals_brute, out_brute] = run(Simulator::Kernel::kBruteForce);
-  EXPECT_EQ(out_sens, out_brute);
-  EXPECT_EQ(out_sens, 100u);  // next == 50 on the last settle, doubled
-  EXPECT_LT(evals_sens, evals_brute);
 }
 
 TEST(Simulator, PendingReevalsZeroAtEveryCycleBoundary) {
@@ -248,16 +231,9 @@ TEST(Simulator, ResetDropsPendingDirtyState) {
   Doubler d(sim, c.next);
   sim.run(3);
   ASSERT_EQ(sim.pending_reevals(), 0u);
-  // A stray wire write between cycles queues the recorded readers; reset()
-  // must drop that queue (and the dirty flag) so the first settle after
-  // reset starts clean.
+  // A stray wire write between cycles wakes the recorded readers; reset()
+  // must drop that state so the first settle after reset starts clean.
   c.next.set(999);
-  if (sim.kernel() == Simulator::Kernel::kSensitivity) {
-    // Under the event kernel the stray write lands in the cross-cycle wake
-    // set rather than the settle queue, so only the sensitivity kernel
-    // observes it here.
-    EXPECT_GT(sim.pending_reevals(), 0u);
-  }
   sim.reset();
   EXPECT_EQ(sim.pending_reevals(), 0u);
   sim.run(2);
@@ -330,47 +306,6 @@ TEST(Simulator, ExplicitSensitivityCoversPeekReaders) {
   EXPECT_EQ(mon.out.peek(), 1u);
   sim.step();
   EXPECT_EQ(mon.out.peek(), 2u);
-}
-
-TEST(Simulator, NoteChangeFallsBackToFullReevaluation) {
-  // A producer publishing through a plain member (no Wire) reports changes
-  // with note_change(); consumers of the side channel must still converge
-  // within the same cycle under the sensitivity kernel.
-  class SideProducer : public Component {
-   public:
-    SideProducer(Simulator& s, Wire<std::uint64_t>& in)
-        : Component(s, "side_prod"), in_(&in) {}
-    std::uint64_t side = 0;
-    void eval() override {
-      const std::uint64_t v = in_->get() * 3;
-      if (v != side) {
-        side = v;
-        simulator().note_change();
-      }
-    }
-   private:
-    Wire<std::uint64_t>* in_;
-  };
-  class SideConsumer : public Component {
-   public:
-    explicit SideConsumer(Simulator& s) : Component(s, "side_cons"), out(s) {}
-    Wire<std::uint64_t> out;
-    void bind(const SideProducer& p) { p_ = &p; }
-    void eval() override { out.set(p_ == nullptr ? std::uint64_t{0} : p_->side); }
-   private:
-    const SideProducer* p_ = nullptr;
-  };
-  Simulator sim;
-  // Consumer registered first: only a full re-evaluation pass reaches it,
-  // because nothing records it as a reader of the side channel.
-  SideConsumer cons(sim);
-  Counter c(sim);
-  SideProducer prod(sim, c.next);
-  cons.bind(prod);
-  sim.step();
-  EXPECT_EQ(cons.out.peek(), 3u);
-  sim.step();
-  EXPECT_EQ(cons.out.peek(), 6u);
 }
 
 TEST(Simulator, CombinationalLoopDetectedUnderBruteForce) {
@@ -449,11 +384,11 @@ TEST(EventKernel, ExplicitWakeSchedulesOneEvaluation) {
   EXPECT_EQ(ec.evals, evals_idle + 1);
 }
 
-TEST(EventKernel, MatchesBruteForceWithFewerEvalsThanSensitivity) {
-  // Counter -> Doubler plus eight quiet components: all three kernels must
-  // reach the same fixed point; the event kernel must beat within-cycle
-  // sensitivity scheduling because the quiet components stay skipped at
-  // the start of every settle.
+TEST(EventKernel, MatchesBruteForceWithFewerEvals) {
+  // Counter -> Doubler plus eight quiet components: both kernels must
+  // reach the same fixed point; the event kernel must get there without
+  // re-running the quiet components, which stay skipped at the start of
+  // every settle and on every later pass.
   const auto run = [](Simulator::Kernel k) {
     Simulator sim;
     sim.set_kernel(k);
@@ -468,12 +403,15 @@ TEST(EventKernel, MatchesBruteForceWithFewerEvalsThanSensitivity) {
                                                    d.out.peek());
   };
   const auto [evals_brute, out_brute] = run(Simulator::Kernel::kBruteForce);
-  const auto [evals_sens, out_sens] = run(Simulator::Kernel::kSensitivity);
   const auto [evals_event, out_event] = run(Simulator::Kernel::kEvent);
   EXPECT_EQ(out_event, out_brute);
-  EXPECT_EQ(out_event, out_sens);
-  EXPECT_LT(evals_event, evals_sens);
-  EXPECT_LT(evals_sens, evals_brute);
+  EXPECT_EQ(out_event, 100u);  // next == 50 on the last settle, doubled
+  // Brute force evaluates all ten components on every pass.  The event
+  // kernel evaluates each component once at construction and then at most
+  // three times per cycle: the counter, the doubler, and the counter again
+  // as a commit-time reader of its own `next` wire.
+  EXPECT_LE(evals_event, 10u + 3u * 50u);
+  EXPECT_LT(evals_event, evals_brute);
 }
 
 TEST(EventKernel, PendingReevalsZeroAtEveryCycleBoundary) {
@@ -500,6 +438,7 @@ TEST(EventKernel, ResetMidActivityMatchesBruteForceFixedPoint) {
     sim.run(3);
     c.next.set(999);  // stray write mid-activity
     sim.reset();
+    EXPECT_EQ(sim.pending_reevals(), 0u);
     sim.step();
     return std::pair<std::uint64_t, std::uint64_t>(c.value(), d.out.peek());
   };
@@ -510,100 +449,12 @@ TEST(EventKernel, ResetMidActivityMatchesBruteForceFixedPoint) {
   EXPECT_EQ(event.second, 2u);
 }
 
-TEST(KernelNames, ParseRoundTripsEveryPinnedKernel) {
-  for (const auto kernel : Simulator::kAllKernels) {
-    EXPECT_EQ(Simulator::parse_kernel(Simulator::kernel_name(kernel)), kernel);
-  }
-}
-
-TEST(KernelNames, ParseRejectsUnknownNameWithTypedError) {
-  try {
-    Simulator::parse_kernel("bogus");
-    FAIL() << "parse_kernel accepted an unknown name";
-  } catch (const SimError& e) {
-    EXPECT_NE(std::string(e.what()).find("unknown settle kernel"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos);
-  }
-}
-
-TEST(KernelNames, EnvFallsBackToSensitivityWhenUnset) {
-  EXPECT_EQ(Simulator::kernel_from_env(nullptr),
-            Simulator::Kernel::kSensitivity);
-}
-
-TEST(KernelNames, EnvAcceptsEveryPinnedName) {
-  for (const auto kernel : Simulator::kAllKernels) {
-    EXPECT_EQ(Simulator::kernel_from_env(Simulator::kernel_name(kernel)),
-              kernel);
-  }
-}
-
-TEST(KernelNames, EnvRejectsUnknownValueNamingTheVariable) {
-  // A typo in FPGAFU_KERNEL must fail loudly (naming the variable so the
-  // message is actionable), never silently fall back to the default.
-  try {
-    Simulator::kernel_from_env("levelised");
-    FAIL() << "kernel_from_env accepted an unknown value";
-  } catch (const SimError& e) {
-    EXPECT_NE(std::string(e.what()).find("FPGAFU_KERNEL"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("levelised"), std::string::npos);
-  }
-}
-
-TEST(LevelizedKernel, MatchesOtherKernelsWithNoMoreEvalsThanSensitivity) {
-  const auto run = [](Simulator::Kernel k) {
-    Simulator sim;
-    sim.set_kernel(k);
-    Counter c(sim);
-    Doubler d(sim, c.next);
-    std::vector<std::unique_ptr<Quiet>> quiet;
-    for (int i = 0; i < 8; ++i) {
-      quiet.push_back(std::make_unique<Quiet>(sim));
-    }
-    sim.run(50);
-    return std::pair<std::uint64_t, std::uint64_t>(sim.evals_performed(),
-                                                   d.out.peek());
-  };
-  const auto [evals_brute, out_brute] = run(Simulator::Kernel::kBruteForce);
-  const auto [evals_sens, out_sens] = run(Simulator::Kernel::kSensitivity);
-  const auto [evals_lvl, out_lvl] = run(Simulator::Kernel::kLevelized);
-  EXPECT_EQ(out_lvl, out_brute);
-  EXPECT_EQ(out_lvl, out_sens);
-  EXPECT_LE(evals_lvl, evals_sens);
-  EXPECT_LT(evals_lvl, evals_brute);
-}
-
-TEST(LevelizedKernel, ResetMidActivityDropsScheduleStateCorrectly) {
-  // Reset while a sweep's cross-cycle state is hot (wake/commit sets
-  // populated, a stray host-side wire write in flight) must drop every
-  // pre-placed bucket entry and re-prime the wake set, so the first
-  // post-reset cycle reaches exactly the brute-force fixed point.
-  const auto run = [](Simulator::Kernel k) {
-    Simulator sim;
-    sim.set_kernel(k);
-    Counter c(sim);
-    Doubler d(sim, c.next);
-    sim.run(3);
-    c.next.set(999);  // stray write mid-activity
-    sim.reset();
-    EXPECT_EQ(sim.pending_reevals(), 0u);
-    sim.step();
-    return std::pair<std::uint64_t, std::uint64_t>(c.value(), d.out.peek());
-  };
-  const auto brute = run(Simulator::Kernel::kBruteForce);
-  const auto lvl = run(Simulator::Kernel::kLevelized);
-  EXPECT_EQ(lvl, brute);
-  EXPECT_EQ(lvl.first, 1u);
-  EXPECT_EQ(lvl.second, 2u);
-}
-
-TEST(LevelizedKernel, ScheduleRebuildsWhenTopologyChangesMidRun) {
-  // Components added after the first levelized elaboration invalidate the
-  // compiled schedule (graph epoch bump); the next settle must re-levelize
-  // and place the newcomer after its producer.
+TEST(EventKernel, ComponentAddedMidRunSettlesInItsFirstCycle) {
+  // A component registered after the design went quiet has never run: it
+  // must be evaluated and committed in its first cycle, and reading a
+  // producer that is itself active must subscribe it like any other reader.
   Simulator sim;
-  sim.set_kernel(Simulator::Kernel::kLevelized);
+  sim.set_kernel(Simulator::Kernel::kEvent);
   Counter c(sim);
   sim.run(3);
   EXPECT_EQ(c.value(), 3u);
@@ -614,12 +465,16 @@ TEST(LevelizedKernel, ScheduleRebuildsWhenTopologyChangesMidRun) {
   EXPECT_EQ(d.out.peek(), 10u);
 }
 
-TEST(LevelizedKernel, KernelSwitchMidRunContinuesFromLiveState) {
+TEST(EventKernel, KernelSwitchMidRunContinuesFromLiveState) {
+  // Switching kernels between cycles, in both directions, continues from
+  // the live register and wire state; the event kernel must not inherit a
+  // quiet set the brute-force kernel never maintained.
   Simulator sim;
+  sim.set_kernel(Simulator::Kernel::kEvent);
   Counter c(sim);
   Doubler d(sim, c.next);
-  sim.run(3);  // default (sensitivity) kernel
-  sim.set_kernel(Simulator::Kernel::kLevelized);
+  sim.run(3);
+  sim.set_kernel(Simulator::Kernel::kBruteForce);
   sim.run(3);
   EXPECT_EQ(c.value(), 6u);
   EXPECT_EQ(d.out.peek(), 12u);
@@ -629,55 +484,39 @@ TEST(LevelizedKernel, KernelSwitchMidRunContinuesFromLiveState) {
   EXPECT_EQ(d.out.peek(), 18u);
 }
 
-TEST(LevelizedKernel, CombinationalLoopDetected) {
-  // The ring oscillator never converges; the dirty-queue fallback drain
-  // must hit the settle limit and report it, leaving no queued work.
+TEST(EventKernel, CombinationalLoopLeavesRecoverableState) {
+  // A ring oscillator behind an enable: while enabled it never converges.
+  // The failed settle must leave no queued work and wake everything, so
+  // that once the loop is broken stepping continues and the rest of the
+  // design reaches the brute-force fixed point.
+  class GatedOscillator : public Component {
+   public:
+    GatedOscillator(Simulator& s, Wire<bool>& enable)
+        : Component(s, "gated_osc"), a(s), b(s), en_(&enable) {}
+    Wire<bool> a, b;
+    void eval() override {
+      if (en_->get()) {
+        a.set(!b.get());
+        b.set(a.get());
+      }
+    }
+   private:
+    Wire<bool>* en_;
+  };
   Simulator sim;
-  sim.set_kernel(Simulator::Kernel::kLevelized);
-  Oscillator osc(sim);
+  sim.set_kernel(Simulator::Kernel::kEvent);
+  Wire<bool> en(sim);
+  Counter c(sim);
+  Doubler d(sim, c.next);
+  GatedOscillator osc(sim, en);
+  sim.run(2);
+  en.set(true);
   EXPECT_THROW(sim.step(), SimError);
   EXPECT_EQ(sim.pending_reevals(), 0u);
-}
-
-TEST(LevelizedKernel, ParallelSettleMatchesSingleThreaded) {
-  // A level wide enough to cross kParallelLevelThreshold: one counter
-  // fanning out to 2x-threshold doublers, all in the same level.  The
-  // pooled sweep must reach the identical fixed point, and turning the
-  // pool off again must too.
-  const auto run = [](unsigned threads) {
-    Simulator sim;
-    sim.set_kernel(Simulator::Kernel::kLevelized);
-    sim.set_settle_threads(threads);
-    Counter c(sim);
-    std::vector<std::unique_ptr<Doubler>> fan;
-    for (std::size_t i = 0; i < 2 * Simulator::kParallelLevelThreshold; ++i) {
-      fan.push_back(std::make_unique<Doubler>(sim, c.next));
-    }
-    sim.run(20);
-    std::vector<std::uint64_t> outs;
-    for (const auto& d : fan) {
-      outs.push_back(d->out.peek());
-    }
-    return std::pair<std::uint64_t, std::vector<std::uint64_t>>(c.value(),
-                                                                outs);
-  };
-  const auto serial = run(0);
-  const auto pooled = run(3);
-  EXPECT_EQ(pooled, serial);
-  EXPECT_EQ(serial.first, 20u);
-  EXPECT_EQ(serial.second.front(), 40u);
-
-  // Disabling the pool mid-run hands the sweep back to the owner thread.
-  Simulator sim;
-  sim.set_kernel(Simulator::Kernel::kLevelized);
-  sim.set_settle_threads(2);
-  EXPECT_EQ(sim.settle_threads(), 2u);
-  Counter c(sim);
-  sim.run(2);
-  sim.set_settle_threads(0);
-  EXPECT_EQ(sim.settle_threads(), 0u);
+  en.set(false);
   sim.run(2);
   EXPECT_EQ(c.value(), 4u);
+  EXPECT_EQ(d.out.peek(), 8u);
 }
 
 TEST(Counters, HandleInterningAndBump) {

@@ -168,8 +168,7 @@ isa::Program wide_program(int sweeps) {
   return p;
 }
 
-/// Every settle kernel, each single-threaded (parallel levelized lanes
-/// defer writes through std::function and are out of scope).
+/// Every settle kernel.
 class AllocGuard : public ::testing::TestWithParam<sim::Simulator::Kernel> {};
 
 TEST_P(AllocGuard, WideFuFabricStepsWithoutAllocating) {
