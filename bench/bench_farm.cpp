@@ -179,17 +179,16 @@ void BM_FarmReadStream(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(jobs), benchmark::Counter::kIsRate);
 }
 
-/// Experiment E16: tiny-program coalescing.  Twelve sessions each own a
+/// Experiments E16/E19: tiny-program streams.  Twelve sessions each own a
 /// disjoint register pair and stream three-instruction jobs
-/// (PUT / ADD / GET — one write barrier per job).  Uncoalesced, the
-/// cross-program write barrier serialises the window at about one link
-/// round trip per job no matter how deep it is; coalesced, members from
-/// different sessions are register-disjoint, the per-register frame
-/// barrier finds no conflicts, and one sequence-numbered frame carries
-/// coalesce_max_programs jobs back to back.  Reported alongside wall-clock
-/// jobs/s: cycles_per_job = farm.shard_cycles / jobs, the deterministic
-/// simulated-cycle cost CI's perf-smoke step asserts the coalescing win
-/// on.
+/// (PUT / ADD / GET).  Jobs from different sessions are register-disjoint,
+/// so the per-register write barrier every flight uses finds no conflicts:
+/// with a window deeper than one, uncoalesced one-member frames and
+/// coalesced multi-member frames both stream the jobs back to back at the
+/// downlink floor (about 8 cycles/job).  Window 1 is call-and-wait.
+/// Reported alongside wall-clock jobs/s: cycles_per_job =
+/// farm.shard_cycles / jobs, the simulated-cycle cost CI's perf-smoke step
+/// puts a ceiling on.
 void BM_FarmTinyProgramStream(benchmark::State& state) {
   const std::size_t window = static_cast<std::size_t>(state.range(0));
   const std::size_t coalesce = static_cast<std::size_t>(state.range(1));
@@ -305,8 +304,7 @@ void register_shard_sweep() {
                  ->Unit(benchmark::kMillisecond)
                  ->UseRealTime()
                  ->MeasureProcessCPUTime();
-  // Uncoalesced baselines across window depths (the write barrier keeps
-  // them all near one round trip per job), then coalesced rows.
+  // Uncoalesced rows across window depths, then coalesced rows.
   for (long w : {1, 8, 32}) {
     ts->Args({w, 1});
   }

@@ -1,16 +1,15 @@
 #include "host/driver.hpp"
 
 #include <array>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace fpgafu::host {
 
-void Deadline::enforce(const std::string& what) const {
-  if (expired()) {
-    throw SimError(what + ": watchdog expired after " +
-                   std::to_string(budget_) + " cycles");
-  }
+void Deadline::fail_expired(std::string_view what) const {
+  throw SimError(std::string(what) + ": watchdog expired after " +
+                 std::to_string(budget_) + " cycles");
 }
 
 void Driver::sync_reset() {
@@ -54,8 +53,9 @@ std::optional<msg::Response> Driver::poll() {
       frame[i] = rx_words_[i];
     }
     if (msg::Response::frame_ok(frame)) {
-      rx_words_.erase(rx_words_.begin(),
-                      rx_words_.begin() + msg::kLinkWordsPerResponse);
+      for (unsigned i = 0; i < msg::kLinkWordsPerResponse; ++i) {
+        rx_words_.pop_front();
+      }
       ++responses_received_;
       return msg::Response::from_link_words(frame);
     }
@@ -70,25 +70,6 @@ std::optional<msg::Response> Driver::poll() {
 void Driver::reset() {
   rx_words_.clear();
   tx_words_.clear();
-}
-
-std::uint64_t Pump::run_until(const std::function<bool()>& done,
-                              Deadline deadline, const std::string& what) {
-  std::uint64_t cycles = 0;
-  for (;;) {
-    driver_->service();
-    if (done()) {
-      return cycles;
-    }
-    deadline.observe();
-    deadline.enforce(what);
-    sim_->step();
-    ++cycles;
-  }
-}
-
-void Pump::flush(Deadline deadline, const std::string& what) {
-  run_until([this] { return driver_->tx_drained(); }, deadline, what);
 }
 
 }  // namespace fpgafu::host

@@ -1,16 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <limits>
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "isa/program.hpp"
 #include "msg/response.hpp"
 #include "sim/trace.hpp"
 #include "top/system.hpp"
+#include "util/ring_buffer.hpp"
 
 namespace fpgafu::host {
 
@@ -66,8 +65,13 @@ class Deadline {
   bool expired() const { return !unlimited() && spent() >= budget_; }
 
   /// Throw SimError("<what>: watchdog expired after N cycles") when
-  /// expired.  `what` names the operation for the diagnostic.
-  void enforce(const std::string& what) const;
+  /// expired.  `what` names the operation for the diagnostic; the message
+  /// is only built on the throw.
+  void enforce(std::string_view what) const {
+    if (expired()) {
+      fail_expired(what);
+    }
+  }
 
   /// Fold elapsed cycles into the consumed-budget count and re-anchor at
   /// the current cycle.  The Pump calls this every iteration, so a reset
@@ -79,6 +83,9 @@ class Deadline {
   }
 
  private:
+  [[noreturn, gnu::cold, gnu::noinline]] void fail_expired(
+      std::string_view what) const;
+
   const sim::Simulator* sim_;
   std::uint64_t budget_;
   std::uint64_t anchor_;  ///< cycle() when (re-)anchored
@@ -153,8 +160,8 @@ class Driver {
   void sync_reset();
 
   top::System* system_;
-  std::deque<msg::LinkWord> tx_words_;  ///< queued, not yet on the link
-  std::deque<msg::LinkWord> rx_words_;  ///< deframing window
+  CompactingQueue<msg::LinkWord> tx_words_;  ///< queued, not yet on the link
+  CompactingQueue<msg::LinkWord> rx_words_;  ///< deframing window
   std::uint64_t reset_generation_;
   std::uint64_t responses_received_ = 0;
   sim::Counters stats_;
@@ -176,13 +183,30 @@ class Pump {
   /// Service the driver and evaluate `done`; while false, step the clock,
   /// enforcing `deadline` before every step (diagnostics name `what`).
   /// Returns the number of cycles consumed.  `done` may throw; the clock
-  /// stops where it was.
-  std::uint64_t run_until(const std::function<bool()>& done,
-                          Deadline deadline, const std::string& what);
+  /// stops where it was.  The predicate is a template parameter, so a
+  /// capturing lambda is called directly instead of through a heap-held
+  /// std::function.
+  template <typename Done>
+  std::uint64_t run_until(Done&& done, Deadline deadline,
+                          std::string_view what) {
+    std::uint64_t cycles = 0;
+    for (;;) {
+      driver_->service();
+      if (done()) {
+        return cycles;
+      }
+      deadline.observe();
+      deadline.enforce(what);
+      sim_->step();
+      ++cycles;
+    }
+  }
 
   /// Block until the driver's transmit queue has fully drained into the
   /// link (the bounded-buffer backpressure path).
-  void flush(Deadline deadline, const std::string& what);
+  void flush(Deadline deadline, std::string_view what) {
+    run_until([this] { return driver_->tx_drained(); }, deadline, what);
+  }
 
   sim::Simulator& simulator() { return *sim_; }
   Driver& driver() { return *driver_; }

@@ -57,8 +57,9 @@ struct Farm::Job {
   /// worker ensures them resident (swapping on an empty window) before the
   /// job issues.  Empty = no requirement.
   std::vector<std::string> required;
-  std::promise<std::vector<msg::Response>> promise;
-  bool has_promise = false;
+  /// Emplaced by submit() only, so callback and stream jobs (and the
+  /// worker's scratch Job) allocate no shared state.
+  std::optional<std::promise<std::vector<msg::Response>>> promise;
   Callback callback;
   ResponseFn stream;
   DoneFn done;
@@ -105,10 +106,14 @@ struct Farm::Shard {
   std::mutex m;
   std::condition_variable cv_work;   ///< worker waits: job queued or stop
   std::condition_variable cv_space;  ///< producers wait: queue below capacity
-  std::map<SessionId, std::deque<Job>> pending;  ///< per-tenant sub-queues
+  /// Per-tenant sub-queues and per-session unresolved counts.  An entry
+  /// stays when its queue empties or its count drops to zero, so a
+  /// steadily busy session does not re-create it on every job (one entry
+  /// per tenant that ever submitted; a fault recovery drops the queues).
+  std::map<SessionId, std::deque<Job>> pending;
   std::deque<SessionId> rr;   ///< round-robin rotation of queued tenants
   std::size_t queued = 0;     ///< total queued jobs (bounded by capacity)
-  std::map<SessionId, std::size_t> unresolved;  ///< per-session accounting
+  std::map<SessionId, std::size_t> unresolved;
   bool stop = false;
   /// Lock-free mirror of `queued` so the worker's pump loop can notice new
   /// work without taking the queue mutex every cycle.
@@ -168,12 +173,10 @@ struct Farm::Shard {
     }
     const SessionId tenant = rr.front();
     rr.pop_front();
-    auto it = pending.find(tenant);
-    out = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) {
-      pending.erase(it);
-    } else {
+    std::deque<Job>& q = pending.find(tenant)->second;
+    out = std::move(q.front());
+    q.pop_front();
+    if (!q.empty()) {
       rr.push_back(tenant);  // FIFO within a tenant, round-robin across
     }
     --queued;
@@ -286,7 +289,7 @@ void Farm::Shard::resolve_success(Job& job,
   } else if (job.done) {
     job.done(nullptr);
   } else {
-    job.promise.set_value(std::move(responses));
+    job.promise->set_value(std::move(responses));
   }
   finish_accounting(job);
 }
@@ -299,7 +302,7 @@ void Farm::Shard::resolve_failure(Job& job, std::exception_ptr err) {
   } else if (job.done) {
     job.done(err);
   } else {
-    job.promise.set_exception(err);
+    job.promise->set_exception(err);
   }
   finish_accounting(job);
 }
@@ -308,8 +311,8 @@ void Farm::Shard::finish_accounting(Job& job) {
   if (job.session != kNoSession) {
     std::lock_guard<std::mutex> lk(m);
     auto it = unresolved.find(job.session);
-    if (it != unresolved.end() && --(it->second) == 0) {
-      unresolved.erase(it);
+    if (it != unresolved.end() && it->second > 0) {
+      --it->second;
     }
   }
   cv_space.notify_all();
@@ -409,10 +412,15 @@ void Farm::Shard::worker(const FarmConfig& config) {
   /// a later job around a held one would reorder a session's register
   /// semantics.
   std::deque<Job> held;
-  /// Coalescing only: the cycle a held *partial* frame must flush at.
-  /// Armed when the worker first decides to keep the frame open for more
-  /// arrivals; cleared on every frame submission.
-  std::optional<std::uint64_t> flush_at;
+  /// Coalescing only: the cycle a held *partial* frame must flush at, or
+  /// kNoFlush.  Armed when the worker first decides to keep the frame open
+  /// for more arrivals; cleared on every frame submission.
+  constexpr std::uint64_t kNoFlush = ~std::uint64_t{0};
+  std::uint64_t flush_at = kNoFlush;
+  // Scratch reused across rounds, so a round allocates nothing once warm.
+  std::vector<Job> batch;
+  std::vector<ReliableTransport::StreamEvent> events;
+  std::vector<ReliableTransport::Completion> comps;
 
   auto active_index = [&](ReliableTransport::ProgramId id) {
     for (std::size_t i = 0; i < active_ids.size(); ++i) {
@@ -424,7 +432,6 @@ void Farm::Shard::worker(const FarmConfig& config) {
   };
 
   for (;;) {
-    std::deque<Job> batch;
     bool draining = false;
     {
       std::unique_lock<std::mutex> lk(m);
@@ -459,6 +466,7 @@ void Farm::Shard::worker(const FarmConfig& config) {
                                    " failed to construct: " +
                                    construct_error)));
       }
+      batch.clear();
       continue;
     }
     try {
@@ -511,7 +519,7 @@ void Farm::Shard::worker(const FarmConfig& config) {
           // image.  A swap boundary also flushes immediately — no hold.
           if (front_swap && !ensure_required(*engine, held.front())) {
             held.pop_front();  // unsatisfiable; job failed typed
-            flush_at.reset();
+            flush_at = kNoFlush;
             continue;
           }
           std::size_t count = 1;
@@ -532,11 +540,11 @@ void Farm::Shard::worker(const FarmConfig& config) {
           const bool partial = count == held.size() && count < max_members;
           if (!front_swap && partial && config.coalesce_flush_cycles > 0 &&
               !draining) {
-            if (!flush_at) {
+            if (flush_at == kNoFlush) {
               flush_at = engine->system.simulator().cycle() +
                          config.coalesce_flush_cycles;
             }
-            if (engine->system.simulator().cycle() < *flush_at) {
+            if (engine->system.simulator().cycle() < flush_at) {
               break;  // keep the frame open; the pump watches flush_at
             }
           }
@@ -562,10 +570,10 @@ void Farm::Shard::worker(const FarmConfig& config) {
             active.push_back(std::move(held.front()));
             held.pop_front();
           }
-          flush_at.reset();
+          flush_at = kNoFlush;
         }
         if (held.empty()) {
-          flush_at.reset();
+          flush_at = kNoFlush;
         }
       }
       if (active.empty() && held.empty()) {
@@ -576,8 +584,8 @@ void Farm::Shard::worker(const FarmConfig& config) {
       // work is queued (queued_hint — no lock on the hot path), or the
       // window drained.  Job watchdogs live inside the transport
       // (per-program deadlines), so this loop itself is unbounded.
-      std::deque<ReliableTransport::StreamEvent> events;
-      std::deque<ReliableTransport::Completion> comps;
+      events.clear();
+      comps.clear();
       Pump& pump = engine->copro.pump();
       pump.run_until(
           [&] {
@@ -593,7 +601,7 @@ void Farm::Shard::worker(const FarmConfig& config) {
             if (!events.empty() || !comps.empty()) {
               return true;
             }
-            if (flush_at) {
+            if (flush_at != kNoFlush) {
               // A partial frame is being held open: wake to grow it when
               // more work arrives, or to flush it when the timer expires.
               // Never exit on an empty window here — that would spin the
@@ -601,7 +609,7 @@ void Farm::Shard::worker(const FarmConfig& config) {
               if (queued_hint.load(std::memory_order_relaxed) > 0) {
                 return true;
               }
-              return engine->system.simulator().cycle() >= *flush_at;
+              return engine->system.simulator().cycle() >= flush_at;
             }
             // Pull new queued work only while nothing is held: held jobs
             // issue strictly FIFO, so with a swap-blocked job at the front
@@ -952,8 +960,8 @@ std::future<std::vector<msg::Response>> Farm::submit(
   Job job;
   job.program = std::move(program);
   job.budget = budget_cycles.value_or(config_.job_budget_cycles);
-  job.has_promise = true;
-  std::future<std::vector<msg::Response>> fut = job.promise.get_future();
+  std::future<std::vector<msg::Response>> fut =
+      job.promise.emplace().get_future();
   enqueue(static_cast<std::size_t>(rr_next_.fetch_add(1) % shards_.size()),
           std::move(job));
   return fut;
@@ -967,8 +975,8 @@ std::future<std::vector<msg::Response>> Farm::submit(
   job.budget = budget_cycles.value_or(config_.job_budget_cycles);
   job.session = session;
   job.required = required_of(session);
-  job.has_promise = true;
-  std::future<std::vector<msg::Response>> fut = job.promise.get_future();
+  std::future<std::vector<msg::Response>> fut =
+      job.promise.emplace().get_future();
   enqueue(shard_of(session), std::move(job));
   return fut;
 }

@@ -5,16 +5,16 @@
 
 namespace fpgafu::host {
 
-std::vector<InstructionGroup> split_groups(const isa::Program& program) {
-  std::vector<InstructionGroup> groups;
+void split_groups_into(const isa::Program& program, std::size_t word_base,
+                       std::vector<InstructionGroup>& out) {
   const auto& words = program.words();
-  for (std::size_t i = 0; i < words.size(); ++i) {
+  for (std::size_t i = 0; i < words.size();) {
     InstructionGroup group;
-    group.words.push_back(words[i]);
+    group.first_word = word_base + i;
     group.inst = isa::Instruction::decode(words[i]);
+    std::size_t payload_words = 0;
     if (group.inst.function == isa::fc::kRtm) {
       const auto op = static_cast<isa::RtmOp>(group.inst.variety);
-      std::size_t payload_words = 0;
       if (op == isa::RtmOp::kPut) {
         payload_words = 1;
       } else if (op == isa::RtmOp::kPutVec) {
@@ -22,12 +22,16 @@ std::vector<InstructionGroup> split_groups(const isa::Program& program) {
       }
       check(i + payload_words < words.size(),
             "program ends inside a PUT/PUTV payload");
-      for (std::size_t k = 0; k < payload_words; ++k) {
-        group.words.push_back(words[++i]);
-      }
     }
-    groups.push_back(std::move(group));
+    group.word_count = 1 + payload_words;
+    i += group.word_count;
+    out.push_back(group);
   }
+}
+
+std::vector<InstructionGroup> split_groups(const isa::Program& program) {
+  std::vector<InstructionGroup> groups;
+  split_groups_into(program, 0, groups);
   return groups;
 }
 
@@ -189,24 +193,41 @@ GroupEffects group_effects(const isa::Instruction& inst,
   return e;
 }
 
+void FrameLayout::clear() {
+  words.clear();
+  groups.clear();
+  predictions.clear();
+  effects.clear();
+  members.clear();
+}
+
+void append_member(FrameLayout& frame, const isa::Program& program,
+                   const rtm::RtmConfig& config,
+                   const rtm::FunctionalUnitTable& table) {
+  FrameMember member;
+  member.first_group = frame.groups.size();
+  const std::size_t word_base = frame.words.size();
+  frame.words.insert(frame.words.end(), program.words().begin(),
+                     program.words().end());
+  split_groups_into(program, word_base, frame.groups);
+  member.group_count = frame.groups.size() - member.first_group;
+  for (std::size_t i = member.first_group; i < frame.groups.size(); ++i) {
+    const isa::Instruction& inst = frame.groups[i].inst;
+    const ResponsePrediction pred = predict(inst, config, table);
+    member.response_count += pred.count;
+    frame.predictions.push_back(pred);
+    frame.effects.push_back(group_effects(inst, config, table));
+  }
+  frame.members.push_back(member);
+}
+
 FrameLayout split_frame(const std::vector<const isa::Program*>& programs,
                         const rtm::RtmConfig& config,
                         const rtm::FunctionalUnitTable& table) {
   FrameLayout frame;
   for (const isa::Program* program : programs) {
     check(program != nullptr, "split_frame: null member program");
-    FrameMember member;
-    member.first_group = frame.groups.size();
-    std::vector<InstructionGroup> groups = split_groups(*program);
-    member.group_count = groups.size();
-    for (InstructionGroup& g : groups) {
-      const ResponsePrediction pred = predict(g.inst, config, table);
-      member.response_count += pred.count;
-      frame.predictions.push_back(pred);
-      frame.effects.push_back(group_effects(g.inst, config, table));
-      frame.groups.push_back(std::move(g));
-    }
-    frame.members.push_back(member);
+    append_member(frame, *program, config, table);
   }
   return frame;
 }

@@ -13,14 +13,24 @@ namespace fpgafu::host {
 
 /// One instruction plus any inline payload words (a PUT travels with its
 /// data word, a PUTV with its burst) — the unit of interleaving for
-/// MultiHost and the unit of retry for ReliableTransport.
+/// MultiHost and the unit of retry for ReliableTransport.  A group names a
+/// word range of the sequence it was split from instead of owning a copy,
+/// so splitting a program allocates nothing per group.
 struct InstructionGroup {
-  std::vector<isa::Word> words;  ///< instruction word, then payload words
-  isa::Instruction inst;         ///< decoded copy of words[0]
+  std::size_t first_word = 0;  ///< index of the instruction word
+  std::size_t word_count = 0;  ///< the instruction word plus its payload
+  isa::Instruction inst;       ///< decoded instruction word
 };
 
-/// Split a program into instruction groups.  Throws SimError when the
-/// program ends inside a PUT/PUTV payload.
+/// Append the groups of `program` to `out`, their word ranges offset by
+/// `word_base` (the index `program.words()[0]` has in the caller's word
+/// sequence).  Throws SimError when the program ends inside a PUT/PUTV
+/// payload; `out` then holds the groups split before the fault.
+void split_groups_into(const isa::Program& program, std::size_t word_base,
+                       std::vector<InstructionGroup>& out);
+
+/// Split a program into instruction groups whose ranges index
+/// `program.words()`.  Throws like split_groups_into.
 std::vector<InstructionGroup> split_groups(const isa::Program& program);
 
 /// What one instruction group will send back, predicted host-side.
@@ -44,7 +54,7 @@ ResponsePrediction predict(const isa::Instruction& inst,
                            const rtm::FunctionalUnitTable& table);
 
 /// Register footprint of one instruction group, host-side — what the
-/// transport's *frame-granularity* write barrier reasons about.  For a
+/// transport's per-register write barrier reasons about.  For a
 /// retriable (read-class) group the read sets name every register whose
 /// VALUE its responses depend on: a retried GET returns the same bytes iff
 /// nothing wrote its source register in between.  Error-predicted groups,
@@ -86,29 +96,42 @@ GroupEffects group_effects(const isa::Instruction& inst,
                            const rtm::RtmConfig& config,
                            const rtm::FunctionalUnitTable& table);
 
-/// One member program's sub-range inside a coalesced frame.
+/// One member program's sub-range inside a frame.
 struct FrameMember {
   std::size_t first_group = 0;  ///< index into FrameLayout::groups
   std::size_t group_count = 0;
   std::size_t response_count = 0;  ///< predicted responses, summed
 };
 
-/// Frame-level framing: several member programs concatenated into one
-/// submission frame.  `groups` is the concatenation of each member's
-/// split_groups() output (one contiguous wire transmission); predictions
-/// and register effects are per group, and `members` records each
-/// program's sub-range so the transport can demultiplex responses back
-/// into per-program completions.
+/// Frame-level framing: one or more member programs concatenated into one
+/// submission frame (a plain ReliableTransport::submit is a one-member
+/// frame).  `words` is the concatenation of the members' words — one
+/// contiguous wire transmission — and `groups` indexes it; predictions and
+/// register effects are per group, and `members` records each program's
+/// sub-range so the transport can demultiplex responses back into
+/// per-program completions.
 struct FrameLayout {
+  std::vector<isa::Word> words;
   std::vector<InstructionGroup> groups;
   std::vector<ResponsePrediction> predictions;
   std::vector<GroupEffects> effects;
   std::vector<FrameMember> members;
+
+  /// Empty the frame, keeping every vector's capacity for the next one.
+  void clear();
 };
 
-/// Split and predict a whole frame of member programs.  Throws SimError
-/// when any member ends inside a PUT/PUTV payload.  An empty member is
-/// legal: it contributes zero groups and completes immediately.
+/// Append `program` to `frame` as its next member: its words, groups,
+/// predictions and effects, and its FrameMember range.  Allocates only
+/// when a vector outgrows its capacity.  Throws SimError when the program
+/// ends inside a PUT/PUTV payload (the frame is then partially appended).
+/// An empty program is legal: a zero-width member that completes at once.
+void append_member(FrameLayout& frame, const isa::Program& program,
+                   const rtm::RtmConfig& config,
+                   const rtm::FunctionalUnitTable& table);
+
+/// Split and predict a whole frame of member programs (append_member on a
+/// fresh frame, member by member).
 FrameLayout split_frame(const std::vector<const isa::Program*>& programs,
                         const rtm::RtmConfig& config,
                         const rtm::FunctionalUnitTable& table);

@@ -5,9 +5,11 @@
 namespace fpgafu::host {
 
 void MultiHost::Session::submit(const isa::Program& program) {
-  for (InstructionGroup& g : split_groups(program)) {
-    pending_.push_back(std::move(g));
+  for (const InstructionGroup& g : split_groups(program)) {
+    pending_.push_back(g);
   }
+  pending_words_.insert(pending_words_.end(), program.words().begin(),
+                        program.words().end());
 }
 
 std::optional<msg::Response> MultiHost::Session::poll() {
@@ -72,13 +74,14 @@ void MultiHost::pump() {
     // A group that does not fit the downstream link buffer would block
     // mid-instruction inside submit_word; end the round instead.
     if (copro_.system().link().host_space() <
-        group.words.size() * msg::kLinkWordsPerStreamWord) {
+        group.word_count * msg::kLinkWordsPerStreamWord) {
       break;
     }
     const ResponsePrediction pred =
         predict(group.inst, rtm.config(), rtm.table());
-    for (const isa::Word w : group.words) {
-      copro_.submit_word(w);
+    for (std::size_t w = 0; w < group.word_count; ++w) {
+      copro_.submit_word(s.pending_words_.front());
+      s.pending_words_.pop_front();
     }
     // Response-less instructions still consume a sequence number; keep the
     // owner entry live (released only by overwrite an epoch later) so a

@@ -55,8 +55,10 @@ class MultiHost {
 
     MultiHost* owner_;
     std::size_t id_;
-    /// Instruction groups awaiting interleave.
+    /// Instruction groups awaiting interleave, and their words in order
+    /// (the front group's word_count words lead pending_words_).
     std::deque<InstructionGroup> pending_;
+    std::deque<isa::Word> pending_words_;
     std::deque<msg::Response> inbox_;
   };
 

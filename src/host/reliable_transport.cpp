@@ -65,7 +65,59 @@ void ReliableTransport::sync_generation() {
   }
 }
 
+ReliableTransport::Flight ReliableTransport::open_frame(const char* who) {
+  if (window_full()) {
+    throw SimError(std::string(who) + ": window is full (" +
+                   std::to_string(config_.window) + " frames in flight)");
+  }
+  if (window_.empty() && outstanding_.empty()) {
+    // A new exchange may follow an external reset; re-mirror the decoder.
+    sync_generation();
+  }
+  Flight f;
+  if (!spare_.empty()) {
+    f = std::move(spare_.back());
+    spare_.pop_back();
+    f.layout.clear();
+    f.slots.clear();
+    f.members.clear();
+    f.got.clear();
+    f.next_group = 0;
+    f.emit_cursor = 0;
+    f.budget = 0;
+    f.deadline.reset();
+  }
+  return f;
+}
+
+ReliableTransport::ProgramId ReliableTransport::add_member(
+    Flight& f, const isa::Program& program,
+    std::optional<std::uint64_t> budget_cycles, bool stream) {
+  const rtm::Rtm& rtm = copro_->system().rtm();
+  append_member(f.layout, program, rtm.config(), rtm.table());
+  const FrameMember& range = f.layout.members.back();
+  for (std::size_t i = 0; i < range.group_count; ++i) {
+    const ResponsePrediction& pred =
+        f.layout.predictions[range.first_group + i];
+    GroupSlot s;
+    s.program_seq = static_cast<std::uint16_t>(i);  // member-relative
+    s.first_response = f.got.size();
+    s.done = pred.count == 0;
+    f.slots.push_back(s);
+    f.got.resize(f.got.size() + pred.count);
+  }
+  Member m;
+  m.id = next_program_id_++;
+  m.out.reserve(range.response_count);
+  m.stream = stream;
+  f.members.push_back(std::move(m));
+  // One frame, one watchdog: the frame deadline is the laxest member's.
+  f.budget = std::max(f.budget, budget_cycles.value_or(config_.max_cycles));
+  return f.members.back().id;
+}
+
 void ReliableTransport::push_frame(Flight&& f) {
+  f.id = f.members.front().id;
   window_.push_back(std::move(f));
   unissued_ = true;
   emit_pending_ = true;  // a pure-write frame may already be complete
@@ -74,81 +126,26 @@ void ReliableTransport::push_frame(Flight&& f) {
 ReliableTransport::ProgramId ReliableTransport::submit(
     const isa::Program& program, std::optional<std::uint64_t> budget_cycles,
     bool stream) {
-  if (window_full()) {
-    throw SimError("ReliableTransport::submit: window is full (" +
-                   std::to_string(config_.window) + " programs in flight)");
-  }
-  if (window_.empty() && outstanding_.empty()) {
-    // A new exchange may follow an external reset; re-mirror the decoder.
-    sync_generation();
-  }
-  const rtm::Rtm& rtm = copro_->system().rtm();
-  Flight f;
-  f.id = next_program_id_++;
-  f.groups = split_groups(program);
-  f.slots.resize(f.groups.size());
-  for (std::size_t i = 0; i < f.groups.size(); ++i) {
-    f.slots[i].pred = predict(f.groups[i].inst, rtm.config(), rtm.table());
-    f.slots[i].program_seq = static_cast<std::uint16_t>(i);
-    f.slots[i].done = f.slots[i].pred.count == 0;
-  }
-  Member m;
-  m.id = f.id;
-  m.first_slot = 0;
-  m.slot_count = f.slots.size();
-  m.stream = stream;
-  f.members.push_back(std::move(m));
-  f.budget = budget_cycles.value_or(config_.max_cycles);
+  Flight f = open_frame("ReliableTransport::submit");
+  const ProgramId id = add_member(f, program, budget_cycles, stream);
   push_frame(std::move(f));
-  return window_.back().id;
+  return id;
 }
 
 std::vector<ReliableTransport::ProgramId> ReliableTransport::submit_coalesced(
     const std::vector<CoalescedItem>& items) {
   check(!items.empty(), "ReliableTransport::submit_coalesced: empty frame");
-  if (window_full()) {
-    throw SimError("ReliableTransport::submit_coalesced: window is full (" +
-                   std::to_string(config_.window) + " frames in flight)");
-  }
-  if (window_.empty() && outstanding_.empty()) {
-    sync_generation();
-  }
-  const rtm::Rtm& rtm = copro_->system().rtm();
-  std::vector<const isa::Program*> programs;
-  programs.reserve(items.size());
   for (const CoalescedItem& item : items) {
     check(item.program != nullptr,
           "ReliableTransport::submit_coalesced: null member program");
-    programs.push_back(item.program);
   }
-  FrameLayout layout = split_frame(programs, rtm.config(), rtm.table());
-
-  Flight f;
-  f.coalesced = true;
-  f.groups = std::move(layout.groups);
-  f.slots.resize(f.groups.size());
+  Flight f = open_frame("ReliableTransport::submit_coalesced");
   std::vector<ProgramId> ids;
   ids.reserve(items.size());
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    Member m;
-    m.id = next_program_id_++;
-    m.first_slot = layout.members[k].first_group;
-    m.slot_count = layout.members[k].group_count;
-    m.stream = items[k].stream;
-    for (std::size_t i = 0; i < m.slot_count; ++i) {
-      GroupSlot& s = f.slots[m.first_slot + i];
-      s.pred = layout.predictions[m.first_slot + i];
-      s.effects = layout.effects[m.first_slot + i];
-      s.program_seq = static_cast<std::uint16_t>(i);  // member-relative
-      s.done = s.pred.count == 0;
-    }
-    // One frame, one watchdog: the frame deadline is the laxest member's.
-    f.budget = std::max(f.budget,
-                        items[k].budget_cycles.value_or(config_.max_cycles));
-    ids.push_back(m.id);
-    f.members.push_back(std::move(m));
+  for (const CoalescedItem& item : items) {
+    ids.push_back(add_member(f, *item.program, item.budget_cycles,
+                             item.stream));
   }
-  f.id = f.members.front().id;
   push_frame(std::move(f));
   return ids;
 }
@@ -156,14 +153,15 @@ std::vector<ReliableTransport::ProgramId> ReliableTransport::submit_coalesced(
 void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
                                  unsigned attempts) {
   const std::uint16_t wire = next_wire_seq_++;
-  for (const isa::Word w : f.groups[slot_index].words) {
-    copro_->submit_word(w);
+  const InstructionGroup& g = f.layout.groups[slot_index];
+  for (std::size_t k = 0; k < g.word_count; ++k) {
+    copro_->submit_word(f.layout.words[g.first_word + k]);
   }
-  if (f.slots[slot_index].pred.count > 0) {
+  if (f.layout.predictions[slot_index].count > 0) {
     // Partial burst progress is kept across retries: the group is
     // read-only (the write barrier holds back anything that could change
     // what it reads), so the re-sent sub-responses it already has are
-    // byte-identical duplicates and the missing tail extends `got`.
+    // byte-identical duplicates and the missing tail extends its range.
     const bool was_empty = outstanding_.empty();
     outstanding_.push_back({f.id, slot_index, wire, attempts, 0});
     if (was_empty) {
@@ -195,7 +193,7 @@ void ReliableTransport::retry_front(sim::Counters::Handle reason) {
   check(f != nullptr, "ReliableTransport: outstanding entry for a program "
                       "that is no longer in flight");
   GroupSlot& s = f->slots[o.slot];
-  if (!s.pred.retriable) {
+  if (!f->layout.predictions[o.slot].retriable) {
     // Cannot safely re-submit: report the loss as a transport error in
     // the group's program-order position.
     stats_.bump(failures_);
@@ -203,7 +201,8 @@ void ReliableTransport::retry_front(sim::Counters::Handle reason) {
     r.type = msg::Response::Type::kError;
     r.code = static_cast<std::uint8_t>(msg::ErrorCode::kTransport);
     r.seq = s.program_seq;
-    s.got.assign(1, r);
+    f->got[s.first_response] = r;
+    s.received = 1;
     s.done = true;
     emit_pending_ = true;
     return;
@@ -245,19 +244,19 @@ void ReliableTransport::handle_response(const msg::Response& r) {
   check(f != nullptr, "ReliableTransport: response for a program that is no "
                       "longer in flight");
   GroupSlot& s = f->slots[o.slot];
-  if (r.burst < s.got.size()) {
+  if (r.burst < s.received) {
     stats_.bump(dup_dropped_);  // duplicated sub-response within a burst
     return;
   }
-  if (r.burst > s.got.size()) {
+  if (r.burst > s.received) {
     // A sub-response inside the burst went missing; re-read the whole
     // group (sub-responses share one sequence number, so a partial retry
     // could not be told apart from the lost originals).
     retry_front(gap_retries_);
     return;
   }
-  s.got.push_back(r);
-  if (s.got.size() >= s.pred.count) {
+  f->got[s.first_response + s.received++] = r;
+  if (s.received >= f->layout.predictions[o.slot].count) {
     s.done = true;
     emit_pending_ = true;
     outstanding_.pop_front();
@@ -272,31 +271,32 @@ void ReliableTransport::handle_response(const msg::Response& r) {
 }
 
 void ReliableTransport::emit_ready() {
-  for (auto it = window_.begin(); it != window_.end();) {
-    Flight& f = *it;
+  for (std::size_t fi = 0; fi < window_.size();) {
+    Flight& f = window_[fi];
+    const std::vector<FrameMember>& ranges = f.layout.members;
     // The member owning the emit cursor (members are contiguous in slot
     // order, so this advances monotonically with the cursor).
     std::size_t owner = 0;
-    while (owner < f.members.size() &&
+    while (owner < ranges.size() &&
            f.emit_cursor >=
-               f.members[owner].first_slot + f.members[owner].slot_count) {
+               ranges[owner].first_group + ranges[owner].group_count) {
       ++owner;
     }
     while (f.emit_cursor < f.slots.size() && f.slots[f.emit_cursor].done) {
       while (f.emit_cursor >=
-             f.members[owner].first_slot + f.members[owner].slot_count) {
+             ranges[owner].first_group + ranges[owner].group_count) {
         ++owner;  // skip empty members sitting at this boundary
       }
-      GroupSlot& s = f.slots[f.emit_cursor];
+      const GroupSlot& s = f.slots[f.emit_cursor];
       Member& m = f.members[owner];
-      for (msg::Response r : s.got) {
+      for (std::size_t k = 0; k < s.received; ++k) {
+        msg::Response r = f.got[s.first_response + k];
         r.seq = s.program_seq;  // renumber wire order back to program order
         if (m.stream) {
           stream_events_.push_back({m.id, r});
         }
         m.out.push_back(r);
       }
-      s.got.clear();
       ++f.emit_cursor;
     }
     // Members complete individually, in member order: one is done when all
@@ -304,8 +304,9 @@ void ReliableTransport::emit_ready() {
     // are born done, so the issue condition is the binding one for
     // pure-write members.)
     bool all_emitted = true;
-    for (Member& m : f.members) {
-      const std::size_t end = m.first_slot + m.slot_count;
+    for (std::size_t k = 0; k < f.members.size(); ++k) {
+      Member& m = f.members[k];
+      const std::size_t end = ranges[k].first_group + ranges[k].group_count;
       if (!m.emitted && f.emit_cursor >= end && f.next_group >= end) {
         m.emitted = true;
         completed_.push_back({m.id, std::move(m.out)});
@@ -313,9 +314,10 @@ void ReliableTransport::emit_ready() {
       all_emitted = all_emitted && m.emitted;
     }
     if (all_emitted) {
-      it = window_.erase(it);
+      spare_.push_back(std::move(f));
+      window_.erase(window_.begin() + static_cast<std::ptrdiff_t>(fi));
     } else {
-      ++it;
+      ++fi;
     }
   }
 }
@@ -332,7 +334,7 @@ bool ReliableTransport::write_conflicts(const GroupEffects& writer) const {
     // An outstanding entry always belongs to a live flight; be conservative
     // if that invariant were ever violated.
     if (f == nullptr ||
-        writer.writes_conflict_with_reads_of(f->slots[o.slot].effects)) {
+        writer.writes_conflict_with_reads_of(f->layout.effects[o.slot])) {
       return true;
     }
   }
@@ -344,20 +346,18 @@ void ReliableTransport::issue_pending() {
   // Groups issue in strict submission order — the first flight with
   // unissued groups is the only one allowed to transmit, so a later
   // program can never overtake an earlier one on the wire.  Groups that
-  // mutate state additionally wait behind the write barrier (nothing
-  // outstanding anywhere) so no retry can ever observe a newer value.
-  // Inside a *coalesced* frame the barrier is per register: a member's
-  // write may overtake outstanding reads whose footprints it cannot touch
-  // (host::GroupEffects), so register-disjoint members pipeline instead of
-  // paying one round trip each.  Plain flights keep the conservative rule
-  // bit-for-bit (and their slots' default effects make any coalesced write
-  // crossing them stall, keeping mixed windows safe).
+  // mutate state additionally wait behind the per-register write barrier:
+  // a write may overtake outstanding reads whose footprints it cannot
+  // touch (host::GroupEffects), so register-disjoint programs pipeline
+  // instead of paying one round trip each, and no retry can ever observe
+  // a newer value.
   bool stalled = false;
   for (Flight& f : window_) {
-    while (f.next_group < f.groups.size()) {
-      const GroupSlot& s = f.slots[f.next_group];
-      if (s.pred.count == 0 && !s.pred.retriable && !outstanding_.empty() &&
-          (!f.coalesced || write_conflicts(s.effects))) {
+    const std::size_t groups = f.layout.groups.size();
+    while (f.next_group < groups) {
+      const ResponsePrediction& pred = f.layout.predictions[f.next_group];
+      if (pred.count == 0 && !pred.retriable &&
+          write_conflicts(f.layout.effects[f.next_group])) {
         break;  // write barrier
       }
       if (!f.deadline) {
@@ -369,7 +369,7 @@ void ReliableTransport::issue_pending() {
       ++f.next_group;
       emit_pending_ = true;  // a fully issued pure-write flight completes
     }
-    if (f.next_group < f.groups.size()) {
+    if (f.next_group < groups) {
       stalled = true;
       break;  // stalled on the barrier; later programs must wait behind it
     }
@@ -453,6 +453,9 @@ std::optional<ReliableTransport::StreamEvent> ReliableTransport::poll_stream() {
 }
 
 void ReliableTransport::abort_in_flight() {
+  for (Flight& f : window_) {
+    spare_.push_back(std::move(f));
+  }
   window_.clear();
   outstanding_.clear();
   completed_.clear();

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "host/coprocessor.hpp"
 #include "host/framing.hpp"
 #include "sim/trace.hpp"
+#include "util/ring_buffer.hpp"
 
 namespace fpgafu::host {
 
@@ -77,10 +77,11 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    remaining watchdog budget, catching the tail case where nothing
 ///    arrives at all;
 ///  * groups that produce no responses (register writes) are submitted only
-///    once nothing is outstanding, so every prior read was confirmed before
-///    state mutates and re-submitting a read can never observe a newer
-///    write (write barrier — it spans *programs*: a later program's groups
-///    never overtake an earlier program's unsubmitted write);
+///    once no outstanding read covers a register they write (per-register
+///    write barrier, host::GroupEffects), so re-submitting a read can never
+///    observe a newer write.  The barrier spans *programs*: a later
+///    program's groups never overtake an earlier program's unsubmitted
+///    write;
 ///  * results are re-numbered to *program-order* sequence numbers before
 ///    being returned, so the output is bit-comparable with
 ///    host::ReferenceModel::run on the same program.
@@ -100,11 +101,13 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    and the caller is expected to abort_in_flight() and re-submit or
 ///    fail upwards (host::Farm fails the window as shard casualties).
 ///
-/// On top of the window, submit_coalesced() packs several small programs
-/// into ONE frame — one window slot, one contiguous transmission, one
-/// watchdog — demultiplexed into per-member completions, with the write
-/// barrier relaxed to per-register conflict tracking inside the frame
-/// (docs/PROTOCOL.md, "Coalesced frames").
+/// Every flight is a frame: submit() builds a one-member frame, and
+/// submit_coalesced() packs several small programs into ONE frame — one
+/// window slot, one contiguous transmission, one watchdog — demultiplexed
+/// into per-member completions (docs/PROTOCOL.md, "Coalesced frames").
+/// Both go through the same frame builder and the same barrier.  Retired
+/// flights are recycled with their storage, so once warm a submit()
+/// allocates nothing but the Completion's response vector.
 ///
 /// The transport mirrors the decoder's sequence counter, so it must be the
 /// only submitter on its system (construct it before any traffic and route
@@ -178,13 +181,10 @@ class ReliableTransport {
   /// in-flight frame fails together (same contract as the windowed path,
   /// at frame scope).
   ///
-  /// Inside a coalesced frame the cross-program write barrier is re-derived
-  /// per register (host::GroupEffects): a member's write group may overtake
-  /// another member's outstanding read iff their footprints are disjoint,
-  /// so register-disjoint tiny programs issue back-to-back instead of
-  /// serialising on one round trip each.  Groups of *plain* flights keep
-  /// the conservative whole-window barrier, which keeps the uncoalesced
-  /// path bit-identical to the pre-coalescing transport.
+  /// The write barrier is the per-register one every flight uses: a
+  /// member's write group may overtake an outstanding read iff their
+  /// footprints are disjoint.  A frame saves window slots and watchdogs
+  /// over the same programs submitted one by one, not cycles.
   std::vector<ProgramId> submit_coalesced(
       const std::vector<CoalescedItem>& items);
 
@@ -221,46 +221,38 @@ class ReliableTransport {
   Coprocessor& coprocessor() { return *copro_; }
 
  private:
-  /// Per-group progress.  program_seq is the sequence number the reference
-  /// model assigns — the group index in *member* program order (mod 2^16);
-  /// for a plain one-program flight that is just the group index.
+  /// Per-group progress; the group itself, its prediction and its register
+  /// footprint live in the flight's FrameLayout at the same index.
+  /// program_seq is the sequence number the reference model assigns — the
+  /// group index in *member* program order (mod 2^16).
   struct GroupSlot {
-    ResponsePrediction pred;
     std::uint16_t program_seq = 0;
-    std::vector<msg::Response> got;
+    std::size_t first_response = 0;  ///< this group's range in Flight::got
+    std::size_t received = 0;        ///< responses landed so far
     bool done = false;
-    /// Register footprint, exact only for coalesced frames (plain flights
-    /// never consult it; the default conservatively conflicts with
-    /// everything, which is what a coalesced write crossing a plain
-    /// flight's outstanding reads must assume).
-    GroupEffects effects;
   };
 
-  /// One member program of a frame: its contiguous slot sub-range and its
-  /// demultiplexed output.  A plain submit() makes a one-member frame.
+  /// One member program's output, parallel to FrameLayout::members.
   struct Member {
     ProgramId id = 0;
-    std::size_t first_slot = 0;
-    std::size_t slot_count = 0;
     std::vector<msg::Response> out;  ///< renumbered responses, program order
     bool stream = false;
     bool emitted = false;  ///< completion surfaced to poll_completed()
   };
 
-  /// One submission frame in the window: the concatenated groups of its
-  /// members, one watchdog, one slot in the window.
+  /// One submission frame in the window: one watchdog, one window slot.
+  /// Flights are recycled (spare_), so every vector keeps its capacity.
   struct Flight {
     ProgramId id = 0;  ///< frame id (the first member's ProgramId)
-    std::vector<InstructionGroup> groups;
+    FrameLayout layout;
     std::vector<GroupSlot> slots;
     std::vector<Member> members;
+    /// Every group's predicted responses, side by side (GroupSlot ranges).
+    std::vector<msg::Response> got;
     std::size_t next_group = 0;    ///< next group to put on the wire
     std::size_t emit_cursor = 0;   ///< slots already emitted in frame order
     std::uint64_t budget = 0;
     std::optional<Deadline> deadline;  ///< armed at first transmission
-    /// True for submit_coalesced frames: the write barrier relaxes to
-    /// per-register conflict tracking for this frame's write groups.
-    bool coalesced = false;
   };
 
   /// Response-producing groups in flight, oldest first (wire order).
@@ -275,11 +267,17 @@ class ReliableTransport {
   Flight* flight(ProgramId id);
   /// Re-sync the mirrored sequence counter after a system reset.
   void sync_generation();
-  /// Common tail of submit()/submit_coalesced().
+  /// An empty frame, recycled from spare_ when one is there.  Throws when
+  /// the window is full (`who` names the caller).
+  Flight open_frame(const char* who);
+  /// Append `program` to `f` as its next member; returns its ProgramId.
+  ProgramId add_member(Flight& f, const isa::Program& program,
+                       std::optional<std::uint64_t> budget_cycles,
+                       bool stream);
+  /// Put a built frame into the window.
   void push_frame(Flight&& f);
   /// Would issuing `writer` now let a retry of any outstanding read observe
-  /// a newer register value?  (The relaxed, per-register barrier used for
-  /// coalesced frames.)
+  /// a newer register value?  (The per-register write barrier.)
   bool write_conflicts(const GroupEffects& writer) const;
   /// Send a group's words and (when it responds) enqueue it for tracking.
   void transmit(Flight& f, std::size_t slot_index, unsigned attempts);
@@ -304,10 +302,11 @@ class ReliableTransport {
   std::uint16_t next_wire_seq_ = 0;  ///< mirrors the decoder's seq counter
   std::uint64_t reset_generation_;
   ProgramId next_program_id_ = 1;
-  std::deque<Flight> window_;
-  std::deque<Outstanding> outstanding_;
-  std::deque<Completion> completed_;
-  std::deque<StreamEvent> stream_events_;
+  std::vector<Flight> window_;  ///< submission order
+  std::vector<Flight> spare_;   ///< retired flights, storage kept
+  CompactingQueue<Outstanding> outstanding_;
+  CompactingQueue<Completion> completed_;
+  CompactingQueue<StreamEvent> stream_events_;
   // service() runs once per simulated cycle, so its quiet-cycle cost must
   // stay O(1) in the window depth (a deep window would otherwise pay for
   // its own bookkeeping faster than the pipelining saves wire time).

@@ -12,8 +12,8 @@ LinkWord Response::check_word(LinkWord header, LinkWord payload_hi,
   crc = bits::crc16_word(crc, header);
   crc = bits::crc16_word(crc, payload_hi);
   crc = bits::crc16_word(crc, payload_lo);
-  crc = bits::crc16_byte(crc, static_cast<std::uint8_t>(burst >> 8));
-  crc = bits::crc16_byte(crc, static_cast<std::uint8_t>(burst));
+  crc = bits::crc16_byte_lut(crc, static_cast<std::uint8_t>(burst >> 8));
+  crc = bits::crc16_byte_lut(crc, static_cast<std::uint8_t>(burst));
   return (static_cast<LinkWord>(burst) << 16) | crc;
 }
 

@@ -82,8 +82,12 @@ class CompactingQueue {
  public:
   bool empty() const { return head_ == items_.size(); }
   std::size_t size() const { return items_.size() - head_; }
+  T& front() { return items_[head_]; }
   const T& front() const { return items_[head_]; }
   const T& back() const { return items_.back(); }
+  /// Element `i` positions behind the front (0 == front).
+  T& operator[](std::size_t i) { return items_[head_ + i]; }
+  const T& operator[](std::size_t i) const { return items_[head_ + i]; }
   auto begin() const {
     return items_.begin() + static_cast<std::ptrdiff_t>(head_);
   }

@@ -310,13 +310,13 @@ TEST(Coalescing, FaultyLinkRecoversBitExactAcrossConflictingMembers) {
 
 // -- The point of the exercise ------------------------------------------------
 
-TEST(Coalescing, DisjointMembersBeatTheUncoalescedWindowOnCycles) {
+TEST(Coalescing, DisjointMembersUncoalescedWindowMatchesTheFrameOnCycles) {
   // The same 12 register-disjoint write+compute+read jobs, once as 12
-  // windowed frames (the cross-program write barrier serialises them at
-  // about one round trip each) and once as a single coalesced frame (the
-  // per-register barrier finds no conflicts and streams them back to
-  // back).  Both must produce identical responses; the coalesced run must
-  // finish in measurably fewer simulated cycles.
+  // one-member frames through a deep window and once as a single
+  // coalesced frame.  Every flight uses the per-register write barrier,
+  // which finds no conflicts here, so both stream the jobs back to back:
+  // the responses must be identical and the window must need no more
+  // simulated cycles than the frame.
   top::SystemConfig cfg;  // default RTM: 32 data registers
   std::vector<isa::Program> programs;
   for (int i = 0; i < 12; ++i) {
@@ -375,10 +375,7 @@ TEST(Coalescing, DisjointMembersBeatTheUncoalescedWindowOnCycles) {
   for (std::size_t i = 0; i < coalesced.size(); ++i) {
     EXPECT_EQ(coalesced[i], windowed[i]) << "member " << i;
   }
-  EXPECT_LT(coalesced_cycles, windowed_cycles)
-      << "coalescing must beat the barrier-serialised window";
-  // The headline claim: at least 1.5x fewer simulated cycles end to end.
-  EXPECT_GE(windowed_cycles * 2, coalesced_cycles * 3)
+  EXPECT_LE(windowed_cycles, coalesced_cycles)
       << "windowed " << windowed_cycles << " vs coalesced "
       << coalesced_cycles;
 }

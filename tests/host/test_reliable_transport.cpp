@@ -286,6 +286,86 @@ TEST(ReliableTransport, WindowPreservesCrossProgramWriteOrder) {
   EXPECT_EQ(got[id_r][0].payload, 42u);
 }
 
+/// Drives program A then program B through a window of 2 on a machine whose
+/// r1 holds 7, swallowing the first response frame that reaches the host
+/// (A's answer) so A's read has to be retried.  Returns the completions in
+/// the order they surfaced, then GET r1 and GET r2 read back afterwards.
+struct DroppedReadRun {
+  std::vector<ReliableTransport::Completion> completions;
+  std::vector<msg::Response> readback;
+  std::uint64_t retries = 0;
+};
+
+DroppedReadRun run_with_a_response_dropped(const isa::Program& a,
+                                           const isa::Program& b) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  TransportConfig tcfg;
+  tcfg.window = 2;
+  tcfg.response_timeout = 200;
+  ReliableTransport transport(copro, tcfg);
+  transport.call(isa::Assembler::assemble("PUT r1, #7"));
+
+  DroppedReadRun run;
+  transport.submit(a);
+  transport.submit(b);
+  std::size_t to_drop = msg::kLinkWordsPerResponse;
+  for (int cycle = 0; cycle < 100'000 && run.completions.size() < 2;
+       ++cycle) {
+    // Steal arrived upstream words before the driver sees them: a forced
+    // upstream drop of exactly one response frame.
+    while (to_drop > 0 && sys.link().host_receive()) {
+      --to_drop;
+    }
+    transport.service();
+    while (auto c = transport.poll_completed()) {
+      run.completions.push_back(std::move(*c));
+    }
+    sys.simulator().step();
+  }
+  EXPECT_EQ(to_drop, 0u) << "the response frame was never dropped";
+  run.retries = transport.counters().get("transport.retries");
+  run.readback = transport.call(isa::Assembler::assemble("GET r1\nGET r2"));
+  return run;
+}
+
+/// Plain flights use the per-register write barrier: a write to the
+/// register an earlier program's lost read covers waits for the retried
+/// read, which therefore still returns the old value.
+TEST(ReliableTransport, PlainFlightWriteWaitsForARetriedReadOfItsRegister) {
+  const DroppedReadRun run =
+      run_with_a_response_dropped(isa::Assembler::assemble("GET r1"),
+                                  isa::Assembler::assemble("PUT r1, #42"));
+  EXPECT_GE(run.retries, 1u);
+  ASSERT_EQ(run.completions.size(), 2u);
+  EXPECT_LT(run.completions[0].id, run.completions[1].id);  // A first
+  ASSERT_EQ(run.completions[0].responses.size(), 1u);  // A, the read
+  EXPECT_EQ(run.completions[0].responses[0].payload, 7u);
+  EXPECT_TRUE(run.completions[1].responses.empty());  // B, the write
+  ASSERT_EQ(run.readback.size(), 2u);
+  EXPECT_EQ(run.readback[0].payload, 42u);
+}
+
+/// ...while a write to a register the lost read does not cover issues at
+/// once: B completes (all its groups are on the wire) before A's retried
+/// response lands, and neither value is disturbed.
+TEST(ReliableTransport, PlainFlightWriteToAnotherRegisterOvertakesARetriedRead) {
+  const DroppedReadRun run =
+      run_with_a_response_dropped(isa::Assembler::assemble("GET r1"),
+                                  isa::Assembler::assemble("PUT r2, #42"));
+  EXPECT_GE(run.retries, 1u);
+  ASSERT_EQ(run.completions.size(), 2u);
+  EXPECT_TRUE(run.completions[0].responses.empty());  // B, the write
+  ASSERT_EQ(run.completions[1].responses.size(), 1u);  // A, the read
+  EXPECT_EQ(run.completions[1].responses[0].payload, 7u);
+  EXPECT_GT(run.completions[0].id, run.completions[1].id);  // B after A
+  ASSERT_EQ(run.readback.size(), 2u);
+  EXPECT_EQ(run.readback[0].payload, 7u);
+  EXPECT_EQ(run.readback[1].payload, 42u);
+}
+
 /// Streamed responses arrive in program order, begin before the program
 /// completes, and in total equal the completion's responses.
 TEST(ReliableTransport, StreamedResponsesMatchTheCompletion) {

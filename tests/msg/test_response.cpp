@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/bits.hpp"
 #include "util/rng.hpp"
 
 namespace fpgafu::msg {
@@ -22,6 +23,30 @@ TEST(Response, LinkWordRoundTrip) {
     const auto words = r.to_link_words();
     EXPECT_TRUE(Response::frame_ok(words));
     EXPECT_EQ(Response::from_link_words(words), r);
+  }
+}
+
+/// check_word folds its CRC with the lookup table; it must equal the
+/// bit-serial CRC-16 of the same 14 bytes (header, payload, burst, MSB
+/// first) on arbitrary frames.
+TEST(Response, CheckWordMatchesTheBitSerialCrc) {
+  Xoshiro256 rng(20100419);
+  for (int i = 0; i < 4000; ++i) {
+    const auto header = static_cast<LinkWord>(rng.next());
+    const auto hi = static_cast<LinkWord>(rng.next());
+    const auto lo = static_cast<LinkWord>(rng.next());
+    const auto burst = static_cast<std::uint16_t>(rng.below(65536));
+    std::uint16_t crc = 0xffff;
+    for (const LinkWord w : {header, hi, lo}) {
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        crc = bits::crc16_byte(crc, static_cast<std::uint8_t>(w >> shift));
+      }
+    }
+    crc = bits::crc16_byte(crc, static_cast<std::uint8_t>(burst >> 8));
+    crc = bits::crc16_byte(crc, static_cast<std::uint8_t>(burst));
+    ASSERT_EQ(Response::check_word(header, hi, lo, burst),
+              (static_cast<LinkWord>(burst) << 16) | crc)
+        << "frame " << i;
   }
 }
 

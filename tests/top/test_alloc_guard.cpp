@@ -10,10 +10,13 @@
 //  * a tiny PUT/ADD/GET program streamed through a Coprocessor's driver —
 //    the link, message buffer, serialiser and RTM pipeline on short jobs.
 //
-// Only step() is counted: the host side (program building, the driver's
-// queues, response collection) may allocate per job.  The replacement is
-// process-wide, so this test lives in its own binary; it is not built in the
-// sanitizer CI legs, whose runtimes supply their own operator new.
+// On those two only step() is counted.  A third test counts the whole host
+// transport path as well — ReliableTransport::submit, service and
+// poll_completed through a window of 8 — and allows one allocation per job
+// on average: the Completion's response vector handed to the caller.  The
+// replacement is process-wide, so this test lives in its own binary; it is
+// not built in the sanitizer CI legs, whose runtimes supply their own
+// operator new.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +31,7 @@
 
 #include "fu/stateless_units.hpp"
 #include "host/coprocessor.hpp"
+#include "host/reliable_transport.hpp"
 #include "isa/arith.hpp"
 #include "isa/program.hpp"
 #include "isa/rtm_ops.hpp"
@@ -236,6 +240,72 @@ TEST_P(AllocGuard, TinyProgramThroughCoprocessorStepsWithoutAllocating) {
     allocations += call.allocations;
   }
   EXPECT_EQ(allocations, 0u) << "over " << steps << " steps";
+}
+
+/// Register-disjoint PUT/ADD/GET jobs, as a Farm session mix would send.
+std::vector<isa::Program> tiny_jobs() {
+  std::vector<isa::Program> jobs;
+  for (int i = 0; i < 12; ++i) {
+    const auto a = static_cast<isa::RegNum>(1 + 2 * i);
+    isa::Program p;
+    p.emit_put(a, 100 + static_cast<isa::Word>(i));
+    isa::Instruction add;
+    add.function = isa::fc::kArith;
+    add.variety = isa::arith::variety(isa::arith::Op::kAdd);
+    add.src1 = a;
+    add.src2 = a;
+    add.dst1 = static_cast<isa::RegNum>(a + 1);
+    p.emit(add);
+    isa::Instruction get;
+    get.function = isa::fc::kRtm;
+    get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+    get.src1 = static_cast<isa::RegNum>(a + 1);
+    p.emit(get);
+    jobs.push_back(std::move(p));
+  }
+  return jobs;
+}
+
+TEST(TransportAllocGuard, TinyJobsThroughTheTransportAllocateOnlyTheirResponses) {
+  top::System sys({});
+  host::Coprocessor copro(sys);
+  host::TransportConfig tcfg;
+  tcfg.window = 8;
+  host::ReliableTransport transport(copro, tcfg);
+  const std::vector<isa::Program> jobs = tiny_jobs();
+
+  std::uint64_t wrong = 0;
+  auto run_jobs = [&](std::size_t n) {
+    std::size_t submitted = 0;
+    std::size_t completed = 0;
+    copro.pump().run_until(
+        [&] {
+          while (submitted < n && !transport.window_full()) {
+            transport.submit(jobs[submitted++ % jobs.size()]);
+          }
+          transport.service();
+          while (auto c = transport.poll_completed()) {
+            ++completed;
+            if (c->responses.size() != 1 ||
+                c->responses[0].payload % 2 != 0) {
+              ++wrong;
+            }
+          }
+          return completed == n;
+        },
+        host::Deadline(sys.simulator(), 100'000'000), "tiny transport jobs");
+  };
+
+  run_jobs(1000);  // warm-up: flights, queues and links reach their size
+  constexpr std::size_t kJobs = 10000;
+  const std::uint64_t before = g_allocations.load();
+  g_counting.store(true);
+  run_jobs(kJobs);
+  g_counting.store(false);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_LE(allocations, kJobs) << "over " << kJobs << " jobs";
 }
 
 INSTANTIATE_TEST_SUITE_P(

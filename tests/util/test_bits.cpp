@@ -5,6 +5,20 @@
 namespace fpgafu::bits {
 namespace {
 
+TEST(Bits, Crc16TableMatchesBitSerialOnEveryByte) {
+  // Every byte against every CRC high byte (the only part of the register
+  // the table index sees), with a varying low byte.
+  for (unsigned hi = 0; hi < 256; ++hi) {
+    const auto crc = static_cast<std::uint16_t>((hi << 8) | ((hi * 37) & 0xff));
+    for (unsigned b = 0; b < 256; ++b) {
+      const auto byte = static_cast<std::uint8_t>(b);
+      ASSERT_EQ(crc16_byte_lut(crc, byte), crc16_byte(crc, byte))
+          << "crc " << crc << " byte " << b;
+    }
+  }
+  static_assert(crc16_byte_lut(0xffff, 0x31) == crc16_byte(0xffff, 0x31));
+}
+
 TEST(Bits, MaskWidths) {
   EXPECT_EQ(mask(0), 0u);
   EXPECT_EQ(mask(1), 1u);

@@ -107,5 +107,25 @@ TEST(RingBuffer, ClearWorksWithMoveOnlyPayloads) {
   EXPECT_EQ(*rb.pop(), 3);
 }
 
+TEST(CompactingQueue, IndexesFromTheFrontAcrossCompaction) {
+  CompactingQueue<int> q;
+  for (int i = 0; i < 10; ++i) {
+    q.push_back(i);
+  }
+  for (int popped = 0; popped < 7; ++popped) {
+    ASSERT_EQ(q.front(), popped);
+    for (std::size_t k = 0; k < q.size(); ++k) {
+      ASSERT_EQ(q[k], popped + static_cast<int>(k));
+    }
+    q.pop_front();  // compacts once half the vector is consumed
+  }
+  q.front() = 70;
+  q[1] = 80;
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q[0], 70);
+  EXPECT_EQ(q[1], 80);
+  EXPECT_EQ(q.back(), 9);
+}
+
 }  // namespace
 }  // namespace fpgafu
