@@ -1,26 +1,28 @@
 // Multiple host CPUs sharing one coprocessor (paper Fig. 1: "one or more
 // CPUs communicate via the interface with a set of functional units").
 //
-// Two sessions issue independent work streams; the multiplexer interleaves
-// their instructions onto the shared link and routes each response back to
-// its issuing session.  Sessions partition the register file between
-// themselves, as threads partition memory.
+// Two host threads play the CPUs.  Each holds its own session on a farm
+// with ONE shard, so both talk to the same simulated fabric over one link:
+// the shard takes their programs round-robin onto the wire, keeps both in
+// flight, and hands every response back to the session that issued it.
+// Sessions partition the register file between themselves, as threads
+// partition memory.
 
 #include <cstdio>
+#include <thread>
 #include <vector>
 
-#include "host/multi_host.hpp"
+#include "host/farm.hpp"
 #include "isa/arith.hpp"
 #include "isa/program.hpp"
 #include "isa/rtm_ops.hpp"
-#include "top/system.hpp"
 
 namespace {
 
 using namespace fpgafu;
 
 /// A "CPU" computing the sum 1..limit via coprocessor ADDs, using the
-/// register window [base, base+2].
+/// register window [base, base+1].
 isa::Program sum_program(isa::RegNum base, int limit) {
   isa::Program p;
   p.emit_put(base, 0);  // accumulator
@@ -42,36 +44,39 @@ isa::Program sum_program(isa::RegNum base, int limit) {
   return p;
 }
 
+/// One CPU: submit its program on its own session and wait for the sum.
+void cpu(host::Farm& farm, isa::RegNum base, int limit,
+         isa::Word& result) {
+  const host::Farm::SessionId session = farm.create_session();
+  const std::vector<msg::Response> rs =
+      farm.submit(session, sum_program(base, limit)).get();
+  result = rs.size() == 1 ? rs[0].payload : 0;
+}
+
 }  // namespace
 
 int main() {
-  top::SystemConfig config;
-  config.rtm.data_regs = 32;
-  top::System system(config);
-  host::MultiHost mux(system);
+  host::FarmConfig config;
+  config.shards = 1;  // one fabric, one link
+  config.transport.window = 2;  // both CPUs' programs in flight at once
+  config.system.rtm.data_regs = 32;
+  host::Farm farm(config);
 
-  auto& cpu0 = mux.create_session();
-  auto& cpu1 = mux.create_session();
-
-  // CPU 0 sums 1..100 in registers r1..r3; CPU 1 sums 1..200 in r10..r12.
-  cpu0.submit(sum_program(/*base=*/1, /*limit=*/100));
-  cpu1.submit(sum_program(/*base=*/10, /*limit=*/200));
-
-  std::optional<msg::Response> r0, r1;
-  system.simulator().run_until(
-      [&] {
-        mux.pump();
-        if (!r0) r0 = cpu0.poll();
-        if (!r1) r1 = cpu1.poll();
-        return r0.has_value() && r1.has_value();
-      },
-      1'000'000);
+  // CPU 0 sums 1..100 in r1/r2; CPU 1 sums 1..200 in r10/r11.
+  isa::Word sum0 = 0;
+  isa::Word sum1 = 0;
+  std::thread cpu0([&] { cpu(farm, /*base=*/1, /*limit=*/100, sum0); });
+  std::thread cpu1([&] { cpu(farm, /*base=*/10, /*limit=*/200, sum1); });
+  cpu0.join();
+  cpu1.join();
+  farm.shutdown();  // the shard publishes its final clock
 
   std::printf("CPU0: sum(1..100) = %llu (expected 5050)\n",
-              static_cast<unsigned long long>(r0->payload));
+              static_cast<unsigned long long>(sum0));
   std::printf("CPU1: sum(1..200) = %llu (expected 20100)\n",
-              static_cast<unsigned long long>(r1->payload));
+              static_cast<unsigned long long>(sum1));
   std::printf("shared-link cycles: %llu\n",
-              static_cast<unsigned long long>(system.simulator().cycle()));
-  return (r0->payload == 5050 && r1->payload == 20100) ? 0 : 1;
+              static_cast<unsigned long long>(
+                  farm.counters().get("farm.shard_cycles")));
+  return (sum0 == 5050 && sum1 == 20100) ? 0 : 1;
 }

@@ -87,7 +87,7 @@ class Coprocessor {
   /// The underlying non-blocking link state machine.
   Driver& driver() { return driver_; }
   /// The clock owner every blocking convenience above runs on.  Shared with
-  /// ReliableTransport and MultiHost so one System has one pump.
+  /// ReliableTransport and Farm shards so one System has one pump.
   Pump& pump() { return pump_; }
 
  private:

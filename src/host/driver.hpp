@@ -14,10 +14,9 @@
 namespace fpgafu::host {
 
 /// Default clock budget for one blocking host call.  Shared by every
-/// blocking façade (Coprocessor::call / wait_response, MultiHost::Session::
-/// call, host::Farm submissions) so "how long may a call spin before the
-/// watchdog declares the hardware wedged" is one policy, not three magic
-/// numbers.
+/// blocking façade (Coprocessor::call / wait_response, host::Farm
+/// submissions) so "how long may a call spin before the watchdog declares
+/// the hardware wedged" is one policy, not several magic numbers.
 inline constexpr std::uint64_t kDefaultCallBudgetCycles = 10'000'000;
 
 /// A cycle-count watchdog: "this operation may consume at most `budget`
@@ -99,10 +98,10 @@ class Deadline {
 /// the CRC-checked response deframing window, and exposes `service()` as
 /// its single non-blocking quantum — push queued words while the downstream
 /// buffer has space, drain arrived upstream words into the window.  Callers
-/// that need to block (Coprocessor's conveniences, ReliableTransport,
-/// MultiHost, Farm workers) pair a Driver with a Pump; callers integrating
-/// into their own event loop call `service()`/`poll()` directly and step
-/// the clock themselves.
+/// that need to block (Coprocessor's conveniences, ReliableTransport, Farm
+/// shards) pair a Driver with a Pump; callers integrating into their own
+/// event loop call `service()`/`poll()` directly and step the clock
+/// themselves.
 ///
 /// Deframing is checksum-verified: a response is only accepted when a full
 /// frame passes `Response::frame_ok`; a failing window slides forward one
@@ -172,10 +171,9 @@ class Driver {
 ///
 /// Every blocking host-side loop is the same shape: service the driver,
 /// check a completion predicate, check the watchdog, step the clock.  The
-/// Pump is that shape, written once — Coprocessor, ReliableTransport,
-/// MultiHost and Farm no longer touch `Simulator::step`/`run_until`
-/// directly, so "who advances time" has exactly one answer and exactly one
-/// deadline policy.
+/// Pump is that shape, written once — Coprocessor, ReliableTransport and
+/// Farm never touch `Simulator::step`/`run_until` directly, so "who
+/// advances time" has exactly one answer and exactly one deadline policy.
 class Pump {
  public:
   Pump(sim::Simulator& sim, Driver& driver) : sim_(&sim), driver_(&driver) {}

@@ -63,15 +63,17 @@ struct Farm::Job {
   Callback callback;
   ResponseFn stream;
   DoneFn done;
+  /// The job's transport ticket while it is in the window.
+  ReliableTransport::ProgramId id = 0;
 };
 
 /// One shard: the bounded per-tenant job queues (the only cross-thread
 /// state, under `m`), the published counter snapshot (under `stats_m`, so
-/// readers never contend with producers on the queue mutex), and the
-/// worker thread.  The simulated hardware itself (Engine) is *not* a
-/// member: the worker constructs it on its own stack so the
-/// thread-affinity rule — each System lives and dies on the thread that
-/// drives it — holds by construction.
+/// readers never contend with producers on the queue mutex), the shard
+/// step's own state, and the worker thread.  The simulated hardware itself
+/// (Engine) is *not* a member of a threaded shard: the worker constructs
+/// it on its own stack so the thread-affinity rule — each System lives and
+/// dies on the thread that drives it — holds by construction.
 struct Farm::Shard {
   /// A shard's simulated hardware and its host stack, bundled so inline
   /// mode and worker threads build them identically.
@@ -132,7 +134,16 @@ struct Farm::Shard {
   sim::Counters stats;  ///< latest snapshot, under stats_m
   std::vector<std::uint64_t> latency_snapshot;  ///< under stats_m
 
-  // -- Worker-local (inline mode: submitting-thread-local) -----------------
+  // -- Shard-step state: worker-local (inline mode: the submitting thread) -
+  std::deque<Job> active;  ///< jobs in the transport window, submission order
+  /// Jobs popped from the queue but waiting to issue: the front needs an FU
+  /// swap and the window is not empty yet.  Strict FIFO behind it — issuing
+  /// a later job around a held one would reorder a session's register
+  /// semantics.
+  std::deque<Job> held;
+  // Scratch reused across steps, so a step allocates nothing once warm.
+  std::vector<ReliableTransport::StreamEvent> events;
+  std::vector<ReliableTransport::Completion> comps;
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
   std::uint64_t resets = 0;
@@ -147,7 +158,7 @@ struct Farm::Shard {
   /// first submit so the caller's thread is the simulator's owner thread.
   std::unique_ptr<Engine> inline_engine;
   /// Inline reentrancy guard: a submit from inside a callback queues the
-  /// job for the outer drain loop instead of recursing.
+  /// job for the outer step loop instead of recursing.
   bool inline_active = false;
 
   // Queue primitives (m held by the caller).
@@ -190,11 +201,20 @@ struct Farm::Shard {
   void finish_accounting(Job& job);
 
   void publish_stats(const Engine& engine, bool force);
-  void fail_queued(const std::string& why);
-  void recover(Engine& engine, const SimError& cause,
-               std::deque<Job>* window_jobs);
-  void worker(const FarmConfig& cfg);
-  void drain_inline(Engine& engine);
+  void recover(Engine& engine, const SimError& cause);
+  /// Move queued jobs into `held` until the window would be full.
+  void pop_up_to_window();
+  /// Issue held jobs into the transport window, FIFO, under the FU-swap
+  /// rule.
+  void issue(Engine& engine);
+  /// The shard step, the one submission path of threaded and inline farms
+  /// alike: pop, issue, pump until something happens, resolve; recover on
+  /// a fault.
+  void step(Engine& engine);
+  bool busy() const { return !active.empty() || !held.empty(); }
+  /// Thread body of a threaded shard: the step plus engine construction,
+  /// the idle wait and stop.
+  void worker();
 
   /// Make `job.required` resident (the caller guarantees the transport
   /// window is empty if a swap is needed).  On an unsatisfiable set —
@@ -343,11 +363,10 @@ void Farm::Shard::publish_stats(const Engine& engine, bool force) {
 }
 
 /// Fault recovery: reset the shard's hardware so later submissions run on
-/// a clean machine, then fail the in-flight window and everything queued —
-/// all of it was submitted against machine state the reset just destroyed.
-/// Other shards never notice.
-void Farm::Shard::recover(Engine& engine, const SimError& cause,
-                          std::deque<Job>* window_jobs) {
+/// a clean machine, then fail the in-flight window, the held jobs and
+/// everything queued — all of it was submitted against machine state the
+/// reset just destroyed.  Other shards never notice.
+void Farm::Shard::recover(Engine& engine, const SimError& cause) {
   ++resets;
   engine.transport.abort_in_flight();
   engine.system.simulator().reset();
@@ -355,8 +374,13 @@ void Farm::Shard::recover(Engine& engine, const SimError& cause,
   // Snapshot the queue BEFORE resolving any window job: a producer can only
   // learn of the fault through a window job's failure, so anything it
   // submits after that must run on the recovered shard, not die as a
-  // casualty of a fault that preceded it.
-  std::deque<Job> casualties;
+  // casualty of a fault that preceded it.  Held jobs never issued, but the
+  // reset destroyed the register state their sessions depend on all the
+  // same.
+  std::deque<Job> window = std::move(active);
+  std::deque<Job> casualties = std::move(held);
+  active.clear();
+  held.clear();
   {
     std::lock_guard<std::mutex> lk(m);
     for (auto& [tenant, q] : pending) {
@@ -372,12 +396,9 @@ void Farm::Shard::recover(Engine& engine, const SimError& cause,
   cv_space.notify_all();
   const std::string why = "farm shard " + std::to_string(index) +
                           " fault: " + std::string(cause.what());
-  if (window_jobs) {
-    for (Job& j : *window_jobs) {
-      resolve_failure(j, std::make_exception_ptr(FarmError(
-                             FarmError::Kind::kShardFault, index, why)));
-    }
-    window_jobs->clear();
+  for (Job& j : window) {
+    resolve_failure(j, std::make_exception_ptr(FarmError(
+                           FarmError::Kind::kShardFault, index, why)));
   }
   for (Job& j : casualties) {
     resolve_failure(
@@ -389,53 +410,129 @@ void Farm::Shard::recover(Engine& engine, const SimError& cause,
   }
 }
 
-void Farm::Shard::worker(const FarmConfig& config) {
+void Farm::Shard::pop_up_to_window() {
+  bool popped = false;
+  {
+    std::lock_guard<std::mutex> lk(m);
+    Job j;
+    while (active.size() + held.size() < cfg->transport.window &&
+           pop_locked(j)) {
+      held.push_back(std::move(j));
+      popped = true;
+    }
+  }
+  if (popped) {
+    cv_space.notify_all();
+  }
+}
+
+void Farm::Shard::issue(Engine& engine) {
+  // A job whose required images are all resident issues at once; one that
+  // needs a swap waits for the window to drain first — response
+  // predictions of in-flight programs were computed against the current FU
+  // table, so the table must not change under them.
+  while (!held.empty() && active.size() < cfg->transport.window) {
+    Job& job = held.front();
+    if (needs_swap(engine, job)) {
+      if (engine.transport.in_flight() > 0) {
+        break;  // swap deferred until the window drains
+      }
+      if (!ensure_required(engine, job)) {
+        held.pop_front();  // unsatisfiable; job failed typed
+        continue;
+      }
+    } else if (engine.manager && !job.required.empty()) {
+      // All resident: record the hits so policy recency stays honest.
+      engine.manager->ensure_resident_all(job.required);
+    }
+    job.id = engine.transport.submit(job.program, job.budget,
+                                     static_cast<bool>(job.stream));
+    active.push_back(std::move(job));
+    held.pop_front();
+  }
+}
+
+void Farm::Shard::step(Engine& engine) {
+  pop_up_to_window();
+  try {
+    issue(engine);
+    if (!busy()) {
+      return;
+    }
+    // Pump the shard's clock until there is something to act on: a
+    // completion or stream event surfaced, the window has space and new
+    // work is queued (queued_hint — no lock on the hot path), or the
+    // window drained.  Job watchdogs live inside the transport
+    // (per-program deadlines), so this loop itself is unbounded.
+    const std::size_t window = cfg->transport.window;
+    events.clear();
+    comps.clear();
+    engine.copro.pump().run_until(
+        [&] {
+          sim_cycle_hint.store(engine.system.simulator().cycle(),
+                               std::memory_order_relaxed);
+          engine.transport.service();
+          while (auto e = engine.transport.poll_stream()) {
+            events.push_back(std::move(*e));
+          }
+          while (auto c = engine.transport.poll_completed()) {
+            comps.push_back(std::move(*c));
+          }
+          if (!events.empty() || !comps.empty()) {
+            return true;
+          }
+          // Pull new queued work only while nothing is held: held jobs
+          // issue strictly FIFO, so with a swap-blocked job at the front
+          // there is nothing to do with more work except hold it too —
+          // and returning here without stepping would spin the loop
+          // without ever letting the in-flight window drain.
+          if (held.empty() && engine.transport.in_flight() < window &&
+              queued_hint.load(std::memory_order_relaxed) > 0) {
+            return true;
+          }
+          return engine.transport.in_flight() == 0;
+        },
+        Deadline::unbounded(engine.system.simulator()), "Farm::shard step");
+    const auto find = [&](ReliableTransport::ProgramId id) {
+      return std::find_if(active.begin(), active.end(),
+                          [id](const Job& j) { return j.id == id; });
+    };
+    for (ReliableTransport::StreamEvent& e : events) {
+      const auto it = find(e.id);
+      if (it != active.end() && it->stream) {
+        it->stream(e.response);
+      }
+    }
+    for (ReliableTransport::Completion& c : comps) {
+      const auto it = find(c.id);
+      if (it != active.end()) {
+        record_latency(engine, *it);
+        resolve_completion(*it, std::move(c.responses));
+        active.erase(it);
+      }
+    }
+    publish_stats(engine, false);
+  } catch (const SimError& e) {
+    recover(engine, e);
+    publish_stats(engine, true);
+  }
+}
+
+void Farm::Shard::worker() {
   // The System is constructed *here*, on the worker thread, making this
   // thread the simulator's owner (sim::Simulator is thread-affine — see
   // its class comment; debug builds assert it in step()).
   std::unique_ptr<Engine> engine;
   std::string construct_error;
   try {
-    engine = std::make_unique<Engine>(config);
+    engine = std::make_unique<Engine>(*cfg);
   } catch (const std::exception& e) {
     construct_error = e.what();
   }
-
-  const std::size_t window = config.transport.window;
-  const std::size_t max_members =
-      std::max<std::size_t>(1, config.coalesce_max_programs);
-  const bool coalescing = max_members > 1;
-  std::deque<Job> active;  // jobs in the transport window, submission order
-  std::deque<ReliableTransport::ProgramId> active_ids;  // parallel to active
-  /// Jobs popped from the queue but waiting to issue: the front needs an FU
-  /// swap and the window is not empty yet.  Strict FIFO behind it — issuing
-  /// a later job around a held one would reorder a session's register
-  /// semantics.
-  std::deque<Job> held;
-  /// Coalescing only: the cycle a held *partial* frame must flush at, or
-  /// kNoFlush.  Armed when the worker first decides to keep the frame open
-  /// for more arrivals; cleared on every frame submission.
-  constexpr std::uint64_t kNoFlush = ~std::uint64_t{0};
-  std::uint64_t flush_at = kNoFlush;
-  // Scratch reused across rounds, so a round allocates nothing once warm.
-  std::vector<Job> batch;
-  std::vector<ReliableTransport::StreamEvent> events;
-  std::vector<ReliableTransport::Completion> comps;
-
-  auto active_index = [&](ReliableTransport::ProgramId id) {
-    for (std::size_t i = 0; i < active_ids.size(); ++i) {
-      if (active_ids[i] == id) {
-        return i;
-      }
-    }
-    return active_ids.size();
-  };
-
   for (;;) {
-    bool draining = false;
     {
       std::unique_lock<std::mutex> lk(m);
-      if (active.empty() && held.empty() && queued == 0 && !stop) {
+      if (!busy() && queued == 0 && !stop) {
         // Going idle: publish so the fleet view is exact while we sleep.
         if (engine && unpublished > 0) {
           lk.unlock();
@@ -444,362 +541,25 @@ void Farm::Shard::worker(const FarmConfig& config) {
         }
         cv_work.wait(lk, [&] { return stop || queued > 0; });
       }
-      if (stop && queued == 0 && active.empty() && held.empty()) {
+      if (stop && queued == 0 && !busy()) {
         break;
       }
-      draining = stop;  // a stopping farm flushes partial frames at once
-      Job j;
-      while (active.size() + held.size() + batch.size() <
-                 window * max_members &&
-             pop_locked(j)) {
-        batch.push_back(std::move(j));
-      }
     }
-    if (!batch.empty()) {
-      cv_space.notify_all();
-    }
-    if (!engine) {
-      for (Job& j : batch) {
-        resolve_failure(j, std::make_exception_ptr(FarmError(
-                               FarmError::Kind::kShardFault, index,
-                               "farm shard " + std::to_string(index) +
-                                   " failed to construct: " +
-                                   construct_error)));
-      }
-      batch.clear();
+    if (engine) {
+      step(*engine);
       continue;
     }
-    try {
-      // New arrivals line up behind anything already held, then issue in
-      // FIFO order.  A job whose required images are all resident issues
-      // immediately; one that needs a swap waits for the window to drain
-      // first — response predictions of in-flight programs were computed
-      // against the current FU table, so the table must not change under
-      // them.
-      for (Job& j : batch) {
-        held.push_back(std::move(j));
-      }
-      batch.clear();
-      if (!coalescing) {
-        while (!held.empty() && active.size() < window) {
-          if (needs_swap(*engine, held.front())) {
-            if (engine->transport.in_flight() > 0) {
-              break;  // swap deferred until the window drains
-            }
-            if (!ensure_required(*engine, held.front())) {
-              held.pop_front();  // unsatisfiable; job failed typed
-              continue;
-            }
-          } else if (engine->manager && !held.front().required.empty()) {
-            // All resident: record the hits so policy recency stays honest.
-            engine->manager->ensure_resident_all(held.front().required);
-          }
-          active_ids.push_back(engine->transport.submit(
-              held.front().program, held.front().budget,
-              static_cast<bool>(held.front().stream)));
-          active.push_back(std::move(held.front()));
-          held.pop_front();
-        }
-      } else {
-        // Coalescing: gather a FIFO prefix of `held` into one frame, cut at
-        // the member cap, the word cap, or the first later job needing an
-        // FU swap (swaps only happen at frame boundaries, on an empty
-        // window).  A *partial* frame — one that took everything held and
-        // could still grow — stays open up to coalesce_flush_cycles before
-        // it flushes.
-        while (!held.empty() &&
-               engine->transport.in_flight() < window) {
-          const bool front_swap = needs_swap(*engine, held.front());
-          if (front_swap && engine->transport.in_flight() > 0) {
-            break;  // swap deferred until the window drains
-          }
-          // The swap must land BEFORE co-members are gathered: their
-          // needs_swap probes have to see the post-swap resident set, or a
-          // member could ride a frame whose own front just evicted its
-          // image.  A swap boundary also flushes immediately — no hold.
-          if (front_swap && !ensure_required(*engine, held.front())) {
-            held.pop_front();  // unsatisfiable; job failed typed
-            flush_at = kNoFlush;
-            continue;
-          }
-          std::size_t count = 1;
-          std::size_t words = held.front().program.words().size();
-          while (count < held.size() && count < max_members) {
-            const Job& j = held[count];
-            const std::size_t w = j.program.words().size();
-            if (config.coalesce_max_words > 0 &&
-                words + w > config.coalesce_max_words) {
-              break;
-            }
-            if (needs_swap(*engine, j)) {
-              break;  // swap point: this job starts the next frame
-            }
-            words += w;
-            ++count;
-          }
-          const bool partial = count == held.size() && count < max_members;
-          if (!front_swap && partial && config.coalesce_flush_cycles > 0 &&
-              !draining) {
-            if (flush_at == kNoFlush) {
-              flush_at = engine->system.simulator().cycle() +
-                         config.coalesce_flush_cycles;
-            }
-            if (engine->system.simulator().cycle() < flush_at) {
-              break;  // keep the frame open; the pump watches flush_at
-            }
-          }
-          if (engine->manager) {
-            // Record residency hits for every member the swap path did not
-            // already account for, exactly one ensure per issued job.
-            for (std::size_t i = front_swap ? 1 : 0; i < count; ++i) {
-              if (!held[i].required.empty()) {
-                engine->manager->ensure_resident_all(held[i].required);
-              }
-            }
-          }
-          std::vector<ReliableTransport::CoalescedItem> items;
-          items.reserve(count);
-          for (std::size_t i = 0; i < count; ++i) {
-            items.push_back({&held[i].program, held[i].budget,
-                             static_cast<bool>(held[i].stream)});
-          }
-          const std::vector<ReliableTransport::ProgramId> ids =
-              engine->transport.submit_coalesced(items);
-          for (std::size_t i = 0; i < count; ++i) {
-            active_ids.push_back(ids[i]);
-            active.push_back(std::move(held.front()));
-            held.pop_front();
-          }
-          flush_at = kNoFlush;
-        }
-        if (held.empty()) {
-          flush_at = kNoFlush;
-        }
-      }
-      if (active.empty() && held.empty()) {
-        continue;
-      }
-      // Pump the shard's clock until there is something to act on: a
-      // completion or stream event surfaced, the window has space and new
-      // work is queued (queued_hint — no lock on the hot path), or the
-      // window drained.  Job watchdogs live inside the transport
-      // (per-program deadlines), so this loop itself is unbounded.
-      events.clear();
-      comps.clear();
-      Pump& pump = engine->copro.pump();
-      pump.run_until(
-          [&] {
-            sim_cycle_hint.store(engine->system.simulator().cycle(),
-                                 std::memory_order_relaxed);
-            engine->transport.service();
-            while (auto e = engine->transport.poll_stream()) {
-              events.push_back(std::move(*e));
-            }
-            while (auto c = engine->transport.poll_completed()) {
-              comps.push_back(std::move(*c));
-            }
-            if (!events.empty() || !comps.empty()) {
-              return true;
-            }
-            if (flush_at != kNoFlush) {
-              // A partial frame is being held open: wake to grow it when
-              // more work arrives, or to flush it when the timer expires.
-              // Never exit on an empty window here — that would spin the
-              // outer loop without advancing the clock toward flush_at.
-              if (queued_hint.load(std::memory_order_relaxed) > 0) {
-                return true;
-              }
-              return engine->system.simulator().cycle() >= flush_at;
-            }
-            // Pull new queued work only while nothing is held: held jobs
-            // issue strictly FIFO, so with a swap-blocked job at the front
-            // there is nothing to do with more work except hold it too —
-            // and returning here without stepping would spin the loop
-            // without ever letting the in-flight window drain.
-            if (held.empty() && engine->transport.in_flight() < window &&
-                queued_hint.load(std::memory_order_relaxed) > 0) {
-              return true;
-            }
-            return engine->transport.in_flight() == 0;
-          },
-          Deadline::unbounded(engine->system.simulator()),
-          "Farm::shard window");
-      for (ReliableTransport::StreamEvent& e : events) {
-        const std::size_t i = active_index(e.id);
-        if (i < active.size() && active[i].stream) {
-          active[i].stream(e.response);
-        }
-      }
-      for (ReliableTransport::Completion& c : comps) {
-        const std::size_t i = active_index(c.id);
-        if (i < active.size()) {
-          record_latency(*engine, active[i]);
-          resolve_completion(active[i], std::move(c.responses));
-          active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
-          active_ids.erase(active_ids.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        }
-      }
-      publish_stats(*engine, false);
-    } catch (const SimError& e) {
-      recover(*engine, e, &active);
-      active_ids.clear();
-      // Held jobs never issued, but the recovery reset destroyed the
-      // register state their sessions depend on all the same.
-      for (Job& j : held) {
-        resolve_failure(j, std::make_exception_ptr(FarmError(
-                               FarmError::Kind::kShardFault, index,
-                               "farm shard " + std::to_string(index) +
-                                   " reset by an in-flight fault; held job "
-                                   "failed (its register state is gone)")));
-      }
-      held.clear();
-      publish_stats(*engine, true);
+    pop_up_to_window();
+    for (Job& j : held) {
+      resolve_failure(j, std::make_exception_ptr(FarmError(
+                             FarmError::Kind::kShardFault, index,
+                             "farm shard " + std::to_string(index) +
+                                 " failed to construct: " + construct_error)));
     }
+    held.clear();
   }
   if (engine) {
     publish_stats(*engine, true);
-  }
-}
-
-/// Inline mode: run every queued job to completion on the calling thread.
-/// Reentrant submits (from inside a callback) land in the queue and are
-/// drained by the outermost frame, preserving submission order.
-void Farm::Shard::drain_inline(Engine& engine) {
-  const std::size_t max_members =
-      std::max<std::size_t>(1, cfg->coalesce_max_programs);
-  if (max_members == 1) {
-    for (;;) {
-      Job job;
-      {
-        std::lock_guard<std::mutex> lk(m);
-        if (!pop_locked(job)) {
-          break;
-        }
-      }
-      try {
-        // Inline jobs run one at a time, so the window is always empty here
-        // and a required-set swap is safe before every submit.
-        if (!ensure_required(engine, job)) {
-          continue;  // unsatisfiable; job already failed typed
-        }
-        engine.transport.submit(job.program, job.budget,
-                                static_cast<bool>(job.stream));
-        std::optional<ReliableTransport::Completion> done;
-        engine.copro.pump().run_until(
-            [&] {
-              sim_cycle_hint.store(engine.system.simulator().cycle(),
-                                   std::memory_order_relaxed);
-              engine.transport.service();
-              while (auto e = engine.transport.poll_stream()) {
-                if (job.stream) {
-                  job.stream(e->response);
-                }
-              }
-              if (auto c = engine.transport.poll_completed()) {
-                done = std::move(*c);
-              }
-              return done.has_value();
-            },
-            Deadline::unbounded(engine.system.simulator()), "Farm::inline");
-        record_latency(engine, job);
-        resolve_completion(job, std::move(done->responses));
-      } catch (const SimError& e) {
-        std::deque<Job> culprit;
-        culprit.push_back(std::move(job));
-        recover(engine, e, &culprit);
-      }
-      publish_stats(engine, false);
-    }
-    return;
-  }
-  // Coalescing inline drain: pack up to max_members queued jobs into one
-  // frame per round.  A popped job that does not fit — word cap, or it
-  // needs an FU swap (swaps happen only on an empty window) — carries over
-  // to start the next frame instead of going back to the queue, so FIFO
-  // order within a tenant is preserved.
-  std::optional<Job> carry;
-  for (;;) {
-    std::deque<Job> frame;
-    if (carry) {
-      frame.push_back(std::move(*carry));
-      carry.reset();
-    } else {
-      Job job;
-      {
-        std::lock_guard<std::mutex> lk(m);
-        if (!pop_locked(job)) {
-          break;
-        }
-      }
-      frame.push_back(std::move(job));
-    }
-    try {
-      if (!ensure_required(engine, frame.front())) {
-        publish_stats(engine, false);
-        continue;  // unsatisfiable; job already failed typed
-      }
-      std::size_t words = frame.front().program.words().size();
-      while (frame.size() < max_members) {
-        Job next;
-        {
-          std::lock_guard<std::mutex> lk(m);
-          if (!pop_locked(next)) {
-            break;
-          }
-        }
-        const std::size_t w = next.program.words().size();
-        if ((cfg->coalesce_max_words > 0 &&
-             words + w > cfg->coalesce_max_words) ||
-            needs_swap(engine, next)) {
-          carry = std::move(next);
-          break;
-        }
-        if (engine.manager && !next.required.empty()) {
-          // Resident by construction (needs_swap was false); record hits.
-          engine.manager->ensure_resident_all(next.required);
-        }
-        words += w;
-        frame.push_back(std::move(next));
-      }
-      std::vector<ReliableTransport::CoalescedItem> items;
-      items.reserve(frame.size());
-      for (Job& j : frame) {
-        items.push_back({&j.program, j.budget, static_cast<bool>(j.stream)});
-      }
-      const std::vector<ReliableTransport::ProgramId> ids =
-          engine.transport.submit_coalesced(items);
-      std::map<ReliableTransport::ProgramId, std::vector<msg::Response>> done;
-      engine.copro.pump().run_until(
-          [&] {
-            sim_cycle_hint.store(engine.system.simulator().cycle(),
-                                 std::memory_order_relaxed);
-            engine.transport.service();
-            while (auto e = engine.transport.poll_stream()) {
-              for (std::size_t i = 0; i < ids.size(); ++i) {
-                if (ids[i] == e->id && frame[i].stream) {
-                  frame[i].stream(e->response);
-                }
-              }
-            }
-            while (auto c = engine.transport.poll_completed()) {
-              done[c->id] = std::move(c->responses);
-            }
-            return done.size() == ids.size();
-          },
-          Deadline::unbounded(engine.system.simulator()), "Farm::inline");
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        record_latency(engine, frame[i]);
-        resolve_completion(frame[i], std::move(done[ids[i]]));
-      }
-    } catch (const SimError& e) {
-      if (carry) {
-        frame.push_back(std::move(*carry));
-        carry.reset();
-      }
-      recover(engine, e, &frame);
-    }
-    publish_stats(engine, false);
   }
 }
 
@@ -809,8 +569,6 @@ Farm::Farm(FarmConfig config) : config_(std::move(config)) {
   config_.system.validate();
   config_.transport.validate();
   check(config_.queue_capacity > 0, "FarmConfig::queue_capacity must be > 0");
-  check(config_.coalesce_max_programs > 0,
-        "FarmConfig::coalesce_max_programs must be > 0");
   check(config_.stats_publish_interval > 0,
         "FarmConfig::stats_publish_interval must be > 0");
   // Surface image-set mistakes here instead of as N worker-thread
@@ -851,7 +609,7 @@ Farm::Farm(FarmConfig config) : config_(std::move(config)) {
   }
   for (std::size_t i = 0; i < n; ++i) {
     Shard* shard = shards_[i].get();
-    shard->thread = std::thread([this, shard] { shard->worker(config_); });
+    shard->thread = std::thread([shard] { shard->worker(); });
   }
 }
 
@@ -955,67 +713,51 @@ std::size_t Farm::in_flight(SessionId session) const {
   return shard.unresolved_of(session);
 }
 
-std::future<std::vector<msg::Response>> Farm::submit(
-    isa::Program program, std::optional<std::uint64_t> budget_cycles) {
+Farm::Job Farm::make_job(SessionId session, isa::Program program,
+                         std::optional<std::uint64_t> budget_cycles) const {
   Job job;
   job.program = std::move(program);
   job.budget = budget_cycles.value_or(config_.job_budget_cycles);
-  std::future<std::vector<msg::Response>> fut =
-      job.promise.emplace().get_future();
-  enqueue(static_cast<std::size_t>(rr_next_.fetch_add(1) % shards_.size()),
-          std::move(job));
-  return fut;
+  job.session = session;
+  if (session != kNoSession) {
+    job.required = required_of(session);
+  }
+  return job;
+}
+
+std::future<std::vector<msg::Response>> Farm::submit(
+    isa::Program program, std::optional<std::uint64_t> budget_cycles) {
+  return submit(kNoSession, std::move(program), budget_cycles);
 }
 
 std::future<std::vector<msg::Response>> Farm::submit(
     SessionId session, isa::Program program,
     std::optional<std::uint64_t> budget_cycles) {
-  Job job;
-  job.program = std::move(program);
-  job.budget = budget_cycles.value_or(config_.job_budget_cycles);
-  job.session = session;
-  job.required = required_of(session);
+  Job job = make_job(session, std::move(program), budget_cycles);
   std::future<std::vector<msg::Response>> fut =
       job.promise.emplace().get_future();
-  enqueue(shard_of(session), std::move(job));
+  enqueue(std::move(job));
   return fut;
 }
 
 void Farm::submit_async(isa::Program program, Callback done,
                         std::optional<std::uint64_t> budget_cycles) {
-  check(static_cast<bool>(done), "Farm::submit_async requires a callback");
-  Job job;
-  job.program = std::move(program);
-  job.budget = budget_cycles.value_or(config_.job_budget_cycles);
-  job.callback = std::move(done);
-  enqueue(static_cast<std::size_t>(rr_next_.fetch_add(1) % shards_.size()),
-          std::move(job));
+  submit_async(kNoSession, std::move(program), std::move(done), budget_cycles);
 }
 
 void Farm::submit_async(SessionId session, isa::Program program, Callback done,
                         std::optional<std::uint64_t> budget_cycles) {
   check(static_cast<bool>(done), "Farm::submit_async requires a callback");
-  Job job;
-  job.program = std::move(program);
-  job.budget = budget_cycles.value_or(config_.job_budget_cycles);
-  job.session = session;
-  job.required = required_of(session);
+  Job job = make_job(session, std::move(program), budget_cycles);
   job.callback = std::move(done);
-  enqueue(shard_of(session), std::move(job));
+  enqueue(std::move(job));
 }
 
 void Farm::submit_stream(isa::Program program, ResponseFn on_response,
                          DoneFn on_done,
                          std::optional<std::uint64_t> budget_cycles) {
-  check(static_cast<bool>(on_response) && static_cast<bool>(on_done),
-        "Farm::submit_stream requires both callbacks");
-  Job job;
-  job.program = std::move(program);
-  job.budget = budget_cycles.value_or(config_.job_budget_cycles);
-  job.stream = std::move(on_response);
-  job.done = std::move(on_done);
-  enqueue(static_cast<std::size_t>(rr_next_.fetch_add(1) % shards_.size()),
-          std::move(job));
+  submit_stream(kNoSession, std::move(program), std::move(on_response),
+                std::move(on_done), budget_cycles);
 }
 
 void Farm::submit_stream(SessionId session, isa::Program program,
@@ -1023,21 +765,22 @@ void Farm::submit_stream(SessionId session, isa::Program program,
                          std::optional<std::uint64_t> budget_cycles) {
   check(static_cast<bool>(on_response) && static_cast<bool>(on_done),
         "Farm::submit_stream requires both callbacks");
-  Job job;
-  job.program = std::move(program);
-  job.budget = budget_cycles.value_or(config_.job_budget_cycles);
-  job.session = session;
-  job.required = required_of(session);
+  Job job = make_job(session, std::move(program), budget_cycles);
   job.stream = std::move(on_response);
   job.done = std::move(on_done);
-  enqueue(shard_of(session), std::move(job));
+  enqueue(std::move(job));
 }
 
 /// The admission front end, shared by both execution modes: typed
 /// shutdown/overload refusals and per-session accounting happen here, so
-/// inline and threaded farms reject identically.
-void Farm::enqueue(std::size_t shard_index, Job job) {
-  Shard& shard = *shards_[shard_index];
+/// inline and threaded farms reject identically.  Session-less jobs
+/// round-robin across shards.
+void Farm::enqueue(Job job) {
+  Shard& shard =
+      *shards_[job.session == kNoSession
+                   ? static_cast<std::size_t>(rr_next_.fetch_add(1) %
+                                              shards_.size())
+                   : shard_of(job.session)];
   const bool bounded =
       job.session != kNoSession && config_.max_inflight_per_session > 0;
   // Stamp the arrival against the worker-published clock mirror; slightly
@@ -1098,9 +841,9 @@ void Farm::enqueue(std::size_t shard_index, Job job) {
     return;
   }
 
-  // Inline mode: execute synchronously on the calling thread.  A reentrant
-  // submit (from inside a callback) just queues; the outermost frame's
-  // drain loop runs it.
+  // Inline mode: run the shard step on the calling thread until the shard
+  // is idle.  A reentrant submit (from inside a callback) just queues; the
+  // outermost call's step loop runs it.
   if (shard.inline_active) {
     return;
   }
@@ -1112,7 +855,10 @@ void Farm::enqueue(std::size_t shard_index, Job job) {
   if (!shard.inline_engine) {
     shard.inline_engine = std::make_unique<Shard::Engine>(config_);
   }
-  shard.drain_inline(*shard.inline_engine);
+  while (shard.busy() ||
+         shard.queued_hint.load(std::memory_order_relaxed) > 0) {
+    shard.step(*shard.inline_engine);
+  }
 }
 
 sim::Counters Farm::counters() const {

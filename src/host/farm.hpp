@@ -72,16 +72,17 @@ struct FarmConfig {
 
   /// Worker shards.  Each shard is an independent top::System +
   /// ReliableTransport owned by one worker thread.  0 means *inline*: no
-  /// threads, one shard owned by the calling thread, submit() executes
-  /// synchronously — the degenerate farm, bit-identical to a plain
+  /// threads, one shard owned by the calling thread, and submit() runs the
+  /// same shard step synchronously until the shard is idle — at window 1
+  /// the degenerate farm, bit-identical to a plain
   /// Coprocessor/ReliableTransport call (tests pin this).
   std::size_t shards = 1;
   /// Per-shard system configuration (every shard is identical).
   top::SystemConfig system;
-  /// Per-shard transport tuning.  `transport.window` also sizes the worker
-  /// loop: with window > 1 each shard keeps that many programs in flight
-  /// at once (pipelined issue, in-order responses) instead of one
-  /// call-and-wait round trip per job.
+  /// Per-shard transport tuning.  `transport.window` also sizes the shard
+  /// step, threaded or inline: with window > 1 each shard keeps that many
+  /// programs in flight at once (pipelined issue, in-order responses)
+  /// instead of one call-and-wait round trip per job.
   TransportConfig transport;
   /// Bounded submission queue depth per shard (jobs waiting for a window
   /// slot; in-flight jobs are not counted against it).
@@ -103,22 +104,6 @@ struct FarmConfig {
   /// 1 restores publish-after-every-job.
   std::size_t stats_publish_interval = 16;
 
-  // -- Program coalescing ----------------------------------------------------
-  /// Member programs a worker packs into one submission frame
-  /// (ReliableTransport::submit_coalesced): a frame occupies one window
-  /// slot, pays one watchdog and one transmission, and its
-  /// register-disjoint members skip the per-program write-barrier round
-  /// trip.  1 (the default) disables coalescing — the worker issues one
-  /// program per frame through exactly the pre-coalescing path.
-  std::size_t coalesce_max_programs = 1;
-  /// Cap on one frame's total instruction-stream words; a frame closes
-  /// early when the next member would push it past the cap.  0 = no cap.
-  std::size_t coalesce_max_words = 256;
-  /// Simulated cycles a worker holds a *partial* frame open waiting for
-  /// more arrivals before flushing it (latency bound on batching).  0 =
-  /// flush immediately with whatever was gathered.
-  std::uint64_t coalesce_flush_cycles = 0;
-
   // -- Algorithm-on-demand ---------------------------------------------------
   /// Loadable algorithm images, registered on every shard's FuManager (each
   /// shard constructs its own units via the image factories; the factories
@@ -138,10 +123,11 @@ struct FarmConfig {
 
 /// A multi-System coprocessor farm: N independent shards, each one whole
 /// `top::System` + `host::ReliableTransport` driven by its own worker
-/// thread (the paper's "one or more CPUs communicate via the interface
-/// with a set of functional units", scaled out to a pool of functional-unit
-/// fabrics the way ThreadPoolComposer-style toolchains expose FPGAs to a
-/// software thread pool).
+/// thread.  The paper's "one or more CPUs communicate via the interface
+/// with a set of functional units" is several host threads holding
+/// sessions on one shard (examples/multi_cpu.cpp); more shards scale it out
+/// to a pool of functional-unit fabrics the way ThreadPoolComposer-style
+/// toolchains expose FPGAs to a software thread pool.
 ///
 /// **Ownership rule.**  The sim::Simulator is thread-affine (see its class
 /// comment): each shard's System is constructed *on* its worker thread and
@@ -162,16 +148,6 @@ struct FarmConfig {
 /// are preserved — a later job's reads still execute after an earlier
 /// job's writes) and completes each as its last response lands.  Jobs of
 /// *different* sessions interleave freely inside a window.
-///
-/// **Coalescing.**  With `coalesce_max_programs > 1` a worker gathers up
-/// to that many queued jobs (possibly from different sessions — the
-/// round-robin dequeue keeps its fairness) into ONE submission frame, up
-/// to `coalesce_max_words` stream words, holding a partial frame open for
-/// at most `coalesce_flush_cycles` before flushing.  Members complete
-/// individually; FU swaps still only happen at frame boundaries on an
-/// empty window (a job whose required images are not resident cuts the
-/// frame before it).  Disabled (the default), the worker takes the
-/// pre-coalescing path bit for bit.
 ///
 /// **Admission.**  Each shard's queue is bounded
 /// (FarmConfig::queue_capacity).  A full queue blocks the producer
@@ -301,7 +277,9 @@ class Farm {
   struct Shard;
   struct Job;
 
-  void enqueue(std::size_t shard_index, Job job);
+  Job make_job(SessionId session, isa::Program program,
+               std::optional<std::uint64_t> budget_cycles) const;
+  void enqueue(Job job);
   /// Required image set a session declared (empty for plain sessions).
   std::vector<std::string> required_of(SessionId session) const;
 

@@ -5,12 +5,12 @@
 
 namespace fpgafu::host {
 
-void split_groups_into(const isa::Program& program, std::size_t word_base,
+void split_groups_into(const isa::Program& program,
                        std::vector<InstructionGroup>& out) {
   const auto& words = program.words();
   for (std::size_t i = 0; i < words.size();) {
     InstructionGroup group;
-    group.first_word = word_base + i;
+    group.first_word = i;
     group.inst = isa::Instruction::decode(words[i]);
     std::size_t payload_words = 0;
     if (group.inst.function == isa::fc::kRtm) {
@@ -31,7 +31,7 @@ void split_groups_into(const isa::Program& program, std::size_t word_base,
 
 std::vector<InstructionGroup> split_groups(const isa::Program& program) {
   std::vector<InstructionGroup> groups;
-  split_groups_into(program, 0, groups);
+  split_groups_into(program, groups);
   return groups;
 }
 
@@ -193,43 +193,18 @@ GroupEffects group_effects(const isa::Instruction& inst,
   return e;
 }
 
-void FrameLayout::clear() {
-  words.clear();
+void FrameLayout::assign(const isa::Program& program,
+                         const rtm::RtmConfig& config,
+                         const rtm::FunctionalUnitTable& table) {
+  words.assign(program.words().begin(), program.words().end());
   groups.clear();
   predictions.clear();
   effects.clear();
-  members.clear();
-}
-
-void append_member(FrameLayout& frame, const isa::Program& program,
-                   const rtm::RtmConfig& config,
-                   const rtm::FunctionalUnitTable& table) {
-  FrameMember member;
-  member.first_group = frame.groups.size();
-  const std::size_t word_base = frame.words.size();
-  frame.words.insert(frame.words.end(), program.words().begin(),
-                     program.words().end());
-  split_groups_into(program, word_base, frame.groups);
-  member.group_count = frame.groups.size() - member.first_group;
-  for (std::size_t i = member.first_group; i < frame.groups.size(); ++i) {
-    const isa::Instruction& inst = frame.groups[i].inst;
-    const ResponsePrediction pred = predict(inst, config, table);
-    member.response_count += pred.count;
-    frame.predictions.push_back(pred);
-    frame.effects.push_back(group_effects(inst, config, table));
+  split_groups_into(program, groups);
+  for (const InstructionGroup& g : groups) {
+    predictions.push_back(predict(g.inst, config, table));
+    effects.push_back(group_effects(g.inst, config, table));
   }
-  frame.members.push_back(member);
-}
-
-FrameLayout split_frame(const std::vector<const isa::Program*>& programs,
-                        const rtm::RtmConfig& config,
-                        const rtm::FunctionalUnitTable& table) {
-  FrameLayout frame;
-  for (const isa::Program* program : programs) {
-    check(program != nullptr, "split_frame: null member program");
-    append_member(frame, *program, config, table);
-  }
-  return frame;
 }
 
 }  // namespace fpgafu::host

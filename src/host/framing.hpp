@@ -12,25 +12,24 @@
 namespace fpgafu::host {
 
 /// One instruction plus any inline payload words (a PUT travels with its
-/// data word, a PUTV with its burst) — the unit of interleaving for
-/// MultiHost and the unit of retry for ReliableTransport.  A group names a
-/// word range of the sequence it was split from instead of owning a copy,
-/// so splitting a program allocates nothing per group.
+/// data word, a PUTV with its burst) — the unit of retry for
+/// ReliableTransport.  A group names a word range of the program it was
+/// split from instead of owning a copy, so splitting a program allocates
+/// nothing per group.
 struct InstructionGroup {
   std::size_t first_word = 0;  ///< index of the instruction word
   std::size_t word_count = 0;  ///< the instruction word plus its payload
   isa::Instruction inst;       ///< decoded instruction word
 };
 
-/// Append the groups of `program` to `out`, their word ranges offset by
-/// `word_base` (the index `program.words()[0]` has in the caller's word
-/// sequence).  Throws SimError when the program ends inside a PUT/PUTV
-/// payload; `out` then holds the groups split before the fault.
-void split_groups_into(const isa::Program& program, std::size_t word_base,
+/// Append the groups of `program` to `out`, their word ranges indexing
+/// `program.words()`.  Throws SimError when the program ends inside a
+/// PUT/PUTV payload; `out` then holds the groups split before the fault.
+void split_groups_into(const isa::Program& program,
                        std::vector<InstructionGroup>& out);
 
-/// Split a program into instruction groups whose ranges index
-/// `program.words()`.  Throws like split_groups_into.
+/// Split a program into instruction groups (split_groups_into on a fresh
+/// vector).
 std::vector<InstructionGroup> split_groups(const isa::Program& program);
 
 /// What one instruction group will send back, predicted host-side.
@@ -96,44 +95,22 @@ GroupEffects group_effects(const isa::Instruction& inst,
                            const rtm::RtmConfig& config,
                            const rtm::FunctionalUnitTable& table);
 
-/// One member program's sub-range inside a frame.
-struct FrameMember {
-  std::size_t first_group = 0;  ///< index into FrameLayout::groups
-  std::size_t group_count = 0;
-  std::size_t response_count = 0;  ///< predicted responses, summed
-};
-
-/// Frame-level framing: one or more member programs concatenated into one
-/// submission frame (a plain ReliableTransport::submit is a one-member
-/// frame).  `words` is the concatenation of the members' words — one
-/// contiguous wire transmission — and `groups` indexes it; predictions and
-/// register effects are per group, and `members` records each program's
-/// sub-range so the transport can demultiplex responses back into
-/// per-program completions.
+/// One program laid out for the wire: its words, the instruction groups
+/// indexing them, and each group's predicted responses and register
+/// effects — everything the transport needs to issue, retry and renumber
+/// one flight.
 struct FrameLayout {
   std::vector<isa::Word> words;
   std::vector<InstructionGroup> groups;
   std::vector<ResponsePrediction> predictions;
   std::vector<GroupEffects> effects;
-  std::vector<FrameMember> members;
 
-  /// Empty the frame, keeping every vector's capacity for the next one.
-  void clear();
+  /// Lay out `program`, replacing the previous contents but keeping every
+  /// vector's capacity, so a recycled layout allocates only when a vector
+  /// outgrows it.  Throws SimError when the program ends inside a PUT/PUTV
+  /// payload.  An empty program is legal: zero groups, complete at once.
+  void assign(const isa::Program& program, const rtm::RtmConfig& config,
+              const rtm::FunctionalUnitTable& table);
 };
-
-/// Append `program` to `frame` as its next member: its words, groups,
-/// predictions and effects, and its FrameMember range.  Allocates only
-/// when a vector outgrows its capacity.  Throws SimError when the program
-/// ends inside a PUT/PUTV payload (the frame is then partially appended).
-/// An empty program is legal: a zero-width member that completes at once.
-void append_member(FrameLayout& frame, const isa::Program& program,
-                   const rtm::RtmConfig& config,
-                   const rtm::FunctionalUnitTable& table);
-
-/// Split and predict a whole frame of member programs (append_member on a
-/// fresh frame, member by member).
-FrameLayout split_frame(const std::vector<const isa::Program*>& programs,
-                        const rtm::RtmConfig& config,
-                        const rtm::FunctionalUnitTable& table);
 
 }  // namespace fpgafu::host

@@ -65,10 +65,12 @@ void ReliableTransport::sync_generation() {
   }
 }
 
-ReliableTransport::Flight ReliableTransport::open_frame(const char* who) {
+ReliableTransport::ProgramId ReliableTransport::submit(
+    const isa::Program& program, std::optional<std::uint64_t> budget_cycles,
+    bool stream) {
   if (window_full()) {
-    throw SimError(std::string(who) + ": window is full (" +
-                   std::to_string(config_.window) + " frames in flight)");
+    throw SimError("ReliableTransport::submit: window is full (" +
+                   std::to_string(config_.window) + " programs in flight)");
   }
   if (window_.empty() && outstanding_.empty()) {
     // A new exchange may follow an external reset; re-mirror the decoder.
@@ -78,76 +80,32 @@ ReliableTransport::Flight ReliableTransport::open_frame(const char* who) {
   if (!spare_.empty()) {
     f = std::move(spare_.back());
     spare_.pop_back();
-    f.layout.clear();
-    f.slots.clear();
-    f.members.clear();
-    f.got.clear();
-    f.next_group = 0;
-    f.emit_cursor = 0;
-    f.budget = 0;
-    f.deadline.reset();
   }
-  return f;
-}
-
-ReliableTransport::ProgramId ReliableTransport::add_member(
-    Flight& f, const isa::Program& program,
-    std::optional<std::uint64_t> budget_cycles, bool stream) {
   const rtm::Rtm& rtm = copro_->system().rtm();
-  append_member(f.layout, program, rtm.config(), rtm.table());
-  const FrameMember& range = f.layout.members.back();
-  for (std::size_t i = 0; i < range.group_count; ++i) {
-    const ResponsePrediction& pred =
-        f.layout.predictions[range.first_group + i];
+  f.layout.assign(program, rtm.config(), rtm.table());
+  f.slots.clear();
+  f.got.clear();
+  for (std::size_t i = 0; i < f.layout.groups.size(); ++i) {
+    const ResponsePrediction& pred = f.layout.predictions[i];
     GroupSlot s;
-    s.program_seq = static_cast<std::uint16_t>(i);  // member-relative
+    s.program_seq = static_cast<std::uint16_t>(i);
     s.first_response = f.got.size();
     s.done = pred.count == 0;
     f.slots.push_back(s);
     f.got.resize(f.got.size() + pred.count);
   }
-  Member m;
-  m.id = next_program_id_++;
-  m.out.reserve(range.response_count);
-  m.stream = stream;
-  f.members.push_back(std::move(m));
-  // One frame, one watchdog: the frame deadline is the laxest member's.
-  f.budget = std::max(f.budget, budget_cycles.value_or(config_.max_cycles));
-  return f.members.back().id;
-}
-
-void ReliableTransport::push_frame(Flight&& f) {
-  f.id = f.members.front().id;
+  f.id = next_program_id_++;
+  f.out.clear();
+  f.out.reserve(f.got.size());
+  f.stream = stream;
+  f.next_group = 0;
+  f.emit_cursor = 0;
+  f.budget = budget_cycles.value_or(config_.max_cycles);
+  f.deadline.reset();
   window_.push_back(std::move(f));
   unissued_ = true;
-  emit_pending_ = true;  // a pure-write frame may already be complete
-}
-
-ReliableTransport::ProgramId ReliableTransport::submit(
-    const isa::Program& program, std::optional<std::uint64_t> budget_cycles,
-    bool stream) {
-  Flight f = open_frame("ReliableTransport::submit");
-  const ProgramId id = add_member(f, program, budget_cycles, stream);
-  push_frame(std::move(f));
-  return id;
-}
-
-std::vector<ReliableTransport::ProgramId> ReliableTransport::submit_coalesced(
-    const std::vector<CoalescedItem>& items) {
-  check(!items.empty(), "ReliableTransport::submit_coalesced: empty frame");
-  for (const CoalescedItem& item : items) {
-    check(item.program != nullptr,
-          "ReliableTransport::submit_coalesced: null member program");
-  }
-  Flight f = open_frame("ReliableTransport::submit_coalesced");
-  std::vector<ProgramId> ids;
-  ids.reserve(items.size());
-  for (const CoalescedItem& item : items) {
-    ids.push_back(add_member(f, *item.program, item.budget_cycles,
-                             item.stream));
-  }
-  push_frame(std::move(f));
-  return ids;
+  emit_pending_ = true;  // a pure-write program may already be complete
+  return window_.back().id;
 }
 
 void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
@@ -273,47 +231,24 @@ void ReliableTransport::handle_response(const msg::Response& r) {
 void ReliableTransport::emit_ready() {
   for (std::size_t fi = 0; fi < window_.size();) {
     Flight& f = window_[fi];
-    const std::vector<FrameMember>& ranges = f.layout.members;
-    // The member owning the emit cursor (members are contiguous in slot
-    // order, so this advances monotonically with the cursor).
-    std::size_t owner = 0;
-    while (owner < ranges.size() &&
-           f.emit_cursor >=
-               ranges[owner].first_group + ranges[owner].group_count) {
-      ++owner;
-    }
     while (f.emit_cursor < f.slots.size() && f.slots[f.emit_cursor].done) {
-      while (f.emit_cursor >=
-             ranges[owner].first_group + ranges[owner].group_count) {
-        ++owner;  // skip empty members sitting at this boundary
-      }
       const GroupSlot& s = f.slots[f.emit_cursor];
-      Member& m = f.members[owner];
       for (std::size_t k = 0; k < s.received; ++k) {
         msg::Response r = f.got[s.first_response + k];
         r.seq = s.program_seq;  // renumber wire order back to program order
-        if (m.stream) {
-          stream_events_.push_back({m.id, r});
+        if (f.stream) {
+          stream_events_.push_back({f.id, r});
         }
-        m.out.push_back(r);
+        f.out.push_back(r);
       }
       ++f.emit_cursor;
     }
-    // Members complete individually, in member order: one is done when all
-    // its groups reached the wire and all its slots emitted.  (Write slots
-    // are born done, so the issue condition is the binding one for
-    // pure-write members.)
-    bool all_emitted = true;
-    for (std::size_t k = 0; k < f.members.size(); ++k) {
-      Member& m = f.members[k];
-      const std::size_t end = ranges[k].first_group + ranges[k].group_count;
-      if (!m.emitted && f.emit_cursor >= end && f.next_group >= end) {
-        m.emitted = true;
-        completed_.push_back({m.id, std::move(m.out)});
-      }
-      all_emitted = all_emitted && m.emitted;
-    }
-    if (all_emitted) {
+    // Done once every group reached the wire and every slot emitted.
+    // (Write slots are born done, so the issue condition is the binding
+    // one for pure-write programs.)
+    const std::size_t groups = f.slots.size();
+    if (f.emit_cursor == groups && f.next_group == groups) {
+      completed_.push_back({f.id, std::move(f.out)});
       spare_.push_back(std::move(f));
       window_.erase(window_.begin() + static_cast<std::ptrdiff_t>(fi));
     } else {
@@ -388,12 +323,7 @@ void ReliableTransport::check_watchdogs() {
     f.deadline->observe();
     if (f.deadline->expired()) {
       copro_->reset();
-      const std::string what =
-          f.members.size() > 1
-              ? "frame " + std::to_string(f.id) + " (" +
-                    std::to_string(f.members.size()) + " members)"
-              : "program " + std::to_string(f.id);
-      throw SimError("ReliableTransport: " + what +
+      throw SimError("ReliableTransport: program " + std::to_string(f.id) +
                      " watchdog expired after " + std::to_string(f.budget) +
                      " cycles");
     }

@@ -29,13 +29,12 @@ struct TransportConfig {
   /// Overall watchdog for one call() (2x the default call budget: the
   /// transport is expected to out-wait retries a plain call would not).
   std::uint64_t max_cycles = 2 * kDefaultCallBudgetCycles;
-  /// Submission frames the pipelined interface keeps in flight at once.  A
-  /// frame is one program (submit) or several coalesced member programs
-  /// (submit_coalesced) — either way it occupies one window slot.  1 is
-  /// call-and-wait; larger windows overlap one frame's tail with the next
-  /// frame's issue (the RTM pipelines instructions and answers in order,
-  /// so the wire protocol needs no changes).  submit() refuses to exceed
-  /// the window; host::Farm sizes its worker loop from it.
+  /// Programs the pipelined interface keeps in flight at once, one window
+  /// slot each.  1 is call-and-wait; larger windows overlap one program's
+  /// tail with the next program's issue (the RTM pipelines instructions
+  /// and answers in order, so the wire protocol needs no changes).
+  /// submit() refuses to exceed the window; host::Farm sizes its shard
+  /// step from it.
   std::size_t window = 1;
 
   /// Throw SimError on nonsensical settings (zero attempts/multiplier/
@@ -101,13 +100,10 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    and the caller is expected to abort_in_flight() and re-submit or
 ///    fail upwards (host::Farm fails the window as shard casualties).
 ///
-/// Every flight is a frame: submit() builds a one-member frame, and
-/// submit_coalesced() packs several small programs into ONE frame — one
-/// window slot, one contiguous transmission, one watchdog — demultiplexed
-/// into per-member completions (docs/PROTOCOL.md, "Coalesced frames").
-/// Both go through the same frame builder and the same barrier.  Retired
-/// flights are recycled with their storage, so once warm a submit()
-/// allocates nothing but the Completion's response vector.
+/// One program, one flight: each submit() occupies one window slot with
+/// one watchdog and one FrameLayout (docs/PROTOCOL.md, "One program, one
+/// flight").  Retired flights are recycled with their storage, so once warm
+/// a submit() allocates nothing but the Completion's response vector.
 ///
 /// The transport mirrors the decoder's sequence counter, so it must be the
 /// only submitter on its system (construct it before any traffic and route
@@ -157,37 +153,6 @@ class ReliableTransport {
                    std::optional<std::uint64_t> budget_cycles = std::nullopt,
                    bool stream = false);
 
-  /// One member program of a coalesced frame (see submit_coalesced).
-  struct CoalescedItem {
-    const isa::Program* program = nullptr;
-    /// Per-member watchdog wish; the frame's single watchdog arms at the
-    /// maximum over its members (one frame, one deadline).
-    std::optional<std::uint64_t> budget_cycles;
-    bool stream = false;
-  };
-
-  /// Enqueue several small programs as ONE submission frame occupying one
-  /// window slot: their instruction groups are concatenated into a single
-  /// sequence-numbered transmission with one watchdog and one prediction
-  /// table carrying per-member sub-ranges (host::split_frame), and the
-  /// return path demultiplexes responses back into one Completion (and
-  /// stream events) per member, in member order.  Returns one ProgramId
-  /// per member.
-  ///
-  /// Retry/poison semantics are frame-granular: individual read groups
-  /// still retry under backoff exactly as in a plain flight, members
-  /// complete individually as their sub-range finishes, but a give-up or
-  /// the frame watchdog poisons the whole window — every member of every
-  /// in-flight frame fails together (same contract as the windowed path,
-  /// at frame scope).
-  ///
-  /// The write barrier is the per-register one every flight uses: a
-  /// member's write group may overtake an outstanding read iff their
-  /// footprints are disjoint.  A frame saves window slots and watchdogs
-  /// over the same programs submitted one by one, not cycles.
-  std::vector<ProgramId> submit_coalesced(
-      const std::vector<CoalescedItem>& items);
-
   /// One service quantum of the retry state machine: issue groups (window
   /// order, write barrier permitting), consume arrived responses, run gap/
   /// timeout retries, surface completions.  Never advances the clock —
@@ -196,8 +161,7 @@ class ReliableTransport {
   /// cleared with abort_in_flight().
   void service();
 
-  /// Submission frames in the window (a coalesced frame counts once,
-  /// however many member programs it carries).
+  /// Programs in the window.
   std::size_t in_flight() const { return window_.size(); }
   bool window_full() const { return window_.size() >= config_.window; }
 
@@ -224,7 +188,7 @@ class ReliableTransport {
   /// Per-group progress; the group itself, its prediction and its register
   /// footprint live in the flight's FrameLayout at the same index.
   /// program_seq is the sequence number the reference model assigns — the
-  /// group index in *member* program order (mod 2^16).
+  /// group index in program order (mod 2^16).
   struct GroupSlot {
     std::uint16_t program_seq = 0;
     std::size_t first_response = 0;  ///< this group's range in Flight::got
@@ -232,25 +196,18 @@ class ReliableTransport {
     bool done = false;
   };
 
-  /// One member program's output, parallel to FrameLayout::members.
-  struct Member {
-    ProgramId id = 0;
-    std::vector<msg::Response> out;  ///< renumbered responses, program order
-    bool stream = false;
-    bool emitted = false;  ///< completion surfaced to poll_completed()
-  };
-
-  /// One submission frame in the window: one watchdog, one window slot.
-  /// Flights are recycled (spare_), so every vector keeps its capacity.
+  /// One program in the window: one watchdog, one window slot.  Flights
+  /// are recycled (spare_), so every vector keeps its capacity.
   struct Flight {
-    ProgramId id = 0;  ///< frame id (the first member's ProgramId)
+    ProgramId id = 0;
     FrameLayout layout;
     std::vector<GroupSlot> slots;
-    std::vector<Member> members;
     /// Every group's predicted responses, side by side (GroupSlot ranges).
     std::vector<msg::Response> got;
+    std::vector<msg::Response> out;  ///< renumbered responses, program order
+    bool stream = false;
     std::size_t next_group = 0;    ///< next group to put on the wire
-    std::size_t emit_cursor = 0;   ///< slots already emitted in frame order
+    std::size_t emit_cursor = 0;   ///< slots already emitted in program order
     std::uint64_t budget = 0;
     std::optional<Deadline> deadline;  ///< armed at first transmission
   };
@@ -267,15 +224,6 @@ class ReliableTransport {
   Flight* flight(ProgramId id);
   /// Re-sync the mirrored sequence counter after a system reset.
   void sync_generation();
-  /// An empty frame, recycled from spare_ when one is there.  Throws when
-  /// the window is full (`who` names the caller).
-  Flight open_frame(const char* who);
-  /// Append `program` to `f` as its next member; returns its ProgramId.
-  ProgramId add_member(Flight& f, const isa::Program& program,
-                       std::optional<std::uint64_t> budget_cycles,
-                       bool stream);
-  /// Put a built frame into the window.
-  void push_frame(Flight&& f);
   /// Would issuing `writer` now let a retry of any outstanding read observe
   /// a newer register value?  (The per-register write barrier.)
   bool write_conflicts(const GroupEffects& writer) const;
@@ -293,8 +241,8 @@ class ReliableTransport {
   /// Check every armed per-program watchdog (throws on expiry) and cache
   /// the earliest cycle one could next fire in watchdog_due_.
   void check_watchdogs();
-  /// Advance a flight's program-order emit cursor over completed slots,
-  /// then surface it as a Completion if it is fully issued and emitted.
+  /// Advance each flight's program-order emit cursor over completed slots,
+  /// then surface it as a Completion once it is fully issued and emitted.
   void emit_ready();
 
   Coprocessor* copro_;

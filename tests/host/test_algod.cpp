@@ -390,35 +390,64 @@ TEST(AlgodFarm, UndeclaredCodeFailsTypedAndRetriesOnDeclaringSession) {
   EXPECT_GE(totals.get("algod.evictions"), 1u);
 }
 
+/// An inline managed farm stays reference-exact.  At window 4 a kick-off
+/// job's callback queues a mixed-demand batch, so the inline shard step has
+/// several jobs to issue at once: every fourth needs the cold image, and
+/// its swap must wait for an empty window.
 TEST(AlgodFarm, InlineManagedFarmMatchesReference) {
-  FarmConfig fc;
-  fc.shards = 0;  // inline: no threads
-  fc.system = bare_system();
-  fc.fu_images = catalogue();
-  fc.fu_slots = 2;
-  Farm farm(fc);
-  const Farm::SessionId s = farm.create_session({"logic", "shift"});
-  for (std::uint64_t seed = 40; seed < 44; ++seed) {
-    const isa::Program p = program_for({"logic", "shift"}, seed);
-    EXPECT_EQ(farm.submit(s, p).get(), reference_run(p)) << "seed " << seed;
+  for (const std::size_t window : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    FarmConfig fc;
+    fc.shards = 0;  // inline: no threads
+    fc.system = bare_system();
+    fc.transport.window = window;
+    fc.fu_images = catalogue();
+    fc.fu_slots = 2;  // logic+shift resident means trig forces an eviction
+    Farm farm(fc);
+    const Farm::SessionId hot = farm.create_session({"logic", "shift"});
+    const Farm::SessionId cold = farm.create_session({"trig"});
+    std::vector<isa::Program> programs;
+    for (std::uint64_t seed = 40; seed < 52; ++seed) {
+      programs.push_back(program_for(seed % 4 == 1
+                                         ? std::vector<std::string>{"trig"}
+                                         : std::vector<std::string>{"logic",
+                                                                    "shift"},
+                                     seed));
+    }
+    std::vector<std::future<std::vector<msg::Response>>> futures;
+    const isa::Program kickoff = program_for({"logic", "shift"}, 39);
+    std::vector<msg::Response> kicked;
+    farm.submit_async(hot, kickoff,
+                      [&](std::vector<msg::Response> rs, std::exception_ptr) {
+                        kicked = std::move(rs);
+                        for (std::size_t i = 0; i < programs.size(); ++i) {
+                          futures.push_back(farm.submit(
+                              i % 4 == 1 ? cold : hot, programs[i]));
+                        }
+                      });
+    EXPECT_EQ(kicked, reference_run(kickoff));
+    ASSERT_EQ(futures.size(), programs.size());
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      EXPECT_EQ(futures[i].get(), reference_run(programs[i])) << "job " << i;
+    }
+    farm.shutdown();  // counters are published amortised; exact after shutdown
+    const sim::Counters totals = farm.counters();
+    EXPECT_EQ(totals.get("farm.jobs_failed"), 0u);
+    EXPECT_GE(totals.get("algod.loads"), 3u);
+    EXPECT_GE(totals.get("algod.hits"), 1u);
+    EXPECT_GT(totals.get("algod.evictions"), 0u) << "swaps must have happened";
   }
-  farm.shutdown();  // counters are published amortised; exact after shutdown
-  const sim::Counters totals = farm.counters();
-  EXPECT_GE(totals.get("algod.loads"), 2u);
-  EXPECT_GE(totals.get("algod.hits"), 1u);
 }
 
 TEST(AlgodFarm, CoalescedFramesSwapImagesOnlyAtFrameBoundaries) {
-  // Mixed-demand sessions under coalescing: jobs that share a resident set
-  // may ride one frame, a job needing a swap must cut the frame and still
-  // complete correctly after the boundary swap.  Every response stays
-  // bit-identical to the reference.
+  // Mixed-demand sessions on a threaded shard at window 4: jobs that share
+  // a resident set ride one window, and a job needing a swap must wait for
+  // the window to empty and still complete correctly after the swap.
+  // Every response stays bit-identical to the reference.
   FarmConfig fc;
   fc.shards = 1;
   fc.system = bare_system();
   fc.transport.window = 4;
-  fc.coalesce_max_programs = 8;
-  fc.coalesce_flush_cycles = 64;
   fc.fu_images = catalogue();
   fc.fu_slots = 2;  // arith+logic resident means trig forces an eviction
   Farm farm(fc);
@@ -428,8 +457,8 @@ TEST(AlgodFarm, CoalescedFramesSwapImagesOnlyAtFrameBoundaries) {
   std::vector<isa::Program> programs;
   std::vector<std::future<std::vector<msg::Response>>> futures;
   for (std::uint64_t seed = 70; seed < 82; ++seed) {
-    // Every 4th job demands the cold image, forcing swap-at-boundary cuts
-    // in the middle of what would otherwise be one big frame.
+    // Every 4th job demands the cold image, forcing a swap in the middle
+    // of what would otherwise be one full window after another.
     const bool is_cold = seed % 4 == 1;
     programs.push_back(program_for(
         is_cold ? std::vector<std::string>{"trig"}

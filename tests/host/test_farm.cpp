@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <mutex>
@@ -343,6 +344,73 @@ TEST(Farm, WindowedShardsMatchTheReferenceModel) {
   EXPECT_EQ(totals.get("farm.jobs_completed"), futures.size());
   EXPECT_EQ(totals.get("farm.jobs_failed"), 0u);
   EXPECT_EQ(totals.get("farm.shard_resets"), 0u);
+}
+
+/// Simulated cycles a farm spends on a completion-keyed stream of tiny
+/// jobs: twelve register-disjoint sessions of PUT/ADD/GET, started by one
+/// kick-off job whose callback submits the rest.  Every arrival is keyed
+/// to a completion, so the count does not depend on thread timing.
+std::uint64_t completion_keyed_stream_cycles(std::size_t shards) {
+  constexpr std::size_t kSessions = 12;
+  constexpr std::size_t kJobs = 192;
+  FarmConfig fc;
+  fc.shards = shards;
+  fc.transport.window = 8;
+  fc.queue_capacity = kJobs;  // the kick-off's callback never waits
+  Farm farm(fc);
+  std::vector<Farm::SessionId> sessions;
+  std::vector<isa::Program> programs;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    std::string a = "r";  // not "r" + ...: GCC 12 -Werror=restrict
+    a += std::to_string(1 + 2 * i);
+    std::string b = "r";
+    b += std::to_string(2 + 2 * i);
+    sessions.push_back(farm.create_session());
+    programs.push_back(isa::Assembler::assemble(
+        "PUT " + a + ", #" + std::to_string(100 + i) + "\nADD " + b + ", " +
+        a + ", " + a + "\nGET " + b));
+  }
+  std::mutex m;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  std::size_t wrong = 0;
+  const auto check = [&](std::size_t who) {
+    return [&, who](std::vector<msg::Response> rs, std::exception_ptr err) {
+      std::lock_guard<std::mutex> lk(m);
+      if (err || rs != reference_run(programs[who])) {
+        ++wrong;
+      }
+      ++done;
+      cv.notify_all();
+    };
+  };
+  farm.submit_async(sessions[0], programs[0],
+                    [&](std::vector<msg::Response> rs, std::exception_ptr err) {
+                      for (std::size_t k = 1; k < kJobs; ++k) {
+                        farm.submit_async(sessions[k % kSessions],
+                                          programs[k % kSessions],
+                                          check(k % kSessions));
+                      }
+                      check(0)(std::move(rs), err);
+                    });
+  {
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, [&] { return done == kJobs; });
+  }
+  EXPECT_EQ(wrong, 0u);
+  farm.shutdown();  // exact counters, including the final shard clock
+  return farm.counters().get("farm.shard_cycles");
+}
+
+/// Inline and threaded farms run the same shard step, so at window 8 they
+/// spend identical simulated cycles on the same completion-keyed stream.
+/// The count is pinned: 192 register-disjoint tiny jobs stream at the
+/// 8-word downlink floor plus the kick-off's round trip.
+TEST(Farm, InlineAndThreadedShardsSpendIdenticalCyclesOnACompletionKeyedStream) {
+  const std::uint64_t inline_cycles = completion_keyed_stream_cycles(0);
+  const std::uint64_t threaded_cycles = completion_keyed_stream_cycles(1);
+  EXPECT_EQ(inline_cycles, threaded_cycles);
+  EXPECT_EQ(threaded_cycles, 1554u);
 }
 
 TEST(Farm, AsyncCallbacksDeliverEveryResult) {
@@ -695,59 +763,90 @@ TEST(Farm, WindowedFaultSoakIsBitIdenticalToTheReferenceModel) {
   EXPECT_GT(totals.get("transport.retries"), 0u);
 }
 
-// -- Coalesced submission frames ---------------------------------------------
+// -- Jobs that share a window ------------------------------------------------
+//
+// The Coalesced* cases pin what several jobs riding one shard's window must
+// get right: stateful sessions chaining through registers, a lone job at a
+// deep window, reentrant submits on an inline farm, and faults.
 
+/// Four stateful sessions on two windowed shards.  Each session's jobs
+/// chain through its own accumulator register, so consecutive jobs of one
+/// session inside one window read what the previous job wrote; jobs of the
+/// other session on the same shard interleave with them.
 TEST(Farm, CoalescedShardsMatchTheReferenceModel) {
+  constexpr std::size_t kSessions = 4;
+  constexpr std::size_t kJobs = 8;
   FarmConfig fc;
   fc.shards = 2;
   fc.transport.window = 4;
-  fc.coalesce_max_programs = 8;
-  fc.coalesce_flush_cycles = 64;
   Farm farm(fc);
-  std::vector<isa::Program> programs;
-  std::vector<std::future<std::vector<msg::Response>>> futures;
-  for (std::uint64_t seed = 2100; seed < 2124; ++seed) {
-    programs.push_back(selfcontained_program(seed));
-    futures.push_back(farm.submit(programs.back()));
+  std::vector<Farm::SessionId> sessions;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    sessions.push_back(farm.create_session());
   }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    ASSERT_EQ(futures[i].get(), reference_run(programs[i])) << "job " << i;
+  ASSERT_EQ(farm.shard_of(sessions[0]), farm.shard_of(sessions[2]));
+
+  std::vector<std::vector<std::future<std::vector<msg::Response>>>> futures(
+      kSessions);
+  for (std::size_t k = 0; k < kJobs; ++k) {
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      std::string in = "r";  // not "r" + ...: GCC 12 -Werror=restrict
+      in += std::to_string(1 + 2 * s);
+      std::string acc = "r";
+      acc += std::to_string(2 + 2 * s);
+      futures[s].push_back(farm.submit(
+          sessions[s],
+          isa::Assembler::assemble("PUT " + in + ", #" +
+                                   std::to_string(k + 1 + 100 * s) + "\nADD " +
+                                   acc + ", " + acc + ", " + in + "\nGET " +
+                                   acc)));
+    }
+  }
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    std::uint64_t acc = 0;
+    for (std::size_t k = 0; k < kJobs; ++k) {
+      acc += k + 1 + 100 * s;
+      const std::vector<msg::Response> got = futures[s][k].get();
+      ASSERT_EQ(got.size(), 1u) << "session " << s << " job " << k;
+      EXPECT_EQ(got[0].type, msg::Response::Type::kData);
+      EXPECT_EQ(got[0].payload, acc) << "session " << s << " job " << k;
+    }
   }
   farm.shutdown();
   const sim::Counters totals = farm.counters();
-  EXPECT_EQ(totals.get("farm.jobs_completed"), programs.size());
+  EXPECT_EQ(totals.get("farm.jobs_completed"), kSessions * kJobs);
   EXPECT_EQ(totals.get("farm.jobs_failed"), 0u);
 }
 
+/// A lone job on a shard with a deep window is issued at once: the shard
+/// never waits for the window to fill, and stays healthy for the next lone
+/// job.
 TEST(Farm, CoalescedPartialFrameFlushesOnTimerNotLivelock) {
-  // One lonely job with a large member cap: the worker holds the partial
-  // frame open for coalesce_flush_cycles, then must flush it — the future
-  // resolves instead of the shard spinning on an empty window forever.
   FarmConfig fc;
   fc.shards = 1;
-  fc.coalesce_max_programs = 16;
-  fc.coalesce_flush_cycles = 256;
+  fc.transport.window = 16;
   Farm farm(fc);
   const isa::Program p = selfcontained_program(3001);
   EXPECT_EQ(farm.submit(p).get(), reference_run(p));
-  // And the shard stays healthy for the next lonely job.
   const isa::Program q = selfcontained_program(3002);
   EXPECT_EQ(farm.submit(q).get(), reference_run(q));
   farm.shutdown();
   EXPECT_EQ(farm.counters().get("farm.jobs_completed"), 2u);
 }
 
-TEST(Farm, CoalescedInlineFarmDrainsReentrantSubmitsAsOneFrame) {
+/// Simulated cycles an inline farm at `window` spends on job a, whose
+/// callback submits b and c; all three must match the reference model.
+std::uint64_t inline_reentrant_cycles(std::size_t window) {
   FarmConfig fc;
   fc.shards = 0;  // inline
-  fc.coalesce_max_programs = 4;
+  fc.transport.window = window;
   Farm farm(fc);
   const isa::Program a = selfcontained_program(3101);
   const isa::Program b = selfcontained_program(3102);
   const isa::Program c = selfcontained_program(3103);
   std::vector<std::vector<msg::Response>> got(3);
-  // b and c are submitted from inside a's callback, so the outer drain
-  // frame pops them together — the inline coalescing path proper.
+  // b and c are submitted from inside a's callback; the reentrancy guard
+  // queues them, and the outer shard step issues them into one window.
   std::future<std::vector<msg::Response>> fb, fc_;
   farm.submit_async(a, [&](std::vector<msg::Response> r, std::exception_ptr) {
     got[0] = std::move(r);
@@ -761,22 +860,30 @@ TEST(Farm, CoalescedInlineFarmDrainsReentrantSubmitsAsOneFrame) {
   EXPECT_EQ(got[2], reference_run(c));
   farm.shutdown();
   EXPECT_EQ(farm.counters().get("farm.jobs_completed"), 3u);
+  return farm.counters().get("farm.shard_cycles");
 }
 
-/// The coalesced counterpart of the windowed fault soak: members of one
-/// frame chain through the SAME registers (selfcontained_program reuses
-/// r1..r7), so bit-identical results prove the per-register write barrier
-/// holds inside frames while the retry machinery hammers the wire.  Runs
-/// inside test_farm so the TSan CI job exercises it under every settle
-/// kernel.
+/// An inline farm drains reentrant submits through its window: at window 4
+/// the two follow-up jobs share it and finish in fewer simulated cycles
+/// than one after the other at window 1.
+TEST(Farm, CoalescedInlineFarmDrainsReentrantSubmitsAsOneFrame) {
+  const std::uint64_t windowed = inline_reentrant_cycles(4);
+  const std::uint64_t sequential = inline_reentrant_cycles(1);
+  EXPECT_LT(windowed, sequential);
+}
+
+/// A second fault soak: a narrower window of 4 over the same 5 % upstream
+/// fault mix with a different fault seed.  Jobs sharing a window reuse the
+/// same registers (selfcontained_program writes r1..r7), so bit-identical
+/// results prove the per-register write barrier holds while the retry
+/// machinery hammers the wire.  Runs inside test_farm so the TSan CI job
+/// exercises it.
 TEST(Farm, CoalescedFaultSoakIsBitIdenticalToTheReferenceModel) {
   FarmConfig fc;
   fc.shards = 2;
   fc.transport.window = 4;
   fc.transport.response_timeout = 500;
   fc.transport.max_attempts = 25;
-  fc.coalesce_max_programs = 8;
-  fc.coalesce_flush_cycles = 64;
   msg::FaultConfig f;
   f.seed = 0xc0a1;
   f.up.drop_ppm = 50'000;
@@ -802,6 +909,274 @@ TEST(Farm, CoalescedFaultSoakIsBitIdenticalToTheReferenceModel) {
   EXPECT_EQ(totals.get("farm.jobs_completed"), jobs);
   EXPECT_EQ(totals.get("farm.jobs_failed"), 0u);
   EXPECT_GT(totals.get("transport.retries"), 0u);
+}
+
+// -- Several host CPUs on one shard ------------------------------------------
+//
+// The paper's "one or more CPUs" share one link to the functional units.
+// The MultiHost cases model each CPU as a host thread holding its own
+// session on one shard, and check that the sessions never see each other's
+// responses.
+
+/// Farm config of one shard at window 4, the shared link of several CPUs.
+FarmConfig one_shared_shard() {
+  FarmConfig fc;
+  fc.shards = 1;
+  fc.transport.window = 4;
+  return fc;
+}
+
+TEST(MultiHost, TwoSessionsGetTheirOwnResponses) {
+  Farm farm(one_shared_shard());
+  const Farm::SessionId a = farm.create_session();
+  const Farm::SessionId b = farm.create_session();
+  ASSERT_EQ(farm.shard_of(a), farm.shard_of(b));
+
+  // Sessions partition the register file: A uses r1..r3, B uses r4..r6.
+  std::vector<msg::Response> ra;
+  std::vector<msg::Response> rb;
+  std::thread cpu_a([&] {
+    ra = farm.submit(a, isa::Assembler::assemble(R"(
+      PUT r1, #10
+      PUT r2, #20
+      ADD r3, r1, r2
+      GET r3
+    )")).get();
+  });
+  std::thread cpu_b([&] {
+    rb = farm.submit(b, isa::Assembler::assemble(R"(
+      PUT r4, #100
+      PUT r5, #1
+      SUB r6, r4, r5
+      GET r6
+    )")).get();
+  });
+  cpu_a.join();
+  cpu_b.join();
+  ASSERT_EQ(ra.size(), 1u);
+  ASSERT_EQ(rb.size(), 1u);
+  EXPECT_EQ(ra[0].payload, 30u);
+  EXPECT_EQ(rb[0].payload, 99u);
+}
+
+/// B has queued work; A's blocking call still completes with its own
+/// result, and B's later read sees B's earlier computation.
+TEST(MultiHost, SessionCallBlocksForItsOwnResults) {
+  Farm farm(one_shared_shard());
+  const Farm::SessionId a = farm.create_session();
+  const Farm::SessionId b = farm.create_session();
+
+  auto queued = farm.submit(
+      b, isa::Assembler::assemble("PUT r8, #1\nPUT r9, #2\nADD r10, r8, r9"));
+  const auto responses =
+      farm.submit(a, isa::Assembler::assemble("PUT r1, #7\nGET r1")).get();
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].payload, 7u);
+  const auto rb = farm.submit(b, isa::Assembler::assemble("GET r10")).get();
+  ASSERT_EQ(rb.size(), 1u);
+  EXPECT_EQ(rb[0].payload, 3u);
+  EXPECT_TRUE(queued.get().empty());  // pure writes: no responses
+}
+
+/// Six CPUs, each a thread with its own session and its own registers,
+/// run ten jobs each on one shard; every result is the session's own.
+TEST(MultiHost, ManySessionsInterleaveWithoutCrosstalk) {
+  constexpr int kSessions = 6;
+  constexpr int kRounds = 10;
+  FarmConfig fc = one_shared_shard();
+  fc.transport.window = 8;
+  fc.system.rtm.data_regs = 64;
+  Farm farm(fc);
+
+  std::vector<Farm::SessionId> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.push_back(farm.create_session());
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> cpus;
+  for (int s = 0; s < kSessions; ++s) {
+    cpus.emplace_back([&, s] {
+      // Session s owns registers 8s .. 8s+2.
+      const int base = 8 * s;
+      for (int r = 0; r < kRounds; ++r) {
+        char src[256];
+        std::snprintf(src, sizeof src,
+                      "PUT r%d, #%d\nPUT r%d, #%d\nADD r%d, r%d, r%d\nGET r%d\n",
+                      base, 1000 * r + s, base + 1, s, base + 2, base,
+                      base + 1, base + 2);
+        const auto got = farm.submit(sessions[static_cast<std::size_t>(s)],
+                                     isa::Assembler::assemble(src))
+                             .get();
+        if (got.size() != 1 ||
+            got[0].payload != static_cast<isa::Word>(1000 * r + 2 * s)) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& t : cpus) {
+    t.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+/// Whatever the interleaving, every session sees exactly its own
+/// responses, in its own issue order.  Five CPU threads each submit forty
+/// PUT/GET jobs on one register with session-tagged values, without
+/// waiting, yielding a seeded random number of times between submits.
+TEST(MultiHost, FuzzedInterleavingPreservesPerSessionStreams) {
+  constexpr std::size_t kSessions = 5;
+  constexpr std::size_t kPairs = 40;
+  FarmConfig fc = one_shared_shard();
+  fc.transport.window = 8;
+  fc.queue_capacity = kSessions * kPairs;
+  fc.system.rtm.data_regs = 16;
+  Farm farm(fc);
+
+  std::vector<Farm::SessionId> sessions;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    sessions.push_back(farm.create_session());
+  }
+  std::mutex m;
+  std::condition_variable cv;
+  std::vector<std::vector<isa::Word>> got(kSessions);
+  std::size_t done = 0;
+  std::vector<std::thread> cpus;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    cpus.emplace_back([&, s] {
+      Xoshiro256 rng(0x5e55 + s);
+      for (std::size_t i = 0; i < kPairs; ++i) {
+        isa::Program p;
+        p.emit_put(static_cast<isa::RegNum>(s + 1), (s << 16) | i);
+        isa::Instruction get;
+        get.function = isa::fc::kRtm;
+        get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+        get.src1 = static_cast<isa::RegNum>(s + 1);
+        p.emit(get);
+        farm.submit_async(
+            sessions[s], std::move(p),
+            [&, s](std::vector<msg::Response> rs, std::exception_ptr err) {
+              std::lock_guard<std::mutex> lk(m);
+              got[s].push_back(err || rs.size() != 1 ? ~isa::Word{0}
+                                                     : rs[0].payload);
+              ++done;
+              cv.notify_all();
+            });
+        for (std::uint64_t y = rng.below(4); y > 0; --y) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (std::thread& t : cpus) {
+    t.join();
+  }
+  {
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, [&] { return done == kSessions * kPairs; });
+  }
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    ASSERT_EQ(got[s].size(), kPairs);
+    for (std::size_t i = 0; i < kPairs; ++i) {
+      ASSERT_EQ(got[s][i], (s << 16) | i)
+          << "session " << s << " response " << i;
+    }
+  }
+}
+
+/// With a downlink that fits one instruction at a time, two loaded
+/// sessions drain in lockstep and an idle third session between them
+/// neither receives anything nor unbalances the rotation.  The jobs are
+/// queued by a kick-off job's callback on an inline farm, all of session
+/// A's ahead of all of session C's, so plain FIFO would serve A first.
+TEST(MultiHost, BoundedLinkRoundRobinStaysFair) {
+  constexpr std::size_t kGets = 24;
+  FarmConfig fc;
+  fc.shards = 0;  // inline: the queue is fixed when the step starts
+  fc.transport.window = 4;
+  fc.queue_capacity = 2 * kGets;
+  fc.system.rtm.data_regs = 8;
+  fc.system.link_down_capacity = 2;  // one GET (2 link words) fits at a time
+  Farm farm(fc);
+  const Farm::SessionId a = farm.create_session();
+  const Farm::SessionId b = farm.create_session();  // stays idle
+  const Farm::SessionId c = farm.create_session();
+
+  const auto get_of = [](isa::RegNum reg) {
+    isa::Program p;
+    isa::Instruction get;
+    get.function = isa::fc::kRtm;
+    get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+    get.src1 = reg;
+    p.emit(get);
+    return p;
+  };
+  std::string order;
+  const auto record = [&](char tag) {
+    return [&order, tag](std::vector<msg::Response> rs, std::exception_ptr err) {
+      order.push_back(err || rs.size() != 1 ? '!' : tag);
+    };
+  };
+  farm.submit_async(isa::Program{},
+                    [&](std::vector<msg::Response>, std::exception_ptr) {
+                      for (std::size_t i = 0; i < kGets; ++i) {
+                        farm.submit_async(a, get_of(1), record('a'));
+                      }
+                      for (std::size_t i = 0; i < kGets; ++i) {
+                        farm.submit_async(c, get_of(2), record('c'));
+                      }
+                    });
+  ASSERT_EQ(order.size(), 2 * kGets) << order;
+  std::size_t a_done = 0;
+  std::size_t c_done = 0;
+  for (const char tag : order) {
+    a_done += tag == 'a';
+    c_done += tag == 'c';
+    EXPECT_LE(a_done > c_done ? a_done - c_done : c_done - a_done, 1u)
+        << order;
+  }
+  EXPECT_EQ(a_done, kGets) << order;
+  EXPECT_EQ(c_done, kGets) << order;
+  EXPECT_EQ(farm.in_flight(b), 0u);
+}
+
+/// A faulting CPU's error-only jobs share the shard's windows with a
+/// healthy CPU's jobs: the error response reaches only the faulting
+/// session's job, and the healthy session gets only data.
+TEST(MultiHost, ErrorResponsesRouteToTheFaultingSession) {
+  constexpr std::size_t kRounds = 8;
+  Farm farm(one_shared_shard());
+  const Farm::SessionId good = farm.create_session();
+  const Farm::SessionId bad = farm.create_session();
+  const isa::Program error_only = isa::Assembler::assemble("GET r200");
+
+  std::atomic<int> wrong{0};
+  std::thread faulting([&] {
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      const auto rs = farm.submit(bad, error_only).get();
+      if (rs.size() != 1 || rs[0].type != msg::Response::Type::kError) {
+        ++wrong;
+      }
+    }
+  });
+  std::thread healthy([&] {
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      const auto rs =
+          farm.submit(good, isa::Assembler::assemble(
+                                "PUT r1, #" + std::to_string(5 + i) +
+                                "\nGET r1"))
+              .get();
+      if (rs.size() != 1 || rs[0].type != msg::Response::Type::kData ||
+          rs[0].payload != 5 + i) {
+        ++wrong;
+      }
+    }
+  });
+  faulting.join();
+  healthy.join();
+  EXPECT_EQ(wrong.load(), 0);
+  farm.shutdown();
+  EXPECT_EQ(farm.counters().get("farm.jobs_failed"), 0u);
 }
 
 }  // namespace

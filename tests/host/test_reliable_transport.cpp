@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "host/reference_model.hpp"
@@ -460,6 +461,475 @@ TEST(ReliableTransport, PipelinedWindowRecoversFromFaults) {
                 transport.counters().get("transport.dup_dropped") +
                 transport.counters().get("transport.stale_dropped"),
             0u);
+}
+
+/// The decoder's wire sequence number is 16 bits and the transport mirrors
+/// it.  Run more than 2^16 groups through a full window of 8, so the wire
+/// seq wraps while groups are outstanding: outstanding entries match their
+/// responses by wire seq alone, so a wrong wrap would mis-route or drop
+/// responses.  Every completion must equal the reference model.
+TEST(ReliableTransport, WireSequenceWrapsInsideAWindow) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  TransportConfig tcfg;
+  tcfg.window = 8;
+  ReliableTransport transport(copro, tcfg);
+
+  // Sixteen self-contained PUT/GET/GETV programs of six groups each, over
+  // rotating register pairs; each reads only what it wrote.
+  constexpr std::size_t kKinds = 16;
+  std::vector<isa::Program> kinds;
+  std::vector<std::vector<msg::Response>> expected;
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    std::string a = "r";  // not "r" + ...: GCC 12 -Werror=restrict
+    a += std::to_string(1 + 2 * (k % 5));
+    std::string b = "r";
+    b += std::to_string(2 + 2 * (k % 5));
+    kinds.push_back(isa::Assembler::assemble(
+        "PUT " + a + ", #" + std::to_string(1000 + k) + "\nPUT " + b +
+        ", #" + std::to_string(2000 + k) + "\nGET " + a + "\nGETV " + a +
+        ", 2\nPUT " + a + ", #" + std::to_string(3000 + k) + "\nGET " + a));
+    expected.push_back(ReferenceModel(small_rtm()).run(kinds.back()));
+  }
+  const std::size_t groups_per_program = split_groups(kinds[0]).size();
+  ASSERT_EQ(groups_per_program, 6u);
+  const std::size_t programs = (std::size_t{1} << 16) / groups_per_program + 64;
+
+  std::map<ReliableTransport::ProgramId, std::size_t> kind_of;
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+  std::size_t mismatches = 0;
+  copro.pump().run_until(
+      [&] {
+        while (submitted < programs && !transport.window_full()) {
+          kind_of[transport.submit(kinds[submitted % kKinds])] =
+              submitted % kKinds;
+          ++submitted;
+        }
+        transport.service();
+        while (auto c = transport.poll_completed()) {
+          const auto it = kind_of.find(c->id);
+          if (it == kind_of.end() || c->responses != expected[it->second]) {
+            ++mismatches;
+          }
+          if (it != kind_of.end()) {
+            kind_of.erase(it);
+          }
+          ++completed;
+        }
+        return completed == programs;
+      },
+      Deadline(sys.simulator(), 100'000'000), "sequence wrap test");
+
+  EXPECT_GT(programs * groups_per_program, std::size_t{1} << 16);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(kind_of.empty());
+  EXPECT_EQ(transport.counters().get("transport.stale_dropped"), 0u);
+  EXPECT_EQ(transport.counters().get("transport.retries"), 0u);
+}
+
+// -- Programs sharing one window ----------------------------------------------
+//
+// Several plain programs in one window: each is laid out and flown on its
+// own (one program, one flight), and the per-register write barrier orders
+// them on the wire.  The FrameLayout suite pins the per-program layout; the
+// Coalescing suite pins what programs must get right when they share a
+// window — empty and error-only neighbours, GETV bursts at a program
+// boundary, conflicting writes, streaming, faults and cycle cost.
+
+/// Sum of a layout's predicted responses.
+std::size_t predicted_responses(const FrameLayout& frame) {
+  std::size_t n = 0;
+  for (const ResponsePrediction& p : frame.predictions) {
+    n += p.count;
+  }
+  return n;
+}
+
+/// An error-only program: a GET of an out-of-range register answers with
+/// exactly one error response.
+isa::Program error_only_program() {
+  isa::Instruction bad;
+  bad.function = isa::fc::kRtm;
+  bad.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+  bad.src1 = 100;  // >= data_regs
+  isa::Program p;
+  p.emit(bad);
+  return p;
+}
+
+/// Submit `programs` as plain programs through the transport's window,
+/// refilling it as programs complete, and pump until all have completed.
+/// Returns each program's responses in submission order.
+std::vector<std::vector<msg::Response>> run_window(
+    top::System& sys, Coprocessor& copro, ReliableTransport& transport,
+    const std::vector<isa::Program>& programs) {
+  std::vector<ReliableTransport::ProgramId> ids;
+  std::map<ReliableTransport::ProgramId, std::vector<msg::Response>> got;
+  std::size_t next = 0;
+  copro.pump().run_until(
+      [&] {
+        while (next < programs.size() && !transport.window_full()) {
+          ids.push_back(transport.submit(programs[next++]));
+        }
+        transport.service();
+        while (auto c = transport.poll_completed()) {
+          got[c->id] = std::move(c->responses);
+        }
+        return got.size() == programs.size();
+      },
+      Deadline(sys.simulator(), 100'000'000), "shared window test");
+  std::vector<std::vector<msg::Response>> out;
+  for (const auto id : ids) {
+    out.push_back(std::move(got[id]));
+  }
+  return out;
+}
+
+/// A transport whose window holds `window` programs at once.
+TransportConfig window_of(std::size_t window) {
+  TransportConfig tcfg;
+  tcfg.window = window;
+  return tcfg;
+}
+
+/// One recycled layout takes one program after another: each assign
+/// replaces the groups, predictions and effects, whose entries line up one
+/// for one and whose groups cover the program's words exactly.
+TEST(FrameLayout, MembersCoverConcatenatedGroupsExactly) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+
+  const isa::Program a = isa::Assembler::assemble("PUT r1, #5\nGET r1");
+  const isa::Program empty;  // zero groups, zero responses
+  const isa::Program b = isa::Assembler::assemble("GETV r2, 3\nPUT r3, #7");
+
+  FrameLayout frame;
+  const auto lay_out = [&](const isa::Program& p) {
+    frame.assign(p, sys.rtm().config(), sys.rtm().table());
+    EXPECT_EQ(frame.words, p.words());
+    ASSERT_EQ(frame.predictions.size(), frame.groups.size());
+    ASSERT_EQ(frame.effects.size(), frame.groups.size());
+    std::size_t next_word = 0;
+    for (const InstructionGroup& g : frame.groups) {
+      EXPECT_EQ(g.first_word, next_word);
+      EXPECT_GE(g.word_count, 1u);
+      next_word += g.word_count;
+    }
+    EXPECT_EQ(next_word, frame.words.size());
+  };
+
+  lay_out(a);
+  EXPECT_EQ(frame.groups.size(), 2u);
+  EXPECT_EQ(predicted_responses(frame), 1u);  // PUT 0 + GET 1
+
+  // An empty program leaves nothing of its predecessor behind.
+  lay_out(empty);
+  EXPECT_TRUE(frame.groups.empty());
+  EXPECT_EQ(predicted_responses(frame), 0u);
+
+  lay_out(b);
+  ASSERT_EQ(frame.groups.size(), 2u);
+  EXPECT_EQ(predicted_responses(frame), 3u);  // GETV burst of 3
+
+  // Effects line up with the groups: the GETV reads r2..r4, the PUT writes
+  // r3 — the write-read conflict the write barrier must see.
+  const GroupEffects& getv = frame.effects[0];
+  const GroupEffects& put = frame.effects[1];
+  ASSERT_TRUE(getv.exact);
+  ASSERT_TRUE(put.exact);
+  EXPECT_TRUE(getv.data_reads.test(2));
+  EXPECT_TRUE(getv.data_reads.test(3));
+  EXPECT_TRUE(getv.data_reads.test(4));
+  EXPECT_TRUE(put.data_writes.test(3));
+  EXPECT_TRUE(put.writes_conflict_with_reads_of(getv));
+}
+
+/// A recycled layout's predicted response total equals what a fresh
+/// reference machine produces for each program alone (counts are
+/// state-free), faulting instructions included.
+TEST(FrameLayout, PredictionsMatchReferenceCountsPerMember) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  FrameLayout frame;
+  for (std::uint64_t seed = 301; seed <= 306; ++seed) {
+    const isa::Program p = fpgafu::testing::random_program(
+        small_rtm(), seed, {.instructions = 12, .include_errors = true});
+    frame.assign(p, sys.rtm().config(), sys.rtm().table());
+    EXPECT_EQ(frame.groups.size(), split_groups(p).size()) << "seed " << seed;
+    EXPECT_EQ(predicted_responses(frame),
+              ReferenceModel(small_rtm()).run(p).size())
+        << "seed " << seed;
+  }
+}
+
+/// Empty and error-only programs share the window with ordinary ones: a
+/// zero-group program completes at once, and an error must not
+/// desynchronise its window neighbours.  Every completion equals what
+/// sequential call()s produce.
+TEST(Coalescing, FrameMatchesSequentialCallsIncludingEmptyAndErrorMembers) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro, window_of(4));
+
+  top::System seq_sys(cfg);
+  Coprocessor seq_copro(seq_sys);
+  ReliableTransport seq_transport(seq_copro);
+
+  std::vector<isa::Program> programs;
+  programs.push_back(isa::Assembler::assemble("PUT r1, #11\nGET r1"));
+  programs.push_back(isa::Program{});  // empty program mid-window
+  programs.push_back(error_only_program());
+  programs.push_back(
+      isa::Assembler::assemble("PUT r2, #7\nADD r3, r1, r2\nGET r3"));
+
+  std::vector<std::vector<msg::Response>> expected;
+  for (const isa::Program& p : programs) {
+    expected.push_back(seq_transport.call(p));
+  }
+  ASSERT_TRUE(expected[1].empty());
+  ASSERT_EQ(expected[2].size(), 1u);
+  ASSERT_EQ(expected[2][0].type, msg::Response::Type::kError);
+
+  const auto got = run_window(sys, copro, transport, programs);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "program " << i;
+  }
+  EXPECT_EQ(transport.in_flight(), 0u);
+  EXPECT_EQ(transport.counters().get("transport.failures"), 0u);
+}
+
+/// Program A ends in a GETV burst and program B, in the same window, at
+/// once writes into the burst's source range: the per-register barrier
+/// must hold B's PUT until A's reads retire, and the burst and B's
+/// response must land in their own completions.
+TEST(Coalescing, GetvBurstAtMemberBoundaryStaysAligned) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro, window_of(2));
+
+  top::System seq_sys(cfg);
+  Coprocessor seq_copro(seq_sys);
+  ReliableTransport seq_transport(seq_copro);
+
+  std::vector<isa::Program> programs;
+  programs.push_back(isa::Assembler::assemble(R"(
+    PUTV r2, 3
+    .word #10
+    .word #20
+    .word #30
+    GETV r2, 3
+  )"));
+  programs.push_back(isa::Assembler::assemble("PUT r3, #99\nGET r3"));
+
+  std::vector<std::vector<msg::Response>> expected;
+  for (const isa::Program& p : programs) {
+    expected.push_back(seq_transport.call(p));
+  }
+  const auto got = run_window(sys, copro, transport, programs);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], expected[0]);
+  EXPECT_EQ(got[1], expected[1]);
+  ASSERT_EQ(got[0].size(), 3u);
+  EXPECT_EQ(got[0][1].payload, 20u);  // A read r3 before B overwrote it
+  ASSERT_EQ(got[1].size(), 1u);
+  EXPECT_EQ(got[1][0].payload, 99u);  // B's write really landed after A read
+}
+
+/// A read, a conflicting write and a read again of the SAME register as
+/// three programs of one window: the first read sees the old value, the
+/// second the new one (the barrier only reorders register-disjoint
+/// traffic).
+TEST(Coalescing, IntraFrameWriteOrderIsPreservedOnConflicts) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro, window_of(3));
+
+  std::vector<isa::Program> programs;
+  programs.push_back(isa::Assembler::assemble("GET r1"));       // old r1
+  programs.push_back(isa::Assembler::assemble("PUT r1, #42"));  // conflicts
+  programs.push_back(isa::Assembler::assemble("GET r1"));       // reads 42
+
+  const auto got = run_window(sys, copro, transport, programs);
+  ASSERT_EQ(got.size(), 3u);
+  ASSERT_EQ(got[0].size(), 1u);
+  EXPECT_EQ(got[0][0].payload, 0u);  // pre-write value
+  EXPECT_TRUE(got[1].empty());       // pure write: response-free completion
+  ASSERT_EQ(got[2].size(), 1u);
+  EXPECT_EQ(got[2][0].payload, 42u);
+}
+
+/// A streamed program shares the window with plain neighbours: only its
+/// responses surface as stream events, they equal its completion, and
+/// the neighbours complete with their own responses.
+TEST(Coalescing, StreamedMemberInterleavesWithItsNeighbours) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro, window_of(3));
+
+  const isa::Program a = isa::Assembler::assemble("PUT r1, #3\nGET r1");
+  const isa::Program b =
+      isa::Assembler::assemble("PUT r2, #4\nGET r2\nGETV r1, 2");
+  const isa::Program c = isa::Assembler::assemble("PUT r3, #5\nGET r3");
+  const std::vector<ReliableTransport::ProgramId> ids = {
+      transport.submit(a), transport.submit(b, std::nullopt, /*stream=*/true),
+      transport.submit(c)};
+  std::vector<msg::Response> streamed;
+  std::map<ReliableTransport::ProgramId, std::vector<msg::Response>> got;
+  copro.pump().run_until(
+      [&] {
+        transport.service();
+        while (auto e = transport.poll_stream()) {
+          EXPECT_EQ(e->id, ids[1]);  // only the streaming program surfaces
+          streamed.push_back(e->response);
+        }
+        while (auto comp = transport.poll_completed()) {
+          got[comp->id] = std::move(comp->responses);
+        }
+        return got.size() == ids.size();
+      },
+      Deadline(sys.simulator(), 10'000'000), "shared window stream test");
+  ASSERT_EQ(streamed.size(), 3u);
+  EXPECT_EQ(streamed, got[ids[1]]);
+  EXPECT_EQ(streamed[0].payload, 4u);
+  EXPECT_EQ(streamed[1].payload, 3u);  // a's write landed before b's GETV
+  ASSERT_EQ(got[ids[0]].size(), 1u);
+  EXPECT_EQ(got[ids[0]][0].payload, 3u);
+  ASSERT_EQ(got[ids[2]].size(), 1u);
+  EXPECT_EQ(got[ids[2]][0].payload, 5u);
+}
+
+/// Programs of one window chain through the SAME registers over a lossy
+/// upstream link, so retried reads are only correct if the barrier really
+/// held the conflicting writes of their window neighbours.
+TEST(Coalescing, FaultyLinkRecoversBitExactAcrossConflictingMembers) {
+  std::uint64_t total_retries = 0;
+  for (std::uint64_t seed = 501; seed <= 505; ++seed) {
+    top::SystemConfig cfg;
+    cfg.rtm = small_rtm();
+    msg::FaultConfig f;
+    f.seed = seed;
+    f.up.drop_ppm = 50'000;
+    f.up.corrupt_ppm = 50'000;
+    f.up.duplicate_ppm = 50'000;
+    cfg.link_faults = f;
+    top::System sys(cfg);
+    Coprocessor copro(sys);
+    TransportConfig tcfg = window_of(6);
+    tcfg.response_timeout = 500;
+    tcfg.max_attempts = 25;
+    ReliableTransport transport(copro, tcfg);
+
+    top::SystemConfig clean_cfg;
+    clean_cfg.rtm = small_rtm();
+    top::System seq_sys(clean_cfg);
+    Coprocessor seq_copro(seq_sys);
+    ReliableTransport seq_transport(seq_copro);
+
+    std::vector<isa::Program> programs;
+    for (int i = 0; i < 6; ++i) {
+      programs.push_back(isa::Assembler::assemble(
+          "PUT r1, #" + std::to_string(10 + i) +
+          "\nADD r2, r1, r1\nGET r2\nGET r1"));
+    }
+    std::vector<std::vector<msg::Response>> expected;
+    for (const isa::Program& p : programs) {
+      expected.push_back(seq_transport.call(p));
+    }
+    const auto got = run_window(sys, copro, transport, programs);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i]) << "seed " << seed << " program " << i;
+    }
+    EXPECT_EQ(transport.counters().get("transport.failures"), 0u);
+    total_retries += transport.counters().get("transport.retries") +
+                     transport.counters().get("transport.dup_dropped") +
+                     transport.counters().get("transport.stale_dropped");
+  }
+  EXPECT_GT(total_retries, 0u);  // the fault machinery actually fired
+}
+
+/// Twelve register-disjoint write+compute+read programs, once through a
+/// window of 16 and once one at a time.  The per-register barrier finds no
+/// conflicts, so the window streams them back to back: the responses are
+/// identical and the window needs well under the sequential cycle count.
+TEST(Coalescing, DisjointMembersUncoalescedWindowMatchesTheFrameOnCycles) {
+  top::SystemConfig cfg;  // default RTM: 32 data registers
+  std::vector<isa::Program> programs;
+  for (int i = 0; i < 12; ++i) {
+    std::string a = "r";  // not "r" + ...: GCC 12 -Werror=restrict
+    a += std::to_string(1 + 2 * i);
+    std::string b = "r";
+    b += std::to_string(2 + 2 * i);
+    programs.push_back(isa::Assembler::assemble(
+        "PUT " + a + ", #" + std::to_string(100 + i) + "\nADD " + b + ", " +
+        a + ", " + a + "\nGET " + b));
+  }
+  const auto run = [&](std::size_t window, std::uint64_t& cycles) {
+    top::System sys(cfg);
+    Coprocessor copro(sys);
+    ReliableTransport transport(copro, window_of(window));
+    const std::uint64_t start = sys.simulator().cycle();
+    auto got = run_window(sys, copro, transport, programs);
+    cycles = sys.simulator().cycle() - start;
+    return got;
+  };
+  std::uint64_t windowed_cycles = 0;
+  std::uint64_t sequential_cycles = 0;
+  const auto windowed = run(16, windowed_cycles);
+  const auto sequential = run(1, sequential_cycles);
+
+  ASSERT_EQ(windowed.size(), programs.size());
+  ASSERT_EQ(sequential.size(), programs.size());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    EXPECT_EQ(windowed[i], sequential[i]) << "program " << i;
+    ASSERT_EQ(windowed[i].size(), 1u);
+    EXPECT_EQ(windowed[i][0].payload, 2u * (100 + i));
+  }
+  EXPECT_LE(windowed_cycles * 10, sequential_cycles * 6)
+      << "windowed " << windowed_cycles << " vs sequential "
+      << sequential_cycles;
+}
+
+/// A window of one holds one program — an empty program too — and a full
+/// window refuses the next submit with a typed error instead of queueing
+/// it.
+TEST(Coalescing, RejectsEmptyAndOversubmission) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro, window_of(1));
+  const isa::Program p = isa::Assembler::assemble("PUT r1, #1");
+
+  const auto empty_id = transport.submit(isa::Program{});
+  EXPECT_TRUE(transport.window_full());
+  EXPECT_THROW(transport.submit(p), SimError);
+  transport.service();  // a zero-group program completes at once
+  const auto done = transport.poll_completed();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->id, empty_id);
+  EXPECT_TRUE(done->responses.empty());
+  EXPECT_FALSE(transport.window_full());
+
+  transport.submit(p);
+  EXPECT_TRUE(transport.window_full());
+  EXPECT_THROW(transport.submit(p), SimError);
+  transport.abort_in_flight();
+  EXPECT_FALSE(transport.window_full());
 }
 
 /// Regression for the frame-state reset hole: a system reset (or watchdog
