@@ -12,16 +12,24 @@
 // converge to a hit rate near 1 after the cold loads.  CI's perf-smoke step
 // asserts both ends of that curve from the JSON artifact.
 //
-// Second axis: the replacement policy (LRU vs GreedyDual-style cost-aware),
-// over images with deliberately unequal load_cycles so the policies can
-// actually disagree.  Every job's responses are checked bit-identically
-// against host::ReferenceModel.
+// Two more axes: the victim rule (LRU, or cost-aware GreedyDual), over
+// images with deliberately unequal load_cycles so the two can disagree;
+// and where the hot set sits — on the two images cheapest to reload, or on
+// the two dearest.  Each row sums kDraws tenant mixes, seeded from the
+// slot budget and the draw index only, so both victim rules see the same
+// tenants.  Every row runs a fixed iteration count and starts each
+// iteration from one kick-off job per draw whose callback submits the
+// rest, so its counters and latency percentiles are deterministic.  Every
+// job's responses are checked bit-identically against
+// host::ReferenceModel.
 
 #include <benchmark/benchmark.h>
 
+#include <condition_variable>
 #include <cstdint>
-#include <future>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -86,6 +94,7 @@ std::vector<host::AlgorithmImage> catalogue() {
           image_of("trig", isa::fc::kTrig, 600)};
 }
 
+/// In catalogue order: from cheapest to dearest to reload.
 const char* const kImageNames[] = {"arith",  "logic", "shift",
                                    "muldiv", "float", "trig"};
 
@@ -137,102 +146,156 @@ struct Tenant {
 
 constexpr std::size_t kTenants = 24;
 constexpr std::size_t kJobsPerTenantPerIteration = 2;
+constexpr std::size_t kJobsPerIteration =
+    kTenants * kJobsPerTenantPerIteration;
+/// Tenant mixes summed into every row.
+constexpr std::size_t kDraws = 12;
+/// Iterations per row; each iteration runs kJobsPerIteration jobs on every
+/// draw.
+constexpr int kIterations = 25;
 
-/// Skewed required-set draw: 80% of tenants work a two-image hot set; the
-/// rest wander the cold tail, which is what forces replacement once the
-/// budget is smaller than the catalogue.
-std::vector<std::string> draw_required(Xoshiro256& rng) {
-  std::vector<std::string> required;
-  const std::size_t first =
-      rng.chance(4, 5) ? rng.below(2) : 2 + rng.below(4);
-  required.push_back(kImageNames[first]);
+/// Skewed required-set draw: 80% of picks land on a two-image hot set; the
+/// rest wander the four-image cold tail, which is what forces replacement
+/// once the budget is smaller than the catalogue.  The hot set is the two
+/// images cheapest to reload, or (`dear_hot`) the two dearest.
+std::vector<std::string> draw_required(Xoshiro256& rng, bool dear_hot) {
+  const auto pick = [&] {
+    const std::size_t i = rng.chance(4, 5) ? rng.below(2) : 2 + rng.below(4);
+    return kImageNames[dear_hot ? 5 - i : i];
+  };
+  std::vector<std::string> required = {pick()};
   if (rng.chance(1, 3)) {
-    const std::size_t second =
-        rng.chance(4, 5) ? rng.below(2) : 2 + rng.below(4);
-    if (kImageNames[second] != required.front()) {
-      required.push_back(kImageNames[second]);
+    const std::string second = pick();
+    if (second != required.front()) {
+      required.push_back(second);
     }
   }
   return required;
 }
 
-/// Jobs/s and cache counters at a slot budget of `state.range(0)` with
-/// policy `state.range(1)` (0 = LRU, 1 = cost-aware), one shard so every
-/// tenant contends for the same manager.
+/// One tenant mix on its own one-shard farm, so every tenant of the mix
+/// contends for the same manager.
+struct Draw {
+  std::unique_ptr<host::Farm> farm;
+  std::vector<Tenant> tenants;
+};
+
+Draw make_draw(const host::FarmConfig& fc, std::size_t slots, bool dear_hot,
+               std::size_t index) {
+  Draw d;
+  d.farm = std::make_unique<host::Farm>(fc);
+  Xoshiro256 rng(0xa190d'0000 + 16 * slots + index);
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    Tenant tenant;
+    const std::vector<std::string> required = draw_required(rng, dear_hot);
+    tenant.session = d.farm->create_session(required);
+    tenant.program = program_for(required, rng.next());
+    tenant.expected = host::ReferenceModel(fc.system.rtm).run(tenant.program);
+    d.tenants.push_back(std::move(tenant));
+  }
+  return d;
+}
+
+/// Cache counters, simulated cycles per job and jobs/s at a slot budget of
+/// `state.range(0)`, victim rule `state.range(1)` (0 = LRU, 1 = cost-aware)
+/// and hot set `state.range(2)` (0 = cheap, 1 = dear), summed over kDraws
+/// tenant mixes.
 void BM_AlgodSlotSweep(benchmark::State& state) {
   const std::size_t slots = static_cast<std::size_t>(state.range(0));
   const bool cost_aware = state.range(1) != 0;
+  const bool dear_hot = state.range(2) != 0;
   host::FarmConfig fc;
   fc.shards = 1;
   fc.system = bare_system();
   fc.transport.window = 4;
-  fc.queue_capacity = 2 * kTenants * kJobsPerTenantPerIteration;
+  fc.queue_capacity = 2 * kJobsPerIteration;
   fc.fu_images = catalogue();
   fc.fu_slots = slots;
-  if (cost_aware) {
-    fc.fu_policy = [] {
-      return std::static_pointer_cast<host::ReplacementPolicy>(
-          std::make_shared<host::CostAwarePolicy>());
-    };
-  }
-  host::Farm farm(fc);
-
-  Xoshiro256 rng(0xa190d'0000 + slots * 2 + (cost_aware ? 1 : 0));
-  std::vector<Tenant> tenants;
-  for (std::size_t t = 0; t < kTenants; ++t) {
-    Tenant tenant;
-    const std::vector<std::string> required = draw_required(rng);
-    tenant.session = farm.create_session(required);
-    tenant.program = program_for(required, rng.next());
-    host::ReferenceModel model(fc.system.rtm);
-    tenant.expected = model.run(tenant.program);
-    tenants.push_back(std::move(tenant));
+  fc.fu_cost_aware = cost_aware;
+  std::vector<Draw> draws;
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    draws.push_back(make_draw(fc, slots, dear_hot, i));
   }
 
+  std::mutex m;
+  std::condition_variable cv;
   std::uint64_t jobs = 0;
   for (auto _ : state) {
-    std::vector<std::future<std::vector<msg::Response>>> futures;
-    std::vector<std::size_t> who;
-    for (std::size_t round = 0; round < kJobsPerTenantPerIteration; ++round) {
-      for (std::size_t t = 0; t < kTenants; ++t) {
-        futures.push_back(
-            farm.submit(tenants[t].session, tenants[t].program));
-        who.push_back(t);
-      }
+    std::size_t done = 0;
+    std::size_t wrong = 0;
+    const auto on_done = [&](const Tenant& t) {
+      return [&, want = &t.expected](std::vector<msg::Response> rs,
+                                     std::exception_ptr err) {
+        std::lock_guard<std::mutex> lk(m);
+        if (err || rs != *want) {
+          ++wrong;
+        }
+        if (++done == kDraws * kJobsPerIteration) {
+          cv.notify_one();
+        }
+      };
+    };
+    // One kick-off job per draw; its completion callback submits the rest
+    // on the worker thread, so every arrival is keyed to the shard clock.
+    for (Draw& d : draws) {
+      const Tenant& first = d.tenants[0];
+      d.farm->submit_async(
+          first.session, first.program,
+          [&, &d = d](std::vector<msg::Response> rs, std::exception_ptr err) {
+            for (std::size_t i = 1; i < kJobsPerIteration; ++i) {
+              const Tenant& t = d.tenants[i % kTenants];
+              d.farm->submit_async(t.session, t.program, on_done(t));
+            }
+            on_done(d.tenants[0])(std::move(rs), err);
+          });
     }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      if (futures[i].get() != tenants[who[i]].expected) {
-        state.SkipWithError("algod response diverged from ReferenceModel");
-        return;
-      }
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, [&] { return done == kDraws * kJobsPerIteration; });
+    if (wrong != 0) {
+      state.SkipWithError("algod response diverged from ReferenceModel");
+      return;
     }
-    jobs += futures.size();
+    jobs += done;
   }
-  farm.shutdown();  // counters are exact only after shutdown
 
-  const auto counters = farm.counters().all();
-  const auto counter = [&](const char* key) -> double {
-    const auto it = counters.find(key);
-    return it == counters.end() ? 0.0 : static_cast<double>(it->second);
+  sim::Counters totals;
+  std::vector<std::uint64_t> latencies;
+  for (Draw& d : draws) {
+    d.farm->shutdown();  // counters are exact only after shutdown
+    totals.merge(d.farm->counters());
+    const std::vector<std::uint64_t> samples = d.farm->job_latency_samples();
+    latencies.insert(latencies.end(), samples.begin(), samples.end());
+  }
+  const auto counter = [&](const char* key) {
+    return static_cast<double>(totals.get(key));
   };
   const double hits = counter("algod.hits");
   const double misses = counter("algod.misses");
+  const double iterations = static_cast<double>(state.iterations());
   const host::LatencyPercentiles lat =
-      host::latency_percentiles(farm.job_latency_samples());
+      host::latency_percentiles(std::move(latencies));
   state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
   state.counters["slots"] = static_cast<double>(slots);
   state.counters["cost_aware"] = cost_aware ? 1.0 : 0.0;
+  state.counters["dear_hot"] = dear_hot ? 1.0 : 0.0;
+  state.counters["draws"] = static_cast<double>(kDraws);
   state.counters["hits"] = hits;
   state.counters["misses"] = misses;
   state.counters["hit_rate"] =
       hits + misses > 0 ? hits / (hits + misses) : 0.0;
+  state.counters["misses_per_iter"] = misses / iterations;
   state.counters["evictions"] = counter("algod.evictions");
   state.counters["loads"] = counter("algod.loads");
   state.counters["load_cycles"] = counter("algod.load_cycles");
   state.counters["drain_cycles"] = counter("algod.drain_cycles");
+  // Simulated shard cycles per job, summed over the draws: what the victim
+  // rule costs end to end (reloads, plus the window drains before swaps).
+  state.counters["cycles_per_job"] =
+      jobs > 0 ? counter("farm.shard_cycles") / static_cast<double>(jobs)
+               : 0.0;
   // Simulated-cycle job latency distribution (enqueue -> completion) over
-  // the most recent samples; the tail shows what slot pressure costs the
-  // unluckiest tenants, not just the mean.
+  // every draw; the tail shows what slot pressure costs the unluckiest
+  // tenants, not just the mean.
   state.counters["lat_p50"] = static_cast<double>(lat.p50);
   state.counters["lat_p95"] = static_cast<double>(lat.p95);
   state.counters["lat_p99"] = static_cast<double>(lat.p99);
@@ -244,14 +307,17 @@ void register_slot_sweep() {
   auto* b = benchmark::RegisterBenchmark("BM_AlgodSlotSweep", BM_AlgodSlotSweep)
                 ->Unit(benchmark::kMillisecond)
                 ->UseRealTime()
-                ->MeasureProcessCPUTime();
+                ->MeasureProcessCPUTime()
+                ->Iterations(kIterations);
   // Slot budgets from heavy pressure (a third of the catalogue) to
-  // everything-resident, under both policies.  slots=6 fits all six
-  // images: after the cold loads every probe is a hit and evictions
-  // stay at zero — the floor CI asserts.
+  // everything-resident, under both victim rules and both hot sets.
+  // slots=6 fits all six images: after the cold loads every probe is a
+  // hit and evictions stay at zero — the floor CI asserts.
   for (long slots : {2, 3, 4, 6}) {
-    b->Args({slots, 0});
-    b->Args({slots, 1});
+    for (long dear_hot : {0, 1}) {
+      b->Args({slots, 0, dear_hot});
+      b->Args({slots, 1, dear_hot});
+    }
   }
 }
 
@@ -262,8 +328,9 @@ int main(int argc, char** argv) {
   fpgafu::bench::section(
       "E15", "algorithm-on-demand slot cache (hit rate vs slot budget)");
   fpgafu::bench::note(
-      "six-image catalogue, 24 skewed tenants on one shard; every job "
-      "checked bit-identical against host::ReferenceModel");
+      "six-image catalogue, 24 skewed tenants on one shard, 12 tenant "
+      "mixes per row shared by both victim rules; every job checked "
+      "bit-identical against host::ReferenceModel");
   fpgafu::bench::note(
       "hit_rate = algod.hits / (hits + misses) over the whole run, "
       "including cold loads");

@@ -1,56 +1,51 @@
 #include "host/algod.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <tuple>
 
 #include "util/error.hpp"
 
 namespace fpgafu::host {
 
-namespace {
-
-/// Unit-cache key: image and code, separated by a byte no image name uses.
-std::string cache_key(const std::string& image, isa::FunctionCode code) {
-  return image + '\x1f' + std::to_string(static_cast<unsigned>(code));
+ImageSet image_set(const std::vector<AlgorithmImage>& catalogue,
+                   const std::vector<std::string>& names) {
+  ImageSet set;
+  for (const std::string& name : names) {
+    const auto it =
+        std::find_if(catalogue.begin(), catalogue.end(),
+                     [&](const AlgorithmImage& i) { return i.name == name; });
+    check(it != catalogue.end(), "algod: image '" + name + "' not registered");
+    set.set(static_cast<ImageId>(it - catalogue.begin()));
+  }
+  return set;
 }
 
-}  // namespace
-
-std::string LruPolicy::victim(const std::vector<std::string>& candidates) {
-  check(!candidates.empty(), "lru: no eviction candidates");
-  const std::string* best = &candidates.front();
-  std::uint64_t best_use = std::numeric_limits<std::uint64_t>::max();
-  for (const auto& c : candidates) {
-    const auto it = last_use_.find(c);
-    const std::uint64_t use = it == last_use_.end() ? 0 : it->second;
-    if (use < best_use) {
-      best_use = use;
-      best = &c;
-    }
+void check_image(const AlgorithmImage& image,
+                 std::span<const AlgorithmImage> registered,
+                 std::size_t slots, const rtm::FunctionalUnitTable& table) {
+  check(!image.name.empty(), "algod: image needs a name");
+  check(!image.codes.empty(),
+        "algod: image '" + image.name + "' declares no function codes");
+  check(static_cast<bool>(image.factory),
+        "algod: image '" + image.name + "' needs a factory");
+  check(image.slot_cost() <= slots,
+        "algod: image '" + image.name + "' needs " +
+            std::to_string(image.slot_cost()) + " slots but the budget is " +
+            std::to_string(slots));
+  for (const AlgorithmImage& other : registered) {
+    check(other.name != image.name,
+          "algod: image '" + image.name + "' already registered");
   }
-  return *best;
-}
-
-std::string CostAwarePolicy::victim(
-    const std::vector<std::string>& candidates) {
-  check(!candidates.empty(), "cost: no eviction candidates");
-  const std::string* best = &candidates.front();
-  std::uint64_t best_credit = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t best_touch = std::numeric_limits<std::uint64_t>::max();
-  for (const auto& c : candidates) {
-    const auto it = entries_.find(c);
-    const std::uint64_t credit = it == entries_.end() ? 0 : it->second.credit;
-    const std::uint64_t touch = it == entries_.end() ? 0 : it->second.touch;
-    // Minimum credit wins; at equal credit the older touch is evicted, so
-    // equal-cost workloads order exactly like LRU.
-    if (credit < best_credit ||
-        (credit == best_credit && touch < best_touch)) {
-      best_credit = credit;
-      best_touch = touch;
-      best = &c;
+  for (const auto code : image.codes) {
+    for (const AlgorithmImage& other : registered) {
+      check(std::find(other.codes.begin(), other.codes.end(), code) ==
+                other.codes.end(),
+            "algod: function code already declared by image '" + other.name +
+                "'");
     }
+    check(!table.attached(code),
+          "algod: function code is attached outside the manager");
   }
-  return *best;
 }
 
 void FuLoader::start(std::uint64_t cycles) {
@@ -63,7 +58,7 @@ void FuLoader::start(std::uint64_t cycles) {
 
 FuManager::FuManager(Coprocessor& coproc, FuManagerConfig config)
     : coproc_(&coproc),
-      config_(std::move(config)),
+      config_(config),
       loader_(coproc.system().simulator(), "fu_loader"),
       hits_(stats_.handle("algod.hits")),
       misses_(stats_.handle("algod.misses")),
@@ -72,119 +67,78 @@ FuManager::FuManager(Coprocessor& coproc, FuManagerConfig config)
       load_cycles_(stats_.handle("algod.load_cycles")),
       drain_cycles_(stats_.handle("algod.drain_cycles")) {
   check(config_.slots > 0, "FuManagerConfig::slots must be > 0");
-  if (!config_.policy) {
-    config_.policy = std::make_shared<LruPolicy>();
-  }
 }
 
 void FuManager::register_image(AlgorithmImage image) {
-  check(!image.name.empty(), "algod: image needs a name");
-  check(!image.codes.empty(), "algod: image declares no function codes");
-  check(static_cast<bool>(image.factory), "algod: image needs a factory");
-  check(image.slot_cost() <= config_.slots,
-        "algod: image '" + image.name + "' needs " +
-            std::to_string(image.slot_cost()) + " slots but the budget is " +
-            std::to_string(config_.slots));
-  check(images_.count(image.name) == 0,
-        "algod: image '" + image.name + "' already registered");
-  auto& rtm = coproc_->system().rtm();
+  auto& system = coproc_->system();
+  check_image(image, images_, config_.slots, system.rtm().table());
+  // From registration on, the codes are *known*: instructions for them
+  // error with the retryable kUnitUnavailable, not kUnknownFunction.
   for (const auto code : image.codes) {
-    for (const auto& [other_name, other] : images_) {
-      check(std::find(other.codes.begin(), other.codes.end(), code) ==
-                other.codes.end(),
-            "algod: function code already declared by image '" + other_name +
-                "'");
-    }
-    check(!rtm.table().attached(code),
-          "algod: function code is attached outside the manager");
-    // From registration on, the code is *known*: instructions for it error
-    // with the retryable kUnitUnavailable, not kUnknownFunction.
-    coproc_->system().declare_unavailable(code);
+    system.declare_unavailable(code);
   }
-  const std::string name = image.name;
-  images_.emplace(name, std::move(image));
-  resident_[name] = false;
+  images_.push_back(std::move(image));
+  entries_.emplace_back().units.resize(images_.back().codes.size());
 }
 
-bool FuManager::resident(const std::string& name) const {
-  const auto it = resident_.find(name);
-  return it != resident_.end() && it->second;
-}
-
-std::vector<std::string> FuManager::resident_images() const {
-  std::vector<std::string> out;
-  for (const auto& [name, is_resident] : resident_) {
-    if (is_resident) {
-      out.push_back(name);
-    }
-  }
-  return out;
-}
-
-std::uint64_t FuManager::swap_cost(
-    const std::vector<std::string>& names) const {
-  std::uint64_t cost = 0;
-  for (const auto& name : names) {
-    const auto it = images_.find(name);
-    check(it != images_.end(), "algod: image '" + name + "' not registered");
-    if (!resident(name)) {
-      cost += it->second.load_cycles;
-    }
-  }
-  return cost;
-}
-
-void FuManager::ensure_resident(const std::string& name) {
-  ensure_resident_all({name});
-}
-
-void FuManager::ensure_resident_all(const std::vector<std::string>& names) {
-  std::vector<std::string> missing;
+void FuManager::ensure_resident(const ImageSet& images) {
   std::size_t missing_cost = 0;
-  for (const auto& name : names) {
-    const auto it = images_.find(name);
-    check(it != images_.end(), "algod: image '" + name + "' not registered");
-    if (resident(name)) {
+  for (ImageId id = 0; id < images_.size(); ++id) {
+    if (!images.test(id)) {
+      continue;
+    }
+    if (resident_.test(id)) {
       stats_.bump(hits_);
-      config_.policy->on_hit(name, ++touch_tick_, it->second.load_cycles);
-    } else if (std::find(missing.begin(), missing.end(), name) ==
-               missing.end()) {
-      missing.push_back(name);
-      missing_cost += it->second.slot_cost();
+      touch(id);
+    } else {
+      missing_cost += images_[id].slot_cost();
     }
   }
-  if (missing.empty()) {
+  if (missing_cost == 0) {
     return;
   }
   check(missing_cost <= config_.slots,
         "algod: request needs " + std::to_string(missing_cost) +
             " free slots but the budget is " + std::to_string(config_.slots));
-  make_room(missing_cost, names);
-  for (const auto& name : missing) {
-    stats_.bump(misses_);
-    load(images_.at(name));
+  make_room(missing_cost, images);
+  const ImageSet missing = images & ~resident_;
+  for (ImageId id = 0; id < images_.size(); ++id) {
+    if (missing.test(id)) {
+      stats_.bump(misses_);
+      load(id);
+    }
   }
 }
 
-void FuManager::make_room(std::size_t cost,
-                          const std::vector<std::string>& protect) {
+void FuManager::touch(ImageId id) {
+  Entry& e = entries_[id];
+  e.credit = aging_level_ + (config_.cost_aware ? images_[id].load_cycles : 0);
+  e.touch = ++touch_tick_;
+}
+
+void FuManager::make_room(std::size_t cost, const ImageSet& protect) {
   while (config_.slots - slots_used_ < cost) {
-    std::vector<std::string> candidates;
-    for (const auto& [name, is_resident] : resident_) {
-      if (is_resident && std::find(protect.begin(), protect.end(), name) ==
-                             protect.end()) {
-        candidates.push_back(name);
-      }
-    }
-    check(!candidates.empty(),
+    const ImageSet candidates = resident_ & ~protect;
+    check(candidates.any(),
           "algod: cannot make room — every resident image is part of the "
           "request (slot budget too small for the required set)");
-    evict(config_.policy->victim(candidates));
+    // The lowest (credit, touch) loses.  Touch ticks are unique, so the
+    // victim is too; at uniform credit the oldest touch loses (LRU).
+    ImageId victim = images_.size();
+    for (ImageId id = 0; id < images_.size(); ++id) {
+      if (candidates.test(id) &&
+          (victim == images_.size() ||
+           std::tie(entries_[id].credit, entries_[id].touch) <
+               std::tie(entries_[victim].credit, entries_[victim].touch))) {
+        victim = id;
+      }
+    }
+    evict(victim);
   }
 }
 
-void FuManager::evict(const std::string& name) {
-  AlgorithmImage& image = images_.at(name);
+void FuManager::evict(ImageId id) {
+  const AlgorithmImage& image = images_[id];
   auto& system = coproc_->system();
   for (const auto code : image.codes) {
     system.begin_detach(code);
@@ -201,18 +155,19 @@ void FuManager::evict(const std::string& name) {
                            });
       },
       Deadline(system.simulator(), kDefaultCallBudgetCycles),
-      "algod: drain '" + name + "'");
+      "algod: drain '" + image.name + "'");
   stats_.bump(drain_cycles_, spent);
   for (const auto code : image.codes) {
     system.finish_detach(code);
   }
-  resident_[name] = false;
+  resident_.reset(id);
   slots_used_ -= image.slot_cost();
   stats_.bump(evictions_);
-  config_.policy->on_evict(name);
+  aging_level_ = std::max(aging_level_, entries_[id].credit);
 }
 
-void FuManager::load(AlgorithmImage& image) {
+void FuManager::load(ImageId id) {
+  const AlgorithmImage& image = images_[id];
   auto& system = coproc_->system();
   // Charge the partial-reconfiguration latency on the simulated clock: the
   // loader stays busy for load_cycles, so the swap shows up in cycle
@@ -225,22 +180,19 @@ void FuManager::load(AlgorithmImage& image) {
         "algod: load '" + image.name + "'");
     stats_.bump(load_cycles_, spent);
   }
-  for (const auto code : image.codes) {
-    const std::string key = cache_key(image.name, code);
-    auto it = unit_cache_.find(key);
-    if (it == unit_cache_.end()) {
-      it = unit_cache_
-               .emplace(key, image.factory(system.simulator(), code))
-               .first;
-      check(it->second != nullptr,
+  auto& units = entries_[id].units;
+  for (std::size_t i = 0; i < image.codes.size(); ++i) {
+    if (!units[i]) {
+      units[i] = image.factory(system.simulator(), image.codes[i]);
+      check(units[i] != nullptr,
             "algod: factory for image '" + image.name + "' returned null");
     }
-    system.attach(code, *it->second);
+    system.attach(image.codes[i], *units[i]);
   }
-  resident_[image.name] = true;
+  resident_.set(id);
   slots_used_ += image.slot_cost();
   stats_.bump(loads_);
-  config_.policy->on_load(image.name, ++touch_tick_, image.load_cycles);
+  touch(id);
 }
 
 }  // namespace fpgafu::host

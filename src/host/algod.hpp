@@ -1,16 +1,17 @@
 #pragma once
 
-#include <algorithm>
+#include <bitset>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "fu/functional_unit.hpp"
 #include "host/coprocessor.hpp"
 #include "isa/types.hpp"
+#include "rtm/fu_table.hpp"
 #include "sim/component.hpp"
 #include "sim/trace.hpp"
 
@@ -24,7 +25,7 @@ namespace fpgafu::host {
 /// the framework swaps algorithm circuits in and out of a fixed slot budget
 /// at runtime instead of synthesising one monolithic design.
 struct AlgorithmImage {
-  /// Stable identity used by the replacement policy and the counters.
+  /// The name sessions require the image by (unique in a catalogue).
   std::string name;
   /// Function codes this image implements.  Each code occupies one physical
   /// slot while the image is resident; an image is loaded and evicted as a
@@ -48,87 +49,28 @@ struct AlgorithmImage {
   std::size_t slot_cost() const { return codes.size(); }
 };
 
-/// Victim-selection strategy for the manager's slot cache.  Policies see
-/// load/hit/evict events and pick which resident image to displace; the
-/// manager handles the mechanics (drain, detach, reload accounting).
-class ReplacementPolicy {
- public:
-  virtual ~ReplacementPolicy() = default;
-  virtual std::string name() const = 0;
-  /// `now` is a monotonic touch tick supplied by the manager (NOT the
-  /// simulated cycle: a cache hit does not move the clock, so cycle-stamped
-  /// recency would tie a hit with the load right before it);
-  /// `load_cycles` is the image's reload cost.
-  virtual void on_load(const std::string& image, std::uint64_t now,
-                       std::uint64_t load_cycles) = 0;
-  virtual void on_hit(const std::string& image, std::uint64_t now,
-                      std::uint64_t load_cycles) = 0;
-  virtual void on_evict(const std::string& image) = 0;
-  /// Choose the victim among `candidates` (resident images not needed by
-  /// the in-progress request; never empty).
-  virtual std::string victim(const std::vector<std::string>& candidates) = 0;
-};
+/// Dense id of a registered image: its position in registration order,
+/// which in a Farm is its index in FarmConfig::fu_images.
+using ImageId = std::size_t;
 
-/// Classic least-recently-used: evict the image whose last touch is oldest.
-/// Ignores reload cost — the control experiment the cost-aware policy is
-/// measured against.
-class LruPolicy final : public ReplacementPolicy {
- public:
-  std::string name() const override { return "lru"; }
-  void on_load(const std::string& image, std::uint64_t now,
-               std::uint64_t) override {
-    last_use_[image] = now;
-  }
-  void on_hit(const std::string& image, std::uint64_t now,
-              std::uint64_t) override {
-    last_use_[image] = now;
-  }
-  void on_evict(const std::string& image) override { last_use_.erase(image); }
-  std::string victim(const std::vector<std::string>& candidates) override;
+/// A set of images by id.  Each image owns at least one function code no
+/// other image declares, and codes are 8 bits wide, so a catalogue holds at
+/// most 256 images and a set never allocates.
+using ImageSet = std::bitset<256>;
 
- private:
-  std::map<std::string, std::uint64_t> last_use_;
-};
+/// The ids of the `catalogue` images named in `names`.  Throws SimError on
+/// a name the catalogue does not hold.
+ImageSet image_set(const std::vector<AlgorithmImage>& catalogue,
+                   const std::vector<std::string>& names);
 
-/// GreedyDual cost-aware replacement: each resident image carries a
-/// retention credit `H = L + load_cycles`, refreshed on every touch, where
-/// `L` is the *aging level* — the credit of the last evicted image (the
-/// classic GreedyDual "inflation" trick, kept as a running max so it never
-/// moves backwards).  The victim is the minimum-H image, ties broken by
-/// oldest touch.  Expensive-to-reload images (slow partial bitstreams)
-/// survive longer than cheap ones at equal recency, but an expensive image
-/// that stops being touched is eventually aged out: every eviction raises
-/// L, so freshly touched cheap images overtake a stale dear one instead of
-/// letting it squat on a slot forever.  When all costs match the ordering
-/// reduces to exact LRU (credits tie, the touch-tick tie-break decides).
-class CostAwarePolicy final : public ReplacementPolicy {
- public:
-  std::string name() const override { return "cost"; }
-  void on_load(const std::string& image, std::uint64_t now,
-               std::uint64_t load_cycles) override {
-    entries_[image] = Entry{aging_level_ + load_cycles, now};
-  }
-  void on_hit(const std::string& image, std::uint64_t now,
-              std::uint64_t load_cycles) override {
-    entries_[image] = Entry{aging_level_ + load_cycles, now};
-  }
-  void on_evict(const std::string& image) override {
-    auto it = entries_.find(image);
-    if (it != entries_.end()) {
-      aging_level_ = std::max(aging_level_, it->second.credit);
-      entries_.erase(it);
-    }
-  }
-  std::string victim(const std::vector<std::string>& candidates) override;
-
- private:
-  struct Entry {
-    std::uint64_t credit = 0;  ///< L at touch time + load_cycles
-    std::uint64_t touch = 0;   ///< touch tick, tie-break (older loses)
-  };
-  std::map<std::string, Entry> entries_;
-  std::uint64_t aging_level_ = 0;  ///< running max of evicted credits
-};
+/// The catalogue rules, shared by FuManager::register_image and the Farm
+/// constructor.  Throws SimError unless `image` has a name, codes and a
+/// factory, fits a budget of `slots`, and shares neither its name nor a
+/// code with an image in `registered`, nor a code with a unit `table`
+/// serves outside the manager.
+void check_image(const AlgorithmImage& image,
+                 std::span<const AlgorithmImage> registered,
+                 std::size_t slots, const rtm::FunctionalUnitTable& table);
 
 /// The reconfiguration port, as a simulated hardware block: while a load is
 /// in progress the loader is busy for the image's load_cycles, so swap
@@ -161,8 +103,13 @@ struct FuManagerConfig {
   /// once.  The interesting regime is slots < union of the tenants'
   /// demands, which is what forces replacement.
   std::size_t slots = 4;
-  /// Victim selection; defaults to LRU when null.
-  std::shared_ptr<ReplacementPolicy> policy;
+  /// Victim rule (aged GreedyDual).  Every touch gives an image the credit
+  /// `L + (cost_aware ? load_cycles : 0)`, where the aging level `L` is the
+  /// highest credit evicted so far; the image with the lowest (credit,
+  /// touch) is evicted.  false is exact LRU.  true keeps images that are
+  /// dear to reload longer, yet every eviction raises L, so a dear image
+  /// that stops being touched still ages out.
+  bool cost_aware = false;
 };
 
 /// Algorithm-on-demand manager: a software-managed cache of functional
@@ -170,10 +117,10 @@ struct FuManagerConfig {
 ///
 /// `register_image()` declares what *could* run (codes become typed
 /// kUnitUnavailable instead of kUnknownFunction); `ensure_resident()` is
-/// the cache probe — a hit refreshes the policy, a miss drains and evicts
-/// victims via the RTM's hot-swap drain protocol, charges the image's
-/// load latency on the simulated clock through the FuLoader, and attaches
-/// the image's units.  Counters (algod.hits / misses / evictions / loads /
+/// the cache probe — a hit refreshes the image's credit, a miss drains and
+/// evicts victims via the RTM's hot-swap drain protocol, charges the
+/// image's load latency on the simulated clock through the FuLoader, and
+/// attaches the image's units.  Counters (algod.hits / misses / evictions / loads /
 /// load_cycles / drain_cycles) quantify the cache behaviour the bench and
 /// the multi-tenant soak assert on.
 ///
@@ -183,64 +130,70 @@ class FuManager {
  public:
   FuManager(Coprocessor& coproc, FuManagerConfig config);
 
-  /// Register a loadable image and declare its codes known-but-unavailable
-  /// (until first load, instructions for them error with kUnitUnavailable,
-  /// which hosts treat as retryable).  Codes must not collide with another
-  /// registered image or with a unit attached outside the manager; the
-  /// image must fit the slot budget.
+  /// Register a loadable image under the next id (0, 1, ...) and declare
+  /// its codes known-but-unavailable (until first load, instructions for
+  /// them error with kUnitUnavailable, which hosts treat as retryable).
+  /// The image must pass check_image against the images already
+  /// registered and the units attached outside the manager.
   void register_image(AlgorithmImage image);
 
-  /// Make `name`'s image dispatchable, evicting victims and pumping the
-  /// clock through drain + load as needed.  No-op (a recorded hit) when
-  /// already resident.
-  void ensure_resident(const std::string& name);
-
-  /// Ensure every image in `names` is resident at once.  Orders misses
-  /// after hits so a loaded image cannot be chosen as a victim for its
-  /// co-scheduled peer.
-  void ensure_resident_all(const std::vector<std::string>& names);
-
-  bool resident(const std::string& name) const;
-  bool registered(const std::string& name) const {
-    return images_.count(name) != 0;
+  /// Make every image in `images` resident at once, evicting victims and
+  /// pumping the clock through drain + load as needed.  Resident images
+  /// are recorded hits; misses load after them, and no image in `images`
+  /// is chosen as a victim for another.
+  void ensure_resident(const ImageSet& images);
+  /// True when every image in `images` is resident.
+  bool resident(const ImageSet& images) const {
+    return (images & ~resident_).none();
   }
 
-  /// Cycles of load latency a request for `names` would have to pay right
-  /// now (0 = all resident).  The Farm's affinity router uses this to pick
-  /// the cheapest shard for a session's required set.
-  std::uint64_t swap_cost(const std::vector<std::string>& names) const;
-
-  /// Resident image names (unordered).
-  std::vector<std::string> resident_images() const;
-
-  std::size_t slots() const { return config_.slots; }
-  std::size_t slots_used() const { return slots_used_; }
+  /// By-name forms of the above (SimError on an unregistered name).
+  void ensure_resident(const std::string& name) {
+    ensure_resident(image_set(images_, {name}));
+  }
+  void ensure_resident_all(const std::vector<std::string>& names) {
+    ensure_resident(image_set(images_, names));
+  }
+  bool resident(const std::string& name) const {
+    return resident(image_set(images_, {name}));
+  }
 
   const sim::Counters& counters() const { return stats_; }
-  ReplacementPolicy& policy() { return *config_.policy; }
 
  private:
-  /// Evict resident images until `cost` slots are free, never touching
-  /// images named in `protect` (the request being satisfied).
-  void make_room(std::size_t cost, const std::vector<std::string>& protect);
-  /// Evict `name` through the drain protocol: begin_detach each code, pump
+  /// Per-image cache state, indexed by ImageId like images_.
+  struct Entry {
+    std::uint64_t credit = 0;  ///< victim rule credit at the last touch
+    std::uint64_t touch = 0;   ///< touch tick of the last hit or load
+    /// Constructed units, one per image code, built on first load.  They
+    /// survive eviction so a sim::Component is never destroyed
+    /// mid-simulation.
+    std::vector<std::unique_ptr<fu::FunctionalUnit>> units;
+  };
+
+  /// Record a hit or load of `id` for the victim rule.
+  void touch(ImageId id);
+  /// Evict images outside `protect` until `cost` slots are free.
+  void make_room(std::size_t cost, const ImageSet& protect);
+  /// Evict `id` through the drain protocol: begin_detach each code, pump
   /// until drained, finish_detach (leaves codes declared-unavailable).
-  void evict(const std::string& name);
+  void evict(ImageId id);
   /// Charge the image's load latency on the clock, then attach its units
-  /// (constructing them on first load, reusing the cache after).
-  void load(AlgorithmImage& image);
+  /// (constructing them on first load, reusing them after).
+  void load(ImageId id);
 
   Coprocessor* coproc_;
   FuManagerConfig config_;
   FuLoader loader_;
-  std::map<std::string, AlgorithmImage> images_;
-  std::map<std::string, bool> resident_;
-  /// Constructed units, keyed "image\x1fcode": survive eviction so a
-  /// sim::Component is never destroyed mid-simulation.
-  std::map<std::string, std::unique_ptr<fu::FunctionalUnit>> unit_cache_;
+  std::vector<AlgorithmImage> images_;
+  std::vector<Entry> entries_;
+  ImageSet resident_;
   std::size_t slots_used_ = 0;
-  /// Monotonic event counter fed to the policy as its recency clock.
+  /// Monotonic recency clock: a cache hit does not move the simulated
+  /// clock, so cycle-stamped recency would tie a hit with the load before.
   std::uint64_t touch_tick_ = 0;
+  /// GreedyDual aging level L: the highest credit evicted so far.
+  std::uint64_t aging_level_ = 0;
 
   sim::Counters stats_;
   sim::Counters::Handle hits_;

@@ -53,10 +53,10 @@ struct Farm::Job {
   /// Shard clock (sim_cycle_hint) at enqueue; the baseline of this job's
   /// simulated-cycle latency sample.
   std::uint64_t enqueue_cycle = 0;
-  /// Image names the session declared at create_session(required); the
-  /// worker ensures them resident (swapping on an empty window) before the
-  /// job issues.  Empty = no requirement.
-  std::vector<std::string> required;
+  /// Images the session declared at create_session(required); the worker
+  /// ensures them resident (swapping on an empty window) before the job
+  /// issues.  Empty = no requirement.
+  ImageSet required;
   /// Emplaced by submit() only, so callback and stream jobs (and the
   /// worker's scratch Job) allocate no shared state.
   std::optional<std::promise<std::vector<msg::Response>>> promise;
@@ -88,12 +88,8 @@ struct Farm::Shard {
     explicit Engine(const FarmConfig& cfg)
         : system(cfg.system), copro(system), transport(copro, cfg.transport) {
       if (!cfg.fu_images.empty()) {
-        FuManagerConfig mcfg;
-        mcfg.slots = cfg.fu_slots;
-        if (cfg.fu_policy) {
-          mcfg.policy = cfg.fu_policy();
-        }
-        manager = std::make_unique<FuManager>(copro, mcfg);
+        manager = std::make_unique<FuManager>(
+            copro, FuManagerConfig{cfg.fu_slots, cfg.fu_cost_aware});
         for (const AlgorithmImage& image : cfg.fu_images) {
           manager->register_image(image);
         }
@@ -217,16 +213,13 @@ struct Farm::Shard {
   void worker();
 
   /// Make `job.required` resident (the caller guarantees the transport
-  /// window is empty if a swap is needed).  On an unsatisfiable set —
-  /// unregistered name, set larger than the slot budget — the job is
-  /// resolved with the retryable FarmError{kUnitUnavailable} and false is
-  /// returned; the shard stays healthy.
+  /// window is empty if a swap is needed).  On an unsatisfiable set — one
+  /// larger than the slot budget — the job is resolved with the retryable
+  /// FarmError{kUnitUnavailable} and false is returned; the shard stays
+  /// healthy.
   bool ensure_required(Engine& engine, Job& job) {
-    if (!engine.manager || job.required.empty()) {
-      return true;
-    }
     try {
-      engine.manager->ensure_resident_all(job.required);
+      engine.manager->ensure_resident(job.required);
       return true;
     } catch (const SimError& e) {
       resolve_failure(job,
@@ -243,17 +236,8 @@ struct Farm::Shard {
   /// can issue: one of its required images is not resident, so making it
   /// resident may drain/evict units that in-flight programs' response
   /// predictions still count on.
-  bool needs_swap(const Engine& engine, const Job& job) const {
-    if (!engine.manager || job.required.empty()) {
-      return false;
-    }
-    for (const std::string& name : job.required) {
-      if (!engine.manager->registered(name) ||
-          !engine.manager->resident(name)) {
-        return true;
-      }
-    }
-    return false;
+  static bool needs_swap(const Engine& engine, const Job& job) {
+    return job.required.any() && !engine.manager->resident(job.required);
   }
 
   /// First kUnitUnavailable error among `responses`, if any: the job raced
@@ -441,9 +425,10 @@ void Farm::Shard::issue(Engine& engine) {
         held.pop_front();  // unsatisfiable; job failed typed
         continue;
       }
-    } else if (engine.manager && !job.required.empty()) {
-      // All resident: record the hits so policy recency stays honest.
-      engine.manager->ensure_resident_all(job.required);
+    } else if (job.required.any()) {
+      // All resident: record the hits so the victim rule's recency stays
+      // honest.
+      engine.manager->ensure_resident(job.required);
     }
     job.id = engine.transport.submit(job.program, job.budget,
                                      static_cast<bool>(job.stream));
@@ -571,28 +556,15 @@ Farm::Farm(FarmConfig config) : config_(std::move(config)) {
   check(config_.queue_capacity > 0, "FarmConfig::queue_capacity must be > 0");
   check(config_.stats_publish_interval > 0,
         "FarmConfig::stats_publish_interval must be > 0");
-  // Surface image-set mistakes here instead of as N worker-thread
-  // construction failures (register_image re-checks per shard).
+  // Surface catalogue mistakes here instead of as every job failing with
+  // a shard that cannot construct: each shard's register_image applies
+  // the same rules, against the units its SystemConfig attaches.
   if (!config_.fu_images.empty()) {
-    check(config_.fu_slots > 0,
-          "FarmConfig::fu_slots must be > 0 when fu_images is set");
-    for (std::size_t i = 0; i < config_.fu_images.size(); ++i) {
-      const AlgorithmImage& image = config_.fu_images[i];
-      check(!image.name.empty(), "FarmConfig::fu_images: image needs a name");
-      check(!image.codes.empty(),
-            "FarmConfig::fu_images: image '" + image.name +
-                "' declares no function codes");
-      check(static_cast<bool>(image.factory),
-            "FarmConfig::fu_images: image '" + image.name +
-                "' needs a factory");
-      check(image.slot_cost() <= config_.fu_slots,
-            "FarmConfig::fu_images: image '" + image.name +
-                "' does not fit the fu_slots budget");
-      for (std::size_t j = 0; j < i; ++j) {
-        check(config_.fu_images[j].name != image.name,
-              "FarmConfig::fu_images: duplicate image name '" + image.name +
-                  "'");
-      }
+    top::System probe(config_.system);
+    const std::span<const AlgorithmImage> images(config_.fu_images);
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      check_image(images[i], images.first(i), config_.fu_slots,
+                  probe.rtm().table());
     }
   }
   const std::size_t n = config_.shards == 0 ? 1 : config_.shards;
@@ -647,17 +619,11 @@ Farm::SessionId Farm::create_session() {
   return next_session_.fetch_add(1);
 }
 
-Farm::SessionId Farm::create_session(std::vector<std::string> required) {
+Farm::SessionId Farm::create_session(const std::vector<std::string>& required) {
   check(!config_.fu_images.empty(),
         "Farm::create_session(required): the farm has no algorithm images "
         "(set FarmConfig::fu_images)");
-  for (const std::string& name : required) {
-    bool known = false;
-    for (const AlgorithmImage& image : config_.fu_images) {
-      known = known || image.name == name;
-    }
-    check(known, "Farm::create_session: unknown image '" + name + "'");
-  }
+  const ImageSet ids = image_set(config_.fu_images, required);
   const SessionId id = next_session_.fetch_add(1);
   std::lock_guard<std::mutex> lk(placement_m_);
   // FU-affine placement: maximise overlap with demand already placed on a
@@ -667,12 +633,7 @@ Farm::SessionId Farm::create_session(std::vector<std::string> required) {
   std::size_t best_overlap = 0;
   std::size_t best_load = std::numeric_limits<std::size_t>::max();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    std::size_t overlap = 0;
-    for (const std::string& name : required) {
-      if (demand_[s].count(name) != 0) {
-        ++overlap;
-      }
-    }
+    const std::size_t overlap = (ids & demand_[s]).count();
     if (s == 0 || overlap > best_overlap ||
         (overlap == best_overlap && placed_[s] < best_load)) {
       best = s;
@@ -680,12 +641,10 @@ Farm::SessionId Farm::create_session(std::vector<std::string> required) {
       best_load = placed_[s];
     }
   }
-  for (const std::string& name : required) {
-    ++demand_[best][name];
-  }
+  demand_[best] |= ids;
   ++placed_[best];
   session_shard_[id] = best;
-  session_required_[id] = std::move(required);
+  session_required_[id] = ids;
   return id;
 }
 
@@ -700,11 +659,10 @@ std::size_t Farm::shard_of(SessionId session) const {
   return static_cast<std::size_t>(session % shards_.size());
 }
 
-std::vector<std::string> Farm::required_of(SessionId session) const {
+ImageSet Farm::required_of(SessionId session) const {
   std::lock_guard<std::mutex> lk(placement_m_);
   const auto it = session_required_.find(session);
-  return it == session_required_.end() ? std::vector<std::string>{}
-                                       : it->second;
+  return it == session_required_.end() ? ImageSet{} : it->second;
 }
 
 std::size_t Farm::in_flight(SessionId session) const {

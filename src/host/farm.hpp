@@ -115,10 +115,8 @@ struct FarmConfig {
   /// multi-tenant regime of interest is fu_slots < the union of the
   /// tenants' demands, which forces replacement traffic.
   std::size_t fu_slots = 4;
-  /// Per-shard replacement-policy factory (each shard needs its own policy
-  /// instance — policies are stateful and shards are share-nothing).  Null
-  /// = LRU.
-  std::function<std::shared_ptr<ReplacementPolicy>()> fu_policy;
+  /// Per-shard victim rule: FuManagerConfig::cost_aware (false = LRU).
+  bool fu_cost_aware = false;
 };
 
 /// A multi-System coprocessor farm: N independent shards, each one whole
@@ -235,7 +233,8 @@ class Farm {
   /// be queried here), load-balanced across ties.  Every job submitted on
   /// the session ensures the set is resident before it issues; a set that
   /// cannot be satisfied fails jobs with FarmError{kUnitUnavailable}.
-  SessionId create_session(std::vector<std::string> required);
+  /// Names resolve to image ids here, once: jobs carry an ImageSet.
+  SessionId create_session(const std::vector<std::string>& required);
 
   /// The shard a session's jobs run on.
   std::size_t shard_of(SessionId session) const;
@@ -281,7 +280,7 @@ class Farm {
                std::optional<std::uint64_t> budget_cycles) const;
   void enqueue(Job job);
   /// Required image set a session declared (empty for plain sessions).
-  std::vector<std::string> required_of(SessionId session) const;
+  ImageSet required_of(SessionId session) const;
 
   FarmConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -296,10 +295,12 @@ class Farm {
   /// Sessions created with a required set; absent sessions use the modulo
   /// mapping (back-compat for create_session()).
   std::map<SessionId, std::size_t> session_shard_;
-  std::map<SessionId, std::vector<std::string>> session_required_;
-  /// Per-shard demand tally: how many placed sessions require each image.
-  /// The placement heuristic's residency approximation.
-  std::vector<std::map<std::string, std::size_t>> demand_;
+  /// Required sets by image id, resolved from names once at
+  /// create_session(required).
+  std::map<SessionId, ImageSet> session_required_;
+  /// Per-shard demand: the images some placed session requires.  The
+  /// placement heuristic's residency approximation.
+  std::vector<ImageSet> demand_;
   /// Sessions placed per shard (load-balance tie-break).
   std::vector<std::size_t> placed_;
 };

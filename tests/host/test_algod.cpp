@@ -219,7 +219,7 @@ TEST(Algod, LruEvictsLeastRecentCostAwareKeepsExpensive) {
   Coprocessor c1(s1);
   FuManagerConfig lru_cfg;
   lru_cfg.slots = 2;
-  lru_cfg.policy = std::make_shared<LruPolicy>();
+  lru_cfg.cost_aware = false;
   FuManager lru(c1, lru_cfg);
   lru.register_image(image_of("cheap", isa::fc::kArith, 10));
   lru.register_image(image_of("dear", isa::fc::kFloat, 10000));
@@ -233,7 +233,7 @@ TEST(Algod, LruEvictsLeastRecentCostAwareKeepsExpensive) {
   Coprocessor c2(s2);
   FuManagerConfig cost_cfg;
   cost_cfg.slots = 2;
-  cost_cfg.policy = std::make_shared<CostAwarePolicy>();
+  cost_cfg.cost_aware = true;
   FuManager cost(c2, cost_cfg);
   cost.register_image(image_of("cheap", isa::fc::kArith, 10));
   cost.register_image(image_of("dear", isa::fc::kFloat, 10000));
@@ -254,7 +254,7 @@ TEST(Algod, CostAwareAgesOutStaleExpensiveImages) {
   Coprocessor copro(sys);
   FuManagerConfig mcfg;
   mcfg.slots = 2;
-  mcfg.policy = std::make_shared<CostAwarePolicy>();
+  mcfg.cost_aware = true;
   FuManager mgr(copro, mcfg);
   mgr.register_image(image_of("dear", isa::fc::kFloat, 500));
   mgr.register_image(image_of("a", isa::fc::kArith, 100));
@@ -280,7 +280,7 @@ TEST(Algod, CostAwareDegeneratesToLruAtEqualCosts) {
   Coprocessor copro(sys);
   FuManagerConfig mcfg;
   mcfg.slots = 2;
-  mcfg.policy = std::make_shared<CostAwarePolicy>();
+  mcfg.cost_aware = true;
   FuManager mgr(copro, mcfg);
   mgr.register_image(image_of("x", isa::fc::kArith, 100));
   mgr.register_image(image_of("y", isa::fc::kLogic, 100));
@@ -300,14 +300,16 @@ TEST(Algod, CoScheduledImagesAreNotVictimsOfEachOther) {
   Coprocessor copro(sys);
   FuManagerConfig mcfg;
   mcfg.slots = 2;
+  mcfg.cost_aware = false;
   FuManager mgr(copro, mcfg);
   mgr.register_image(image_of("arith", isa::fc::kArith, 50));
   mgr.register_image(image_of("logic", isa::fc::kLogic, 50));
   mgr.register_image(image_of("shift", isa::fc::kShift, 50));
 
   mgr.ensure_resident_all({"arith", "logic"});
-  EXPECT_EQ(mgr.swap_cost({"arith", "logic"}), 0u);
-  EXPECT_EQ(mgr.swap_cost({"shift"}), 50u);
+  EXPECT_TRUE(mgr.resident("arith"));
+  EXPECT_TRUE(mgr.resident("logic"));
+  EXPECT_FALSE(mgr.resident("shift"));
   // {logic, shift}: shift's load must evict arith, never its co-scheduled
   // peer logic.
   mgr.ensure_resident_all({"logic", "shift"});
@@ -388,6 +390,24 @@ TEST(AlgodFarm, UndeclaredCodeFailsTypedAndRetriesOnDeclaringSession) {
   EXPECT_EQ(totals.get("farm.shard_resets"), 0u)
       << "a typed unit-unavailable failure must not reset the shard";
   EXPECT_GE(totals.get("algod.evictions"), 1u);
+}
+
+/// A catalogue that every shard's register_image would reject must be
+/// refused by the Farm constructor, on the caller's thread — not accepted
+/// and then failed job by job from shards that cannot construct.
+TEST(AlgodFarm, ConflictingCatalogueIsRejectedOnTheConstructingThread) {
+  // The default SystemConfig attaches the arithmetic unit itself, so an
+  // image on kArith collides with it.
+  FarmConfig attached;
+  attached.fu_images = {image_of("arith", isa::fc::kArith, 100)};
+  EXPECT_THROW(Farm{attached}, SimError);
+
+  // Two images declaring one code.
+  FarmConfig shared;
+  shared.system = bare_system();
+  shared.fu_images = {image_of("arith", isa::fc::kArith, 100),
+                      image_of("arith2", isa::fc::kArith, 100)};
+  EXPECT_THROW(Farm{shared}, SimError);
 }
 
 /// An inline managed farm stays reference-exact.  At window 4 a kick-off

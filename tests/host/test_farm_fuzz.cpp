@@ -4,7 +4,11 @@
 // queue capacity — then streams random jobs at it: stateful jobs on random
 // sessions, self-contained session-less jobs, and follow-up jobs submitted
 // reentrantly from completion callbacks.  Half the cases run over a link
-// that drops, corrupts and duplicates 5% of upstream words.
+// that drops, corrupts and duplicates 5% of upstream words.  About half
+// also draw an algorithm-on-demand catalogue (fu_images over the logic,
+// shift, muldiv, float and trig codes, an fu_slots budget of 1-3 and either
+// victim rule); their sessions declare required image sets and their jobs
+// use those images' units, so swaps interleave with windowed traffic.
 //
 // Checked for every case:
 //  * every completed job equals host::ReferenceModel;
@@ -16,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <condition_variable>
 #include <cstdlib>
@@ -25,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "fu/stateless_units.hpp"
 #include "host/farm.hpp"
 #include "host/reference_model.hpp"
 #include "isa/assembler.hpp"
@@ -56,10 +62,30 @@ std::string reg(std::uint64_t r) {
   return name;
 }
 
+/// One instruction on the unit behind a managed code, `d = a op b`.
+std::string managed_op(isa::FunctionCode code, const std::string& d,
+                       const std::string& a, const std::string& b) {
+  switch (code) {
+    case isa::fc::kLogic:
+      return "XOR " + d + ", " + a + ", " + b + "\n";
+    case isa::fc::kShift:
+      return "SHR " + d + ", " + a + ", " + b + "\n";
+    case isa::fc::kMulDiv:
+      return "MUL " + d + ", " + a + ", " + b + "\n";
+    case isa::fc::kFloat:
+      return "FMUL " + d + ", " + a + ", " + b + "\n";
+    default:
+      return "SIN " + d + ", " + a + "\n";
+  }
+}
+
 /// A random job over one session's registers: PUT, PUTV, ADD, SUB, GET and
 /// GETV, now and then an error-only read or an empty program.  It may read
-/// what the session's earlier jobs left behind.
-isa::Program session_job(Xoshiro256& rng, unsigned base) {
+/// what the session's earlier jobs left behind.  Each code in `managed`
+/// (the session's required images) adds an instruction on its unit, half
+/// the time, whose result is read back.
+isa::Program session_job(Xoshiro256& rng, unsigned base,
+                         const std::vector<isa::FunctionCode>& managed) {
   const auto any = [&] { return base + rng.below(kSessionRegs); };
   switch (rng.below(16)) {
     case 0:
@@ -100,7 +126,38 @@ isa::Program session_job(Xoshiro256& rng, unsigned base) {
         break;
     }
   }
+  for (const isa::FunctionCode code : managed) {
+    if (rng.below(2) == 0) {
+      const std::string d = reg(any());
+      src += managed_op(code, d, reg(any()), reg(any()));
+      src += "GET " + d + "\n";
+    }
+  }
   return isa::Assembler::assemble(src);
+}
+
+/// Units for the algod axis's images: the stateless case-study units, so
+/// the reference model knows their semantics.
+std::unique_ptr<fu::FunctionalUnit> make_unit_for(sim::Simulator& sim,
+                                                  isa::FunctionCode code) {
+  fu::StatelessConfig ucfg;
+  ucfg.width = 32;
+  switch (code) {
+    case isa::fc::kLogic:
+      return fu::make_logic_unit(sim, ucfg);
+    case isa::fc::kShift:
+      return fu::make_shift_unit(sim, ucfg);
+    case isa::fc::kMulDiv:
+      ucfg.skeleton = fu::Skeleton::kFsm;
+      ucfg.execute_cycles = 0;
+      return fu::make_muldiv_unit(sim, ucfg);
+    case isa::fc::kFloat:
+      return fu::make_fp32_unit(sim, ucfg);
+    default:
+      ucfg.skeleton = fu::Skeleton::kFsm;
+      ucfg.execute_cycles = 0;
+      return fu::make_trig_unit(sim, ucfg);
+  }
 }
 
 /// A self-contained job on the scratch registers: it writes everything it
@@ -202,7 +259,12 @@ struct Case {
                                                              : " block") +
            " session_cap=" + std::to_string(config.max_inflight_per_session) +
            " queue=" + std::to_string(config.queue_capacity) +
-           (reentrant ? " reentrant" : "") + (faulty ? " faulty" : "");
+           (reentrant ? " reentrant" : "") + (faulty ? " faulty" : "") +
+           (config.fu_images.empty()
+                ? ""
+                : " images=" + std::to_string(config.fu_images.size()) +
+                      " fu_slots=" + std::to_string(config.fu_slots) +
+                      (config.fu_cost_aware ? " cost_aware" : " lru"));
   }
 };
 
@@ -239,7 +301,60 @@ Case draw_case(std::size_t index) {
     f.down.jitter_max = 2;
     fc.system.link_faults = f;
   }
+  if (rng.below(2) == 0) {
+    // The algod axis.  Arithmetic stays attached by the system: every job
+    // kind uses it, session-less jobs included.  The other five codes are
+    // served by the manager, one image each, except that the first two
+    // may share an image when the budget holds it.
+    fc.system.with_logic = false;
+    fc.system.with_shift = false;
+    fc.system.with_muldiv = false;
+    fc.system.with_float = false;
+    fc.system.with_trig = false;
+    fc.fu_slots = 1 + rng.below(3);
+    fc.fu_cost_aware = rng.below(2) == 0;
+    std::vector<isa::FunctionCode> codes = {isa::fc::kLogic, isa::fc::kShift,
+                                            isa::fc::kMulDiv, isa::fc::kFloat,
+                                            isa::fc::kTrig};
+    for (std::size_t i = codes.size() - 1; i > 0; --i) {
+      std::swap(codes[i], codes[rng.below(i + 1)]);
+    }
+    const bool pair = fc.fu_slots >= 2 && rng.below(2) == 0;
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      AlgorithmImage img;
+      img.name = "img";  // not "img" + ...: GCC 12 -Werror=restrict
+      img.name += std::to_string(i);
+      img.codes = {codes[i]};
+      if (pair && i == 0) {
+        img.codes.push_back(codes[++i]);
+      }
+      img.load_cycles = rng.below(200);
+      img.factory = make_unit_for;
+      fc.fu_images.push_back(std::move(img));
+    }
+  }
   return c;
+}
+
+/// Required images for one session of an algod case: up to two distinct
+/// images that fit the slot budget together.  Returns the names and
+/// appends their codes to `codes`.
+std::vector<std::string> draw_required(Xoshiro256& rng, const FarmConfig& fc,
+                                       std::vector<isa::FunctionCode>& codes) {
+  std::vector<std::string> names;
+  std::size_t cost = 0;
+  const std::uint64_t want = rng.below(3);
+  for (std::uint64_t k = 0; k < want; ++k) {
+    const AlgorithmImage& img = fc.fu_images[rng.below(fc.fu_images.size())];
+    if (cost + img.slot_cost() > fc.fu_slots ||
+        std::find(names.begin(), names.end(), img.name) != names.end()) {
+      continue;
+    }
+    cost += img.slot_cost();
+    names.push_back(img.name);
+    codes.insert(codes.end(), img.codes.begin(), img.codes.end());
+  }
+  return names;
 }
 
 TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
@@ -256,13 +371,18 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
     struct Session {
       Farm::SessionId id;
       unsigned base;
+      std::vector<isa::FunctionCode> managed;  ///< codes it may use
       std::array<isa::Word, kSessionRegs> regs{};
     };
     std::vector<Session> sessions;
     const std::size_t session_count = 1 + rng.below(kMaxSessions);
     for (std::size_t s = 0; s < session_count; ++s) {
-      sessions.push_back(
-          {farm.create_session(), static_cast<unsigned>(1 + kSessionRegs * s)});
+      Session session{0, static_cast<unsigned>(1 + kSessionRegs * s), {}, {}};
+      session.id = c.config.fu_images.empty()
+                       ? farm.create_session()
+                       : farm.create_session(
+                             draw_required(rng, c.config, session.managed));
+      sessions.push_back(std::move(session));
     }
 
     // A session-less scratch job; its callback checks it against a fresh
@@ -301,7 +421,7 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
       {
         std::lock_guard<std::mutex> lk(rng_m);
         s = rng.below(session_count);
-        p = session_job(rng, sessions[s].base);
+        p = session_job(rng, sessions[s].base, sessions[s].managed);
       }
       // Advance the session's mirror only if the farm admits the job.
       std::array<isa::Word, kSessionRegs> after = sessions[s].regs;
@@ -359,8 +479,12 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
     // tens of cycles; on the faulty link a few retry chains back off to
     // tens of thousands of cycles each (measured: at most 1.2*10^5 cycles
     // for a case of 24 jobs, about 1700 per job at 2000 jobs a case).
+    // Reconfiguration time (algod loads and drains) comes on top.
+    const std::uint64_t reconfig =
+        totals.get("algod.load_cycles") + totals.get("algod.drain_cycles");
     const std::uint64_t budget =
-        c.faulty ? 500'000 + 2'000 * tally.resolved : 200 * (tally.resolved + 1);
+        reconfig + (c.faulty ? 500'000 + 2'000 * tally.resolved
+                             : 200 * (tally.resolved + 1));
     EXPECT_LE(totals.get("farm.shard_cycles"), budget)
         << "resolved " << tally.resolved;
   }

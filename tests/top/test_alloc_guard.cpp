@@ -13,7 +13,10 @@
 // On those two only step() is counted.  A third test counts the whole host
 // transport path as well — ReliableTransport::submit, service and
 // poll_completed through a window of 8 — and allows one allocation per job
-// on average: the Completion's response vector handed to the caller.  The
+// on average: the Completion's response vector handed to the caller.  A
+// fourth compares warm inline-farm jobs: one on a session that requires a
+// resident algorithm image must allocate no more than one on a plain
+// session (the required set is an id bitset, not a copied name list).  The
 // replacement is process-wide, so this test lives in its own binary; it is
 // not built in the sanitizer CI legs, whose runtimes supply their own
 // operator new.
@@ -31,6 +34,7 @@
 
 #include "fu/stateless_units.hpp"
 #include "host/coprocessor.hpp"
+#include "host/farm.hpp"
 #include "host/reliable_transport.hpp"
 #include "isa/arith.hpp"
 #include "isa/program.hpp"
@@ -306,6 +310,64 @@ TEST(TransportAllocGuard, TinyJobsThroughTheTransportAllocateOnlyTheirResponses)
 
   EXPECT_EQ(wrong, 0u);
   EXPECT_LE(allocations, kJobs) << "over " << kJobs << " jobs";
+}
+
+/// Allocations made by `jobs` runs of `program` on `session` of an inline
+/// farm (each submit_async runs the job to completion before it returns).
+std::uint64_t farm_job_allocations(host::Farm& farm,
+                                   host::Farm::SessionId session,
+                                   const isa::Program& program,
+                                   std::size_t jobs) {
+  std::size_t ok = 0;
+  const auto on_done = [&ok](std::vector<msg::Response> rs,
+                             std::exception_ptr err) {
+    if (!err && rs.size() == 1) {
+      ++ok;
+    }
+  };
+  const std::uint64_t before = g_allocations.load();
+  g_counting.store(true);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    farm.submit_async(session, program, on_done);
+  }
+  g_counting.store(false);
+  EXPECT_EQ(ok, jobs);
+  return g_allocations.load() - before;
+}
+
+TEST(FarmAllocGuard, ResidentRequiredImageCostsNoAllocationPerJob) {
+  // Two identical inline farms with one managed image (the logic unit);
+  // the program only needs the attached arithmetic unit, so the jobs
+  // differ only in the session they run on.
+  host::FarmConfig fc;
+  fc.shards = 0;
+  fc.system.with_logic = false;
+  host::AlgorithmImage logic;
+  logic.name = "logic";
+  logic.codes = {isa::fc::kLogic};
+  logic.load_cycles = 10;
+  logic.factory = [](sim::Simulator& sim, isa::FunctionCode) {
+    return fu::make_logic_unit(sim, fu::StatelessConfig{});
+  };
+  fc.fu_images = {logic};
+  fc.fu_slots = 1;
+  host::Farm plain_farm(fc);
+  host::Farm managed_farm(fc);
+  const host::Farm::SessionId plain = plain_farm.create_session();
+  const host::Farm::SessionId managed = managed_farm.create_session({"logic"});
+  const isa::Program program = tiny_jobs().front();
+
+  // Warm-up: the image loads, and queues, rings and maps reach their size.
+  constexpr std::size_t kWarm = 64;
+  farm_job_allocations(plain_farm, plain, program, kWarm);
+  farm_job_allocations(managed_farm, managed, program, kWarm);
+  constexpr std::size_t kJobs = 256;
+  const std::uint64_t plain_allocs =
+      farm_job_allocations(plain_farm, plain, program, kJobs);
+  const std::uint64_t managed_allocs =
+      farm_job_allocations(managed_farm, managed, program, kJobs);
+  EXPECT_LE(managed_allocs, plain_allocs) << "over " << kJobs << " jobs";
+  EXPECT_EQ(managed_farm.counters().get("algod.loads"), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
