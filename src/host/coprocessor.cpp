@@ -5,17 +5,13 @@
 
 namespace fpgafu::host {
 
-void Coprocessor::submit_word(isa::Word word) {
-  driver_.enqueue_word(word);
+void Coprocessor::submit(std::span<const isa::Word> words) {
+  for (const isa::Word w : words) {
+    driver_.enqueue_word(w);
+  }
   // The submit path has no cycle budget of its own (it is bounded by the
   // link draining, exactly as the historical per-word spin was); a wedged
   // link below a blocking call is caught by that call's Deadline instead.
-  pump_.flush(Deadline::unbounded(system().simulator()),
-              "Coprocessor::submit_word");
-}
-
-void Coprocessor::submit(const isa::Program& program) {
-  driver_.enqueue(program);
   pump_.flush(Deadline::unbounded(system().simulator()),
               "Coprocessor::submit");
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "host/driver.hpp"
@@ -35,10 +36,14 @@ class Coprocessor {
   /// (stepping the clock) while the bounded downstream link buffer is full;
   /// arrived upstream words keep draining into the receive window during
   /// the wait, so a full-duplex exchange cannot deadlock.
-  void submit_word(isa::Word word);
+  void submit_word(isa::Word word) { submit(std::span(&word, 1)); }
+
+  /// Queue a run of stream words, then block as submit_word does: one link
+  /// service for the whole run while the link has room.
+  void submit(std::span<const isa::Word> words);
 
   /// Queue a whole program.
-  void submit(const isa::Program& program);
+  void submit(const isa::Program& program) { submit(program.words()); }
 
   /// Non-blocking: return the next response whose complete frame has
   /// arrived and verified.

@@ -16,6 +16,7 @@ void Driver::sync_reset() {
   const std::uint64_t gen = system_->simulator().reset_generation();
   if (gen != reset_generation_) {
     reset_generation_ = gen;
+    serviced_cycle_ = kNever;
     rx_words_.clear();
     tx_words_.clear();
   }
@@ -27,6 +28,7 @@ void Driver::enqueue_word(isa::Word word) {
   sync_reset();
   tx_words_.push_back(static_cast<msg::LinkWord>(word >> 32));
   tx_words_.push_back(static_cast<msg::LinkWord>(word & 0xffffffffu));
+  tx_fresh_ = true;
 }
 
 void Driver::enqueue(const isa::Program& program) {
@@ -35,12 +37,19 @@ void Driver::enqueue(const isa::Program& program) {
   }
 }
 
-void Driver::service() {
+void Driver::service_link() {
   sync_reset();
-  while (!tx_words_.empty() && system_->link().host_send(tx_words_.front())) {
+  tx_fresh_ = false;
+  msg::Link& link = system_->link();
+  while (!tx_words_.empty() && link.host_send(tx_words_.front())) {
     tx_words_.pop_front();
   }
-  while (auto w = system_->link().host_receive()) {
+  const std::uint64_t now = system_->simulator().cycle();
+  if (now == serviced_cycle_) {
+    return;  // upstream words arrive only on a clock edge: drained already
+  }
+  serviced_cycle_ = now;
+  while (auto w = link.host_receive()) {
     rx_words_.push_back(*w);
   }
 }

@@ -103,6 +103,14 @@ class Deadline {
 /// event loop call `service()`/`poll()` directly and step the clock
 /// themselves.
 ///
+/// The link is serviced once per simulated cycle.  Words reach the host's
+/// receive side, and downstream buffer space frees, only on a clock edge,
+/// so after one service a second one in the same cycle could only move
+/// words enqueued since: it does exactly that and nothing else, and with
+/// nothing enqueued it returns at once.  poll() services the same way, so
+/// a caller polling in a loop touches the link once and then drains frames
+/// already in the deframing window.
+///
 /// Deframing is checksum-verified: a response is only accepted when a full
 /// frame passes `Response::frame_ok`; a failing window slides forward one
 /// word at a time (counted as `host.crc_resyncs`) until it realigns.  The
@@ -137,8 +145,13 @@ class Driver {
   // -- State machine ---------------------------------------------------------
   /// One non-blocking quantum: discard stale state if the system was reset,
   /// push queued tx words while the link has space, move every arrived
-  /// upstream word into the deframing window.  Idempotent within a cycle.
-  void service();
+  /// upstream word into the deframing window.  Once per cycle: a repeat in
+  /// the same cycle only pushes words enqueued since the last service.
+  void service() {
+    if (tx_fresh_ || stale()) {
+      service_link();
+    }
+  }
 
   /// Drop any partially deframed link words and any queued unsent words,
   /// restarting framing from the next word to arrive.  Wired to system
@@ -155,6 +168,14 @@ class Driver {
   const top::System& system() const { return *system_; }
 
  private:
+  /// True when the clock moved (or the system was reset) since the last
+  /// service: only then can new upstream words or downstream space exist.
+  bool stale() const {
+    const sim::Simulator& sim = system_->simulator();
+    return sim.cycle() != serviced_cycle_ ||
+           sim.reset_generation() != reset_generation_;
+  }
+  void service_link();
   /// Discard stale framing state if the system was reset since last use.
   void sync_reset();
 
@@ -162,6 +183,10 @@ class Driver {
   CompactingQueue<msg::LinkWord> tx_words_;  ///< queued, not yet on the link
   CompactingQueue<msg::LinkWord> rx_words_;  ///< deframing window
   std::uint64_t reset_generation_;
+  /// Cycle of the last service (kNever after a reset: service again).
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  std::uint64_t serviced_cycle_ = kNever;
+  bool tx_fresh_ = false;  ///< words enqueued since the last service
   std::uint64_t responses_received_ = 0;
   sim::Counters stats_;
   sim::Counters::Handle crc_resyncs_;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <limits>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -49,7 +47,9 @@ LatencyPercentiles latency_percentiles(std::vector<std::uint64_t> samples) {
 struct Farm::Job {
   isa::Program program;
   std::uint64_t budget = 0;
-  SessionId session = kNoSession;
+  /// The session's queue slot on its shard (0 = session-less: exempt from
+  /// per-session bounds).
+  std::size_t slot = 0;
   /// Shard clock (sim_cycle_hint) at enqueue; the baseline of this job's
   /// simulated-cycle latency sample.
   std::uint64_t enqueue_cycle = 0;
@@ -68,9 +68,12 @@ struct Farm::Job {
 };
 
 /// One shard: the bounded per-tenant job queues (the only cross-thread
-/// state, under `m`), the published counter snapshot (under `stats_m`, so
-/// readers never contend with producers on the queue mutex), the shard
-/// step's own state, and the worker thread.  The simulated hardware itself
+/// state, under `m`), the published counter snapshot and latency ring
+/// (under `stats_m`, so readers never contend with producers on the queue
+/// mutex), the shard step's own state, and the worker thread.  Once warm,
+/// a job moves through storage that is all reused — tenant queue, `held`,
+/// `active` — and a publication swaps buffers instead of building them, so
+/// the shard allocates nothing per job.  The simulated hardware itself
 /// (Engine) is *not* a member of a threaded shard: the worker constructs
 /// it on its own stack so the thread-affinity rule — each System lives and
 /// dies on the thread that drives it — holds by construction.
@@ -100,18 +103,22 @@ struct Farm::Shard {
   std::size_t index = 0;
   const FarmConfig* cfg = nullptr;
 
+  /// One tenant's sub-queue and unresolved count (queued + in flight +
+  /// resolving), in the dense slot its session was given at creation.
+  struct Tenant {
+    CompactingQueue<Job> queue;
+    std::size_t unresolved = 0;
+  };
+
   // -- Cross-thread state, under m -----------------------------------------
   std::mutex m;
   std::condition_variable cv_work;   ///< worker waits: job queued or stop
   std::condition_variable cv_space;  ///< producers wait: queue below capacity
-  /// Per-tenant sub-queues and per-session unresolved counts.  An entry
-  /// stays when its queue empties or its count drops to zero, so a
-  /// steadily busy session does not re-create it on every job (one entry
-  /// per tenant that ever submitted; a fault recovery drops the queues).
-  std::map<SessionId, std::deque<Job>> pending;
-  std::deque<SessionId> rr;   ///< round-robin rotation of queued tenants
-  std::size_t queued = 0;     ///< total queued jobs (bounded by capacity)
-  std::map<SessionId, std::size_t> unresolved;
+  /// Tenants by slot; slot 0 is every session-less job.  A slot outlives
+  /// its empty queue, so a steadily busy session reuses its storage.
+  std::vector<Tenant> tenants;
+  CompactingQueue<std::size_t> rr;  ///< round-robin rotation of queued slots
+  std::size_t queued = 0;           ///< total queued jobs (bounded by capacity)
   bool stop = false;
   /// Lock-free mirror of `queued` so the worker's pump loop can notice new
   /// work without taking the queue mutex every cycle.
@@ -128,15 +135,17 @@ struct Farm::Shard {
   // -- Published statistics, under stats_m ---------------------------------
   std::mutex stats_m;
   sim::Counters stats;  ///< latest snapshot, under stats_m
-  std::vector<std::uint64_t> latency_snapshot;  ///< under stats_m
+  /// The shard's one latency ring, under stats_m: publish_stats appends the
+  /// samples staged since the last publication.
+  LatencyRing latency{kLatencyRingCapacity};
 
   // -- Shard-step state: worker-local (inline mode: the submitting thread) -
-  std::deque<Job> active;  ///< jobs in the transport window, submission order
+  std::vector<Job> active;  ///< jobs in the transport window, submission order
   /// Jobs popped from the queue but waiting to issue: the front needs an FU
   /// swap and the window is not empty yet.  Strict FIFO behind it — issuing
   /// a later job around a held one would reorder a session's register
   /// semantics.
-  std::deque<Job> held;
+  CompactingQueue<Job> held;
   // Scratch reused across steps, so a step allocates nothing once warm.
   std::vector<ReliableTransport::StreamEvent> events;
   std::vector<ReliableTransport::Completion> comps;
@@ -145,8 +154,18 @@ struct Farm::Shard {
   std::uint64_t resets = 0;
   std::uint64_t publishes = 0;
   std::uint64_t unpublished = 0;  ///< jobs resolved since the last snapshot
-  std::vector<std::uint64_t> latency_ring;  ///< recent job latencies (cycles)
-  std::size_t latency_next = 0;             ///< ring overwrite cursor
+  /// Job latencies (cycles) since the last publication: at most one
+  /// interval plus one window's completions, and never more than a ring.
+  std::vector<std::uint64_t> staged;
+  /// The next snapshot, rebuilt in place and swapped with `stats`.  Both
+  /// buffers intern the farm.* names first, in the same order, so these
+  /// handles are valid in either.
+  sim::Counters snapshot;
+  sim::Counters::Handle completed_h = snapshot.handle("farm.jobs_completed");
+  sim::Counters::Handle failed_h = snapshot.handle("farm.jobs_failed");
+  sim::Counters::Handle resets_h = snapshot.handle("farm.shard_resets");
+  sim::Counters::Handle cycles_h = snapshot.handle("farm.shard_cycles");
+  sim::Counters::Handle publishes_h = snapshot.handle("farm.stats_publishes");
 
   std::thread thread;
 
@@ -157,34 +176,40 @@ struct Farm::Shard {
   /// job for the outer step loop instead of recursing.
   bool inline_active = false;
 
+  Shard() { stats = snapshot; }
+
   // Queue primitives (m held by the caller).
-  std::size_t unresolved_of(SessionId s) const {
-    auto it = unresolved.find(s);
-    return it == unresolved.end() ? 0 : it->second;
+  std::size_t unresolved_of(std::size_t slot) const {
+    return slot < tenants.size() ? tenants[slot].unresolved : 0;
   }
   void push_locked(Job&& job) {
-    if (job.session != kNoSession) {
-      ++unresolved[job.session];
+    if (job.slot >= tenants.size()) {
+      tenants.resize(job.slot + 1);
     }
-    std::deque<Job>& q = pending[job.session];
-    if (q.empty()) {
-      rr.push_back(job.session);
+    Tenant& t = tenants[job.slot];
+    if (job.slot != 0) {
+      ++t.unresolved;
     }
-    q.push_back(std::move(job));
+    if (t.queue.empty()) {
+      rr.push_back(job.slot);
+    }
+    t.queue.push_back(std::move(job));
     ++queued;
     queued_hint.store(queued, std::memory_order_relaxed);
   }
-  bool pop_locked(Job& out) {
+  /// Move the next job, round-robin across tenants and FIFO within one,
+  /// to the back of `into`.
+  bool pop_locked(CompactingQueue<Job>& into) {
     if (rr.empty()) {
       return false;
     }
-    const SessionId tenant = rr.front();
+    const std::size_t slot = rr.front();
     rr.pop_front();
-    std::deque<Job>& q = pending.find(tenant)->second;
-    out = std::move(q.front());
+    CompactingQueue<Job>& q = tenants[slot].queue;
+    into.push_back(std::move(q.front()));
     q.pop_front();
     if (!q.empty()) {
-      rr.push_back(tenant);  // FIFO within a tenant, round-robin across
+      rr.push_back(slot);
     }
     --queued;
     queued_hint.store(queued, std::memory_order_relaxed);
@@ -255,17 +280,11 @@ struct Farm::Shard {
     return false;
   }
 
-  /// Record one completed job's simulated-cycle latency (enqueue stamp to
-  /// now) into the bounded ring behind Farm::job_latency_samples().
+  /// Stage one completed job's simulated-cycle latency (enqueue stamp to
+  /// now) for the next publication into the ring.
   void record_latency(const Engine& engine, const Job& job) {
     const std::uint64_t now = engine.system.simulator().cycle();
-    const std::uint64_t lat = now - std::min(job.enqueue_cycle, now);
-    if (latency_ring.size() < kLatencyRingCapacity) {
-      latency_ring.push_back(lat);
-    } else {
-      latency_ring[latency_next] = lat;
-      latency_next = (latency_next + 1) % kLatencyRingCapacity;
-    }
+    staged.push_back(now - std::min(job.enqueue_cycle, now));
   }
 
   /// Resolve a completed job: success normally, the typed retryable
@@ -312,38 +331,42 @@ void Farm::Shard::resolve_failure(Job& job, std::exception_ptr err) {
 }
 
 void Farm::Shard::finish_accounting(Job& job) {
-  if (job.session != kNoSession) {
+  if (job.slot != 0) {
     std::lock_guard<std::mutex> lk(m);
-    auto it = unresolved.find(job.session);
-    if (it != unresolved.end() && it->second > 0) {
-      --it->second;
+    std::size_t& n = tenants[job.slot].unresolved;
+    if (n > 0) {
+      --n;
     }
   }
   cv_space.notify_all();
 }
 
 void Farm::Shard::publish_stats(const Engine& engine, bool force) {
-  if (!force && unpublished < cfg->stats_publish_interval) {
+  if (!force && unpublished < cfg->stats_publish_interval &&
+      staged.size() < kLatencyRingCapacity) {
     return;  // amortised: at most one snapshot per interval while busy
   }
-  sim::Counters snap;
-  snap.merge(engine.transport.counters());
-  snap.merge(engine.copro.counters());
+  snapshot.clear();
+  snapshot.merge(engine.transport.counters());
+  snapshot.merge(engine.copro.counters());
   if (engine.manager) {
-    snap.merge(engine.manager->counters());
+    snapshot.merge(engine.manager->counters());
   }
-  snap.bump("farm.jobs_completed", jobs_completed);
-  snap.bump("farm.jobs_failed", jobs_failed);
-  snap.bump("farm.shard_resets", resets);
+  snapshot.bump(completed_h, jobs_completed);
+  snapshot.bump(failed_h, jobs_failed);
+  snapshot.bump(resets_h, resets);
   // The shard's simulated clock, so benches can report deterministic
   // cycles/job alongside wall-clock rates (sums across shards on merge).
-  snap.bump("farm.shard_cycles", engine.system.simulator().cycle());
+  snapshot.bump(cycles_h, engine.system.simulator().cycle());
   ++publishes;
-  snap.bump("farm.stats_publishes", publishes);
+  snapshot.bump(publishes_h, publishes);
   unpublished = 0;
-  std::lock_guard<std::mutex> lk(stats_m);
-  stats = std::move(snap);
-  latency_snapshot = latency_ring;
+  {
+    std::lock_guard<std::mutex> lk(stats_m);
+    std::swap(stats, snapshot);
+    latency.append(staged);
+  }
+  staged.clear();
 }
 
 /// Fault recovery: reset the shard's hardware so later submissions run on
@@ -361,18 +384,19 @@ void Farm::Shard::recover(Engine& engine, const SimError& cause) {
   // casualty of a fault that preceded it.  Held jobs never issued, but the
   // reset destroyed the register state their sessions depend on all the
   // same.
-  std::deque<Job> window = std::move(active);
-  std::deque<Job> casualties = std::move(held);
+  std::vector<Job> window = std::move(active);
+  std::vector<Job> casualties;
   active.clear();
-  held.clear();
+  for (; !held.empty(); held.pop_front()) {
+    casualties.push_back(std::move(held.front()));
+  }
   {
     std::lock_guard<std::mutex> lk(m);
-    for (auto& [tenant, q] : pending) {
-      for (Job& j : q) {
-        casualties.push_back(std::move(j));
+    for (Tenant& t : tenants) {
+      for (; !t.queue.empty(); t.queue.pop_front()) {
+        casualties.push_back(std::move(t.queue.front()));
       }
     }
-    pending.clear();
     rr.clear();
     queued = 0;
     queued_hint.store(0, std::memory_order_relaxed);
@@ -398,10 +422,8 @@ void Farm::Shard::pop_up_to_window() {
   bool popped = false;
   {
     std::lock_guard<std::mutex> lk(m);
-    Job j;
     while (active.size() + held.size() < cfg->transport.window &&
-           pop_locked(j)) {
-      held.push_back(std::move(j));
+           pop_locked(held)) {
       popped = true;
     }
   }
@@ -535,13 +557,13 @@ void Farm::Shard::worker() {
       continue;
     }
     pop_up_to_window();
-    for (Job& j : held) {
-      resolve_failure(j, std::make_exception_ptr(FarmError(
-                             FarmError::Kind::kShardFault, index,
-                             "farm shard " + std::to_string(index) +
-                                 " failed to construct: " + construct_error)));
+    for (; !held.empty(); held.pop_front()) {
+      resolve_failure(held.front(),
+                      std::make_exception_ptr(FarmError(
+                          FarmError::Kind::kShardFault, index,
+                          "farm shard " + std::to_string(index) +
+                              " failed to construct: " + construct_error)));
     }
-    held.clear();
   }
   if (engine) {
     publish_stats(*engine, true);
@@ -570,6 +592,7 @@ Farm::Farm(FarmConfig config) : config_(std::move(config)) {
   const std::size_t n = config_.shards == 0 ? 1 : config_.shards;
   demand_.resize(n);
   placed_.assign(n, 0);
+  slots_.assign(n, 0);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -615,8 +638,15 @@ void Farm::shutdown() {
 
 std::size_t Farm::shard_count() const { return shards_.size(); }
 
+Farm::SessionId Farm::add_session(std::size_t shard,
+                                  const ImageSet& required) {
+  sessions_.push_back({shard, ++slots_[shard], required});
+  return sessions_.size() - 1;
+}
+
 Farm::SessionId Farm::create_session() {
-  return next_session_.fetch_add(1);
+  std::lock_guard<std::mutex> lk(placement_m_);
+  return add_session(sessions_.size() % shards_.size(), ImageSet{});
 }
 
 Farm::SessionId Farm::create_session(const std::vector<std::string>& required) {
@@ -624,7 +654,6 @@ Farm::SessionId Farm::create_session(const std::vector<std::string>& required) {
         "Farm::create_session(required): the farm has no algorithm images "
         "(set FarmConfig::fu_images)");
   const ImageSet ids = image_set(config_.fu_images, required);
-  const SessionId id = next_session_.fetch_add(1);
   std::lock_guard<std::mutex> lk(placement_m_);
   // FU-affine placement: maximise overlap with demand already placed on a
   // shard (the host-side approximation of residency — the live managers
@@ -643,43 +672,31 @@ Farm::SessionId Farm::create_session(const std::vector<std::string>& required) {
   }
   demand_[best] |= ids;
   ++placed_[best];
-  session_shard_[id] = best;
-  session_required_[id] = ids;
-  return id;
+  return add_session(best, ids);
+}
+
+Farm::Session Farm::session_of(SessionId session) const {
+  std::lock_guard<std::mutex> lk(placement_m_);
+  check(session < sessions_.size(), "Farm: unknown session id");
+  return sessions_[session];
 }
 
 std::size_t Farm::shard_of(SessionId session) const {
-  {
-    std::lock_guard<std::mutex> lk(placement_m_);
-    const auto it = session_shard_.find(session);
-    if (it != session_shard_.end()) {
-      return it->second;
-    }
-  }
-  return static_cast<std::size_t>(session % shards_.size());
-}
-
-ImageSet Farm::required_of(SessionId session) const {
-  std::lock_guard<std::mutex> lk(placement_m_);
-  const auto it = session_required_.find(session);
-  return it == session_required_.end() ? ImageSet{} : it->second;
+  return session_of(session).shard;
 }
 
 std::size_t Farm::in_flight(SessionId session) const {
-  Shard& shard = *shards_[shard_of(session)];
+  const Session entry = session_of(session);
+  Shard& shard = *shards_[entry.shard];
   std::lock_guard<std::mutex> lk(shard.m);
-  return shard.unresolved_of(session);
+  return shard.unresolved_of(entry.slot);
 }
 
-Farm::Job Farm::make_job(SessionId session, isa::Program program,
+Farm::Job Farm::make_job(isa::Program program,
                          std::optional<std::uint64_t> budget_cycles) const {
   Job job;
   job.program = std::move(program);
   job.budget = budget_cycles.value_or(config_.job_budget_cycles);
-  job.session = session;
-  if (session != kNoSession) {
-    job.required = required_of(session);
-  }
   return job;
 }
 
@@ -691,10 +708,10 @@ std::future<std::vector<msg::Response>> Farm::submit(
 std::future<std::vector<msg::Response>> Farm::submit(
     SessionId session, isa::Program program,
     std::optional<std::uint64_t> budget_cycles) {
-  Job job = make_job(session, std::move(program), budget_cycles);
+  Job job = make_job(std::move(program), budget_cycles);
   std::future<std::vector<msg::Response>> fut =
       job.promise.emplace().get_future();
-  enqueue(std::move(job));
+  enqueue(session, std::move(job));
   return fut;
 }
 
@@ -706,9 +723,9 @@ void Farm::submit_async(isa::Program program, Callback done,
 void Farm::submit_async(SessionId session, isa::Program program, Callback done,
                         std::optional<std::uint64_t> budget_cycles) {
   check(static_cast<bool>(done), "Farm::submit_async requires a callback");
-  Job job = make_job(session, std::move(program), budget_cycles);
+  Job job = make_job(std::move(program), budget_cycles);
   job.callback = std::move(done);
-  enqueue(std::move(job));
+  enqueue(session, std::move(job));
 }
 
 void Farm::submit_stream(isa::Program program, ResponseFn on_response,
@@ -723,24 +740,28 @@ void Farm::submit_stream(SessionId session, isa::Program program,
                          std::optional<std::uint64_t> budget_cycles) {
   check(static_cast<bool>(on_response) && static_cast<bool>(on_done),
         "Farm::submit_stream requires both callbacks");
-  Job job = make_job(session, std::move(program), budget_cycles);
+  Job job = make_job(std::move(program), budget_cycles);
   job.stream = std::move(on_response);
   job.done = std::move(on_done);
-  enqueue(std::move(job));
+  enqueue(session, std::move(job));
 }
 
 /// The admission front end, shared by both execution modes: typed
 /// shutdown/overload refusals and per-session accounting happen here, so
 /// inline and threaded farms reject identically.  Session-less jobs
 /// round-robin across shards.
-void Farm::enqueue(Job job) {
-  Shard& shard =
-      *shards_[job.session == kNoSession
-                   ? static_cast<std::size_t>(rr_next_.fetch_add(1) %
-                                              shards_.size())
-                   : shard_of(job.session)];
-  const bool bounded =
-      job.session != kNoSession && config_.max_inflight_per_session > 0;
+void Farm::enqueue(SessionId session, Job job) {
+  std::size_t target = 0;
+  if (session == kNoSession) {
+    target = static_cast<std::size_t>(rr_next_.fetch_add(1) % shards_.size());
+  } else {
+    const Session entry = session_of(session);
+    target = entry.shard;
+    job.slot = entry.slot;
+    job.required = entry.required;
+  }
+  Shard& shard = *shards_[target];
+  const bool bounded = job.slot != 0 && config_.max_inflight_per_session > 0;
   // Stamp the arrival against the worker-published clock mirror; slightly
   // stale is fine (latency samples only get conservative).
   job.enqueue_cycle =
@@ -753,10 +774,10 @@ void Farm::enqueue(Job job) {
                       "Farm::submit on a farm that is shutting down");
     }
     if (bounded &&
-        shard.unresolved_of(job.session) >= config_.max_inflight_per_session) {
+        shard.unresolved_of(job.slot) >= config_.max_inflight_per_session) {
       shard.jobs_shed.fetch_add(1);
       throw FarmError(FarmError::Kind::kOverload, shard.index,
-                      "Farm::submit: session " + std::to_string(job.session) +
+                      "Farm::submit: session " + std::to_string(session) +
                           " is at its in-flight bound (" +
                           std::to_string(config_.max_inflight_per_session) +
                           ")");
@@ -781,12 +802,11 @@ void Farm::enqueue(Job job) {
         throw FarmError(FarmError::Kind::kShutdown, shard.index,
                         "Farm::submit on a farm that is shutting down");
       }
-      if (bounded && shard.unresolved_of(job.session) >=
+      if (bounded && shard.unresolved_of(job.slot) >=
                          config_.max_inflight_per_session) {
         shard.jobs_shed.fetch_add(1);
         throw FarmError(FarmError::Kind::kOverload, shard.index,
-                        "Farm::submit: session " +
-                            std::to_string(job.session) +
+                        "Farm::submit: session " + std::to_string(session) +
                             " reached its in-flight bound while waiting for "
                             "queue space");
       }
@@ -835,8 +855,8 @@ std::vector<std::uint64_t> Farm::job_latency_samples() const {
   std::vector<std::uint64_t> out;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lk(shard->stats_m);
-    out.insert(out.end(), shard->latency_snapshot.begin(),
-               shard->latency_snapshot.end());
+    const std::vector<std::uint64_t>& ring = shard->latency.samples();
+    out.insert(out.end(), ring.begin(), ring.end());
   }
   return out;
 }

@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,6 +32,38 @@ struct LatencyPercentiles {
 /// Compute nearest-rank p50/p95/p99 over `samples` (order irrelevant;
 /// zeros for an empty set).
 LatencyPercentiles latency_percentiles(std::vector<std::uint64_t> samples);
+
+/// The bounded ring behind Farm::job_latency_samples(): the most recent
+/// `capacity` samples, in storage order — appended in arrival order until
+/// the ring is full, then each new sample overwrites the oldest.  A shard
+/// appends the samples it staged since its last publication, so a
+/// publication costs in proportion to the new samples, not the history.
+class LatencyRing {
+ public:
+  /// Reserves the whole ring, so filling it never reallocates (untouched
+  /// pages of a large reservation cost no resident memory).
+  explicit LatencyRing(std::size_t capacity) : capacity_(capacity) {
+    samples_.reserve(capacity);
+  }
+
+  void append(std::span<const std::uint64_t> samples) {
+    for (const std::uint64_t s : samples) {
+      if (samples_.size() < capacity_) {
+        samples_.push_back(s);
+      } else {
+        samples_[next_] = s;
+        next_ = (next_ + 1) % capacity_;
+      }
+    }
+  }
+
+  const std::vector<std::uint64_t>& samples() const { return samples_; }
+
+ private:
+  std::size_t capacity_;
+  std::vector<std::uint64_t> samples_;
+  std::size_t next_ = 0;  ///< overwrite cursor once full
+};
 
 /// Typed failure for farm jobs: carries which shard failed and why, so a
 /// caller can distinguish "my program wedged shard 3" from "the farm was
@@ -99,9 +131,9 @@ struct FarmConfig {
   /// Default per-job clock budget (overridable per submit).
   std::uint64_t job_budget_cycles = kDefaultCallBudgetCycles;
   /// Jobs a worker resolves between counter-snapshot publications.  The
-  /// fleet view (counters()) lags by at most this many jobs while a shard
-  /// is busy; it is exact whenever a shard goes idle and after shutdown().
-  /// 1 restores publish-after-every-job.
+  /// fleet view (counters(), job_latency_samples()) lags by at most this
+  /// many jobs while a shard is busy; it is exact whenever a shard goes
+  /// idle and after shutdown().  1 restores publish-after-every-job.
   std::size_t stats_publish_interval = 16;
 
   // -- Algorithm-on-demand ---------------------------------------------------
@@ -276,32 +308,41 @@ class Farm {
   struct Shard;
   struct Job;
 
-  Job make_job(SessionId session, isa::Program program,
+  /// Where a session's jobs go: its shard, its dense queue slot on that
+  /// shard (slot 0 belongs to session-less jobs) and the image set it
+  /// declared (empty for plain sessions, resolved from names once).
+  struct Session {
+    std::size_t shard = 0;
+    std::size_t slot = 0;
+    ImageSet required;
+  };
+
+  Job make_job(isa::Program program,
                std::optional<std::uint64_t> budget_cycles) const;
-  void enqueue(Job job);
-  /// Required image set a session declared (empty for plain sessions).
-  ImageSet required_of(SessionId session) const;
+  void enqueue(SessionId session, Job job);
+  /// Register a session on `shard` (placement_m_ held).
+  SessionId add_session(std::size_t shard, const ImageSet& required);
+  /// The session's entry (throws SimError for an id never created).
+  Session session_of(SessionId session) const;
 
   FarmConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> next_session_{0};
   std::atomic<std::uint64_t> rr_next_{0};
   std::atomic<bool> stopping_{false};
   std::mutex shutdown_m_;
   bool joined_ = false;  ///< under shutdown_m_
 
-  // -- FU-affine session placement, under placement_m_ -----------------------
+  // -- Sessions and FU-affine placement, under placement_m_ ------------------
   mutable std::mutex placement_m_;
-  /// Sessions created with a required set; absent sessions use the modulo
-  /// mapping (back-compat for create_session()).
-  std::map<SessionId, std::size_t> session_shard_;
-  /// Required sets by image id, resolved from names once at
-  /// create_session(required).
-  std::map<SessionId, ImageSet> session_required_;
+  /// Every session, indexed by id (ids are dense: create_session hands out
+  /// the next index).
+  std::vector<Session> sessions_;
+  /// Queue slots handed out per shard (slot 0 is the session-less tenant).
+  std::vector<std::size_t> slots_;
   /// Per-shard demand: the images some placed session requires.  The
   /// placement heuristic's residency approximation.
   std::vector<ImageSet> demand_;
-  /// Sessions placed per shard (load-balance tie-break).
+  /// Sessions placed by required set per shard (load-balance tie-break).
   std::vector<std::size_t> placed_;
 };
 

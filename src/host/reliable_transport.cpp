@@ -112,9 +112,8 @@ void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
                                  unsigned attempts) {
   const std::uint16_t wire = next_wire_seq_++;
   const InstructionGroup& g = f.layout.groups[slot_index];
-  for (std::size_t k = 0; k < g.word_count; ++k) {
-    copro_->submit_word(f.layout.words[g.first_word + k]);
-  }
+  copro_->submit(
+      std::span(f.layout.words).subspan(g.first_word, g.word_count));
   if (f.layout.predictions[slot_index].count > 0) {
     // Partial burst progress is kept across retries: the group is
     // read-only (the write barrier holds back anything that could change

@@ -84,11 +84,6 @@ std::size_t Link::host_available() const {
 
 bool Link::drained() const { return down_queue_.empty() && up_queue_.empty(); }
 
-void Link::inject_upstream(LinkWord word) {
-  enqueue(up_queue_, word, simulator().cycle());
-  wake();
-}
-
 void Link::eval() {
   // Downstream: present the head word to the FPGA once it has "arrived" at
   // the FPGA-side pins.

@@ -83,11 +83,6 @@ class Link : public sim::Component {
   /// True when no word is in flight or queued in either direction.
   bool drained() const;
 
-  /// Diagnostic/test hook: make `word` appear on the host's receive side
-  /// this cycle, as if the FPGA had sent it (used to forge frames in
-  /// fault-handling tests).
-  void inject_upstream(LinkWord word);
-
   /// Total words moved in each direction (for bandwidth accounting).
   std::uint64_t words_down() const { return words_down_; }
   std::uint64_t words_up() const { return words_up_; }

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "sim/simulator.hpp"
 
@@ -97,10 +97,11 @@ class Component {
   /// or monitor reading other components' clocked state mid-commit then
   /// observes identical values under every kernel.
   std::uint64_t order_ = 0;
-  /// Wires this component is on the sensitivity list of — the O(1)
-  /// membership side of WireBase's epoch-stamped subscription, and the list
-  /// Simulator::remove() walks to unsubscribe a destroyed component.
-  std::unordered_set<WireBase*> subscribed_;
+  /// Wires this component is on the sensitivity list of, each once: the
+  /// list Simulator::remove() walks to unsubscribe a destroyed component
+  /// (and a destroyed wire is erased from it).  Membership is decided on
+  /// the wire's side (WireBase::subscribe).
+  std::vector<WireBase*> subscribed_;
 };
 
 }  // namespace fpgafu::sim

@@ -35,12 +35,14 @@ class WireWatcher {
 /// the tracker cannot see (e.g. data fetched through a non-Wire side
 /// channel) can subscribe explicitly with `sensitive_to()`.
 ///
-/// Recording is O(1) per read: the simulator bumps a global epoch before
+/// Recording is cheap per read: the simulator bumps a global epoch before
 /// every recorded eval()/commit() invocation and the wire stamps it on first
 /// read, so repeat reads within one invocation dedupe on a single integer
-/// compare (plus a kept back-slot fast path); cross-invocation membership is
-/// an O(1) expected hash-set probe on the reader (`Component::subscribed_`)
-/// instead of the old O(readers) linear scan of the wire's list.
+/// compare (plus a kept back-slot fast path).  Cross-invocation membership
+/// scans the wire's own reader list, which on the modelled designs holds
+/// one or two components — shorter than a hash probe.  The reader keeps
+/// the reverse edge (`Component::subscribed_`) only so that destroying
+/// either end can unlink the other.
 class WireBase {
  public:
   WireBase(const WireBase&) = delete;
@@ -97,9 +99,13 @@ class WireBase {
   friend class Simulator;
 
   void subscribe(Component* reader) {
-    if (reader->subscribed_.insert(this).second) {
-      readers_.push_back(reader);
+    for (const Component* r : readers_) {
+      if (r == reader) {
+        return;
+      }
     }
+    readers_.push_back(reader);
+    reader->subscribed_.push_back(this);
   }
 
   Simulator* sim_;

@@ -29,7 +29,7 @@ void Simulator::remove(Component& component) {
       components_.end());
   // The component may sit in the dirty queue, the cross-cycle wake/commit
   // sets, and on the sensitivity lists of wires it does not own; purge all
-  // so no dangling pointer survives it.  Its subscribed_ set names exactly
+  // so no dangling pointer survives it.  Its subscribed_ list names exactly
   // those wires (its own wires already unregistered in their destructors).
   queue_.erase(std::remove(queue_.begin(), queue_.end(), &component),
                queue_.end());
@@ -49,10 +49,11 @@ void Simulator::remove(Component& component) {
 }
 
 void Simulator::unregister_wire(WireBase& wire) {
-  // Readers hold this wire in their O(1) membership sets; drop it there too
+  // Readers hold this wire in their subscription lists; drop it there too
   // so a later wire at the same address cannot alias a stale subscription.
   for (Component* reader : wire.readers_) {
-    reader->subscribed_.erase(&wire);
+    std::vector<WireBase*>& subs = reader->subscribed_;
+    subs.erase(std::remove(subs.begin(), subs.end(), &wire), subs.end());
   }
 }
 
@@ -243,11 +244,24 @@ void Simulator::commit_scheduled() {
             [](const Component* a, const Component* b) {
               return a->order_ < b->order_;
             });
-  for (Component* c : commit_work_) {
+  for (std::size_t i = 0; i < commit_work_.size(); ++i) {
+    Component* c = commit_work_[i];
     c->commit_armed_ = false;
     committing_ = c;
     ++sub_epoch_;
-    c->commit();
+    try {
+      c->commit();
+    } catch (...) {
+      // Leave a recoverable scheduler state behind, as a settle that trips
+      // the combinational-loop limit does: the commits not yet run are in
+      // no set, so disarm them and wake everything before rethrowing.
+      committing_ = nullptr;
+      for (std::size_t k = i + 1; k < commit_work_.size(); ++k) {
+        commit_work_[k]->commit_armed_ = false;
+      }
+      wake_all();
+      throw;
+    }
     if (c->always_active_) {
       wake(*c);
     }

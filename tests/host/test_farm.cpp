@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -346,16 +347,23 @@ TEST(Farm, WindowedShardsMatchTheReferenceModel) {
   EXPECT_EQ(totals.get("farm.shard_resets"), 0u);
 }
 
-/// Simulated cycles a farm spends on a completion-keyed stream of tiny
-/// jobs: twelve register-disjoint sessions of PUT/ADD/GET, started by one
-/// kick-off job whose callback submits the rest.  Every arrival is keyed
-/// to a completion, so the count does not depend on thread timing.
-std::uint64_t completion_keyed_stream_cycles(std::size_t shards) {
+/// A completion-keyed stream of tiny jobs: twelve register-disjoint
+/// sessions of PUT/ADD/GET, started by one kick-off job whose callback
+/// submits the rest.  Every arrival is keyed to a completion, so neither
+/// the simulated cycles nor the latency samples depend on thread timing.
+struct KeyedStream {
+  std::uint64_t cycles = 0;
+  std::vector<std::uint64_t> latencies;
+};
+
+KeyedStream completion_keyed_stream(std::size_t shards,
+                                    std::size_t publish_interval = 16) {
   constexpr std::size_t kSessions = 12;
   constexpr std::size_t kJobs = 192;
   FarmConfig fc;
   fc.shards = shards;
   fc.transport.window = 8;
+  fc.stats_publish_interval = publish_interval;
   fc.queue_capacity = kJobs;  // the kick-off's callback never waits
   Farm farm(fc);
   std::vector<Farm::SessionId> sessions;
@@ -399,7 +407,8 @@ std::uint64_t completion_keyed_stream_cycles(std::size_t shards) {
   }
   EXPECT_EQ(wrong, 0u);
   farm.shutdown();  // exact counters, including the final shard clock
-  return farm.counters().get("farm.shard_cycles");
+  return {farm.counters().get("farm.shard_cycles"),
+          farm.job_latency_samples()};
 }
 
 /// Inline and threaded farms run the same shard step, so at window 8 they
@@ -407,10 +416,50 @@ std::uint64_t completion_keyed_stream_cycles(std::size_t shards) {
 /// The count is pinned: 192 register-disjoint tiny jobs stream at the
 /// 8-word downlink floor plus the kick-off's round trip.
 TEST(Farm, InlineAndThreadedShardsSpendIdenticalCyclesOnACompletionKeyedStream) {
-  const std::uint64_t inline_cycles = completion_keyed_stream_cycles(0);
-  const std::uint64_t threaded_cycles = completion_keyed_stream_cycles(1);
+  const std::uint64_t inline_cycles = completion_keyed_stream(0).cycles;
+  const std::uint64_t threaded_cycles = completion_keyed_stream(1).cycles;
   EXPECT_EQ(inline_cycles, threaded_cycles);
   EXPECT_EQ(threaded_cycles, 1554u);
+}
+
+/// Latency samples are staged by the worker and appended to the shard's
+/// one ring at each publication, so how often it publishes changes when
+/// the fleet view catches up, never what it holds once the farm is shut
+/// down.
+TEST(Farm, PublishIntervalDoesNotChangeLatencySamples) {
+  const KeyedStream every_job = completion_keyed_stream(1, 1);
+  const KeyedStream amortised = completion_keyed_stream(1, 16);
+  EXPECT_EQ(every_job.latencies.size(), 192u);
+  EXPECT_EQ(every_job.latencies, amortised.latencies);
+  EXPECT_EQ(every_job.cycles, amortised.cycles);
+}
+
+/// The ring behind job_latency_samples() at a capacity small enough to
+/// wrap many times: appending runs of any length (longer than the ring
+/// too) leaves exactly what appending one sample at a time into a
+/// fill-then-overwrite-the-oldest ring leaves.
+TEST(LatencyRing, AppendedRunsWrapLikeOneSampleAtATime) {
+  constexpr std::size_t kCapacity = 5;
+  LatencyRing ring(kCapacity);
+  std::vector<std::uint64_t> expect;
+  std::size_t cursor = 0;
+  std::uint64_t next = 1;
+  for (const std::size_t run : {0u, 3u, 1u, 4u, 2u, 0u, 7u, 5u, 11u, 1u, 6u}) {
+    std::vector<std::uint64_t> samples;
+    for (std::size_t i = 0; i < run; ++i) {
+      samples.push_back(next);
+      if (expect.size() < kCapacity) {
+        expect.push_back(next);
+      } else {
+        expect[cursor] = next;
+        cursor = (cursor + 1) % kCapacity;
+      }
+      ++next;
+    }
+    ring.append(samples);
+    ASSERT_EQ(ring.samples(), expect) << "after " << next - 1 << " samples";
+  }
+  EXPECT_EQ(ring.samples().size(), kCapacity);
 }
 
 TEST(Farm, AsyncCallbacksDeliverEveryResult) {
@@ -557,17 +606,34 @@ TEST(Farm, SessionInFlightBoundShedsWithTypedOverload) {
   const Farm::SessionId s = farm.create_session();
 
   // The chunky job occupies the worker (1 unresolved), a second waits in
-  // the queue (2 unresolved = the bound), so a third is refused.
+  // the queue (2 unresolved = the bound), so a third is refused.  The
+  // chunky job's callback holds it unresolved until the third submission
+  // has been tried, so a fast worker cannot finish it first.
   const isa::Program chunky = chunky_program(1000);
   const isa::Program small = selfcontained_program(9);
-  auto f1 = farm.submit(s, chunky);
+  std::promise<void> gate;
+  std::shared_future<void> tried = gate.get_future().share();
+  auto first = std::make_shared<std::promise<std::vector<msg::Response>>>();
+  auto f1 = first->get_future();
+  farm.submit_async(s, chunky,
+                    [first, tried](std::vector<msg::Response> rs,
+                                   std::exception_ptr err) {
+                      tried.wait();
+                      if (err) {
+                        first->set_exception(err);
+                      } else {
+                        first->set_value(std::move(rs));
+                      }
+                    });
   auto f2 = farm.submit(s, small);
   try {
     farm.submit(s, small);
+    gate.set_value();
     FAIL() << "third submission must be refused at the session bound";
   } catch (const FarmError& e) {
     EXPECT_EQ(e.kind(), FarmError::Kind::kOverload);
   }
+  gate.set_value();
   EXPECT_EQ(f1.get(), reference_run(chunky));
   EXPECT_EQ(f2.get(), reference_run(small));
   // Both resolved: the bound has space again.
@@ -681,8 +747,19 @@ TEST(Farm, RoundRobinDequeueKeepsTenantsFair) {
   const Farm::SessionId a = farm.create_session();
   const Farm::SessionId b = farm.create_session();
 
-  // Occupy the worker so the queue forms behind it.
-  auto stall = farm.submit(chunky_program(300));
+  // Occupy the worker so the queue forms behind it: the stall job's
+  // callback holds the worker until every job below is queued, so a fast
+  // worker cannot take them one at a time as they arrive.
+  std::promise<void> gate;
+  std::shared_future<void> all_queued = gate.get_future().share();
+  auto stalled = std::make_shared<std::promise<void>>();
+  auto stall = stalled->get_future();
+  farm.submit_async(chunky_program(300),
+                    [all_queued, stalled](std::vector<msg::Response>,
+                                          std::exception_ptr) {
+                      all_queued.wait();
+                      stalled->set_value();
+                    });
 
   std::mutex m;
   std::condition_variable cv;
@@ -700,6 +777,7 @@ TEST(Farm, RoundRobinDequeueKeepsTenantsFair) {
   farm.submit_async(b, selfcontained_program(1710), record('b'));
   farm.submit_async(b, selfcontained_program(1711), record('b'));
 
+  gate.set_value();
   stall.get();
   std::unique_lock<std::mutex> lk(m);
   cv.wait(lk, [&] { return order.size() == 8; });

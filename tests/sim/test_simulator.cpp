@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 #include "sim/trace.hpp"
 
@@ -517,6 +518,44 @@ TEST(EventKernel, CombinationalLoopLeavesRecoverableState) {
   sim.run(2);
   EXPECT_EQ(c.value(), 4u);
   EXPECT_EQ(d.out.peek(), 8u);
+}
+
+TEST(EventKernel, ThrowingCommitLeavesRecoverableState) {
+  // Two registered counters; the first one's commit throws once, at the
+  // fourth step, before it ticks.  The caller catches and keeps stepping:
+  // every commit after the thrower must still run from the next cycle on,
+  // exactly as under the brute-force kernel.
+  class Faulting : public Component {
+   public:
+    Faulting(Simulator& s, std::uint64_t throw_at)
+        : Component(s, "faulting"), throw_at_(throw_at) {}
+    void commit() override {
+      if (++commits_ == throw_at_) {
+        throw SimError("injected commit fault");
+      }
+      value_.set_d(value_.q() + 1);
+      value_.tick();
+    }
+    std::uint64_t value() const { return value_.q(); }
+
+   private:
+    std::uint64_t throw_at_;
+    std::uint64_t commits_ = 0;
+    Reg<std::uint64_t> value_{*this, 0};
+  };
+  const auto run = [](Simulator::Kernel kernel) {
+    Simulator sim;
+    sim.set_kernel(kernel);
+    Faulting first(sim, 4);
+    Faulting second(sim, 0);
+    sim.run(3);
+    EXPECT_THROW(sim.step(), SimError);
+    sim.run(5);
+    return std::pair{first.value(), second.value()};
+  };
+  const auto brute = run(Simulator::Kernel::kBruteForce);
+  EXPECT_EQ(brute, (std::pair<std::uint64_t, std::uint64_t>{8, 8}));
+  EXPECT_EQ(run(Simulator::Kernel::kEvent), brute);
 }
 
 TEST(Counters, HandleInterningAndBump) {

@@ -16,10 +16,12 @@
 // on average: the Completion's response vector handed to the caller.  A
 // fourth compares warm inline-farm jobs: one on a session that requires a
 // resident algorithm image must allocate no more than one on a plain
-// session (the required set is an id bitset, not a copied name list).  The
-// replacement is process-wide, so this test lives in its own binary; it is
-// not built in the sanitizer CI legs, whose runtimes supply their own
-// operator new.
+// session (the required set is an id bitset, not a copied name list).  A
+// fifth runs a warm inline farm's closed-loop tiny stream and allows two
+// allocations per job: the caller's program copy and the response vector.
+// The replacement is process-wide, so this test lives in its own binary;
+// it is not built in the sanitizer CI legs, whose runtimes supply their
+// own operator new.
 
 #include <gtest/gtest.h>
 
@@ -368,6 +370,67 @@ TEST(FarmAllocGuard, ResidentRequiredImageCostsNoAllocationPerJob) {
       farm_job_allocations(managed_farm, managed, program, kJobs);
   EXPECT_LE(managed_allocs, plain_allocs) << "over " << kJobs << " jobs";
   EXPECT_EQ(managed_farm.counters().get("algod.loads"), 1u);
+}
+
+/// The tiny_stream shape on an inline farm: twelve register-disjoint
+/// sessions at window 8, a closed loop that keeps up to 24 jobs unresolved
+/// and submits from completion callbacks.  Counts every allocation between
+/// the first submit and the last completion.
+struct ClosedLoop {
+  host::Farm& farm;
+  std::vector<isa::Program> jobs = tiny_jobs();
+  std::vector<host::Farm::SessionId> sessions;
+  std::size_t target = 0;
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+  std::size_t wrong = 0;
+
+  explicit ClosedLoop(host::Farm& f) : farm(f) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      sessions.push_back(farm.create_session());
+    }
+  }
+
+  void submit_next() {
+    const std::size_t i = submitted++ % jobs.size();
+    farm.submit_async(sessions[i], jobs[i],
+                      [this, i](std::vector<msg::Response> rs,
+                                std::exception_ptr err) {
+                        ++completed;
+                        if (err || rs.size() != 1 ||
+                            rs[0].payload != 2 * (100 + i)) {
+                          ++wrong;
+                        }
+                        while (submitted < target &&
+                               submitted - completed < 24) {
+                          submit_next();
+                        }
+                      });
+  }
+
+  /// Run `n` more jobs; returns the allocations they made.
+  std::uint64_t run(std::size_t n) {
+    target += n;
+    const std::uint64_t before = g_allocations.load();
+    g_counting.store(true);
+    submit_next();  // inline: returns once the loop has drained
+    g_counting.store(false);
+    return g_allocations.load() - before;
+  }
+};
+
+TEST(FarmAllocGuard, WarmTinyStreamAllocatesAtMostTwoPerJob) {
+  host::FarmConfig fc;
+  fc.shards = 0;
+  fc.transport.window = 8;
+  host::Farm farm(fc);
+  ClosedLoop loop(farm);
+  loop.run(2048);  // warm-up: queues, window, rings and counters
+  constexpr std::size_t kJobs = 4096;
+  const std::uint64_t allocations = loop.run(kJobs);
+  EXPECT_EQ(loop.completed, 2048 + kJobs);
+  EXPECT_EQ(loop.wrong, 0u);
+  EXPECT_LE(allocations, 2 * kJobs) << "over " << kJobs << " jobs";
 }
 
 INSTANTIATE_TEST_SUITE_P(
