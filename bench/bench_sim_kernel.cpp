@@ -123,6 +123,7 @@ isa::Program sparse_workload(int sweeps) {
 struct KernelResult {
   std::uint64_t cycles = 0;
   std::uint64_t evals = 0;
+  std::uint64_t commits = 0;
   unsigned max_settle = 0;
   double wall_ms = 0;
 };
@@ -138,6 +139,7 @@ KernelResult run_wide(sim::Simulator::Kernel kernel, const isa::Program& p) {
   KernelResult r;
   r.cycles = sys.simulator().cycle();
   r.evals = sys.simulator().evals_performed();
+  r.commits = sys.simulator().commits_performed();
   r.max_settle = sys.simulator().max_settle_iterations();
   r.wall_ms =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
@@ -166,12 +168,14 @@ void print_kernel_table() {
   const KernelResult brute = best_of(sim::Simulator::Kernel::kBruteForce);
   const KernelResult event = best_of(sim::Simulator::Kernel::kEvent);
   TextTable t({"kernel", "cycles", "eval() calls", "evals/cycle",
-               "max settle", "wall ms"});
+               "commits/cycle", "max settle", "wall ms"});
+  const auto per_cycle = [](std::uint64_t n, const KernelResult& r) {
+    return format_fixed(static_cast<double>(n) / static_cast<double>(r.cycles),
+                        2);
+  };
   const auto row = [&](const char* name, const KernelResult& r) {
     t.add_row({name, std::to_string(r.cycles), std::to_string(r.evals),
-               format_fixed(static_cast<double>(r.evals) /
-                                static_cast<double>(r.cycles),
-                            2),
+               per_cycle(r.evals, r), per_cycle(r.commits, r),
                std::to_string(r.max_settle), format_fixed(r.wall_ms, 2)});
   };
   row("brute force", brute);
@@ -186,8 +190,9 @@ void print_kernel_table() {
   bench::note("bit-identical by tests/rtm/test_kernel_differential.cpp and");
   bench::note("the randomized-topology fuzzer tests/rtm/test_kernel_fuzz.cpp).");
   bench::note("The event kernel carries activity across the clock edge: idle");
-  bench::note("components skip the first settle pass and the commit, and later");
-  bench::note("passes re-evaluate only readers of wires that changed.");
+  bench::note("components skip the first settle sweep and the commit, later");
+  bench::note("sweeps re-evaluate only readers of wires that changed, and FSM");
+  bench::note("units sleep through Execute on one timed wake.");
   if (brute.cycles != event.cycles) {
     std::printf("  ERROR: cycle counts diverged (%llu vs %llu)\n",
                 static_cast<unsigned long long>(brute.cycles),
@@ -204,6 +209,7 @@ void BM_WideSystemSettle(benchmark::State& state) {
   const isa::Program p = sparse_workload(16);
   std::uint64_t cycles = 0;
   std::uint64_t evals = 0;
+  std::uint64_t commits = 0;
   for (auto _ : state) {
     top::System sys(wide_config());
     sys.simulator().set_kernel(kernel);
@@ -212,14 +218,19 @@ void BM_WideSystemSettle(benchmark::State& state) {
     copro.call(p);
     cycles += sys.simulator().cycle();
     evals += sys.simulator().evals_performed();
+    commits += sys.simulator().commits_performed();
   }
   state.SetLabel(sim::Simulator::kernel_name(kernel));
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
-  // Scheduler-efficiency figure the CI perf smoke asserts on: average
-  // eval() calls per simulated cycle.
-  state.counters["evals_per_cycle"] = benchmark::Counter(
-      cycles == 0 ? 0.0
-                  : static_cast<double>(evals) / static_cast<double>(cycles));
+  // Scheduler-efficiency figures the CI perf smoke asserts on: average
+  // eval() and commit() calls per simulated cycle.
+  const auto per_cycle = [cycles](std::uint64_t n) {
+    return benchmark::Counter(
+        cycles == 0 ? 0.0
+                    : static_cast<double>(n) / static_cast<double>(cycles));
+  };
+  state.counters["evals_per_cycle"] = per_cycle(evals);
+  state.counters["commits_per_cycle"] = per_cycle(commits);
 }
 BENCHMARK(BM_WideSystemSettle)
     ->Arg(0)

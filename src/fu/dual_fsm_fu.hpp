@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -50,21 +51,20 @@ class DualFsmFu : public FunctionalUnit {
   }
 
   void commit() override {
-    // All clocked state here is plain fields: self-report activity whenever
-    // the FSM is (or is about to be) off the idle state.
-    if (state_ != State::kIdle || ports.dispatch.get()) {
-      mark_active();
-    }
+    // All clocked state here is plain fields: self-report every transition.
+    // The Execute state sleeps until its completion cycle (wake_at).
+    const std::uint64_t now = simulator().cycle();
     switch (state_) {
       case State::kIdle:
         if (ports.dispatch.get()) {
           pending_req_ = ports.request.get();
-          countdown_ = execute_cycles_;
+          done_at_ = now + std::max<std::uint32_t>(execute_cycles_, 1);
           state_ = State::kExecute;
+          mark_active();
         }
         break;
       case State::kExecute:
-        if (countdown_ <= 1) {
+        if (now >= done_at_) {
           const FuRequest& req = pending_req_;
           const DualOut o =
               fn_(req.variety, req.operand1, req.operand2, req.flags_in);
@@ -88,8 +88,9 @@ class DualFsmFu : public FunctionalUnit {
             have_second_ = false;
           }
           state_ = State::kOutput1;
+          mark_active();
         } else {
-          --countdown_;
+          wake_at(done_at_);
         }
         break;
       case State::kOutput1:
@@ -100,12 +101,14 @@ class DualFsmFu : public FunctionalUnit {
             ++completed_;
             state_ = State::kIdle;
           }
+          mark_active();
         }
         break;
       case State::kOutput2:
         if (ports.data_acknowledge.get()) {
           ++completed_;
           state_ = State::kIdle;
+          mark_active();
         }
         break;
     }
@@ -114,7 +117,7 @@ class DualFsmFu : public FunctionalUnit {
   void reset() override {
     FunctionalUnit::reset();
     state_ = State::kIdle;
-    countdown_ = 0;
+    done_at_ = 0;
     have_second_ = false;
     out1_ = FuResult{};
     out2_ = FuResult{};
@@ -128,7 +131,7 @@ class DualFsmFu : public FunctionalUnit {
   std::uint32_t execute_cycles_;
   State state_ = State::kIdle;
   FuRequest pending_req_;
-  std::uint32_t countdown_ = 0;
+  std::uint64_t done_at_ = 0;  ///< cycle whose commit completes Execute
   bool have_second_ = false;
   FuResult out1_;
   FuResult out2_;

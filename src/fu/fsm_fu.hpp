@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -16,6 +17,11 @@ namespace fpgafu::fu {
 /// multi-cycle operation iterating on shared hardware.  Operations whose
 /// variety produces no output (e.g. a compare whose flags are disabled)
 /// take the Fig. 6 "Completion / No output" edge straight back to Idle.
+///
+/// The hardware counts the Execute state down; the model registers the
+/// cycle the count would reach completion and sleeps until then
+/// (`wake_at`), so a unit iterating on its datapath costs the event kernel
+/// nothing between dispatch and completion.
 class FsmFu : public FunctionalUnit {
  public:
   enum class State : std::uint8_t { kIdle, kExecute, kOutput };
@@ -35,18 +41,19 @@ class FsmFu : public FunctionalUnit {
   }
 
   void commit() override {
+    const std::uint64_t now = simulator().cycle();
     State next = state_.q();
     switch (state_.q()) {
       case State::kIdle:
         if (ports.dispatch.get()) {
           const FuRequest req = ports.request.get();
           pending_req_.set_d(req);
-          countdown_.set_d(execute_cycles_);
+          done_at_.set_d(now + std::max<std::uint32_t>(execute_cycles_, 1));
           next = State::kExecute;
         }
         break;
       case State::kExecute:
-        if (countdown_.q() <= 1) {
+        if (now >= done_at_.q()) {
           // Completion: latch the datapath result.
           const FuRequest req = pending_req_.q();
           const StatelessOut o =
@@ -67,7 +74,7 @@ class FsmFu : public FunctionalUnit {
             next = State::kOutput;
           }
         } else {
-          countdown_.set_d(countdown_.q() - 1);
+          wake_at(done_at_.q());
         }
         break;
       case State::kOutput:
@@ -80,7 +87,7 @@ class FsmFu : public FunctionalUnit {
     state_.set_d(next);
     state_.tick();
     pending_req_.tick();
-    countdown_.tick();
+    done_at_.tick();
     out_.tick();
   }
 
@@ -88,7 +95,7 @@ class FsmFu : public FunctionalUnit {
     FunctionalUnit::reset();
     state_.reset();
     pending_req_.reset();
-    countdown_.reset();
+    done_at_.reset();
     out_.reset();
   }
 
@@ -97,7 +104,9 @@ class FsmFu : public FunctionalUnit {
   std::uint32_t execute_cycles_;
   sim::Reg<State> state_{*this, State::kIdle};
   sim::Reg<FuRequest> pending_req_{*this};
-  sim::Reg<std::uint32_t> countdown_{*this, 0};
+  /// Cycle whose commit completes the Execute state: dispatch cycle +
+  /// execute_cycles (at least one).
+  sim::Reg<std::uint64_t> done_at_{*this, 0};
   sim::Reg<FuResult> out_{*this};
 };
 

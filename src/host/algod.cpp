@@ -49,11 +49,10 @@ void check_image(const AlgorithmImage& image,
 }
 
 void FuLoader::start(std::uint64_t cycles) {
-  check(remaining_ == 0,
+  check(!busy(),
         "fu_loader: a partial reconfiguration is already in progress (the "
         "model has one reconfiguration port)");
-  remaining_ = cycles;
-  wake();
+  done_at_ = simulator().cycle() + cycles;
 }
 
 FuManager::FuManager(Coprocessor& coproc, FuManagerConfig config)

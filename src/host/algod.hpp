@@ -76,6 +76,8 @@ void check_image(const AlgorithmImage& image,
 /// in progress the loader is busy for the image's load_cycles, so swap
 /// latency lands on the same clock as everything else — visible in cycle
 /// counts, the counters and a VCD dump, not hidden in host bookkeeping.
+/// Busy is a function of the clock alone (the load's completion cycle), so
+/// the loader does no work while a load runs; a reset ends the load.
 class FuLoader final : public sim::Component {
  public:
   FuLoader(sim::Simulator& sim, std::string name)
@@ -84,18 +86,12 @@ class FuLoader final : public sim::Component {
   /// Begin a load taking `cycles` clock cycles.  Only one load at a time
   /// (one reconfiguration port, like real PR controllers).
   void start(std::uint64_t cycles);
-  bool busy() const { return remaining_ > 0; }
+  bool busy() const { return simulator().cycle() < done_at_; }
 
-  void commit() override {
-    if (remaining_ > 0) {
-      --remaining_;
-      mark_active();
-    }
-  }
-  void reset() override { remaining_ = 0; }
+  void reset() override { done_at_ = 0; }
 
  private:
-  std::uint64_t remaining_ = 0;
+  std::uint64_t done_at_ = 0;  ///< first cycle the port is free again
 };
 
 struct FuManagerConfig {

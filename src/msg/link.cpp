@@ -33,6 +33,7 @@ bool Link::host_send(LinkWord word) {
   const std::uint64_t depart =
       std::max<std::uint64_t>(simulator().cycle(), down_next_slot_);
   down_next_slot_ = depart + down_.interval;
+  const bool was_empty = down_queue_.empty();
   const Injection inj = classify(/*downstream=*/true, word);
   if (!inj.drop) {
     enqueue(down_queue_, word, depart + down_.latency + inj.extra_latency);
@@ -42,9 +43,12 @@ bool Link::host_send(LinkWord word) {
               depart + down_.interval + down_.latency + inj.extra_latency);
     }
   }
-  // Host-side mutation of sim-visible state (rx presentation) between
-  // cycles: schedule ourselves so the event kernel notices.
-  wake();
+  // Only a new head word changes what eval() presents, and only once it
+  // arrives: sleep until then.  A word queued behind the head is picked
+  // up by the commit that pops its predecessor.
+  if (was_empty && !down_queue_.empty()) {
+    wake_at(down_queue_.front().arrives_at);
+  }
   return true;
 }
 
@@ -64,8 +68,11 @@ std::optional<LinkWord> Link::host_receive() {
   }
   const LinkWord w = up_queue_.front().word;
   up_queue_.pop_front();
-  // A pop can re-open a bounded upstream buffer (tx.ready).
-  wake();
+  // A pop that re-opens a full bounded upstream buffer re-asserts tx.ready.
+  if (up_capacity_ != 0 && up_queue_.size() < up_capacity_ &&
+      up_queue_.size() + 1 >= up_capacity_) {
+    wake();
+  }
   return w;
 }
 
@@ -100,12 +107,14 @@ void Link::eval() {
 }
 
 void Link::commit() {
-  if (rx.fire()) {
+  const std::uint64_t now = simulator().cycle();
+  const bool down_moved = rx.fire();
+  const bool up_moved = tx.fire();
+  if (down_moved) {
     down_queue_.pop_front();
     ++words_down_;
   }
-  if (tx.fire()) {
-    const std::uint64_t now = simulator().cycle();
+  if (up_moved) {
     up_next_slot_ = now + up_.interval;
     ++words_up_;
     LinkWord word = tx.data.get();
@@ -119,14 +128,21 @@ void Link::commit() {
       }
     }
   }
-  // eval() is a function of *time* while words are in flight downstream
-  // (arrival) or the serialisation interval is still running (tx.ready
-  // re-assertion — which must happen even when a faulty subclass dropped
-  // the word, leaving both queues empty): stay scheduled until the last
-  // timer expires, then go quiet.
-  if (rx.fire() || tx.fire() || !down_queue_.empty() ||
-      up_next_slot_ > simulator().cycle()) {
+  if (down_moved || up_moved) {
+    // The queues or the serialisation slot moved: the next cycle's eval()
+    // and commit() re-derive everything, timed wakes included.
     mark_active();
+    return;
+  }
+  // eval() changes with time alone at two moments: the head word's arrival
+  // at the FPGA-side pins, and the end of the upstream serialisation
+  // interval (tx.ready re-asserts even when a faulty subclass dropped the
+  // word, leaving both queues empty).  Sleep until the earlier of them.
+  if (!down_queue_.empty() && down_queue_.front().arrives_at > now) {
+    wake_at(down_queue_.front().arrives_at);
+  }
+  if (up_next_slot_ > now) {
+    wake_at(up_next_slot_);
   }
 }
 

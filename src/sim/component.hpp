@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,9 +29,11 @@ namespace fpgafu::sim {
 /// (`Reg(Component&, ...)`) report changes automatically from `tick()`; every
 /// other clocked side effect — ring buffers, deques, plain FSM fields,
 /// counter bumps, trace events — must be announced with `mark_active()`.
-/// Components whose behaviour depends on something the tracker cannot see at
-/// all (free-running RNGs, per-cycle monitors, wall-clock style time checks)
-/// opt out of demotion entirely with `make_always_active()`.
+/// Behaviour that changes with time alone (a countdown, a word in flight)
+/// is announced once with `wake_at(cycle)`, not by staying active every
+/// cycle until then.  Components whose behaviour depends on something the
+/// tracker cannot see at all (free-running RNGs, per-cycle monitors) opt out
+/// of demotion entirely with `make_always_active()`.
 class Component {
  public:
   Component(Simulator& sim, std::string name)
@@ -64,6 +68,11 @@ class Component {
   /// sets.  Bound `Reg`s call this automatically on a real q-value change.
   void mark_active() { sim_.wake(*this); }
 
+  /// Announce from `commit()` (or host code between cycles) that this
+  /// component's behaviour next changes at `cycle` through time alone, so
+  /// the event kernel can let it sleep until then (Simulator::wake_at).
+  void wake_at(std::uint64_t cycle) { sim_.wake_at(*this, cycle); }
+
   /// Opt out of event-kernel demotion: eval and commit every cycle.  For
   /// free-running components whose behaviour is a function of *time* or of
   /// per-cycle RNG draws rather than of wires + registered state (monitors,
@@ -81,27 +90,31 @@ class Component {
 
   Simulator& sim_;
   std::string name_;
-  /// Event-kernel scheduling state: true while this component sits in the
-  /// simulator's dirty queue awaiting re-evaluation within a settle.
-  bool queued_ = false;
-  /// Event-kernel scheduling state: member of the cross-cycle wake set
-  /// (evaluate on the next cycle's first settle pass)?
-  bool woken_ = false;
-  /// Event-kernel scheduling state: member of the commit set?
-  bool commit_armed_ = false;
   /// Exempt from event-kernel demotion (see make_always_active()).
   bool always_active_ = false;
-  /// Registration ordinal, assigned by Simulator::add().  The event kernel
-  /// sorts its commit set by this so its commit sequence is a subsequence
-  /// of the brute-force kernel's registration-order sequence — any probe
-  /// or monitor reading other components' clocked state mid-commit then
+  /// Dense registration index, assigned by Simulator::add(): this
+  /// component's position in the simulator's component list and its bit
+  /// in the event kernel's eval/commit bitmaps.  Sweeps run in index order,
+  /// so the event kernel's commit sequence is a subsequence of the
+  /// brute-force kernel's registration-order sequence — any probe or
+  /// monitor reading other components' clocked state mid-commit then
   /// observes identical values under every kernel.
-  std::uint64_t order_ = 0;
+  std::size_t order_ = 0;
+  /// Cycle of this component's pending timed wake (Simulator::wake_at);
+  /// UINT64_MAX when none is pending.
+  std::uint64_t timer_at_ = ~std::uint64_t{0};
   /// Wires this component is on the sensitivity list of, each once: the
   /// list Simulator::remove() walks to unsubscribe a destroyed component
   /// (and a destroyed wire is erased from it).  Membership is decided on
   /// the wire's side (WireBase::subscribe).
   std::vector<WireBase*> subscribed_;
 };
+
+inline void Simulator::wake(Component& component) {
+  const std::size_t i = component.order_;
+  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+  eval_bits_[i >> 6] |= bit;
+  commit_bits_[i >> 6] |= bit;
+}
 
 }  // namespace fpgafu::sim

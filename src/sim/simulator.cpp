@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/component.hpp"
 #include "sim/signal.hpp"
@@ -15,37 +16,65 @@ const char* Simulator::kernel_name(Kernel kernel) {
   return "?";
 }
 
+std::size_t Simulator::count(const std::vector<std::uint64_t>& bits) {
+  std::size_t n = 0;
+  for (const std::uint64_t word : bits) {
+    n += static_cast<std::size_t>(std::popcount(word));
+  }
+  return n;
+}
+
 void Simulator::add(Component& component) {
-  component.order_ = next_order_++;
+  component.order_ = components_.size();
   components_.push_back(&component);
+  const std::size_t words = (components_.size() + 63) / 64;
+  eval_bits_.resize(words);
+  commit_bits_.resize(words);
+  commit_work_.resize(words);
   // A freshly constructed component has never run: wake it and arm its
   // commit so the event kernel evaluates and commits it at least once.
   wake(component);
 }
 
 void Simulator::remove(Component& component) {
-  components_.erase(
-      std::remove(components_.begin(), components_.end(), &component),
-      components_.end());
-  // The component may sit in the dirty queue, the cross-cycle wake/commit
-  // sets, and on the sensitivity lists of wires it does not own; purge all
-  // so no dangling pointer survives it.  Its subscribed_ list names exactly
-  // those wires (its own wires already unregistered in their destructors).
-  queue_.erase(std::remove(queue_.begin(), queue_.end(), &component),
-               queue_.end());
-  wake_set_.erase(std::remove(wake_set_.begin(), wake_set_.end(), &component),
-                  wake_set_.end());
-  commit_set_.erase(
-      std::remove(commit_set_.begin(), commit_set_.end(), &component),
-      commit_set_.end());
-  commit_work_.erase(
-      std::remove(commit_work_.begin(), commit_work_.end(), &component),
-      commit_work_.end());
+  // Clear the component's bits (commit_work_ too: it may be destroyed by a
+  // commit that runs before its own) and leave a hole at its index, which
+  // the next step() compacts away: indices never shift under a sweep.
+  const std::size_t i = component.order_;
+  const std::uint64_t keep = ~(std::uint64_t{1} << (i & 63));
+  eval_bits_[i >> 6] &= keep;
+  commit_bits_[i >> 6] &= keep;
+  commit_work_[i >> 6] &= keep;
+  components_[i] = nullptr;
+  holes_ = true;
+  std::erase_if(timers_,
+                [&](const Timer& t) { return t.component == &component; });
+  std::make_heap(timers_.begin(), timers_.end(), later);
+  // Unlink it from the sensitivity lists of wires it does not own.  Its
+  // subscribed_ list names exactly those wires (its own wires already
+  // unregistered in their destructors).
   for (WireBase* w : component.subscribed_) {
     w->readers_.erase(
         std::remove(w->readers_.begin(), w->readers_.end(), &component),
         w->readers_.end());
   }
+}
+
+void Simulator::compact() {
+  // Move the live components down over the holes.  Their bits do not move
+  // with them: everything is woken instead, which is always sound and
+  // costs one full sweep after a rare event (components are destroyed at
+  // teardown, not while a design runs).
+  std::erase(components_, nullptr);
+  for (std::size_t i = 0; i < components_.size(); ++i) {
+    components_[i]->order_ = i;
+  }
+  const std::size_t words = (components_.size() + 63) / 64;
+  eval_bits_.assign(words, 0);
+  commit_bits_.assign(words, 0);
+  commit_work_.assign(words, 0);
+  holes_ = false;
+  wake_all();
 }
 
 void Simulator::unregister_wire(WireBase& wire) {
@@ -57,41 +86,34 @@ void Simulator::unregister_wire(WireBase& wire) {
   }
 }
 
-void Simulator::enqueue(Component& component) {
-  if (!component.queued_) {
-    component.queued_ = true;
-    queue_.push_back(&component);
-  }
-}
-
-void Simulator::clear_queue() {
-  for (Component* c : queue_) {
-    c->queued_ = false;
-  }
-  queue_.clear();
-}
-
-void Simulator::arm_commit(Component& component) {
-  if (!component.commit_armed_) {
-    component.commit_armed_ = true;
-    commit_set_.push_back(&component);
-  }
-}
-
-void Simulator::wake(Component& component) {
-  if (settling_) {
-    // Mid-settle: fold the component into the current fixed-point search.
-    enqueue(component);
-  } else if (!component.woken_) {
-    component.woken_ = true;
-    wake_set_.push_back(&component);
-  }
-  arm_commit(component);
-}
-
 void Simulator::wake_all() {
   for (Component* c : components_) {
-    wake(*c);
+    if (c != nullptr) {
+      wake(*c);
+    }
+  }
+}
+
+void Simulator::wake_at(Component& component, std::uint64_t cycle) {
+  if (kernel_ != Kernel::kEvent || cycle >= component.timer_at_) {
+    return;
+  }
+  // An earlier request supersedes a pending one: the superseded heap entry
+  // no longer matches timer_at_ and is skipped when it comes due.
+  component.timer_at_ = cycle;
+  timers_.push_back({cycle, &component});
+  std::push_heap(timers_.begin(), timers_.end(), later);
+}
+
+void Simulator::fire_timers() {
+  while (!timers_.empty() && timers_.front().at <= cycle_) {
+    const Timer t = timers_.front();
+    std::pop_heap(timers_.begin(), timers_.end(), later);
+    timers_.pop_back();
+    if (t.component->timer_at_ == t.at) {
+      t.component->timer_at_ = ~std::uint64_t{0};
+      wake(*t.component);
+    }
   }
 }
 
@@ -99,7 +121,7 @@ void Simulator::wire_changed(WireBase& wire) {
   changed_ = true;
   if (kernel_ == Kernel::kEvent) {
     // Re-schedule the readers' evals (into the running settle if we are
-    // inside one, next cycle's wake set otherwise) and re-promote their
+    // inside one, next cycle's first sweep otherwise) and re-promote their
     // commits: a recorded input changed, so a demoted commit may now act.
     for (Component* reader : wire.readers_) {
       wake(*reader);
@@ -110,28 +132,27 @@ void Simulator::wire_changed(WireBase& wire) {
 void Simulator::set_kernel(Kernel kernel) {
   kernel_ = kernel;
   // The event kernel must never inherit a quiet set built by another kernel
-  // (which does not maintain one): start from everything-active.
+  // (which does not maintain one): start from everything-active.  A timer
+  // left from an earlier event-kernel run can only wake a component early.
   wake_all();
 }
 
 void Simulator::reset() {
   for (Component* c : components_) {
-    c->reset();
+    if (c != nullptr) {
+      c->reset();
+    }
   }
   cycle_ = 0;
   ++reset_generation_;
   max_settle_ = 0;
-  // Drop dirty state so a stray Wire::set between reset() and the first
-  // step() cannot leak a stale queue entry into the first settle.
-  clear_queue();
   // Drop all cross-cycle activity state and rebuild it as everything-active:
-  // after a reset the event kernel must re-observe the whole design.
-  wake_set_.clear();
-  commit_set_.clear();
-  for (Component* c : components_) {
-    c->woken_ = false;
-    c->commit_armed_ = false;
+  // after a reset the event kernel must re-observe the whole design, and no
+  // timed wake of the old timeline may fire in the new one.
+  for (const Timer& t : timers_) {
+    t.component->timer_at_ = ~std::uint64_t{0};
   }
+  timers_.clear();
   wake_all();
 }
 
@@ -147,8 +168,10 @@ void Simulator::settle_brute_force() {
   do {
     changed_ = false;
     for (Component* c : components_) {
-      c->eval();
-      ++evals_;
+      if (c != nullptr) {
+        c->eval();
+        ++evals_;
+      }
     }
     ++iterations;
     if (iterations > settle_limit_) {
@@ -159,51 +182,59 @@ void Simulator::settle_brute_force() {
   max_settle_ = std::max(max_settle_, iterations);
 }
 
-/// Event-driven settle: the first pass evaluates only the cross-cycle wake
-/// set — components woken by a wire change since the previous settle, an
-/// explicit wake(), a commit that reported activity, or reset()/add().
-/// Every further pass drains only the components whose recorded input wires
-/// changed in the pass before.  Sound by induction, extended across the
-/// clock edge: a quiet component's eval() output can only change after one
-/// of its recorded inputs changes or its own registered state changes
-/// (which its previous commit reported as activity) — and each such event
-/// wakes it.  Passes count like the brute-force kernel's, so settle_limit_
-/// and max_settle_iterations() keep their meaning, and a combinational loop
-/// keeps re-queueing its components until the limit trips.
+/// Event-driven settle: sweeps over the eval bits until one leaves none
+/// set.  The first sweep starts from the cross-cycle wake set — components
+/// woken by a wire change since the previous settle, an explicit wake(), a
+/// commit that reported activity, a timed wake, or reset()/add().  Sound by
+/// induction, extended across the clock edge: a quiet component's eval()
+/// output can only change after one of its recorded inputs changes, its own
+/// registered state changes (which its previous commit reported as
+/// activity) or a time it announced comes due — and each such event wakes
+/// it.  Sweeps count like the brute-force kernel's passes, so
+/// settle_limit_ and max_settle_iterations() keep their meaning, and a
+/// combinational loop keeps waking its components behind the cursor until
+/// the limit trips.
 void Simulator::settle_event() {
-  clear_queue();
   settling_ = true;
-  work_.clear();
-  work_.swap(wake_set_);
-  for (Component* c : work_) {
-    c->woken_ = false;
-  }
-  unsigned iterations = 1;
-  while (true) {
-    for (Component* c : work_) {
-      run_eval(*c);
-    }
+  unsigned sweeps = 0;
+  try {
+    do {
+      if (++sweeps > settle_limit_) {
+        throw SimError("combinational loop: signals did not settle within " +
+                       std::to_string(settle_limit_) + " iterations");
+      }
+      sweep();
+    } while (count(eval_bits_) != 0);
+  } catch (...) {
+    // A loop that trips the limit or an eval() that throws leaves a
+    // recoverable scheduler state behind: nothing mid-settle, everything
+    // woken (the thrower included), so the caller may fix the cause and
+    // keep stepping.
     reading_ = nullptr;
-    if (queue_.empty()) {
-      break;
-    }
-    if (++iterations > settle_limit_) {
-      // Leave a recoverable scheduler state behind (everything woken), so
-      // the caller may raise the limit and continue stepping.
-      clear_queue();
-      settling_ = false;
-      wake_all();
-      throw SimError("combinational loop: signals did not settle within " +
-                     std::to_string(settle_limit_) + " iterations");
-    }
-    work_.clear();
-    work_.swap(queue_);
-    for (Component* c : work_) {
-      c->queued_ = false;
-    }
+    settling_ = false;
+    wake_all();
+    throw;
   }
   settling_ = false;
-  max_settle_ = std::max(max_settle_, iterations);
+  max_settle_ = std::max(max_settle_, sweeps);
+}
+
+/// One registration-order pass over the eval bits.  Each bit is cleared
+/// before its eval() runs, so a component that wakes itself (or is woken
+/// behind the cursor) waits for the next sweep, while one woken ahead of
+/// the cursor runs in this one.
+void Simulator::sweep() {
+  for (std::size_t w = 0; w < eval_bits_.size(); ++w) {
+    std::uint64_t ahead = ~std::uint64_t{0};
+    while (const std::uint64_t bits = eval_bits_[w] & ahead) {
+      const int b = std::countr_zero(bits);
+      const std::uint64_t bit = std::uint64_t{1} << b;
+      eval_bits_[w] &= ~bit;
+      ahead = ~((bit << 1) - 1);
+      run_eval(*components_[(w << 6) | static_cast<std::size_t>(b)]);
+    }
+  }
+  reading_ = nullptr;
 }
 
 void Simulator::step() {
@@ -214,56 +245,62 @@ void Simulator::step() {
          "sim::Simulator is thread-affine: step() called off the owner "
          "thread (construct the System on the thread that drives it, or "
          "rebind_owner() at a quiescent hand-off)");
+  if (holes_) {
+    compact();
+  }
   if (kernel_ == Kernel::kEvent) {
+    if (!timers_.empty() && timers_.front().at <= cycle_) {
+      fire_timers();
+    }
     settle_event();
     commit_scheduled();
   } else {
     settle_brute_force();
     for (Component* c : components_) {
-      c->commit();
+      if (c != nullptr) {
+        c->commit();
+        ++commits_;
+      }
     }
   }
   ++cycle_;
 }
 
-/// Commit phase of the event kernel: run only armed commits.  Each
-/// component is provisionally demoted; it stays in the (fresh) commit set
-/// only if its commit reported activity (bound Reg change or mark_active(),
-/// both of which wake()), a wire it read gets changed later, someone wakes
-/// it, or it opted out of demotion.
+/// Commit phase of the event kernel: run the commit bits in registration
+/// order.  Each component is provisionally demoted; it is committed again
+/// next cycle only if its commit reported activity (bound Reg change or
+/// mark_active(), both of which wake()), a wire it read gets changed later,
+/// someone wakes it, a timed wake comes due, or it opted out of demotion.
 /// Commit-time wire reads are recorded (recording_reader()) so conditional
 /// commit read sets stay conservative, exactly like eval sensitivities.
 void Simulator::commit_scheduled() {
-  commit_work_.clear();
-  commit_work_.swap(commit_set_);
-  // Registration order, so the armed subsequence commits in exactly the
-  // order the brute-force kernel would (skipped components are by
-  // definition unchanged): probes reading non-wire state mid-commit see
-  // kernel-independent values.
-  std::sort(commit_work_.begin(), commit_work_.end(),
-            [](const Component* a, const Component* b) {
-              return a->order_ < b->order_;
-            });
-  for (std::size_t i = 0; i < commit_work_.size(); ++i) {
-    Component* c = commit_work_[i];
-    c->commit_armed_ = false;
-    committing_ = c;
-    ++sub_epoch_;
-    try {
-      c->commit();
-    } catch (...) {
-      // Leave a recoverable scheduler state behind, as a settle that trips
-      // the combinational-loop limit does: the commits not yet run are in
-      // no set, so disarm them and wake everything before rethrowing.
-      committing_ = nullptr;
-      for (std::size_t k = i + 1; k < commit_work_.size(); ++k) {
-        commit_work_[k]->commit_armed_ = false;
+  // Wakes from here on arm next cycle's commits in the (all-zero) swapped
+  // in bitmap.
+  commit_work_.swap(commit_bits_);
+  for (std::size_t w = 0; w < commit_work_.size(); ++w) {
+    // Re-read the word each time: a commit may destroy a later component,
+    // which clears its bit here.
+    while (const std::uint64_t bits = commit_work_[w]) {
+      const int b = std::countr_zero(bits);
+      commit_work_[w] &= bits - 1;
+      Component* c = components_[(w << 6) | static_cast<std::size_t>(b)];
+      committing_ = c;
+      ++sub_epoch_;
+      try {
+        c->commit();
+      } catch (...) {
+        // Leave a recoverable scheduler state behind, as a settle that
+        // trips the combinational-loop limit does: drop the commits not
+        // yet run and wake everything before rethrowing.
+        committing_ = nullptr;
+        std::fill(commit_work_.begin(), commit_work_.end(), 0);
+        wake_all();
+        throw;
       }
-      wake_all();
-      throw;
-    }
-    if (c->always_active_) {
-      wake(*c);
+      ++commits_;
+      if (c->always_active_) {
+        wake(*c);
+      }
     }
   }
   committing_ = nullptr;

@@ -38,20 +38,24 @@ class WireBase;
 ///
 ///   * `kEvent` (default): activity tracking carried *across* the clock
 ///     edge.  Wire reads made during any `eval()` are recorded as
-///     sensitivities.  The first settle pass evaluates only components in
-///     the persistent wake set — woken by a Wire change during the previous
-///     cycle or by an explicit `Component::wake()`; subsequent passes
-///     re-evaluate only the components whose recorded input wires changed in
-///     the pass before — a dirty work-queue, the same idea as an
-///     event-driven HDL simulator's sensitivity lists.  The commit phase
-///     runs only "clocked-active" components: a component whose last
-///     `commit()` reported no activity (no bound-`Reg` change, no
-///     `mark_active()`) is demoted from the commit set and re-promoted when
-///     any wire it was observed reading — in `eval()` *or* `commit()` —
-///     changes, or when it is woken.  Sound because `eval()` and `commit()`
-///     are pure functions of wires + registered state: re-running either
-///     with neither changed is the identity.  Idle hardware costs zero host
-///     cycles.
+///     sensitivities.  Scheduling state is two bitmaps over the components'
+///     dense registration indices: `eval_bits_` (to evaluate) and
+///     `commit_bits_` (to commit).  `wake()` sets a component's bit in
+///     both — from a Wire change it was observed reading, an explicit
+///     `Component::wake()`, a commit that reported activity, or a timed
+///     wake (`wake_at`) coming due.  A settle is a series of sweeps over
+///     `eval_bits_` in registration order: a component woken ahead of the
+///     cursor runs in the same sweep, one woken at or behind it in the
+///     next, and the settle ends after a sweep that leaves no bit set.  The
+///     commit phase runs the commit bits, again in registration order, and
+///     each component is provisionally demoted: its commit bit is set again
+///     only if its `commit()` reported activity (a bound-`Reg` change or
+///     `mark_active()`), a wire it was observed reading — in `eval()` *or*
+///     `commit()` — changes, or it is woken.  Sound because `eval()` and
+///     `commit()` are pure functions of wires, registered state and time,
+///     and every time-driven change is announced with `wake_at`: re-running
+///     either with none of them changed is the identity.  Idle or waiting
+///     hardware costs zero host cycles.
 ///   * `kBruteForce`: the original kernel — every settle pass re-runs every
 ///     component until a pass changes nothing, and every commit runs every
 ///     cycle.  Kept as the reference implementation; differential tests pin
@@ -60,17 +64,18 @@ class WireBase;
 /// **Thread affinity.**  A Simulator — and everything built on it: every
 /// Component, the whole top::System — belongs to exactly one thread, the
 /// one that constructed it (or the last one `rebind_owner()` was called
-/// from).  Nothing here is synchronised: wires, the dirty queue and every
-/// component's registers are plain data, which is what makes the settle
-/// loop fast.  Concurrency lives *above* the simulator — host::Farm runs N
-/// Systems on N threads, one simulator per thread, and never shares one.
+/// from).  Nothing here is synchronised: wires, the scheduling bitmaps and
+/// every component's registers are plain data, which is what makes the
+/// settle loop fast.  Concurrency lives *above* the simulator — host::Farm
+/// runs N Systems on N threads, one simulator per thread, and never shares
+/// one.
 /// `step()` asserts the rule in debug builds; the TSan CI job enforces it
 /// for the multi-threaded code paths.
 class Simulator {
  public:
   enum class Kernel {
     kBruteForce,  ///< evaluate every component every pass (reference)
-    kEvent,       ///< cross-cycle wake/commit sets: skip idle components
+    kEvent,       ///< cross-cycle eval/commit bitmaps: skip idle components
   };
 
   /// Every kernel, reference implementation first.  The single source of
@@ -88,16 +93,22 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Register a component.  The simulator does not own components; it must
-  /// outlive them (Component's ctor/dtor register/unregister automatically).
+  /// Register a component under the next dense index.  The simulator does
+  /// not own components; it must outlive them (Component's ctor/dtor
+  /// register/unregister automatically).  Add components between cycles.
   void add(Component& component);
+  /// Unregister a component: clear its scheduling bits, drop its timed
+  /// wakes and unlink it from every wire.  Later components move down one
+  /// index at the start of the next step(), which then wakes everything, so
+  /// indices never shift under a running sweep even when a commit destroys
+  /// a component.
   void remove(Component& component);
 
-  /// Assert reset on every component, rewind the cycle counter and drop any
-  /// pending dirty state (stray Wire writes between reset() and the first
-  /// step() must not leak into the first settle pass).  All cross-cycle
-  /// activity state is dropped too: after reset every component is woken and
-  /// commit-armed, so the event kernel cannot start from a stale quiet set.
+  /// Assert reset on every component, rewind the cycle counter and drop all
+  /// cross-cycle activity state (pending timed wakes included): after reset
+  /// every component is woken and commit-armed, so the event kernel cannot
+  /// start from a stale quiet set, and stray Wire writes between reset()
+  /// and the first step() are folded into that everything-woken state.
   void reset();
 
   /// Advance one clock cycle (settle + commit).
@@ -123,9 +134,9 @@ class Simulator {
   std::uint64_t reset_generation() const { return reset_generation_; }
 
   /// Select the settle kernel.  Call only at a cycle boundary (between
-  /// steps); the dirty queue of a half-settled cycle does not transfer.
-  /// Switching wakes every component so the event kernel never inherits a
-  /// quiet set it did not build itself.
+  /// steps).  Switching wakes every component so the event kernel never
+  /// inherits a quiet set it did not build itself; the woken commits
+  /// re-request the timed wakes they need.
   void set_kernel(Kernel kernel);
   Kernel kernel() const { return kernel_; }
 
@@ -137,17 +148,19 @@ class Simulator {
   /// Upper bound on settle iterations before declaring a combinational loop.
   void set_settle_limit(unsigned limit) { settle_limit_ = limit; }
 
-  /// Components currently queued for re-evaluation *within* a settle.  Zero
-  /// at every cycle boundary and after reset() — tests assert this
-  /// invariant.  (The event kernel's cross-cycle wake set is intentionally
-  /// not included: a pending wake is normal between-cycle state.)
-  std::size_t pending_reevals() const { return queue_.size(); }
+  /// Components awaiting another sweep of a running settle.  Zero at every
+  /// cycle boundary and after reset() — between cycles the eval bits are
+  /// the next cycle's wake set, not leftover settle work (tests assert
+  /// this invariant).
+  std::size_t pending_reevals() const {
+    return settling_ ? count(eval_bits_) : 0;
+  }
 
-  /// Event-kernel introspection: components in the cross-cycle wake set
-  /// (will be evaluated on the next cycle's first settle pass) and in the
-  /// commit set (will have commit() run next cycle).
-  std::size_t wake_set_size() const { return wake_set_.size(); }
-  std::size_t commit_set_size() const { return commit_set_.size(); }
+  /// Event-kernel introspection: components that will be evaluated on the
+  /// next cycle's first sweep (wake set) and have commit() run next cycle
+  /// (commit set).
+  std::size_t wake_set_size() const { return count(eval_bits_); }
+  std::size_t commit_set_size() const { return count(commit_bits_); }
 
   /// The thread this simulator is affine to (see the class comment).
   std::thread::id owner_thread() const { return owner_; }
@@ -162,28 +175,52 @@ class Simulator {
   /// cycle count; bench_sim_kernel reports the ratio.
   std::uint64_t evals_performed() const { return evals_; }
 
+  /// Total component commit() calls (all kernels): the clock-side
+  /// counterpart of evals_performed().
+  std::uint64_t commits_performed() const { return commits_; }
+
   /// Called on any Wire value change; marks the settle pass dirty and,
   /// under kEvent, wakes the wire's recorded readers (re-arming their
   /// commits too).
   void wire_changed(WireBase& wire);
 
   /// Schedule `component` for evaluation and arm its commit (see
-  /// Component::wake()).  During a settle this re-queues it into the current
-  /// fixed-point search; between cycles it joins the next cycle's wake set.
-  void wake(Component& component);
+  /// Component::wake()): two bit sets, defined in component.hpp.  During a
+  /// settle the component joins the running fixed-point search; between
+  /// cycles, or from a commit, it joins the next cycle's first sweep.
+  inline void wake(Component& component);
+
+  /// Wake `component` at the start of the first step whose cycle is at
+  /// least `cycle` — for behaviour that changes with time rather than with
+  /// wires or registered state (a countdown, a word in flight).  Call from
+  /// commit() or between cycles.  A component holds at most one pending
+  /// timed wake, the earliest requested: a later request made while an
+  /// earlier one is pending is dropped, so the component's commit must
+  /// re-request any later wake it still needs each time it runs.  A no-op
+  /// under kBruteForce, which runs every component every cycle anyway.
+  void wake_at(Component& component, std::uint64_t cycle);
 
  private:
   friend class Component;
   friend class WireBase;
 
+  /// A pending timed wake (min-heap on `at`).
+  struct Timer {
+    std::uint64_t at;
+    Component* component;
+  };
+  static bool later(const Timer& a, const Timer& b) { return a.at > b.at; }
+
+  static std::size_t count(const std::vector<std::uint64_t>& bits);
+
   void unregister_wire(WireBase& wire);
-  void enqueue(Component& component);
-  void clear_queue();
-  void arm_commit(Component& component);
   void wake_all();
+  void fire_timers();
+  void compact();
   void run_eval(Component& component);
   void settle_brute_force();
   void settle_event();
+  void sweep();
   void commit_scheduled();
 
   /// The component whose reads should currently be recorded as
@@ -193,24 +230,31 @@ class Simulator {
     return reading_ != nullptr ? reading_ : committing_;
   }
 
+  /// Registered components by dense index (Component::order_); nullptr
+  /// marks a destroyed one, compacted away at the start of the next step.
   std::vector<Component*> components_;
-  std::vector<Component*> queue_;  ///< components to re-evaluate next pass
-  std::vector<Component*> work_;   ///< pass currently being drained
-  std::vector<Component*> wake_set_;     ///< kEvent: eval next cycle
-  std::vector<Component*> commit_set_;   ///< kEvent: commit next cycle
-  std::vector<Component*> commit_work_;  ///< scheduled commits being run
+  /// kEvent scheduling state, one bit per component index: evaluate in the
+  /// running settle or the next cycle's first sweep / commit this cycle's
+  /// commit phase or the next.
+  std::vector<std::uint64_t> eval_bits_;
+  std::vector<std::uint64_t> commit_bits_;
+  /// The commit bits being run, swapped out of commit_bits_ (all zero
+  /// between commit phases).
+  std::vector<std::uint64_t> commit_work_;
+  std::vector<Timer> timers_;  ///< kEvent: pending timed wakes (min-heap)
   Component* reading_ = nullptr;    ///< component whose eval() is running
   Component* committing_ = nullptr;  ///< kEvent: component whose commit() runs
   std::thread::id owner_ = std::this_thread::get_id();
   std::uint64_t cycle_ = 0;
-  std::uint64_t next_order_ = 0;  ///< registration ordinals for Components
   std::uint64_t reset_generation_ = 0;
   std::uint64_t evals_ = 0;
+  std::uint64_t commits_ = 0;
   /// Bumped before every recorded eval()/commit() invocation; wires stamp it
   /// on first read so repeat reads in the same invocation are O(1) no-ops.
   std::uint64_t sub_epoch_ = 0;
   bool changed_ = false;  ///< kBruteForce: a wire changed this pass
-  bool settling_ = false;     ///< inside a settle (wake() targets this cycle)
+  bool settling_ = false;  ///< kEvent: inside a settle
+  bool holes_ = false;     ///< components_ holds a nullptr to compact
   Kernel kernel_ = Kernel::kEvent;
   unsigned settle_limit_ = 64;
   unsigned max_settle_ = 0;

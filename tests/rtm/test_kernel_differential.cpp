@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "host/reliable_transport.hpp"
 #include "host/xsort_system_engine.hpp"
 #include "sim/vcd.hpp"
+#include "support/fsm_units.hpp"
 #include "support/program_gen.hpp"
 #include "support/rtm_harness.hpp"
 #include "top/system.hpp"
@@ -60,10 +62,22 @@ struct KernelRun {
   std::string vcd;
 };
 
+/// Runs `program` on an RtmRig under `kernel`.  With `fsm_cycles` the rig
+/// carries FSM units only (testing::make_fsm_units), unit i iterating
+/// fsm_cycles[i] clocks; otherwise its default units on `skeleton`.
 KernelRun run_under(sim::Simulator::Kernel kernel, const rtm::RtmConfig& cfg,
                     fu::Skeleton skeleton, const isa::Program& program,
-                    bool with_vcd = false) {
-  RtmRig rig(cfg, skeleton);
+                    bool with_vcd = false,
+                    const std::array<std::uint32_t, 6>* fsm_cycles = nullptr) {
+  RtmRig rig(cfg, skeleton, /*attach_units=*/fsm_cycles == nullptr);
+  if (fsm_cycles != nullptr) {
+    for (auto& [code, unit] :
+         fpgafu::testing::make_fsm_units(rig.sim, cfg.word_width,
+                                         *fsm_cycles)) {
+      rig.rtm.attach(code, *unit);
+      rig.units.push_back(std::move(unit));
+    }
+  }
   rig.sim.set_kernel(kernel);
   KernelRun out;
   std::ostringstream vcd_os;
@@ -188,6 +202,125 @@ TEST(KernelDifferential, VcdWaveformsAreByteIdenticalAcrossKernels) {
         run_under(kernel, cfg, fu::Skeleton::kFsm, program, /*with_vcd=*/true);
     ASSERT_FALSE(got.vcd.empty());
     EXPECT_EQ(got.vcd, brute.vcd) << kernel_name(kernel);
+  }
+}
+
+// FSM units sleep through their Execute state on one timed wake.  Every
+// length from 1 (completion in the first Execute commit) up to 8 must be
+// bit-identical to the brute-force kernel — responses, counters, waveform —
+// and equal to the reference model, with the two-record DualFsmFu among
+// them and each unit at its own length.
+TEST(KernelDifferential, FsmUnitsAtEveryExecuteLengthMatchBruteForce) {
+  rtm::RtmConfig cfg;
+  cfg.data_regs = 16;
+  cfg.flag_regs = 4;
+  for (std::uint32_t n = 1; n <= 8; ++n) {
+    SCOPED_TRACE("execute_cycles " + std::to_string(n));
+    // Unit i iterates n + i clocks, wrapped into 1..8.
+    std::array<std::uint32_t, 6> cycles{};
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      cycles[i] = static_cast<std::uint32_t>((n - 1 + i) % 8 + 1);
+    }
+    ProgramGenOptions opt;
+    opt.instructions = 150;
+    opt.include_errors = (n % 2) == 0;
+    const isa::Program program = random_program(cfg, 0x71e0 + n, opt);
+    const KernelRun brute =
+        run_under(Simulator::Kernel::kBruteForce, cfg, fu::Skeleton::kFsm,
+                  program, /*with_vcd=*/true, &cycles);
+    EXPECT_EQ(brute.responses, host::ReferenceModel(cfg).run(program));
+    for (const auto kernel : scheduled_kernels()) {
+      const KernelRun got = run_under(kernel, cfg, fu::Skeleton::kFsm,
+                                      program, /*with_vcd=*/true, &cycles);
+      expect_identical(got, brute, kernel);
+      EXPECT_EQ(got.vcd, brute.vcd) << kernel_name(kernel);
+      EXPECT_LT(got.evals, brute.evals) << kernel_name(kernel);
+    }
+  }
+}
+
+// The link sleeps until its head word arrives and until its serialisation
+// interval ends.  A 64-cycle burst link and a slow serial link, clean and
+// with upstream duplicates and extra latency in both directions, must play
+// out identically under every kernel: responses, cycles, transport, rtm and
+// fault counters, and the waveform of the link's handshakes.
+TEST(KernelDifferential, BurstAndFaultyLinksMatchAcrossKernels) {
+  struct LinkCase {
+    msg::LinkTiming timing;
+    bool faulty;
+  };
+  const LinkCase cases[] = {{msg::kBurstLink.timing, false},
+                            {msg::kBurstLink.timing, true},
+                            {msg::kSerialLink.timing, true}};
+  struct SystemRun {
+    std::vector<msg::Response> responses;
+    std::uint64_t cycles = 0;
+    std::map<std::string, std::uint64_t> transport;
+    std::map<std::string, std::uint64_t> rtm;
+    std::map<std::string, std::uint64_t> faults;
+    std::string vcd;
+  };
+  for (const LinkCase& c : cases) {
+    SCOPED_TRACE("latency " + std::to_string(c.timing.latency) +
+                 (c.faulty ? " faulty" : " clean"));
+    const auto run_system = [&](Simulator::Kernel kernel) {
+      top::SystemConfig cfg;
+      cfg.rtm.data_regs = 12;
+      cfg.rtm.flag_regs = 4;
+      cfg.link_down = c.timing;
+      cfg.link_up = c.timing;
+      cfg.link_up_capacity = 6;
+      cfg.stateless_skeleton = fu::Skeleton::kFsm;
+      if (c.faulty) {
+        msg::FaultConfig f;
+        f.seed = 0xb0057;
+        f.up.duplicate_ppm = 60'000;
+        f.up.drop_ppm = 20'000;
+        f.up.jitter_max = 5;
+        f.down.jitter_max = 4;
+        cfg.link_faults = f;
+      }
+      top::System sys(cfg);
+      sys.simulator().set_kernel(kernel);
+      host::Coprocessor copro(sys);
+      host::TransportConfig tcfg;
+      tcfg.response_timeout = 2000;
+      host::ReliableTransport transport(copro, tcfg);
+      std::ostringstream vcd_os;
+      sim::VcdWriter vcd(sys.simulator(), vcd_os, 20);
+      msg::Link& link = sys.link();
+      vcd.probe("rx_valid", 1, [&] { return link.rx.valid.peek() ? 1u : 0u; });
+      vcd.probe("rx_ready", 1, [&] { return link.rx.ready.peek() ? 1u : 0u; });
+      vcd.probe("tx_valid", 1, [&] { return link.tx.valid.peek() ? 1u : 0u; });
+      vcd.probe("tx_ready", 1, [&] { return link.tx.ready.peek() ? 1u : 0u; });
+      vcd.probe("r1", 32, [&] { return sys.rtm().regs().read(1); });
+      const isa::Program program =
+          random_program(cfg.rtm, 0x1a7e, {.instructions = 60});
+      SystemRun out;
+      out.responses = transport.call(program);
+      out.cycles = sys.simulator().cycle();
+      out.transport = transport.counters().all();
+      out.rtm = sys.rtm().counters().all();
+      if (sys.faulty_link() != nullptr) {
+        out.faults = sys.faulty_link()->fault_counters().all();
+      }
+      out.vcd = vcd_os.str();
+      return out;
+    };
+    const SystemRun brute = run_system(Simulator::Kernel::kBruteForce);
+    ASSERT_FALSE(brute.responses.empty());
+    if (c.faulty) {
+      EXPECT_GT(brute.faults.at("link.up_duplicated"), 0u);
+    }
+    for (const auto kernel : scheduled_kernels()) {
+      const SystemRun got = run_system(kernel);
+      EXPECT_EQ(got.responses, brute.responses) << kernel_name(kernel);
+      EXPECT_EQ(got.cycles, brute.cycles) << kernel_name(kernel);
+      EXPECT_EQ(got.transport, brute.transport) << kernel_name(kernel);
+      EXPECT_EQ(got.rtm, brute.rtm) << kernel_name(kernel);
+      EXPECT_EQ(got.faults, brute.faults) << kernel_name(kernel);
+      EXPECT_EQ(got.vcd, brute.vcd) << kernel_name(kernel);
+    }
   }
 }
 

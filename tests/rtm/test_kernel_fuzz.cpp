@@ -19,10 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +34,7 @@
 #include "host/coprocessor.hpp"
 #include "host/reliable_transport.hpp"
 #include "sim/vcd.hpp"
+#include "support/fsm_units.hpp"
 #include "support/program_gen.hpp"
 #include "top/system.hpp"
 #include "util/error.hpp"
@@ -74,6 +77,9 @@ struct FuzzSpec {
   std::vector<isa::Program> segments;
   std::vector<Churn> churn;  ///< churn[i] runs after segments[i]
   bool with_vcd = false;
+  /// Timed-wake axis: when set, the stateless units are FSM units
+  /// (testing::make_fsm_units) iterating these clock counts.
+  std::optional<std::array<std::uint32_t, 6>> fsm_cycles;
 };
 
 /// A few scratchpad operations: set up address/data registers with PUTs,
@@ -113,7 +119,11 @@ void append_scratch_ops(isa::Program& p, Xoshiro256& rng,
   }
 }
 
-FuzzSpec make_spec(std::uint64_t seed) {
+/// `timed` adds the timed-wake axis after every other draw (so the plain
+/// fuzzer's corpus is unchanged): FSM units at 1..8 Execute cycles each,
+/// links from tight to a 64-cycle burst and a slow serial link, and an
+/// upstream that duplicates words and adds latency in both directions.
+FuzzSpec make_spec(std::uint64_t seed, bool timed = false) {
   Xoshiro256 rng(seed);
   FuzzSpec s;
   s.seed = seed;
@@ -207,6 +217,30 @@ FuzzSpec make_spec(std::uint64_t seed) {
   }
 
   s.with_vcd = (seed % 4) == 0;
+  if (timed) {
+    std::array<std::uint32_t, 6> cycles{};
+    for (auto& c : cycles) {
+      c = static_cast<std::uint32_t>(rng.range(1, 8));
+    }
+    s.fsm_cycles = cycles;
+    const msg::LinkTiming timings[] = {msg::kTightLink.timing,
+                                       msg::kBurstLink.timing,
+                                       msg::kSerialLink.timing,
+                                       cfg.link_down};
+    cfg.link_down = timings[rng.below(4)];
+    cfg.link_up = timings[rng.below(4)];
+    if (rng.chance(2, 3)) {
+      msg::FaultConfig f;
+      f.seed = rng.next();
+      f.up.duplicate_ppm = static_cast<std::uint32_t>(rng.below(60'001));
+      f.up.drop_ppm = static_cast<std::uint32_t>(rng.below(20'001));
+      f.up.jitter_max = static_cast<std::uint32_t>(rng.below(9));
+      f.down.jitter_max = static_cast<std::uint32_t>(rng.below(9));
+      cfg.link_faults = f;
+    } else {
+      cfg.link_faults.reset();
+    }
+  }
   return s;
 }
 
@@ -222,8 +256,21 @@ struct FuzzRun {
 };
 
 FuzzRun run_spec_or_throw(const FuzzSpec& s, Simulator::Kernel kernel) {
-  top::System sys(s.config);
+  top::SystemConfig config = s.config;
+  if (s.fsm_cycles) {
+    config.with_arithmetic = config.with_logic = config.with_shift = false;
+    config.with_muldiv = config.with_float = config.with_trig = false;
+  }
+  top::System sys(config);
   sys.simulator().set_kernel(kernel);
+  std::vector<fpgafu::testing::CodedUnit> fsm_units;
+  if (s.fsm_cycles) {
+    fsm_units = fpgafu::testing::make_fsm_units(
+        sys.simulator(), s.config.rtm.word_width, *s.fsm_cycles);
+    for (auto& [code, unit] : fsm_units) {
+      sys.attach(code, *unit);
+    }
+  }
   std::unique_ptr<fu::ScratchpadUnit> scratch;
   if (s.scratch_words > 0) {
     scratch = std::make_unique<fu::ScratchpadUnit>(
@@ -320,6 +367,36 @@ TEST(KernelFuzz, RandomTopologiesAgreeAcrossAllKernels) {
             << msg::to_string(got.responses[r]) << " vs brute "
             << msg::to_string(ref.responses[r]);
       }
+      EXPECT_EQ(got.regs, ref.regs) << who;
+      EXPECT_EQ(got.flags, ref.flags) << who;
+      EXPECT_EQ(got.cycles, ref.cycles) << who;
+      EXPECT_EQ(got.rtm_counters, ref.rtm_counters) << who;
+      EXPECT_EQ(got.transport_counters, ref.transport_counters) << who;
+      EXPECT_EQ(got.vcd, ref.vcd) << who;
+    }
+  }
+}
+
+// The timed-wake axis: FSM units that sleep through Execute and links that
+// sleep until a word arrives or a serialisation interval ends, on the same
+// generated topologies and churn as above.
+TEST(KernelFuzz, TimedWakeTopologiesAgreeAcrossAllKernels) {
+  const std::size_t systems =
+      std::max<std::size_t>(fuzz_system_count() / 2, 16);
+  for (std::size_t i = 0; i < systems; ++i) {
+    const std::uint64_t seed = 0x7173D000ULL + i;
+    const FuzzSpec spec = make_spec(seed, /*timed=*/true);
+    SCOPED_TRACE("timed fuzz seed " + std::to_string(seed));
+
+    const FuzzRun ref = run_spec(spec, Simulator::Kernel::kBruteForce);
+    ASSERT_FALSE(ref.responses.empty());
+    for (const auto kernel : Simulator::kAllKernels) {
+      if (kernel == Simulator::Kernel::kBruteForce) {
+        continue;
+      }
+      const FuzzRun got = run_spec(spec, kernel);
+      const char* who = Simulator::kernel_name(kernel);
+      ASSERT_EQ(got.responses, ref.responses) << who;
       EXPECT_EQ(got.regs, ref.regs) << who;
       EXPECT_EQ(got.flags, ref.flags) << who;
       EXPECT_EQ(got.cycles, ref.cycles) << who;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 #include "sim/trace.hpp"
@@ -556,6 +557,215 @@ TEST(EventKernel, ThrowingCommitLeavesRecoverableState) {
   const auto brute = run(Simulator::Kernel::kBruteForce);
   EXPECT_EQ(brute, (std::pair<std::uint64_t, std::uint64_t>{8, 8}));
   EXPECT_EQ(run(Simulator::Kernel::kEvent), brute);
+}
+
+TEST(EventKernel, ThrowingEvalLeavesRecoverableState) {
+  // The first component's eval() throws once, at cycle 3, before driving
+  // its output.  Between cycles the caller catches, pokes a host-visible
+  // value into a second component and wakes it; monitors latch both
+  // components' outputs every cycle.  The poked value must reach its
+  // monitor from the next cycle on, and the thrower must be re-evaluated
+  // in the retried cycle, exactly as under the brute-force kernel.
+  class Faulting : public Component {
+   public:
+    explicit Faulting(Simulator& s) : Component(s, "faulting"), out(s) {
+      make_always_active();
+    }
+    Wire<std::uint64_t> out;
+    void eval() override {
+      if (simulator().cycle() == 3 && !thrown_) {
+        thrown_ = true;
+        throw SimError("injected eval fault");
+      }
+      out.set(simulator().cycle());
+    }
+
+   private:
+    bool thrown_ = false;
+  };
+  class Poked : public Component {
+   public:
+    explicit Poked(Simulator& s) : Component(s, "poked"), out(s) {}
+    Wire<std::uint64_t> out;
+    void poke(std::uint64_t v) {
+      value_ = v;
+      wake();
+    }
+    void eval() override { out.set(value_); }
+
+   private:
+    std::uint64_t value_ = 0;
+  };
+  class Latch : public Component {
+   public:
+    Latch(Simulator& s, Wire<std::uint64_t>& in)
+        : Component(s, "latch"), in_(&in) {
+      make_always_active();
+    }
+    void commit() override { log.push_back(in_->get()); }
+    std::vector<std::uint64_t> log;
+
+   private:
+    Wire<std::uint64_t>* in_;
+  };
+  const auto run = [](Simulator::Kernel kernel) {
+    Simulator sim;
+    sim.set_kernel(kernel);
+    Faulting a(sim);
+    Poked c(sim);
+    Latch d(sim, c.out);
+    Latch e(sim, a.out);
+    sim.run(3);
+    EXPECT_THROW(sim.step(), SimError);
+    EXPECT_EQ(sim.pending_reevals(), 0u);
+    c.poke(100);
+    sim.run(4);
+    return std::pair{d.log, e.log};
+  };
+  const auto brute = run(Simulator::Kernel::kBruteForce);
+  EXPECT_EQ(brute.first,
+            (std::vector<std::uint64_t>{0, 0, 0, 100, 100, 100, 100}));
+  EXPECT_EQ(brute.second, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(run(Simulator::Kernel::kEvent), brute);
+}
+
+/// Drives `out` high from cycle `at` on, a function of time alone: its
+/// commit announces the edge with a timed wake instead of staying active.
+class Alarm : public Component {
+ public:
+  Alarm(Simulator& s, std::uint64_t at)
+      : Component(s, "alarm"), out(s), at_(at) {}
+  Wire<bool> out;
+  void eval() override {
+    ++evals;
+    out.set(simulator().cycle() >= at_);
+  }
+  void commit() override {
+    ++commits;
+    if (simulator().cycle() < at_) {
+      wake_at(at_);
+    }
+  }
+  int evals = 0;
+  int commits = 0;
+
+ private:
+  std::uint64_t at_;
+};
+
+TEST(EventKernel, TimedWakeSleepsUntilItsCycle) {
+  const auto run = [](Simulator::Kernel kernel) {
+    Simulator sim;
+    sim.set_kernel(kernel);
+    Alarm alarm(sim, 40);
+    std::vector<bool> seen;
+    for (int i = 0; i < 50; ++i) {
+      sim.step();
+      seen.push_back(alarm.out.peek());
+    }
+    return std::tuple{seen, alarm.evals, alarm.commits};
+  };
+  const auto [brute_seen, brute_evals, brute_commits] =
+      run(Simulator::Kernel::kBruteForce);
+  const auto [event_seen, event_evals, event_commits] =
+      run(Simulator::Kernel::kEvent);
+  EXPECT_EQ(event_seen, brute_seen);
+  EXPECT_FALSE(event_seen[38]);
+  EXPECT_TRUE(event_seen[40]);
+  // Evaluated and committed at construction and again at cycle 40 only.
+  EXPECT_EQ(event_evals, 2);
+  EXPECT_EQ(event_commits, 2);
+  EXPECT_EQ(brute_commits, 50);
+}
+
+TEST(EventKernel, EarliestTimedWakeWinsAndResetDropsTimers) {
+  class Sleeper : public Component {
+   public:
+    explicit Sleeper(Simulator& s) : Component(s, "sleeper") {}
+    void commit() override { woken_at.push_back(simulator().cycle()); }
+    using Component::wake_at;
+    std::vector<std::uint64_t> woken_at;
+  };
+  Simulator sim;
+  Sleeper z(sim);
+  sim.step();  // construction wake
+  z.wake_at(9);
+  z.wake_at(5);  // earlier: supersedes 9
+  z.wake_at(7);  // later than the pending 5: dropped
+  sim.run(12);
+  // Woken once, at 5; the superseded 9 and the dropped 7 never fire.
+  EXPECT_EQ(z.woken_at, (std::vector<std::uint64_t>{0, 5}));
+
+  z.wake_at(20);
+  sim.reset();  // wakes everything once, and drops the pending timer
+  z.woken_at.clear();
+  sim.run(30);
+  EXPECT_EQ(z.woken_at, (std::vector<std::uint64_t>{0}));
+
+  // Under the brute-force kernel a timed wake is a no-op: every commit
+  // runs anyway, so no timer piles up.
+  sim.set_kernel(Simulator::Kernel::kBruteForce);
+  z.wake_at(sim.cycle() + 3);
+  z.woken_at.clear();
+  sim.run(4);
+  EXPECT_EQ(z.woken_at.size(), 4u);
+}
+
+TEST(EventKernel, RemovalCompactsIndicesAndKeepsPendingWakes) {
+  // Three components; the middle one is destroyed between cycles while the
+  // last one has a pending wake.  The survivor moves down one index and
+  // must still be evaluated — and a component destroyed mid-step by
+  // another's commit must be skipped, and its hole compacted before the
+  // next sweep.
+  class Counting : public Component {
+   public:
+    explicit Counting(Simulator& s) : Component(s, "counting") {}
+    void eval() override { ++evals; }
+    int evals = 0;
+  };
+  class Destroyer : public Component {
+   public:
+    Destroyer(Simulator& s, std::unique_ptr<Counting>& victim)
+        : Component(s, "destroyer"), victim_(&victim) {}
+    void commit() override {
+      if (armed) {
+        armed = false;
+        victim_->reset();
+      }
+    }
+    bool armed = false;
+
+   private:
+    std::unique_ptr<Counting>* victim_;
+  };
+  for (const auto kernel : Simulator::kAllKernels) {
+    SCOPED_TRACE(Simulator::kernel_name(kernel));
+    Simulator sim;
+    sim.set_kernel(kernel);
+    Counting first(sim);
+    auto middle = std::make_unique<Counting>(sim);
+    Counting last(sim);
+    sim.run(2);
+    const int last_evals = last.evals;
+    last.wake();
+    middle.reset();
+    sim.step();
+    EXPECT_EQ(last.evals, last_evals + 1);
+
+    std::unique_ptr<Counting> victim;
+    Destroyer destroyer(sim, victim);
+    victim = std::make_unique<Counting>(sim);  // registered after destroyer
+    sim.step();
+    destroyer.armed = true;
+    destroyer.wake();
+    victim->wake();  // its commit is due in the same sweep, after destroyer
+    sim.step();
+    EXPECT_EQ(victim, nullptr);
+    Counting added(sim);
+    sim.run(2);
+    EXPECT_GE(added.evals, 1);
+    EXPECT_EQ(sim.pending_reevals(), 0u);
+  }
 }
 
 TEST(Counters, HandleInterningAndBump) {

@@ -1,0 +1,67 @@
+#pragma once
+
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "fu/dual_fsm_fu.hpp"
+#include "fu/fsm_fu.hpp"
+#include "fu/stateless_units.hpp"
+#include "isa/muldiv.hpp"
+#include "isa/types.hpp"
+#include "util/bits.hpp"
+
+namespace fpgafu::testing {
+
+/// A unit and the function code it serves.
+using CodedUnit =
+    std::pair<isa::FunctionCode, std::unique_ptr<fu::FunctionalUnit>>;
+
+/// The stateless function codes, in the order make_fsm_units builds them.
+inline constexpr std::array<isa::FunctionCode, 6> kFsmUnitCodes = {
+    isa::fc::kArith, isa::fc::kLogic, isa::fc::kShift,
+    isa::fc::kMulDiv, isa::fc::kFloat, isa::fc::kTrig};
+
+/// One FSM-skeleton unit per stateless function code, unit i spending
+/// `cycles[i]` clocks in its Execute state — the units that sleep through
+/// Execute on a timed wake.  Multiply/divide is the two-record DualFsmFu,
+/// built here rather than by make_muldiv_unit, which reads an iteration
+/// count of 1 as "one bit per clock".
+inline std::vector<CodedUnit> make_fsm_units(
+    sim::Simulator& sim, unsigned width,
+    const std::array<std::uint32_t, 6>& cycles) {
+  const auto fsm = [&](fu::StatelessFn fn, std::uint32_t n) {
+    return std::make_unique<fu::FsmFu>(sim, "fsm", std::move(fn), n);
+  };
+  auto dual = [width](isa::VarietyCode v, isa::Word a, isa::Word b,
+                      isa::FlagWord) {
+    const isa::muldiv::Result r = isa::muldiv::evaluate(v, a, b, width);
+    fu::DualOut o;
+    o.first = fu::StatelessOut{r.value, r.flags, r.write_data, true};
+    o.second = r.value2;
+    o.has_second = r.has_second;
+    return o;
+  };
+  auto divmod = [](isa::VarietyCode v) {
+    return static_cast<isa::muldiv::Op>(bits::field(
+               v, isa::muldiv::vc::kOpHi, isa::muldiv::vc::kOpLo)) ==
+           isa::muldiv::Op::kDivMod;
+  };
+  std::vector<CodedUnit> units;
+  units.emplace_back(kFsmUnitCodes[0],
+                     fsm(fu::arithmetic_core(width), cycles[0]));
+  units.emplace_back(kFsmUnitCodes[1],
+                     fsm(fu::logic_core(width), cycles[1]));
+  units.emplace_back(kFsmUnitCodes[2],
+                     fsm(fu::shift_core(width), cycles[2]));
+  units.emplace_back(kFsmUnitCodes[3],
+                     std::make_unique<fu::DualFsmFu>(sim, "dual_fsm", dual,
+                                                     divmod, cycles[3]));
+  units.emplace_back(kFsmUnitCodes[4], fsm(fu::fp32_core(), cycles[4]));
+  units.emplace_back(kFsmUnitCodes[5], fsm(fu::trig_core(), cycles[5]));
+  return units;
+}
+
+}  // namespace fpgafu::testing

@@ -10,7 +10,11 @@
 //  * a tiny PUT/ADD/GET program streamed through a Coprocessor's driver —
 //    the link, message buffer, serialiser and RTM pipeline on short jobs.
 //
-// On those two only step() is counted.  A third test counts the whole host
+// A third shape arms timed wakes on every path that has one: FSM units at
+// 1..6 Execute cycles (the two-record DualFsmFu among them) behind 64-cycle
+// burst links that add latency to words in both directions.
+//
+// On those three only step() is counted.  A third test counts the whole host
 // transport path as well — ReliableTransport::submit, service and
 // poll_completed through a window of 8 — and allows one allocation per job
 // on average: the Completion's response vector handed to the caller.  A
@@ -41,6 +45,8 @@
 #include "isa/arith.hpp"
 #include "isa/program.hpp"
 #include "isa/rtm_ops.hpp"
+#include "support/fsm_units.hpp"
+#include "support/program_gen.hpp"
 #include "top/system.hpp"
 #include "xsort/types.hpp"
 
@@ -242,6 +248,42 @@ TEST_P(AllocGuard, TinyProgramThroughCoprocessorStepsWithoutAllocating) {
     const CountedCall call = counted_call(sys, copro, program);
     ASSERT_EQ(call.responses.size(), program.expected_responses());
     ASSERT_EQ(call.responses.back().payload, 12u);
+    steps += call.steps;
+    allocations += call.allocations;
+  }
+  EXPECT_EQ(allocations, 0u) << "over " << steps << " steps";
+}
+
+TEST_P(AllocGuard, TimedWakesStepWithoutAllocating) {
+  top::SystemConfig cfg;
+  cfg.with_arithmetic = cfg.with_logic = cfg.with_shift = false;
+  cfg.with_muldiv = cfg.with_float = cfg.with_trig = false;
+  cfg.link_down = msg::kBurstLink.timing;
+  cfg.link_up = msg::kBurstLink.timing;
+  msg::FaultConfig jitter;
+  jitter.up.jitter_max = 5;
+  jitter.down.jitter_max = 5;
+  cfg.link_faults = jitter;
+  top::System sys(cfg);
+  sys.simulator().set_kernel(GetParam());
+  std::vector<testing::CodedUnit> units =
+      testing::make_fsm_units(sys.simulator(), 32, {1, 2, 3, 4, 5, 6});
+  for (auto& [code, unit] : units) {
+    sys.attach(code, *unit);
+  }
+  host::Coprocessor copro(sys);
+  const isa::Program program =
+      testing::random_program(cfg.rtm, 0x7133, {.instructions = 80});
+
+  // Warm-up: timers, sensitivity lists, queues and buffers reach their size.
+  const CountedCall warm = counted_call(sys, copro, program);
+  ASSERT_EQ(warm.responses.size(), program.expected_responses());
+
+  std::uint64_t steps = 0;
+  std::uint64_t allocations = 0;
+  while (steps < kMinCountedSteps) {
+    const CountedCall call = counted_call(sys, copro, program);
+    ASSERT_EQ(call.responses.size(), warm.responses.size());
     steps += call.steps;
     allocations += call.allocations;
   }
