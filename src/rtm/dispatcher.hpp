@@ -86,10 +86,7 @@ class Dispatcher : public sim::Component {
     // Decide the routing first, then drive every output wire exactly once
     // per evaluation pass (writing a wire twice with different values in
     // one pass would defeat the kernel's change detection).
-    Plan plan;
-    if (in->valid.get()) {
-      plan = plan_for(in->data.get());
-    }
+    const Plan& plan = in->valid.get() ? planned(in->data.get()) : no_plan_;
     route_ = plan.route;
     stall_reason_ = plan.stall_reason;
     // The routing decision may have *annotated* an error onto the exec
@@ -182,6 +179,7 @@ class Dispatcher : public sim::Component {
     stall_reason_ = kNoCounter;
     exec_error_ = msg::ErrorCode::kNone;
     driven_ = kNoUnit;
+    memo_valid_ = false;
   }
 
  private:
@@ -216,7 +214,39 @@ class Dispatcher : public sim::Component {
     /// Accounting happens once, in commit() — eval() may re-run several
     /// times per cycle while the network settles.
     sim::Counters::Handle stall_reason = kNoCounter;
+    /// The target unit's `idle` wire, when the decision read it, and the
+    /// value it read (the plan holds only while that value does).
+    const sim::Wire<bool>* idle = nullptr;
+    bool idle_value = false;
   };
+
+  /// Everything besides the target unit's idle that plan_for() reads: the
+  /// offered instruction and the generations of the four side channels.
+  struct MemoKey {
+    DecodedInst di;
+    std::uint64_t locks = 0;
+    std::uint64_t regs = 0;
+    std::uint64_t flags = 0;
+    std::uint64_t table = 0;
+
+    bool operator==(const MemoKey&) const = default;
+  };
+
+  /// plan_for(di), reused while none of its inputs changed.  The dispatcher
+  /// is evaluated on every change of its handshake, a unit's idle, the lock
+  /// manager or a register file, and again within a cycle while the network
+  /// settles; most of those evaluations would recompute the same plan.
+  const Plan& planned(const DecodedInst& di) {
+    const MemoKey key{di, locks_->generation(), regs_->generation(),
+                      flags_->generation(), table_->generation()};
+    if (!memo_valid_ || key != memo_key_ ||
+        (memo_.idle != nullptr && memo_.idle->get() != memo_.idle_value)) {
+      memo_ = plan_for(di);
+      memo_key_ = key;
+      memo_valid_ = true;
+    }
+    return memo_;
+  }
 
   std::uint32_t unit_index_of(const DecodedInst& di) const {
     return table_->index_of(di.inst.function);
@@ -269,7 +299,9 @@ class Dispatcher : public sim::Component {
         plan.stall_reason = h_stall_lock_;
         return plan;  // kNone
       }
-      if (!unit->ports.idle.get()) {
+      plan.idle = &unit->ports.idle;
+      plan.idle_value = unit->ports.idle.get();
+      if (!plan.idle_value) {
         plan.stall_reason = h_stall_unit_busy_;
         return plan;
       }
@@ -385,6 +417,12 @@ class Dispatcher : public sim::Component {
   msg::ErrorCode exec_error_ = msg::ErrorCode::kNone;
   /// Slot whose dispatch eval() last drove high (kNoUnit: none).
   std::uint32_t driven_ = kNoUnit;
+  /// The last plan computed and its key (see planned()); a cache of a pure
+  /// function, so eval() stays a function of its inputs.
+  bool memo_valid_ = false;
+  MemoKey memo_key_;
+  Plan memo_;
+  const Plan no_plan_{};  ///< the plan while nothing is offered
   sim::IndexedLabels unit_labels_{"dispatch.unit"};
 };
 

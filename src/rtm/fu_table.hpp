@@ -127,6 +127,7 @@ class FunctionalUnitTable final : public sim::WireWatcher {
     const std::int16_t slot = index_[code];
     check(slot != kNoSlot, "set_draining: function code not attached");
     entries_[static_cast<std::size_t>(slot)].draining = draining;
+    ++generation_;
   }
 
   /// Declare a *detached* code as known-but-unavailable (registered with a
@@ -137,9 +138,11 @@ class FunctionalUnitTable final : public sim::WireWatcher {
     check(index_[code] == kNoSlot,
           "mark_unavailable: code is attached (use set_draining)");
     unavailable_[code] = true;
+    ++generation_;
   }
   void clear_unavailable(isa::FunctionCode code) {
     unavailable_[code] = false;
+    ++generation_;
   }
 
   /// True when instructions for `code` should yield kUnitUnavailable (the
@@ -169,9 +172,12 @@ class FunctionalUnitTable final : public sim::WireWatcher {
     return entries_.at(index).code;
   }
 
-  /// Bumped by every attach and detach: a slot may now hold a different
-  /// unit (or none).  Stages that remember which slot's wires they drove
-  /// compare this to know when to drive every slot again.
+  /// Bumped by every change of what the table answers: attach and detach
+  /// (a slot may now hold a different unit, or none), set_draining,
+  /// mark_unavailable and clear_unavailable (a code's lifecycle state).
+  /// Stages that remember which slot's wires they drove compare this to
+  /// know when to drive every slot again; the dispatcher keys its
+  /// memoised plan on it.
   std::uint64_t generation() const { return generation_; }
 
   // -- Ready set --------------------------------------------------------------

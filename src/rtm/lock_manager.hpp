@@ -83,8 +83,13 @@ class LockManager {
   /// wire tracker never misses this side channel.
   void set_observer(sim::Component* observer) { observer_ = observer; }
 
+  /// Bumped by every mutation: equal generations mean identical lock
+  /// state, so a reader may reuse what it derived from it.
+  std::uint64_t generation() const { return generation_; }
+
  private:
   void notify() {
+    ++generation_;
     if (observer_ != nullptr) {
       observer_->wake();
     }
@@ -92,6 +97,7 @@ class LockManager {
 
   static constexpr std::uint32_t kFree = ~std::uint32_t{0} - 1;
   sim::Component* observer_ = nullptr;
+  std::uint64_t generation_ = 0;
 
   std::vector<std::uint32_t> data_owner_;
   std::vector<std::uint32_t> flag_owner_;

@@ -52,8 +52,12 @@ class RegisterFile {
   /// the dispatcher; wake the observer on every mutation (see LockManager).
   void set_observer(sim::Component* observer) { observer_ = observer; }
 
+  /// Bumped by every write (see LockManager::generation).
+  std::uint64_t generation() const { return generation_; }
+
  private:
   void notify() {
+    ++generation_;
     if (observer_ != nullptr) {
       observer_->wake();
     }
@@ -62,6 +66,7 @@ class RegisterFile {
   std::vector<isa::Word> words_;
   unsigned width_;
   sim::Component* observer_ = nullptr;
+  std::uint64_t generation_ = 0;
 };
 
 /// The secondary register file "holding vectors of flags, which are often
@@ -94,8 +99,12 @@ class FlagRegisterFile {
   /// See RegisterFile::set_observer.
   void set_observer(sim::Component* observer) { observer_ = observer; }
 
+  /// Bumped by every write (see LockManager::generation).
+  std::uint64_t generation() const { return generation_; }
+
  private:
   void notify() {
+    ++generation_;
     if (observer_ != nullptr) {
       observer_->wake();
     }
@@ -103,6 +112,7 @@ class FlagRegisterFile {
 
   std::vector<isa::FlagWord> flags_;
   sim::Component* observer_ = nullptr;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace fpgafu::rtm

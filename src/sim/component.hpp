@@ -17,7 +17,9 @@ namespace fpgafu::sim {
 ///
 ///  * `eval()` must be a pure function of Wire values and the component's
 ///    registered (pre-commit) state — re-running it with unchanged inputs
-///    must drive identical outputs.
+///    must drive identical outputs.  Under the event kernel a wire sampled
+///    only from `commit()` re-arms the commit, not the eval, when it
+///    changes: `eval()` must not depend on it except by reading it.
 ///  * `commit()` may read Wires and its own state and may update its own
 ///    state; it must not read another component's members directly and must
 ///    not write Wires (drive outputs from `eval()` instead).
@@ -94,19 +96,21 @@ class Component {
   bool always_active_ = false;
   /// Dense registration index, assigned by Simulator::add(): this
   /// component's position in the simulator's component list and its bit
-  /// in the event kernel's eval/commit bitmaps.  Sweeps run in index order,
-  /// so the event kernel's commit sequence is a subsequence of the
-  /// brute-force kernel's registration-order sequence — any probe or
-  /// monitor reading other components' clocked state mid-commit then
-  /// observes identical values under every kernel.
+  /// in the event kernel's eval/commit bitmaps and in every wire's reader
+  /// bitmaps.  Sweeps run in index order, so the event kernel's commit
+  /// sequence is a subsequence of the brute-force kernel's
+  /// registration-order sequence — any probe or monitor reading other
+  /// components' clocked state mid-commit then observes identical values
+  /// under every kernel.
   std::size_t order_ = 0;
   /// Cycle of this component's pending timed wake (Simulator::wake_at);
   /// UINT64_MAX when none is pending.
   std::uint64_t timer_at_ = ~std::uint64_t{0};
-  /// Wires this component is on the sensitivity list of, each once: the
-  /// list Simulator::remove() walks to unsubscribe a destroyed component
-  /// (and a destroyed wire is erased from it).  Membership is decided on
-  /// the wire's side (WireBase::subscribe).
+  /// Wires whose reader bitmaps hold this component's bit, each once: the
+  /// list Simulator::remove() walks to clear a destroyed component's bits
+  /// and compaction walks to move them (a destroyed wire is erased from
+  /// it).  Membership and kind are decided on the wire's side
+  /// (WireBase::subscribe).
   std::vector<WireBase*> subscribed_;
 };
 

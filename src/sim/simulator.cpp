@@ -24,13 +24,34 @@ std::size_t Simulator::count(const std::vector<std::uint64_t>& bits) {
   return n;
 }
 
+void WireBase::record_read() {
+  subscribe(*sim_->reader_, sim_->read_commit_ != 0);
+}
+
+void WireBase::subscribe(Component& reader, bool commit_only) {
+  const std::size_t i = reader.order_;
+  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+  ReaderWord& r = word(i >> 6);
+  if (((r.eval | r.commit) & bit) == 0) {
+    reader.subscribed_.push_back(this);
+  }
+  if (!commit_only) {
+    r.eval |= bit;
+    r.commit &= ~bit;
+  } else if ((r.eval & bit) == 0) {
+    r.commit |= bit;
+  }
+}
+
 void Simulator::add(Component& component) {
   component.order_ = components_.size();
   components_.push_back(&component);
   const std::size_t words = (components_.size() + 63) / 64;
-  eval_bits_.resize(words);
-  commit_bits_.resize(words);
-  commit_work_.resize(words);
+  if (words > eval_bits_.size()) {
+    eval_bits_.resize(words);
+    commit_bits_.resize(words);
+    commit_work_.resize(words);
+  }
   // A freshly constructed component has never run: wake it and arm its
   // commit so the event kernel evaluates and commits it at least once.
   wake(component);
@@ -54,25 +75,44 @@ void Simulator::remove(Component& component) {
   // subscribed_ list names exactly those wires (its own wires already
   // unregistered in their destructors).
   for (WireBase* w : component.subscribed_) {
-    w->readers_.erase(
-        std::remove(w->readers_.begin(), w->readers_.end(), &component),
-        w->readers_.end());
+    WireBase::ReaderWord& r = w->word(i >> 6);
+    r.eval &= keep;
+    r.commit &= keep;
   }
 }
 
 void Simulator::compact() {
-  // Move the live components down over the holes.  Their bits do not move
-  // with them: everything is woken instead, which is always sound and
-  // costs one full sweep after a rare event (components are destroyed at
-  // teardown, not while a design runs).
+  // Move the live components down over the holes, and each one's reader
+  // bits with it, keeping their kind (an eval-reader stays one, a
+  // commit-only reader stays commit-only).  Indices only move down, and
+  // they are visited in ascending order, so a target bit is always free:
+  // its old owner was destroyed (remove() cleared its bits) or has moved
+  // down already.  Scheduling bits do not move: everything is woken
+  // instead, which is always sound and costs one full sweep after a rare
+  // event (components are destroyed at teardown or on an FU hot-swap).
   std::erase(components_, nullptr);
   for (std::size_t i = 0; i < components_.size(); ++i) {
-    components_[i]->order_ = i;
+    Component& c = *components_[i];
+    const std::size_t from = c.order_;
+    if (from == i) {
+      continue;
+    }
+    const std::uint64_t from_bit = std::uint64_t{1} << (from & 63);
+    const std::uint64_t to_bit = std::uint64_t{1} << (i & 63);
+    for (WireBase* w : c.subscribed_) {
+      WireBase::ReaderWord& src = w->word(from >> 6);
+      const bool eval = (src.eval & from_bit) != 0;
+      src.eval &= ~from_bit;
+      src.commit &= ~from_bit;
+      WireBase::ReaderWord& dst = w->word(i >> 6);
+      (eval ? dst.eval : dst.commit) |= to_bit;
+    }
+    c.order_ = i;
   }
-  const std::size_t words = (components_.size() + 63) / 64;
-  eval_bits_.assign(words, 0);
-  commit_bits_.assign(words, 0);
-  commit_work_.assign(words, 0);
+  // The bitmaps keep their length: wires' reader words index them.
+  std::fill(eval_bits_.begin(), eval_bits_.end(), 0);
+  std::fill(commit_bits_.begin(), commit_bits_.end(), 0);
+  std::fill(commit_work_.begin(), commit_work_.end(), 0);
   holes_ = false;
   wake_all();
 }
@@ -80,9 +120,16 @@ void Simulator::compact() {
 void Simulator::unregister_wire(WireBase& wire) {
   // Readers hold this wire in their subscription lists; drop it there too
   // so a later wire at the same address cannot alias a stale subscription.
-  for (Component* reader : wire.readers_) {
-    std::vector<WireBase*>& subs = reader->subscribed_;
-    subs.erase(std::remove(subs.begin(), subs.end(), &wire), subs.end());
+  const auto unlink = [&](std::size_t w, const WireBase::ReaderWord& r) {
+    for (std::uint64_t bits = r.eval | r.commit; bits != 0; bits &= bits - 1) {
+      const std::size_t i = (w << 6) | static_cast<std::size_t>(
+                                           std::countr_zero(bits));
+      std::erase(components_[i]->subscribed_, &wire);
+    }
+  };
+  unlink(0, wire.first_);
+  for (std::size_t w = 0; w < wire.more_.size(); ++w) {
+    unlink(w + 1, wire.more_[w]);
   }
 }
 
@@ -117,18 +164,6 @@ void Simulator::fire_timers() {
   }
 }
 
-void Simulator::wire_changed(WireBase& wire) {
-  changed_ = true;
-  if (kernel_ == Kernel::kEvent) {
-    // Re-schedule the readers' evals (into the running settle if we are
-    // inside one, next cycle's first sweep otherwise) and re-promote their
-    // commits: a recorded input changed, so a demoted commit may now act.
-    for (Component* reader : wire.readers_) {
-      wake(*reader);
-    }
-  }
-}
-
 void Simulator::set_kernel(Kernel kernel) {
   kernel_ = kernel;
   // The event kernel must never inherit a quiet set built by another kernel
@@ -156,11 +191,11 @@ void Simulator::reset() {
   wake_all();
 }
 
-void Simulator::run_eval(Component& component) {
-  reading_ = &component;
-  ++sub_epoch_;
-  component.eval();
-  ++evals_;
+void Simulator::stop_recording() {
+  reader_ = nullptr;
+  read_word_ = 0;
+  read_bit_ = 0;
+  read_commit_ = 0;
 }
 
 void Simulator::settle_brute_force() {
@@ -210,7 +245,7 @@ void Simulator::settle_event() {
     // recoverable scheduler state behind: nothing mid-settle, everything
     // woken (the thrower included), so the caller may fix the cause and
     // keep stepping.
-    reading_ = nullptr;
+    stop_recording();
     settling_ = false;
     wake_all();
     throw;
@@ -222,19 +257,24 @@ void Simulator::settle_event() {
 /// One registration-order pass over the eval bits.  Each bit is cleared
 /// before its eval() runs, so a component that wakes itself (or is woken
 /// behind the cursor) waits for the next sweep, while one woken ahead of
-/// the cursor runs in this one.
+/// the cursor runs in this one.  Reads are recorded as eval reads.
 void Simulator::sweep() {
+  read_commit_ = 0;
   for (std::size_t w = 0; w < eval_bits_.size(); ++w) {
+    read_word_ = w;
     std::uint64_t ahead = ~std::uint64_t{0};
     while (const std::uint64_t bits = eval_bits_[w] & ahead) {
       const int b = std::countr_zero(bits);
       const std::uint64_t bit = std::uint64_t{1} << b;
       eval_bits_[w] &= ~bit;
       ahead = ~((bit << 1) - 1);
-      run_eval(*components_[(w << 6) | static_cast<std::size_t>(b)]);
+      reader_ = components_[(w << 6) | static_cast<std::size_t>(b)];
+      read_bit_ = bit;
+      reader_->eval();
+      ++evals_;
     }
   }
-  reading_ = nullptr;
+  stop_recording();
 }
 
 void Simulator::step() {
@@ -271,28 +311,32 @@ void Simulator::step() {
 /// next cycle only if its commit reported activity (bound Reg change or
 /// mark_active(), both of which wake()), a wire it read gets changed later,
 /// someone wakes it, a timed wake comes due, or it opted out of demotion.
-/// Commit-time wire reads are recorded (recording_reader()) so conditional
-/// commit read sets stay conservative, exactly like eval sensitivities.
+/// Commit-time wire reads are recorded as commit reads, so a change of a
+/// wire a component samples only at the clock edge re-arms its commit
+/// without re-running its eval(); conditional commit read sets stay
+/// conservative, exactly like eval sensitivities.
 void Simulator::commit_scheduled() {
   // Wakes from here on arm next cycle's commits in the (all-zero) swapped
   // in bitmap.
   commit_work_.swap(commit_bits_);
+  read_commit_ = ~std::uint64_t{0};
   for (std::size_t w = 0; w < commit_work_.size(); ++w) {
+    read_word_ = w;
     // Re-read the word each time: a commit may destroy a later component,
     // which clears its bit here.
     while (const std::uint64_t bits = commit_work_[w]) {
       const int b = std::countr_zero(bits);
       commit_work_[w] &= bits - 1;
       Component* c = components_[(w << 6) | static_cast<std::size_t>(b)];
-      committing_ = c;
-      ++sub_epoch_;
+      reader_ = c;
+      read_bit_ = std::uint64_t{1} << b;
       try {
         c->commit();
       } catch (...) {
         // Leave a recoverable scheduler state behind, as a settle that
         // trips the combinational-loop limit does: drop the commits not
         // yet run and wake everything before rethrowing.
-        committing_ = nullptr;
+        stop_recording();
         std::fill(commit_work_.begin(), commit_work_.end(), 0);
         wake_all();
         throw;
@@ -303,7 +347,7 @@ void Simulator::commit_scheduled() {
       }
     }
   }
-  committing_ = nullptr;
+  stop_recording();
 }
 
 void Simulator::run(std::uint64_t n) {

@@ -37,25 +37,27 @@ class WireBase;
 /// Two settle/commit kernels implement the cycle (see `Kernel`):
 ///
 ///   * `kEvent` (default): activity tracking carried *across* the clock
-///     edge.  Wire reads made during any `eval()` are recorded as
-///     sensitivities.  Scheduling state is two bitmaps over the components'
-///     dense registration indices: `eval_bits_` (to evaluate) and
-///     `commit_bits_` (to commit).  `wake()` sets a component's bit in
-///     both — from a Wire change it was observed reading, an explicit
-///     `Component::wake()`, a commit that reported activity, or a timed
-///     wake (`wake_at`) coming due.  A settle is a series of sweeps over
-///     `eval_bits_` in registration order: a component woken ahead of the
-///     cursor runs in the same sweep, one woken at or behind it in the
-///     next, and the settle ends after a sweep that leaves no bit set.  The
-///     commit phase runs the commit bits, again in registration order, and
-///     each component is provisionally demoted: its commit bit is set again
-///     only if its `commit()` reported activity (a bound-`Reg` change or
-///     `mark_active()`), a wire it was observed reading — in `eval()` *or*
-///     `commit()` — changes, or it is woken.  Sound because `eval()` and
-///     `commit()` are pure functions of wires, registered state and time,
-///     and every time-driven change is announced with `wake_at`: re-running
-///     either with none of them changed is the identity.  Idle or waiting
-///     hardware costs zero host cycles.
+///     edge.  Wire reads are recorded as sensitivities, split by where they
+///     happen (see WireBase): a read from `eval()` makes the component an
+///     eval-reader, a read made only from `commit()` a commit-reader.
+///     Scheduling state is two bitmaps over the components' dense
+///     registration indices: `eval_bits_` (to evaluate) and `commit_bits_`
+///     (to commit).  `wake()` sets a component's bit in both — from a change
+///     of a wire it eval-reads, an explicit `Component::wake()`, a commit
+///     that reported activity, or a timed wake (`wake_at`) coming due; a
+///     change of a wire it only commit-reads sets its commit bit alone.  A
+///     settle is a series of sweeps over `eval_bits_` in registration order:
+///     a component woken ahead of the cursor runs in the same sweep, one
+///     woken at or behind it in the next, and the settle ends after a sweep
+///     that leaves no bit set.  The commit phase runs the commit bits, again
+///     in registration order, and each component is provisionally demoted:
+///     its commit bit is set again only if its `commit()` reported activity
+///     (a bound-`Reg` change or `mark_active()`), a wire it was observed
+///     reading — in `eval()` *or* `commit()` — changes, or it is woken.
+///     Sound because `eval()` and `commit()` are pure functions of the wires
+///     they read, registered state and time, and every time-driven change is
+///     announced with `wake_at`: re-running either with none of them changed
+///     is the identity.  Idle or waiting hardware costs zero host cycles.
 ///   * `kBruteForce`: the original kernel — every settle pass re-runs every
 ///     component until a pass changes nothing, and every commit runs every
 ///     cycle.  Kept as the reference implementation; differential tests pin
@@ -99,9 +101,9 @@ class Simulator {
   void add(Component& component);
   /// Unregister a component: clear its scheduling bits, drop its timed
   /// wakes and unlink it from every wire.  Later components move down one
-  /// index at the start of the next step(), which then wakes everything, so
-  /// indices never shift under a running sweep even when a commit destroys
-  /// a component.
+  /// index (their reader bits with them, each keeping its kind) at the start
+  /// of the next step(), which then wakes everything, so indices never
+  /// shift under a running sweep even when a commit destroys a component.
   void remove(Component& component);
 
   /// Assert reset on every component, rewind the cycle counter and drop all
@@ -180,9 +182,9 @@ class Simulator {
   std::uint64_t commits_performed() const { return commits_; }
 
   /// Called on any Wire value change; marks the settle pass dirty and,
-  /// under kEvent, wakes the wire's recorded readers (re-arming their
-  /// commits too).
-  void wire_changed(WireBase& wire);
+  /// under kEvent, wakes the wire's eval-readers and arms the commits of
+  /// all its readers.  Defined in signal.hpp.
+  inline void wire_changed(const WireBase& wire);
 
   /// Schedule `component` for evaluation and arm its commit (see
   /// Component::wake()): two bit sets, defined in component.hpp.  During a
@@ -217,41 +219,40 @@ class Simulator {
   void wake_all();
   void fire_timers();
   void compact();
-  void run_eval(Component& component);
   void settle_brute_force();
   void settle_event();
   void sweep();
   void commit_scheduled();
-
-  /// The component whose reads should currently be recorded as
-  /// subscriptions: the eval() being settled, or — under kEvent only — the
-  /// commit() being run (commit-time reads must re-arm commits).
-  Component* recording_reader() const {
-    return reading_ != nullptr ? reading_ : committing_;
-  }
+  void stop_recording();
 
   /// Registered components by dense index (Component::order_); nullptr
   /// marks a destroyed one, compacted away at the start of the next step.
   std::vector<Component*> components_;
   /// kEvent scheduling state, one bit per component index: evaluate in the
   /// running settle or the next cycle's first sweep / commit this cycle's
-  /// commit phase or the next.
+  /// commit phase or the next.  Never shorter than any wire's reader
+  /// bitmaps (compaction keeps their length), so wire_changed() ORs words
+  /// in without a bounds check.
   std::vector<std::uint64_t> eval_bits_;
   std::vector<std::uint64_t> commit_bits_;
   /// The commit bits being run, swapped out of commit_bits_ (all zero
   /// between commit phases).
   std::vector<std::uint64_t> commit_work_;
   std::vector<Timer> timers_;  ///< kEvent: pending timed wakes (min-heap)
-  Component* reading_ = nullptr;    ///< component whose eval() is running
-  Component* committing_ = nullptr;  ///< kEvent: component whose commit() runs
+  /// kEvent read recording (see WireBase::on_read): the component whose
+  /// eval() or commit() is running, its bitmap word and bit, and ~0 while
+  /// that is a commit() (an eval subscription covers a commit read) or 0
+  /// while it is an eval().  read_bit_ is 0 whenever nothing is recorded —
+  /// under kBruteForce, between phases and in host code.
+  Component* reader_ = nullptr;
+  std::size_t read_word_ = 0;
+  std::uint64_t read_bit_ = 0;
+  std::uint64_t read_commit_ = 0;
   std::thread::id owner_ = std::this_thread::get_id();
   std::uint64_t cycle_ = 0;
   std::uint64_t reset_generation_ = 0;
   std::uint64_t evals_ = 0;
   std::uint64_t commits_ = 0;
-  /// Bumped before every recorded eval()/commit() invocation; wires stamp it
-  /// on first read so repeat reads in the same invocation are O(1) no-ops.
-  std::uint64_t sub_epoch_ = 0;
   bool changed_ = false;  ///< kBruteForce: a wire changed this pass
   bool settling_ = false;  ///< kEvent: inside a settle
   bool holes_ = false;     ///< components_ holds a nullptr to compact

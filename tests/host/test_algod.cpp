@@ -525,7 +525,28 @@ TEST(AlgodSoak, MultiTenantSkewedShiftingMixStaysReferenceCorrect) {
   fc.transport.window = 4;
   fc.fu_images = catalogue();
   fc.fu_slots = 2;  // union of demands is 6 codes: constant pressure
+  // Room for every job at once: the workers are held (below) until all of
+  // them are queued.
+  fc.queue_capacity = tenants * 3;
   Farm farm(fc);
+
+  // Hold each shard's worker in the callback of a first, image-free job
+  // until every soak job is queued, so the jobs really are all in flight at
+  // once whatever the speed of the workers against this thread.  Plain
+  // sessions are placed round-robin, one per shard.
+  std::promise<void> gate;
+  std::shared_future<void> all_queued = gate.get_future().share();
+  std::vector<std::future<void>> held;
+  for (std::size_t s = 0; s < fc.shards; ++s) {
+    auto done = std::make_shared<std::promise<void>>();
+    held.push_back(done->get_future());
+    farm.submit_async(farm.create_session(), program_for({}, s),
+                      [all_queued, done](std::vector<msg::Response>,
+                                         std::exception_ptr) {
+                        all_queued.wait();
+                        done->set_value();
+                      });
+  }
 
   struct Tenant {
     Farm::SessionId session;
@@ -594,6 +615,10 @@ TEST(AlgodSoak, MultiTenantSkewedShiftingMixStaysReferenceCorrect) {
     isa::Program p = program_for({undeclared}, 0xbeef + i);
     auto fut = farm.submit(roster[i].session, p);
     probes.push_back({std::move(fut), std::move(p), undeclared});
+  }
+  gate.set_value();
+  for (std::future<void>& h : held) {
+    h.get();
   }
 
   for (Pending& p : pending) {

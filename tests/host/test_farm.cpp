@@ -534,10 +534,25 @@ TEST(Farm, StatsPublishingIsAmortisedAcrossJobs) {
   fc.stats_publish_interval = 16;
   fc.queue_capacity = 64;
   Farm farm(fc);
+  // The first job's callback holds the worker until every other job is
+  // queued, so a worker faster than this thread cannot take the jobs one at
+  // a time as they arrive, idling (and flushing) between each.
+  std::promise<void> gate;
+  std::shared_future<void> all_queued = gate.get_future().share();
+  auto first_done = std::make_shared<std::promise<void>>();
+  auto first = first_done->get_future();
+  farm.submit_async(selfcontained_program(1500),
+                    [all_queued, first_done](std::vector<msg::Response>,
+                                             std::exception_ptr) {
+                      all_queued.wait();
+                      first_done->set_value();
+                    });
   std::vector<std::future<std::vector<msg::Response>>> futures;
-  for (std::uint64_t seed = 1500; seed < 1564; ++seed) {
+  for (std::uint64_t seed = 1501; seed < 1564; ++seed) {
     futures.push_back(farm.submit(selfcontained_program(seed)));
   }
+  gate.set_value();
+  first.get();
   for (auto& f : futures) {
     f.get();
   }

@@ -12,9 +12,11 @@
 //
 // A third shape arms timed wakes on every path that has one: FSM units at
 // 1..6 Execute cycles (the two-record DualFsmFu among them) behind 64-cycle
-// burst links that add latency to words in both directions.
+// burst links that add latency to words in both directions.  A fourth is a
+// bare 140-component mesh whose wires are read across bitmap words, so
+// every wire's reader bitmap has overflow words.
 //
-// On those three only step() is counted.  A third test counts the whole host
+// On those four only step() is counted.  A third test counts the whole host
 // transport path as well — ReliableTransport::submit, service and
 // poll_completed through a window of 8 — and allows one allocation per job
 // on average: the Completion's response vector handed to the caller.  A
@@ -47,6 +49,7 @@
 #include "isa/rtm_ops.hpp"
 #include "support/fsm_units.hpp"
 #include "support/program_gen.hpp"
+#include "support/reader_mesh.hpp"
 #include "top/system.hpp"
 #include "xsort/types.hpp"
 
@@ -288,6 +291,18 @@ TEST_P(AllocGuard, TimedWakesStepWithoutAllocating) {
     allocations += call.allocations;
   }
   EXPECT_EQ(allocations, 0u) << "over " << steps << " steps";
+}
+
+TEST_P(AllocGuard, ReaderBitmapsPastOneWordStepWithoutAllocating) {
+  sim::Simulator sim;
+  sim.set_kernel(GetParam());
+  testing::ReaderMesh mesh(sim, 140);
+  sim.run(50);  // warm-up: every reader bit and overflow word exists
+  std::uint64_t allocations = 0;
+  for (std::uint64_t i = 0; i < kMinCountedSteps; ++i) {
+    allocations += counted_step(sim);
+  }
+  EXPECT_EQ(allocations, 0u) << "over " << kMinCountedSteps << " steps";
 }
 
 /// Register-disjoint PUT/ADD/GET jobs, as a Farm session mix would send.
