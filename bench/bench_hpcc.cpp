@@ -129,7 +129,9 @@ void print_suite_tables() {
   bt.print(std::cout);
   bench::note("faulty = 1% per-word upstream drop+corrupt+duplicate with "
               "jitter, recovered by host::ReliableTransport (retries: " +
-              std::to_string(faulty.transport_retries) + ").");
+              std::to_string(faulty.transport_retries) + ", timeouts: " +
+              std::to_string(faulty.transport_timeouts) + ", tail probes: " +
+              std::to_string(faulty.transport_probes) + ").");
   bench::note("Asymptotic ceiling: the response frame spends 4 link words "
               "per 64-bit payload word; PUTV spends 2 plus a shared header.");
 }
@@ -230,7 +232,7 @@ void BM_HpccBeff(benchmark::State& state) {
   const auto kernel = kernel_of(state.range(0));
   const bool faulty = state.range(1) != 0;
   const auto cfg = beff_config(faulty);
-  std::uint64_t words = 0, cycles = 0, retries = 0;
+  std::uint64_t words = 0, cycles = 0, retries = 0, timeouts = 0, probes = 0;
   double best_words_per_cycle = 0;
   for (auto _ : state) {
     const auto out = hpcc::run_beff(kernel, cfg);
@@ -241,6 +243,8 @@ void BM_HpccBeff(benchmark::State& state) {
     words += out.result.jobs;
     cycles += out.result.cycles;
     retries += out.transport_retries;
+    timeouts += out.transport_timeouts;
+    probes += out.transport_probes;
     for (const auto& pt : out.points) {
       if (pt.payload_words_per_cycle > best_words_per_cycle) {
         best_words_per_cycle = pt.payload_words_per_cycle;
@@ -251,8 +255,16 @@ void BM_HpccBeff(benchmark::State& state) {
                  (faulty ? "/faulty" : "/clean"));
   state.SetItemsProcessed(static_cast<std::int64_t>(words));
   state.counters["payload_words_per_cycle_best"] = best_words_per_cycle;
-  state.counters["transport_retries"] = static_cast<double>(retries);
-  state.counters["cycles"] = static_cast<double>(cycles);
+  // Per run, so CI can gate them: every run is the same deterministic
+  // simulation, while the iteration count depends on host speed.
+  const auto per_run = [](std::uint64_t total) {
+    return benchmark::Counter(static_cast<double>(total),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["cycles"] = per_run(cycles);
+  state.counters["transport_retries"] = per_run(retries);
+  state.counters["transport_timeouts"] = per_run(timeouts);
+  state.counters["transport_probes"] = per_run(probes);
 }
 BENCHMARK(BM_HpccBeff)
     ->Args({0, 0})

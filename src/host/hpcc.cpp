@@ -627,6 +627,8 @@ BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg) {
     out.points.push_back(point);
   }
   out.transport_retries = transport.counters().get("transport.retries");
+  out.transport_timeouts = transport.counters().get("transport.timeouts");
+  out.transport_probes = transport.counters().get("transport.probes");
   return out;
 }
 

@@ -131,7 +131,11 @@ struct BeffPoint {
 struct BeffOutcome {
   WorkloadResult result;
   std::vector<BeffPoint> points;
-  std::uint64_t transport_retries = 0;  ///< nonzero only on faulty runs
+  /// ReliableTransport's transport.{retries,timeouts,probes} for the run
+  /// (nonzero only on faulty runs).
+  std::uint64_t transport_retries = 0;
+  std::uint64_t transport_timeouts = 0;
+  std::uint64_t transport_probes = 0;
 };
 BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg = {});
 

@@ -1,9 +1,11 @@
 #include "host/reliable_transport.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
+#include "isa/rtm_ops.hpp"
 #include "util/error.hpp"
 
 namespace fpgafu::host {
@@ -44,7 +46,8 @@ ReliableTransport::ReliableTransport(Coprocessor& copro,
       gap_retries_(stats_.handle("transport.gap_retries")),
       dup_dropped_(stats_.handle("transport.dup_dropped")),
       stale_dropped_(stats_.handle("transport.stale_dropped")),
-      failures_(stats_.handle("transport.failures")) {
+      failures_(stats_.handle("transport.failures")),
+      probes_(stats_.handle("transport.probes")) {
   config_.validate();
 }
 
@@ -62,6 +65,7 @@ void ReliableTransport::sync_generation() {
   if (gen != reset_generation_) {
     reset_generation_ = gen;
     next_wire_seq_ = 0;  // the decoder's counter restarted too
+    probe_live_ = false;
   }
 }
 
@@ -102,9 +106,13 @@ ReliableTransport::ProgramId ReliableTransport::submit(
   f.emit_cursor = 0;
   f.budget = budget_cycles.value_or(config_.max_cycles);
   f.deadline.reset();
+  // An empty program is complete at once; any other completes when its
+  // last group goes out or its last response lands, which set the flag.
+  if (f.slots.empty()) {
+    emit_pending_ = true;
+  }
   window_.push_back(std::move(f));
   unissued_ = true;
-  emit_pending_ = true;  // a pure-write program may already be complete
   return window_.back().id;
 }
 
@@ -112,15 +120,31 @@ void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
                                  unsigned attempts) {
   const std::uint16_t wire = next_wire_seq_++;
   const InstructionGroup& g = f.layout.groups[slot_index];
-  copro_->submit(
-      std::span(f.layout.words).subspan(g.first_word, g.word_count));
+  // Partial burst progress is kept across retries: the group is read-only
+  // (the write barrier holds back anything that could change what it
+  // reads), so a GETV re-reads only its missing tail.  Its sub-reads are
+  // the same registers under the same encoding, so they answer exactly as
+  // the lost originals would have.  When the tail's base register does not
+  // fit the instruction field the whole group goes again, and the
+  // sub-responses it already has come back as duplicates.
+  const std::size_t have = f.slots[slot_index].received;
+  std::size_t burst_base = 0;
+  if (have > 0 && g.inst.function == isa::fc::kRtm &&
+      g.inst.variety == static_cast<isa::VarietyCode>(isa::RtmOp::kGetVec) &&
+      g.inst.src1 + have <= std::numeric_limits<isa::RegNum>::max()) {
+    isa::Instruction tail = g.inst;
+    tail.src1 = static_cast<isa::RegNum>(g.inst.src1 + have);
+    tail.aux = static_cast<std::uint8_t>(g.inst.aux - have);
+    copro_->submit_word(tail.encode());
+    burst_base = have;
+  } else {
+    copro_->submit(
+        std::span(f.layout.words).subspan(g.first_word, g.word_count));
+  }
   if (f.layout.predictions[slot_index].count > 0) {
-    // Partial burst progress is kept across retries: the group is
-    // read-only (the write barrier holds back anything that could change
-    // what it reads), so the re-sent sub-responses it already has are
-    // byte-identical duplicates and the missing tail extends its range.
     const bool was_empty = outstanding_.empty();
-    outstanding_.push_back({f.id, slot_index, wire, attempts, 0});
+    outstanding_.push_back({f.id, slot_index, wire, attempts, burst_base,
+                            copro_->system().simulator().cycle(), 0});
     if (was_empty) {
       arm_front();
     }
@@ -128,9 +152,16 @@ void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
 }
 
 void ReliableTransport::arm_front() {
+  probes_sent_ = 0;
   if (outstanding_.empty()) {
+    // Nothing left for a probe to uncover: its late response is stale,
+    // and a probe kept live could alias a later group's sequence number
+    // once the 16-bit counter wraps.
+    probe_live_ = false;
+    probe_due_ = kNever;
     return;
   }
+  const std::uint64_t now = copro_->system().simulator().cycle();
   Outstanding& o = outstanding_.front();
   std::uint64_t t = backoff_timeout(config_, o.attempts);
   // Clamp to the owning program's remaining watchdog budget: a backed-off
@@ -138,13 +169,46 @@ void ReliableTransport::arm_front() {
   if (const Flight* f = flight(o.program); f && f->deadline) {
     t = std::max<std::uint64_t>(1, std::min(t, f->deadline->remaining()));
   }
-  o.deadline = copro_->system().simulator().cycle() + t;
+  o.deadline = now + t;
+  probe_due_ = srtt8_ == 0 ? kNever : now + pto();
+}
+
+void ReliableTransport::sample_latency(std::uint64_t cycles) {
+  const std::uint64_t r = std::max<std::uint64_t>(1, cycles);
+  if (srtt8_ == 0) {
+    srtt8_ = 8 * r;  // SRTT = R, RTTVAR = R/2
+    rttvar4_ = 2 * r;
+    return;
+  }
+  // RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R|;  SRTT = 7/8 SRTT + 1/8 R.
+  const std::uint64_t err8 = srtt8_ > 8 * r ? srtt8_ - 8 * r : 8 * r - srtt8_;
+  rttvar4_ = rttvar4_ - rttvar4_ / 4 + err8 / 8;
+  srtt8_ = srtt8_ - srtt8_ / 8 + r;
+}
+
+void ReliableTransport::send_probe() {
+  if (probes_sent_ >= kMaxProbes) {
+    probe_due_ = kNever;  // the response timeout takes over
+    return;
+  }
+  // A SYNC: no register traffic (empty GroupEffects, so no barrier waits on
+  // it) and exactly one value-independent response, issued behind every
+  // group already sent.  Sending one abandons any earlier, overdue probe.
+  isa::Instruction sync;
+  sync.function = isa::fc::kRtm;
+  sync.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kSync);
+  probe_seq_ = next_wire_seq_++;
+  probe_live_ = true;
+  copro_->submit_word(sync.encode());
+  stats_.bump(probes_);
+  ++probes_sent_;
+  probe_due_ =
+      copro_->system().simulator().cycle() + (pto() << probes_sent_);
 }
 
 void ReliableTransport::retry_front(sim::Counters::Handle reason) {
   const Outstanding o = outstanding_.front();
   outstanding_.pop_front();
-  arm_front();
   stats_.bump(reason);
   Flight* f = flight(o.program);
   check(f != nullptr, "ReliableTransport: outstanding entry for a program "
@@ -162,6 +226,7 @@ void ReliableTransport::retry_front(sim::Counters::Handle reason) {
     s.received = 1;
     s.done = true;
     emit_pending_ = true;
+    arm_front();
     return;
   }
   if (o.attempts >= config_.max_attempts) {
@@ -172,10 +237,24 @@ void ReliableTransport::retry_front(sim::Counters::Handle reason) {
                    std::to_string(config_.max_attempts) + " attempts");
   }
   stats_.bump(retries_);
+  if (!outstanding_.empty()) {
+    arm_front();  // the next entry moves up; else transmit arms the retry
+  }
   transmit(*f, o.slot, o.attempts + 1);
 }
 
 void ReliableTransport::handle_response(const msg::Response& r) {
+  if (probe_live_ && r.seq == probe_seq_) {
+    // The RTM answers in issue order, so every group sent before the probe
+    // has delivered all it ever will: what is still missing was lost.
+    probe_live_ = false;
+    while (!outstanding_.empty() &&
+           static_cast<std::int16_t>(outstanding_.front().wire_seq -
+                                     probe_seq_) < 0) {
+      retry_front(gap_retries_);
+    }
+    return;
+  }
   // Locate the outstanding entry this response belongs to.
   std::size_t match = outstanding_.size();
   for (std::size_t j = 0; j < outstanding_.size(); ++j) {
@@ -186,8 +265,13 @@ void ReliableTransport::handle_response(const msg::Response& r) {
   }
   if (match == outstanding_.size()) {
     // A duplicate of an already-completed group or a late response from a
-    // superseded attempt.
+    // superseded attempt.  Either way the RTM is still answering what was
+    // sent before the front entry, which therefore cannot have answered
+    // yet: restart the probe timer.
     stats_.bump(stale_dropped_);
+    if (!outstanding_.empty() && srtt8_ != 0) {
+      probe_due_ = copro_->system().simulator().cycle() + pto();
+    }
     return;
   }
   // In-order delivery: a response for entry `match` proves entries before
@@ -201,18 +285,29 @@ void ReliableTransport::handle_response(const msg::Response& r) {
   check(f != nullptr, "ReliableTransport: response for a program that is no "
                       "longer in flight");
   GroupSlot& s = f->slots[o.slot];
-  if (r.burst < s.received) {
+  const std::size_t burst = o.burst_base + r.burst;
+  if (burst < s.received) {
     stats_.bump(dup_dropped_);  // duplicated sub-response within a burst
     return;
   }
-  if (r.burst > s.received) {
-    // A sub-response inside the burst went missing; re-read the whole
-    // group (sub-responses share one sequence number, so a partial retry
-    // could not be told apart from the lost originals).
+  if (burst > s.received) {
+    // A sub-response inside the burst went missing; re-read from it on
+    // (the retry has its own sequence number, so its sub-responses cannot
+    // be mistaken for the lost originals).
     retry_front(gap_retries_);
     return;
   }
-  f->got[s.first_response + s.received++] = r;
+  if (s.received == 0 && o.attempts == 1) {
+    // Karn's rule: only a never-re-sent group's first response measures
+    // the latency unambiguously.  (A retry carries attempts > 1 until it
+    // delivers, and later sub-responses trail the first by the burst's
+    // frame spacing, not by the round trip.)
+    sample_latency(copro_->system().simulator().cycle() - o.sent);
+  }
+  f->got[s.first_response + s.received] = r;
+  f->got[s.first_response + s.received].burst =
+      static_cast<std::uint16_t>(burst);
+  ++s.received;
   if (s.received >= f->layout.predictions[o.slot].count) {
     s.done = true;
     emit_pending_ = true;
@@ -301,7 +396,11 @@ void ReliableTransport::issue_pending() {
       }
       transmit(f, f.next_group, 1);
       ++f.next_group;
-      emit_pending_ = true;  // a fully issued pure-write flight completes
+      // A flight whose last group needs no response may be complete now;
+      // any other completes when a response lands.
+      if (f.next_group == groups && pred.count == 0) {
+        emit_pending_ = true;
+      }
     }
     if (f.next_group < groups) {
       stalled = true;
@@ -312,7 +411,6 @@ void ReliableTransport::issue_pending() {
 }
 
 void ReliableTransport::check_watchdogs() {
-  constexpr std::uint64_t kNever = ~std::uint64_t{0};
   const std::uint64_t now = copro_->system().simulator().cycle();
   std::uint64_t due = kNever;
   for (Flight& f : window_) {
@@ -345,7 +443,13 @@ void ReliableTransport::service() {
   }
 
   if (!outstanding_.empty() && sim.cycle() >= outstanding_.front().deadline) {
+    probe_live_ = false;  // the timeout supersedes the probe
     retry_front(timeouts_);
+  }
+
+  // The tail probe, at the cached cycle (kNever while nothing waits).
+  if (sim.cycle() >= probe_due_) {
+    send_probe();
   }
 
   // Per-program watchdogs, checked lazily at the cached earliest-expiry
@@ -392,6 +496,8 @@ void ReliableTransport::abort_in_flight() {
   unissued_ = false;
   emit_pending_ = false;
   watchdog_due_ = 0;
+  probe_live_ = false;
+  probe_due_ = kNever;
   copro_->reset();
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -15,6 +16,10 @@ namespace fpgafu::host {
 struct TransportConfig {
   /// Cycles the oldest outstanding instruction may go unanswered before its
   /// group is re-submitted (scaled by backoff on every further attempt).
+  /// The fallback path: a lost tail response is normally recovered within a
+  /// few measured response latencies by a tail probe (ReliableTransport),
+  /// and this timeout fires only when the probes are lost too, or before
+  /// the first latency sample exists.
   std::uint64_t response_timeout = 2000;
   /// Submission attempts per group before giving up.
   unsigned max_attempts = 10;
@@ -70,11 +75,28 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    every earlier entry's remaining responses were lost — they are
 ///    re-submitted under fresh sequence numbers (gap detection);
 ///  * within a GETV burst the `burst` index spots duplicated sub-responses
-///    (dropped) and intra-burst gaps (whole group re-submitted);
+///    (dropped) and intra-burst gaps; a GETV retried after partial progress
+///    re-reads only its missing tail (`GETV src1+received, aux-received`
+///    under a fresh sequence number, its burst indices offset by
+///    `received`), falling back to the whole group when the tail's base
+///    register does not fit isa::RegNum;
+///  * a lost response with nothing behind it (a *tail loss*) is caught by a
+///    tail probe, after RACK-TLP (RFC 8985): when the front entry has made
+///    no progress for PTO = max(2*SRTT, SRTT + max(8, 4*RTTVAR)) cycles —
+///    an RFC 6298 estimate of the response latency, sampled (Karn's rule)
+///    only on the first response of never-re-sent groups — the transport
+///    sends one SYNC word.  (The 2*SRTT term is RACK-TLP's own PTO; it
+///    absorbs a step in latency, such as a longer PUTV queued ahead of a
+///    read, that the variance term has not learnt yet.)  The SYNC's
+///    value-independent response queues behind every earlier response (a
+///    slow unit delays it too), so when it lands, every entry older than
+///    it is re-submitted as a gap retry.  At most one probe is
+///    outstanding; a lost probe is re-sent at doubling intervals, at most
+///    kMaxProbes per front attempt (transport.probes);
 ///  * the oldest entry is also guarded by a timeout with exponential
 ///    backoff, capped at `max_backoff_factor` and clamped to the program's
-///    remaining watchdog budget, catching the tail case where nothing
-///    arrives at all;
+///    remaining watchdog budget — the fallback when nothing, not even a
+///    probe's response, arrives at all;
 ///  * groups that produce no responses (register writes) are submitted only
 ///    once no outstanding read covers a register they write (per-register
 ///    write barrier, host::GroupEffects), so re-submitting a read can never
@@ -112,6 +134,10 @@ class ReliableTransport {
  public:
   /// Ticket for one pipelined program; unique per transport.
   using ProgramId = std::uint64_t;
+
+  /// Probes per front attempt (each waits twice as long as the last), so a
+  /// dead link sends O(log) probes before the response timeout fires.
+  static constexpr unsigned kMaxProbes = 4;
 
   /// A completed pipelined program: every response, renumbered to program
   /// order (bit-comparable with host::ReferenceModel::run).
@@ -178,7 +204,7 @@ class ReliableTransport {
   void abort_in_flight();
 
   /// transport.{retries,timeouts,gap_retries,dup_dropped,stale_dropped,
-  /// failures} statistics.
+  /// failures,probes} statistics.
   const sim::Counters& counters() const { return stats_; }
 
   const TransportConfig& config() const { return config_; }
@@ -218,6 +244,11 @@ class ReliableTransport {
     std::size_t slot = 0;
     std::uint16_t wire_seq = 0;
     unsigned attempts = 0;
+    /// Sub-responses this attempt does not re-read: a GETV tail re-read
+    /// numbers its bursts from 0, so each arriving `burst` is offset by
+    /// this to index the whole group.
+    std::size_t burst_base = 0;
+    std::uint64_t sent = 0;      ///< transmit cycle (latency sample origin)
     std::uint64_t deadline = 0;  ///< armed only while this entry is the front
   };
 
@@ -230,8 +261,19 @@ class ReliableTransport {
   /// Send a group's words and (when it responds) enqueue it for tracking.
   void transmit(Flight& f, std::size_t slot_index, unsigned attempts);
   /// (Re-)arm the front outstanding entry's retry deadline, capped by the
-  /// backoff schedule and clamped to its program's remaining budget.
+  /// backoff schedule and clamped to its program's remaining budget, and
+  /// its tail-probe timer.  On an empty FIFO, abandons any live probe.
   void arm_front();
+  /// Fold one response-latency sample into the RFC 6298 estimate.
+  void sample_latency(std::uint64_t cycles);
+  /// The tail probe's floor on the variance term of its timeout.
+  static constexpr std::uint64_t kProbeFloor = 8;
+  /// Probe timeout: max(2*SRTT, SRTT + max(kProbeFloor, 4*RTTVAR)).
+  std::uint64_t pto() const {
+    return std::max(srtt8_ / 4, srtt8_ / 8 + std::max(kProbeFloor, rttvar4_));
+  }
+  /// Send a SYNC tail probe (superseding a live one) and arm the re-probe.
+  void send_probe();
   /// Give up on (or re-submit) the front outstanding entry.
   void retry_front(sim::Counters::Handle reason);
   void handle_response(const msg::Response& r);
@@ -260,8 +302,19 @@ class ReliableTransport {
   // its own bookkeeping faster than the pipelining saves wire time).
   // These caches skip the O(window) phases until an event re-arms them.
   bool unissued_ = false;       ///< some flight has groups not yet issued
-  bool emit_pending_ = false;   ///< a slot completed since the last emit scan
+  bool emit_pending_ = false;   ///< a flight may complete: run the emit scan
   std::uint64_t watchdog_due_ = 0;  ///< earliest watchdog expiry (0 = dirty)
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  // Response latency, RFC 6298, in cycles and scaled (8*SRTT, 4*RTTVAR) so
+  // the integer updates keep their fractions.  srtt8_ == 0: no sample yet,
+  // so no probe (the response timeout covers the first exchange).
+  std::uint64_t srtt8_ = 0;
+  std::uint64_t rttvar4_ = 0;
+  // The tail probe: at most one live, matched by its wire sequence number.
+  bool probe_live_ = false;
+  std::uint16_t probe_seq_ = 0;
+  unsigned probes_sent_ = 0;          ///< since the front entry last moved
+  std::uint64_t probe_due_ = kNever;  ///< next probe cycle
   sim::Counters stats_;
   sim::Counters::Handle retries_;
   sim::Counters::Handle timeouts_;
@@ -269,6 +322,7 @@ class ReliableTransport {
   sim::Counters::Handle dup_dropped_;
   sim::Counters::Handle stale_dropped_;
   sim::Counters::Handle failures_;
+  sim::Counters::Handle probes_;
 };
 
 }  // namespace fpgafu::host

@@ -140,10 +140,6 @@ class FunctionalUnitTable final : public sim::WireWatcher {
     unavailable_[code] = true;
     ++generation_;
   }
-  void clear_unavailable(isa::FunctionCode code) {
-    unavailable_[code] = false;
-    ++generation_;
-  }
 
   /// True when instructions for `code` should yield kUnitUnavailable (the
   /// code is draining, loading or evicted) rather than kUnknownFunction.
@@ -173,8 +169,8 @@ class FunctionalUnitTable final : public sim::WireWatcher {
   }
 
   /// Bumped by every change of what the table answers: attach and detach
-  /// (a slot may now hold a different unit, or none), set_draining,
-  /// mark_unavailable and clear_unavailable (a code's lifecycle state).
+  /// (a slot may now hold a different unit, or none), set_draining and
+  /// mark_unavailable (a code's lifecycle state).
   /// Stages that remember which slot's wires they drove compare this to
   /// know when to drive every slot again; the dispatcher keys its
   /// memoised plan on it.

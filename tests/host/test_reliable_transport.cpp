@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "fu/gemm_unit.hpp"
 #include "host/reference_model.hpp"
 #include "isa/assembler.hpp"
+#include "isa/muldiv.hpp"
 #include "support/program_gen.hpp"
 #include "util/error.hpp"
 
@@ -930,6 +933,318 @@ TEST(Coalescing, RejectsEmptyAndOversubmission) {
   EXPECT_THROW(transport.submit(p), SimError);
   transport.abort_in_flight();
   EXPECT_FALSE(transport.window_full());
+}
+
+// -- Tail probes and partial burst re-reads -----------------------------------
+
+/// Calls `program` `calls` times over one transport and one System whose
+/// upstream link drops words at `drop_ppm` (seeded; 0 = a clean link).
+/// The program must be self-contained, so every call answers exactly as
+/// host::ReferenceModel does from zeroed registers.
+struct LossyCalls {
+  std::vector<std::uint64_t> call_cycles;
+  std::size_t mismatches = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t dropped = 0;
+};
+
+LossyCalls run_lossy_calls(const isa::Program& program, std::uint64_t seed,
+                           std::uint32_t drop_ppm, unsigned calls) {
+  top::SystemConfig cfg;
+  if (drop_ppm > 0) {
+    msg::FaultConfig f;
+    f.seed = seed;
+    f.up.drop_ppm = drop_ppm;
+    cfg.link_faults = f;
+  }
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro);
+  const auto expected = ReferenceModel(cfg.rtm).run(program);
+  LossyCalls run;
+  for (unsigned i = 0; i < calls; ++i) {
+    const std::uint64_t c0 = sys.simulator().cycle();
+    if (transport.call(program) != expected) {
+      ++run.mismatches;
+    }
+    run.call_cycles.push_back(sys.simulator().cycle() - c0);
+  }
+  run.timeouts = transport.counters().get("transport.timeouts");
+  run.probes = transport.counters().get("transport.probes");
+  run.retries = transport.counters().get("transport.retries");
+  if (sys.faulty_link() != nullptr) {
+    run.dropped = sys.faulty_link()->fault_counters().get("link.up_dropped");
+  }
+  return run;
+}
+
+/// A 16-word echo: PUTV into r8..r23, GETV them back.
+isa::Program getv16_program() {
+  std::vector<isa::Word> values;
+  for (isa::Word i = 0; i < 16; ++i) {
+    values.push_back(0x5eed0000 + 37 * i);
+  }
+  isa::Program p;
+  p.emit_put_vec(8, values);
+  p.emit_get_vec(8, 16);
+  return p;
+}
+
+/// A lost response with nothing behind it is recovered by a tail probe
+/// within a few response latencies, not after the 2000-cycle response
+/// timeout.  Each seed is the first (counting from 1) on which a transport
+/// without tail probes paid at least one timeout over these eight calls,
+/// found by a deterministic search; the first call's response survives,
+/// so the latency estimate exists by the time a loss comes.
+TEST(TailProbe, RecoversATailLossWithoutATimeout) {
+  struct Case {
+    const char* name;
+    isa::Program program;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {
+      {"single GET", isa::Assembler::assemble("PUT r1, #77\nGET r1"), 2},
+      {"16-word GETV", getv16_program(), 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const LossyCalls clean = run_lossy_calls(c.program, 0, 0, 8);
+    EXPECT_EQ(clean.probes, 0u);
+    const std::uint64_t round_trip = clean.call_cycles.front();
+    const LossyCalls lossy = run_lossy_calls(c.program, c.seed, 30'000, 8);
+    EXPECT_EQ(lossy.mismatches, 0u);
+    EXPECT_GT(lossy.dropped, 0u);
+    EXPECT_GE(lossy.retries, 1u);
+    EXPECT_EQ(lossy.timeouts, 0u);
+    EXPECT_GE(lossy.probes, 1u);
+    for (const std::uint64_t cycles : lossy.call_cycles) {
+      EXPECT_LE(cycles, 10 * round_trip);
+    }
+  }
+}
+
+/// Warm the transport's latency estimate up with quick round trips.
+void warm_up(ReliableTransport& transport) {
+  for (int i = 0; i < 4; ++i) {
+    transport.call(isa::Assembler::assemble("PUT r1, #3\nGET r1"));
+  }
+}
+
+/// A slow unit holds a response back legitimately.  A probe sent meanwhile
+/// queues behind it, so it never turns the wait into a retry.
+TEST(TailProbe, SlowFsmDivideRetriesNothing) {
+  top::SystemConfig cfg;
+  cfg.rtm.word_width = 64;  // the FSM divider iterates one bit per clock
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro);
+  warm_up(transport);
+
+  isa::Program p = isa::Assembler::assemble("PUT r1, #1000\nPUT r2, #7");
+  isa::Instruction div;
+  div.function = isa::fc::kMulDiv;
+  div.variety = isa::muldiv::variety(isa::muldiv::Op::kDiv);
+  div.dst1 = 3;
+  div.src1 = 1;
+  div.src2 = 2;
+  p.emit(div);
+  isa::Instruction get;
+  get.function = isa::fc::kRtm;
+  get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+  get.src1 = 3;
+  p.emit(get);
+  const std::uint64_t c0 = sys.simulator().cycle();
+  const auto got = transport.call(p);
+  EXPECT_GT(sys.simulator().cycle() - c0, 64u);
+  EXPECT_EQ(got, ReferenceModel(cfg.rtm).run(p));
+  const std::uint64_t probes = transport.counters().get("transport.probes");
+  EXPECT_GE(probes, 1u);
+  EXPECT_EQ(transport.counters().get("transport.retries"), 0u);
+  // Every probe answered after the GET emptied the FIFO (or after a later
+  // probe superseded it), so each answer was dropped as stale.
+  EXPECT_EQ(transport.counters().get("transport.stale_dropped"), probes);
+}
+
+TEST(TailProbe, GemmSweepRetriesNothing) {
+  top::System sys(top::SystemConfig{});
+  constexpr isa::FunctionCode kGemm = isa::fc::kUserBase;
+  fu::GemmUnit gemm(sys.simulator(), "gemm", 8, 8, 8,
+                    /*pipeline_depth=*/4, /*fifo_capacity=*/16, 64);
+  sys.attach(kGemm, gemm);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro);
+  warm_up(transport);
+
+  const auto gemm_op = [&](isa::VarietyCode v, isa::RegNum dst,
+                           isa::RegNum src1) {
+    isa::Instruction inst;
+    inst.function = kGemm;
+    inst.variety = v;
+    inst.dst1 = dst;
+    inst.src1 = src1;
+    return inst;
+  };
+  isa::Program setup;
+  setup.emit_put(1, fu::GemmUnit::config_word(8, 8, 8));
+  setup.emit(gemm_op(fu::GemmUnit::kConfig, 2, 1));
+  setup.emit_put(1, 0);  // the address of C[0], read back below
+  transport.call(setup);
+
+  // An 8x8x8 sweep holds the MAC pipeline for over 512 cycles; the read of
+  // C and the GET behind it wait for it.
+  isa::Program p;
+  p.emit(gemm_op(fu::GemmUnit::kStart, 2, 0));
+  p.emit(gemm_op(fu::GemmUnit::kReadC, 8, 1));
+  isa::Instruction get;
+  get.function = isa::fc::kRtm;
+  get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+  get.src1 = 8;
+  p.emit(get);
+  const std::uint64_t c0 = sys.simulator().cycle();
+  const auto got = transport.call(p);
+  EXPECT_GT(sys.simulator().cycle() - c0, 512u);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].type, msg::Response::Type::kData);
+  EXPECT_EQ(got[0].payload, 0u);  // nothing was loaded: C stays zero
+  const std::uint64_t probes = transport.counters().get("transport.probes");
+  EXPECT_GE(probes, 1u);
+  EXPECT_EQ(transport.counters().get("transport.retries"), 0u);
+  EXPECT_EQ(transport.counters().get("transport.stale_dropped"), probes);
+}
+
+/// Reads r8..r23 back with one GETV after filling them, swallowing the
+/// upstream frame of sub-response `lost` before the driver sees it (on a
+/// transport with a latency estimate), and records what each direction
+/// of the link carried for the read.
+struct LostSubResponse {
+  std::vector<msg::Response> got;
+  std::vector<msg::Response> expected;
+  std::size_t stolen_words = 0;
+  std::uint64_t words_down = 0;
+  std::uint64_t words_up = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t dup_dropped = 0;
+};
+
+LostSubResponse run_with_sub_response_lost(std::size_t lost) {
+  top::System sys(top::SystemConfig{});
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro);
+  warm_up(transport);
+  const isa::Program fill = getv16_program();
+  transport.call(fill);
+
+  LostSubResponse run;
+  // The fill's GETV answers what the read will; as a one-group program
+  // the read carries sequence number 0.
+  run.expected = ReferenceModel(top::SystemConfig{}.rtm).run(fill);
+  for (msg::Response& r : run.expected) {
+    r.seq = 0;
+  }
+  isa::Program read;
+  read.emit_get_vec(8, 16);
+  const std::uint64_t down0 = sys.link().words_down();
+  const std::uint64_t up0 = sys.link().words_up();
+  const std::uint64_t probes0 = transport.counters().get("transport.probes");
+  transport.submit(read);
+  // One link word arrives per cycle, and the driver takes whatever has
+  // arrived on every service, so words are counted (and the lost frame
+  // taken) as they show up.
+  const std::size_t first = lost * msg::kLinkWordsPerResponse;
+  std::size_t arrived = 0;
+  std::optional<ReliableTransport::Completion> done;
+  for (int cycle = 0; cycle < 100'000 && !done; ++cycle) {
+    while (sys.link().host_available() > 0 && arrived >= first &&
+           arrived < first + msg::kLinkWordsPerResponse) {
+      sys.link().host_receive();
+      ++arrived;
+      ++run.stolen_words;
+    }
+    arrived += sys.link().host_available();
+    transport.service();
+    done = transport.poll_completed();
+    sys.simulator().step();
+  }
+  if (done) {
+    run.got = std::move(done->responses);
+  }
+  copro.pump().run_until([&] { return sys.idle(); },
+                         Deadline(sys.simulator(), 10'000), "drain");
+  run.words_down = sys.link().words_down() - down0;
+  run.words_up = sys.link().words_up() - up0;
+  run.probes = transport.counters().get("transport.probes") - probes0;
+  run.retries = transport.counters().get("transport.retries");
+  run.dup_dropped = transport.counters().get("transport.dup_dropped");
+  return run;
+}
+
+/// A GETV that lost sub-response k re-reads only sub-responses k..15,
+/// under a fresh sequence number, and still returns every `burst` index as
+/// the reference model does.  k = 15 is a tail loss (the probe finds it);
+/// the others are intra-burst gaps.
+TEST(PartialBurst, RetryReReadsOnlyTheMissingTail) {
+  for (const std::size_t lost : {0u, 1u, 7u, 15u}) {
+    SCOPED_TRACE("lost sub-response " + std::to_string(lost));
+    const LostSubResponse run = run_with_sub_response_lost(lost);
+    ASSERT_EQ(run.stolen_words, msg::kLinkWordsPerResponse);
+    EXPECT_EQ(run.got, run.expected);
+    EXPECT_EQ(run.retries, 1u);
+    EXPECT_EQ(run.dup_dropped, 0u);
+    EXPECT_EQ(run.probes, lost == 15 ? 1u : 0u);
+    // Down: the GETV, its one-word retry and any probe, 2 link words each.
+    EXPECT_EQ(run.words_down, 2 * (2 + run.probes));
+    // Up: 16 frames, the 16 - k re-read ones and any probe's answer.
+    EXPECT_EQ(run.words_up,
+              msg::kLinkWordsPerResponse * (16 + (16 - lost) + run.probes));
+  }
+}
+
+/// A dead link (after a latency estimate exists): every front attempt
+/// sends at most kMaxProbes probes, each waiting twice as long as the one
+/// before, until its response timeout fires; the give-up accounting is
+/// that of a transport without probes.
+TEST(TailProbe, DeadLinkProbesStayUnderTheCapPerAttempt) {
+  top::System sys(top::SystemConfig{});
+  Coprocessor copro(sys);
+  TransportConfig tcfg;
+  tcfg.max_attempts = 3;
+  ReliableTransport transport(copro, tcfg);
+  warm_up(transport);
+
+  transport.submit(isa::Assembler::assemble("GET r1"));
+  std::vector<std::uint64_t> probe_cycles;
+  bool threw = false;
+  for (int cycle = 0; cycle < 100'000 && !threw; ++cycle) {
+    while (sys.link().host_receive()) {
+      // the link died: every upstream word is lost from now on
+    }
+    try {
+      transport.service();
+    } catch (const SimError&) {
+      threw = true;
+    }
+    if (transport.counters().get("transport.probes") > probe_cycles.size()) {
+      probe_cycles.push_back(sys.simulator().cycle());
+    }
+    sys.simulator().step();
+  }
+  ASSERT_TRUE(threw);
+  // The first attempt's probes (its 2000-cycle timeout outlasts them all).
+  ASSERT_GE(probe_cycles.size(), std::size_t{ReliableTransport::kMaxProbes});
+  for (std::size_t i = 2; i < ReliableTransport::kMaxProbes; ++i) {
+    EXPECT_EQ(probe_cycles[i] - probe_cycles[i - 1],
+              2 * (probe_cycles[i - 1] - probe_cycles[i - 2]));
+  }
+  transport.abort_in_flight();
+  EXPECT_EQ(transport.counters().get("transport.retries"), 2u);
+  EXPECT_EQ(transport.counters().get("transport.timeouts"), 3u);
+  EXPECT_EQ(transport.counters().get("transport.failures"), 1u);
+  const std::uint64_t probes = transport.counters().get("transport.probes");
+  EXPECT_GE(probes, tcfg.max_attempts);
+  EXPECT_LE(probes, ReliableTransport::kMaxProbes * tcfg.max_attempts);
 }
 
 /// Regression for the frame-state reset hole: a system reset (or watchdog
