@@ -14,6 +14,12 @@ struct StatelessOut {
   isa::FlagWord flags = 0;
   bool write_data = false;
   bool write_flags = true;
+  /// Second data result for the thesis Fig. 2.18 two-record completion
+  /// (DIVMOD's remainder, routed to request.dst_reg2).  Only an FsmFu
+  /// built with a `writes_second` predicate retires it; every other
+  /// skeleton drops it.
+  isa::Word second = 0;
+  bool has_second = false;
 };
 
 /// The combinational core of a stateless functional unit: a pure function
@@ -22,6 +28,19 @@ struct StatelessOut {
 using StatelessFn =
     std::function<StatelessOut(isa::VarietyCode, isa::Word, isa::Word,
                                isa::FlagWord)>;
+
+/// Route a stateless core's output to the request's destinations: the
+/// first (or only) completion record of every stateless skeleton.
+inline FuResult stateless_result(const FuRequest& req, const StatelessOut& o) {
+  FuResult r;
+  r.data = o.value;
+  r.flags = o.flags;
+  r.dst_reg = req.dst_reg;
+  r.dst_flag_reg = req.dst_flag_reg;
+  r.write_data = o.write_data;
+  r.write_flags = o.write_flags;
+  return r;
+}
 
 /// Base class for every functional unit: a simulated hardware block with
 /// the framework's standard port bundle.

@@ -1,22 +1,20 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
-#include "fu/functional_unit.hpp"
+#include "fu/pipelined_fu.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace fpgafu::fu {
 
 /// Blocked matrix-multiply functional unit built on the thesis §2.3.4
-/// *performance-optimised* (pipelined) skeleton: an in-order command
-/// pipeline in front of an output FIFO, with destination bookkeeping
-/// reserved at dispatch time so the FIFO can never overflow and the
-/// datapath never stalls.
+/// *performance-optimised* (pipelined) skeleton, PipelineCore: an in-order
+/// command pipeline in front of an output FIFO, with destination
+/// bookkeeping reserved at dispatch time so the FIFO can never overflow and
+/// the datapath never stalls.
 ///
 /// The unit holds three block-RAM panels — A (m×k), B (k×n) and a C
 /// accumulator (m×n) — sized at construction.  A host-side blocking driver
@@ -41,10 +39,11 @@ namespace fpgafu::fu {
 /// initiation interval 1, so loads/reads stream at one per cycle after the
 /// fill.  kStart occupies the MAC pipeline for `pipeline_depth + m·n·k`
 /// cycles — a fully pipelined multiply-accumulate datapath retiring one
-/// MAC per clock after the fill.  Commands retire strictly in order, so a
-/// load issued behind a kStart mutates its panel only after the sweep has
-/// used the old contents (sequential consistency for the host driver).
-class GemmUnit : public FunctionalUnit {
+/// MAC per clock after the fill; the sweep length is fixed at accept, from
+/// the dims active then.  Commands retire strictly in order, so a load
+/// issued behind a kStart mutates its panel only after the sweep has used
+/// the old contents (sequential consistency for the host driver).
+class GemmUnit : public PipelineCore {
  public:
   static constexpr isa::VarietyCode kConfig = 0x01;
   static constexpr isa::VarietyCode kLoadA = 0x02;
@@ -65,7 +64,7 @@ class GemmUnit : public FunctionalUnit {
            std::size_t max_n, std::size_t max_k,
            std::uint32_t pipeline_depth = 4, std::size_t fifo_capacity = 8,
            unsigned width = 64)
-      : FunctionalUnit(sim, std::move(name)),
+      : PipelineCore(sim, std::move(name), pipeline_depth, fifo_capacity),
         a_(max_m * max_k, 0),
         b_(max_k * max_n, 0),
         c_(max_m * max_n, 0),
@@ -75,99 +74,44 @@ class GemmUnit : public FunctionalUnit {
         m_(max_m),
         n_(max_n),
         k_(max_k),
-        depth_(pipeline_depth),
-        width_(width),
-        fifo_(fifo_capacity) {
+        width_(width) {
     check(max_m >= 1 && max_n >= 1 && max_k >= 1,
           "GEMM block capacities must all be >= 1");
     check(max_m <= 255 && max_n <= 255 && max_k <= 255,
           "GEMM block capacities must fit the 8-bit kConfig dim fields");
-    check(pipeline_depth >= 1, "pipeline depth must be >= 1");
-    check(fifo_capacity > pipeline_depth,
-          "FIFO must hold more elements than there are pipeline stages "
-          "(thesis 2.3.4 sizing rule)");
   }
 
   std::size_t m() const { return m_; }
   std::size_t n() const { return n_; }
   std::size_t k() const { return k_; }
-  std::size_t in_flight() const { return pipe_.size(); }
-  std::size_t buffered() const { return fifo_.size(); }
 
   /// Direct test/debug access (the host path goes through instructions).
   isa::Word peek_a(std::size_t addr) const { return a_.at(addr); }
   isa::Word peek_b(std::size_t addr) const { return b_.at(addr); }
   isa::Word peek_c(std::size_t addr) const { return c_.at(addr); }
 
-  void eval() override {
-    // Reserved slots: results already buffered plus commands that will land
-    // in the FIFO when they retire from the pipeline (reserved at dispatch,
-    // the pipelined skeleton's no-overflow invariant).
-    const std::size_t reserved = fifo_.size() + pipe_.size();
-    ports.idle.set(reserved < fifo_.capacity());
-    ports.data_ready.set(!fifo_.empty());
-    if (!fifo_.empty()) {
-      ports.result.set(fifo_.front());
-    }
-  }
-
-  void commit() override {
-    if (!pipe_.empty() || !fifo_.empty() || ports.dispatch.get()) {
-      mark_active();  // pipe_/fifo_/panel state are plain clocked state
-    }
-    // Drain: the arbiter acknowledged the head result.
-    if (!fifo_.empty() && ports.data_acknowledge.get()) {
-      fifo_.pop();
-      ++completed_;
-    }
-    // Advance the pipeline.  Stages have heterogeneous latency (a kStart
-    // sweep occupies the MAC pipeline far longer than a load), so each
-    // counts down independently but retirement stays strictly in order.
-    for (auto& stage : pipe_) {
-      if (stage.remaining > 0) {
-        --stage.remaining;
-      }
-    }
-    while (!pipe_.empty() && pipe_.front().remaining == 0) {
-      fifo_.push(retire(pipe_.front().request));
-      pipe_.pop_front();
-    }
-    // Accept a new command (the dispatcher honoured `idle`).
-    const std::size_t reserved = fifo_.size() + pipe_.size();
-    if (ports.dispatch.get() && reserved < fifo_.capacity()) {
-      pipe_.push_back({ports.request.get(), latency(ports.request.get())});
-    }
-  }
-
   void reset() override {
-    FunctionalUnit::reset();
+    PipelineCore::reset();
     a_.assign(a_.size(), 0);
     b_.assign(b_.size(), 0);
     c_.assign(c_.size(), 0);
     m_ = max_m_;
     n_ = max_n_;
     k_ = max_k_;
-    pipe_.clear();
-    fifo_.clear();
   }
 
  private:
-  struct Stage {
-    FuRequest request;
-    std::uint64_t remaining;
-  };
-
-  std::uint64_t latency(const FuRequest& req) const {
+  std::uint64_t latency(const FuRequest& req) const override {
     if (req.variety == kStart) {
       // Pipelined MAC datapath: fill + one MAC retired per clock.
-      return depth_ + static_cast<std::uint64_t>(m_) * n_ * k_;
+      return depth() + static_cast<std::uint64_t>(m_) * n_ * k_;
     }
-    return depth_;
+    return depth();
   }
 
   /// Execute a command at retirement.  All architectural state (panels,
   /// accumulator, active dims) mutates here, in retirement order.
-  FuResult retire(const FuRequest& req) {
+  FuResult retire(const FuRequest& req) override {
     const isa::Word addr = req.operand1;
     const isa::Word data = req.operand2 & bits::mask(width_);
     isa::Word result = 0;
@@ -258,10 +202,7 @@ class GemmUnit : public FunctionalUnit {
   std::size_t m_;
   std::size_t n_;
   std::size_t k_;
-  std::uint32_t depth_;
   unsigned width_;
-  std::deque<Stage> pipe_;
-  RingBuffer<FuResult> fifo_;
 };
 
 }  // namespace fpgafu::fu

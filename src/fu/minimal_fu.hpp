@@ -3,7 +3,6 @@
 #include <string>
 
 #include "fu/functional_unit.hpp"
-#include "sim/signal.hpp"
 
 namespace fpgafu::fu {
 
@@ -30,58 +29,42 @@ class MinimalFu : public FunctionalUnit {
   void eval() override {
     // idle: no output pending, or pending output acknowledged this cycle
     // (the combinational forward mechanism).
-    const bool pending = ready_.q();
-    const bool acked = pending && ports.data_acknowledge.get();
-    ports.idle.set(!pending || (ack_forward_ && acked));
-    ports.data_ready.set(pending);
-    ports.result.set(out_.q());
+    const bool acked = ready_ && ports.data_acknowledge.get();
+    ports.idle.set(!ready_ || (ack_forward_ && acked));
+    ports.data_ready.set(ready_);
+    ports.result.set(out_);
   }
 
   void commit() override {
-    const bool pending = ready_.q();
-    const bool acked = pending && ports.data_acknowledge.get();
-    const bool idle_now = !pending || (ack_forward_ && acked);
-    const bool accept = ports.dispatch.get() && idle_now;
-    if (accept) {
-      const FuRequest req = ports.request.get();
-      const StatelessOut o =
-          fn_(req.variety, req.operand1, req.operand2, req.flags_in);
-      FuResult r;
-      r.data = o.value;
-      r.flags = o.flags;
-      r.dst_reg = req.dst_reg;
-      r.dst_flag_reg = req.dst_flag_reg;
-      r.write_data = o.write_data;
-      r.write_flags = o.write_flags;
-      out_.set_d(r);
-      ready_.set_d(true);
-    } else {
-      out_.set_d(out_.q());
-      ready_.set_d(acked ? false : pending);
-    }
+    const bool acked = ready_ && ports.data_acknowledge.get();
+    const bool accept =
+        ports.dispatch.get() && (!ready_ || (ack_forward_ && acked));
     if (acked) {
+      ready_ = false;
       ++completed_;
     }
+    if (accept) {
+      const FuRequest& req = ports.request.get();
+      out_ = stateless_result(
+          req, fn_(req.variety, req.operand1, req.operand2, req.flags_in));
+      ready_ = true;
+    }
     if (accept || acked) {
-      // completed_ can advance without any register changing value (ack of
-      // a result identical to the previous one, with ack_forward re-accept).
       mark_active();
     }
-    out_.tick();
-    ready_.tick();
   }
 
   void reset() override {
     FunctionalUnit::reset();
-    out_.reset();
-    ready_.reset();
+    out_ = FuResult{};
+    ready_ = false;
   }
 
  private:
   StatelessFn fn_;
   bool ack_forward_;
-  sim::Reg<FuResult> out_{*this};
-  sim::Reg<bool> ready_{*this, false};
+  FuResult out_;        ///< the output register array
+  bool ready_ = false;  ///< registered data-ready flag
 };
 
 }  // namespace fpgafu::fu

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "fu/functional_unit.hpp"
@@ -10,8 +9,11 @@
 
 namespace fpgafu::fu {
 
-/// The thesis' *performance-optimised configuration* (§2.3.4): a fully
-/// pipelined datapath in front of output FIFO buffers.
+/// The thesis' *performance-optimised configuration* (§2.3.4): an in-order
+/// pipelined datapath in front of an output FIFO buffer.  A unit is this
+/// core plus two hooks: `latency(req)`, the cycles from accept to
+/// retirement, and `retire(req)`, which executes the operation in
+/// retirement order and returns its completion record.
 ///
 /// Key property reproduced from the thesis: destination bookkeeping is
 /// enqueued *at dispatch time*, so the unit's occupancy is
@@ -24,15 +26,77 @@ namespace fpgafu::fu {
 ///
 /// `initiation_interval` models a pipeline that accepts a new instruction
 /// "at least every kth clock cycle".
-class PipelinedFu : public FunctionalUnit {
+///
+/// The hardware shifts every stage each clock; the model keeps the stages
+/// in a ring, each holding the absolute cycle its operation retires, and
+/// sleeps until the head's (`wake_at`).  Retirement stays strictly in
+/// order: a stage due before the one ahead of it retires with that one.
+/// An initiation interval above one is a next-issue cycle, announced the
+/// same way.  So a unit with work in flight costs the event kernel nothing
+/// between accept, retirement and drain.
+class PipelineCore : public FunctionalUnit {
  public:
-  PipelinedFu(sim::Simulator& sim, std::string name, StatelessFn fn,
-              std::uint32_t pipeline_depth, std::size_t fifo_capacity,
-              std::uint32_t initiation_interval = 1)
+  std::size_t in_flight() const { return pipe_.size(); }
+  std::size_t buffered() const { return fifo_.size(); }
+
+  void eval() override {
+    // Reserved slots: results already buffered plus instructions that will
+    // land in the FIFO when they retire from the pipeline.
+    ports.idle.set(slot_free() && simulator().cycle() >= next_issue_);
+    ports.data_ready.set(!fifo_.empty());
+    if (!fifo_.empty()) {
+      ports.result.set(fifo_.front());
+    }
+  }
+
+  void commit() override {
+    const std::uint64_t now = simulator().cycle();
+    bool active = false;
+    // Drain: the arbiter acknowledged the head result.
+    if (!fifo_.empty() && ports.data_acknowledge.get()) {
+      fifo_.pop();
+      ++completed_;
+      active = true;
+    }
+    // Retire in order into the FIFO (the slot was reserved at dispatch, so
+    // push cannot overflow).
+    while (!pipe_.empty() && pipe_.front().done_at <= now) {
+      fifo_.push(retire(pipe_.pop().request));
+      active = true;
+    }
+    // Accept a new instruction (the dispatcher honoured `idle`).
+    if (ports.dispatch.get() && now >= next_issue_ && slot_free()) {
+      const FuRequest& req = ports.request.get();
+      pipe_.push({req, now + latency(req)});
+      next_issue_ = now + interval_;
+      active = true;
+    }
+    if (active) {
+      mark_active();
+    }
+    if (interval_ > 1 && next_issue_ > now) {
+      wake_at(next_issue_);  // `idle` rises then
+    }
+    if (!pipe_.empty()) {
+      wake_at(pipe_.front().done_at);
+    }
+  }
+
+  void reset() override {
+    FunctionalUnit::reset();
+    pipe_.clear();
+    fifo_.clear();
+    next_issue_ = 0;
+  }
+
+ protected:
+  PipelineCore(sim::Simulator& sim, std::string name,
+               std::uint32_t pipeline_depth, std::size_t fifo_capacity,
+               std::uint32_t initiation_interval = 1)
       : FunctionalUnit(sim, std::move(name)),
-        fn_(std::move(fn)),
         depth_(pipeline_depth),
         interval_(initiation_interval),
+        pipe_(fifo_capacity),
         fifo_(fifo_capacity) {
     check(pipeline_depth >= 1, "pipeline depth must be >= 1");
     check(initiation_interval >= 1, "initiation interval must be >= 1");
@@ -41,89 +105,51 @@ class PipelinedFu : public FunctionalUnit {
           "(thesis 2.3.4 sizing rule)");
   }
 
-  std::size_t in_flight() const { return pipe_.size(); }
-  std::size_t buffered() const { return fifo_.size(); }
+  /// Cycles from accept to retirement (at least one), fixed at accept.
+  virtual std::uint64_t latency(const FuRequest& req) const = 0;
+  /// Execute `req` at retirement, in order; returns its completion record.
+  virtual FuResult retire(const FuRequest& req) = 0;
 
-  void eval() override {
-    // Reserved slots: results already buffered plus instructions that will
-    // land in the FIFO when they drain from the pipeline.
-    const std::size_t reserved = fifo_.size() + pipe_.size();
-    const bool slot_free = reserved < fifo_.capacity();
-    const bool issue_ok = since_issue_.q() + 1 >= interval_;
-    ports.idle.set(slot_free && issue_ok);
-    ports.data_ready.set(!fifo_.empty());
-    if (!fifo_.empty()) {
-      ports.result.set(fifo_.front());
-    }
-  }
-
-  void commit() override {
-    // Anything in flight means clocked state (pipe_, fifo_, the issue
-    // spacing register) advances this cycle; a fresh dispatch starts it.
-    if (!pipe_.empty() || !fifo_.empty() || ports.dispatch.get() ||
-        since_issue_.q() < interval_) {
-      mark_active();
-    }
-    // Drain: the arbiter acknowledged the head result.
-    if (!fifo_.empty() && ports.data_acknowledge.get()) {
-      fifo_.pop();
-      ++completed_;
-    }
-    // Advance the pipeline: results whose latency elapsed enter the FIFO
-    // (slot was reserved at dispatch, so push cannot overflow).
-    for (auto& stage : pipe_) {
-      --stage.remaining;
-    }
-    while (!pipe_.empty() && pipe_.front().remaining == 0) {
-      fifo_.push(compute(pipe_.front().request));
-      pipe_.pop_front();
-    }
-    // Accept a new instruction (the dispatcher honoured `idle`).
-    const std::size_t reserved = fifo_.size() + pipe_.size();
-    const bool issue_ok = since_issue_.q() + 1 >= interval_;
-    if (ports.dispatch.get() && issue_ok &&
-        reserved < fifo_.capacity()) {
-      pipe_.push_back({ports.request.get(), depth_});
-      since_issue_.set_d(0);
-    } else {
-      since_issue_.set_d(since_issue_.q() >= interval_ ? since_issue_.q()
-                                                       : since_issue_.q() + 1);
-    }
-    since_issue_.tick();
-  }
-
-  void reset() override {
-    FunctionalUnit::reset();
-    pipe_.clear();
-    fifo_.clear();
-    since_issue_.reset();
-  }
+  std::uint32_t depth() const { return depth_; }
 
  private:
   struct Stage {
     FuRequest request;
-    std::uint32_t remaining;
+    std::uint64_t done_at = 0;  ///< cycle whose commit retires it
   };
 
-  FuResult compute(const FuRequest& req) const {
-    const StatelessOut o =
-        fn_(req.variety, req.operand1, req.operand2, req.flags_in);
-    FuResult r;
-    r.data = o.value;
-    r.flags = o.flags;
-    r.dst_reg = req.dst_reg;
-    r.dst_flag_reg = req.dst_flag_reg;
-    r.write_data = o.write_data;
-    r.write_flags = o.write_flags;
-    return r;
+  /// In-flight plus buffered never exceeds the FIFO capacity, so the stage
+  /// ring (sized alike) cannot overflow either.
+  bool slot_free() const {
+    return pipe_.size() + fifo_.size() < fifo_.capacity();
+  }
+
+  std::uint32_t depth_;
+  std::uint32_t interval_;
+  std::uint64_t next_issue_ = 0;  ///< first cycle `idle` may rise
+  RingBuffer<Stage> pipe_;
+  RingBuffer<FuResult> fifo_;
+};
+
+/// A stateless core on the pipeline: every operation retires
+/// `pipeline_depth` cycles after it is accepted.
+class PipelinedFu : public PipelineCore {
+ public:
+  PipelinedFu(sim::Simulator& sim, std::string name, StatelessFn fn,
+              std::uint32_t pipeline_depth, std::size_t fifo_capacity,
+              std::uint32_t initiation_interval = 1)
+      : PipelineCore(sim, std::move(name), pipeline_depth, fifo_capacity,
+                     initiation_interval),
+        fn_(std::move(fn)) {}
+
+ private:
+  std::uint64_t latency(const FuRequest&) const override { return depth(); }
+  FuResult retire(const FuRequest& req) override {
+    return stateless_result(
+        req, fn_(req.variety, req.operand1, req.operand2, req.flags_in));
   }
 
   StatelessFn fn_;
-  std::uint32_t depth_;
-  std::uint32_t interval_;
-  std::deque<Stage> pipe_;
-  RingBuffer<FuResult> fifo_;
-  sim::Reg<std::uint32_t> since_issue_{*this, ~std::uint32_t{0} / 2};
 };
 
 }  // namespace fpgafu::fu

@@ -1,6 +1,5 @@
 #include "fu/stateless_units.hpp"
 
-#include "fu/dual_fsm_fu.hpp"
 #include "fu/fsm_fu.hpp"
 #include "fu/minimal_fu.hpp"
 #include "fu/pipelined_fu.hpp"
@@ -10,7 +9,6 @@
 #include "isa/muldiv.hpp"
 #include "isa/shift.hpp"
 #include "isa/trig.hpp"
-#include "util/bits.hpp"
 
 namespace fpgafu::fu {
 
@@ -81,7 +79,10 @@ std::unique_ptr<FunctionalUnit> make_shift_unit(sim::Simulator& sim,
 StatelessFn muldiv_core(unsigned width) {
   return [width](isa::VarietyCode v, isa::Word a, isa::Word b, isa::FlagWord) {
     const isa::muldiv::Result r = isa::muldiv::evaluate(v, a, b, width);
-    return StatelessOut{r.value, r.flags, r.write_data, /*write_flags=*/true};
+    StatelessOut o{r.value, r.flags, r.write_data, /*write_flags=*/true};
+    o.second = r.value2;
+    o.has_second = r.has_second;
+    return o;
   };
 }
 
@@ -100,28 +101,11 @@ std::unique_ptr<FunctionalUnit> make_muldiv_unit(sim::Simulator& sim,
       // One quotient/product bit per clock: the sequential datapath.
       cfg.execute_cycles = cfg.width;
     }
-    // The FSM variant supports the dual-output DIVMOD (thesis Fig. 2.18's
-    // two-record completion); the restoring divider has both results ready.
-    const unsigned width = cfg.width;
-    auto dual_fn = [width](isa::VarietyCode v, isa::Word a, isa::Word b,
-                           isa::FlagWord) {
-      const isa::muldiv::Result r = isa::muldiv::evaluate(v, a, b, width);
-      DualOut o;
-      o.first = StatelessOut{r.value, r.flags, r.write_data, true};
-      o.second = r.value2;
-      o.has_second = r.has_second;
-      return o;
-    };
-    auto second_pred = [](isa::VarietyCode v) {
-      return static_cast<isa::muldiv::Op>(
-                 bits::field(v, isa::muldiv::vc::kOpHi,
-                             isa::muldiv::vc::kOpLo)) ==
-             isa::muldiv::Op::kDivMod;
-    };
-    return std::make_unique<DualFsmFu>(sim, std::move(name),
-                                       std::move(dual_fn),
-                                       std::move(second_pred),
-                                       cfg.execute_cycles);
+    // The FSM variant retires DIVMOD's remainder as a second record (thesis
+    // Fig. 2.18); the restoring divider has both results ready.
+    return std::make_unique<FsmFu>(sim, std::move(name),
+                                   muldiv_core(cfg.width), cfg.execute_cycles,
+                                   isa::muldiv::writes_second);
   }
   // Other skeletons carry the single-output subset (DIVMOD's second result
   // is dropped there; use the FSM variant for dual output).

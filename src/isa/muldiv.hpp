@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "isa/types.hpp"
+#include "util/bits.hpp"
 
 namespace fpgafu::isa::muldiv {
 
@@ -70,6 +71,15 @@ struct Result {
   Word value2 = 0;          ///< second result (kDivMod's remainder)
   bool has_second = false;  ///< whether value2 is produced
 };
+
+/// True for the varieties whose Result has `has_second` (DIVMOD).  A unit
+/// that retires the second result writes a second destination register
+/// through a second write-arbiter record, and the dispatcher locks that
+/// register at dispatch.
+constexpr bool writes_second(VarietyCode variety) {
+  return static_cast<Op>(bits::field(variety, vc::kOpHi, vc::kOpLo)) ==
+         Op::kDivMod;
+}
 
 /// Reference semantics.  The 64x64 -> 128 bit products are built from
 /// 32-bit limbs (no compiler extensions), the same decomposition the

@@ -53,21 +53,21 @@ class Decoder : public sim::Component {
   }
 
   void commit() override {
-    // have_/mode_/vec bookkeeping are plain clocked state: self-report
-    // whenever anything is in flight or a burst expansion is underway.
-    if (have_ || mode_ != Mode::kInstruction || in->fire()) {
-      mark_active();
-    }
+    // have_/mode_/vec bookkeeping are plain clocked state, and only an
+    // output fire or an input fire changes it: a held instruction stalled
+    // on the dispatcher sleeps until out.ready moves.
     if (have_ && out.fire()) {
       have_ = false;
+      mark_active();
     }
     if (mode_ == Mode::kVecGet) {
       if (!have_) {
-        emit_vec_get();
+        emit_vec_get();  // the previous sub-read just fired (reported)
       }
       return;
     }
     if (in->fire()) {
+      mark_active();
       const isa::Word word = in->data.get();
       switch (mode_) {
         case Mode::kInstruction:

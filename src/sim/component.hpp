@@ -27,15 +27,15 @@ namespace fpgafu::sim {
 ///
 /// The event kernel (`Simulator::Kernel::kEvent`) additionally relies on the
 /// *activity contract* (docs/SIMULATOR.md): any state change a `commit()`
-/// makes must be visible to the scheduler.  Registers bound to their owner
-/// (`Reg(Component&, ...)`) report changes automatically from `tick()`; every
-/// other clocked side effect — ring buffers, deques, plain FSM fields,
-/// counter bumps, trace events — must be announced with `mark_active()`.
-/// Behaviour that changes with time alone (a countdown, a word in flight)
-/// is announced once with `wake_at(cycle)`, not by staying active every
-/// cycle until then.  Components whose behaviour depends on something the
-/// tracker cannot see at all (free-running RNGs, per-cycle monitors) opt out
-/// of demotion entirely with `make_always_active()`.
+/// makes must be visible to the scheduler.  Clocked state is plain fields,
+/// and every change a `commit()` makes to it — a register or FSM field, a
+/// ring buffer, a counter bump, a trace event — is announced with
+/// `mark_active()`; a commit that changes nothing stays silent and lets the
+/// component sleep.  Behaviour that changes with time alone (a countdown, a
+/// word in flight) is announced once with `wake_at(cycle)`, not by staying
+/// active every cycle until then.  Components whose behaviour depends on
+/// something the tracker cannot see at all (free-running RNGs, per-cycle
+/// monitors) opt out of demotion entirely with `make_always_active()`.
 class Component {
  public:
   Component(Simulator& sim, std::string name)
@@ -67,7 +67,7 @@ class Component {
   /// Announce from `commit()` that clocked state changed (or that a clocked
   /// side effect — counter bump, trace event, buffer mutation — happened),
   /// so the event kernel keeps this component in next cycle's wake/commit
-  /// sets.  Bound `Reg`s call this automatically on a real q-value change.
+  /// sets.
   void mark_active() { sim_.wake(*this); }
 
   /// Announce from `commit()` (or host code between cycles) that this
@@ -87,8 +87,6 @@ class Component {
  private:
   friend class Simulator;
   friend class WireBase;
-  template <typename T>
-  friend class Reg;
 
   Simulator& sim_;
   std::string name_;

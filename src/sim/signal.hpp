@@ -195,50 +195,4 @@ class Wire : public WireBase {
   T reset_value_;
 };
 
-/// A register (flip-flop array).  `q()` is the visible value; `set_d()`
-/// stages the next value and `tick()` commits it.  Components call `set_d`
-/// and `tick` from their `commit()`; keeping the d/q split explicit makes
-/// multi-read-modify-write commit code obviously order-safe.
-///
-/// A Reg that lives inside a Component must be *bound* to it with the
-/// two-argument constructor: `tick()` then performs change detection and
-/// reports a real q-value change as commit activity (`mark_active()`), which
-/// is what lets the event kernel demote components whose registers went
-/// quiet.  The unbound constructor remains for standalone use (tests,
-/// host-side modelling) where no scheduling is involved.
-template <typename T>
-class Reg {
- public:
-  explicit Reg(T initial = T{})
-      : q_(initial), d_(initial), reset_value_(std::move(initial)) {}
-
-  /// Bind to the owning component (see class comment).
-  explicit Reg(Component& owner, T initial = T{})
-      : q_(initial),
-        d_(initial),
-        reset_value_(std::move(initial)),
-        owner_(&owner) {}
-
-  const T& q() const { return q_; }
-  void set_d(T v) { d_ = std::move(v); }
-
-  void tick() {
-    if (owner_ != nullptr && !(q_ == d_)) {
-      owner_->mark_active();
-    }
-    q_ = d_;
-  }
-
-  void reset() {
-    q_ = reset_value_;
-    d_ = reset_value_;
-  }
-
- private:
-  T q_;
-  T d_;
-  T reset_value_;
-  Component* owner_ = nullptr;
-};
-
 }  // namespace fpgafu::sim

@@ -308,9 +308,9 @@ void Simulator::step() {
 
 /// Commit phase of the event kernel: run the commit bits in registration
 /// order.  Each component is provisionally demoted; it is committed again
-/// next cycle only if its commit reported activity (bound Reg change or
-/// mark_active(), both of which wake()), a wire it read gets changed later,
-/// someone wakes it, a timed wake comes due, or it opted out of demotion.
+/// next cycle only if its commit reported activity (mark_active(), which
+/// wakes it), a wire it read gets changed later, someone wakes it, a timed
+/// wake comes due, or it opted out of demotion.
 /// Commit-time wire reads are recorded as commit reads, so a change of a
 /// wire a component samples only at the clock edge re-arms its commit
 /// without re-running its eval(); conditional commit read sets stay

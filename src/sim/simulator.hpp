@@ -52,8 +52,8 @@ class WireBase;
 ///     that leaves no bit set.  The commit phase runs the commit bits, again
 ///     in registration order, and each component is provisionally demoted:
 ///     its commit bit is set again only if its `commit()` reported activity
-///     (a bound-`Reg` change or `mark_active()`), a wire it was observed
-///     reading — in `eval()` *or* `commit()` — changes, or it is woken.
+///     (`mark_active()`), a wire it was observed reading — in `eval()` *or*
+///     `commit()` — changes, or it is woken.
 ///     Sound because `eval()` and `commit()` are pure functions of the wires
 ///     they read, registered state and time, and every time-driven change is
 ///     announced with `wake_at`: re-running either with none of them changed

@@ -3,7 +3,9 @@
 // it) the target unit's idle are unchanged.  Every test here holds one
 // instruction at the dispatcher while exactly one of those inputs changes
 // underneath it, and checks that the instruction then does what a freshly
-// computed plan says — the same under both settle kernels.
+// computed plan says — the same under both settle kernels.  The last test
+// checks that the decoder, holding the next instruction behind a waiting
+// one, sleeps meanwhile.
 
 #include <gtest/gtest.h>
 
@@ -56,36 +58,35 @@ class SilentFu : public fu::FunctionalUnit {
       : FunctionalUnit(s, "silent"), latency_(latency) {}
 
   void eval() override {
-    ports.idle.set(left_.q() == 0 && !pending_.q());
-    ports.data_ready.set(pending_.q() && left_.q() == 0);
+    ports.idle.set(left_ == 0 && !pending_);
+    ports.data_ready.set(pending_ && left_ == 0);
     fu::FuResult r;
-    r.dst_reg = dst_.q();
-    r.dst_flag_reg = dst_flag_.q();
+    r.dst_reg = dst_;
+    r.dst_flag_reg = dst_flag_;
     ports.result.set(r);
   }
   void commit() override {
     if (ports.dispatch.get()) {
-      dst_.set_d(ports.request.get().dst_reg);
-      dst_flag_.set_d(ports.request.get().dst_flag_reg);
-      pending_.set_d(true);
-      left_.set_d(latency_);
-    } else if (left_.q() > 0) {
-      left_.set_d(left_.q() - 1);
-    } else if (pending_.q() && ports.data_acknowledge.get()) {
-      pending_.set_d(false);
+      dst_ = ports.request.get().dst_reg;
+      dst_flag_ = ports.request.get().dst_flag_reg;
+      pending_ = true;
+      left_ = latency_;
+      mark_active();
+    } else if (left_ > 0) {
+      --left_;
+      mark_active();
+    } else if (pending_ && ports.data_acknowledge.get()) {
+      pending_ = false;
+      mark_active();
     }
-    dst_.tick();
-    dst_flag_.tick();
-    pending_.tick();
-    left_.tick();
   }
 
  private:
   unsigned latency_;
-  sim::Reg<unsigned> left_{*this, 0};
-  sim::Reg<bool> pending_{*this, false};
-  sim::Reg<isa::RegNum> dst_{*this, 0};
-  sim::Reg<isa::RegNum> dst_flag_{*this, 0};
+  unsigned left_ = 0;
+  bool pending_ = false;
+  isa::RegNum dst_ = 0;
+  isa::RegNum dst_flag_ = 0;
 };
 
 /// An RTM fed by a producer and drained by a Sink, with an arithmetic FSM
@@ -323,6 +324,30 @@ TEST(DispatchMemo, AttachDispatchesAWaitingUnavailableInstruction) {
     EXPECT_EQ(got.back().payload, 7u);
     rig.rtm.detach(isa::fc::kLogic);  // before the unit goes out of scope
   }
+}
+
+TEST(DecoderSleep, HeldInstructionCostsNoCommitsWhileTheDispatcherStalls) {
+  // The second ADD waits at the dispatcher for the busy 64-cycle unit and
+  // the third waits in the decoder.  Per stalled cycle only the dispatcher
+  // (its stall accounting) and the always-active test producer commit;
+  // the decoder, whose output cannot fire, sleeps.
+  Rig rig(Simulator::Kernel::kEvent, /*execute_cycles=*/64);
+  rig.feed(Assembler::assemble(R"(
+    PUTI r1, 40
+    PUTI r2, 2
+    ADD r3, r1, r2, f1
+    ADD r4, r1, r2, f2
+    ADD r5, r1, r2, f3
+  )"));
+  rig.run_until_waiting();
+  const std::uint64_t commits = rig.sim.commits_performed();
+  const std::uint64_t stalls = rig.count("stall.unit_busy");
+  constexpr std::uint64_t kCycles = 32;
+  rig.sim.run(kCycles);
+  ASSERT_EQ(rig.count("stall.unit_busy") - stalls, kCycles);
+  EXPECT_LE(rig.sim.commits_performed() - commits, 2 * kCycles + 2);
+  rig.drain(0);
+  EXPECT_EQ(rig.rtm.regs().read(5), 42u);
 }
 
 }  // namespace

@@ -208,8 +208,8 @@ TEST(KernelDifferential, VcdWaveformsAreByteIdenticalAcrossKernels) {
 // FSM units sleep through their Execute state on one timed wake.  Every
 // length from 1 (completion in the first Execute commit) up to 8 must be
 // bit-identical to the brute-force kernel — responses, counters, waveform —
-// and equal to the reference model, with the two-record DualFsmFu among
-// them and each unit at its own length.
+// and equal to the reference model, with the two-record multiply/divide
+// unit among them and each unit at its own length.
 TEST(KernelDifferential, FsmUnitsAtEveryExecuteLengthMatchBruteForce) {
   rtm::RtmConfig cfg;
   cfg.data_regs = 16;

@@ -25,17 +25,17 @@ class Counter : public Component {
 
   Wire<std::uint64_t> next;
 
-  void eval() override { next.set(value_.q() + 1); }
+  void eval() override { next.set(value_ + 1); }
   void commit() override {
-    value_.set_d(next.get());
-    value_.tick();
+    value_ = next.get();
+    mark_active();
   }
-  void reset() override { value_.reset(); }
+  void reset() override { value_ = 0; }
 
-  std::uint64_t value() const { return value_.q(); }
+  std::uint64_t value() const { return value_; }
 
  private:
-  Reg<std::uint64_t> value_{*this, 0};
+  std::uint64_t value_ = 0;
 };
 
 /// A two-stage combinational chain: doubles the counter's next output.
@@ -265,14 +265,16 @@ TEST(Simulator, ConditionalReadSubscribesMidSettle) {
    public:
     explicit SelDriver(Simulator& s) : Component(s, "sel_driver"), sel(s) {}
     Wire<bool> sel;
-    void eval() override { sel.set(enable_.q()); }
+    void eval() override { sel.set(enable_); }
     void commit() override {
-      enable_.set_d(true);
-      enable_.tick();
+      if (!enable_) {
+        enable_ = true;
+        mark_active();
+      }
     }
-    void reset() override { enable_.reset(); }
+    void reset() override { enable_ = false; }
    private:
-    Reg<bool> enable_{*this, false};
+    bool enable_ = false;
   };
   Simulator sim;
   Wire<bool>* sel_wire = nullptr;
@@ -337,15 +339,17 @@ class GatedCounter : public Component {
       : Component(sim, "gated"), en_(&enable) {}
   void eval() override {}
   void commit() override {
-    value_.set_d(en_->get() ? value_.q() + 1 : value_.q());
-    value_.tick();
+    if (en_->get()) {
+      ++value_;
+      mark_active();
+    }
   }
-  void reset() override { value_.reset(); }
-  std::uint64_t value() const { return value_.q(); }
+  void reset() override { value_ = 0; }
+  std::uint64_t value() const { return value_; }
 
  private:
   Wire<bool>* en_;
-  Reg<std::uint64_t> value_{*this, 0};
+  std::uint64_t value_ = 0;
 };
 
 TEST(EventKernel, SkipsIdleComponentsInSettleAndCommit) {
@@ -536,15 +540,15 @@ TEST(EventKernel, ThrowingCommitLeavesRecoverableState) {
       if (++commits_ == throw_at_) {
         throw SimError("injected commit fault");
       }
-      value_.set_d(value_.q() + 1);
-      value_.tick();
+      ++value_;
+      mark_active();
     }
-    std::uint64_t value() const { return value_.q(); }
+    std::uint64_t value() const { return value_; }
 
    private:
     std::uint64_t throw_at_;
     std::uint64_t commits_ = 0;
-    Reg<std::uint64_t> value_{*this, 0};
+    std::uint64_t value_ = 0;
   };
   const auto run = [](Simulator::Kernel kernel) {
     Simulator sim;
@@ -778,14 +782,14 @@ TEST(EventKernel, CommitOnlyReadArmsCommitWithoutEval) {
    public:
     explicit Toggler(Simulator& s) : Component(s, "toggler"), w(s) {}
     Wire<bool> w;
-    void eval() override { w.set(count_.q() / 3 % 2 == 1); }
+    void eval() override { w.set(count_ / 3 % 2 == 1); }
     void commit() override {
-      count_.set_d(count_.q() + 1);
-      count_.tick();
+      ++count_;
+      mark_active();
     }
 
    private:
-    Reg<std::uint64_t> count_{*this, 0};
+    std::uint64_t count_ = 0;
   };
   class Sampler : public Component {
    public:
@@ -794,21 +798,23 @@ TEST(EventKernel, CommitOnlyReadArmsCommitWithoutEval) {
     Wire<bool> out;
     void eval() override {
       eval_cycles.push_back(simulator().cycle());
-      out.set(in_eval_ ? !w_->get() : latched_.q());
+      out.set(in_eval_ ? !w_->get() : latched_);
     }
     void commit() override {
       commit_cycles.push_back(simulator().cycle());
-      latched_.set_d(w_->get());
-      latched_.tick();
+      if (w_->get() != latched_) {
+        latched_ = w_->get();
+        mark_active();
+      }
     }
-    bool latched() const { return latched_.q(); }
+    bool latched() const { return latched_; }
     std::vector<std::uint64_t> eval_cycles;
     std::vector<std::uint64_t> commit_cycles;
 
    private:
     const Wire<bool>* w_;
     bool in_eval_;
-    Reg<bool> latched_{*this, false};
+    bool latched_ = false;
   };
   const auto run = [](Simulator::Kernel kernel) {
     Simulator sim;
@@ -865,19 +871,20 @@ TEST(EventKernel, EvalReadUpgradesACommitOnlySubscription) {
     Gate(Simulator& s, const Wire<int>& w, const Wire<bool>& en)
         : Component(s, "gate"), out(s), w_(&w), en_(&en) {}
     Wire<int> out;
-    void eval() override { out.set(open_.q() ? w_->get() : -1); }
+    void eval() override { out.set(open_ ? w_->get() : -1); }
     void commit() override {
-      seen_.set_d(w_->get());
-      seen_.tick();
-      open_.set_d(en_->get());
-      open_.tick();
+      if (w_->get() != seen_ || en_->get() != open_) {
+        seen_ = w_->get();
+        open_ = en_->get();
+        mark_active();
+      }
     }
 
    private:
     const Wire<int>* w_;
     const Wire<bool>* en_;
-    Reg<int> seen_{*this, 0};
-    Reg<bool> open_{*this, false};
+    int seen_ = 0;
+    bool open_ = false;
   };
   const auto run = [](Simulator::Kernel kernel) {
     Simulator sim;
@@ -1009,14 +1016,60 @@ TEST(Counters, ClearZeroesValuesButKeepsHandles) {
 }
 
 TEST(Reg, DQSplit) {
-  Reg<int> r{5};
-  EXPECT_EQ(r.q(), 5);
-  r.set_d(9);
-  EXPECT_EQ(r.q(), 5);  // not visible until tick
-  r.tick();
-  EXPECT_EQ(r.q(), 9);
-  r.reset();
-  EXPECT_EQ(r.q(), 5);
+  // The d/q split of a register, on a plain field: a value commit() stores
+  // at cycle t is what eval() sees from cycle t + 1 on, never in cycle t
+  // itself, under every kernel; reset() restores the power-on value.
+  class Latch : public Component {
+   public:
+    Latch(Simulator& s, const Wire<int>& d, const Wire<bool>& en)
+        : Component(s, "latch"), q(s), d_(&d), en_(&en) {}
+    Wire<int> q;
+    std::vector<std::pair<std::uint64_t, int>> seen;  ///< (cycle, value)
+    void eval() override {
+      seen.emplace_back(simulator().cycle(), value_);
+      q.set(value_);
+    }
+    void commit() override {
+      if (en_->get() && d_->get() != value_) {
+        value_ = d_->get();
+        mark_active();
+      }
+    }
+    void reset() override { value_ = 5; }
+    int value() const { return value_; }
+
+   private:
+    const Wire<int>* d_;
+    const Wire<bool>* en_;
+    int value_ = 5;
+  };
+  for (const Simulator::Kernel kernel : Simulator::kAllKernels) {
+    SCOPED_TRACE(Simulator::kernel_name(kernel));
+    Simulator sim;
+    sim.set_kernel(kernel);
+    Wire<int> d(sim, 9);
+    Wire<bool> en(sim, false);
+    Latch latch(sim, d, en);
+    sim.run(2);
+    EXPECT_EQ(latch.q.peek(), 5);
+    en.set(true);
+    sim.step();  // cycle 2 commits 9
+    EXPECT_EQ(latch.value(), 9);
+    EXPECT_EQ(latch.q.peek(), 5);  // not visible in the committing cycle
+    sim.step();
+    EXPECT_EQ(latch.q.peek(), 9);
+    bool evaluated_after = false;
+    for (const auto& [cycle, value] : latch.seen) {
+      EXPECT_EQ(value, cycle <= 2 ? 5 : 9) << "eval at cycle " << cycle;
+      evaluated_after = evaluated_after || cycle == 3;
+    }
+    EXPECT_TRUE(evaluated_after);
+    en.set(false);
+    sim.reset();
+    EXPECT_EQ(latch.value(), 5);
+    sim.step();
+    EXPECT_EQ(latch.q.peek(), 5);
+  }
 }
 
 }  // namespace

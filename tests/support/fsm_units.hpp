@@ -6,12 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "fu/dual_fsm_fu.hpp"
 #include "fu/fsm_fu.hpp"
 #include "fu/stateless_units.hpp"
 #include "isa/muldiv.hpp"
 #include "isa/types.hpp"
-#include "util/bits.hpp"
 
 namespace fpgafu::testing {
 
@@ -26,28 +24,15 @@ inline constexpr std::array<isa::FunctionCode, 6> kFsmUnitCodes = {
 
 /// One FSM-skeleton unit per stateless function code, unit i spending
 /// `cycles[i]` clocks in its Execute state — the units that sleep through
-/// Execute on a timed wake.  Multiply/divide is the two-record DualFsmFu,
-/// built here rather than by make_muldiv_unit, which reads an iteration
-/// count of 1 as "one bit per clock".
+/// Execute on a timed wake.  Multiply/divide retires DIVMOD as two records
+/// (the `writes_second` predicate); it is built here rather than by
+/// make_muldiv_unit, which reads an iteration count of 1 as "one bit per
+/// clock".
 inline std::vector<CodedUnit> make_fsm_units(
     sim::Simulator& sim, unsigned width,
     const std::array<std::uint32_t, 6>& cycles) {
   const auto fsm = [&](fu::StatelessFn fn, std::uint32_t n) {
     return std::make_unique<fu::FsmFu>(sim, "fsm", std::move(fn), n);
-  };
-  auto dual = [width](isa::VarietyCode v, isa::Word a, isa::Word b,
-                      isa::FlagWord) {
-    const isa::muldiv::Result r = isa::muldiv::evaluate(v, a, b, width);
-    fu::DualOut o;
-    o.first = fu::StatelessOut{r.value, r.flags, r.write_data, true};
-    o.second = r.value2;
-    o.has_second = r.has_second;
-    return o;
-  };
-  auto divmod = [](isa::VarietyCode v) {
-    return static_cast<isa::muldiv::Op>(bits::field(
-               v, isa::muldiv::vc::kOpHi, isa::muldiv::vc::kOpLo)) ==
-           isa::muldiv::Op::kDivMod;
   };
   std::vector<CodedUnit> units;
   units.emplace_back(kFsmUnitCodes[0],
@@ -57,8 +42,10 @@ inline std::vector<CodedUnit> make_fsm_units(
   units.emplace_back(kFsmUnitCodes[2],
                      fsm(fu::shift_core(width), cycles[2]));
   units.emplace_back(kFsmUnitCodes[3],
-                     std::make_unique<fu::DualFsmFu>(sim, "dual_fsm", dual,
-                                                     divmod, cycles[3]));
+                     std::make_unique<fu::FsmFu>(sim, "dual_fsm",
+                                                 fu::muldiv_core(width),
+                                                 cycles[3],
+                                                 isa::muldiv::writes_second));
   units.emplace_back(kFsmUnitCodes[4], fsm(fu::fp32_core(), cycles[4]));
   units.emplace_back(kFsmUnitCodes[5], fsm(fu::trig_core(), cycles[5]));
   return units;

@@ -27,26 +27,27 @@ class MeshNode : public sim::Component {
   void eval() override {
     ++evals;
     const std::uint32_t in = eval_in != nullptr ? eval_in->get() : 0;
-    out.set((state_.q() * 0x9e3779b1u) ^ (in >> 3));
+    out.set((state_ * 0x9e3779b1u) ^ (in >> 3));
   }
   void commit() override {
     ++commits;
     const std::uint32_t in = commit_in->get();
     if (source) {
-      state_.set_d(state_.q() + 1);
-    } else if ((in & 15u) == (state_.q() & 15u)) {
-      state_.set_d(state_.q() + (in | 1u));
+      ++state_;
+      mark_active();
+    } else if ((in & 15u) == (state_ & 15u)) {
+      state_ += in | 1u;  // odd, so the state always changes
+      mark_active();
     }
-    state_.tick();
   }
   void reset() override {
-    state_.reset();
+    state_ = 0;
     out.reset();
   }
-  std::uint32_t state() const { return state_.q(); }
+  std::uint32_t state() const { return state_; }
 
  private:
-  sim::Reg<std::uint32_t> state_{*this, 0};
+  std::uint32_t state_ = 0;
 };
 
 /// `n` MeshNodes spread over several bitmap words, wired so that readers

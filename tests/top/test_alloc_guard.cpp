@@ -2,28 +2,30 @@
 //
 // This binary replaces the global operator new with a counting version and
 // asserts that no allocation happens inside Simulator::step() once a System
-// is warm, under every settle kernel, on two shapes:
+// is warm, under every settle kernel, on five shapes:
 //
 //  * the E13 wide-FU fabric (32 multi-cycle FSM arithmetic units plus a
 //    256-cell chi-sort engine) running its sparse round-robin ADD program —
 //    the per-slot paths of the dispatcher and the write arbiter;
 //  * a tiny PUT/ADD/GET program streamed through a Coprocessor's driver —
-//    the link, message buffer, serialiser and RTM pipeline on short jobs.
+//    the link, message buffer, serialiser and RTM pipeline on short jobs;
+//  * timed wakes on every path that has one: FSM units at 1..6 Execute
+//    cycles (the two-record multiply/divide unit among them) behind
+//    64-cycle burst links that add latency to words in both directions;
+//  * a bare 140-component mesh whose wires are read across bitmap words,
+//    so every wire's reader bitmap has overflow words;
+//  * the pipelined skeleton: stateless units built on it and an attached
+//    GemmUnit, streaming panel loads, arithmetic and kStart sweeps — the
+//    stage ring and output FIFO of the pipeline core.
 //
-// A third shape arms timed wakes on every path that has one: FSM units at
-// 1..6 Execute cycles (the two-record DualFsmFu among them) behind 64-cycle
-// burst links that add latency to words in both directions.  A fourth is a
-// bare 140-component mesh whose wires are read across bitmap words, so
-// every wire's reader bitmap has overflow words.
-//
-// On those four only step() is counted.  A third test counts the whole host
-// transport path as well — ReliableTransport::submit, service and
-// poll_completed through a window of 8 — and allows one allocation per job
-// on average: the Completion's response vector handed to the caller.  A
-// fourth compares warm inline-farm jobs: one on a session that requires a
+// On those five only step() is counted.  Further tests count the whole
+// host transport path as well — ReliableTransport::submit, service and
+// poll_completed through a window of 8 — and allow one allocation per job
+// on average: the Completion's response vector handed to the caller.
+// Another compares warm inline-farm jobs: one on a session that requires a
 // resident algorithm image must allocate no more than one on a plain
-// session (the required set is an id bitset, not a copied name list).  A
-// fifth runs a warm inline farm's closed-loop tiny stream and allows two
+// session (the required set is an id bitset, not a copied name list).  The
+// last runs a warm inline farm's closed-loop tiny stream and allows two
 // allocations per job: the caller's program copy and the response vector.
 // The replacement is process-wide, so this test lives in its own binary;
 // it is not built in the sanitizer CI legs, whose runtimes supply their
@@ -40,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "fu/gemm_unit.hpp"
 #include "fu/stateless_units.hpp"
 #include "host/coprocessor.hpp"
 #include "host/farm.hpp"
@@ -303,6 +306,85 @@ TEST_P(AllocGuard, ReaderBitmapsPastOneWordStepWithoutAllocating) {
     allocations += counted_step(sim);
   }
   EXPECT_EQ(allocations, 0u) << "over " << kMinCountedSteps << " steps";
+}
+
+/// Four rounds of 3×3 panel loads, an ADD on the arithmetic unit per load
+/// and a kStart sweep, after clearing the accumulator, then the C block
+/// read back: every command the GEMM unit has, interleaved with work for a
+/// pipelined stateless unit.
+isa::Program gemm_stream_program(isa::FunctionCode gemm) {
+  const auto op = [&](isa::VarietyCode v, isa::RegNum src1,
+                      isa::RegNum src2, isa::RegNum dst_flag) {
+    isa::Instruction inst;
+    inst.function = gemm;
+    inst.variety = v;
+    inst.dst1 = 2;
+    inst.src1 = src1;
+    inst.src2 = src2;
+    inst.dst_flag = dst_flag;
+    return inst;
+  };
+  isa::Program p;
+  p.emit_put(1, fu::GemmUnit::config_word(3, 3, 3));
+  p.emit(op(fu::GemmUnit::kConfig, 1, 0, 0));
+  p.emit(op(fu::GemmUnit::kClearC, 0, 0, 1));
+  for (int round = 0; round < 4; ++round) {
+    for (isa::Word i = 0; i < 9; ++i) {
+      p.emit_put(1, i);
+      p.emit_put(3, i + static_cast<isa::Word>(round));
+      p.emit(op(fu::GemmUnit::kLoadA, 1, 3, 2));
+      p.emit(op(fu::GemmUnit::kLoadB, 1, 3, 3));
+      isa::Instruction add;
+      add.function = isa::fc::kArith;
+      add.variety = isa::arith::variety(isa::arith::Op::kAdd);
+      add.src1 = 3;
+      add.src2 = 3;
+      add.dst1 = static_cast<isa::RegNum>(4 + i % 4);
+      add.dst_flag = 4;
+      p.emit(add);
+    }
+    p.emit(op(fu::GemmUnit::kStart, 0, 0, 5));
+  }
+  for (isa::Word i = 0; i < 9; ++i) {
+    p.emit_put(1, i);
+    p.emit(op(fu::GemmUnit::kReadC, 1, 0, 6));
+    isa::Instruction get;
+    get.function = isa::fc::kRtm;
+    get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+    get.src1 = 2;
+    p.emit(get);
+  }
+  return p;
+}
+
+TEST_P(AllocGuard, PipelinedUnitsAndGemmStepWithoutAllocating) {
+  top::SystemConfig cfg;
+  cfg.rtm.word_width = 64;
+  cfg.stateless_skeleton = fu::Skeleton::kPipelined;
+  top::System sys(cfg);
+  sys.simulator().set_kernel(GetParam());
+  constexpr isa::FunctionCode kGemm = isa::fc::kUserBase;
+  fu::GemmUnit gemm(sys.simulator(), "gemm", 3, 3, 3);
+  sys.attach(kGemm, gemm);
+  host::Coprocessor copro(sys);
+  const isa::Program program = gemm_stream_program(kGemm);
+
+  // Warm-up: sensitivity lists, timers, queues and buffers reach their size.
+  const CountedCall warm = counted_call(sys, copro, program);
+  ASSERT_EQ(warm.responses.size(), program.expected_responses());
+
+  std::uint64_t steps = 0;
+  std::uint64_t allocations = 0;
+  while (steps < kMinCountedSteps) {
+    const CountedCall call = counted_call(sys, copro, program);
+    ASSERT_EQ(call.responses.size(), warm.responses.size());
+    for (std::size_t i = 0; i < call.responses.size(); ++i) {
+      ASSERT_EQ(call.responses[i].payload, warm.responses[i].payload);
+    }
+    steps += call.steps;
+    allocations += call.allocations;
+  }
+  EXPECT_EQ(allocations, 0u) << "over " << steps << " steps";
 }
 
 /// Register-disjoint PUT/ADD/GET jobs, as a Farm session mix would send.
