@@ -40,9 +40,11 @@ namespace fpgafu::fu {
 /// fill.  kStart occupies the MAC pipeline for `pipeline_depth + m·n·k`
 /// cycles — a fully pipelined multiply-accumulate datapath retiring one
 /// MAC per clock after the fill; the sweep length is fixed at accept, from
-/// the dims active then.  Commands retire strictly in order, so a load
-/// issued behind a kStart mutates its panel only after the sweep has used
-/// the old contents (sequential consistency for the host driver).
+/// the dims of the last valid kConfig accepted ahead of it (in flight or
+/// retired), which are the dims the sweep computes with.  Commands retire
+/// strictly in order, so a load issued behind a kStart mutates its panel
+/// only after the sweep has used the old contents (sequential consistency
+/// for the host driver).
 class GemmUnit : public PipelineCore {
  public:
   static constexpr isa::VarietyCode kConfig = 0x01;
@@ -74,6 +76,7 @@ class GemmUnit : public PipelineCore {
         m_(max_m),
         n_(max_n),
         k_(max_k),
+        accepted_macs_(max_m * max_n * max_k),
         width_(width) {
     check(max_m >= 1 && max_n >= 1 && max_k >= 1,
           "GEMM block capacities must all be >= 1");
@@ -98,13 +101,37 @@ class GemmUnit : public PipelineCore {
     m_ = max_m_;
     n_ = max_n_;
     k_ = max_k_;
+    accepted_macs_ = max_m_ * max_n_ * max_k_;
   }
 
  private:
-  std::uint64_t latency(const FuRequest& req) const override {
+  struct Dims {
+    std::size_t m, n, k;
+  };
+
+  /// The block dims a kConfig operand names.
+  static Dims decode(isa::Word word) {
+    return {static_cast<std::size_t>((word >> 16) & 0xff),
+            static_cast<std::size_t>((word >> 8) & 0xff),
+            static_cast<std::size_t>(word & 0xff)};
+  }
+
+  /// True when every dim is non-zero and within the constructed capacity.
+  bool fits(const Dims& d) const {
+    return d.m >= 1 && d.n >= 1 && d.k >= 1 && d.m <= max_m_ &&
+           d.n <= max_n_ && d.k <= max_k_;
+  }
+
+  std::uint64_t latency(const FuRequest& req) override {
+    if (req.variety == kConfig) {
+      const Dims d = decode(req.operand1);
+      if (fits(d)) {
+        accepted_macs_ = static_cast<std::uint64_t>(d.m) * d.n * d.k;
+      }
+    }
     if (req.variety == kStart) {
       // Pipelined MAC datapath: fill + one MAC retired per clock.
-      return depth() + static_cast<std::uint64_t>(m_) * n_ * k_;
+      return depth() + accepted_macs_;
     }
     return depth();
   }
@@ -118,15 +145,12 @@ class GemmUnit : public PipelineCore {
     bool error = false;
     switch (req.variety) {
       case kConfig: {
-        const std::size_t m = static_cast<std::size_t>((addr >> 16) & 0xff);
-        const std::size_t n = static_cast<std::size_t>((addr >> 8) & 0xff);
-        const std::size_t k = static_cast<std::size_t>(addr & 0xff);
-        if (m >= 1 && n >= 1 && k >= 1 && m <= max_m_ && n <= max_n_ &&
-            k <= max_k_) {
-          m_ = m;
-          n_ = n;
-          k_ = k;
-          result = config_word(m, n, k);
+        const Dims d = decode(addr);
+        if (fits(d)) {
+          m_ = d.m;
+          n_ = d.n;
+          k_ = d.k;
+          result = config_word(d.m, d.n, d.k);
         } else {
           error = true;  // active dims unchanged
         }
@@ -202,6 +226,8 @@ class GemmUnit : public PipelineCore {
   std::size_t m_;
   std::size_t n_;
   std::size_t k_;
+  /// m·n·k of the last valid kConfig accepted: the next kStart's sweep.
+  std::uint64_t accepted_macs_;
   unsigned width_;
 };
 

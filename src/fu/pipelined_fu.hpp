@@ -106,7 +106,8 @@ class PipelineCore : public FunctionalUnit {
   }
 
   /// Cycles from accept to retirement (at least one), fixed at accept.
-  virtual std::uint64_t latency(const FuRequest& req) const = 0;
+  /// Called once per accepted request, in accept order.
+  virtual std::uint64_t latency(const FuRequest& req) = 0;
   /// Execute `req` at retirement, in order; returns its completion record.
   virtual FuResult retire(const FuRequest& req) = 0;
 
@@ -143,7 +144,7 @@ class PipelinedFu : public PipelineCore {
         fn_(std::move(fn)) {}
 
  private:
-  std::uint64_t latency(const FuRequest&) const override { return depth(); }
+  std::uint64_t latency(const FuRequest&) override { return depth(); }
   FuResult retire(const FuRequest& req) override {
     return stateless_result(
         req, fn_(req.variety, req.operand1, req.operand2, req.flags_in));

@@ -696,7 +696,7 @@ Farm::Job Farm::make_job(isa::Program program,
                          std::optional<std::uint64_t> budget_cycles) const {
   Job job;
   job.program = std::move(program);
-  job.budget = budget_cycles.value_or(config_.job_budget_cycles);
+  job.budget = budget_cycles.value_or(kDefaultCallBudgetCycles);
   return job;
 }
 

@@ -128,8 +128,6 @@ struct FarmConfig {
   /// either admission policy — so one tenant cannot monopolise a shard's
   /// queue.  0 = unbounded.  Session-less submissions are never counted.
   std::size_t max_inflight_per_session = 0;
-  /// Default per-job clock budget (overridable per submit).
-  std::uint64_t job_budget_cycles = kDefaultCallBudgetCycles;
   /// Jobs a worker resolves between counter-snapshot publications.  The
   /// fleet view (counters(), job_latency_samples()) lags by at most this
   /// many jobs while a shard is busy; it is exact whenever a shard goes

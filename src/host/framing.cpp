@@ -35,162 +35,115 @@ std::vector<InstructionGroup> split_groups(const isa::Program& program) {
   return groups;
 }
 
-ResponsePrediction predict(const isa::Instruction& inst,
-                           const rtm::RtmConfig& config,
-                           const rtm::FunctionalUnitTable& table) {
+GroupPrediction predict(const isa::Instruction& inst,
+                        const rtm::RtmConfig& config,
+                        const rtm::FunctionalUnitTable& table) {
   auto data_ok = [&](isa::RegNum r) { return r < config.data_regs; };
   auto flag_ok = [&](isa::RegNum r) { return r < config.flag_regs; };
-  const ResponsePrediction one_error{1, true};
+  GroupPrediction p;
+  // A fault answers with one value-independent error response and never
+  // lands its writes.
+  GroupPrediction error;
+  error.count = 1;
 
   using isa::RtmOp;
   if (inst.function == isa::fc::kRtm) {
     switch (static_cast<RtmOp>(inst.variety)) {
       case RtmOp::kNop:
-        return {0, true};
+        return p;
       case RtmOp::kSync:
-        return {1, true};
+        p.count = 1;  // the echo is value-independent
+        return p;
       case RtmOp::kCopy:
-        return data_ok(inst.dst1) && data_ok(inst.src1)
-                   ? ResponsePrediction{0, false}
-                   : one_error;
+        if (!data_ok(inst.dst1) || !data_ok(inst.src1)) {
+          return error;
+        }
+        p.data_writes.set(inst.dst1);
+        return p;
       case RtmOp::kCopyFlags:
-        return flag_ok(inst.dst_flag) && flag_ok(inst.src_flag)
-                   ? ResponsePrediction{0, false}
-                   : one_error;
+        if (!flag_ok(inst.dst_flag) || !flag_ok(inst.src_flag)) {
+          return error;
+        }
+        p.flag_writes.set(inst.dst_flag);
+        return p;
       case RtmOp::kPut:
       case RtmOp::kPutImm:
-        return data_ok(inst.dst1) ? ResponsePrediction{0, false} : one_error;
+        if (!data_ok(inst.dst1)) {
+          return error;
+        }
+        p.data_writes.set(inst.dst1);
+        return p;
       case RtmOp::kPutVec:
         // A zero-length burst does nothing, even with an invalid base: the
         // decoder returns before validation can report.
         if (inst.aux == 0) {
-          return {0, true};
+          return p;
         }
-        return static_cast<unsigned>(inst.dst1) + inst.aux <= config.data_regs
-                   ? ResponsePrediction{0, false}
-                   : one_error;
+        if (static_cast<unsigned>(inst.dst1) + inst.aux > config.data_regs) {
+          return error;  // an oversized burst is discarded whole
+        }
+        for (unsigned i = 0; i < inst.aux; ++i) {
+          p.data_writes.set(inst.dst1 + i);
+        }
+        return p;
       case RtmOp::kGetVec:
-        // Every sub-read responds, in-range as data and out-of-range as an
-        // error, so the count is always aux.
-        return {inst.aux, true};
-      case RtmOp::kPutFlags:
-        return flag_ok(inst.dst_flag) ? ResponsePrediction{0, false}
-                                      : one_error;
-      case RtmOp::kGet:
-        return {1, true};  // data or error, always exactly one
-      case RtmOp::kGetFlags:
-        return {1, true};
-    }
-    return one_error;  // unknown RTM variety -> kUnknownFunction response
-  }
-
-  // Functional-unit instruction: decoder validation first, then the
-  // dispatcher's routing checks, in the same order.
-  if (!data_ok(inst.dst1) || !data_ok(inst.src1) || !data_ok(inst.src2) ||
-      !flag_ok(inst.dst_flag) || !flag_ok(inst.src_flag)) {
-    return one_error;
-  }
-  fu::FunctionalUnit* unit = table.find(inst.function);
-  if (unit == nullptr) {
-    return one_error;  // unattached function code
-  }
-  if (unit->writes_second(inst.variety) &&
-      (!data_ok(inst.aux) || inst.aux == inst.dst1)) {
-    return one_error;  // dual-output destination fault
-  }
-  return {0, false};  // dispatched to the unit; results land in registers
-}
-
-GroupEffects group_effects(const isa::Instruction& inst,
-                           const rtm::RtmConfig& config,
-                           const rtm::FunctionalUnitTable& table) {
-  auto data_ok = [&](isa::RegNum r) { return r < config.data_regs; };
-  auto flag_ok = [&](isa::RegNum r) { return r < config.flag_regs; };
-  GroupEffects e;
-  e.exact = true;  // every early return below is a complete footprint
-
-  using isa::RtmOp;
-  if (inst.function == isa::fc::kRtm) {
-    switch (static_cast<RtmOp>(inst.variety)) {
-      case RtmOp::kNop:
-      case RtmOp::kSync:
-        return e;  // no register traffic; SYNC's echo is value-independent
-      case RtmOp::kCopy:
-        if (data_ok(inst.dst1) && data_ok(inst.src1)) {
-          e.data_writes.set(inst.dst1);
-        }
-        return e;  // invalid -> error response, write never lands
-      case RtmOp::kCopyFlags:
-        if (flag_ok(inst.dst_flag) && flag_ok(inst.src_flag)) {
-          e.flag_writes.set(inst.dst_flag);
-        }
-        return e;
-      case RtmOp::kPut:
-      case RtmOp::kPutImm:
-        if (data_ok(inst.dst1)) {
-          e.data_writes.set(inst.dst1);
-        }
-        return e;
-      case RtmOp::kPutVec:
-        if (inst.aux > 0 &&
-            static_cast<unsigned>(inst.dst1) + inst.aux <= config.data_regs) {
-          for (unsigned i = 0; i < inst.aux; ++i) {
-            e.data_writes.set(inst.dst1 + i);
-          }
-        }
-        return e;  // oversized burst is discarded whole (one error response)
-      case RtmOp::kGetVec:
-        // In-range sub-reads return register values; out-of-range ones
-        // return value-independent errors and read nothing.
+        // Every sub-read responds, in-range ones with register values and
+        // out-of-range ones with value-independent errors, so the count is
+        // always aux.
+        p.count = inst.aux;
         for (unsigned i = 0; i < inst.aux; ++i) {
           const unsigned reg = static_cast<unsigned>(inst.src1) + i;
           if (reg < config.data_regs) {
-            e.data_reads.set(reg);
+            p.data_reads.set(reg);
           }
         }
-        return e;
+        return p;
       case RtmOp::kPutFlags:
-        if (flag_ok(inst.dst_flag)) {
-          e.flag_writes.set(inst.dst_flag);
+        if (!flag_ok(inst.dst_flag)) {
+          return error;
         }
-        return e;
+        p.flag_writes.set(inst.dst_flag);
+        return p;
       case RtmOp::kGet:
+        p.count = 1;  // data or error, always exactly one
         if (data_ok(inst.src1)) {
-          e.data_reads.set(inst.src1);
+          p.data_reads.set(inst.src1);
         }
-        return e;
+        return p;
       case RtmOp::kGetFlags:
+        p.count = 1;
         if (flag_ok(inst.src_flag)) {
-          e.flag_reads.set(inst.src_flag);
+          p.flag_reads.set(inst.src_flag);
         }
-        return e;
+        return p;
     }
-    return e;  // unknown variety -> value-independent kUnknownFunction
+    return error;  // unknown RTM variety -> kUnknownFunction response
   }
 
-  // Functional-unit instruction: same validation chain as predict().  A
-  // group that dispatches writes dst1, the second destination when the
-  // unit produces one, and dst_flag (conservatively: every dispatched FU
-  // op retires a flag word).  Its *reads* (src1/src2/src_flag) do not
-  // matter to the barrier — FU groups are never retried.
+  // Functional-unit instruction: decoder validation first, then the
+  // dispatcher's routing checks, in the same order.  A group that
+  // dispatches sends no response and writes dst1, the second destination
+  // when the unit produces one, and dst_flag (conservatively: every
+  // dispatched FU op retires a flag word).  Its *reads* (src1/src2/
+  // src_flag) do not matter to the barrier — FU groups are never retried.
   if (!data_ok(inst.dst1) || !data_ok(inst.src1) || !data_ok(inst.src2) ||
       !flag_ok(inst.dst_flag) || !flag_ok(inst.src_flag)) {
-    return e;
+    return error;
   }
   fu::FunctionalUnit* unit = table.find(inst.function);
   if (unit == nullptr) {
-    return e;
+    return error;  // unattached function code
   }
   const bool second = unit->writes_second(inst.variety);
   if (second && (!data_ok(inst.aux) || inst.aux == inst.dst1)) {
-    return e;  // dual-output destination fault: predicted error, no writes
+    return error;  // dual-output destination fault
   }
-  e.data_writes.set(inst.dst1);
+  p.data_writes.set(inst.dst1);
   if (second) {
-    e.data_writes.set(inst.aux);
+    p.data_writes.set(inst.aux);
   }
-  e.flag_writes.set(inst.dst_flag);
-  return e;
+  p.flag_writes.set(inst.dst_flag);
+  return p;
 }
 
 void FrameLayout::assign(const isa::Program& program,
@@ -199,11 +152,9 @@ void FrameLayout::assign(const isa::Program& program,
   words.assign(program.words().begin(), program.words().end());
   groups.clear();
   predictions.clear();
-  effects.clear();
   split_groups_into(program, groups);
   for (const InstructionGroup& g : groups) {
     predictions.push_back(predict(g.inst, config, table));
-    effects.push_back(group_effects(g.inst, config, table));
   }
 }
 

@@ -32,78 +32,60 @@ void split_groups_into(const isa::Program& program,
 /// vector).
 std::vector<InstructionGroup> split_groups(const isa::Program& program);
 
-/// What one instruction group will send back, predicted host-side.
-struct ResponsePrediction {
-  /// Responses the group produces (a GETV yields `aux`, most writes zero).
-  std::size_t count = 0;
-  /// True when re-submitting the group cannot change architectural state —
-  /// reads, SYNC, and faulting instructions (whose writes never land).  In
-  /// this ISA every response-producing group is retriable, because writes
-  /// are response-less; the field still travels with the prediction so the
-  /// transport's failure handling states its assumption explicitly.
-  bool retriable = false;
-};
-
-/// Host-side mirror of the decoder's validation and the dispatcher's
-/// routing: predicts exactly how many responses (data, flags, sync or
-/// error) one instruction will generate on the given RTM configuration
-/// with the given attached-unit table.
-ResponsePrediction predict(const isa::Instruction& inst,
-                           const rtm::RtmConfig& config,
-                           const rtm::FunctionalUnitTable& table);
-
-/// Register footprint of one instruction group, host-side — what the
-/// transport's per-register write barrier reasons about.  For a
-/// retriable (read-class) group the read sets name every register whose
-/// VALUE its responses depend on: a retried GET returns the same bytes iff
-/// nothing wrote its source register in between.  Error-predicted groups,
-/// SYNC and out-of-range sub-reads have empty read sets — their responses
-/// are functions of the instruction encoding and the configuration, not of
-/// register state, so a retry is always byte-identical.  For a write group
-/// the write sets name every register it can mutate (FU destinations are
-/// taken conservatively: dst1, aux when the unit writes a second result,
-/// and dst_flag always).  Data and flag registers are disjoint namespaces.
-struct GroupEffects {
+/// What one instruction group will do, predicted host-side: how many
+/// responses it sends back and which registers it touches.
+///
+/// `count` mirrors the decoder's validation and the dispatcher's routing:
+/// exactly how many responses (data, flags, sync or error) the instruction
+/// generates on the given RTM configuration with the given attached-unit
+/// table.  In this ISA every group with a response is a read, a SYNC or a
+/// fault, and writes are response-less, so re-submitting a group that
+/// responds can never change architectural state.
+///
+/// The register sets are what the transport's per-register write barrier
+/// reasons about.  For a read-class group the read sets name every
+/// register whose VALUE its responses depend on: a retried GET returns the
+/// same bytes iff nothing wrote its source register in between.
+/// Error-predicted groups, SYNC and out-of-range sub-reads have empty read
+/// sets — their responses are functions of the instruction encoding and
+/// the configuration, not of register state, so a retry is always
+/// byte-identical.  For a write group the write sets name every register it
+/// can mutate (FU destinations are taken conservatively: dst1, aux when the
+/// unit writes a second result, and dst_flag always).  A group predicted to
+/// error never lands its writes, so its sets are empty.  Data and flag
+/// registers are disjoint namespaces.
+struct GroupPrediction {
   /// One bit per register number (isa::RegNum is 8-bit, so 256 covers any
   /// RtmConfig).
   using RegSet = std::bitset<256>;
+  /// Responses the group produces (a GETV yields `aux`, most writes zero).
+  std::size_t count = 0;
   RegSet data_reads;
   RegSet data_writes;
   RegSet flag_reads;
   RegSet flag_writes;
-  /// False = footprint unknown (a group the host never analysed); the
-  /// barrier must treat it as conflicting with everything.
-  bool exact = false;
 
   /// Would issuing this group as a *write* while `reader` is outstanding
-  /// let a retry of `reader` observe a newer value?  Conservative (true)
-  /// whenever either footprint is not exact.
-  bool writes_conflict_with_reads_of(const GroupEffects& reader) const {
-    if (!exact || !reader.exact) {
-      return true;
-    }
+  /// let a retry of `reader` observe a newer value?
+  bool writes_conflict_with_reads_of(const GroupPrediction& reader) const {
     return (data_writes & reader.data_reads).any() ||
            (flag_writes & reader.flag_reads).any();
   }
 };
 
-/// Compute the register footprint of one instruction (see GroupEffects).
-/// Mirrors the same validation order as predict(): a group predicted to
-/// error never lands its writes and its error responses are
-/// value-independent, so it gets empty sets.
-GroupEffects group_effects(const isa::Instruction& inst,
-                           const rtm::RtmConfig& config,
-                           const rtm::FunctionalUnitTable& table);
+/// Predict one instruction's responses and register footprint (see
+/// GroupPrediction).
+GroupPrediction predict(const isa::Instruction& inst,
+                        const rtm::RtmConfig& config,
+                        const rtm::FunctionalUnitTable& table);
 
 /// One program laid out for the wire: its words, the instruction groups
-/// indexing them, and each group's predicted responses and register
-/// effects — everything the transport needs to issue, retry and renumber
-/// one flight.
+/// indexing them, and each group's prediction — everything the transport
+/// needs to issue, retry and renumber one flight.
 struct FrameLayout {
   std::vector<isa::Word> words;
   std::vector<InstructionGroup> groups;
-  std::vector<ResponsePrediction> predictions;
-  std::vector<GroupEffects> effects;
+  std::vector<GroupPrediction> predictions;
 
   /// Lay out `program`, replacing the previous contents but keeping every
   /// vector's capacity, so a recycled layout allocates only when a vector

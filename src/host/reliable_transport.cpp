@@ -90,7 +90,7 @@ ReliableTransport::ProgramId ReliableTransport::submit(
   f.slots.clear();
   f.got.clear();
   for (std::size_t i = 0; i < f.layout.groups.size(); ++i) {
-    const ResponsePrediction& pred = f.layout.predictions[i];
+    const GroupPrediction& pred = f.layout.predictions[i];
     GroupSlot s;
     s.program_seq = static_cast<std::uint16_t>(i);
     s.first_response = f.got.size();
@@ -191,7 +191,7 @@ void ReliableTransport::send_probe() {
     probe_due_ = kNever;  // the response timeout takes over
     return;
   }
-  // A SYNC: no register traffic (empty GroupEffects, so no barrier waits on
+  // A SYNC: no register traffic (empty register sets, so no barrier waits on
   // it) and exactly one value-independent response, issued behind every
   // group already sent.  Sending one abandons any earlier, overdue probe.
   isa::Instruction sync;
@@ -213,22 +213,6 @@ void ReliableTransport::retry_front(sim::Counters::Handle reason) {
   Flight* f = flight(o.program);
   check(f != nullptr, "ReliableTransport: outstanding entry for a program "
                       "that is no longer in flight");
-  GroupSlot& s = f->slots[o.slot];
-  if (!f->layout.predictions[o.slot].retriable) {
-    // Cannot safely re-submit: report the loss as a transport error in
-    // the group's program-order position.
-    stats_.bump(failures_);
-    msg::Response r;
-    r.type = msg::Response::Type::kError;
-    r.code = static_cast<std::uint8_t>(msg::ErrorCode::kTransport);
-    r.seq = s.program_seq;
-    f->got[s.first_response] = r;
-    s.received = 1;
-    s.done = true;
-    emit_pending_ = true;
-    arm_front();
-    return;
-  }
   if (o.attempts >= config_.max_attempts) {
     stats_.bump(failures_);
     copro_->reset();
@@ -351,7 +335,7 @@ void ReliableTransport::emit_ready() {
   }
 }
 
-bool ReliableTransport::write_conflicts(const GroupEffects& writer) const {
+bool ReliableTransport::write_conflicts(const GroupPrediction& writer) const {
   for (const Outstanding& o : outstanding_) {
     const Flight* f = nullptr;
     for (const Flight& w : window_) {
@@ -363,7 +347,7 @@ bool ReliableTransport::write_conflicts(const GroupEffects& writer) const {
     // An outstanding entry always belongs to a live flight; be conservative
     // if that invariant were ever violated.
     if (f == nullptr ||
-        writer.writes_conflict_with_reads_of(f->layout.effects[o.slot])) {
+        writer.writes_conflict_with_reads_of(f->layout.predictions[o.slot])) {
       return true;
     }
   }
@@ -377,16 +361,15 @@ void ReliableTransport::issue_pending() {
   // program can never overtake an earlier one on the wire.  Groups that
   // mutate state additionally wait behind the per-register write barrier:
   // a write may overtake outstanding reads whose footprints it cannot
-  // touch (host::GroupEffects), so register-disjoint programs pipeline
+  // touch (host::GroupPrediction), so register-disjoint programs pipeline
   // instead of paying one round trip each, and no retry can ever observe
   // a newer value.
   bool stalled = false;
   for (Flight& f : window_) {
     const std::size_t groups = f.layout.groups.size();
     while (f.next_group < groups) {
-      const ResponsePrediction& pred = f.layout.predictions[f.next_group];
-      if (pred.count == 0 && !pred.retriable &&
-          write_conflicts(f.layout.effects[f.next_group])) {
+      const GroupPrediction& pred = f.layout.predictions[f.next_group];
+      if (pred.count == 0 && write_conflicts(pred)) {
         break;  // write barrier
       }
       if (!f.deadline) {

@@ -99,7 +99,7 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    probe's response, arrives at all;
 ///  * groups that produce no responses (register writes) are submitted only
 ///    once no outstanding read covers a register they write (per-register
-///    write barrier, host::GroupEffects), so re-submitting a read can never
+///    write barrier, host::GroupPrediction), so re-submitting a read can never
 ///    observe a newer write.  The barrier spans *programs*: a later
 ///    program's groups never overtake an earlier program's unsubmitted
 ///    write;
@@ -158,7 +158,7 @@ class ReliableTransport {
 
   /// Submit `program` and block until every expected response has been
   /// received (retrying as needed).  Returns responses renumbered to
-  /// program order.  Throws SimError when a retriable group exhausts
+  /// program order.  Throws SimError when a group exhausts
   /// max_attempts or the overall watchdog fires.  `budget_cycles`, when
   /// given, overrides config().max_cycles for this one call (the Farm uses
   /// it for per-job deadlines).  Requires an empty window (call-and-wait
@@ -257,7 +257,7 @@ class ReliableTransport {
   void sync_generation();
   /// Would issuing `writer` now let a retry of any outstanding read observe
   /// a newer register value?  (The per-register write barrier.)
-  bool write_conflicts(const GroupEffects& writer) const;
+  bool write_conflicts(const GroupPrediction& writer) const;
   /// Send a group's words and (when it responds) enqueue it for tracking.
   void transmit(Flight& f, std::size_t slot_index, unsigned attempts);
   /// (Re-)arm the front outstanding entry's retry deadline, capped by the

@@ -5,72 +5,95 @@
 
 namespace fpgafu::msg {
 
+namespace {
+constexpr std::uint64_t kPpmDenominator = 1'000'000;
+}  // namespace
+
 Link::Link(sim::Simulator& sim, std::string name, LinkTiming down_timing,
            LinkTiming up_timing, std::size_t down_capacity,
-           std::size_t up_capacity)
+           std::size_t up_capacity, FaultConfig faults)
     : Component(sim, std::move(name)),
       rx(sim),
       tx(sim),
-      down_(down_timing),
-      up_(up_timing),
-      down_capacity_(down_capacity),
-      up_capacity_(up_capacity) {}
-
-void Link::enqueue(CompactingQueue<InFlight>& queue, LinkWord word,
-                   std::uint64_t arrives_at) {
-  if (!queue.empty()) {
-    arrives_at = std::max(arrives_at, queue.back().arrives_at);
+      seed_(faults.seed),
+      rng_(faults.seed) {
+  for (const Dir dir : {kDown, kUp}) {
+    const bool down = dir == kDown;
+    Path& p = dirs_[dir];
+    p.timing = down ? down_timing : up_timing;
+    p.capacity = down ? down_capacity : up_capacity;
+    p.faults = down ? faults.down : faults.up;
+    const std::string prefix = down ? "link.down_" : "link.up_";
+    p.dropped = counters_.handle(prefix + "dropped");
+    p.corrupted = counters_.handle(prefix + "corrupted");
+    p.duplicated = counters_.handle(prefix + "duplicated");
   }
-  queue.push_back({word, arrives_at});
+}
+
+void Link::launch(Dir dir, LinkWord word, std::uint64_t depart) {
+  Path& p = dirs_[dir];
+  const FaultRates& r = p.faults;
+  p.next_slot = depart + p.timing.interval;
+  std::uint64_t arrives_at = depart + p.timing.latency;
+  if (r.jitter_max != 0) {
+    arrives_at += rng_.below(r.jitter_max + 1);
+  }
+  if (r.drop_ppm != 0 && rng_.chance(r.drop_ppm, kPpmDenominator)) {
+    counters_.bump(p.dropped);
+    return;
+  }
+  bool duplicate = false;
+  if (r.corrupt_ppm != 0 && rng_.chance(r.corrupt_ppm, kPpmDenominator)) {
+    word ^= LinkWord{1} << rng_.below(32);
+    counters_.bump(p.corrupted);
+  } else if (r.duplicate_ppm != 0 &&
+             rng_.chance(r.duplicate_ppm, kPpmDenominator)) {
+    duplicate = true;
+    counters_.bump(p.duplicated);
+  }
+  p.push(word, arrives_at);
+  if (duplicate) {
+    // The duplicate follows back to back, one slot later.
+    p.next_slot += p.timing.interval;
+    p.push(word, arrives_at + p.timing.interval);
+  }
 }
 
 bool Link::host_send(LinkWord word) {
-  if (down_capacity_ != 0 && down_queue_.size() >= down_capacity_) {
+  Path& down = dirs_[kDown];
+  if (down.full()) {
     ++send_rejects_;
     return false;
   }
-  // Rate-limit departures, then add flight latency.
-  const std::uint64_t depart =
-      std::max<std::uint64_t>(simulator().cycle(), down_next_slot_);
-  down_next_slot_ = depart + down_.interval;
-  const bool was_empty = down_queue_.empty();
-  const Injection inj = classify(/*downstream=*/true, word);
-  if (!inj.drop) {
-    enqueue(down_queue_, word, depart + down_.latency + inj.extra_latency);
-    if (inj.duplicate) {
-      down_next_slot_ += down_.interval;
-      enqueue(down_queue_, word,
-              depart + down_.interval + down_.latency + inj.extra_latency);
-    }
-  }
+  const bool was_empty = down.queue.empty();
+  // Rate-limit departures; launch() adds the flight latency.
+  launch(kDown, word, std::max(simulator().cycle(), down.next_slot));
   // Only a new head word changes what eval() presents, and only once it
   // arrives: sleep until then.  A word queued behind the head is picked
   // up by the commit that pops its predecessor.
-  if (was_empty && !down_queue_.empty()) {
-    wake_at(down_queue_.front().arrives_at);
+  if (was_empty && !down.queue.empty()) {
+    wake_at(down.queue.front().arrives_at);
   }
   return true;
 }
 
 std::size_t Link::host_space() const {
-  if (down_capacity_ == 0) {
+  const Path& down = dirs_[kDown];
+  if (down.capacity == 0) {
     return std::numeric_limits<std::size_t>::max();
   }
-  return down_queue_.size() >= down_capacity_
-             ? 0
-             : down_capacity_ - down_queue_.size();
+  return down.full() ? 0 : down.capacity - down.queue.size();
 }
 
 std::optional<LinkWord> Link::host_receive() {
-  if (up_queue_.empty() ||
-      up_queue_.front().arrives_at > simulator().cycle()) {
+  Path& up = dirs_[kUp];
+  if (up.queue.empty() || up.queue.front().arrives_at > simulator().cycle()) {
     return std::nullopt;
   }
-  const LinkWord w = up_queue_.front().word;
-  up_queue_.pop_front();
+  const LinkWord w = up.queue.front().word;
+  up.queue.pop_front();
   // A pop that re-opens a full bounded upstream buffer re-asserts tx.ready.
-  if (up_capacity_ != 0 && up_queue_.size() < up_capacity_ &&
-      up_queue_.size() + 1 >= up_capacity_) {
+  if (up.capacity != 0 && up.queue.size() + 1 == up.capacity) {
     wake();
   }
   return w;
@@ -79,7 +102,7 @@ std::optional<LinkWord> Link::host_receive() {
 std::size_t Link::host_available() const {
   const std::uint64_t now = simulator().cycle();
   std::size_t n = 0;
-  for (const InFlight& f : up_queue_) {
+  for (const InFlight& f : dirs_[kUp].queue) {
     if (f.arrives_at <= now) {
       ++n;
     } else {
@@ -89,44 +112,39 @@ std::size_t Link::host_available() const {
   return n;
 }
 
-bool Link::drained() const { return down_queue_.empty() && up_queue_.empty(); }
+bool Link::drained() const {
+  return dirs_[kDown].queue.empty() && dirs_[kUp].queue.empty();
+}
 
 void Link::eval() {
+  const Path& down = dirs_[kDown];
+  const Path& up = dirs_[kUp];
   // Downstream: present the head word to the FPGA once it has "arrived" at
   // the FPGA-side pins.
-  if (!down_queue_.empty() &&
-      down_queue_.front().arrives_at <= simulator().cycle()) {
-    rx.offer(down_queue_.front().word);
+  if (!down.queue.empty() &&
+      down.queue.front().arrives_at <= simulator().cycle()) {
+    rx.offer(down.queue.front().word);
   } else {
     rx.withdraw();
   }
   // Upstream: the transmitter accepts a new word when the previous one has
   // cleared the serialisation interval and the bounded buffer has room.
-  tx.ready.set(simulator().cycle() >= up_next_slot_ &&
-               (up_capacity_ == 0 || up_queue_.size() < up_capacity_));
+  tx.ready.set(simulator().cycle() >= up.next_slot && !up.full());
 }
 
 void Link::commit() {
   const std::uint64_t now = simulator().cycle();
+  Path& down = dirs_[kDown];
+  Path& up = dirs_[kUp];
   const bool down_moved = rx.fire();
   const bool up_moved = tx.fire();
   if (down_moved) {
-    down_queue_.pop_front();
-    ++words_down_;
+    down.queue.pop_front();
+    ++down.words;
   }
   if (up_moved) {
-    up_next_slot_ = now + up_.interval;
-    ++words_up_;
-    LinkWord word = tx.data.get();
-    const Injection inj = classify(/*downstream=*/false, word);
-    if (!inj.drop) {
-      enqueue(up_queue_, word, now + up_.latency + inj.extra_latency);
-      if (inj.duplicate) {
-        up_next_slot_ += up_.interval;
-        enqueue(up_queue_, word,
-                now + up_.interval + up_.latency + inj.extra_latency);
-      }
-    }
+    ++up.words;
+    launch(kUp, tx.data.get(), now);
   }
   if (down_moved || up_moved) {
     // The queues or the serialisation slot moved: the next cycle's eval()
@@ -136,24 +154,26 @@ void Link::commit() {
   }
   // eval() changes with time alone at two moments: the head word's arrival
   // at the FPGA-side pins, and the end of the upstream serialisation
-  // interval (tx.ready re-asserts even when a faulty subclass dropped the
-  // word, leaving both queues empty).  Sleep until the earlier of them.
-  if (!down_queue_.empty() && down_queue_.front().arrives_at > now) {
-    wake_at(down_queue_.front().arrives_at);
+  // interval (tx.ready re-asserts even when the word was dropped, leaving
+  // both queues empty).  Sleep until the earlier of them.
+  if (!down.queue.empty() && down.queue.front().arrives_at > now) {
+    wake_at(down.queue.front().arrives_at);
   }
-  if (up_next_slot_ > now) {
-    wake_at(up_next_slot_);
+  if (up.next_slot > now) {
+    wake_at(up.next_slot);
   }
 }
 
 void Link::reset() {
-  down_queue_.clear();
-  up_queue_.clear();
-  down_next_slot_ = 0;
-  up_next_slot_ = 0;
-  words_down_ = 0;
-  words_up_ = 0;
+  for (Path& p : dirs_) {
+    p.queue.clear();
+    p.next_slot = 0;
+    p.words = 0;
+  }
   send_rejects_ = 0;
+  // Re-seed so a reset run replays the same fault pattern.
+  rng_ = Xoshiro256(seed_);
+  counters_.clear();
   rx.reset();
   tx.reset();
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -7,7 +8,9 @@
 #include "msg/response.hpp"
 #include "sim/component.hpp"
 #include "sim/handshake.hpp"
+#include "sim/trace.hpp"
 #include "util/ring_buffer.hpp"
+#include "util/rng.hpp"
 
 namespace fpgafu::msg {
 
@@ -38,6 +41,24 @@ inline constexpr LinkPreset kBurstLink{"burst", {64, 1}};
 /// available").
 inline constexpr LinkPreset kSerialLink{"serial", {4, 32}};
 
+/// Per-direction fault rates.  Rates are in parts-per-million per word so
+/// integer arithmetic stays exact; `jitter_max` is the largest extra flight
+/// latency (cycles) added uniformly at random to each word.
+struct FaultRates {
+  std::uint32_t drop_ppm = 0;
+  std::uint32_t corrupt_ppm = 0;
+  std::uint32_t duplicate_ppm = 0;
+  std::uint32_t jitter_max = 0;
+};
+
+/// Seeded fault injection for a Link.  The default (all rates zero) never
+/// faults and draws no random numbers.
+struct FaultConfig {
+  std::uint64_t seed = 0x5eedULL;
+  FaultRates down;  ///< host -> FPGA
+  FaultRates up;    ///< FPGA -> host
+};
+
 /// The interface circuitry: a full-duplex transceiver between the host CPU
 /// (software side, called between simulation steps) and the FPGA-side
 /// message buffer / serialiser (handshaked wire ports).
@@ -49,14 +70,22 @@ inline constexpr LinkPreset kSerialLink{"serial", {4, 32}};
 /// `host_send` (the host must retry), a full upstream buffer deasserts
 /// `tx.ready` so backpressure propagates into the serialiser.
 ///
-/// Subclasses can override `classify()` to perturb words in flight (see
-/// `FaultyLink`); the base link never faults.
+/// The link can also inject word-level transport faults, configured per
+/// direction by `FaultConfig`: drops, single-bit corruption, duplication
+/// and latency jitter.  All randomness comes from one generator seeded from
+/// `FaultConfig::seed` and shared by both directions, so a given (seed,
+/// traffic) pair always produces the same fault pattern — soak failures
+/// replay exactly.  Per word: jitter first, then drop, else corrupt, else
+/// duplicate.  A disabled fault class draws no random numbers, so enabling
+/// one class does not perturb the pattern of another, and a link with every
+/// rate at zero never draws at all.  A dropped word still consumes its
+/// departure slot; jitter never reorders a direction (arrival times are
+/// clamped monotonic).
 class Link : public sim::Component {
  public:
   Link(sim::Simulator& sim, std::string name, LinkTiming down_timing,
        LinkTiming up_timing, std::size_t down_capacity = 0,
-       std::size_t up_capacity = 0);
-  ~Link() override = default;
+       std::size_t up_capacity = 0, FaultConfig faults = {});
 
   /// FPGA-side ports.
   sim::Handshake<LinkWord> rx;  ///< link -> message buffer (downstream data)
@@ -83,58 +112,61 @@ class Link : public sim::Component {
   /// True when no word is in flight or queued in either direction.
   bool drained() const;
 
-  /// Total words moved in each direction (for bandwidth accounting).
-  std::uint64_t words_down() const { return words_down_; }
-  std::uint64_t words_up() const { return words_up_; }
+  /// Total words moved in each direction (for bandwidth accounting):
+  /// downstream words delivered to the FPGA, upstream words accepted from
+  /// the serialiser.
+  std::uint64_t words_down() const { return dirs_[kDown].words; }
+  std::uint64_t words_up() const { return dirs_[kUp].words; }
   /// host_send calls rejected by a full downstream buffer.
   std::uint64_t send_rejects() const { return send_rejects_; }
+
+  /// Injection statistics: link.{down,up}_{dropped,corrupted,duplicated}.
+  const sim::Counters& fault_counters() const { return counters_; }
 
   void eval() override;
   void commit() override;
   void reset() override;
 
- protected:
-  /// Verdict for one word crossing the link, produced by `classify`.
-  /// `drop` discards the word (it still consumes its departure slot, so a
-  /// never-faulting subclass is cycle-identical to the base link);
-  /// `duplicate` sends the word twice back to back; `extra_latency` delays
-  /// arrival (arrival order stays FIFO — jitter never reorders).
-  struct Injection {
-    bool drop = false;
-    bool duplicate = false;
-    std::uint32_t extra_latency = 0;
-  };
-
-  /// Fault-injection hook, called once per word as it enters the given
-  /// direction (`downstream` true = host -> FPGA).  May rewrite `word` in
-  /// place (bit corruption).  The base link never injects anything.
-  virtual Injection classify(bool downstream, LinkWord& word) {
-    (void)downstream;
-    (void)word;
-    return {};
-  }
-
  private:
+  enum Dir : std::size_t { kDown = 0, kUp = 1 };
+
   struct InFlight {
     LinkWord word;
     std::uint64_t arrives_at;
   };
 
-  /// Append with a monotonic arrival clamp so per-word jitter cannot
-  /// reorder the FIFO.
-  static void enqueue(CompactingQueue<InFlight>& queue, LinkWord word,
-                      std::uint64_t arrives_at);
+  /// One direction of the link.
+  struct Path {
+    LinkTiming timing;
+    std::size_t capacity = 0;  ///< 0 = unbounded
+    FaultRates faults;
+    CompactingQueue<InFlight> queue;
+    std::uint64_t next_slot = 0;  ///< earliest cycle the next word may depart
+    std::uint64_t words = 0;
+    sim::Counters::Handle dropped = 0;
+    sim::Counters::Handle corrupted = 0;
+    sim::Counters::Handle duplicated = 0;
 
-  LinkTiming down_;
-  LinkTiming up_;
-  std::size_t down_capacity_;  ///< 0 = unbounded
-  std::size_t up_capacity_;    ///< 0 = unbounded
-  CompactingQueue<InFlight> down_queue_;  ///< host -> FPGA
-  CompactingQueue<InFlight> up_queue_;    ///< FPGA -> host
-  std::uint64_t down_next_slot_ = 0;  ///< earliest cycle the next word may depart
-  std::uint64_t up_next_slot_ = 0;
-  std::uint64_t words_down_ = 0;
-  std::uint64_t words_up_ = 0;
+    bool full() const { return capacity != 0 && queue.size() >= capacity; }
+
+    /// Append with a monotonic arrival clamp so per-word jitter cannot
+    /// reorder the FIFO.
+    void push(LinkWord word, std::uint64_t arrives_at) {
+      if (!queue.empty()) {
+        arrives_at = std::max(arrives_at, queue.back().arrives_at);
+      }
+      queue.push_back({word, arrives_at});
+    }
+  };
+
+  /// Send `word` into `dir` at cycle `depart`: take the departure slot,
+  /// draw the faults, and queue the word (and its duplicate) for arrival.
+  void launch(Dir dir, LinkWord word, std::uint64_t depart);
+
+  std::uint64_t seed_;
+  Xoshiro256 rng_;
+  sim::Counters counters_;
+  Path dirs_[2];
   std::uint64_t send_rejects_ = 0;
 };
 

@@ -23,9 +23,6 @@ enum class ErrorCode : std::uint8_t {
   kUnknownFunction = 1,  ///< no functional unit registered for the code
   kBadRegister = 2,      ///< register number exceeds the configured file size
   kTruncatedPut = 3,     ///< stream ended before a PUT's data word
-  kTransport = 4,        ///< synthesised by host::ReliableTransport: the
-                         ///< response was lost and the instruction could
-                         ///< not be safely re-submitted
   kUnitUnavailable = 5,  ///< the function code is *known* but its unit is
                          ///< currently detached, draining or loading (FU
                          ///< hot-swap in progress) — retry after the swap,

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "fu/stateless_units.hpp"
-#include "msg/faulty_link.hpp"
 #include "msg/link.hpp"
 #include "msg/message_buffer.hpp"
 #include "msg/message_serializer.hpp"
@@ -26,10 +24,9 @@ struct SystemConfig {
   /// Bounded link transfer buffers (0 = unbounded, the historical model).
   std::size_t link_down_capacity = 0;
   std::size_t link_up_capacity = 0;
-  /// When set, the link is a fault-injecting FaultyLink with these rates
-  /// (an all-zero FaultConfig still swaps the implementation, which the
-  /// differential tests rely on to prove it is behaviour-identical).
-  std::optional<msg::FaultConfig> link_faults;
+  /// Seeded word-level fault injection on the link (all rates zero by
+  /// default: the link never faults).
+  msg::FaultConfig link_faults;
   std::size_t message_buffer_depth = 8;
   std::size_t serializer_depth = 4;
 
@@ -81,14 +78,16 @@ class System {
  public:
   explicit System(const SystemConfig& config)
       : config_(validated(config)),
-        link_(make_link(sim_, config)),
+        link_(sim_, "link", config.link_down, config.link_up,
+              config.link_down_capacity, config.link_up_capacity,
+              config.link_faults),
         buffer_(sim_, "message_buffer", config.message_buffer_depth),
         rtm_(sim_, config.rtm),
         serializer_(sim_, "message_serializer", config.serializer_depth) {
-    buffer_.bind(link_->rx);
+    buffer_.bind(link_.rx);
     rtm_.bind_input(buffer_.out);
     rtm_.bind_output(serializer_.in);
-    serializer_.bind(link_->tx);
+    serializer_.bind(link_.tx);
 
     fu::StatelessConfig ucfg;
     ucfg.width = config.rtm.word_width;
@@ -160,9 +159,7 @@ class System {
 
   sim::Simulator& simulator() { return sim_; }
   const sim::Simulator& simulator() const { return sim_; }
-  msg::Link& link() { return *link_; }
-  /// Non-null iff the config requested fault injection.
-  msg::FaultyLink* faulty_link() { return faulty_link_; }
+  msg::Link& link() { return link_; }
   rtm::Rtm& rtm() { return rtm_; }
   const SystemConfig& config() const { return config_; }
   xsort::XsortUnit* xsort_unit() { return xsort_.get(); }
@@ -176,7 +173,7 @@ class System {
   /// True when nothing is in flight anywhere on the FPGA or the link.
   bool idle() const {
     return !buffer_.busy() && rtm_.quiescent() &&
-           serializer_.pending_words() == 0 && link_->drained();
+           serializer_.pending_words() == 0 && link_.drained();
   }
 
  private:
@@ -188,25 +185,9 @@ class System {
     return config;
   }
 
-  std::unique_ptr<msg::Link> make_link(sim::Simulator& sim,
-                                       const SystemConfig& config) {
-    if (config.link_faults) {
-      auto fl = std::make_unique<msg::FaultyLink>(
-          sim, "link", config.link_down, config.link_up, *config.link_faults,
-          config.link_down_capacity, config.link_up_capacity);
-      faulty_link_ = fl.get();
-      return fl;
-    }
-    return std::make_unique<msg::Link>(sim, "link", config.link_down,
-                                       config.link_up,
-                                       config.link_down_capacity,
-                                       config.link_up_capacity);
-  }
-
   SystemConfig config_;
   sim::Simulator sim_;
-  msg::FaultyLink* faulty_link_ = nullptr;
-  std::unique_ptr<msg::Link> link_;
+  msg::Link link_;
   msg::MessageBuffer buffer_;
   rtm::Rtm rtm_;
   msg::MessageSerializer serializer_;

@@ -101,6 +101,40 @@ TEST(GemmUnit, StartLatencyIsDepthPlusMacs) {
   EXPECT_LE(completed - dispatched, 3u + 8u + 2u);
 }
 
+/// A kStart sizes its sweep from the dims of the last valid kConfig
+/// accepted ahead of it: issued right behind a kConfig that is still in the
+/// pipeline, it takes exactly as long as after the config has retired (and
+/// an invalid config queued in between leaves those dims in force).
+TEST(GemmUnit, StartBehindAnInFlightConfigSweepsTheNewDims) {
+  auto start_cycles = [](bool config_retired) {
+    GemmRig rig(8, 8, 8, /*depth=*/4, /*fifo=*/8);
+    FuRequest cfg;
+    cfg.variety = GemmUnit::kConfig;
+    cfg.operand1 = GemmUnit::config_word(2, 2, 2);
+    cfg.dst_reg = 1;
+    FuRequest bad = cfg;
+    bad.operand1 = GemmUnit::config_word(9, 1, 1);  // over capacity
+    FuRequest start;
+    start.variety = GemmUnit::kStart;
+    start.dst_reg = 1;
+    rig.drv.enqueue(cfg);
+    rig.drv.enqueue(bad);
+    if (config_retired) {
+      rig.sim.run_until([&] { return rig.drv.completions().size() == 2; },
+                        1000);
+    }
+    rig.drv.enqueue(start);
+    rig.sim.run_until([&] { return rig.drv.completions().size() == 3; },
+                      1000);
+    EXPECT_EQ(rig.drv.completions().back().result.data, 8u);  // 2*2*2 MACs
+    return rig.drv.completions().back().cycle -
+           rig.drv.dispatch_cycles().back();
+  };
+  const std::uint64_t after_retire = start_cycles(true);
+  EXPECT_LE(after_retire, 4u + 8u + 2u);
+  EXPECT_EQ(start_cycles(false), after_retire);
+}
+
 TEST(GemmUnit, LoadsStreamAtInitiationIntervalOne) {
   GemmRig rig(4, 4, 4, /*depth=*/4, /*fifo=*/16);
   for (isa::Word i = 0; i < 12; ++i) {

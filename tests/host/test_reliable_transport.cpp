@@ -87,8 +87,8 @@ TEST(ReliableTransport, RecoversFromUpstreamFaults) {
     const auto expected = ReferenceModel(small_rtm()).run(p);
     EXPECT_EQ(got, expected) << "seed " << seed;
     EXPECT_EQ(transport.counters().get("transport.failures"), 0u);
-    total_faults += sys.faulty_link()->fault_counters().get("link.up_dropped") +
-                    sys.faulty_link()->fault_counters().get("link.up_corrupted");
+    total_faults += sys.link().fault_counters().get("link.up_dropped") +
+                    sys.link().fault_counters().get("link.up_corrupted");
     total_retries += transport.counters().get("transport.retries");
   }
   // At these rates faults certainly occurred and were recovered from.
@@ -545,7 +545,7 @@ TEST(ReliableTransport, WireSequenceWrapsInsideAWindow) {
 /// Sum of a layout's predicted responses.
 std::size_t predicted_responses(const FrameLayout& frame) {
   std::size_t n = 0;
-  for (const ResponsePrediction& p : frame.predictions) {
+  for (const GroupPrediction& p : frame.predictions) {
     n += p.count;
   }
   return n;
@@ -599,8 +599,8 @@ TransportConfig window_of(std::size_t window) {
 }
 
 /// One recycled layout takes one program after another: each assign
-/// replaces the groups, predictions and effects, whose entries line up one
-/// for one and whose groups cover the program's words exactly.
+/// replaces the groups and predictions, whose entries line up one for one
+/// and whose groups cover the program's words exactly.
 TEST(FrameLayout, MembersCoverConcatenatedGroupsExactly) {
   top::SystemConfig cfg;
   cfg.rtm = small_rtm();
@@ -615,7 +615,6 @@ TEST(FrameLayout, MembersCoverConcatenatedGroupsExactly) {
     frame.assign(p, sys.rtm().config(), sys.rtm().table());
     EXPECT_EQ(frame.words, p.words());
     ASSERT_EQ(frame.predictions.size(), frame.groups.size());
-    ASSERT_EQ(frame.effects.size(), frame.groups.size());
     std::size_t next_word = 0;
     for (const InstructionGroup& g : frame.groups) {
       EXPECT_EQ(g.first_word, next_word);
@@ -638,12 +637,10 @@ TEST(FrameLayout, MembersCoverConcatenatedGroupsExactly) {
   ASSERT_EQ(frame.groups.size(), 2u);
   EXPECT_EQ(predicted_responses(frame), 3u);  // GETV burst of 3
 
-  // Effects line up with the groups: the GETV reads r2..r4, the PUT writes
-  // r3 — the write-read conflict the write barrier must see.
-  const GroupEffects& getv = frame.effects[0];
-  const GroupEffects& put = frame.effects[1];
-  ASSERT_TRUE(getv.exact);
-  ASSERT_TRUE(put.exact);
+  // Predictions line up with the groups: the GETV reads r2..r4, the PUT
+  // writes r3 — the write-read conflict the write barrier must see.
+  const GroupPrediction& getv = frame.predictions[0];
+  const GroupPrediction& put = frame.predictions[1];
   EXPECT_TRUE(getv.data_reads.test(2));
   EXPECT_TRUE(getv.data_reads.test(3));
   EXPECT_TRUE(getv.data_reads.test(4));
@@ -974,9 +971,7 @@ LossyCalls run_lossy_calls(const isa::Program& program, std::uint64_t seed,
   run.timeouts = transport.counters().get("transport.timeouts");
   run.probes = transport.counters().get("transport.probes");
   run.retries = transport.counters().get("transport.retries");
-  if (sys.faulty_link() != nullptr) {
-    run.dropped = sys.faulty_link()->fault_counters().get("link.up_dropped");
-  }
+  run.dropped = sys.link().fault_counters().get("link.up_dropped");
   return run;
 }
 

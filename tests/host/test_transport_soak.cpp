@@ -64,8 +64,7 @@ TEST(TransportSoak, RandomProgramsSurviveFivePercentFaultRates) {
     for (const auto& [name, value] : transport.counters().all()) {
       transport_totals[name] += value;
     }
-    for (const auto& [name, value] :
-         sys.faulty_link()->fault_counters().all()) {
+    for (const auto& [name, value] : sys.link().fault_counters().all()) {
       fault_totals[name] += value;
     }
   }

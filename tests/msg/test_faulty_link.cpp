@@ -1,4 +1,4 @@
-#include "msg/faulty_link.hpp"
+#include "msg/link.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,9 +18,10 @@ rtm::RtmConfig small_rtm() {
   return rcfg;
 }
 
-/// A FaultyLink with every rate at zero must be indistinguishable from the
-/// plain Link: same responses, same cycle counts, same word counts, and no
-/// fault counter may tick.
+/// A link with every fault rate at zero draws no random numbers, so its
+/// seed cannot matter: a differently seeded link must be indistinguishable
+/// from the default one (same responses, same cycle counts, same word
+/// counts), and no fault counter may tick.
 TEST(FaultyLink, ZeroRatesAreBitIdenticalToPlainLink) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const isa::Program p = fpgafu::testing::random_program(
@@ -36,9 +37,8 @@ TEST(FaultyLink, ZeroRatesAreBitIdenticalToPlainLink) {
     const std::uint64_t plain_cycles = plain.simulator().cycle();
 
     top::SystemConfig faulty_cfg = plain_cfg;
-    faulty_cfg.link_faults = FaultConfig{};  // all rates zero
+    faulty_cfg.link_faults.seed = 0xfeedULL + seed;  // all rates zero
     top::System faulty(faulty_cfg);
-    ASSERT_NE(faulty.faulty_link(), nullptr);
     host::Coprocessor faulty_host(faulty);
     const auto faulty_responses = faulty_host.call(p);
 
@@ -46,7 +46,7 @@ TEST(FaultyLink, ZeroRatesAreBitIdenticalToPlainLink) {
     EXPECT_EQ(faulty.simulator().cycle(), plain_cycles) << "seed " << seed;
     EXPECT_EQ(faulty.link().words_down(), plain.link().words_down());
     EXPECT_EQ(faulty.link().words_up(), plain.link().words_up());
-    for (const auto& [name, value] : faulty.faulty_link()->fault_counters().all()) {
+    for (const auto& [name, value] : faulty.link().fault_counters().all()) {
       EXPECT_EQ(value, 0u) << name;
     }
   }
@@ -70,8 +70,8 @@ TEST(FaultyLink, FullUpstreamDropDeliversNothing) {
   copro.submit(p);
   sys.simulator().run(300);
   EXPECT_FALSE(copro.poll().has_value());
-  EXPECT_GE(sys.faulty_link()->fault_counters().get("link.up_dropped"), 4u);
-  EXPECT_EQ(sys.faulty_link()->fault_counters().get("link.down_dropped"), 0u);
+  EXPECT_GE(sys.link().fault_counters().get("link.up_dropped"), 4u);
+  EXPECT_EQ(sys.link().fault_counters().get("link.down_dropped"), 0u);
 }
 
 TEST(FaultyLink, FullUpstreamCorruptionIsCaughtByTheFrameCheck) {
@@ -96,7 +96,7 @@ TEST(FaultyLink, FullUpstreamCorruptionIsCaughtByTheFrameCheck) {
   // Every link word was bit-flipped: no frame may parse, and the deframer
   // must have slid its window looking for alignment.
   EXPECT_FALSE(copro.poll().has_value());
-  EXPECT_GE(sys.faulty_link()->fault_counters().get("link.up_corrupted"), 16u);
+  EXPECT_GE(sys.link().fault_counters().get("link.up_corrupted"), 16u);
   EXPECT_GT(copro.counters().get("host.crc_resyncs"), 0u);
 }
 
@@ -119,7 +119,7 @@ TEST(FaultyLink, DuplicationDoublesDeliveredWords) {
   sys.simulator().run(300);
   // One response = 4 frame words, each sent twice.
   EXPECT_EQ(sys.link().host_available(), 8u);
-  EXPECT_EQ(sys.faulty_link()->fault_counters().get("link.up_duplicated"), 4u);
+  EXPECT_EQ(sys.link().fault_counters().get("link.up_duplicated"), 4u);
 }
 
 TEST(FaultyLink, SameSeedReplaysTheSameFaultPattern) {
@@ -166,6 +166,86 @@ TEST(FaultyLink, JitterNeverReordersTheStream) {
   const auto responses = copro.call(p);
   const auto expected = host::ReferenceModel(small_rtm()).run(p);
   EXPECT_EQ(responses, expected);
+}
+
+/// Pins the seeded fault pattern across versions of the link model: a
+/// fixed mixed configuration (faults in both directions, jitter both ways,
+/// bounded buffers both ways, stalling consumer and producer) must produce
+/// exactly these counts and exactly this delivered stream.  A rewrite of
+/// the link that moves one random draw changes the hash.
+TEST(FaultyLink, SeededMixedPatternMatchesTheGoldenValues) {
+  for (const sim::Simulator::Kernel kernel : sim::Simulator::kAllKernels) {
+    SCOPED_TRACE(sim::Simulator::kernel_name(kernel));
+    sim::Simulator sim;
+    sim.set_kernel(kernel);
+    FaultConfig f;
+    f.seed = 20100419;
+    f.down.drop_ppm = 30'000;
+    f.down.duplicate_ppm = 30'000;
+    f.down.jitter_max = 5;
+    f.up.drop_ppm = 60'000;
+    f.up.corrupt_ppm = 60'000;
+    f.up.duplicate_ppm = 60'000;
+    f.up.jitter_max = 4;
+    Link link(sim, "link", {3, 2}, {2, 1}, /*down_capacity=*/6,
+              /*up_capacity=*/3, f);
+    fpgafu::testing::Consumer<LinkWord> cons(sim, "cons", 3, 4, /*seed=*/7);
+    cons.bind(link.rx);
+    std::vector<LinkWord> up_words;
+    for (LinkWord i = 0; i < 300; ++i) {
+      up_words.push_back(0x0a000000u + i * 0x9e37u);
+    }
+    fpgafu::testing::Producer<LinkWord> prod(sim, "prod", up_words, 4, 5,
+                                             /*seed=*/8);
+    prod.bind(link.tx);
+
+    // FNV-1a over (direction, word, delivery cycle) of every delivered word.
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&hash](std::uint64_t v) {
+      hash ^= v;
+      hash *= 0x100000001b3ULL;
+    };
+    std::size_t sent_down = 0;
+    std::size_t seen_down = 0;
+    std::size_t received_up = 0;
+    for (int i = 0; i < 3000; ++i) {
+      if (sent_down < 300 &&
+          link.host_send(0xd0000000u + static_cast<LinkWord>(sent_down))) {
+        ++sent_down;
+      }
+      sim.step();
+      for (; seen_down < cons.received().size(); ++seen_down) {
+        mix(0);
+        mix(cons.received()[seen_down]);
+        mix(sim.cycle());
+      }
+      // The host drains only every fifth cycle, so the bounded upstream
+      // buffer backpressures the producer.
+      if (sim.cycle() % 5 == 0) {
+        while (auto w = link.host_receive()) {
+          ++received_up;
+          mix(1);
+          mix(*w);
+          mix(sim.cycle());
+        }
+      }
+    }
+    const sim::Counters& c = link.fault_counters();
+    EXPECT_EQ(c.get("link.down_dropped"), 15u);
+    EXPECT_EQ(c.get("link.down_corrupted"), 0u);
+    EXPECT_EQ(c.get("link.down_duplicated"), 12u);
+    EXPECT_EQ(c.get("link.up_dropped"), 12u);
+    EXPECT_EQ(c.get("link.up_corrupted"), 20u);
+    EXPECT_EQ(c.get("link.up_duplicated"), 16u);
+    EXPECT_EQ(link.words_down(), 297u);
+    EXPECT_EQ(link.words_up(), 300u);
+    EXPECT_EQ(link.send_rejects(), 322u);
+    EXPECT_EQ(sent_down, 300u);
+    EXPECT_EQ(seen_down, 297u);
+    EXPECT_EQ(received_up, 304u);
+    EXPECT_EQ(prod.sent(), 300u);
+    EXPECT_EQ(hash, 0xb27b227fcbd639cdULL);
+  }
 }
 
 TEST(Link, BoundedDownstreamQueueRejectsWhenFull) {

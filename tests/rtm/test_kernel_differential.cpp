@@ -301,9 +301,7 @@ TEST(KernelDifferential, BurstAndFaultyLinksMatchAcrossKernels) {
       out.cycles = sys.simulator().cycle();
       out.transport = transport.counters().all();
       out.rtm = sys.rtm().counters().all();
-      if (sys.faulty_link() != nullptr) {
-        out.faults = sys.faulty_link()->fault_counters().all();
-      }
+      out.faults = sys.link().fault_counters().all();
       out.vcd = vcd_os.str();
       return out;
     };

@@ -238,7 +238,7 @@ FuzzSpec make_spec(std::uint64_t seed, bool timed = false) {
       f.down.jitter_max = static_cast<std::uint32_t>(rng.below(9));
       cfg.link_faults = f;
     } else {
-      cfg.link_faults.reset();
+      cfg.link_faults = {};
     }
   }
   return s;
