@@ -142,7 +142,7 @@ void BM_HpccStream(benchmark::State& state) {
   const auto kernel = kernel_of(state.range(0));
   const auto cfg = stream_config();
   std::uint64_t words = 0;
-  std::uint64_t triad_jobs = 0, triad_cycles = 0;
+  std::uint64_t triad_jobs = 0, triad_cycles = 0, triad_steps = 0;
   double triad_wall_ms = 0;
   for (auto _ : state) {
     const auto results = hpcc::run_stream(kernel, cfg);
@@ -156,6 +156,7 @@ void BM_HpccStream(benchmark::State& state) {
     const auto& triad = results.back();
     triad_jobs += triad.jobs;
     triad_cycles += triad.cycles;
+    triad_steps += triad.steps;
     triad_wall_ms += triad.wall_ms;
   }
   state.SetLabel(label_of(state.range(0)));
@@ -169,6 +170,12 @@ void BM_HpccStream(benchmark::State& state) {
       triad_cycles == 0
           ? 0.0
           : static_cast<double>(triad_jobs) / static_cast<double>(triad_cycles);
+  // Deterministic: the share of the triad's cycles the kernel executed
+  // (the rest were quiet and skipped; 1.00 under kBruteForce).
+  state.counters["triad_steps_per_cycle"] =
+      triad_cycles == 0
+          ? 0.0
+          : static_cast<double>(triad_steps) / static_cast<double>(triad_cycles);
 }
 BENCHMARK(BM_HpccStream)
     ->Arg(0)

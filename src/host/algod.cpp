@@ -151,7 +151,9 @@ void FuManager::evict(ImageId id) {
         return std::all_of(image.codes.begin(), image.codes.end(),
                            [&](isa::FunctionCode code) {
                              return system.detach_drained(code);
-                           });
+                           })
+                   ? Wake::done()
+                   : Wake::on_step();
       },
       Deadline(system.simulator(), kDefaultCallBudgetCycles),
       "algod: drain '" + image.name + "'");
@@ -174,7 +176,11 @@ void FuManager::load(ImageId id) {
   if (image.load_cycles > 0) {
     loader_.start(image.load_cycles);
     const std::uint64_t spent = coproc_->pump().run_until(
-        [&] { return !loader_.busy(); },
+        [&] {
+          // Busy is a function of the clock alone: no step announces its
+          // end, so wake at it.
+          return loader_.busy() ? Wake::at(loader_.free_at()) : Wake::done();
+        },
         Deadline(system.simulator(), kDefaultCallBudgetCycles),
         "algod: load '" + image.name + "'");
     stats_.bump(load_cycles_, spent);

@@ -87,6 +87,8 @@ class FuLoader final : public sim::Component {
   /// (one reconfiguration port, like real PR controllers).
   void start(std::uint64_t cycles);
   bool busy() const { return simulator().cycle() < done_at_; }
+  /// First cycle the port is free again.
+  std::uint64_t free_at() const { return done_at_; }
 
   void reset() override { done_at_ = 0; }
 

@@ -28,8 +28,12 @@ std::vector<msg::Response> Coprocessor::call(const isa::Program& program,
           }
           // Done when the expected responses arrived and nothing is still in
           // flight (extra error responses drain before idle turns true).
-          return responses.size() >= program.expected_responses() &&
-                 system().idle();
+          // Until then only a response frame is news; after that, idle()
+          // is simulator state.
+          if (responses.size() < program.expected_responses()) {
+            return Wake::on_link();
+          }
+          return system().idle() ? Wake::done() : Wake::on_step();
         },
         Deadline(system().simulator(), max_cycles), "Coprocessor::call");
   } catch (const SimError&) {
@@ -49,7 +53,7 @@ msg::Response Coprocessor::wait_response(std::uint64_t max_cycles) {
           if (!got.has_value()) {
             got = poll();
           }
-          return got.has_value();
+          return got.has_value() ? Wake::done() : Wake::on_link();
         },
         Deadline(system().simulator(), max_cycles),
         "Coprocessor::wait_response");

@@ -1,5 +1,6 @@
 #include "host/driver.hpp"
 
+#include <algorithm>
 #include <array>
 #include <string>
 
@@ -37,20 +38,63 @@ void Driver::enqueue(const isa::Program& program) {
   }
 }
 
-void Driver::service_link() {
-  sync_reset();
+void Driver::send() {
   tx_fresh_ = false;
   msg::Link& link = system_->link();
   while (!tx_words_.empty() && link.host_send(tx_words_.front())) {
     tx_words_.pop_front();
   }
+}
+
+void Driver::service_link() {
+  sync_reset();
+  send();
   const std::uint64_t now = system_->simulator().cycle();
   if (now == serviced_cycle_) {
     return;  // upstream words arrive only on a clock edge: drained already
   }
   serviced_cycle_ = now;
-  while (auto w = link.host_receive()) {
-    rx_words_.push_back(*w);
+  system_->link().host_receive_all(rx_words_);
+}
+
+std::uint64_t Driver::due() const {
+  const sim::Simulator& sim = system_->simulator();
+  if (tx_fresh_ || !tx_words_.empty() ||
+      sim.reset_generation() != reset_generation_) {
+    return sim.cycle();
+  }
+  const msg::Link& link = system_->link();
+  if (link.up_bounded()) {
+    return link.host_arrival(1);
+  }
+  // The window deframes only whole frames: the next one can complete when
+  // enough words to fill it have arrived.  (A window a caller leaves
+  // unpolled already holds one; then any arrival is news.)
+  const std::size_t have = rx_words_.size();
+  return link.host_arrival(have >= msg::kLinkWordsPerResponse
+                               ? 1
+                               : msg::kLinkWordsPerResponse - have);
+}
+
+std::uint64_t Pump::advance(const Wake& wake, const Deadline& deadline) {
+  const std::uint64_t start = sim_->cycle();
+  std::uint64_t until = std::min(wake.cycle(), start + kMaxQuiet);
+  if (!deadline.unlimited()) {
+    until = std::min(until, start + deadline.remaining());
+  }
+  if (wake.after_step()) {
+    until = std::min(until, driver_->drained_at());
+  }
+  // An executed step may launch upstream words, which can only bring the
+  // driver's due cycle forward: ask again after every advance.
+  std::uint64_t due = driver_->due();
+  for (;;) {
+    const bool stepped = sim_->advance(std::min(until, due));
+    const std::uint64_t now = sim_->cycle();
+    due = driver_->due();
+    if ((stepped && wake.after_step()) || now >= until || due <= now) {
+      return now - start;
+    }
   }
 }
 

@@ -103,13 +103,18 @@ class Deadline {
 /// event loop call `service()`/`poll()` directly and step the clock
 /// themselves.
 ///
-/// The link is serviced once per simulated cycle.  Words reach the host's
-/// receive side, and downstream buffer space frees, only on a clock edge,
-/// so after one service a second one in the same cycle could only move
-/// words enqueued since: it does exactly that and nothing else, and with
-/// nothing enqueued it returns at once.  poll() services the same way, so
-/// a caller polling in a loop touches the link once and then drains frames
-/// already in the deframing window.
+/// The link is serviced only when it could have something for the host.
+/// `due()` names that cycle: now while words wait to be sent or after a
+/// reset; otherwise the cycle the deframing window could first hold a
+/// whole response frame (fewer words cannot deframe), or, on a bounded
+/// uplink, every arrival, because each word the host takes frees a slot
+/// the serialiser may wait for.  A Pump services the driver at that cycle
+/// and skips it in between.  Words reach the host's receive side, and
+/// downstream buffer space frees, only on a clock edge, so a second service
+/// in the same cycle could only move words enqueued since: it does exactly
+/// that and nothing else, and with nothing enqueued it returns at once.
+/// poll() services the same way, so a caller polling in a loop touches the
+/// link once and then drains frames already in the deframing window.
 ///
 /// Deframing is checksum-verified: a response is only accepted when a full
 /// frame passes `Response::frame_ok`; a failing window slides forward one
@@ -145,12 +150,28 @@ class Driver {
   // -- State machine ---------------------------------------------------------
   /// One non-blocking quantum: discard stale state if the system was reset,
   /// push queued tx words while the link has space, move every arrived
-  /// upstream word into the deframing window.  Once per cycle: a repeat in
-  /// the same cycle only pushes words enqueued since the last service.
+  /// upstream word into the deframing window.  A repeat in the same cycle
+  /// only pushes words enqueued since the last service.
   void service() {
-    if (tx_fresh_ || stale()) {
+    if (stale()) {
       service_link();
+    } else if (tx_fresh_) {
+      send();
     }
+  }
+
+  /// The earliest cycle at which service() could move a word or let poll()
+  /// return a response (see the class comment); at or before the current
+  /// cycle when that is the next cycle, UINT64_MAX when only a later clock
+  /// edge can create such work.
+  std::uint64_t due() const;
+
+  /// The cycle the last upstream word now on its way reaches the host, so
+  /// the link can drain (UINT64_MAX when none is): the host-side event a
+  /// predicate reading System::idle() waits for besides the clock edges.
+  std::uint64_t drained_at() const {
+    const msg::Link& link = system_->link();
+    return link.host_arrival(link.up_pending());
   }
 
   /// Drop any partially deframed link words and any queued unsent words,
@@ -175,7 +196,10 @@ class Driver {
     return sim.cycle() != serviced_cycle_ ||
            sim.reset_generation() != reset_generation_;
   }
+  /// Sync with a reset, send, and drain every arrived upstream word.
   void service_link();
+  /// Push queued tx words while the link accepts them.
+  void send();
   /// Discard stale framing state if the system was reset since last use.
   void sync_reset();
 
@@ -192,49 +216,111 @@ class Driver {
   sim::Counters::Handle crc_resyncs_;
 };
 
+/// What a Pump predicate returns: that it is done, or the host-side event
+/// it next needs to run at.  The driver's own events (a whole response
+/// frame can be deframed, queued words can move) always wake a pump, so a
+/// predicate only names what the driver cannot know.
+class Wake {
+ public:
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+  /// The condition holds: stop pumping.
+  static constexpr Wake done() { return Wake(kNever, false, true); }
+  /// Run again at the first wake at or after `cycle` (a host-side alarm:
+  /// a retry deadline, the end of a load).  A cycle not after the current
+  /// one means the next cycle.
+  static constexpr Wake at(std::uint64_t cycle) {
+    return Wake(cycle, false, false);
+  }
+  /// Run again only on the driver's events (a predicate that only polls
+  /// responses or waits for the transmit queue).
+  static constexpr Wake on_link() { return at(kNever); }
+  /// Run again after the next cycle the kernel executes, or when the last
+  /// upstream word on its way reaches the host: for predicates that read
+  /// simulator state (System::idle(), a drain's progress), which changes
+  /// only on an executed clock edge or when the host takes words off the
+  /// link.
+  static constexpr Wake on_step() { return Wake(kNever, true, false); }
+
+  bool is_done() const { return done_; }
+  std::uint64_t cycle() const { return at_; }
+  bool after_step() const { return step_; }
+
+ private:
+  constexpr Wake(std::uint64_t at, bool step, bool done)
+      : at_(at), step_(step), done_(done) {}
+
+  std::uint64_t at_;
+  bool step_;
+  bool done_;
+};
+
 /// The one owner of clock advancement in the host layer.
 ///
 /// Every blocking host-side loop is the same shape: service the driver,
-/// check a completion predicate, check the watchdog, step the clock.  The
-/// Pump is that shape, written once — Coprocessor, ReliableTransport and
-/// Farm never touch `Simulator::step`/`run_until` directly, so "who
+/// run a predicate, check the watchdog, advance the clock.  The Pump is
+/// that shape, written once — Coprocessor, ReliableTransport, Farm and
+/// FuManager never touch `Simulator::step`/`run_until` directly, so "who
 /// advances time" has exactly one answer and exactly one deadline policy.
+///
+/// Simulated time moves from event to event.  Between two runs of the
+/// host side the clock advances by Simulator::advance, which executes only
+/// cycles in which the kernel has something scheduled and skips the quiet
+/// ones, until the earliest of: the predicate's Wake, the driver's due(),
+/// the deadline's expiry (never skipped: it throws at exactly its cycle)
+/// and kMaxQuiet cycles.  Every host action that can change what the
+/// hardware does happens at one of those cycles, so each count is the same
+/// as with a host that looks every cycle.
 class Pump {
  public:
+  /// The longest stretch of simulated time between two runs of the host
+  /// side.  Work queued by other threads (a Farm shard's queue) is seen at
+  /// the next run, which this bounds; it is a property of the loop, not a
+  /// setting: anything cycle-exact has its own wake.
+  static constexpr std::uint64_t kMaxQuiet = 64;
+
   Pump(sim::Simulator& sim, Driver& driver) : sim_(&sim), driver_(&driver) {}
 
-  /// Service the driver and evaluate `done`; while false, step the clock,
-  /// enforcing `deadline` before every step (diagnostics name `what`).
-  /// Returns the number of cycles consumed.  `done` may throw; the clock
-  /// stops where it was.  The predicate is a template parameter, so a
-  /// capturing lambda is called directly instead of through a heap-held
-  /// std::function.
-  template <typename Done>
-  std::uint64_t run_until(Done&& done, Deadline deadline,
+  /// Service the driver and run `poll`; until it returns Wake::done(),
+  /// advance the clock to the next host-side event, enforcing `deadline`
+  /// before every advance (diagnostics name `what`).  Returns the number
+  /// of cycles consumed.  `poll` may throw; the clock stops where it was.
+  /// The predicate is a template parameter, so a capturing lambda is
+  /// called directly instead of through a heap-held std::function.
+  template <typename Poll>
+  std::uint64_t run_until(Poll&& poll, Deadline deadline,
                           std::string_view what) {
     std::uint64_t cycles = 0;
     for (;;) {
       driver_->service();
-      if (done()) {
+      const Wake wake = poll();
+      if (wake.is_done()) {
         return cycles;
       }
       deadline.observe();
       deadline.enforce(what);
-      sim_->step();
-      ++cycles;
+      cycles += advance(wake, deadline);
     }
   }
 
   /// Block until the driver's transmit queue has fully drained into the
   /// link (the bounded-buffer backpressure path).
   void flush(Deadline deadline, std::string_view what) {
-    run_until([this] { return driver_->tx_drained(); }, deadline, what);
+    run_until(
+        [this] {
+          return driver_->tx_drained() ? Wake::done() : Wake::on_link();
+        },
+        deadline, what);
   }
 
   sim::Simulator& simulator() { return *sim_; }
   Driver& driver() { return *driver_; }
 
  private:
+  /// Advance the clock to the next cycle the host side must run at (see
+  /// the class comment); returns the cycles advanced.
+  std::uint64_t advance(const Wake& wake, const Deadline& deadline);
+
   sim::Simulator* sim_;
   Driver* driver_;
 };

@@ -121,15 +121,16 @@ struct Farm::Shard {
   std::size_t queued = 0;           ///< total queued jobs (bounded by capacity)
   bool stop = false;
   /// Lock-free mirror of `queued` so the worker's pump loop can notice new
-  /// work without taking the queue mutex every cycle.
+  /// work without taking the queue mutex at every wake.
   std::atomic<std::size_t> queued_hint{0};
   /// Jobs refused with kOverload (producers bump it; never in snapshots —
   /// counters() reads it live).
   std::atomic<std::uint64_t> jobs_shed{0};
   /// Worker-published mirror of the shard's simulated clock, so producers
   /// can stamp jobs at enqueue without touching the thread-affine
-  /// simulator.  Slightly stale (updated each pump quantum), which only
-  /// makes latency samples conservative (never negative — recording clamps).
+  /// simulator.  Slightly stale (updated at each wake of the pump, at most
+  /// Pump::kMaxQuiet cycles apart), which only makes latency samples
+  /// conservative (never negative — recording clamps).
   std::atomic<std::uint64_t> sim_cycle_hint{0};
 
   // -- Published statistics, under stats_m ---------------------------------
@@ -469,8 +470,11 @@ void Farm::Shard::step(Engine& engine) {
     // Pump the shard's clock until there is something to act on: a
     // completion or stream event surfaced, the window has space and new
     // work is queued (queued_hint — no lock on the hot path), or the
-    // window drained.  Job watchdogs live inside the transport
-    // (per-program deadlines), so this loop itself is unbounded.
+    // window drained.  In between, the pump wakes only for the
+    // transport's own events; work queued by other threads is seen at the
+    // next wake, at most Pump::kMaxQuiet cycles away.  Job watchdogs live
+    // inside the transport (per-program deadlines), so this loop itself is
+    // unbounded.
     const std::size_t window = cfg->transport.window;
     events.clear();
     comps.clear();
@@ -486,18 +490,19 @@ void Farm::Shard::step(Engine& engine) {
             comps.push_back(std::move(*c));
           }
           if (!events.empty() || !comps.empty()) {
-            return true;
+            return Wake::done();
           }
           // Pull new queued work only while nothing is held: held jobs
           // issue strictly FIFO, so with a swap-blocked job at the front
           // there is nothing to do with more work except hold it too —
           // and returning here without stepping would spin the loop
           // without ever letting the in-flight window drain.
-          if (held.empty() && engine.transport.in_flight() < window &&
-              queued_hint.load(std::memory_order_relaxed) > 0) {
-            return true;
+          if ((held.empty() && engine.transport.in_flight() < window &&
+               queued_hint.load(std::memory_order_relaxed) > 0) ||
+              engine.transport.in_flight() == 0) {
+            return Wake::done();
           }
-          return engine.transport.in_flight() == 0;
+          return engine.transport.next_wake();
         },
         Deadline::unbounded(engine.system.simulator()), "Farm::shard step");
     const auto find = [&](ReliableTransport::ProgramId id) {

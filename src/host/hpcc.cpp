@@ -245,10 +245,12 @@ std::vector<WorkloadResult> run_stream(Kernel kernel, const StreamConfig& cfg) {
     r.job_unit = "word";
     r.jobs = words;
     const std::uint64_t c0 = sys.simulator().cycle();
+    const std::uint64_t s0 = sys.simulator().steps_performed();
     const Stopwatch sw;
     copro.call(p);
     r.wall_ms = sw.ms();
     r.cycles = sys.simulator().cycle() - c0;
+    r.steps = sys.simulator().steps_performed() - s0;
     return r;
   };
 
@@ -406,10 +408,12 @@ RandomAccessOutcome run_random_access(Kernel kernel,
   out.result.job_unit = "update";
   out.result.jobs = cfg.updates;
   const std::uint64_t c0 = sys.simulator().cycle();
+  const std::uint64_t s0 = sys.simulator().steps_performed();
   const Stopwatch sw;
   const auto responses = copro.call(p);
   out.result.wall_ms = sw.ms();
   out.result.cycles = sys.simulator().cycle() - c0;
+  out.result.steps = sys.simulator().steps_performed() - s0;
 
   out.sampled_state = data_payloads(responses);
   verify_vector(out.sampled_state, expected_samples, out.result);
@@ -518,6 +522,7 @@ WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg) {
 
   std::vector<isa::Word> got(n * n, 0);
   const std::uint64_t c0 = sys.simulator().cycle();
+  const std::uint64_t s0 = sys.simulator().steps_performed();
   const Stopwatch sw;
   // Host-side blocking driver: C(I,J) = Σ_K A(I,K)·B(K,J), one call per
   // output tile (clear accumulator, stream panels, sweep, read back).
@@ -551,6 +556,7 @@ WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg) {
   }
   result.wall_ms = sw.ms();
   result.cycles = sys.simulator().cycle() - c0;
+  result.steps = sys.simulator().steps_performed() - s0;
   verify_vector(got, expect, result);
   return result;
 }
@@ -608,10 +614,12 @@ BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg) {
       }
       const auto expected = ReferenceModel(scfg.rtm).run(p);
       const std::uint64_t c0 = sys.simulator().cycle();
+      const std::uint64_t s0 = sys.simulator().steps_performed();
       const Stopwatch sw;
       const auto got = transport.call(p);
       out.result.wall_ms += sw.ms();
       point.cycles += sys.simulator().cycle() - c0;
+      out.result.steps += sys.simulator().steps_performed() - s0;
       out.result.verified += expected.size();
       if (got != expected) {
         ++out.result.mismatches;

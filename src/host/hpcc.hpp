@@ -45,6 +45,9 @@ struct WorkloadResult {
   std::string job_unit;  ///< what `jobs` counts: "word", "update", "mac"
   std::uint64_t jobs = 0;        ///< workload units completed
   std::uint64_t cycles = 0;      ///< simulated cycles of the measured pass
+  /// Of those, the cycles the kernel executed (Simulator::steps_performed);
+  /// the rest were quiet and skipped.
+  std::uint64_t steps = 0;
   double wall_ms = 0.0;          ///< host wall time of the measured pass
   std::uint64_t verified = 0;    ///< values checked against the oracle
   std::uint64_t mismatches = 0;  ///< oracle disagreements (0 == correct)

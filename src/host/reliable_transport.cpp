@@ -113,6 +113,7 @@ ReliableTransport::ProgramId ReliableTransport::submit(
   }
   window_.push_back(std::move(f));
   unissued_ = true;
+  try_issue_ = true;
   return window_.back().id;
 }
 
@@ -164,13 +165,33 @@ void ReliableTransport::arm_front() {
   const std::uint64_t now = copro_->system().simulator().cycle();
   Outstanding& o = outstanding_.front();
   std::uint64_t t = backoff_timeout(config_, o.attempts);
+  const Flight* f = flight(o.program);
   // Clamp to the owning program's remaining watchdog budget: a backed-off
   // retry chain must keep probing inside the budget, never out-wait it.
-  if (const Flight* f = flight(o.program); f && f->deadline) {
+  if (f != nullptr && f->deadline) {
     t = std::max<std::uint64_t>(1, std::min(t, f->deadline->remaining()));
   }
   o.deadline = now + t;
-  probe_due_ = srtt8_ == 0 ? kNever : now + pto();
+  if (srtt8_ != 0) {
+    probe_due_ = now + pto();
+  } else {
+    // No sample yet: estimate the front group's response latency from the
+    // host's side of the link — both flight times, the words queued ahead
+    // on the downlink (its own included) and its own response frames — and
+    // time the probe as RFC 6298's first sample would, PTO = R + max(8,
+    // 2R).  The estimate ignores slow units; a probe that fires early only
+    // queues behind the slow response and retries nothing.
+    const top::SystemConfig& cfg = copro_->system().config();
+    const std::uint64_t queued =
+        copro_->system().link().down_pending() + copro_->driver().tx_pending();
+    const std::uint64_t frames =
+        f != nullptr ? f->layout.predictions[o.slot].count : 1;
+    const std::uint64_t r =
+        cfg.link_down.latency + cfg.link_up.latency +
+        cfg.link_down.interval * queued +
+        cfg.link_up.interval * msg::kLinkWordsPerResponse * frames;
+    probe_due_ = now + r + std::max(kProbeFloor, 2 * r);
+  }
 }
 
 void ReliableTransport::sample_latency(std::uint64_t cycles) {
@@ -209,6 +230,7 @@ void ReliableTransport::send_probe() {
 void ReliableTransport::retry_front(sim::Counters::Handle reason) {
   const Outstanding o = outstanding_.front();
   outstanding_.pop_front();
+  try_issue_ = true;
   stats_.bump(reason);
   Flight* f = flight(o.program);
   check(f != nullptr, "ReliableTransport: outstanding entry for a program "
@@ -296,6 +318,7 @@ void ReliableTransport::handle_response(const msg::Response& r) {
     s.done = true;
     emit_pending_ = true;
     outstanding_.pop_front();
+    try_issue_ = true;
     arm_front();
   } else {
     // Progress: the attempt counter tracks consecutive attempts that
@@ -364,6 +387,7 @@ void ReliableTransport::issue_pending() {
   // touch (host::GroupPrediction), so register-disjoint programs pipeline
   // instead of paying one round trip each, and no retry can ever observe
   // a newer value.
+  try_issue_ = false;
   bool stalled = false;
   for (Flight& f : window_) {
     const std::size_t groups = f.layout.groups.size();
@@ -409,15 +433,18 @@ void ReliableTransport::check_watchdogs() {
     }
     due = std::min(due, now + f.deadline->remaining());
   }
-  // 0 marks the cache dirty; an unarmed-only window re-checks next quantum
-  // (transient: flights arm on their first transmit).
-  watchdog_due_ = due == kNever ? 0 : due;
+  // 0 marks the cache dirty; a flight that arms later (on its first
+  // transmit) dirties it again.
+  watchdog_due_ = due;
 }
 
 void ReliableTransport::service() {
   sim::Simulator& sim = copro_->system().simulator();
 
-  if (unissued_) {
+  // A group held at the write barrier stays held until an outstanding
+  // read leaves the FIFO, so the issue scan runs only after that (or a
+  // submit) happened.
+  if (unissued_ && try_issue_) {
     issue_pending();
   }
 
@@ -449,6 +476,21 @@ void ReliableTransport::service() {
   }
 }
 
+Wake ReliableTransport::next_wake() const {
+  if (!completed_.empty() || !stream_events_.empty() || emit_pending_ ||
+      (unissued_ && try_issue_)) {
+    return Wake::at(copro_->system().simulator().cycle());
+  }
+  std::uint64_t at = probe_due_;
+  if (!outstanding_.empty()) {
+    at = std::min(at, outstanding_.front().deadline);
+  }
+  if (!window_.empty()) {
+    at = std::min(at, watchdog_due_);  // 0 (dirty): the next cycle
+  }
+  return Wake::at(at);
+}
+
 std::optional<ReliableTransport::Completion>
 ReliableTransport::poll_completed() {
   if (completed_.empty()) {
@@ -477,6 +519,7 @@ void ReliableTransport::abort_in_flight() {
   completed_.clear();
   stream_events_.clear();
   unissued_ = false;
+  try_issue_ = false;
   emit_pending_ = false;
   watchdog_due_ = 0;
   probe_live_ = false;
@@ -500,7 +543,7 @@ std::vector<msg::Response> ReliableTransport::call(
           if (auto c = poll_completed()) {
             done = std::move(*c);
           }
-          return done.has_value();
+          return done.has_value() ? Wake::done() : next_wake();
         },
         Deadline(sim, budget), "ReliableTransport::call");
   } catch (const SimError&) {
@@ -518,7 +561,7 @@ std::vector<msg::Response> ReliableTransport::call(
         while (copro_->poll()) {
           stats_.bump(stale_dropped_);
         }
-        return copro_->system().idle();
+        return copro_->system().idle() ? Wake::done() : Wake::on_step();
       },
       Deadline(sim, budget), "ReliableTransport::drain");
 

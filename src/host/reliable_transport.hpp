@@ -17,9 +17,9 @@ struct TransportConfig {
   /// Cycles the oldest outstanding instruction may go unanswered before its
   /// group is re-submitted (scaled by backoff on every further attempt).
   /// The fallback path: a lost tail response is normally recovered within a
-  /// few measured response latencies by a tail probe (ReliableTransport),
-  /// and this timeout fires only when the probes are lost too, or before
-  /// the first latency sample exists.
+  /// few measured (or, before the first sample, estimated) response
+  /// latencies by a tail probe (ReliableTransport), and this timeout fires
+  /// only when the probes are lost too.
   std::uint64_t response_timeout = 2000;
   /// Submission attempts per group before giving up.
   unsigned max_attempts = 10;
@@ -187,6 +187,16 @@ class ReliableTransport {
   /// cleared with abort_in_flight().
   void service();
 
+  /// When service() next has work that no link event announces (the
+  /// host's next-event contract, docs/PROTOCOL.md): the next cycle while
+  /// completions, stream events or an emit are pending, or while a program
+  /// waiting to issue may get further (it was just submitted, or an
+  /// outstanding read retired or was re-sent since the write barrier held
+  /// it); otherwise the earliest of the front retry deadline, the tail
+  /// probe and the per-program watchdogs.  Response frames wake the pump
+  /// by themselves.
+  Wake next_wake() const;
+
   /// Programs in the window.
   std::size_t in_flight() const { return window_.size(); }
   bool window_full() const { return window_.size() >= config_.window; }
@@ -297,17 +307,21 @@ class ReliableTransport {
   CompactingQueue<Outstanding> outstanding_;
   CompactingQueue<Completion> completed_;
   CompactingQueue<StreamEvent> stream_events_;
-  // service() runs once per simulated cycle, so its quiet-cycle cost must
-  // stay O(1) in the window depth (a deep window would otherwise pay for
-  // its own bookkeeping faster than the pipelining saves wire time).
-  // These caches skip the O(window) phases until an event re-arms them.
+  // service() can run on any cycle, so its quiet-cycle cost must stay O(1)
+  // in the window depth (a deep window would otherwise pay for its own
+  // bookkeeping faster than the pipelining saves wire time).  These caches
+  // skip the O(window) phases until an event re-arms them.
   bool unissued_ = false;       ///< some flight has groups not yet issued
+  /// An issue attempt may get further than the last one: a program was
+  /// submitted, or an outstanding entry left the FIFO, so a write held at
+  /// the barrier may pass (a new entry only adds reads to conflict with).
+  bool try_issue_ = false;
   bool emit_pending_ = false;   ///< a flight may complete: run the emit scan
   std::uint64_t watchdog_due_ = 0;  ///< earliest watchdog expiry (0 = dirty)
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
   // Response latency, RFC 6298, in cycles and scaled (8*SRTT, 4*RTTVAR) so
-  // the integer updates keep their fractions.  srtt8_ == 0: no sample yet,
-  // so no probe (the response timeout covers the first exchange).
+  // the integer updates keep their fractions.  srtt8_ == 0: no sample yet;
+  // the probe is timed from a host-side estimate instead (arm_front).
   std::uint64_t srtt8_ = 0;
   std::uint64_t rttvar4_ = 0;
   // The tail probe: at most one live, matched by its wire sequence number.

@@ -99,6 +99,23 @@ std::optional<LinkWord> Link::host_receive() {
   return w;
 }
 
+std::size_t Link::host_receive_all(CompactingQueue<LinkWord>& out) {
+  Path& up = dirs_[kUp];
+  const std::uint64_t now = simulator().cycle();
+  const bool was_full = up.full();
+  std::size_t n = 0;
+  for (; !up.queue.empty() && up.queue.front().arrives_at <= now; ++n) {
+    out.push_back(up.queue.front().word);
+    up.queue.pop_front();
+  }
+  // As in host_receive(): re-opening a full bounded buffer re-asserts
+  // tx.ready.
+  if (was_full && n > 0) {
+    wake();
+  }
+  return n;
+}
+
 std::size_t Link::host_available() const {
   const std::uint64_t now = simulator().cycle();
   std::size_t n = 0;

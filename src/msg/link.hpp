@@ -106,8 +106,33 @@ class Link : public sim::Component {
   /// Pop the next word that has *arrived* at the host (flight time elapsed).
   std::optional<LinkWord> host_receive();
 
+  /// Move every word that has arrived at the host into `out`, in order;
+  /// returns how many moved.  One call drains what a loop of host_receive()
+  /// would.
+  std::size_t host_receive_all(CompactingQueue<LinkWord>& out);
+
   /// Words currently arrived and waiting at the host.
   std::size_t host_available() const;
+
+  /// Downstream words sent by the host and not yet taken by the FPGA.
+  std::size_t down_pending() const { return dirs_[kDown].queue.size(); }
+
+  /// Upstream words in flight or arrived but not yet received by the host.
+  std::size_t up_pending() const { return dirs_[kUp].queue.size(); }
+
+  /// Cycle at which the `n`-th upstream word not yet received (1-based)
+  /// reaches the host, or UINT64_MAX when fewer than `n` are on the way.
+  /// Words the serialiser has not handed over yet are not counted: they
+  /// can only be added by a later clock edge.
+  std::uint64_t host_arrival(std::size_t n) const {
+    const Path& up = dirs_[kUp];
+    return n == 0 || n > up.queue.size() ? ~std::uint64_t{0}
+                                         : up.queue[n - 1].arrives_at;
+  }
+
+  /// True when the upstream buffer is bounded: then every word the host
+  /// receives frees a slot the serialiser may be waiting for.
+  bool up_bounded() const { return dirs_[kUp].capacity != 0; }
 
   /// True when no word is in flight or queued in either direction.
   bool drained() const;

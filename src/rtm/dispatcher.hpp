@@ -132,14 +132,19 @@ class Dispatcher : public sim::Component {
     if (in == nullptr) {
       return;
     }
-    if (!in->fire()) {
-      if (stall_reason_ != kNoCounter) {
-        // A stalled instruction bumps its stall counter every cycle — that
-        // is clocked activity (the differential tests compare counters), so
-        // this component must not be demoted while it stalls.
-        counters_->bump(stall_reason_);
-        mark_active();
-      }
+    const bool fired = in->fire();
+    // Stall accounting is lazy: a stall counter counts cycles, but a
+    // stalled dispatcher changes nothing from one cycle to the next, so it
+    // records the open stall's reason and first cycle and sleeps.  The
+    // reason can only change when eval() re-ran, which also arms this
+    // commit, so every change is seen here; the elapsed cycles are added
+    // when the stall ends or its reason changes (close_stall()).
+    const sim::Counters::Handle reason = fired ? kNoCounter : stall_reason_;
+    if (reason != open_stall_) {
+      close_stall();
+      open_stall_ = reason;
+    }
+    if (!fired) {
       return;
     }
     mark_active();  // a launch mutates locks/counters/trace
@@ -173,7 +178,22 @@ class Dispatcher : public sim::Component {
     }
   }
 
+  /// Add the cycles of the open stall so far to its counter and restart
+  /// its interval now: the stall counters are exact after this call.  Rtm
+  /// calls it before handing out its counters.
+  void close_stall() const {
+    const std::uint64_t now = simulator().cycle();
+    if (open_stall_ != kNoCounter) {
+      counters_->bump(open_stall_, now - stall_since_);
+    }
+    stall_since_ = now;
+  }
+
   void reset() override {
+    // The reset ends a stall: its cycles up to the reset stay counted, as
+    // the stall counters (which a reset does not clear) always counted them.
+    close_stall();
+    open_stall_ = kNoCounter;
     to_exec.reset();
     route_ = Route::kNone;
     stall_reason_ = kNoCounter;
@@ -412,6 +432,11 @@ class Dispatcher : public sim::Component {
   sim::EventTrace* trace_ = nullptr;
   Route route_ = Route::kNone;
   sim::Counters::Handle stall_reason_ = kNoCounter;
+  /// The stall being accounted (kNoCounter: none) and the first cycle not
+  /// yet added to its counter.  Mutable: close_stall() settles the lazy
+  /// count for readers without changing what the counters say.
+  sim::Counters::Handle open_stall_ = kNoCounter;
+  mutable std::uint64_t stall_since_ = 0;
   /// Error the routing decision annotated onto the exec packet this cycle
   /// (kNone when the instruction is clean); see eval().
   msg::ErrorCode exec_error_ = msg::ErrorCode::kNone;

@@ -189,8 +189,16 @@ class Rtm {
   const LockManager& locks() const { return locks_; }
   const Dispatcher& dispatcher() const { return dispatcher_; }
   const FunctionalUnitTable& table() const { return table_; }
-  sim::Counters& counters() { return counters_; }
-  const sim::Counters& counters() const { return counters_; }
+  /// The RTM's counters, with the dispatcher's open stall interval (if
+  /// any) added up to the current cycle first.
+  sim::Counters& counters() {
+    dispatcher_.close_stall();
+    return counters_;
+  }
+  const sim::Counters& counters() const {
+    dispatcher_.close_stall();
+    return counters_;
+  }
 
   /// Attach an event trace recording dispatches and writebacks — the
   /// controller-level waveform a VHDL user would inspect.  Pass nullptr to

@@ -24,6 +24,15 @@ std::size_t Simulator::count(const std::vector<std::uint64_t>& bits) {
   return n;
 }
 
+bool Simulator::quiet() const {
+  for (std::size_t w = 0; w < eval_bits_.size(); ++w) {
+    if ((eval_bits_[w] | commit_bits_[w]) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void WireBase::record_read() {
   subscribe(*sim_->reader_, sim_->read_commit_ != 0);
 }
@@ -304,6 +313,31 @@ void Simulator::step() {
     }
   }
   ++cycle_;
+  ++steps_;
+}
+
+/// A step with empty bitmaps and no due timer runs no eval() and no
+/// commit(): settle finds nothing to sweep and commit nothing to run.  Such
+/// a cycle changes nothing but the cycle counter, and the next one starts
+/// from the same empty state, until a timed wake comes due or host code
+/// wakes something between cycles (which ends the skip: host code runs
+/// only between advance() calls).  Moving the clock over such cycles is
+/// therefore exact.
+bool Simulator::advance(std::uint64_t target) {
+  assert(std::this_thread::get_id() == owner_ &&
+         "sim::Simulator is thread-affine: advance() called off the owner "
+         "thread");
+  if (kernel_ == Kernel::kEvent && !holes_ &&
+      (timers_.empty() || timers_.front().at > cycle_) && quiet()) {
+    std::uint64_t to = target;
+    if (!timers_.empty()) {
+      to = std::min(to, timers_.front().at);
+    }
+    cycle_ = std::max(to, cycle_ + 1);
+    return false;
+  }
+  step();
+  return true;
 }
 
 /// Commit phase of the event kernel: run the commit bits in registration

@@ -116,6 +116,14 @@ class Simulator {
   /// Advance one clock cycle (settle + commit).
   void step();
 
+  /// Advance towards cycle `target`.  While nothing is scheduled — the
+  /// event kernel's eval and commit bitmaps are empty and no timed wake is
+  /// due — every cycle until the next timed wake is the identity, so the
+  /// clock moves straight to the earlier of that wake and `target` (at
+  /// least one cycle) without running a step.  Otherwise, and always under
+  /// kBruteForce, one step() runs.  Returns true when a step ran.
+  bool advance(std::uint64_t target);
+
   /// Advance `n` cycles.
   void run(std::uint64_t n);
 
@@ -181,6 +189,11 @@ class Simulator {
   /// counterpart of evals_performed().
   std::uint64_t commits_performed() const { return commits_; }
 
+  /// Cycles actually executed by step() (all kernels).  Cycles advance()
+  /// skipped are counted in cycle() but not here, so the ratio to the
+  /// cycle count is the share of simulated time the kernel had to run.
+  std::uint64_t steps_performed() const { return steps_; }
+
   /// Called on any Wire value change; marks the settle pass dirty and,
   /// under kEvent, wakes the wire's eval-readers and arms the commits of
   /// all its readers.  Defined in signal.hpp.
@@ -214,6 +227,8 @@ class Simulator {
   static bool later(const Timer& a, const Timer& b) { return a.at > b.at; }
 
   static std::size_t count(const std::vector<std::uint64_t>& bits);
+  /// kEvent: nothing to evaluate or commit in the next step.
+  bool quiet() const;
 
   void unregister_wire(WireBase& wire);
   void wake_all();
@@ -253,6 +268,7 @@ class Simulator {
   std::uint64_t reset_generation_ = 0;
   std::uint64_t evals_ = 0;
   std::uint64_t commits_ = 0;
+  std::uint64_t steps_ = 0;
   bool changed_ = false;  ///< kBruteForce: a wire changed this pass
   bool settling_ = false;  ///< kEvent: inside a settle
   bool holes_ = false;     ///< components_ holds a nullptr to compact

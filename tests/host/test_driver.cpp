@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "host/coprocessor.hpp"
 #include "host/reference_model.hpp"
 #include "isa/rtm_ops.hpp"
@@ -89,8 +91,12 @@ TEST(Driver, EnqueueIsNonBlockingAndServiceDrains) {
   // The PUT lands: read it back through a second driver exchange.
   driver.enqueue_word(make_get(1).encode());
   std::optional<msg::Response> r;
-  pump.run_until([&] { return (r = driver.poll()).has_value(); },
-                 Deadline(sys.simulator(), 100000), "test get");
+  pump.run_until(
+      [&] {
+        return (r = driver.poll()).has_value() ? Wake::done()
+                                               : Wake::on_link();
+      },
+      Deadline(sys.simulator(), 100000), "test get");
   EXPECT_EQ(r->payload, 0xbeefu);
   EXPECT_EQ(driver.responses_received(), 1u);
 }
@@ -131,11 +137,14 @@ TEST(Pump, RunUntilCountsCyclesAndEnforcesDeadline) {
 
   const std::uint64_t start = sys.simulator().cycle();
   const std::uint64_t spent = pump.run_until(
-      [&] { return sys.simulator().cycle() >= start + 7; },
+      [&] {
+        return sys.simulator().cycle() >= start + 7 ? Wake::done()
+                                                    : Wake::at(start + 7);
+      },
       Deadline(sys.simulator(), 100), "test");
   EXPECT_EQ(spent, 7u);
 
-  EXPECT_THROW(pump.run_until([] { return false; },
+  EXPECT_THROW(pump.run_until([] { return Wake::on_link(); },
                               Deadline(sys.simulator(), 25), "wedge"),
                SimError);
 }
@@ -145,7 +154,7 @@ TEST(Pump, DeadlineDiagnosticNamesTheOperation) {
   Driver driver(sys);
   Pump pump(sys.simulator(), driver);
   try {
-    pump.run_until([] { return false; }, Deadline(sys.simulator(), 3),
+    pump.run_until([] { return Wake::on_link(); }, Deadline(sys.simulator(), 3),
                    "MyOperation");
     FAIL() << "expected SimError";
   } catch (const SimError& e) {
@@ -164,11 +173,36 @@ TEST(Pump, PredicateExceptionStopsTheClockInPlace) {
                      if (++calls == 3) {
                        throw SimError("predicate abort");
                      }
-                     return false;
+                     return Wake::at(0);  // every cycle
                    },
                    Deadline(sys.simulator(), 1000), "test"),
                SimError);
   EXPECT_EQ(sys.simulator().cycle(), 2u);  // stepped twice before the throw
+}
+
+TEST(Pump, QuietWaitsStillWakeTheHostEveryKMaxQuietCycles) {
+  // An idle system with nothing in flight has no event at all: the kernel
+  // skips, yet the host side still runs at least every kMaxQuiet cycles
+  // (work queued by other threads is seen there), never less often.
+  top::System sys({});
+  Driver driver(sys);
+  Pump pump(sys.simulator(), driver);
+  std::vector<std::uint64_t> runs;
+  const std::uint64_t start = sys.simulator().cycle();
+  const std::uint64_t steps = sys.simulator().steps_performed();
+  pump.run_until(
+      [&] {
+        runs.push_back(sys.simulator().cycle());
+        return runs.back() >= start + 1000 ? Wake::done() : Wake::on_link();
+      },
+      Deadline::unbounded(sys.simulator()), "quiet wait");
+  // 64 cycles is the bound docs/FARM.md promises for cross-thread work.
+  ASSERT_LE(Pump::kMaxQuiet, 64u);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_LE(runs[i] - runs[i - 1], Pump::kMaxQuiet) << "run " << i;
+  }
+  EXPECT_LT(sys.simulator().cycle(), start + 1000 + Pump::kMaxQuiet);
+  EXPECT_LT(sys.simulator().steps_performed() - steps, 100u);  // skipped
 }
 
 TEST(CoprocessorFacade, SharedDriverAndPumpSeeTheSameTraffic) {

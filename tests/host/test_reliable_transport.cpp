@@ -245,7 +245,13 @@ TEST(ReliableTransport, PipelinedWindowMatchesSequentialCalls) {
         while (auto c = transport.poll_completed()) {
           got[c->id] = std::move(c->responses);
         }
-        return got.size() == programs.size();
+        if (got.size() == programs.size()) {
+          return Wake::done();
+        }
+        // A freed window slot takes the next program on the next cycle.
+        return next < programs.size() && !transport.window_full()
+                   ? Wake::at(sys.simulator().cycle() + 1)
+                   : transport.next_wake();
       },
       Deadline(sys.simulator(), 10'000'000), "pipelined window test");
 
@@ -281,7 +287,7 @@ TEST(ReliableTransport, WindowPreservesCrossProgramWriteOrder) {
         while (auto c = transport.poll_completed()) {
           got[c->id] = std::move(c->responses);
         }
-        return got.size() == 2;
+        return got.size() == 2 ? Wake::done() : transport.next_wake();
       },
       Deadline(sys.simulator(), 1'000'000), "write order test");
 
@@ -397,7 +403,7 @@ TEST(ReliableTransport, StreamedResponsesMatchTheCompletion) {
         if (auto c = transport.poll_completed()) {
           done = std::move(*c);
         }
-        return done.has_value();
+        return done.has_value() ? Wake::done() : transport.next_wake();
       },
       Deadline(sys.simulator(), 10'000'000), "stream test");
 
@@ -452,7 +458,13 @@ TEST(ReliableTransport, PipelinedWindowRecoversFromFaults) {
         while (auto c = transport.poll_completed()) {
           got[c->id] = std::move(c->responses);
         }
-        return got.size() == programs.size();
+        if (got.size() == programs.size()) {
+          return Wake::done();
+        }
+        // A freed window slot takes the next program on the next cycle.
+        return next < programs.size() && !transport.window_full()
+                   ? Wake::at(sys.simulator().cycle() + 1)
+                   : transport.next_wake();
       },
       Deadline(sys.simulator(), 100'000'000), "faulty window test");
 
@@ -522,7 +534,12 @@ TEST(ReliableTransport, WireSequenceWrapsInsideAWindow) {
           }
           ++completed;
         }
-        return completed == programs;
+        if (completed == programs) {
+          return Wake::done();
+        }
+        return submitted < programs && !transport.window_full()
+                   ? Wake::at(sys.simulator().cycle() + 1)
+                   : transport.next_wake();
       },
       Deadline(sys.simulator(), 100'000'000), "sequence wrap test");
 
@@ -581,7 +598,13 @@ std::vector<std::vector<msg::Response>> run_window(
         while (auto c = transport.poll_completed()) {
           got[c->id] = std::move(c->responses);
         }
-        return got.size() == programs.size();
+        if (got.size() == programs.size()) {
+          return Wake::done();
+        }
+        // A freed window slot takes the next program on the next cycle.
+        return next < programs.size() && !transport.window_full()
+                   ? Wake::at(sys.simulator().cycle() + 1)
+                   : transport.next_wake();
       },
       Deadline(sys.simulator(), 100'000'000), "shared window test");
   std::vector<std::vector<msg::Response>> out;
@@ -799,7 +822,7 @@ TEST(Coalescing, StreamedMemberInterleavesWithItsNeighbours) {
         while (auto comp = transport.poll_completed()) {
           got[comp->id] = std::move(comp->responses);
         }
-        return got.size() == ids.size();
+        return got.size() == ids.size() ? Wake::done() : transport.next_wake();
       },
       Deadline(sys.simulator(), 10'000'000), "shared window stream test");
   ASSERT_EQ(streamed.size(), 3u);
@@ -1020,6 +1043,21 @@ TEST(TailProbe, RecoversATailLossWithoutATimeout) {
   }
 }
 
+/// Before its first latency sample a transport times its probe from a
+/// host-side estimate of the response latency, so even a fresh transport's
+/// first exchange recovers a tail loss without the 2000-cycle timeout.
+/// Seed 6 drops the first call's GET response (3 % per upstream word).
+TEST(TailProbe, RecoversATailLossOnAFreshTransport) {
+  const isa::Program get = isa::Assembler::assemble("PUT r1, #77\nGET r1");
+  const LossyCalls lossy = run_lossy_calls(get, 6, 30'000, 1);
+  EXPECT_EQ(lossy.mismatches, 0u);
+  EXPECT_GT(lossy.dropped, 0u);
+  EXPECT_EQ(lossy.timeouts, 0u);
+  EXPECT_GE(lossy.probes, 1u);
+  EXPECT_GE(lossy.retries, 1u);
+  EXPECT_LT(lossy.call_cycles.front(), 200u);
+}
+
 /// Warm the transport's latency estimate up with quick round trips.
 void warm_up(ReliableTransport& transport) {
   for (int i = 0; i < 4; ++i) {
@@ -1166,7 +1204,8 @@ LostSubResponse run_with_sub_response_lost(std::size_t lost) {
   if (done) {
     run.got = std::move(done->responses);
   }
-  copro.pump().run_until([&] { return sys.idle(); },
+  copro.pump().run_until(
+      [&] { return sys.idle() ? Wake::done() : Wake::on_step(); },
                          Deadline(sys.simulator(), 10'000), "drain");
   run.words_down = sys.link().words_down() - down0;
   run.words_up = sys.link().words_up() - up0;

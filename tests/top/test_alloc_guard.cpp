@@ -436,7 +436,12 @@ TEST(TransportAllocGuard, TinyJobsThroughTheTransportAllocateOnlyTheirResponses)
               ++wrong;
             }
           }
-          return completed == n;
+          if (completed == n) {
+            return host::Wake::done();
+          }
+          return submitted < n && !transport.window_full()
+                     ? host::Wake::at(sys.simulator().cycle() + 1)
+                     : transport.next_wake();
         },
         host::Deadline(sys.simulator(), 100'000'000), "tiny transport jobs");
   };
