@@ -1,24 +1,25 @@
 #include "host/coprocessor.hpp"
 
+#include <string>
+
 #include "isa/rtm_ops.hpp"
 #include "util/error.hpp"
 
 namespace fpgafu::host {
 
 void Coprocessor::submit(std::span<const isa::Word> words) {
-  for (const isa::Word w : words) {
-    driver_.enqueue_word(w);
-  }
-  // The submit path has no cycle budget of its own (it is bounded by the
-  // link draining, exactly as the historical per-word spin was); a wedged
-  // link below a blocking call is caught by that call's Deadline instead.
-  pump_.flush(Deadline::unbounded(system().simulator()),
-              "Coprocessor::submit");
+  driver_.enqueue(words);
+  pump_.run_until(
+      [this] {
+        return driver_.tx_drained() ? Wake::done() : Wake::on_link();
+      },
+      Deadline(system().simulator(), kDefaultCallBudgetCycles),
+      "Coprocessor::submit");
 }
 
 std::vector<msg::Response> Coprocessor::call(const isa::Program& program,
                                              std::uint64_t max_cycles) {
-  submit(program);
+  driver_.enqueue(program);
   std::vector<msg::Response> responses;
   try {
     pump_.run_until(
@@ -29,7 +30,8 @@ std::vector<msg::Response> Coprocessor::call(const isa::Program& program,
           // Done when the expected responses arrived and nothing is still in
           // flight (extra error responses drain before idle turns true).
           // Until then only a response frame is news; after that, idle()
-          // is simulator state.
+          // is simulator state (a word the downlink refused means it is
+          // full, so not idle).
           if (responses.size() < program.expected_responses()) {
             return Wake::on_link();
           }
@@ -70,18 +72,25 @@ void Coprocessor::write_reg(isa::RegNum reg, isa::Word value) {
   submit(p);
 }
 
+msg::Response Coprocessor::exchange(const isa::Instruction& inst,
+                                   msg::Response::Type want,
+                                   std::string_view what) {
+  const isa::Word word = inst.encode();
+  driver_.enqueue(std::span(&word, 1));
+  const msg::Response r = wait_response();
+  if (r.type != want) {
+    throw SimError(std::string(what) + " received unexpected response: " +
+                   msg::to_string(r));
+  }
+  return r;
+}
+
 isa::Word Coprocessor::read_reg(isa::RegNum reg) {
   isa::Instruction get;
   get.function = isa::fc::kRtm;
   get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
   get.src1 = reg;
-  submit_word(get.encode());
-  const msg::Response r = wait_response();
-  if (r.type != msg::Response::Type::kData) {
-    throw SimError("read_reg received unexpected response: " +
-                   msg::to_string(r));
-  }
-  return r.payload;
+  return exchange(get, msg::Response::Type::kData, "read_reg").payload;
 }
 
 isa::FlagWord Coprocessor::read_flags(isa::RegNum flag_reg) {
@@ -89,13 +98,7 @@ isa::FlagWord Coprocessor::read_flags(isa::RegNum flag_reg) {
   getf.function = isa::fc::kRtm;
   getf.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGetFlags);
   getf.src_flag = flag_reg;
-  submit_word(getf.encode());
-  const msg::Response r = wait_response();
-  if (r.type != msg::Response::Type::kFlags) {
-    throw SimError("read_flags received unexpected response: " +
-                   msg::to_string(r));
-  }
-  return r.code;
+  return exchange(getf, msg::Response::Type::kFlags, "read_flags").code;
 }
 
 void Coprocessor::write_regs(isa::RegNum base,
@@ -126,12 +129,7 @@ void Coprocessor::sync() {
   isa::Instruction s;
   s.function = isa::fc::kRtm;
   s.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kSync);
-  submit_word(s.encode());
-  const msg::Response r = wait_response();
-  if (r.type != msg::Response::Type::kSyncDone) {
-    throw SimError("sync received unexpected response: " +
-                   msg::to_string(r));
-  }
+  exchange(s, msg::Response::Type::kSyncDone, "sync");
 }
 
 }  // namespace fpgafu::host

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "host/driver.hpp"
@@ -21,8 +22,9 @@ namespace fpgafu::host {
 /// link state machine: tx queue + CRC-checked response deframing) and the
 /// host::Pump (the one owner of clock advancement): every blocking call
 /// here is "enqueue onto the Driver, then Pump until done or the Deadline
-/// expires".  Callers that want to integrate with their own event loop can
-/// use `driver()` / `pump()` directly.
+/// expires" — one loop, whose Deadline covers the send as well.  Callers
+/// that want to integrate with their own event loop can use `driver()` /
+/// `pump()` directly.
 ///
 /// From the software's point of view the coprocessor is "a fast I/O
 /// device" it spins on; the spin itself lives in Pump, not here.
@@ -32,17 +34,17 @@ class Coprocessor {
       : driver_(system), pump_(system.simulator(), driver_) {}
 
   // -- Asynchronous interface ----------------------------------------------
-  /// Queue one 64-bit stream word for transmission (2 link words).  Blocks
-  /// (stepping the clock) while the bounded downstream link buffer is full;
-  /// arrived upstream words keep draining into the receive window during
-  /// the wait, so a full-duplex exchange cannot deadlock.
+  /// Send one 64-bit stream word (2 link words), as submit() does.
   void submit_word(isa::Word word) { submit(std::span(&word, 1)); }
 
-  /// Queue a run of stream words, then block as submit_word does: one link
-  /// service for the whole run while the link has room.
+  /// Send a run of stream words.  They go onto the link at once; only
+  /// when a bounded downstream buffer refuses some does this block,
+  /// pumping the clock (arrived upstream words keep draining into the
+  /// receive window, so a full-duplex exchange cannot deadlock) until the
+  /// rest are sent; SimError after kDefaultCallBudgetCycles.
   void submit(std::span<const isa::Word> words);
 
-  /// Queue a whole program.
+  /// Send a whole program.
   void submit(const isa::Program& program) { submit(program.words()); }
 
   /// Non-blocking: return the next response whose complete frame has
@@ -50,18 +52,21 @@ class Coprocessor {
   std::optional<msg::Response> poll() { return driver_.poll(); }
 
   /// Drop any partially deframed link words and restart framing from the
-  /// next word to arrive.  Wired automatically to system reset and call
-  /// watchdogs; harmless to call at any frame boundary.
-  void reset() { driver_.reset(); }
+  /// next word to arrive (Driver::realign: words still queued go out).
+  /// Wired automatically to call watchdogs; harmless to call at any frame
+  /// boundary.
+  void reset() { driver_.realign(); }
 
   // -- Blocking conveniences -------------------------------------------------
-  /// Submit a program and run the clock until all of its responses arrived
+  /// Send a program and run the clock until all of its responses arrived
   /// (plus any extra error responses — collected until the system drains).
+  /// `max_cycles` covers the send too: words a bounded downlink refuses
+  /// leave from the same loop.
   std::vector<msg::Response> call(
       const isa::Program& program,
       std::uint64_t max_cycles = kDefaultCallBudgetCycles);
 
-  /// Wait for the next single response.
+  /// Wait for the next single response (sending any words still queued).
   msg::Response wait_response(
       std::uint64_t max_cycles = kDefaultCallBudgetCycles);
 
@@ -96,6 +101,11 @@ class Coprocessor {
   Pump& pump() { return pump_; }
 
  private:
+  /// Send one RTM instruction and wait for its single response, which
+  /// must be of type `want` (`what` names the call in the diagnostic).
+  msg::Response exchange(const isa::Instruction& inst,
+                         msg::Response::Type want, std::string_view what);
+
   Driver driver_;
   Pump pump_;
 };

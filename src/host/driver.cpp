@@ -23,43 +23,35 @@ void Driver::sync_reset() {
   }
 }
 
-void Driver::enqueue_word(isa::Word word) {
-  // Fold in any external simulator reset *before* appending, so the stale
-  // pre-reset queue is discarded but this word survives.
+void Driver::enqueue(std::span<const isa::Word> words) {
+  // Fold in any external simulator reset *before* sending, so the stale
+  // pre-reset queue is discarded but these words survive.
   sync_reset();
-  tx_words_.push_back(static_cast<msg::LinkWord>(word >> 32));
-  tx_words_.push_back(static_cast<msg::LinkWord>(word & 0xffffffffu));
-  tx_fresh_ = true;
-}
-
-void Driver::enqueue(const isa::Program& program) {
-  for (const isa::Word w : program.words()) {
-    enqueue_word(w);
-  }
-}
-
-void Driver::send() {
-  tx_fresh_ = false;
   msg::Link& link = system_->link();
-  while (!tx_words_.empty() && link.host_send(tx_words_.front())) {
-    tx_words_.pop_front();
+  for (const isa::Word w : words) {
+    for (const msg::LinkWord lw : {static_cast<msg::LinkWord>(w >> 32),
+                                   static_cast<msg::LinkWord>(w)}) {
+      // Behind a refused word, every later one queues too: order is kept.
+      if (!tx_words_.empty() || !link.host_send(lw)) {
+        tx_words_.push_back(lw);
+      }
+    }
   }
 }
 
 void Driver::service_link() {
   sync_reset();
-  send();
-  const std::uint64_t now = system_->simulator().cycle();
-  if (now == serviced_cycle_) {
-    return;  // upstream words arrive only on a clock edge: drained already
+  msg::Link& link = system_->link();
+  while (!tx_words_.empty() && link.host_send(tx_words_.front())) {
+    tx_words_.pop_front();
   }
-  serviced_cycle_ = now;
-  system_->link().host_receive_all(rx_words_);
+  serviced_cycle_ = system_->simulator().cycle();
+  link.host_receive_all(rx_words_);
 }
 
 std::uint64_t Driver::due() const {
   const sim::Simulator& sim = system_->simulator();
-  if (tx_fresh_ || !tx_words_.empty() ||
+  if (!tx_words_.empty() ||
       sim.reset_generation() != reset_generation_) {
     return sim.cycle();
   }
@@ -118,11 +110,6 @@ std::optional<msg::Response> Driver::poll() {
     stats_.bump(crc_resyncs_);
   }
   return std::nullopt;
-}
-
-void Driver::reset() {
-  rx_words_.clear();
-  tx_words_.clear();
 }
 
 }  // namespace fpgafu::host

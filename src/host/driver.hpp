@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "isa/program.hpp"
@@ -33,8 +34,8 @@ class Deadline {
   Deadline(const sim::Simulator& sim, std::uint64_t budget)
       : sim_(&sim), budget_(budget), anchor_(sim.cycle()), spent_(0) {}
 
-  /// A deadline that never expires (legacy unbounded spins, e.g. the
-  /// submit path, which is bounded by the link draining instead).
+  /// A deadline that never expires, for a loop whose caller owns the
+  /// timeout (a Farm shard's step: each job carries its own watchdog).
   static Deadline unbounded(const sim::Simulator& sim) {
     return Deadline(sim, std::numeric_limits<std::uint64_t>::max());
   }
@@ -94,14 +95,15 @@ class Deadline {
 /// Non-blocking host-side link state machine.
 ///
 /// The Driver owns everything about *talking on the link* and nothing about
-/// *advancing simulated time*: it keeps a bounded-link transmit queue and
-/// the CRC-checked response deframing window, and exposes `service()` as
-/// its single non-blocking quantum — push queued words while the downstream
-/// buffer has space, drain arrived upstream words into the window.  Callers
-/// that need to block (Coprocessor's conveniences, ReliableTransport, Farm
-/// shards) pair a Driver with a Pump; callers integrating into their own
-/// event loop call `service()`/`poll()` directly and step the clock
-/// themselves.
+/// *advancing simulated time*: `enqueue` puts words on the link at once, as
+/// far as it accepts them, and keeps the rest (a bounded downlink's
+/// backpressure) in a transmit queue; `service()` is its single
+/// non-blocking quantum — retry queued words while the downstream buffer
+/// has space, drain arrived upstream words into the CRC-checked response
+/// deframing window.  Callers that need to block (Coprocessor's
+/// conveniences, ReliableTransport, Farm shards) pair a Driver with a
+/// Pump; callers integrating into their own event loop call
+/// `service()`/`poll()` directly and step the clock themselves.
 ///
 /// The link is serviced only when it could have something for the host.
 /// `due()` names that cycle: now while words wait to be sent or after a
@@ -110,9 +112,8 @@ class Deadline {
 /// uplink, every arrival, because each word the host takes frees a slot
 /// the serialiser may wait for.  A Pump services the driver at that cycle
 /// and skips it in between.  Words reach the host's receive side, and
-/// downstream buffer space frees, only on a clock edge, so a second service
-/// in the same cycle could only move words enqueued since: it does exactly
-/// that and nothing else, and with nothing enqueued it returns at once.
+/// downstream buffer space frees, only on a clock edge, so service() does
+/// its work once per cycle and a repeat in the same cycle returns at once.
 /// poll() services the same way, so a caller polling in a loop touches the
 /// link once and then drains frames already in the deframing window.
 ///
@@ -130,13 +131,13 @@ class Driver {
         crc_resyncs_(stats_.handle("host.crc_resyncs")) {}
 
   // -- Transmit side ---------------------------------------------------------
-  /// Queue one 64-bit stream word (2 link words) for transmission.  Never
-  /// blocks; the words leave on subsequent service() quanta as the link
-  /// accepts them.
-  void enqueue_word(isa::Word word);
+  /// Send a run of 64-bit stream words (2 link words each).  Never blocks:
+  /// words go onto the link at once while it accepts them, and the rest
+  /// wait in the transmit queue for later service() quanta.
+  void enqueue(std::span<const isa::Word> words);
 
-  /// Queue a whole program.
-  void enqueue(const isa::Program& program);
+  /// Send a whole program.
+  void enqueue(const isa::Program& program) { enqueue(program.words()); }
 
   /// Link words queued but not yet accepted by the link.
   std::size_t tx_pending() const { return tx_words_.size(); }
@@ -151,12 +152,10 @@ class Driver {
   /// One non-blocking quantum: discard stale state if the system was reset,
   /// push queued tx words while the link has space, move every arrived
   /// upstream word into the deframing window.  A repeat in the same cycle
-  /// only pushes words enqueued since the last service.
+  /// does nothing.
   void service() {
     if (stale()) {
       service_link();
-    } else if (tx_fresh_) {
-      send();
     }
   }
 
@@ -174,10 +173,19 @@ class Driver {
     return link.host_arrival(link.up_pending());
   }
 
-  /// Drop any partially deframed link words and any queued unsent words,
-  /// restarting framing from the next word to arrive.  Wired to system
-  /// reset and call watchdogs; harmless at any frame boundary.
-  void reset();
+  /// Drop any partially deframed link words, restarting framing from the
+  /// next word to arrive.  Queued words still go out: dropping them could
+  /// cut an instruction in two and leave the decoder's sequence counter
+  /// behind the transport's mirror of it.  Wired to call watchdogs;
+  /// harmless at any frame boundary.
+  void realign() { rx_words_.clear(); }
+
+  /// realign(), and drop the queued unsent words too (what a system reset
+  /// under the driver does by itself).
+  void reset() {
+    realign();
+    tx_words_.clear();
+  }
 
   /// Total responses received so far.
   std::uint64_t responses_received() const { return responses_received_; }
@@ -196,10 +204,9 @@ class Driver {
     return sim.cycle() != serviced_cycle_ ||
            sim.reset_generation() != reset_generation_;
   }
-  /// Sync with a reset, send, and drain every arrived upstream word.
+  /// Sync with a reset, send queued words while the link accepts them,
+  /// and drain every arrived upstream word.
   void service_link();
-  /// Push queued tx words while the link accepts them.
-  void send();
   /// Discard stale framing state if the system was reset since last use.
   void sync_reset();
 
@@ -210,7 +217,6 @@ class Driver {
   /// Cycle of the last service (kNever after a reset: service again).
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
   std::uint64_t serviced_cycle_ = kNever;
-  bool tx_fresh_ = false;  ///< words enqueued since the last service
   std::uint64_t responses_received_ = 0;
   sim::Counters stats_;
   sim::Counters::Handle crc_resyncs_;
@@ -301,16 +307,6 @@ class Pump {
       deadline.enforce(what);
       cycles += advance(wake, deadline);
     }
-  }
-
-  /// Block until the driver's transmit queue has fully drained into the
-  /// link (the bounded-buffer backpressure path).
-  void flush(Deadline deadline, std::string_view what) {
-    run_until(
-        [this] {
-          return driver_->tx_drained() ? Wake::done() : Wake::on_link();
-        },
-        deadline, what);
   }
 
   sim::Simulator& simulator() { return *sim_; }

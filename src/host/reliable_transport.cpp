@@ -136,10 +136,11 @@ void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
     isa::Instruction tail = g.inst;
     tail.src1 = static_cast<isa::RegNum>(g.inst.src1 + have);
     tail.aux = static_cast<std::uint8_t>(g.inst.aux - have);
-    copro_->submit_word(tail.encode());
+    const isa::Word word = tail.encode();
+    copro_->driver().enqueue(std::span(&word, 1));
     burst_base = have;
   } else {
-    copro_->submit(
+    copro_->driver().enqueue(
         std::span(f.layout.words).subspan(g.first_word, g.word_count));
   }
   if (f.layout.predictions[slot_index].count > 0) {
@@ -220,7 +221,8 @@ void ReliableTransport::send_probe() {
   sync.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kSync);
   probe_seq_ = next_wire_seq_++;
   probe_live_ = true;
-  copro_->submit_word(sync.encode());
+  const isa::Word word = sync.encode();
+  copro_->driver().enqueue(std::span(&word, 1));
   stats_.bump(probes_);
   ++probes_sent_;
   probe_due_ =
@@ -534,37 +536,34 @@ std::vector<msg::Response> ReliableTransport::call(
   const std::uint64_t budget = budget_cycles.value_or(config_.max_cycles);
   submit(program, budget);
   sim::Simulator& sim = copro_->system().simulator();
-  Pump& pump = copro_->pump();
   std::optional<Completion> done;
   try {
-    pump.run_until(
+    copro_->pump().run_until(
         [&] {
-          service();
-          if (auto c = poll_completed()) {
-            done = std::move(*c);
+          if (!done) {
+            service();
+            if (auto c = poll_completed()) {
+              done = std::move(*c);
+            } else {
+              return next_wake();
+            }
           }
-          return done.has_value() ? Wake::done() : next_wake();
+          // Then let trailing writes and stale duplicates drain so the
+          // system is idle for the caller (any response arriving now
+          // belongs to no live group).
+          while (copro_->poll()) {
+            stats_.bump(stale_dropped_);
+          }
+          return copro_->system().idle() ? Wake::done() : Wake::on_step();
         },
         Deadline(sim, budget), "ReliableTransport::call");
   } catch (const SimError&) {
-    // Watchdog (or max-attempts give-up) aborted mid-exchange; drop the
-    // poisoned window and realign the deframer so the next call starts
-    // clean.
+    // Watchdog (or max-attempts give-up) aborted mid-exchange or
+    // mid-drain; drop the poisoned window and realign the deframer so the
+    // next call starts clean.
     abort_in_flight();
     throw;
   }
-
-  // Let trailing writes and stale duplicates drain so the system is idle
-  // for the caller (any response arriving now belongs to no live group).
-  pump.run_until(
-      [&] {
-        while (copro_->poll()) {
-          stats_.bump(stale_dropped_);
-        }
-        return copro_->system().idle() ? Wake::done() : Wake::on_step();
-      },
-      Deadline(sim, budget), "ReliableTransport::drain");
-
   return std::move(done->responses);
 }
 

@@ -157,12 +157,14 @@ class ReliableTransport {
   explicit ReliableTransport(Coprocessor& copro, TransportConfig config = {});
 
   /// Submit `program` and block until every expected response has been
-  /// received (retrying as needed).  Returns responses renumbered to
-  /// program order.  Throws SimError when a group exhausts
-  /// max_attempts or the overall watchdog fires.  `budget_cycles`, when
-  /// given, overrides config().max_cycles for this one call (the Farm uses
-  /// it for per-job deadlines).  Requires an empty window (call-and-wait
-  /// and pipelined submission do not mix within one exchange).
+  /// received (retrying as needed) and the system has drained.  Returns
+  /// responses renumbered to program order.  Throws SimError when a group
+  /// exhausts max_attempts or the overall watchdog fires; one pump loop
+  /// under one Deadline covers the sends, the exchange and the drain.
+  /// `budget_cycles`, when given, overrides config().max_cycles for this
+  /// one call (the Farm uses it for per-job deadlines).  Requires an empty
+  /// window (call-and-wait and pipelined submission do not mix within one
+  /// exchange).
   std::vector<msg::Response> call(
       const isa::Program& program,
       std::optional<std::uint64_t> budget_cycles = std::nullopt);
@@ -182,9 +184,11 @@ class ReliableTransport {
   /// One service quantum of the retry state machine: issue groups (window
   /// order, write barrier permitting), consume arrived responses, run gap/
   /// timeout retries, surface completions.  Never advances the clock —
-  /// drive it from a Pump loop.  Throws SimError on a retry give-up or a
-  /// per-program watchdog expiry; the window is then poisoned and must be
-  /// cleared with abort_in_flight().
+  /// drive it from a Pump loop.  The words it sends go onto the link in
+  /// this call as far as the link accepts them; a bounded downlink's
+  /// refusals wait in the Driver and wake the pump.  Throws SimError on a
+  /// retry give-up or a per-program watchdog expiry; the window is then
+  /// poisoned and must be cleared with abort_in_flight().
   void service();
 
   /// When service() next has work that no link event announces (the

@@ -253,6 +253,44 @@ TEST(QuietCycleSkipping, AProgramWatchdogExpiringInASkippedWaitFiresOnItsCycle) 
   EXPECT_EQ(sim.cycle(), start + kBudget);
 }
 
+TEST(QuietCycleSkipping, AWatchdogBehindAnotherProgramFiresOnItsCycle) {
+  // Two programs in the window.  B reads r4, which A's third multiply
+  // writes, so B cannot answer within its 150-cycle budget; A, with the
+  // front entry's retry deadline and tail probe, has a far longer one.
+  // Only B's watchdog names the expiry cycle, so the pump (unbounded, as
+  // in a Farm shard) wakes on it only through next_wake().
+  const isa::Program a = isa::Assembler::assemble(R"(
+    PUTI r1, 7
+    MUL r2, r1, r1, f1
+    MUL r3, r2, r2, f1
+    MUL r4, r3, r3, f1
+    MUL r5, r4, r4, f1
+    MUL r6, r5, r5, f1
+    GET r6
+  )");
+  const isa::Program b = isa::Assembler::assemble("GET r4");
+  constexpr std::uint64_t kBudget = 150;
+  top::System sys(wide_config());
+  sim::Simulator& sim = sys.simulator();
+  Coprocessor copro(sys);
+  TransportConfig tc;
+  tc.window = 2;
+  ReliableTransport transport(copro, tc);
+  const std::uint64_t start = sim.cycle();
+  transport.submit(a, 100'000);
+  transport.submit(b, kBudget);
+  EXPECT_THROW(copro.pump().run_until(
+                   [&] {
+                     transport.service();
+                     while (transport.poll_completed()) {
+                     }
+                     return transport.next_wake();
+                   },
+                   Deadline::unbounded(sim), "watchdog behind a program"),
+               SimError);
+  EXPECT_EQ(sim.cycle(), start + kBudget);
+}
+
 // -- The host's next-event contract ------------------------------------------
 // The pump runs the host side only at the cycles it could act.  The
 // reference is a host loop that services the driver, runs the predicate and

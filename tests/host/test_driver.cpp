@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "host/coprocessor.hpp"
@@ -64,32 +65,35 @@ TEST(Deadline, SurvivesSimulatorReset) {
 
 TEST(Driver, EnqueueIsNonBlockingAndServiceDrains) {
   // A downstream buffer of 2 link words cannot hold one 2-stream-word PUT
-  // (4 link words); enqueue must still return immediately and service must
-  // move words out as the link drains — the Driver never steps the clock.
+  // (4 link words); enqueue must still return immediately, with the link
+  // taking what it can at once, and service must move the rest out as the
+  // link drains — the Driver never steps the clock.
   top::SystemConfig cfg;
   cfg.link_down_capacity = 2;
   top::System sys(cfg);
   Driver driver(sys);
 
+  const std::uint64_t before = sys.simulator().cycle();
   isa::Program p;
   p.emit_put(1, 0xbeef);
   driver.enqueue(p);
-  EXPECT_EQ(driver.tx_pending(), 4u);
-
-  driver.service();
   EXPECT_EQ(driver.tx_pending(), 2u);  // link accepted its 2-word capacity
-  const std::uint64_t before = sys.simulator().cycle();
+  EXPECT_EQ(sys.simulator().cycle(), before);
+  driver.service();
   driver.service();  // idempotent: no space freed, nothing moves
   EXPECT_EQ(driver.tx_pending(), 2u);
   EXPECT_EQ(sys.simulator().cycle(), before);  // never advanced the clock
 
   // Let the link move words and the driver finish the transfer.
   Pump pump(sys.simulator(), driver);
-  pump.flush(Deadline(sys.simulator(), 1000), "test flush");
+  pump.run_until(
+      [&] { return driver.tx_drained() ? Wake::done() : Wake::on_link(); },
+      Deadline(sys.simulator(), 1000), "test drain");
   EXPECT_TRUE(driver.tx_drained());
 
   // The PUT lands: read it back through a second driver exchange.
-  driver.enqueue_word(make_get(1).encode());
+  const isa::Word get = make_get(1).encode();
+  driver.enqueue(std::span(&get, 1));
   std::optional<msg::Response> r;
   pump.run_until(
       [&] {
@@ -106,7 +110,8 @@ TEST(Driver, ResetDropsQueuedAndPartialWords) {
   cfg.link_down_capacity = 1;
   top::System sys(cfg);
   Driver driver(sys);
-  driver.enqueue_word(0x1234);
+  const isa::Word word = 0x1234;
+  driver.enqueue(std::span(&word, 1));
   driver.service();
   EXPECT_GT(driver.tx_pending(), 0u);
   driver.reset();
@@ -121,7 +126,8 @@ TEST(Driver, SystemResetDiscardsStaleState) {
   cfg.link_down_capacity = 1;
   top::System sys(cfg);
   Driver driver(sys);
-  driver.enqueue_word(0xdead);
+  const isa::Word word = 0xdead;
+  driver.enqueue(std::span(&word, 1));
   driver.service();
   EXPECT_FALSE(driver.tx_drained());
   sys.simulator().reset();
