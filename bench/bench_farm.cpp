@@ -108,6 +108,12 @@ void BM_FarmThroughput(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(jobs), benchmark::Counter::kIsRate);
 }
 
+/// Iterations of the stream rows.  Fixed, as the algod sweep's are, so
+/// cycles_per_job (which spreads each iteration's kick-off and idle tail
+/// over its jobs) is an exact count, not one that moves with the number
+/// of iterations the host's speed buys.
+constexpr int kStreamIterations = 200;
+
 /// Shard clock after every job the farm resolved so far has been
 /// published (a worker publishes when it goes idle).
 std::uint64_t settled_shard_cycles(const host::Farm& farm, std::uint64_t jobs) {
@@ -127,7 +133,7 @@ std::uint64_t settled_shard_cycles(const host::Farm& farm, std::uint64_t jobs) {
 /// the worker thread and cycles_per_job depends only on the window.
 /// window=1 is call-and-wait (each poll pays a full link round trip);
 /// deeper windows overlap issue with response return.  CI's perf-smoke
-/// gates on this row's cycles_per_job.
+/// gates on this row's cycles_per_job (kStreamIterations).
 void BM_FarmReadStream(benchmark::State& state) {
   const std::size_t window = static_cast<std::size_t>(state.range(0));
   const std::size_t kPollsPerIteration = 256;
@@ -212,7 +218,8 @@ void BM_FarmReadStream(benchmark::State& state) {
 /// (about 8 cycles/job).  Window 1 is call-and-wait.  Each iteration
 /// starts from one kick-off job whose completion callback submits the
 /// rest, so cycles_per_job = farm.shard_cycles / jobs depends only on the
-/// window; CI's perf-smoke step puts a ceiling on it.
+/// window (at kStreamIterations); CI's perf-smoke step puts a ceiling on
+/// it.
 void BM_FarmTinyProgramStream(benchmark::State& state) {
   const std::size_t window = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kSessions = 12;
@@ -320,7 +327,8 @@ void register_shard_sweep() {
   auto* rs = benchmark::RegisterBenchmark("BM_FarmReadStream", BM_FarmReadStream)
                  ->Unit(benchmark::kMillisecond)
                  ->UseRealTime()
-                 ->MeasureProcessCPUTime();
+                 ->MeasureProcessCPUTime()
+                 ->Iterations(kStreamIterations);
   for (long w : {1, 2, 4, 8, 16, 32}) {
     rs->Arg(w);
   }
@@ -329,7 +337,8 @@ void register_shard_sweep() {
                                           BM_FarmTinyProgramStream)
                  ->Unit(benchmark::kMillisecond)
                  ->UseRealTime()
-                 ->MeasureProcessCPUTime();
+                 ->MeasureProcessCPUTime()
+                 ->Iterations(kStreamIterations);
   for (long w : {1, 4, 8, 32}) {
     ts->Arg(w);
   }

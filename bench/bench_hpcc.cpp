@@ -131,7 +131,8 @@ void print_suite_tables() {
               "jitter, recovered by host::ReliableTransport (retries: " +
               std::to_string(faulty.transport_retries) + ", timeouts: " +
               std::to_string(faulty.transport_timeouts) + ", tail probes: " +
-              std::to_string(faulty.transport_probes) + ").");
+              std::to_string(faulty.transport_probes) + ", stale drops: " +
+              std::to_string(faulty.transport_stale_dropped) + ").");
   bench::note("Asymptotic ceiling: the response frame spends 4 link words "
               "per 64-bit payload word; PUTV spends 2 plus a shared header.");
 }
@@ -239,7 +240,8 @@ void BM_HpccBeff(benchmark::State& state) {
   const auto kernel = kernel_of(state.range(0));
   const bool faulty = state.range(1) != 0;
   const auto cfg = beff_config(faulty);
-  std::uint64_t words = 0, cycles = 0, retries = 0, timeouts = 0, probes = 0;
+  std::uint64_t words = 0, cycles = 0, retries = 0, timeouts = 0, probes = 0,
+                gap_retries = 0, dup_dropped = 0, stale_dropped = 0;
   double best_words_per_cycle = 0;
   for (auto _ : state) {
     const auto out = hpcc::run_beff(kernel, cfg);
@@ -252,6 +254,9 @@ void BM_HpccBeff(benchmark::State& state) {
     retries += out.transport_retries;
     timeouts += out.transport_timeouts;
     probes += out.transport_probes;
+    gap_retries += out.transport_gap_retries;
+    dup_dropped += out.transport_dup_dropped;
+    stale_dropped += out.transport_stale_dropped;
     for (const auto& pt : out.points) {
       if (pt.payload_words_per_cycle > best_words_per_cycle) {
         best_words_per_cycle = pt.payload_words_per_cycle;
@@ -272,6 +277,9 @@ void BM_HpccBeff(benchmark::State& state) {
   state.counters["transport_retries"] = per_run(retries);
   state.counters["transport_timeouts"] = per_run(timeouts);
   state.counters["transport_probes"] = per_run(probes);
+  state.counters["transport_gap_retries"] = per_run(gap_retries);
+  state.counters["transport_dup_dropped"] = per_run(dup_dropped);
+  state.counters["transport_stale_dropped"] = per_run(stale_dropped);
 }
 BENCHMARK(BM_HpccBeff)
     ->Args({0, 0})

@@ -637,6 +637,10 @@ BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg) {
   out.transport_retries = transport.counters().get("transport.retries");
   out.transport_timeouts = transport.counters().get("transport.timeouts");
   out.transport_probes = transport.counters().get("transport.probes");
+  out.transport_gap_retries = transport.counters().get("transport.gap_retries");
+  out.transport_dup_dropped = transport.counters().get("transport.dup_dropped");
+  out.transport_stale_dropped =
+      transport.counters().get("transport.stale_dropped");
   return out;
 }
 

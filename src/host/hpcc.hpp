@@ -134,11 +134,14 @@ struct BeffPoint {
 struct BeffOutcome {
   WorkloadResult result;
   std::vector<BeffPoint> points;
-  /// ReliableTransport's transport.{retries,timeouts,probes} for the run
-  /// (nonzero only on faulty runs).
+  /// ReliableTransport's transport.{retries,timeouts,probes,gap_retries,
+  /// dup_dropped,stale_dropped} for the run (nonzero only on faulty runs).
   std::uint64_t transport_retries = 0;
   std::uint64_t transport_timeouts = 0;
   std::uint64_t transport_probes = 0;
+  std::uint64_t transport_gap_retries = 0;
+  std::uint64_t transport_dup_dropped = 0;
+  std::uint64_t transport_stale_dropped = 0;
 };
 BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg = {});
 

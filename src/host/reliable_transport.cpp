@@ -118,34 +118,35 @@ ReliableTransport::ProgramId ReliableTransport::submit(
 }
 
 void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
+                                 std::size_t lo, std::size_t hi,
                                  unsigned attempts) {
   const std::uint16_t wire = next_wire_seq_++;
   const InstructionGroup& g = f.layout.groups[slot_index];
-  // Partial burst progress is kept across retries: the group is read-only
-  // (the write barrier holds back anything that could change what it
-  // reads), so a GETV re-reads only its missing tail.  Its sub-reads are
+  const std::size_t count = f.layout.predictions[slot_index].count;
+  // A GETV re-reads only the sub-responses [lo, hi) it misses, as
+  // `GETV src1+lo, hi-lo`: the group is read-only (the write barrier holds
+  // back anything that could change what it reads), and its sub-reads are
   // the same registers under the same encoding, so they answer exactly as
-  // the lost originals would have.  When the tail's base register does not
-  // fit the instruction field the whole group goes again, and the
-  // sub-responses it already has come back as duplicates.
-  const std::size_t have = f.slots[slot_index].received;
-  std::size_t burst_base = 0;
-  if (have > 0 && g.inst.function == isa::fc::kRtm &&
+  // the lost originals would have.  When the range's base register does
+  // not fit the instruction field the whole group goes again, and the
+  // sub-responses outside [lo, hi) come back as duplicates.
+  std::size_t base = 0;
+  if ((lo > 0 || hi < count) && g.inst.function == isa::fc::kRtm &&
       g.inst.variety == static_cast<isa::VarietyCode>(isa::RtmOp::kGetVec) &&
-      g.inst.src1 + have <= std::numeric_limits<isa::RegNum>::max()) {
-    isa::Instruction tail = g.inst;
-    tail.src1 = static_cast<isa::RegNum>(g.inst.src1 + have);
-    tail.aux = static_cast<std::uint8_t>(g.inst.aux - have);
-    const isa::Word word = tail.encode();
+      g.inst.src1 + lo <= std::numeric_limits<isa::RegNum>::max()) {
+    isa::Instruction part = g.inst;
+    part.src1 = static_cast<isa::RegNum>(g.inst.src1 + lo);
+    part.aux = static_cast<std::uint8_t>(hi - lo);
+    const isa::Word word = part.encode();
     copro_->driver().enqueue(std::span(&word, 1));
-    burst_base = have;
+    base = lo;
   } else {
     copro_->driver().enqueue(
         std::span(f.layout.words).subspan(g.first_word, g.word_count));
   }
-  if (f.layout.predictions[slot_index].count > 0) {
+  if (count > 0) {
     const bool was_empty = outstanding_.empty();
-    outstanding_.push_back({f.id, slot_index, wire, attempts, burst_base,
+    outstanding_.push_back({f.id, slot_index, wire, attempts, base, lo, hi,
                             copro_->system().simulator().cycle(), 0});
     if (was_empty) {
       arm_front();
@@ -208,6 +209,12 @@ void ReliableTransport::sample_latency(std::uint64_t cycles) {
   srtt8_ = srtt8_ - srtt8_ / 8 + r;
 }
 
+void ReliableTransport::defer_probe() {
+  if (srtt8_ != 0) {
+    probe_due_ = copro_->system().simulator().cycle() + pto();
+  }
+}
+
 void ReliableTransport::send_probe() {
   if (probes_sent_ >= kMaxProbes) {
     probe_due_ = kNever;  // the response timeout takes over
@@ -229,10 +236,8 @@ void ReliableTransport::send_probe() {
       copro_->system().simulator().cycle() + (pto() << probes_sent_);
 }
 
-void ReliableTransport::retry_front(sim::Counters::Handle reason) {
-  const Outstanding o = outstanding_.front();
-  outstanding_.pop_front();
-  try_issue_ = true;
+void ReliableTransport::resend(const Outstanding& o, std::size_t hi,
+                               sim::Counters::Handle reason) {
   stats_.bump(reason);
   Flight* f = flight(o.program);
   check(f != nullptr, "ReliableTransport: outstanding entry for a program "
@@ -245,10 +250,17 @@ void ReliableTransport::retry_front(sim::Counters::Handle reason) {
                    std::to_string(config_.max_attempts) + " attempts");
   }
   stats_.bump(retries_);
+  transmit(*f, o.slot, o.next, hi, o.attempts + 1);
+}
+
+void ReliableTransport::retry_front(sim::Counters::Handle reason) {
+  const Outstanding o = outstanding_.front();
+  outstanding_.pop_front();
+  try_issue_ = true;
   if (!outstanding_.empty()) {
     arm_front();  // the next entry moves up; else transmit arms the retry
   }
-  transmit(*f, o.slot, o.attempts + 1);
+  resend(o, o.hi, reason);
 }
 
 void ReliableTransport::handle_response(const msg::Response& r) {
@@ -272,13 +284,13 @@ void ReliableTransport::handle_response(const msg::Response& r) {
     }
   }
   if (match == outstanding_.size()) {
-    // A duplicate of an already-completed group or a late response from a
-    // superseded attempt.  Either way the RTM is still answering what was
+    // A duplicate of an already-completed entry or a late response from a
+    // timed-out attempt.  Either way the RTM is still answering what was
     // sent before the front entry, which therefore cannot have answered
-    // yet: restart the probe timer.
+    // yet.
     stats_.bump(stale_dropped_);
-    if (!outstanding_.empty() && srtt8_ != 0) {
-      probe_due_ = copro_->system().simulator().cycle() + pto();
+    if (!outstanding_.empty()) {
+      defer_probe();
     }
     return;
   }
@@ -293,42 +305,49 @@ void ReliableTransport::handle_response(const msg::Response& r) {
   check(f != nullptr, "ReliableTransport: response for a program that is no "
                       "longer in flight");
   GroupSlot& s = f->slots[o.slot];
-  const std::size_t burst = o.burst_base + r.burst;
-  if (burst < s.received) {
-    stats_.bump(dup_dropped_);  // duplicated sub-response within a burst
+  const std::size_t burst = o.base + r.burst;
+  if (burst < o.next || burst >= o.hi) {
+    // A duplicated sub-response, or (behind a whole-group re-send) one
+    // that another entry covers or that already landed.  The front entry
+    // is still answering, so what it misses may yet come.
+    stats_.bump(dup_dropped_);
+    defer_probe();
     return;
   }
-  if (burst > s.received) {
-    // A sub-response inside the burst went missing; re-read from it on
-    // (the retry has its own sequence number, so its sub-responses cannot
-    // be mistaken for the lost originals).
-    retry_front(gap_retries_);
-    return;
-  }
-  if (s.received == 0 && o.attempts == 1) {
+  const std::size_t slot = o.slot;
+  if (burst > o.next) {
+    // Sub-responses [next, burst) went missing inside the burst.  Re-read
+    // just those at once, as an entry of their own at the FIFO tail (its
+    // fresh sequence number keeps its answers apart from the lost
+    // originals), and keep this one live: the rest of its burst is still
+    // on the way.
+    const Outstanding hole = o;  // resend() may move the FIFO's storage
+    resend(hole, burst, gap_retries_);
+  } else if (s.received == 0 && o.attempts == 1) {
     // Karn's rule: only a never-re-sent group's first response measures
     // the latency unambiguously.  (A retry carries attempts > 1 until it
     // delivers, and later sub-responses trail the first by the burst's
     // frame spacing, not by the round trip.)
     sample_latency(copro_->system().simulator().cycle() - o.sent);
   }
-  f->got[s.first_response + s.received] = r;
-  f->got[s.first_response + s.received].burst =
-      static_cast<std::uint16_t>(burst);
+  Outstanding& front = outstanding_.front();
+  f->got[s.first_response + burst] = r;
+  f->got[s.first_response + burst].burst = static_cast<std::uint16_t>(burst);
   ++s.received;
-  if (s.received >= f->layout.predictions[o.slot].count) {
-    s.done = true;
-    emit_pending_ = true;
+  front.next = burst + 1;
+  // Progress: the attempt counter tracks consecutive attempts that
+  // delivered nothing, so a long burst is not charged for earlier losses
+  // it has already recovered from.
+  front.attempts = 1;
+  if (front.next == front.hi) {
     outstanding_.pop_front();
     try_issue_ = true;
-    arm_front();
-  } else {
-    // Progress: the attempt counter tracks consecutive attempts that
-    // delivered nothing, so a long burst is not charged for earlier
-    // losses it has already recovered from.
-    o.attempts = 1;
-    arm_front();
   }
+  if (s.received == f->layout.predictions[slot].count) {
+    s.done = true;
+    emit_pending_ = true;
+  }
+  arm_front();
 }
 
 void ReliableTransport::emit_ready() {
@@ -403,7 +422,7 @@ void ReliableTransport::issue_pending() {
         f.deadline.emplace(sim, f.budget);
         watchdog_due_ = 0;
       }
-      transmit(f, f.next_group, 1);
+      transmit(f, f.next_group, 0, pred.count, 1);
       ++f.next_group;
       // A flight whose last group needs no response may be complete now;
       // any other completes when a response lands.

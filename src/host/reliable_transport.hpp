@@ -75,11 +75,13 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    every earlier entry's remaining responses were lost — they are
 ///    re-submitted under fresh sequence numbers (gap detection);
 ///  * within a GETV burst the `burst` index spots duplicated sub-responses
-///    (dropped) and intra-burst gaps; a GETV retried after partial progress
-///    re-reads only its missing tail (`GETV src1+received, aux-received`
-///    under a fresh sequence number, its burst indices offset by
-///    `received`), falling back to the whole group when the tail's base
-///    register does not fit isa::RegNum;
+///    (dropped) and intra-burst gaps.  A gap is re-read at once, as its own
+///    entry (`GETV src1+next, burst-next` under a fresh sequence number),
+///    while the attempt that skipped it stays live and keeps the rest of
+///    its burst; a retried entry re-reads only its remaining range.  So
+///    each lost sub-response costs one re-read of itself (selective
+///    acknowledgment, RFC 2018).  A range whose base register does not fit
+///    isa::RegNum falls back to re-sending the whole group;
 ///  * a lost response with nothing behind it (a *tail loss*) is caught by a
 ///    tail probe, after RACK-TLP (RFC 8985): when the front entry has made
 ///    no progress for PTO = max(2*SRTT, SRTT + max(8, 4*RTTVAR)) cycles —
@@ -252,16 +254,21 @@ class ReliableTransport {
     std::optional<Deadline> deadline;  ///< armed at first transmission
   };
 
-  /// Response-producing groups in flight, oldest first (wire order).
+  /// Response-producing attempts in flight, oldest first (wire order).
+  /// Each was sent for a range [lo, hi) of its group's sub-responses and
+  /// still waits for [next, hi) of it.  One group's entries cover disjoint
+  /// ranges (a GETV's holes and retried remainders are entries of their
+  /// own), so every sub-response lands once and GroupSlot::received counts.
   struct Outstanding {
     ProgramId program = 0;
     std::size_t slot = 0;
     std::uint16_t wire_seq = 0;
     unsigned attempts = 0;
-    /// Sub-responses this attempt does not re-read: a GETV tail re-read
-    /// numbers its bursts from 0, so each arriving `burst` is offset by
-    /// this to index the whole group.
-    std::size_t burst_base = 0;
+    /// The group index of this attempt's `burst` 0: `lo` for a GETV range
+    /// re-read (it numbers its bursts from 0), 0 when the whole group went.
+    std::size_t base = 0;
+    std::size_t next = 0;  ///< next sub-response this attempt should carry
+    std::size_t hi = 0;    ///< end of its range
     std::uint64_t sent = 0;      ///< transmit cycle (latency sample origin)
     std::uint64_t deadline = 0;  ///< armed only while this entry is the front
   };
@@ -272,8 +279,10 @@ class ReliableTransport {
   /// Would issuing `writer` now let a retry of any outstanding read observe
   /// a newer register value?  (The per-register write barrier.)
   bool write_conflicts(const GroupPrediction& writer) const;
-  /// Send a group's words and (when it responds) enqueue it for tracking.
-  void transmit(Flight& f, std::size_t slot_index, unsigned attempts);
+  /// Send the part of a group that yields sub-responses [lo, hi) (all of
+  /// it on first issue) and, when it responds, enqueue it for tracking.
+  void transmit(Flight& f, std::size_t slot_index, std::size_t lo,
+                std::size_t hi, unsigned attempts);
   /// (Re-)arm the front outstanding entry's retry deadline, capped by the
   /// backoff schedule and clamped to its program's remaining budget, and
   /// its tail-probe timer.  On an empty FIFO, abandons any live probe.
@@ -286,9 +295,16 @@ class ReliableTransport {
   std::uint64_t pto() const {
     return std::max(srtt8_ / 4, srtt8_ / 8 + std::max(kProbeFloor, rttvar4_));
   }
+  /// Restart the probe timer: a response from no later than the front
+  /// entry arrived, so the front cannot be overdue yet.
+  void defer_probe();
   /// Send a SYNC tail probe (superseding a live one) and arm the re-probe.
   void send_probe();
-  /// Give up on (or re-submit) the front outstanding entry.
+  /// Re-read `o`'s sub-responses [o.next, hi) as a new entry at the FIFO
+  /// tail, or give up (throw) once `o` used its max_attempts.
+  void resend(const Outstanding& o, std::size_t hi,
+              sim::Counters::Handle reason);
+  /// Drop the front outstanding entry and re-read what it still misses.
   void retry_front(sim::Counters::Handle reason);
   void handle_response(const msg::Response& r);
   /// The strict-order submission phase: put groups on the wire in window

@@ -49,11 +49,13 @@ void Link::launch(Dir dir, LinkWord word, std::uint64_t depart) {
   } else if (r.duplicate_ppm != 0 &&
              rng_.chance(r.duplicate_ppm, kPpmDenominator)) {
     duplicate = true;
-    counters_.bump(p.duplicated);
   }
   p.push(word, arrives_at);
-  if (duplicate) {
-    // The duplicate follows back to back, one slot later.
+  // The duplicate follows back to back, one slot later.  The capacity
+  // check admitted one word, so a duplicate that would overfill a bounded
+  // buffer never happens: it counts as neither duplicated nor dropped.
+  if (duplicate && !p.full()) {
+    counters_.bump(p.duplicated);
     p.next_slot += p.timing.interval;
     p.push(word, arrives_at + p.timing.interval);
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -1147,11 +1148,26 @@ TEST(TailProbe, GemmSweepRetriesNothing) {
   EXPECT_EQ(transport.counters().get("transport.stale_dropped"), probes);
 }
 
-/// Reads r8..r23 back with one GETV after filling them, swallowing the
-/// upstream frame of sub-response `lost` before the driver sees it (on a
-/// transport with a latency estimate), and records what each direction
-/// of the link carried for the read.
-struct LostSubResponse {
+/// One GETV read and the program that sets up what it answers: `fill`
+/// ends with the same read, so its reference responses are the read's.
+struct BurstRead {
+  rtm::RtmConfig rtm;
+  isa::Program fill;
+  isa::Program read;
+};
+
+/// r8..r23 filled with PUTV and read back with one 16-word GETV.
+BurstRead getv16_read() {
+  BurstRead b;
+  b.fill = getv16_program();
+  b.read.emit_get_vec(8, 16);
+  return b;
+}
+
+/// What each direction of the link carried for one read whose upstream
+/// frames (counted in arrival order from 0) were swallowed before the
+/// driver saw them.
+struct LostFrames {
   std::vector<msg::Response> got;
   std::vector<msg::Response> expected;
   std::size_t stolen_words = 0;
@@ -1160,38 +1176,45 @@ struct LostSubResponse {
   std::uint64_t probes = 0;
   std::uint64_t retries = 0;
   std::uint64_t dup_dropped = 0;
+  std::uint64_t stale_dropped = 0;
 };
 
-LostSubResponse run_with_sub_response_lost(std::size_t lost) {
-  top::System sys(top::SystemConfig{});
+/// Runs `b.read` on a transport with a latency estimate, swallowing the
+/// upstream frames whose arrival indices are in `lost` (the read's own
+/// sub-responses, its re-reads' and any probe's answer alike).
+LostFrames run_with_frames_lost(const std::vector<std::size_t>& lost,
+                                const BurstRead& b = getv16_read()) {
+  top::SystemConfig cfg;
+  cfg.rtm = b.rtm;
+  top::System sys(cfg);
   Coprocessor copro(sys);
   ReliableTransport transport(copro);
   warm_up(transport);
-  const isa::Program fill = getv16_program();
-  transport.call(fill);
+  transport.call(b.fill);
 
-  LostSubResponse run;
-  // The fill's GETV answers what the read will; as a one-group program
-  // the read carries sequence number 0.
-  run.expected = ReferenceModel(top::SystemConfig{}.rtm).run(fill);
+  LostFrames run;
+  // As a one-group program the read carries sequence number 0.
+  run.expected = ReferenceModel(b.rtm).run(b.fill);
   for (msg::Response& r : run.expected) {
     r.seq = 0;
   }
-  isa::Program read;
-  read.emit_get_vec(8, 16);
   const std::uint64_t down0 = sys.link().words_down();
   const std::uint64_t up0 = sys.link().words_up();
   const std::uint64_t probes0 = transport.counters().get("transport.probes");
-  transport.submit(read);
+  const std::uint64_t stale0 =
+      transport.counters().get("transport.stale_dropped");
+  transport.submit(b.read);
   // One link word arrives per cycle, and the driver takes whatever has
-  // arrived on every service, so words are counted (and the lost frame
+  // arrived on every service, so words are counted (and lost frames
   // taken) as they show up.
-  const std::size_t first = lost * msg::kLinkWordsPerResponse;
+  const auto swallowed = [&](std::size_t word) {
+    return std::find(lost.begin(), lost.end(),
+                     word / msg::kLinkWordsPerResponse) != lost.end();
+  };
   std::size_t arrived = 0;
   std::optional<ReliableTransport::Completion> done;
   for (int cycle = 0; cycle < 100'000 && !done; ++cycle) {
-    while (sys.link().host_available() > 0 && arrived >= first &&
-           arrived < first + msg::kLinkWordsPerResponse) {
+    while (sys.link().host_available() > 0 && swallowed(arrived)) {
       sys.link().host_receive();
       ++arrived;
       ++run.stolen_words;
@@ -1212,27 +1235,114 @@ LostSubResponse run_with_sub_response_lost(std::size_t lost) {
   run.probes = transport.counters().get("transport.probes") - probes0;
   run.retries = transport.counters().get("transport.retries");
   run.dup_dropped = transport.counters().get("transport.dup_dropped");
+  run.stale_dropped =
+      transport.counters().get("transport.stale_dropped") - stale0;
   return run;
 }
 
-/// A GETV that lost sub-response k re-reads only sub-responses k..15,
-/// under a fresh sequence number, and still returns every `burst` index as
-/// the reference model does.  k = 15 is a tail loss (the probe finds it);
-/// the others are intra-burst gaps.
+/// A GETV that lost sub-response k re-reads only sub-response k, under a
+/// fresh sequence number, keeps every sub-response that arrived after the
+/// gap, and still returns every `burst` index as the reference model does.
+/// k = 15 is a tail loss (the probe finds it); the others are intra-burst
+/// gaps, re-read the moment the next sub-response shows them.
 TEST(PartialBurst, RetryReReadsOnlyTheMissingTail) {
   for (const std::size_t lost : {0u, 1u, 7u, 15u}) {
     SCOPED_TRACE("lost sub-response " + std::to_string(lost));
-    const LostSubResponse run = run_with_sub_response_lost(lost);
+    const LostFrames run = run_with_frames_lost({lost});
     ASSERT_EQ(run.stolen_words, msg::kLinkWordsPerResponse);
     EXPECT_EQ(run.got, run.expected);
     EXPECT_EQ(run.retries, 1u);
     EXPECT_EQ(run.dup_dropped, 0u);
+    EXPECT_EQ(run.stale_dropped, 0u);
     EXPECT_EQ(run.probes, lost == 15 ? 1u : 0u);
     // Down: the GETV, its one-word retry and any probe, 2 link words each.
     EXPECT_EQ(run.words_down, 2 * (2 + run.probes));
-    // Up: 16 frames, the 16 - k re-read ones and any probe's answer.
+    // Up: 16 frames, the one re-read frame and any probe's answer.
     EXPECT_EQ(run.words_up,
-              msg::kLinkWordsPerResponse * (16 + (16 - lost) + run.probes));
+              msg::kLinkWordsPerResponse * (16 + 1 + run.probes));
+  }
+}
+
+/// Two separated holes in one burst are re-read as two 1-frame GETVs, each
+/// sent when the sub-response behind its hole arrives.
+TEST(PartialBurst, SeparatedHolesAreReReadOneFrameEach) {
+  const LostFrames run = run_with_frames_lost({3, 9});
+  ASSERT_EQ(run.stolen_words, 2 * msg::kLinkWordsPerResponse);
+  EXPECT_EQ(run.got, run.expected);
+  EXPECT_EQ(run.retries, 2u);
+  EXPECT_EQ(run.probes, 0u);
+  EXPECT_EQ(run.dup_dropped, 0u);
+  EXPECT_EQ(run.stale_dropped, 0u);
+  EXPECT_EQ(run.words_down, 2 * 3u);
+  EXPECT_EQ(run.words_up, msg::kLinkWordsPerResponse * (16 + 2));
+}
+
+/// A hole re-read that loses its own frame (arrival 16, behind the
+/// original burst) is a tail loss: the probe finds it and the same one
+/// sub-response is re-read again.
+TEST(PartialBurst, HoleReReadThatLosesItsOwnFrameIsReReadAgain) {
+  const LostFrames run = run_with_frames_lost({5, 16});
+  ASSERT_EQ(run.stolen_words, 2 * msg::kLinkWordsPerResponse);
+  EXPECT_EQ(run.got, run.expected);
+  EXPECT_EQ(run.retries, 2u);
+  EXPECT_EQ(run.probes, 1u);
+  EXPECT_EQ(run.dup_dropped, 0u);
+  EXPECT_EQ(run.words_down, 2 * (3 + run.probes));
+  EXPECT_EQ(run.words_up,
+            msg::kLinkWordsPerResponse * (16 + 2 + run.probes));
+}
+
+/// The attempt that skipped a hole loses its own last frame too.  The hole
+/// re-read's answer (arrival 16) shows that loss, and the skipping attempt
+/// re-reads only its remaining range, sub-response 15, not the whole tail
+/// from the hole on.
+TEST(PartialBurst, SkippingAttemptReReadsOnlyItsRemainingRange) {
+  const LostFrames run = run_with_frames_lost({4, 15});
+  ASSERT_EQ(run.stolen_words, 2 * msg::kLinkWordsPerResponse);
+  EXPECT_EQ(run.got, run.expected);
+  EXPECT_EQ(run.retries, 2u);
+  EXPECT_EQ(run.probes, 0u);
+  EXPECT_EQ(run.dup_dropped, 0u);
+  EXPECT_EQ(run.stale_dropped, 0u);
+  EXPECT_EQ(run.words_down, 2 * 3u);
+  EXPECT_EQ(run.words_up, msg::kLinkWordsPerResponse * (16 + 2));
+}
+
+/// A hole whose base register does not fit the 8-bit field (r248 + 9) is
+/// re-read by sending the whole GETV again.  The nine frames ahead of the
+/// hole, already kept, come back as duplicates of the hole's attempt and
+/// are dropped (dup_dropped); the six behind it still cross the link after
+/// the read completed.  When that re-send loses the hole's frame too
+/// (arrival 16 + 9), the six behind it are duplicates as well, and the
+/// probe's retry sends the whole GETV a third time.
+TEST(PartialBurst, DuplicatesOfKeptFramesAreDropped) {
+  BurstRead b;
+  b.rtm.data_regs = 256;
+  std::vector<isa::Word> values;
+  for (isa::Word i = 0; i < 8; ++i) {
+    values.push_back(0xd0b1e000 + 11 * i);
+  }
+  // r248..r255 answer data, the eight sub-reads past r255 answer errors.
+  b.fill.emit_put_vec(248, values);
+  b.fill.emit_get_vec(248, 16);
+  b.read.emit_get_vec(248, 16);
+  {
+    const LostFrames run = run_with_frames_lost({9}, b);
+    ASSERT_EQ(run.stolen_words, msg::kLinkWordsPerResponse);
+    EXPECT_EQ(run.got, run.expected);
+    EXPECT_EQ(run.retries, 1u);
+    EXPECT_EQ(run.dup_dropped, 9u);
+    EXPECT_EQ(run.words_up, msg::kLinkWordsPerResponse * (16 + 16));
+  }
+  {
+    const LostFrames run = run_with_frames_lost({9, 16 + 9}, b);
+    ASSERT_EQ(run.stolen_words, 2 * msg::kLinkWordsPerResponse);
+    EXPECT_EQ(run.got, run.expected);
+    EXPECT_EQ(run.retries, 2u);
+    EXPECT_EQ(run.probes, 1u);
+    EXPECT_EQ(run.dup_dropped, 9u + 6u + 9u);
+    EXPECT_EQ(run.words_up,
+              msg::kLinkWordsPerResponse * (3 * 16 + run.probes));
   }
 }
 

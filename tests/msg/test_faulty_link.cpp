@@ -170,16 +170,19 @@ TEST(FaultyLink, JitterNeverReordersTheStream) {
 
 /// Pins the seeded fault pattern across versions of the link model: a
 /// fixed mixed configuration (faults in both directions, jitter both ways,
-/// bounded buffers both ways, stalling consumer and producer) must produce
-/// exactly these counts and exactly this delivered stream.  A rewrite of
-/// the link that moves one random draw changes the hash.
+/// bounded buffers both ways that both fill, stalling consumer and
+/// producer) must produce exactly these counts and exactly this delivered
+/// stream.  A rewrite of the link that moves one random draw changes the
+/// hash.  No duplicate in this scenario meets a full buffer, so the values
+/// are the same with and without the overfill rule
+/// (`Link.DuplicateNeverOverfillsABoundedBuffer`).
 TEST(FaultyLink, SeededMixedPatternMatchesTheGoldenValues) {
   for (const sim::Simulator::Kernel kernel : sim::Simulator::kAllKernels) {
     SCOPED_TRACE(sim::Simulator::kernel_name(kernel));
     sim::Simulator sim;
     sim.set_kernel(kernel);
     FaultConfig f;
-    f.seed = 20100419;
+    f.seed = 29;
     f.down.drop_ppm = 30'000;
     f.down.duplicate_ppm = 30'000;
     f.down.jitter_max = 5;
@@ -188,7 +191,7 @@ TEST(FaultyLink, SeededMixedPatternMatchesTheGoldenValues) {
     f.up.duplicate_ppm = 60'000;
     f.up.jitter_max = 4;
     Link link(sim, "link", {3, 2}, {2, 1}, /*down_capacity=*/6,
-              /*up_capacity=*/3, f);
+              /*up_capacity=*/6, f);
     fpgafu::testing::Consumer<LinkWord> cons(sim, "cons", 3, 4, /*seed=*/7);
     cons.bind(link.rx);
     std::vector<LinkWord> up_words;
@@ -209,19 +212,23 @@ TEST(FaultyLink, SeededMixedPatternMatchesTheGoldenValues) {
     std::size_t seen_down = 0;
     std::size_t received_up = 0;
     for (int i = 0; i < 3000; ++i) {
-      if (sent_down < 300 &&
+      // The host offers a word every other cycle: the buffer still fills
+      // when the consumer stalls.
+      if (sent_down < 300 && sim.cycle() % 2 == 0 &&
           link.host_send(0xd0000000u + static_cast<LinkWord>(sent_down))) {
         ++sent_down;
       }
       sim.step();
+      ASSERT_LE(link.down_pending(), 6u);
+      ASSERT_LE(link.up_pending(), 6u);
       for (; seen_down < cons.received().size(); ++seen_down) {
         mix(0);
         mix(cons.received()[seen_down]);
         mix(sim.cycle());
       }
-      // The host drains only every fifth cycle, so the bounded upstream
+      // The host drains only every third cycle, so the bounded upstream
       // buffer backpressures the producer.
-      if (sim.cycle() % 5 == 0) {
+      if (sim.cycle() % 3 == 0) {
         while (auto w = link.host_receive()) {
           ++received_up;
           mix(1);
@@ -231,20 +238,20 @@ TEST(FaultyLink, SeededMixedPatternMatchesTheGoldenValues) {
       }
     }
     const sim::Counters& c = link.fault_counters();
-    EXPECT_EQ(c.get("link.down_dropped"), 15u);
+    EXPECT_EQ(c.get("link.down_dropped"), 6u);
     EXPECT_EQ(c.get("link.down_corrupted"), 0u);
-    EXPECT_EQ(c.get("link.down_duplicated"), 12u);
-    EXPECT_EQ(c.get("link.up_dropped"), 12u);
-    EXPECT_EQ(c.get("link.up_corrupted"), 20u);
-    EXPECT_EQ(c.get("link.up_duplicated"), 16u);
-    EXPECT_EQ(link.words_down(), 297u);
+    EXPECT_EQ(c.get("link.down_duplicated"), 5u);
+    EXPECT_EQ(c.get("link.up_dropped"), 15u);
+    EXPECT_EQ(c.get("link.up_corrupted"), 24u);
+    EXPECT_EQ(c.get("link.up_duplicated"), 7u);
+    EXPECT_EQ(link.words_down(), 299u);
     EXPECT_EQ(link.words_up(), 300u);
-    EXPECT_EQ(link.send_rejects(), 322u);
+    EXPECT_EQ(link.send_rejects(), 8u);
     EXPECT_EQ(sent_down, 300u);
-    EXPECT_EQ(seen_down, 297u);
-    EXPECT_EQ(received_up, 304u);
+    EXPECT_EQ(seen_down, 299u);
+    EXPECT_EQ(received_up, 292u);
     EXPECT_EQ(prod.sent(), 300u);
-    EXPECT_EQ(hash, 0xb27b227fcbd639cdULL);
+    EXPECT_EQ(hash, 0xf12e391944d0315fULL);
   }
 }
 
@@ -278,6 +285,28 @@ TEST(Link, BoundedUpstreamQueueBackpressuresTheTransmitter) {
   EXPECT_EQ(link.host_receive(), std::optional<LinkWord>{0});
   sim.run(50);
   EXPECT_EQ(prod.sent(), 2u);
+}
+
+/// The capacity check admits one word; its duplicate must not push a
+/// bounded buffer past capacity.  It is dropped, counted as neither
+/// duplicated nor dropped, while an unbounded link still duplicates.
+TEST(Link, DuplicateNeverOverfillsABoundedBuffer) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE("down_capacity " + std::to_string(capacity));
+    sim::Simulator sim;
+    FaultConfig f;
+    f.down.duplicate_ppm = 1'000'000;
+    Link link(sim, "link", {1, 1}, {1, 1}, capacity, /*up_capacity=*/0, f);
+    fpgafu::testing::Consumer<LinkWord> cons(sim, "cons");
+    cons.bind(link.rx);
+    ASSERT_TRUE(link.host_send(7));
+    EXPECT_LE(link.down_pending(), capacity == 0 ? 2u : capacity);
+    sim.run(20);
+    const std::size_t copies = capacity == 0 ? 2 : 1;
+    EXPECT_EQ(cons.received(), std::vector<LinkWord>(copies, 7));
+    EXPECT_EQ(link.fault_counters().get("link.down_duplicated"), copies - 1);
+    EXPECT_EQ(link.fault_counters().get("link.down_dropped"), 0u);
+  }
 }
 
 }  // namespace
