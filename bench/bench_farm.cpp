@@ -114,18 +114,6 @@ void BM_FarmThroughput(benchmark::State& state) {
 /// of iterations the host's speed buys.
 constexpr int kStreamIterations = 200;
 
-/// Shard clock after every job the farm resolved so far has been
-/// published (a worker publishes when it goes idle).
-std::uint64_t settled_shard_cycles(const host::Farm& farm, std::uint64_t jobs) {
-  for (;;) {
-    const sim::Counters c = farm.counters();
-    if (c.get("farm.jobs_completed") + c.get("farm.jobs_failed") >= jobs) {
-      return c.get("farm.shard_cycles");
-    }
-    std::this_thread::yield();
-  }
-}
-
 /// Windowed pipelining win on a read-mostly session: one setup job PUTs
 /// r1..r7, then every measured job is a two-GET status poll on that
 /// session.  Each iteration starts from one kick-off poll whose completion
@@ -166,7 +154,9 @@ void BM_FarmReadStream(benchmark::State& state) {
     expected.push_back(resp);
   }
   farm.submit(session, setup).get();
-  const std::uint64_t setup_cycles = settled_shard_cycles(farm, 1);
+  // Exact: counters() refreshes a shard whose last future has resolved.
+  const std::uint64_t setup_cycles =
+      farm.counters().get("farm.shard_cycles");
 
   std::uint64_t jobs = 0;
   std::mutex m;
@@ -215,7 +205,8 @@ void BM_FarmReadStream(benchmark::State& state) {
 /// (PUT / ADD / GET).  Jobs from different sessions are register-disjoint,
 /// so the per-register write barrier finds no conflicts: with a window
 /// deeper than one the jobs stream back to back at the downlink floor
-/// (about 8 cycles/job).  Window 1 is call-and-wait.  Each iteration
+/// (about 6 cycles/job: the PUT is one PUTI word).  Window 1 is
+/// call-and-wait.  Each iteration
 /// starts from one kick-off job whose completion callback submits the
 /// rest, so cycles_per_job = farm.shard_cycles / jobs depends only on the
 /// window (at kStreamIterations); CI's perf-smoke step puts a ceiling on

@@ -112,13 +112,22 @@ struct Farm::Shard {
 
   // -- Cross-thread state, under m -----------------------------------------
   std::mutex m;
-  std::condition_variable cv_work;   ///< worker waits: job queued or stop
+  /// Worker waits: job queued, refresh asked or stop.
+  std::condition_variable cv_work;
   std::condition_variable cv_space;  ///< producers wait: queue below capacity
+  /// Readers wait: a refresh they asked for was published.
+  std::condition_variable cv_refreshed;
   /// Tenants by slot; slot 0 is every session-less job.  A slot outlives
   /// its empty queue, so a steadily busy session reuses its storage.
   std::vector<Tenant> tenants;
   CompactingQueue<std::size_t> rr;  ///< round-robin rotation of queued slots
   std::size_t queued = 0;           ///< total queued jobs (bounded by capacity)
+  /// Jobs accepted and not yet resolved, every tenant's: 0 = idle.
+  std::size_t unresolved = 0;
+  /// A reader found the shard idle and waits for a fresh snapshot;
+  /// `refreshes` counts the answers.
+  bool refresh_wanted = false;
+  std::uint64_t refreshes = 0;
   bool stop = false;
   /// Lock-free mirror of `queued` so the worker's pump loop can notice new
   /// work without taking the queue mutex at every wake.
@@ -191,6 +200,7 @@ struct Farm::Shard {
     if (job.slot != 0) {
       ++t.unresolved;
     }
+    ++unresolved;
     if (t.queue.empty()) {
       rr.push_back(job.slot);
     }
@@ -223,6 +233,10 @@ struct Farm::Shard {
   void finish_accounting(Job& job);
 
   void publish_stats(const Engine& engine, bool force);
+  /// Reader side: ask an idle threaded shard for a fresh snapshot and wait
+  /// for it.  A busy shard, an inline one, one shutting down or a call on
+  /// the shard's own worker thread keeps the last snapshot.
+  void refresh();
   void recover(Engine& engine, const SimError& cause);
   /// Move queued jobs into `held` until the window would be full.
   void pop_up_to_window();
@@ -304,6 +318,10 @@ struct Farm::Shard {
   }
 };
 
+// A future's job is accounted before its value lands, so a caller whose
+// get() returned finds the shard idle and counters() refreshes it.  A
+// callback's job stays unresolved while the callback runs, so a worker
+// never runs user code while a reader waits on it.
 void Farm::Shard::resolve_success(Job& job,
                                   std::vector<msg::Response>&& responses) {
   ++jobs_completed;
@@ -313,7 +331,9 @@ void Farm::Shard::resolve_success(Job& job,
   } else if (job.done) {
     job.done(nullptr);
   } else {
+    finish_accounting(job);
     job.promise->set_value(std::move(responses));
+    return;
   }
   finish_accounting(job);
 }
@@ -326,17 +346,22 @@ void Farm::Shard::resolve_failure(Job& job, std::exception_ptr err) {
   } else if (job.done) {
     job.done(err);
   } else {
+    finish_accounting(job);
     job.promise->set_exception(err);
+    return;
   }
   finish_accounting(job);
 }
 
 void Farm::Shard::finish_accounting(Job& job) {
-  if (job.slot != 0) {
+  {
     std::lock_guard<std::mutex> lk(m);
-    std::size_t& n = tenants[job.slot].unresolved;
-    if (n > 0) {
-      --n;
+    --unresolved;
+    if (job.slot != 0) {
+      std::size_t& n = tenants[job.slot].unresolved;
+      if (n > 0) {
+        --n;
+      }
     }
   }
   cv_space.notify_all();
@@ -368,6 +393,20 @@ void Farm::Shard::publish_stats(const Engine& engine, bool force) {
     latency.append(staged);
   }
   staged.clear();
+}
+
+void Farm::Shard::refresh() {
+  std::unique_lock<std::mutex> lk(m);
+  // `stop` is checked first: shutdown() sets it under m before it joins,
+  // so `thread` is not being joined while it is read here.
+  if (stop || unresolved > 0 || !thread.joinable() ||
+      thread.get_id() == std::this_thread::get_id()) {
+    return;
+  }
+  const std::uint64_t seen = refreshes;
+  refresh_wanted = true;
+  cv_work.notify_one();
+  cv_refreshed.wait(lk, [&] { return refreshes != seen; });
 }
 
 /// Fault recovery: reset the shard's hardware so later submissions run on
@@ -544,14 +583,24 @@ void Farm::Shard::worker() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lk(m);
-      if (!busy() && queued == 0 && !stop) {
-        // Going idle: publish so the fleet view is exact while we sleep.
-        if (engine && unpublished > 0) {
-          lk.unlock();
-          publish_stats(*engine, true);
-          lk.lock();
+      for (;;) {
+        // Answered before any further step, so no user code runs while a
+        // reader waits.  A reader that asks during the publication gets
+        // it too: nothing ran in between.
+        if (refresh_wanted) {
+          refresh_wanted = false;
+          if (engine) {
+            lk.unlock();
+            publish_stats(*engine, true);
+            lk.lock();
+          }
+          ++refreshes;
+          cv_refreshed.notify_all();
         }
-        cv_work.wait(lk, [&] { return stop || queued > 0; });
+        if (busy() || queued > 0 || stop) {
+          break;
+        }
+        cv_work.wait(lk, [&] { return stop || queued > 0 || refresh_wanted; });
       }
       if (stop && queued == 0 && !busy()) {
         break;
@@ -847,6 +896,7 @@ void Farm::enqueue(SessionId session, Job job) {
 sim::Counters Farm::counters() const {
   sim::Counters out;
   for (const auto& shard : shards_) {
+    shard->refresh();
     {
       std::lock_guard<std::mutex> lk(shard->stats_m);
       out.merge(shard->stats);
@@ -859,6 +909,7 @@ sim::Counters Farm::counters() const {
 std::vector<std::uint64_t> Farm::job_latency_samples() const {
   std::vector<std::uint64_t> out;
   for (const auto& shard : shards_) {
+    shard->refresh();
     std::lock_guard<std::mutex> lk(shard->stats_m);
     const std::vector<std::uint64_t>& ring = shard->latency.samples();
     out.insert(out.end(), ring.begin(), ring.end());

@@ -130,8 +130,10 @@ struct FarmConfig {
   std::size_t max_inflight_per_session = 0;
   /// Jobs a worker resolves between counter-snapshot publications.  The
   /// fleet view (counters(), job_latency_samples()) lags by at most this
-  /// many jobs while a shard is busy; it is exact whenever a shard goes
-  /// idle and after shutdown().  1 restores publish-after-every-job.
+  /// many jobs while a shard is busy.  A threaded shard publishes besides
+  /// only when a reader finds it idle (see counters()) and at shutdown();
+  /// it never publishes just for going idle.  1 restores
+  /// publish-after-every-job.
   std::size_t stats_publish_interval = 16;
 
   // -- Algorithm-on-demand ---------------------------------------------------
@@ -283,15 +285,23 @@ class Farm {
   /// farm.jobs_completed / farm.jobs_failed / farm.jobs_shed /
   /// farm.shard_resets count the farm's own lifecycle events;
   /// farm.stats_publishes counts snapshot publications (amortised to one
-  /// per stats_publish_interval jobs while a shard stays busy).
+  /// per stats_publish_interval jobs, plus one per refresh).
+  ///
+  /// Before reading, this asks every idle threaded shard (no job queued,
+  /// in flight or resolving) for a fresh snapshot and waits for it, so the
+  /// view is exact once a future's get() has returned for a shard's last
+  /// job.  A busy shard's view lags by at most stats_publish_interval
+  /// jobs; so does every shard's when called on that shard's own worker
+  /// thread (a completion callback) and an inline farm's until shutdown().
+  /// After shutdown() the view is exact.
   sim::Counters counters() const;
 
   /// Simulated-cycle latencies (enqueue to resolution) of recently
   /// completed jobs, merged across shards — the raw samples behind
   /// latency_percentiles().  Each shard keeps a bounded ring of the most
   /// recent samples (so a long-lived farm's memory stays flat) and
-  /// publishes it with its counter snapshots: the view lags a busy shard
-  /// by at most stats_publish_interval jobs and is exact after shutdown().
+  /// publishes it with its counter snapshots, refreshed and lagging exactly
+  /// as counters() describes.
   /// Enqueue stamps come from a worker-published clock hint, so a sample
   /// includes queue wait measured on the shard's own simulated clock.
   std::vector<std::uint64_t> job_latency_samples() const;

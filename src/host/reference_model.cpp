@@ -112,7 +112,7 @@ void ReferenceModel::execute(const isa::Instruction& inst, std::uint16_t seq) {
         if (!data_ok(inst.dst1)) {
           return error(msg::ErrorCode::kBadRegister);
         }
-        regs_[inst.dst1] = inst.aux;
+        regs_[inst.dst1] = inst.imm32();
         return;
       case RtmOp::kPutVec: {
         if (inst.aux == 0) {

@@ -28,7 +28,8 @@ enum class Slot {
   kSrcFlag,   // fN -> src_flag
   kDstFlag,   // fN -> dst_flag
   kImmAux,    // imm8 -> aux
-  kImmWord,   // #imm64 -> inline data word
+  kImm32,     // imm32 -> bits [31:0] (PUTI)
+  kImmWord,   // #imm64 -> Program::emit_put
 };
 
 struct Signature {
@@ -50,7 +51,7 @@ const std::map<std::string, Signature, std::less<>>& mnemonic_table() {
     rtm("COPY", RtmOp::kCopy, {Slot::kDst, Slot::kSrc1});
     rtm("COPYF", RtmOp::kCopyFlags, {Slot::kDstFlag, Slot::kSrcFlag});
     rtm("PUT", RtmOp::kPut, {Slot::kDst, Slot::kImmWord});
-    rtm("PUTI", RtmOp::kPutImm, {Slot::kDst, Slot::kImmAux});
+    rtm("PUTI", RtmOp::kPutImm, {Slot::kDst, Slot::kImm32});
     rtm("PUTF", RtmOp::kPutFlags, {Slot::kDstFlag, Slot::kImmAux});
     rtm("GET", RtmOp::kGet, {Slot::kSrc1});
     rtm("GETF", RtmOp::kGetFlags, {Slot::kSrcFlag});
@@ -263,6 +264,12 @@ void Assembler::assemble_line(std::string_view line, Program& program) {
         inst.aux = static_cast<std::uint8_t>(v);
         break;
       }
+      case Slot::kImm32: {
+        const std::uint64_t v = parse_number(tok, mnemonic);
+        check(v <= 0xffffffffu, mnemonic + ": immediate exceeds 32 bits");
+        inst.set_imm32(static_cast<std::uint32_t>(v));
+        break;
+      }
       case Slot::kImmWord: {
         std::string_view t = tok;
         check(!t.empty() && t[0] == '#',
@@ -273,10 +280,11 @@ void Assembler::assemble_line(std::string_view line, Program& program) {
       }
     }
   }
-  program.emit(inst);
   if (inline_word.has_value()) {
-    program.emit_raw(*inline_word);
+    program.emit_put(inst.dst1, *inline_word);  // PUTI when the value fits
+    return;
   }
+  program.emit(inst);
 }
 
 Program Assembler::assemble(std::string_view source) {
@@ -367,6 +375,9 @@ std::string render_slot(Slot slot, const Instruction& inst) {
       break;
     case Slot::kImmAux:
       std::snprintf(buf, sizeof buf, "%u", inst.aux);
+      break;
+    case Slot::kImm32:
+      std::snprintf(buf, sizeof buf, "%u", inst.imm32());
       break;
     case Slot::kImmWord:
       return "#<next-word>";

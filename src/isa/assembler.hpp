@@ -18,8 +18,9 @@ namespace fpgafu::isa {
 /// NOP | SYNC
 /// COPY  rD, rA            ; register copy
 /// COPYF fD, fS            ; flag register copy
-/// PUT   rD, #imm64        ; load 64-bit literal (emits an inline data word)
-/// PUTI  rD, imm8          ; load small immediate
+/// PUT   rD, #imm64        ; load literal: PUTI when it fits 32 bits,
+///                         ; else PUT plus an inline data word
+/// PUTI  rD, imm32         ; load 32-bit immediate
 /// PUTF  fD, imm8          ; load flag immediate
 /// GET   rA                ; send register to host
 /// GETF  fS                ; send flag register to host
@@ -39,8 +40,8 @@ class Assembler {
   /// message on any syntax error.
   static Program assemble(std::string_view source);
 
-  /// Assemble a single statement into an instruction (+ optional inline
-  /// data word appended to `program`).
+  /// Assemble a single statement into `program` (a PUT through
+  /// Program::emit_put).
   static void assemble_line(std::string_view line, Program& program);
 };
 

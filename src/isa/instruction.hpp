@@ -17,6 +17,7 @@ namespace fpgafu::isa {
 /// [47:40] dst flag reg     [39:32] dst reg #1
 /// [31:24] src flag reg     [23:16] src reg #2
 /// [15:8]  src reg #1       [7:0]   aux / small immediate
+/// [31:0]  PUTI imm32 (src_flag:src2:src1:aux, zero-extended)
 /// ```
 struct Instruction {
   FunctionCode function = 0;
@@ -27,6 +28,20 @@ struct Instruction {
   RegNum src2 = 0;
   RegNum src1 = 0;
   std::uint8_t aux = 0;
+
+  /// PUTI's immediate: bits [31:0] of the word, the four fields it
+  /// overlays read as one zero-extended 32-bit value.
+  std::uint32_t imm32() const {
+    return static_cast<std::uint32_t>(src_flag) << 24 |
+           static_cast<std::uint32_t>(src2) << 16 |
+           static_cast<std::uint32_t>(src1) << 8 | aux;
+  }
+  void set_imm32(std::uint32_t v) {
+    src_flag = static_cast<RegNum>(v >> 24);
+    src2 = static_cast<RegNum>(v >> 16);
+    src1 = static_cast<RegNum>(v >> 8);
+    aux = static_cast<std::uint8_t>(v);
+  }
 
   /// Pack into the 64-bit instruction word.
   Word encode() const;

@@ -42,8 +42,14 @@ void Program::emit_get_vec(RegNum base, std::uint8_t count) {
 void Program::emit_put(RegNum dst, Word value) {
   Instruction put;
   put.function = fc::kRtm;
-  put.variety = static_cast<VarietyCode>(RtmOp::kPut);
   put.dst1 = dst;
+  if (value <= 0xffffffffu) {
+    put.variety = static_cast<VarietyCode>(RtmOp::kPutImm);
+    put.set_imm32(static_cast<std::uint32_t>(value));
+    emit(put);
+    return;
+  }
+  put.variety = static_cast<VarietyCode>(RtmOp::kPut);
   emit(put);
   emit_raw(value);
 }

@@ -18,7 +18,8 @@ class Program {
   /// Append an instruction word.
   void emit(const Instruction& inst);
 
-  /// Append a PUT instruction plus its inline data word.
+  /// Load `value` into register `dst`: one PUTI word when the value fits
+  /// its 32-bit immediate, otherwise a PUT plus its inline data word.
   void emit_put(RegNum dst, Word value);
 
   /// Append a vector PUT: one header word plus values.size() data words

@@ -22,7 +22,9 @@ enum class RtmOp : VarietyCode {
   kPut = 0x03,
   /// flag dst_flag <- low bits of aux (single-word immediate form).
   kPutFlags = 0x04,
-  /// dst1 <- zero-extended aux (small immediate; convenience primitive).
+  /// dst1 <- zero-extended bits [31:0] of the instruction word
+  /// (Instruction::imm32): a one-word PUT for any value below 2^32, which
+  /// Program::emit_put picks whenever the value fits.
   kPutImm = 0x05,
   /// Send register src1 to the host as a data-record response.
   kGet = 0x06,

@@ -131,7 +131,7 @@ class Execution : public sim::Component {
       case RtmOp::kPutImm:
         a.write.write_data = true;
         a.write.dst_reg = inst.dst1;
-        a.write.data = inst.aux;
+        a.write.data = inst.imm32();
         break;
       case RtmOp::kPutFlags:
         a.write.write_flags = true;

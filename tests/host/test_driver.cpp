@@ -65,17 +65,19 @@ TEST(Deadline, SurvivesSimulatorReset) {
 
 TEST(Driver, EnqueueIsNonBlockingAndServiceDrains) {
   // A downstream buffer of 2 link words cannot hold one 2-stream-word PUT
-  // (4 link words); enqueue must still return immediately, with the link
-  // taking what it can at once, and service must move the rest out as the
-  // link drains — the Driver never steps the clock.
+  // (4 link words; the value is too wide for PUTI); enqueue must still
+  // return immediately, with the link taking what it can at once, and
+  // service must move the rest out as the link drains — the Driver never
+  // steps the clock.
   top::SystemConfig cfg;
+  cfg.rtm.word_width = 64;
   cfg.link_down_capacity = 2;
   top::System sys(cfg);
   Driver driver(sys);
 
   const std::uint64_t before = sys.simulator().cycle();
   isa::Program p;
-  p.emit_put(1, 0xbeef);
+  p.emit_put(1, 0xbeef'0000'beefu);
   driver.enqueue(p);
   EXPECT_EQ(driver.tx_pending(), 2u);  // link accepted its 2-word capacity
   EXPECT_EQ(sys.simulator().cycle(), before);
@@ -101,7 +103,7 @@ TEST(Driver, EnqueueIsNonBlockingAndServiceDrains) {
                                                : Wake::on_link();
       },
       Deadline(sys.simulator(), 100000), "test get");
-  EXPECT_EQ(r->payload, 0xbeefu);
+  EXPECT_EQ(r->payload, 0xbeef'0000'beefu);
   EXPECT_EQ(driver.responses_received(), 1u);
 }
 

@@ -174,13 +174,15 @@ TEST(SendPath, SubmitReturnsOnceItsWordsAreOnTheLink) {
 TEST(SendPath, WordsEnqueuedBehindRefusedOnesKeepTheirOrder) {
   // The clock moves without a service, so the downlink has room again
   // while words still wait in the driver: a later enqueue must queue
-  // behind them, not overtake them onto the link.
+  // behind them, not overtake them onto the link.  The value is too wide
+  // for PUTI, so its data word waits behind the refused ones.
   top::SystemConfig cfg;
+  cfg.rtm.word_width = 64;
   cfg.link_down_capacity = 2;
   top::System sys(cfg);
   Driver driver(sys);
   isa::Program put;
-  put.emit_put(1, 0xbeef);
+  put.emit_put(1, 0xbeef'0000'beefu);
   driver.enqueue(put);
   ASSERT_EQ(driver.tx_pending(), 2u);
   sys.simulator().run(20);
@@ -194,7 +196,7 @@ TEST(SendPath, WordsEnqueuedBehindRefusedOnesKeepTheirOrder) {
                                                    : Wake::on_link();
           },
           Deadline(sys.simulator(), 1000), "ordered get");
-  EXPECT_EQ(r->payload, 0xbeefu);
+  EXPECT_EQ(r->payload, 0xbeef'0000'beefu);
 }
 
 TEST(SendPath, WordsEnqueuedAfterAResetSurviveIt) {

@@ -110,7 +110,7 @@ TEST(Assembler, CaseInsensitiveMnemonicsAndComments) {
     get r4
   )");
   EXPECT_EQ(p.instruction_count(), 5u);
-  EXPECT_EQ(p.size_words(), 6u);  // PUT carries one inline word
+  EXPECT_EQ(p.size_words(), 5u);  // a PUT that fits 32 bits is one PUTI
   EXPECT_EQ(p.expected_responses(), 2u);
 }
 
@@ -128,7 +128,7 @@ TEST(Assembler, RejectsBadOperands) {
   Program p;
   EXPECT_THROW(Assembler::assemble_line("ADD r1, r2", p), SimError);
   EXPECT_THROW(Assembler::assemble_line("ADD r1, r2, f3", p), SimError);
-  EXPECT_THROW(Assembler::assemble_line("PUTI r1, 300", p), SimError);
+  EXPECT_THROW(Assembler::assemble_line("PUTI r1, 0x100000000", p), SimError);
   EXPECT_THROW(Assembler::assemble_line("PUT r1, 5", p), SimError);
   EXPECT_THROW(Assembler::assemble_line("COPY r1, r2, r3", p), SimError);
   EXPECT_THROW(Assembler::assemble_line("ADD r999, r1, r2", p), SimError);

@@ -33,8 +33,9 @@ TEST(RtmBurst, PutVecGetVecRoundTrip) {
 }
 
 TEST(RtmBurst, BurstHalvesLinkTraffic) {
-  // n scalar PUTs cost 2n stream words; one PUTV costs 1 + n.
-  std::vector<isa::Word> values(16, 7);
+  // n scalar PUTs of values at or above 2^32 (too wide for PUTI) cost 2n
+  // stream words; one PUTV costs 1 + n.
+  std::vector<isa::Word> values(16, isa::Word{7} << 32);
   isa::Program scalar;
   for (std::size_t i = 0; i < values.size(); ++i) {
     scalar.emit_put(static_cast<isa::RegNum>(1 + i), values[i]);

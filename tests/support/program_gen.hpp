@@ -37,10 +37,22 @@ inline isa::Program random_program(const rtm::RtmConfig& cfg, std::uint64_t seed
   auto bad_data_reg = [&] {
     return static_cast<isa::RegNum>(cfg.data_regs + rng.below(4));
   };
+  // PUT values on both sides of 2^32, so emit_put takes both forms: the
+  // one-word PUTI and the PUT plus inline data word.
+  auto put_value = [&]() -> isa::Word {
+    switch (rng.below(4)) {
+      case 0:
+        return rng.next() >> 32;
+      case 1:
+        return (isa::Word{1} << 32) - 1 + rng.below(2);
+      default:
+        return rng.next();
+    }
+  };
 
   // Seed a few registers so early reads see non-zero data.
   for (int i = 0; i < 4; ++i) {
-    p.emit_put(data_reg(), rng.next());
+    p.emit_put(data_reg(), put_value());
   }
 
   for (std::size_t i = 0; i < opt.instructions; ++i) {
@@ -48,12 +60,18 @@ inline isa::Program random_program(const rtm::RtmConfig& cfg, std::uint64_t seed
     isa::Instruction inst;
     if (opt.include_errors && rng.chance(1, 17)) {
       // Fault injection: bad destination or unknown function code.
-      if (rng.chance(1, 2)) {
+      const std::uint64_t fault = rng.below(3);
+      if (fault == 0) {
         inst.function = isa::fc::kArith;
         inst.variety = isa::arith::variety(isa::arith::Op::kAdd);
         inst.dst1 = bad_data_reg();
         inst.src1 = data_reg();
         inst.src2 = data_reg();
+      } else if (fault == 1) {
+        inst.function = isa::fc::kRtm;
+        inst.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kPutImm);
+        inst.dst1 = bad_data_reg();
+        inst.set_imm32(static_cast<std::uint32_t>(rng.next()));
       } else {
         inst.function = 0x5a;  // nothing attached here
         inst.dst1 = data_reg();
@@ -93,7 +111,7 @@ inline isa::Program random_program(const rtm::RtmConfig& cfg, std::uint64_t seed
         }
         p.emit_put_vec(base, values);
       } else {
-        p.emit_put(data_reg(), rng.next());
+        p.emit_put(data_reg(), put_value());
       }
     } else if (roll < opt.get_percent + 20) {
       inst.function = isa::fc::kRtm;
@@ -111,7 +129,7 @@ inline isa::Program random_program(const rtm::RtmConfig& cfg, std::uint64_t seed
         case 2:
           inst.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kPutImm);
           inst.dst1 = data_reg();
-          inst.aux = static_cast<std::uint8_t>(rng.below(256));
+          inst.set_imm32(static_cast<std::uint32_t>(rng.next()));
           break;
         default:
           inst.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kPutFlags);

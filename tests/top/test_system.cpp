@@ -49,17 +49,20 @@ TEST(System, SlowSerialLinkStillCorrect) {
   System sys(cfg);
   Coprocessor copro(sys);
   const auto start = sys.simulator().cycle();
-  const auto responses = copro.call(Assembler::assemble(R"(
+  const isa::Program program = Assembler::assemble(R"(
     PUT r1, #100
     PUT r2, #42
     SUB r3, r1, r2
     GET r3
-  )"));
+  )");
+  const auto responses = copro.call(program);
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].payload, 58u);
-  // 7 stream words (14 link words) down at a 32-cycle serial interval
-  // dominate the runtime — the paper's "slow connection" observation.
-  EXPECT_GT(sys.simulator().cycle() - start, 13u * 32u);
+  // The stream words (2 link words each) go down at the serial interval
+  // and dominate the runtime — the paper's "slow connection" observation.
+  const std::uint64_t link_words = 2 * program.size_words();
+  EXPECT_GT(sys.simulator().cycle() - start,
+            (link_words - 1) * msg::kSerialLink.timing.interval);
 }
 
 TEST(System, DifferentialAgainstReferenceThroughFullPath) {
