@@ -138,6 +138,10 @@ void BM_FarmReadStream(benchmark::State& state) {
     setup_src += "PUT r" + std::to_string(r) + ", #" +
                  std::to_string(rng.below(1u << 20)) + "\n";
   }
+  // The SYNC answers once every PUT has landed, so the set-up job does not
+  // complete while its words are still on the link and the set-up clock
+  // read below covers all of it.
+  setup_src += "SYNC\n";
   const isa::Program setup = isa::Assembler::assemble(setup_src);
   const isa::Program poll = poll_job();
 

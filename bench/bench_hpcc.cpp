@@ -14,8 +14,9 @@
 // Each workload validates its results against a host oracle (or the
 // sequential reference model) and runs under every pinned settle
 // kernel; a validation failure aborts the benchmark.  CI's perf smoke
-// asserts a STREAM-triad throughput floor under the event kernel from
-// this binary's JSON output.
+// asserts a STREAM-triad throughput floor, a GEMM MACs-per-cycle floor and
+// the b_eff cycle bounds under the event kernel from this binary's JSON
+// output.
 
 #include <benchmark/benchmark.h>
 
@@ -213,7 +214,7 @@ BENCHMARK(BM_HpccRandomAccess)
 void BM_HpccGemm(benchmark::State& state) {
   const auto kernel = kernel_of(state.range(0));
   const auto cfg = gemm_config();
-  std::uint64_t macs = 0, cycles = 0;
+  std::uint64_t macs = 0, cycles = 0, lock_stalls = 0;
   for (auto _ : state) {
     const auto r = hpcc::run_gemm(kernel, cfg);
     if (!r.ok()) {
@@ -222,6 +223,7 @@ void BM_HpccGemm(benchmark::State& state) {
     }
     macs += r.jobs;
     cycles += r.cycles;
+    lock_stalls += r.lock_stalls;
   }
   state.SetLabel(label_of(state.range(0)));
   state.SetItemsProcessed(static_cast<std::int64_t>(macs));
@@ -230,6 +232,10 @@ void BM_HpccGemm(benchmark::State& state) {
   state.counters["macs_per_cycle"] =
       cycles == 0 ? 0.0
                   : static_cast<double>(macs) / static_cast<double>(cycles);
+  // Per run: RTM cycles an instruction waited on a register lock (one
+  // deterministic simulation per iteration).
+  state.counters["lock_stalls"] = benchmark::Counter(
+      static_cast<double>(lock_stalls), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_HpccGemm)
     ->Arg(0)

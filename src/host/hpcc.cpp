@@ -70,29 +70,55 @@ isa::Instruction get_flags(isa::RegNum src_flag) {
   return inst;
 }
 
-/// Cycles every FU op's flag destination through the flag file so
-/// independent operations do not serialise on one flag-register lock.
-class FlagCycler {
+/// Cycles destinations through `count` registers from `first` so
+/// independent operations do not serialise on one register's lock (every
+/// FU op's flag destination goes through the whole flag file this way).
+class RegCycler {
  public:
-  explicit FlagCycler(std::size_t flag_regs) : flag_regs_(flag_regs) {}
+  RegCycler(isa::RegNum first, std::size_t count)
+      : first_(first), count_(count) {}
   isa::RegNum next() {
-    return static_cast<isa::RegNum>(counter_++ % flag_regs_);
+    return static_cast<isa::RegNum>(first_ + counter_++ % count_);
   }
 
  private:
-  std::size_t flag_regs_;
+  isa::RegNum first_;
+  std::size_t count_;
   std::size_t counter_ = 0;
 };
 
-class Stopwatch {
+/// A System's clocks at the start of a measured pass.
+class Pass {
  public:
-  double ms() const {
-    return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-               std::chrono::steady_clock::now() - t0_)
-        .count();
+  explicit Pass(top::System& sys)
+      : sys_(sys),
+        cycle0_(sys.simulator().cycle()),
+        steps0_(sys.simulator().steps_performed()),
+        lock_stalls0_(lock_stalls()) {}
+
+  /// Add the pass's wall time, simulated cycles, executed steps and RTM
+  /// lock-stall cycles so far to `r`; returns the cycles.
+  std::uint64_t add_to(WorkloadResult& r) const {
+    r.wall_ms += std::chrono::duration_cast<
+                     std::chrono::duration<double, std::milli>>(
+                     std::chrono::steady_clock::now() - t0_)
+                     .count();
+    const std::uint64_t cycles = sys_.simulator().cycle() - cycle0_;
+    r.cycles += cycles;
+    r.steps += sys_.simulator().steps_performed() - steps0_;
+    r.lock_stalls += lock_stalls() - lock_stalls0_;
+    return cycles;
   }
 
  private:
+  std::uint64_t lock_stalls() const {
+    return sys_.rtm().counters().get("stall.lock");
+  }
+
+  top::System& sys_;
+  std::uint64_t cycle0_;
+  std::uint64_t steps0_;
+  std::uint64_t lock_stalls0_;
   std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
 };
 
@@ -110,7 +136,7 @@ std::vector<isa::Word> data_payloads(const std::vector<msg::Response>& rs) {
 /// Read `count` scratchpad words starting at `base` back to the host:
 /// register-blocked reads followed by one GETV burst per block.
 std::vector<isa::Word> read_back_ram(Coprocessor& copro, isa::Word base,
-                                     std::size_t count, FlagCycler& fl) {
+                                     std::size_t count, RegCycler& fl) {
   constexpr std::size_t kWindow = 8;
   constexpr isa::RegNum kBlockBase = 8;
   std::vector<isa::Word> out;
@@ -173,7 +199,7 @@ std::vector<WorkloadResult> run_stream(Kernel kernel, const StreamConfig& cfg) {
   fu::ScratchpadUnit ram(sys.simulator(), "vec_ram", 3 * n, 64);
   sys.attach(kVecRamCode, ram);
   Coprocessor copro(sys);
-  FlagCycler fl(scfg.rtm.flag_regs);
+  RegCycler fl(0, scfg.rtm.flag_regs);
 
   // Host mirrors of the three vectors; the oracle passes below advance them
   // in lock-step with the measured passes.
@@ -244,13 +270,9 @@ std::vector<WorkloadResult> run_stream(Kernel kernel, const StreamConfig& cfg) {
     r.name = name;
     r.job_unit = "word";
     r.jobs = words;
-    const std::uint64_t c0 = sys.simulator().cycle();
-    const std::uint64_t s0 = sys.simulator().steps_performed();
-    const Stopwatch sw;
+    const Pass pass(sys);
     copro.call(p);
-    r.wall_ms = sw.ms();
-    r.cycles = sys.simulator().cycle() - c0;
-    r.steps = sys.simulator().steps_performed() - s0;
+    pass.add_to(r);
     return r;
   };
 
@@ -345,7 +367,7 @@ RandomAccessOutcome run_random_access(Kernel kernel,
   fu::ScratchpadUnit ram(sys.simulator(), "gups_table", tw, 64);
   sys.attach(kVecRamCode, ram);
   Coprocessor copro(sys);
-  FlagCycler fl(scfg.rtm.flag_regs);
+  RegCycler fl(0, scfg.rtm.flag_regs);
 
   // Setup (unmeasured): constants and the HPCC table init table[i] = i.
   isa::Program init;
@@ -407,13 +429,9 @@ RandomAccessOutcome run_random_access(Kernel kernel,
   out.result.name = "random_access";
   out.result.job_unit = "update";
   out.result.jobs = cfg.updates;
-  const std::uint64_t c0 = sys.simulator().cycle();
-  const std::uint64_t s0 = sys.simulator().steps_performed();
-  const Stopwatch sw;
+  const Pass pass(sys);
   const auto responses = copro.call(p);
-  out.result.wall_ms = sw.ms();
-  out.result.cycles = sys.simulator().cycle() - c0;
-  out.result.steps = sys.simulator().steps_performed() - s0;
+  pass.add_to(out.result);
 
   out.sampled_state = data_payloads(responses);
   verify_vector(out.sampled_state, expected_samples, out.result);
@@ -451,8 +469,9 @@ RandomAccessOutcome run_random_access(Kernel kernel,
 // ---------------------------------------------------------------------------
 
 WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg) {
-  check(cfg.block >= 1 && cfg.block <= 8,
-        "GemmConfig::block must be 1..8 (register window r8..r15)");
+  check(cfg.block >= 1 && cfg.block <= 6,
+        "GemmConfig::block must be 1..6 (the block² address registers from "
+        "r16 must fit the 64-register file)");
   check(cfg.n >= cfg.block && cfg.n % cfg.block == 0,
         "GemmConfig::n must be a positive multiple of block");
 
@@ -467,7 +486,14 @@ WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg) {
                     /*pipeline_depth=*/4, /*fifo_capacity=*/16, 64);
   sys.attach(kGemmCode, gemm);
   Coprocessor copro(sys);
-  FlagCycler fl(scfg.rtm.flag_regs);
+  RegCycler fl(0, scfg.rtm.flag_regs);
+  // Register map: see GemmConfig.  The 8 flag registers already bound the
+  // ops in flight, so an 8th sink would buy nothing.
+  RegCycler sink(1, 7);
+  constexpr isa::RegNum kWin = 8;
+  const auto addr_reg = [](std::size_t addr) {
+    return static_cast<isa::RegNum>(16 + addr);
+  };
 
   Xoshiro256 rng(cfg.seed);
   std::vector<isa::Word> a(n * n), b(n * n);
@@ -497,7 +523,6 @@ WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg) {
 
   // Stream one block×block panel into the unit: one PUTV burst per row
   // into the register window, then a load command per element.
-  constexpr isa::RegNum kWin = 8;
   const auto load_panel = [&](isa::Program& p, isa::VarietyCode load_op,
                               const std::vector<isa::Word>& src,
                               std::size_t row0, std::size_t col0) {
@@ -508,8 +533,7 @@ WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg) {
       }
       p.emit_put_vec(kWin, row);
       for (std::size_t ccol = 0; ccol < bb; ++ccol) {
-        p.emit_put(1, static_cast<isa::Word>(r * bb + ccol));
-        p.emit(fu_op(kGemmCode, load_op, 2, 1,
+        p.emit(fu_op(kGemmCode, load_op, sink.next(), addr_reg(r * bb + ccol),
                      static_cast<isa::RegNum>(kWin + ccol), fl.next()));
       }
     }
@@ -521,26 +545,32 @@ WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg) {
   result.jobs = static_cast<std::uint64_t>(n) * n * n;
 
   std::vector<isa::Word> got(n * n, 0);
-  const std::uint64_t c0 = sys.simulator().cycle();
-  const std::uint64_t s0 = sys.simulator().steps_performed();
-  const Stopwatch sw;
+  const Pass pass(sys);
   // Host-side blocking driver: C(I,J) = Σ_K A(I,K)·B(K,J), one call per
-  // output tile (clear accumulator, stream panels, sweep, read back).
+  // output tile (clear accumulator, stream panels, sweep, read back).  The
+  // first tile's call also loads the address table, inside the measured
+  // pass so its cost counts.
   for (std::size_t ti = 0; ti < tiles; ++ti) {
     for (std::size_t tj = 0; tj < tiles; ++tj) {
       isa::Program p;
-      p.emit(fu_op(kGemmCode, fu::GemmUnit::kClearC, 2, 0, 0, fl.next()));
+      if (ti == 0 && tj == 0) {
+        for (std::size_t addr = 0; addr < bb * bb; ++addr) {
+          p.emit_put(addr_reg(addr), static_cast<isa::Word>(addr));
+        }
+      }
+      p.emit(fu_op(kGemmCode, fu::GemmUnit::kClearC, sink.next(), 0, 0,
+                   fl.next()));
       for (std::size_t tk = 0; tk < tiles; ++tk) {
         load_panel(p, fu::GemmUnit::kLoadA, a, ti * bb, tk * bb);
         load_panel(p, fu::GemmUnit::kLoadB, b, tk * bb, tj * bb);
-        p.emit(fu_op(kGemmCode, fu::GemmUnit::kStart, 2, 0, 0, fl.next()));
+        p.emit(fu_op(kGemmCode, fu::GemmUnit::kStart, sink.next(), 0, 0,
+                     fl.next()));
       }
       for (std::size_t r = 0; r < bb; ++r) {
         for (std::size_t ccol = 0; ccol < bb; ++ccol) {
-          p.emit_put(1, static_cast<isa::Word>(r * bb + ccol));
           p.emit(fu_op(kGemmCode, fu::GemmUnit::kReadC,
-                       static_cast<isa::RegNum>(kWin + ccol), 1, 0,
-                       fl.next()));
+                       static_cast<isa::RegNum>(kWin + ccol),
+                       addr_reg(r * bb + ccol), 0, fl.next()));
         }
         p.emit_get_vec(kWin, static_cast<std::uint8_t>(bb));
       }
@@ -554,9 +584,7 @@ WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg) {
       }
     }
   }
-  result.wall_ms = sw.ms();
-  result.cycles = sys.simulator().cycle() - c0;
-  result.steps = sys.simulator().steps_performed() - s0;
+  pass.add_to(result);
   verify_vector(got, expect, result);
   return result;
 }
@@ -613,13 +641,9 @@ BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg) {
         p.emit_get_vec(kWin, static_cast<std::uint8_t>(chunk));
       }
       const auto expected = ReferenceModel(scfg.rtm).run(p);
-      const std::uint64_t c0 = sys.simulator().cycle();
-      const std::uint64_t s0 = sys.simulator().steps_performed();
-      const Stopwatch sw;
+      const Pass pass(sys);
       const auto got = transport.call(p);
-      out.result.wall_ms += sw.ms();
-      point.cycles += sys.simulator().cycle() - c0;
-      out.result.steps += sys.simulator().steps_performed() - s0;
+      point.cycles += pass.add_to(out.result);
       out.result.verified += expected.size();
       if (got != expected) {
         ++out.result.mismatches;
@@ -631,7 +655,6 @@ BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg) {
             ? 0.0
             : static_cast<double>(2 * m * cfg.repeats) /
                   static_cast<double>(point.cycles);
-    out.result.cycles += point.cycles;
     out.points.push_back(point);
   }
   out.transport_retries = transport.counters().get("transport.retries");

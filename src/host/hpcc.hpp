@@ -48,6 +48,9 @@ struct WorkloadResult {
   /// Of those, the cycles the kernel executed (Simulator::steps_performed);
   /// the rest were quiet and skipped.
   std::uint64_t steps = 0;
+  /// RTM `stall.lock` cycles of the measured pass: cycles the dispatcher
+  /// held an instruction because a register it reads or writes was locked.
+  std::uint64_t lock_stalls = 0;
   double wall_ms = 0.0;          ///< host wall time of the measured pass
   std::uint64_t verified = 0;    ///< values checked against the oracle
   std::uint64_t mismatches = 0;  ///< oracle disagreements (0 == correct)
@@ -105,9 +108,19 @@ RandomAccessOutcome run_random_access(Kernel kernel,
 /// streamed through the pipelined fu::GemmUnit by a host-side blocking
 /// driver (load panels via PUTV bursts, kStart sweeps, GETV the C block
 /// back).  `jobs` counts multiply-accumulates (n³).
+///
+/// Register map: r1..r7 take the unit's results in turn.  A destination
+/// stays locked until its write retires and a later writer waits for it
+/// (WAW), so with one sink every load behind a kStart would wait out the
+/// sweep; with several it enters the unit's pipeline while the sweep runs.
+/// r8..r15 are the PUTV row window.  r16..r16+block²-1 hold every panel
+/// address, loaded once, so each element names its address register
+/// instead of costing a PUTI of its own.
 struct GemmConfig {
   std::size_t n = 16;     ///< matrix dimension (multiple of `block`)
-  std::size_t block = 4;  ///< panel edge, 1..8
+  /// Panel edge, 1..6: the block² address registers from r16 must fit the
+  /// 64-register file (6 × 6 ends at r51, 7 × 7 would need r64).
+  std::size_t block = 4;
   std::uint64_t seed = 0x6e440110;
 };
 WorkloadResult run_gemm(Kernel kernel, const GemmConfig& cfg = {});

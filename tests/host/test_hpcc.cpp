@@ -134,11 +134,49 @@ TEST(HpccGemm, ValidatesAgainstHostOracleUnderAllKernels) {
   EXPECT_EQ(cycles_by_kernel[0], cycles_by_kernel[1]);
 }
 
+TEST(HpccGemm, EveryBlockEdgeMatchesTheOracle) {
+  // Block 6 fills the address table to r51; block 1 has one address and
+  // a 1-cycle sweep.
+  for (std::size_t block = 1; block <= 6; ++block) {
+    GemmConfig cfg;
+    cfg.n = 2 * block;
+    cfg.block = block;
+    std::vector<std::uint64_t> cycles_by_kernel;
+    for (const auto kernel : sim::Simulator::kAllKernels) {
+      const auto r = run_gemm(kernel, cfg);
+      EXPECT_TRUE(r.ok()) << "block " << block << " under "
+                          << sim::Simulator::kernel_name(kernel) << ": "
+                          << r.mismatches << " of " << r.verified
+                          << " mismatched";
+      EXPECT_EQ(r.verified, cfg.n * cfg.n);
+      cycles_by_kernel.push_back(r.cycles);
+    }
+    EXPECT_EQ(cycles_by_kernel[0], cycles_by_kernel[1]) << "block " << block;
+  }
+}
+
+TEST(HpccGemm, LoadsOverlapTheSweep) {
+  // With every result in r2 and every address PUT through r1, n = 8 at
+  // block 4 took 2 590 cycles with 1 366 lock-stall cycles.  Rotating
+  // sinks let the loads behind a kStart enter the unit's pipeline during
+  // the sweep, and the address table halves each element's link words.
+  const auto r = run_gemm(Kernel::kEvent, small_gemm());
+  ASSERT_TRUE(r.ok());
+  EXPECT_LE(r.cycles, 2000u);
+  EXPECT_LT(r.lock_stalls, 1366u);
+}
+
 TEST(HpccGemm, RejectsBadBlocking) {
   GemmConfig cfg;
   cfg.n = 10;  // not a multiple of block
   cfg.block = 4;
   EXPECT_THROW(run_gemm(Kernel::kEvent, cfg), SimError);
+  // Block 0 is empty; block 7's address table would run past r63.
+  for (const std::size_t block : {std::size_t{0}, std::size_t{7}}) {
+    cfg.n = 14;
+    cfg.block = block;
+    EXPECT_THROW(run_gemm(Kernel::kEvent, cfg), SimError) << "block " << block;
+  }
 }
 
 TEST(HpccBeff, CleanLinkMatchesReferenceWithNoRetries) {
