@@ -130,8 +130,7 @@ void print_suite_tables() {
   bt.print(std::cout);
   bench::note("faulty = 1% per-word upstream drop+corrupt+duplicate with "
               "jitter, recovered by host::ReliableTransport (retries: " +
-              std::to_string(faulty.transport_retries) + ", timeouts: " +
-              std::to_string(faulty.transport_timeouts) + ", tail probes: " +
+              std::to_string(faulty.transport_retries) + ", tail probes: " +
               std::to_string(faulty.transport_probes) + ", stale drops: " +
               std::to_string(faulty.transport_stale_dropped) + ").");
   bench::note("Asymptotic ceiling: the response frame spends 4 link words "
@@ -246,7 +245,7 @@ void BM_HpccBeff(benchmark::State& state) {
   const auto kernel = kernel_of(state.range(0));
   const bool faulty = state.range(1) != 0;
   const auto cfg = beff_config(faulty);
-  std::uint64_t words = 0, cycles = 0, retries = 0, timeouts = 0, probes = 0,
+  std::uint64_t words = 0, cycles = 0, retries = 0, probes = 0,
                 gap_retries = 0, dup_dropped = 0, stale_dropped = 0;
   double best_words_per_cycle = 0;
   for (auto _ : state) {
@@ -258,7 +257,6 @@ void BM_HpccBeff(benchmark::State& state) {
     words += out.result.jobs;
     cycles += out.result.cycles;
     retries += out.transport_retries;
-    timeouts += out.transport_timeouts;
     probes += out.transport_probes;
     gap_retries += out.transport_gap_retries;
     dup_dropped += out.transport_dup_dropped;
@@ -281,7 +279,6 @@ void BM_HpccBeff(benchmark::State& state) {
   };
   state.counters["cycles"] = per_run(cycles);
   state.counters["transport_retries"] = per_run(retries);
-  state.counters["transport_timeouts"] = per_run(timeouts);
   state.counters["transport_probes"] = per_run(probes);
   state.counters["transport_gap_retries"] = per_run(gap_retries);
   state.counters["transport_dup_dropped"] = per_run(dup_dropped);

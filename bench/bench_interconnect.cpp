@@ -236,9 +236,7 @@ FaultRunResult faulted_cycles(std::uint32_t fault_ppm) {
   }
   top::System sys(cfg);
   host::Coprocessor copro(sys);
-  host::TransportConfig tcfg;
-  tcfg.response_timeout = 500;
-  host::ReliableTransport transport(copro, tcfg);
+  host::ReliableTransport transport(copro);
 
   isa::Program p;
   p.emit_put(1, 21);

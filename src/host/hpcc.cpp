@@ -658,7 +658,6 @@ BeffOutcome run_beff(Kernel kernel, const BeffConfig& cfg) {
     out.points.push_back(point);
   }
   out.transport_retries = transport.counters().get("transport.retries");
-  out.transport_timeouts = transport.counters().get("transport.timeouts");
   out.transport_probes = transport.counters().get("transport.probes");
   out.transport_gap_retries = transport.counters().get("transport.gap_retries");
   out.transport_dup_dropped = transport.counters().get("transport.dup_dropped");

@@ -20,8 +20,8 @@ namespace fpgafu::host::hpcc {
 ///  * STREAM     — copy/scale/add/triad over vectors in a ScratchpadUnit,
 ///                 all host<->FPGA data moving in PUTV/GETV bursts;
 ///  * RandomAccess — GUPS-style dependent read-modify-write updates with
-///                 the LCG advanced *on the FPGA* (shift/arith/logic units),
-///                 hammering the lock manager, register file and scratchpad;
+///                 the LCG advanced *on the FPGA* (shift/arith/logic units);
+///                 link-bound, at 18 downlink words per update;
 ///  * GEMM       — blocked matrix multiply on the pipelined fu::GemmUnit
 ///                 with a host-side blocking driver tiling panels through
 ///                 the link;
@@ -81,7 +81,9 @@ std::vector<WorkloadResult> run_stream(Kernel kernel,
 /// with the HPCC polynomial LCG `ran' = (ran << 1) ^ (msb(ran) ? 7 : 0)`
 /// computed on the FPGA.  Every update is a dependent
 /// shift/neg/and/shift/xor/and/read/xor/write chain through the register
-/// file — the lock-manager stress case.
+/// file.  The workload is link-bound: its nine instructions cost 18
+/// downlink words per update, and each result retires before the next
+/// instruction arrives, so it counts 0 `stall.lock` cycles at every size.
 struct RandomAccessConfig {
   std::size_t table_words = 256;  ///< must be a power of two
   std::size_t updates = 512;
@@ -147,10 +149,9 @@ struct BeffPoint {
 struct BeffOutcome {
   WorkloadResult result;
   std::vector<BeffPoint> points;
-  /// ReliableTransport's transport.{retries,timeouts,probes,gap_retries,
-  /// dup_dropped,stale_dropped} for the run (nonzero only on faulty runs).
+  /// ReliableTransport's transport.{retries,probes,gap_retries,dup_dropped,
+  /// stale_dropped} for the run (nonzero only on faulty runs).
   std::uint64_t transport_retries = 0;
-  std::uint64_t transport_timeouts = 0;
   std::uint64_t transport_probes = 0;
   std::uint64_t transport_gap_retries = 0;
   std::uint64_t transport_dup_dropped = 0;

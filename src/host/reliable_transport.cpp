@@ -11,29 +11,16 @@
 namespace fpgafu::host {
 
 void TransportConfig::validate() const {
-  check(response_timeout > 0, "TransportConfig::response_timeout must be > 0");
   check(max_attempts > 0, "TransportConfig::max_attempts must be > 0");
-  check(backoff_multiplier > 0,
-        "TransportConfig::backoff_multiplier must be > 0");
-  check(max_backoff_factor > 0,
-        "TransportConfig::max_backoff_factor must be > 0");
   check(window > 0, "TransportConfig::window must be > 0");
   // Outstanding groups are matched by 16-bit wire sequence number; a window
   // anywhere near the sequence space would make matches ambiguous.
   check(window <= 4096, "TransportConfig::window must be <= 4096");
 }
 
-std::uint64_t backoff_timeout(const TransportConfig& config,
-                              unsigned attempts) {
-  std::uint64_t factor = 1;
-  for (unsigned a = 1; a < attempts; ++a) {
-    factor *= config.backoff_multiplier;
-    if (factor >= config.max_backoff_factor) {
-      factor = config.max_backoff_factor;
-      break;
-    }
-  }
-  return config.response_timeout * factor;
+std::uint64_t probe_interval(std::uint64_t pto, unsigned n) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  return n >= 64 || pto > (kMax >> n) ? kMax : pto << n;
 }
 
 ReliableTransport::ReliableTransport(Coprocessor& copro,
@@ -42,7 +29,6 @@ ReliableTransport::ReliableTransport(Coprocessor& copro,
       config_(config),
       reset_generation_(copro.system().simulator().reset_generation()),
       retries_(stats_.handle("transport.retries")),
-      timeouts_(stats_.handle("transport.timeouts")),
       gap_retries_(stats_.handle("transport.gap_retries")),
       dup_dropped_(stats_.handle("transport.dup_dropped")),
       stale_dropped_(stats_.handle("transport.stale_dropped")),
@@ -147,7 +133,7 @@ void ReliableTransport::transmit(Flight& f, std::size_t slot_index,
   if (count > 0) {
     const bool was_empty = outstanding_.empty();
     outstanding_.push_back({f.id, slot_index, wire, attempts, base, lo, hi,
-                            copro_->system().simulator().cycle(), 0});
+                            copro_->system().simulator().cycle()});
     if (was_empty) {
       arm_front();
     }
@@ -165,15 +151,6 @@ void ReliableTransport::arm_front() {
     return;
   }
   const std::uint64_t now = copro_->system().simulator().cycle();
-  Outstanding& o = outstanding_.front();
-  std::uint64_t t = backoff_timeout(config_, o.attempts);
-  const Flight* f = flight(o.program);
-  // Clamp to the owning program's remaining watchdog budget: a backed-off
-  // retry chain must keep probing inside the budget, never out-wait it.
-  if (f != nullptr && f->deadline) {
-    t = std::max<std::uint64_t>(1, std::min(t, f->deadline->remaining()));
-  }
-  o.deadline = now + t;
   if (srtt8_ != 0) {
     probe_due_ = now + pto();
   } else {
@@ -184,6 +161,8 @@ void ReliableTransport::arm_front() {
     // 2R).  The estimate ignores slow units; a probe that fires early only
     // queues behind the slow response and retries nothing.
     const top::SystemConfig& cfg = copro_->system().config();
+    const Outstanding& o = outstanding_.front();
+    const Flight* f = flight(o.program);
     const std::uint64_t queued =
         copro_->system().link().down_pending() + copro_->driver().tx_pending();
     const std::uint64_t frames =
@@ -216,10 +195,6 @@ void ReliableTransport::defer_probe() {
 }
 
 void ReliableTransport::send_probe() {
-  if (probes_sent_ >= kMaxProbes) {
-    probe_due_ = kNever;  // the response timeout takes over
-    return;
-  }
   // A SYNC: no register traffic (empty register sets, so no barrier waits on
   // it) and exactly one value-independent response, issued behind every
   // group already sent.  Sending one abandons any earlier, overdue probe.
@@ -232,8 +207,12 @@ void ReliableTransport::send_probe() {
   copro_->driver().enqueue(std::span(&word, 1));
   stats_.bump(probes_);
   ++probes_sent_;
-  probe_due_ =
-      copro_->system().simulator().cycle() + (pto() << probes_sent_);
+  // Re-probe at doubling intervals for as long as the front makes no
+  // progress: a slow unit is waited out with O(log) probe words, and a
+  // dead link is left to the per-program watchdog.
+  const std::uint64_t now = copro_->system().simulator().cycle();
+  probe_due_ = now + std::min(probe_interval(pto(), probes_sent_),
+                              kNever - now);
 }
 
 void ReliableTransport::resend(const Outstanding& o, std::size_t hi,
@@ -258,7 +237,7 @@ void ReliableTransport::retry_front(sim::Counters::Handle reason) {
   outstanding_.pop_front();
   try_issue_ = true;
   if (!outstanding_.empty()) {
-    arm_front();  // the next entry moves up; else transmit arms the retry
+    arm_front();  // the next entry moves up; else transmit arms the probe
   }
   resend(o, o.hi, reason);
 }
@@ -284,10 +263,10 @@ void ReliableTransport::handle_response(const msg::Response& r) {
     }
   }
   if (match == outstanding_.size()) {
-    // A duplicate of an already-completed entry or a late response from a
-    // timed-out attempt.  Either way the RTM is still answering what was
-    // sent before the front entry, which therefore cannot have answered
-    // yet.
+    // A duplicate of an already-completed entry, or a late response from a
+    // re-sent attempt or an abandoned probe.  Either way the RTM is still
+    // answering what was sent before the front entry, which therefore
+    // cannot have answered yet.
     stats_.bump(stale_dropped_);
     if (!outstanding_.empty()) {
       defer_probe();
@@ -473,11 +452,6 @@ void ReliableTransport::service() {
     handle_response(*r);
   }
 
-  if (!outstanding_.empty() && sim.cycle() >= outstanding_.front().deadline) {
-    probe_live_ = false;  // the timeout supersedes the probe
-    retry_front(timeouts_);
-  }
-
   // The tail probe, at the cached cycle (kNever while nothing waits).
   if (sim.cycle() >= probe_due_) {
     send_probe();
@@ -503,9 +477,6 @@ Wake ReliableTransport::next_wake() const {
     return Wake::at(copro_->system().simulator().cycle());
   }
   std::uint64_t at = probe_due_;
-  if (!outstanding_.empty()) {
-    at = std::min(at, outstanding_.front().deadline);
-  }
   if (!window_.empty()) {
     at = std::min(at, watchdog_due_);  // 0 (dirty): the next cycle
   }

@@ -14,23 +14,9 @@ namespace fpgafu::host {
 
 /// Tuning knobs for ReliableTransport.
 struct TransportConfig {
-  /// Cycles the oldest outstanding instruction may go unanswered before its
-  /// group is re-submitted (scaled by backoff on every further attempt).
-  /// The fallback path: a lost tail response is normally recovered within a
-  /// few measured (or, before the first sample, estimated) response
-  /// latencies by a tail probe (ReliableTransport), and this timeout fires
-  /// only when the probes are lost too.
-  std::uint64_t response_timeout = 2000;
-  /// Submission attempts per group before giving up.
+  /// Consecutive submissions of one outstanding entry that delivered
+  /// nothing before giving up (the first send and its re-sends).
   unsigned max_attempts = 10;
-  /// Timeout multiplier applied per retry attempt.
-  std::uint64_t backoff_multiplier = 2;
-  /// Cap on the accumulated backoff: an armed retry timeout never exceeds
-  /// `response_timeout * max_backoff_factor`, whatever the multiplier, so a
-  /// long retry chain keeps probing instead of out-waiting the watchdog.
-  /// (The cap used to be "seven doublings", which only matched the
-  /// documented 64x when backoff_multiplier == 2.)
-  std::uint64_t max_backoff_factor = 64;
   /// Overall watchdog for one call() (2x the default call budget: the
   /// transport is expected to out-wait retries a plain call would not).
   std::uint64_t max_cycles = 2 * kDefaultCallBudgetCycles;
@@ -42,19 +28,18 @@ struct TransportConfig {
   /// step from it.
   std::size_t window = 1;
 
-  /// Throw SimError on nonsensical settings (zero attempts/multiplier/
-  /// window...).  ReliableTransport and host::Farm run this on
-  /// construction so misconfiguration surfaces on the caller's thread.
+  /// Throw SimError on nonsensical settings (zero attempts or window, a
+  /// window near the sequence space).  ReliableTransport and host::Farm
+  /// run this on construction so misconfiguration surfaces on the
+  /// caller's thread.
   void validate() const;
 };
 
-/// The capped exponential backoff schedule: the timeout armed for a group's
-/// `attempts`-th consecutive unanswered attempt.  Exposed as a free
-/// function so tests can pin the formula directly:
-///   min(response_timeout * backoff_multiplier^(attempts-1),
-///       response_timeout * max_backoff_factor)
-std::uint64_t backoff_timeout(const TransportConfig& config,
-                              unsigned attempts);
+/// The tail probe's schedule: the wait after the `n`-th probe sent since
+/// the front entry last moved (n = 0: the wait before the first), i.e.
+/// `pto * 2^n`, saturating at UINT64_MAX instead of overflowing.  Exposed
+/// so tests can pin it.
+std::uint64_t probe_interval(std::uint64_t pto, unsigned n);
 
 /// Reliable request/response layer over an unreliable upstream link.
 ///
@@ -93,12 +78,13 @@ std::uint64_t backoff_timeout(const TransportConfig& config,
 ///    value-independent response queues behind every earlier response (a
 ///    slow unit delays it too), so when it lands, every entry older than
 ///    it is re-submitted as a gap retry.  At most one probe is
-///    outstanding; a lost probe is re-sent at doubling intervals, at most
-///    kMaxProbes per front attempt (transport.probes);
-///  * the oldest entry is also guarded by a timeout with exponential
-///    backoff, capped at `max_backoff_factor` and clamped to the program's
-///    remaining watchdog budget — the fallback when nothing, not even a
-///    probe's response, arrives at all;
+///    outstanding; a lost probe is re-sent at doubling intervals
+///    (probe_interval) for as long as the front makes no progress
+///    (transport.probes).  The probe is the only loss detector: it needs
+///    no bound on how long a unit may take, so a slow unit costs O(log)
+///    probe words and no retry.  A link that answers nothing at all gives
+///    up on the per-program watchdog; `max_attempts` bounds consecutive
+///    re-sends of one entry that delivered nothing;
 ///  * groups that produce no responses (register writes) are submitted only
 ///    once no outstanding read covers a register they write (per-register
 ///    write barrier, host::GroupPrediction), so re-submitting a read can never
@@ -137,10 +123,6 @@ class ReliableTransport {
   /// Ticket for one pipelined program; unique per transport.
   using ProgramId = std::uint64_t;
 
-  /// Probes per front attempt (each waits twice as long as the last), so a
-  /// dead link sends O(log) probes before the response timeout fires.
-  static constexpr unsigned kMaxProbes = 4;
-
   /// A completed pipelined program: every response, renumbered to program
   /// order (bit-comparable with host::ReferenceModel::run).
   struct Completion {
@@ -160,7 +142,7 @@ class ReliableTransport {
 
   /// Submit `program` and block until every expected response has been
   /// received (retrying as needed) and the system has drained.  Returns
-  /// responses renumbered to program order.  Throws SimError when a group
+  /// responses renumbered to program order.  Throws SimError when an entry
   /// exhausts max_attempts or the overall watchdog fires; one pump loop
   /// under one Deadline covers the sends, the exchange and the drain.
   /// `budget_cycles`, when given, overrides config().max_cycles for this
@@ -184,13 +166,13 @@ class ReliableTransport {
                    bool stream = false);
 
   /// One service quantum of the retry state machine: issue groups (window
-  /// order, write barrier permitting), consume arrived responses, run gap/
-  /// timeout retries, surface completions.  Never advances the clock —
-  /// drive it from a Pump loop.  The words it sends go onto the link in
-  /// this call as far as the link accepts them; a bounded downlink's
-  /// refusals wait in the Driver and wake the pump.  Throws SimError on a
-  /// retry give-up or a per-program watchdog expiry; the window is then
-  /// poisoned and must be cleared with abort_in_flight().
+  /// order, write barrier permitting), consume arrived responses, run gap
+  /// retries and tail probes, surface completions.  Never advances the
+  /// clock — drive it from a Pump loop.  The words it sends go onto the
+  /// link in this call as far as the link accepts them; a bounded
+  /// downlink's refusals wait in the Driver and wake the pump.  Throws
+  /// SimError on a retry give-up or a per-program watchdog expiry; the
+  /// window is then poisoned and must be cleared with abort_in_flight().
   void service();
 
   /// When service() next has work that no link event announces (the
@@ -198,8 +180,8 @@ class ReliableTransport {
   /// completions, stream events or an emit are pending, or while a program
   /// waiting to issue may get further (it was just submitted, or an
   /// outstanding read retired or was re-sent since the write barrier held
-  /// it); otherwise the earliest of the front retry deadline, the tail
-  /// probe and the per-program watchdogs.  Response frames wake the pump
+  /// it); otherwise the earlier of the tail probe and the per-program
+  /// watchdogs.  Response frames wake the pump
   /// by themselves.
   Wake next_wake() const;
 
@@ -219,8 +201,8 @@ class ReliableTransport {
   /// state behind them); the caller owns failing them upwards.
   void abort_in_flight();
 
-  /// transport.{retries,timeouts,gap_retries,dup_dropped,stale_dropped,
-  /// failures,probes} statistics.
+  /// transport.{retries,gap_retries,dup_dropped,stale_dropped,failures,
+  /// probes} statistics.
   const sim::Counters& counters() const { return stats_; }
 
   const TransportConfig& config() const { return config_; }
@@ -269,8 +251,7 @@ class ReliableTransport {
     std::size_t base = 0;
     std::size_t next = 0;  ///< next sub-response this attempt should carry
     std::size_t hi = 0;    ///< end of its range
-    std::uint64_t sent = 0;      ///< transmit cycle (latency sample origin)
-    std::uint64_t deadline = 0;  ///< armed only while this entry is the front
+    std::uint64_t sent = 0;  ///< transmit cycle (latency sample origin)
   };
 
   Flight* flight(ProgramId id);
@@ -283,9 +264,8 @@ class ReliableTransport {
   /// it on first issue) and, when it responds, enqueue it for tracking.
   void transmit(Flight& f, std::size_t slot_index, std::size_t lo,
                 std::size_t hi, unsigned attempts);
-  /// (Re-)arm the front outstanding entry's retry deadline, capped by the
-  /// backoff schedule and clamped to its program's remaining budget, and
-  /// its tail-probe timer.  On an empty FIFO, abandons any live probe.
+  /// (Re-)arm the tail-probe timer for the front outstanding entry.  On an
+  /// empty FIFO, abandons any live probe.
   void arm_front();
   /// Fold one response-latency sample into the RFC 6298 estimate.
   void sample_latency(std::uint64_t cycles);
@@ -351,7 +331,6 @@ class ReliableTransport {
   std::uint64_t probe_due_ = kNever;  ///< next probe cycle
   sim::Counters stats_;
   sim::Counters::Handle retries_;
-  sim::Counters::Handle timeouts_;
   sim::Counters::Handle gap_retries_;
   sim::Counters::Handle dup_dropped_;
   sim::Counters::Handle stale_dropped_;

@@ -305,11 +305,6 @@ TEST(Farm, RejectsDegenerateConfiguration) {
   }
   {
     FarmConfig fc;
-    fc.transport.max_backoff_factor = 0;
-    EXPECT_THROW(Farm{fc}, SimError);
-  }
-  {
-    FarmConfig fc;
     fc.stats_publish_interval = 0;
     EXPECT_THROW(Farm{fc}, SimError);
   }
@@ -887,7 +882,6 @@ TEST(Farm, WindowedFaultSoakIsBitIdenticalToTheReferenceModel) {
   FarmConfig fc;
   fc.shards = 2;
   fc.transport.window = 8;
-  fc.transport.response_timeout = 500;
   fc.transport.max_attempts = 25;
   msg::FaultConfig f;
   f.seed = 0xfa54;
@@ -1036,7 +1030,6 @@ TEST(Farm, CoalescedFaultSoakIsBitIdenticalToTheReferenceModel) {
   FarmConfig fc;
   fc.shards = 2;
   fc.transport.window = 4;
-  fc.transport.response_timeout = 500;
   fc.transport.max_attempts = 25;
   msg::FaultConfig f;
   f.seed = 0xc0a1;

@@ -290,7 +290,6 @@ Case draw_case(std::size_t index) {
   c.faulty = index % 2 == 1;
   if (c.faulty) {
     // The windowed farm soak's fault mix.
-    fc.transport.response_timeout = 500;
     fc.transport.max_attempts = 25;
     msg::FaultConfig f;
     f.seed = 0xf022 + index;

@@ -50,7 +50,6 @@ TEST(TransportSoak, RandomProgramsSurviveFivePercentFaultRates) {
     top::System sys(cfg);
     Coprocessor copro(sys);
     TransportConfig tcfg;
-    tcfg.response_timeout = 500;
     // At 5% loss per word a long GETV needs many incremental attempts.
     tcfg.max_attempts = 25;
     ReliableTransport transport(copro, tcfg);

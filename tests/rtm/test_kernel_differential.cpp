@@ -283,9 +283,7 @@ TEST(KernelDifferential, BurstAndFaultyLinksMatchAcrossKernels) {
       top::System sys(cfg);
       sys.simulator().set_kernel(kernel);
       host::Coprocessor copro(sys);
-      host::TransportConfig tcfg;
-      tcfg.response_timeout = 2000;
-      host::ReliableTransport transport(copro, tcfg);
+      host::ReliableTransport transport(copro);
       std::ostringstream vcd_os;
       sim::VcdWriter vcd(sys.simulator(), vcd_os, 20);
       msg::Link& link = sys.link();

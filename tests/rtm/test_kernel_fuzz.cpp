@@ -279,7 +279,6 @@ FuzzRun run_spec_or_throw(const FuzzSpec& s, Simulator::Kernel kernel) {
   }
   host::Coprocessor copro(sys);
   host::TransportConfig tcfg;
-  tcfg.response_timeout = 500;
   tcfg.max_attempts = 25;
   host::ReliableTransport transport(copro, tcfg);
 
@@ -489,7 +488,6 @@ FuzzRun run_managed_or_throw(const ManagedSpec& s, Simulator::Kernel kernel) {
   sys.simulator().set_kernel(kernel);
   host::Coprocessor copro(sys);
   host::TransportConfig tcfg;
-  tcfg.response_timeout = 500;
   tcfg.max_attempts = 25;
   host::ReliableTransport transport(copro, tcfg);
 
