@@ -13,7 +13,7 @@
 #include "isa/types.hpp"
 #include "rtm/fu_table.hpp"
 #include "sim/component.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 
 namespace fpgafu::host {
 

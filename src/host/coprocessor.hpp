@@ -8,7 +8,7 @@
 #include "host/driver.hpp"
 #include "isa/program.hpp"
 #include "msg/response.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 #include "top/system.hpp"
 
 namespace fpgafu::host {

@@ -8,7 +8,7 @@
 
 #include "isa/program.hpp"
 #include "msg/response.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 #include "top/system.hpp"
 #include "util/ring_buffer.hpp"
 

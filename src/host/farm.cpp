@@ -19,6 +19,11 @@ constexpr Farm::SessionId kNoSession = ~std::uint64_t{0};
 /// Most recent per-shard job-latency samples kept for job_latency_samples()
 /// (a bounded ring, so a long-lived farm's footprint stays flat).
 constexpr std::size_t kLatencyRingCapacity = 65536;
+/// The farm whose shard step this thread runs: set for life on a worker
+/// thread, and for the step loop on an inline farm's submitting thread.
+/// A submit from such a thread (a callback's follow-up) must not wait for
+/// queue space: this thread is the one that would free it.
+thread_local const Farm* t_stepping = nullptr;
 }  // namespace
 
 LatencyPercentiles latency_percentiles(std::vector<std::uint64_t> samples) {
@@ -165,7 +170,7 @@ struct Farm::Shard {
   std::uint64_t publishes = 0;
   std::uint64_t unpublished = 0;  ///< jobs resolved since the last snapshot
   /// Job latencies (cycles) since the last publication: at most one
-  /// interval plus one window's completions, and never more than a ring.
+  /// interval plus one window's completions.
   std::vector<std::uint64_t> staged;
   /// The next snapshot, rebuilt in place and swapped with `stats`.  Both
   /// buffers intern the farm.* names first, in the same order, so these
@@ -182,9 +187,6 @@ struct Farm::Shard {
   /// Inline mode only: engine owned by the calling thread, built lazily on
   /// first submit so the caller's thread is the simulator's owner thread.
   std::unique_ptr<Engine> inline_engine;
-  /// Inline reentrancy guard: a submit from inside a callback queues the
-  /// job for the outer step loop instead of recursing.
-  bool inline_active = false;
 
   Shard() { stats = snapshot; }
 
@@ -368,8 +370,7 @@ void Farm::Shard::finish_accounting(Job& job) {
 }
 
 void Farm::Shard::publish_stats(const Engine& engine, bool force) {
-  if (!force && unpublished < cfg->stats_publish_interval &&
-      staged.size() < kLatencyRingCapacity) {
+  if (!force && unpublished < kStatsPublishInterval) {
     return;  // amortised: at most one snapshot per interval while busy
   }
   snapshot.clear();
@@ -630,8 +631,6 @@ Farm::Farm(FarmConfig config) : config_(std::move(config)) {
   config_.system.validate();
   config_.transport.validate();
   check(config_.queue_capacity > 0, "FarmConfig::queue_capacity must be > 0");
-  check(config_.stats_publish_interval > 0,
-        "FarmConfig::stats_publish_interval must be > 0");
   // Surface catalogue mistakes here instead of as every job failing with
   // a shard that cannot construct: each shard's register_image applies
   // the same rules, against the units its SystemConfig attaches.
@@ -658,7 +657,10 @@ Farm::Farm(FarmConfig config) : config_(std::move(config)) {
   }
   for (std::size_t i = 0; i < n; ++i) {
     Shard* shard = shards_[i].get();
-    shard->thread = std::thread([shard] { shard->worker(); });
+    shard->thread = std::thread([this, shard] {
+      t_stepping = this;
+      shard->worker();
+    });
   }
 }
 
@@ -837,11 +839,11 @@ void Farm::enqueue(SessionId session, Job job) {
                           ")");
     }
     if (shard.queued >= config_.queue_capacity) {
-      // Inline mode never blocks: there is no worker to free space, so a
-      // full queue (only reachable through reentrant submits) sheds under
-      // either policy.
+      // A submit from a thread that steps this farm (a callback) sheds
+      // under either policy: blocking would park the thread that frees
+      // queue space.
       if (config_.admission == FarmConfig::Admission::kShed ||
-          inline_mode()) {
+          t_stepping == this) {
         shard.jobs_shed.fetch_add(1);
         throw FarmError(FarmError::Kind::kOverload, shard.index,
                         "Farm::submit: shard " + std::to_string(shard.index) +
@@ -876,14 +878,13 @@ void Farm::enqueue(SessionId session, Job job) {
   // Inline mode: run the shard step on the calling thread until the shard
   // is idle.  A reentrant submit (from inside a callback) just queues; the
   // outermost call's step loop runs it.
-  if (shard.inline_active) {
+  if (t_stepping == this) {
     return;
   }
-  shard.inline_active = true;
-  struct Guard {
-    bool& flag;
-    ~Guard() { flag = false; }
-  } guard{shard.inline_active};
+  struct Restore {
+    const Farm* outer;
+    ~Restore() { t_stepping = outer; }
+  } restore{std::exchange(t_stepping, this)};
   if (!shard.inline_engine) {
     shard.inline_engine = std::make_unique<Shard::Engine>(config_);
   }

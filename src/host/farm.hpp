@@ -15,7 +15,7 @@
 #include "host/reliable_transport.hpp"
 #include "isa/program.hpp"
 #include "msg/response.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 #include "top/system.hpp"
 
 namespace fpgafu::host {
@@ -98,7 +98,8 @@ class FarmError : public SimError {
 struct FarmConfig {
   /// What submit() does when a shard's bounded queue is full.
   enum class Admission {
-    kBlock,  ///< block the producer until space frees (backpressure)
+    kBlock,  ///< block the producer until space frees (backpressure);
+             ///< a submit from a callback is shed instead
     kShed,   ///< fail fast with FarmError{kOverload} (load shedding)
   };
 
@@ -128,13 +129,6 @@ struct FarmConfig {
   /// either admission policy — so one tenant cannot monopolise a shard's
   /// queue.  0 = unbounded.  Session-less submissions are never counted.
   std::size_t max_inflight_per_session = 0;
-  /// Jobs a worker resolves between counter-snapshot publications.  The
-  /// fleet view (counters(), job_latency_samples()) lags by at most this
-  /// many jobs while a shard is busy.  A threaded shard publishes besides
-  /// only when a reader finds it idle (see counters()) and at shutdown();
-  /// it never publishes just for going idle.  1 restores
-  /// publish-after-every-job.
-  std::size_t stats_publish_interval = 16;
 
   // -- Algorithm-on-demand ---------------------------------------------------
   /// Loadable algorithm images, registered on every shard's FuManager (each
@@ -182,11 +176,12 @@ struct FarmConfig {
 /// **Admission.**  Each shard's queue is bounded
 /// (FarmConfig::queue_capacity).  A full queue blocks the producer
 /// (Admission::kBlock) or sheds the job with FarmError{kOverload}
-/// (Admission::kShed).  Sessions are optionally capped at
-/// `max_inflight_per_session` unresolved jobs — exceeding the cap is
-/// refused with kOverload under either policy.  Queued jobs are dequeued
-/// *round-robin across sessions* (FIFO within a session), so one tenant's
-/// burst cannot starve the others.
+/// (Admission::kShed); a submit from one of the farm's own worker threads
+/// (a callback's follow-up) is always shed, never blocked.  Sessions are
+/// optionally capped at `max_inflight_per_session` unresolved jobs —
+/// exceeding the cap is refused with kOverload under either policy.
+/// Queued jobs are dequeued *round-robin across sessions* (FIFO within a
+/// session), so one tenant's burst cannot starve the others.
 ///
 /// **Failure semantics.**  A job that trips its watchdog (or exhausts
 /// transport retries) fails *and* takes the window with it: every job in
@@ -202,10 +197,19 @@ struct FarmConfig {
 class Farm {
  public:
   using SessionId = std::uint64_t;
+  /// Jobs a worker resolves between counter-snapshot publications.  The
+  /// fleet view (counters(), job_latency_samples()) lags by at most this
+  /// many jobs while a shard is busy.  A threaded shard publishes besides
+  /// only when a reader finds it idle (see counters()) and at shutdown();
+  /// it never publishes just for going idle.
+  static constexpr std::size_t kStatsPublishInterval = 16;
   /// Completion callback for submit_async: exactly one of (responses,
   /// error) is meaningful — error is nullptr on success.  Runs on the
   /// shard's worker thread (inline mode: the submitting thread); it must
-  /// not block and must not throw.  It may submit follow-up jobs.
+  /// not block and must not throw.  It may submit follow-up jobs; such a
+  /// submit never blocks, under either admission policy: a full queue
+  /// refuses it with FarmError{kOverload}, because the thread it would
+  /// wait on is the one that frees queue space.
   using Callback =
       std::function<void(std::vector<msg::Response>, std::exception_ptr)>;
   /// Streaming consumer for submit_stream: invoked once per response, in
@@ -285,12 +289,12 @@ class Farm {
   /// farm.jobs_completed / farm.jobs_failed / farm.jobs_shed /
   /// farm.shard_resets count the farm's own lifecycle events;
   /// farm.stats_publishes counts snapshot publications (amortised to one
-  /// per stats_publish_interval jobs, plus one per refresh).
+  /// per kStatsPublishInterval jobs, plus one per refresh).
   ///
   /// Before reading, this asks every idle threaded shard (no job queued,
   /// in flight or resolving) for a fresh snapshot and waits for it, so the
   /// view is exact once a future's get() has returned for a shard's last
-  /// job.  A busy shard's view lags by at most stats_publish_interval
+  /// job.  A busy shard's view lags by at most kStatsPublishInterval
   /// jobs; so does every shard's when called on that shard's own worker
   /// thread (a completion callback) and an inline farm's until shutdown().
   /// After shutdown() the view is exact.

@@ -18,9 +18,9 @@ void TransportConfig::validate() const {
   check(window <= 4096, "TransportConfig::window must be <= 4096");
 }
 
-std::uint64_t probe_interval(std::uint64_t pto, unsigned n) {
+std::uint64_t probe_interval(std::uint64_t first, unsigned n) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  return n >= 64 || pto > (kMax >> n) ? kMax : pto << n;
+  return n >= 64 || first > (kMax >> n) ? kMax : first << n;
 }
 
 ReliableTransport::ReliableTransport(Coprocessor& copro,
@@ -90,7 +90,7 @@ ReliableTransport::ProgramId ReliableTransport::submit(
   f.stream = stream;
   f.next_group = 0;
   f.emit_cursor = 0;
-  f.budget = budget_cycles.value_or(config_.max_cycles);
+  f.budget = budget_cycles.value_or(kDefaultBudgetCycles);
   f.deadline.reset();
   // An empty program is complete at once; any other completes when its
   // last group goes out or its last response lands, which set the flag.
@@ -152,7 +152,7 @@ void ReliableTransport::arm_front() {
   }
   const std::uint64_t now = copro_->system().simulator().cycle();
   if (srtt8_ != 0) {
-    probe_due_ = now + pto();
+    probe_wait_ = pto();
   } else {
     // No sample yet: estimate the front group's response latency from the
     // host's side of the link — both flight times, the words queued ahead
@@ -171,8 +171,9 @@ void ReliableTransport::arm_front() {
         cfg.link_down.latency + cfg.link_up.latency +
         cfg.link_down.interval * queued +
         cfg.link_up.interval * msg::kLinkWordsPerResponse * frames;
-    probe_due_ = now + r + std::max(kProbeFloor, 2 * r);
+    probe_wait_ = r + std::max(kProbeFloor, 2 * r);
   }
+  probe_due_ = now + probe_wait_;
 }
 
 void ReliableTransport::sample_latency(std::uint64_t cycles) {
@@ -207,11 +208,12 @@ void ReliableTransport::send_probe() {
   copro_->driver().enqueue(std::span(&word, 1));
   stats_.bump(probes_);
   ++probes_sent_;
-  // Re-probe at doubling intervals for as long as the front makes no
-  // progress: a slow unit is waited out with O(log) probe words, and a
-  // dead link is left to the per-program watchdog.
+  // Re-probe at doubling intervals, starting from the front's first wait,
+  // for as long as the front makes no progress: a slow unit is waited out
+  // with O(log) probe words, and a dead link is left to the per-program
+  // watchdog.
   const std::uint64_t now = copro_->system().simulator().cycle();
-  probe_due_ = now + std::min(probe_interval(pto(), probes_sent_),
+  probe_due_ = now + std::min(probe_interval(probe_wait_, probes_sent_),
                               kNever - now);
 }
 
@@ -523,7 +525,7 @@ std::vector<msg::Response> ReliableTransport::call(
     const isa::Program& program, std::optional<std::uint64_t> budget_cycles) {
   check(window_.empty(),
         "ReliableTransport::call with pipelined programs in flight");
-  const std::uint64_t budget = budget_cycles.value_or(config_.max_cycles);
+  const std::uint64_t budget = budget_cycles.value_or(kDefaultBudgetCycles);
   submit(program, budget);
   sim::Simulator& sim = copro_->system().simulator();
   std::optional<Completion> done;

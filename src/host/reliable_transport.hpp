@@ -7,7 +7,7 @@
 
 #include "host/coprocessor.hpp"
 #include "host/framing.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 #include "util/ring_buffer.hpp"
 
 namespace fpgafu::host {
@@ -17,9 +17,6 @@ struct TransportConfig {
   /// Consecutive submissions of one outstanding entry that delivered
   /// nothing before giving up (the first send and its re-sends).
   unsigned max_attempts = 10;
-  /// Overall watchdog for one call() (2x the default call budget: the
-  /// transport is expected to out-wait retries a plain call would not).
-  std::uint64_t max_cycles = 2 * kDefaultCallBudgetCycles;
   /// Programs the pipelined interface keeps in flight at once, one window
   /// slot each.  1 is call-and-wait; larger windows overlap one program's
   /// tail with the next program's issue (the RTM pipelines instructions
@@ -37,9 +34,10 @@ struct TransportConfig {
 
 /// The tail probe's schedule: the wait after the `n`-th probe sent since
 /// the front entry last moved (n = 0: the wait before the first), i.e.
-/// `pto * 2^n`, saturating at UINT64_MAX instead of overflowing.  Exposed
-/// so tests can pin it.
-std::uint64_t probe_interval(std::uint64_t pto, unsigned n);
+/// `first * 2^n`, saturating at UINT64_MAX instead of overflowing.  `first`
+/// is PTO, or the host-side estimate before the first latency sample.
+/// Exposed so tests can pin it.
+std::uint64_t probe_interval(std::uint64_t first, unsigned n);
 
 /// Reliable request/response layer over an unreliable upstream link.
 ///
@@ -138,6 +136,12 @@ class ReliableTransport {
     msg::Response response;
   };
 
+  /// A program's watchdog when submit()/call() is given no budget: twice a
+  /// plain call's, since the transport is expected to out-wait retries a
+  /// plain call would not.
+  static constexpr std::uint64_t kDefaultBudgetCycles =
+      2 * kDefaultCallBudgetCycles;
+
   explicit ReliableTransport(Coprocessor& copro, TransportConfig config = {});
 
   /// Submit `program` and block until every expected response has been
@@ -145,7 +149,7 @@ class ReliableTransport {
   /// responses renumbered to program order.  Throws SimError when an entry
   /// exhausts max_attempts or the overall watchdog fires; one pump loop
   /// under one Deadline covers the sends, the exchange and the drain.
-  /// `budget_cycles`, when given, overrides config().max_cycles for this
+  /// `budget_cycles`, when given, overrides kDefaultBudgetCycles for this
   /// one call (the Farm uses it for per-job deadlines).  Requires an empty
   /// window (call-and-wait and pipelined submission do not mix within one
   /// exchange).
@@ -157,7 +161,7 @@ class ReliableTransport {
   /// Enqueue a program into the in-flight window (throws SimError when the
   /// window is full — poll capacity with window_full()).  Its instructions
   /// issue, in submission order, as service() runs; its per-program
-  /// watchdog (`budget_cycles`, default config().max_cycles) arms when its
+  /// watchdog (`budget_cycles`, default kDefaultBudgetCycles) arms when its
   /// first group reaches the wire.  With stream = true every response is
   /// additionally delivered through poll_stream() as soon as its group
   /// completes.
@@ -328,6 +332,9 @@ class ReliableTransport {
   bool probe_live_ = false;
   std::uint16_t probe_seq_ = 0;
   unsigned probes_sent_ = 0;          ///< since the front entry last moved
+  /// The front entry's first probe wait (PTO, or the host-side estimate
+  /// before the first sample); each re-probe doubles it (probe_interval).
+  std::uint64_t probe_wait_ = 0;
   std::uint64_t probe_due_ = kNever;  ///< next probe cycle
   sim::Counters stats_;
   sim::Counters::Handle retries_;

@@ -7,8 +7,8 @@
 
 #include "msg/response.hpp"
 #include "sim/component.hpp"
+#include "sim/counters.hpp"
 #include "sim/handshake.hpp"
-#include "sim/trace.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 

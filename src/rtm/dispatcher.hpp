@@ -9,8 +9,8 @@
 #include "rtm/lock_manager.hpp"
 #include "rtm/register_file.hpp"
 #include "sim/component.hpp"
+#include "sim/counters.hpp"
 #include "sim/handshake.hpp"
-#include "sim/trace.hpp"
 
 namespace fpgafu::rtm {
 
@@ -51,11 +51,6 @@ class Dispatcher : public sim::Component {
   sim::Handshake<ExecPacket> to_exec;         ///< to the execution stage
 
   void bind(sim::Handshake<DecodedInst>& decoder_out) { in = &decoder_out; }
-
-  /// Attach an event trace: every dispatch is recorded as
-  /// `dispatch.unit<i>` / `dispatch.exec` with the instruction's sequence
-  /// number as the value.
-  void set_trace(sim::EventTrace* trace) { trace_ = trace; }
 
   /// True while an instruction is pending pre-dispatch: offered on the
   /// input channel but not yet routed to a functional unit or the
@@ -147,7 +142,7 @@ class Dispatcher : public sim::Component {
     if (!fired) {
       return;
     }
-    mark_active();  // a launch mutates locks/counters/trace
+    mark_active();  // a launch mutates locks and counters
     const DecodedInst di = in->data.get();
     switch (route_) {
       case Route::kNone:
@@ -160,9 +155,6 @@ class Dispatcher : public sim::Component {
           locks_->lock_data(di.inst.aux, owner);
         }
         counters_->bump(h_dispatch_unit_);
-        if (trace_ != nullptr) {
-          trace_->event(simulator().cycle(), unit_labels_[owner], di.seq);
-        }
         break;
       }
       case Route::kToExec: {
@@ -170,9 +162,6 @@ class Dispatcher : public sim::Component {
         annotated.error = exec_error_;
         lock_for_exec(annotated);
         counters_->bump(h_dispatch_exec_);
-        if (trace_ != nullptr) {
-          trace_->event(simulator().cycle(), "dispatch.exec", di.seq);
-        }
         break;
       }
     }
@@ -429,7 +418,6 @@ class Dispatcher : public sim::Component {
   sim::Counters::Handle h_stall_lock_;
   sim::Counters::Handle h_stall_unit_busy_;
   sim::Counters::Handle h_stall_sync_;
-  sim::EventTrace* trace_ = nullptr;
   Route route_ = Route::kNone;
   sim::Counters::Handle stall_reason_ = kNoCounter;
   /// The stall being accounted (kNoCounter: none) and the first cycle not
@@ -448,7 +436,6 @@ class Dispatcher : public sim::Component {
   MemoKey memo_key_;
   Plan memo_;
   const Plan no_plan_{};  ///< the plan while nothing is offered
-  sim::IndexedLabels unit_labels_{"dispatch.unit"};
 };
 
 }  // namespace fpgafu::rtm

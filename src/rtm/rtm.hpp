@@ -200,13 +200,6 @@ class Rtm {
     return counters_;
   }
 
-  /// Attach an event trace recording dispatches and writebacks — the
-  /// controller-level waveform a VHDL user would inspect.  Pass nullptr to
-  /// detach.
-  void set_trace(sim::EventTrace* trace) {
-    dispatcher_.set_trace(trace);
-    arbiter_.set_trace(trace);
-  }
   std::uint64_t instructions_decoded() const {
     return decoder_.decoded_count();
   }

@@ -8,7 +8,7 @@
 #include "rtm/lock_manager.hpp"
 #include "rtm/register_file.hpp"
 #include "sim/component.hpp"
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 
 namespace fpgafu::rtm {
 
@@ -79,10 +79,6 @@ class WriteArbiter : public sim::Component {
       locks_->unlock_flag(w.dst_flag_reg);
       counters_->bump(h_hp_flags_);
     }
-    if (trace_ != nullptr && (w.write_data || w.write_flags)) {
-      trace_->event(simulator().cycle(), "writeback.hp",
-                    w.write_data ? w.dst_reg : w.dst_flag_reg);
-    }
     // Granted functional-unit completion.
     if (grant_ != kNoGrant) {
       const fu::FuResult r =
@@ -101,9 +97,6 @@ class WriteArbiter : public sim::Component {
         locks_->unlock_flag(r.dst_flag_reg);
       }
       counters_->bump(h_unit_writes_);
-      if (trace_ != nullptr) {
-        trace_->event(simulator().cycle(), unit_labels_[grant_], r.dst_reg);
-      }
       if (round_robin_) {
         next_ = (grant_ + 1) % table_->size();
       }
@@ -130,10 +123,6 @@ class WriteArbiter : public sim::Component {
     driven_generation_ = kNeverDriven;
   }
 
-  /// Attach an event trace recording every retirement (`writeback.hp`,
-  /// `writeback.unit<i>`) with the written register as the value.
-  void set_trace(sim::EventTrace* trace) { trace_ = trace; }
-
  private:
   static constexpr std::size_t kNoGrant = FunctionalUnitTable::kNone;
   static constexpr std::uint64_t kNeverDriven = ~std::uint64_t{0};
@@ -157,7 +146,6 @@ class WriteArbiter : public sim::Component {
   sim::Counters::Handle h_hp_flags_;
   sim::Counters::Handle h_unit_writes_;
   sim::Counters::Handle h_contention_;
-  sim::EventTrace* trace_ = nullptr;
   bool round_robin_;
   std::size_t grant_ = kNoGrant;
   std::size_t next_ = 0;
@@ -165,7 +153,6 @@ class WriteArbiter : public sim::Component {
   /// the table generation the acks were last driven for.
   std::size_t acked_ = kNoGrant;
   std::uint64_t driven_generation_ = kNeverDriven;
-  sim::IndexedLabels unit_labels_{"writeback.unit"};
 };
 
 }  // namespace fpgafu::rtm

@@ -29,7 +29,7 @@ namespace fpgafu::sim {
 /// *activity contract* (docs/SIMULATOR.md): any state change a `commit()`
 /// makes must be visible to the scheduler.  Clocked state is plain fields,
 /// and every change a `commit()` makes to it — a register or FSM field, a
-/// ring buffer, a counter bump, a trace event — is announced with
+/// ring buffer, a counter bump — is announced with
 /// `mark_active()`; a commit that changes nothing stays silent and lets the
 /// component sleep.  Behaviour that changes with time alone (a countdown, a
 /// word in flight) is announced once with `wake_at(cycle)`, not by staying
@@ -65,7 +65,7 @@ class Component {
 
  protected:
   /// Announce from `commit()` that clocked state changed (or that a clocked
-  /// side effect — counter bump, trace event, buffer mutation — happened),
+  /// side effect — counter bump, buffer mutation — happened),
   /// so the event kernel keeps this component in next cycle's wake/commit
   /// sets.
   void mark_active() { sim_.wake(*this); }

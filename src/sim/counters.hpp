@@ -2,71 +2,11 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace fpgafu::sim {
-
-/// Lightweight signal/event trace, the debugging stand-in for a VHDL
-/// waveform dump.  Components call `event()` when something interesting
-/// happens (a handshake fires, an FSM changes state); tests can assert on
-/// the recorded sequence and developers can print it.
-class EventTrace {
- public:
-  struct Entry {
-    std::uint64_t cycle;
-    std::string signal;
-    std::uint64_t value;
-  };
-
-  explicit EventTrace(std::size_t max_entries = 1u << 20)
-      : max_entries_(max_entries) {}
-
-  void event(std::uint64_t cycle, std::string signal, std::uint64_t value) {
-    if (entries_.size() < max_entries_) {
-      entries_.push_back({cycle, std::move(signal), value});
-    } else {
-      ++dropped_;
-    }
-  }
-
-  const std::vector<Entry>& entries() const { return entries_; }
-  std::uint64_t dropped() const { return dropped_; }
-  void clear() {
-    entries_.clear();
-    dropped_ = 0;
-  }
-
-  void print(std::ostream& os) const;
-
- private:
-  std::vector<Entry> entries_;
-  std::size_t max_entries_;
-  std::uint64_t dropped_ = 0;
-};
-
-/// Event names of the form `<prefix><index>` ("dispatch.unit3"), each
-/// formatted once, the first time its index is traced, so a traced
-/// component does not build a string per event.
-class IndexedLabels {
- public:
-  explicit IndexedLabels(std::string prefix) : prefix_(std::move(prefix)) {}
-
-  const std::string& operator[](std::size_t index) {
-    while (labels_.size() <= index) {
-      labels_.push_back(prefix_);
-      labels_.back() += std::to_string(labels_.size() - 1);
-    }
-    return labels_[index];
-  }
-
- private:
-  std::string prefix_;
-  std::vector<std::string> labels_;
-};
 
 /// Named monotonically increasing counters for cycle statistics
 /// (instructions dispatched, stalls, arbiter conflicts, ...).  Benchmarks

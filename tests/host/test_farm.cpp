@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -303,11 +304,6 @@ TEST(Farm, RejectsDegenerateConfiguration) {
     fc.transport.window = 0;
     EXPECT_THROW(Farm{fc}, SimError);
   }
-  {
-    FarmConfig fc;
-    fc.stats_publish_interval = 0;
-    EXPECT_THROW(Farm{fc}, SimError);
-  }
 }
 
 /// A long-but-correct program that keeps a worker busy for a while, so the
@@ -344,22 +340,15 @@ TEST(Farm, WindowedShardsMatchTheReferenceModel) {
 
 /// A completion-keyed stream of tiny jobs: twelve register-disjoint
 /// sessions of PUT/ADD/GET, started by one kick-off job whose callback
-/// submits the rest.  Every arrival is keyed to a completion, so neither
-/// the simulated cycles nor the latency samples depend on thread timing.
-struct KeyedStream {
-  std::uint64_t cycles = 0;
-  std::vector<std::uint64_t> latencies;
-};
-
-KeyedStream completion_keyed_stream(std::size_t shards,
-                                    std::size_t publish_interval = 16) {
+/// submits the rest.  Every arrival is keyed to a completion, so the
+/// simulated cycles it returns do not depend on thread timing.
+std::uint64_t completion_keyed_stream(std::size_t shards) {
   constexpr std::size_t kSessions = 12;
   constexpr std::size_t kJobs = 192;
   FarmConfig fc;
   fc.shards = shards;
   fc.transport.window = 8;
-  fc.stats_publish_interval = publish_interval;
-  fc.queue_capacity = kJobs;  // the kick-off's callback never waits
+  fc.queue_capacity = kJobs;  // the kick-off's callback sheds nothing
   Farm farm(fc);
   std::vector<Farm::SessionId> sessions;
   std::vector<isa::Program> programs;
@@ -402,8 +391,7 @@ KeyedStream completion_keyed_stream(std::size_t shards,
   }
   EXPECT_EQ(wrong, 0u);
   farm.shutdown();  // exact counters, including the final shard clock
-  return {farm.counters().get("farm.shard_cycles"),
-          farm.job_latency_samples()};
+  return farm.counters().get("farm.shard_cycles");
 }
 
 /// Inline and threaded farms run the same shard step, so at window 8 they
@@ -412,22 +400,10 @@ KeyedStream completion_keyed_stream(std::size_t shards,
 /// 6-word downlink floor (a one-word PUTI, ADD and GET, each 2 link words)
 /// plus the kick-off's round trip.
 TEST(Farm, InlineAndThreadedShardsSpendIdenticalCyclesOnACompletionKeyedStream) {
-  const std::uint64_t inline_cycles = completion_keyed_stream(0).cycles;
-  const std::uint64_t threaded_cycles = completion_keyed_stream(1).cycles;
+  const std::uint64_t inline_cycles = completion_keyed_stream(0);
+  const std::uint64_t threaded_cycles = completion_keyed_stream(1);
   EXPECT_EQ(inline_cycles, threaded_cycles);
   EXPECT_EQ(threaded_cycles, 1170u);
-}
-
-/// Latency samples are staged by the worker and appended to the shard's
-/// one ring at each publication, so how often it publishes changes when
-/// the fleet view catches up, never what it holds once the farm is shut
-/// down.
-TEST(Farm, PublishIntervalDoesNotChangeLatencySamples) {
-  const KeyedStream every_job = completion_keyed_stream(1, 1);
-  const KeyedStream amortised = completion_keyed_stream(1, 16);
-  EXPECT_EQ(every_job.latencies.size(), 192u);
-  EXPECT_EQ(every_job.latencies, amortised.latencies);
-  EXPECT_EQ(every_job.cycles, amortised.cycles);
 }
 
 /// The ring behind job_latency_samples() at a capacity small enough to
@@ -522,12 +498,11 @@ TEST(Farm, StreamingDeliversResponsesInProgramOrder) {
 
 /// Bugfix regression (stats publishing): snapshots used to be copied under
 /// the shard mutex after *every* job.  They are now amortised to one per
-/// stats_publish_interval jobs (plus idle/final flushes), while the job
-/// totals stay exact after shutdown.
+/// Farm::kStatsPublishInterval jobs (plus idle/final flushes), while the
+/// job totals stay exact after shutdown.
 TEST(Farm, StatsPublishingIsAmortisedAcrossJobs) {
   FarmConfig fc;
   fc.shards = 1;
-  fc.stats_publish_interval = 16;
   fc.queue_capacity = 64;
   Farm farm(fc);
   // The first job's callback holds the worker until every other job is
@@ -557,9 +532,9 @@ TEST(Farm, StatsPublishingIsAmortisedAcrossJobs) {
   EXPECT_EQ(totals.get("farm.jobs_completed"), 64u);
   const std::uint64_t publishes = totals.get("farm.stats_publishes");
   EXPECT_GE(publishes, 1u);
-  // 64 jobs / interval 16 = 4 interval publishes, plus a handful of
+  // 64 jobs / the interval = 4 interval publishes, plus a handful of
   // idle/final flushes — far fewer than the old one-per-job.
-  EXPECT_LE(publishes, 16u);
+  EXPECT_LE(publishes, 64u / Farm::kStatsPublishInterval + 12);
 }
 
 /// Bugfix regression (idle publishing): a worker used to publish a full
@@ -573,7 +548,6 @@ TEST(Farm, IdleWorkerPublishesPerIntervalNotPerJob) {
   constexpr std::uint64_t kCheckAt = 10;  // not a multiple of the interval
   FarmConfig fc;
   fc.shards = 1;
-  fc.stats_publish_interval = 16;
   Farm farm(fc);
   for (std::uint64_t k = 1; k <= kJobs; ++k) {
     const isa::Program p = selfcontained_program(1600 + k);
@@ -587,10 +561,47 @@ TEST(Farm, IdleWorkerPublishesPerIntervalNotPerJob) {
   EXPECT_EQ(c.get("farm.jobs_completed"), kJobs);
   EXPECT_EQ(farm.job_latency_samples().size(), kJobs);
   EXPECT_LE(c.get("farm.stats_publishes"),
-            kJobs / fc.stats_publish_interval + 2);
+            kJobs / Farm::kStatsPublishInterval + 2);
   // An idle shard's clock stands still, so a second read agrees.
   EXPECT_EQ(farm.counters().get("farm.shard_cycles"),
             c.get("farm.shard_cycles"));
+}
+
+/// A callback runs on its shard's worker, the only thread that frees queue
+/// space, so a follow-up it submits into a full blocking queue is shed
+/// with kOverload instead of parking that worker for good.
+TEST(Farm, CallbackSubmitIntoAFullBlockingQueueShedsInsteadOfBlocking) {
+  FarmConfig fc;
+  fc.shards = 1;
+  fc.admission = FarmConfig::Admission::kBlock;
+  fc.queue_capacity = 1;
+  fc.transport.window = 1;
+  Farm farm(fc);
+  const isa::Program b = selfcontained_program(1701);
+  std::future<std::vector<msg::Response>> b_result;
+  std::optional<FarmError::Kind> c_refusal;
+  std::promise<void> callback_done;
+  farm.submit_async(
+      selfcontained_program(1700),
+      [&](std::vector<msg::Response>, std::exception_ptr) {
+        b_result = farm.submit(b);  // takes the queue's one slot
+        try {
+          farm.submit_async(selfcontained_program(1702),
+                            [](std::vector<msg::Response>, std::exception_ptr) {
+                            });
+        } catch (const FarmError& e) {
+          c_refusal = e.kind();
+        }
+        callback_done.set_value();
+      });
+  callback_done.get_future().get();
+  ASSERT_TRUE(c_refusal.has_value());
+  EXPECT_EQ(*c_refusal, FarmError::Kind::kOverload);
+  EXPECT_EQ(b_result.get(), reference_run(b));
+  farm.shutdown();
+  const sim::Counters totals = farm.counters();
+  EXPECT_EQ(totals.get("farm.jobs_shed"), 1u);
+  EXPECT_EQ(totals.get("farm.jobs_completed"), 2u);
 }
 
 /// A completion callback reading the fleet view gets its own shard's last

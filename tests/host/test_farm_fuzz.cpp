@@ -12,7 +12,9 @@
 //
 // Checked for every case:
 //  * every completed job equals host::ReferenceModel;
-//  * every refusal is a typed FarmError{kOverload};
+//  * every refusal is a typed FarmError{kOverload} the case allows: under
+//    block admission only a follow-up meeting a full queue or a session job
+//    meeting its in-flight bound is refused;
 //  * no job fails, and the farm finishes inside a simulated-cycle budget.
 //
 // FPGAFU_FARM_SOAK_JOBS scales the jobs per case (default 24), as it does
@@ -218,14 +220,18 @@ struct Tally {
     std::lock_guard<std::mutex> lk(m);
     ++accepted;
   }
-  /// Undo admit() for a submit that threw; the refusal must be typed.
-  void refuse(const FarmError& e) {
+  /// Undo admit() for a submit that threw; the refusal must be a typed
+  /// kOverload, and one the case allows (`allowed`).
+  void refuse(const FarmError& e, bool allowed) {
     std::lock_guard<std::mutex> lk(m);
     --accepted;
     ++refused;
     if (e.kind() != FarmError::Kind::kOverload) {
       ++failed;
       note(std::string("refusal was not kOverload: ") + e.what());
+    } else if (!allowed) {
+      ++failed;
+      note(std::string("unexpected refusal: ") + e.what());
     }
   }
   void resolve(const std::vector<msg::Response>& got,
@@ -281,12 +287,6 @@ Case draw_case(std::size_t index) {
   const std::size_t depths[] = {1, 2, 4, 8, 64};
   fc.queue_capacity = depths[rng.below(5)];
   c.reentrant = rng.below(2) == 0;
-  if (c.reentrant && fc.shards > 0 &&
-      fc.admission == FarmConfig::Admission::kBlock) {
-    // A callback must not block (Farm::Callback): a follow-up submitted from
-    // a worker thread into a full blocking queue would stall that worker.
-    fc.queue_capacity = 4096;
-  }
   c.faulty = index % 2 == 1;
   if (c.faulty) {
     // The windowed farm soak's fault mix.
@@ -384,9 +384,17 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
       sessions.push_back(std::move(session));
     }
 
+    // Which refusals the case allows.  Under kShed any submit may meet a
+    // full queue.  Under kBlock only a follow-up may (a callback's submit
+    // sheds rather than block its worker), and a session job may meet its
+    // session's in-flight bound under either policy.
+    const bool shed = c.config.admission == FarmConfig::Admission::kShed;
+    const bool capped = c.config.max_inflight_per_session > 0;
+
     // A session-less scratch job; its callback checks it against a fresh
-    // model.  Called from the test thread and from callbacks.
-    const auto submit_scratch = [&](const std::string& who) {
+    // model.  Called from the test thread and, as a follow-up, from
+    // callbacks.
+    const auto submit_scratch = [&](const std::string& who, bool follow_up) {
       isa::Program p;
       {
         std::lock_guard<std::mutex> lk(rng_m);
@@ -400,7 +408,7 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
           tally.resolve(rs, err, want, who);
         });
       } catch (const FarmError& e) {
-        tally.refuse(e);
+        tally.refuse(e, shed || follow_up);
       }
     };
 
@@ -412,7 +420,7 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
         roll = rng.below(12);
       }
       if (roll < 3) {
-        submit_scratch(who + " (session-less)");
+        submit_scratch(who + " (session-less)", false);
         continue;
       }
       isa::Program p;
@@ -437,7 +445,7 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
               [streamed](const msg::Response& r) { streamed->push_back(r); },
               [&, streamed, want, who, follow_up](std::exception_ptr err) {
                 if (follow_up) {
-                  submit_scratch(who + " follow-up");
+                  submit_scratch(who + " follow-up", true);
                 }
                 tally.resolve(*streamed, err, want, who + " (streamed)");
               });
@@ -447,14 +455,14 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
               [&, want, who, follow_up](std::vector<msg::Response> rs,
                                         std::exception_ptr err) {
                 if (follow_up) {
-                  submit_scratch(who + " follow-up");
+                  submit_scratch(who + " follow-up", true);
                 }
                 tally.resolve(rs, err, want, who);
               });
         }
         sessions[s].regs = after;
       } catch (const FarmError& e) {
-        tally.refuse(e);
+        tally.refuse(e, shed || capped);
       }
     }
 

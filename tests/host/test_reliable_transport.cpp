@@ -1433,6 +1433,43 @@ TEST(TailProbe, DeadLinkProbesStayUnderTheCapPerAttempt) {
   EXPECT_EQ(transport.counters().get("transport.failures"), 0u);
 }
 
+/// A dead link on a fresh transport (no latency sample yet): the first
+/// probe waits the host-side estimate, and every re-probe doubles the wait
+/// before it, starting from that estimate rather than from the PTO floor.
+TEST(TailProbe, FreshTransportReProbesDoubleFromTheFirstWait) {
+  top::System sys(top::SystemConfig{});
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro);
+
+  constexpr std::uint64_t kBudget = 200'000;
+  const std::uint64_t c0 = sys.simulator().cycle();
+  transport.submit(isa::Assembler::assemble("GET r1"), kBudget);
+  std::vector<std::uint64_t> sent = {c0};  // the GET, then each probe
+  bool threw = false;
+  for (int cycle = 0; cycle < 300'000 && !threw; ++cycle) {
+    while (sys.link().host_receive()) {
+      // the link is dead: every upstream word is lost
+    }
+    try {
+      transport.service();
+    } catch (const SimError&) {
+      threw = true;
+    }
+    if (transport.counters().get("transport.probes") + 1 > sent.size()) {
+      sent.push_back(sys.simulator().cycle());
+    }
+    sys.simulator().step();
+  }
+  ASSERT_TRUE(threw);
+  ASSERT_GE(sent.size(), 4u);
+  for (std::size_t i = 2; i < sent.size(); ++i) {
+    EXPECT_GE(sent[i] - sent[i - 1], 2 * (sent[i - 1] - sent[i - 2]))
+        << "probe " << i - 1;
+  }
+  transport.abort_in_flight();
+  EXPECT_EQ(transport.counters().get("transport.retries"), 0u);
+}
+
 /// Regression for the frame-state reset hole: a system reset (or watchdog
 /// abort) used to leave partially deframed link words in the driver, so the
 /// next exchange reassembled responses shifted by the leftover words.

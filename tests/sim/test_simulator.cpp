@@ -4,14 +4,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
-#include "sim/trace.hpp"
 
 #include "sim/component.hpp"
+#include "sim/counters.hpp"
 #include "sim/signal.hpp"
 #include "support/reader_mesh.hpp"
 
@@ -145,19 +144,6 @@ TEST(Simulator, SettleLimitIsConfigurable) {
   // Forward registration order settles in ~2 passes: fine even when strict.
   strict.step();
   EXPECT_EQ(chain.back()->out.get(), 8);
-}
-
-TEST(EventTracePrint, RendersEntries) {
-  EventTrace trace(2);
-  trace.event(1, "a", 5);
-  trace.event(2, "b", 6);
-  trace.event(3, "c", 7);  // dropped (cap 2)
-  std::ostringstream os;
-  trace.print(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("1  a = 5"), std::string::npos);
-  EXPECT_NE(out.find("2  b = 6"), std::string::npos);
-  EXPECT_NE(out.find("(1 events dropped)"), std::string::npos);
 }
 
 TEST(Simulator, ComponentUnregistersOnDestruction) {

@@ -1,4 +1,4 @@
-#include "sim/trace.hpp"
+#include "sim/counters.hpp"
 
 #include <gtest/gtest.h>
 
