@@ -261,7 +261,7 @@ void BM_AlgodSlotSweep(benchmark::State& state) {
   sim::Counters totals;
   std::vector<std::uint64_t> latencies;
   for (Draw& d : draws) {
-    d.farm->shutdown();  // counters are exact only after shutdown
+    d.farm->shutdown();  // reads after this return the final snapshot
     totals.merge(d.farm->counters());
     const std::vector<std::uint64_t> samples = d.farm->job_latency_samples();
     latencies.insert(latencies.end(), samples.begin(), samples.end());

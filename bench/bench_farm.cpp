@@ -193,7 +193,7 @@ void BM_FarmReadStream(benchmark::State& state) {
     }
     jobs += kPollsPerIteration;
   }
-  farm.shutdown();  // exact counters (and the final shard clock) publish
+  farm.shutdown();  // reads now return the snapshot the worker left
   const std::uint64_t cycles =
       farm.counters().get("farm.shard_cycles") - setup_cycles;
   state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
@@ -285,7 +285,7 @@ void BM_FarmTinyProgramStream(benchmark::State& state) {
     }
     jobs += kTinyJobsPerIteration;
   }
-  farm.shutdown();  // exact counters (and the final shard clock) publish
+  farm.shutdown();  // reads now return the snapshot the worker left
   const std::uint64_t cycles = farm.counters().get("farm.shard_cycles");
   state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
   state.counters["window"] = static_cast<double>(window);

@@ -69,7 +69,7 @@ int main() {
   std::thread cpu1([&] { cpu(farm, /*base=*/10, /*limit=*/200, sum1); });
   cpu0.join();
   cpu1.join();
-  farm.shutdown();  // the shard publishes its final clock
+  farm.shutdown();  // the shard leaves its final clock for the read below
 
   std::printf("CPU0: sum(1..100) = %llu (expected 5050)\n",
               static_cast<unsigned long long>(sum0));

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <limits>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -19,11 +20,6 @@ constexpr Farm::SessionId kNoSession = ~std::uint64_t{0};
 /// Most recent per-shard job-latency samples kept for job_latency_samples()
 /// (a bounded ring, so a long-lived farm's footprint stays flat).
 constexpr std::size_t kLatencyRingCapacity = 65536;
-/// The farm whose shard step this thread runs: set for life on a worker
-/// thread, and for the step loop on an inline farm's submitting thread.
-/// A submit from such a thread (a callback's follow-up) must not wait for
-/// queue space: this thread is the one that would free it.
-thread_local const Farm* t_stepping = nullptr;
 }  // namespace
 
 LatencyPercentiles latency_percentiles(std::vector<std::uint64_t> samples) {
@@ -72,16 +68,22 @@ struct Farm::Job {
   ReliableTransport::ProgramId id = 0;
 };
 
-/// One shard: the bounded per-tenant job queues (the only cross-thread
-/// state, under `m`), the published counter snapshot and latency ring
-/// (under `stats_m`, so readers never contend with producers on the queue
-/// mutex), the shard step's own state, and the worker thread.  Once warm,
-/// a job moves through storage that is all reused — tenant queue, `held`,
-/// `active` — and a publication swaps buffers instead of building them, so
-/// the shard allocates nothing per job.  The simulated hardware itself
-/// (Engine) is *not* a member of a threaded shard: the worker constructs
-/// it on its own stack so the thread-affinity rule — each System lives and
-/// dies on the thread that drives it — holds by construction.
+/// A read of the fleet statistics, on the reader's stack: where the shards
+/// write their answers and how many have yet to.  Under Farm::reads_m_.
+struct Farm::Read {
+  sim::Counters* counters = nullptr;
+  std::vector<std::uint64_t>* samples = nullptr;
+  std::size_t pending = 0;
+};
+
+/// One shard: the bounded per-tenant job queues (cross-thread, under `m`),
+/// the reads posted to it (under the farm's reads_m_), the shard step's own
+/// state and statistics, and the worker thread.  Once warm, a job moves
+/// through storage that is all reused — tenant queue, `held`, `active`,
+/// the latency ring — so the shard allocates nothing per job.  The
+/// simulated hardware itself (Engine) is built and destroyed by its owner
+/// thread — the worker, or an inline farm's submitting thread — and touched
+/// by no other, so the thread-affinity rule holds by construction.
 struct Farm::Shard {
   /// A shard's simulated hardware and its host stack, bundled so inline
   /// mode and worker threads build them identically.
@@ -106,7 +108,7 @@ struct Farm::Shard {
   };
 
   std::size_t index = 0;
-  const FarmConfig* cfg = nullptr;
+  const Farm* farm = nullptr;
 
   /// One tenant's sub-queue and unresolved count (queued + in flight +
   /// resolving), in the dense slot its session was given at creation.
@@ -115,30 +117,31 @@ struct Farm::Shard {
     std::size_t unresolved = 0;
   };
 
+  /// The shard whose step this thread runs: set for life on a worker
+  /// thread, and for the step loop on an inline farm's submitting thread.
+  /// A submit from such a thread (a callback's follow-up) must not wait for
+  /// queue space, and a read from it answers this shard's reads while it
+  /// waits: this thread is the one that would free the space or answer.
+  static inline thread_local Shard* t_stepping = nullptr;
+
   // -- Cross-thread state, under m -----------------------------------------
   std::mutex m;
-  /// Worker waits: job queued, refresh asked or stop.
+  /// Worker waits: job queued, read posted or stop.
   std::condition_variable cv_work;
   std::condition_variable cv_space;  ///< producers wait: queue below capacity
-  /// Readers wait: a refresh they asked for was published.
-  std::condition_variable cv_refreshed;
   /// Tenants by slot; slot 0 is every session-less job.  A slot outlives
   /// its empty queue, so a steadily busy session reuses its storage.
   std::vector<Tenant> tenants;
   CompactingQueue<std::size_t> rr;  ///< round-robin rotation of queued slots
   std::size_t queued = 0;           ///< total queued jobs (bounded by capacity)
-  /// Jobs accepted and not yet resolved, every tenant's: 0 = idle.
-  std::size_t unresolved = 0;
-  /// A reader found the shard idle and waits for a fresh snapshot;
-  /// `refreshes` counts the answers.
-  bool refresh_wanted = false;
-  std::uint64_t refreshes = 0;
   bool stop = false;
   /// Lock-free mirror of `queued` so the worker's pump loop can notice new
   /// work without taking the queue mutex at every wake.
   std::atomic<std::size_t> queued_hint{0};
-  /// Jobs refused with kOverload (producers bump it; never in snapshots —
-  /// counters() reads it live).
+  /// Lock-free mirror of `!reads.empty()`, so the pump loop hands a busy
+  /// shard back to its worker to answer.
+  std::atomic<bool> read_hint{false};
+  /// Jobs refused with kOverload (producers bump it; a read takes it live).
   std::atomic<std::uint64_t> jobs_shed{0};
   /// Worker-published mirror of the shard's simulated clock, so producers
   /// can stamp jobs at enqueue without touching the thread-affine
@@ -147,12 +150,13 @@ struct Farm::Shard {
   /// conservative (never negative — recording clamps).
   std::atomic<std::uint64_t> sim_cycle_hint{0};
 
-  // -- Published statistics, under stats_m ---------------------------------
-  std::mutex stats_m;
-  sim::Counters stats;  ///< latest snapshot, under stats_m
-  /// The shard's one latency ring, under stats_m: publish_stats appends the
-  /// samples staged since the last publication.
-  LatencyRing latency{kLatencyRingCapacity};
+  // -- Reads, under the farm's reads_m_ -------------------------------------
+  /// Reads waiting for this shard's owner thread to answer.
+  std::vector<Read*> reads;
+  /// The worker has exited: reads are answered from `final_counters` and
+  /// `latency`, which it no longer touches.
+  bool exited = false;
+  sim::Counters final_counters;
 
   // -- Shard-step state: worker-local (inline mode: the submitting thread) -
   std::vector<Job> active;  ///< jobs in the transport window, submission order
@@ -167,28 +171,14 @@ struct Farm::Shard {
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
   std::uint64_t resets = 0;
-  std::uint64_t publishes = 0;
-  std::uint64_t unpublished = 0;  ///< jobs resolved since the last snapshot
-  /// Job latencies (cycles) since the last publication: at most one
-  /// interval plus one window's completions.
-  std::vector<std::uint64_t> staged;
-  /// The next snapshot, rebuilt in place and swapped with `stats`.  Both
-  /// buffers intern the farm.* names first, in the same order, so these
-  /// handles are valid in either.
-  sim::Counters snapshot;
-  sim::Counters::Handle completed_h = snapshot.handle("farm.jobs_completed");
-  sim::Counters::Handle failed_h = snapshot.handle("farm.jobs_failed");
-  sim::Counters::Handle resets_h = snapshot.handle("farm.shard_resets");
-  sim::Counters::Handle cycles_h = snapshot.handle("farm.shard_cycles");
-  sim::Counters::Handle publishes_h = snapshot.handle("farm.stats_publishes");
+  std::uint64_t snapshots = 0;  ///< counter reads answered, plus the last
+  LatencyRing latency{kLatencyRingCapacity};
+
+  /// Built by the owner thread: the worker at its start, an inline farm's
+  /// caller on its first submit.  A worker destroys it when it exits.
+  std::unique_ptr<Engine> engine;
 
   std::thread thread;
-
-  /// Inline mode only: engine owned by the calling thread, built lazily on
-  /// first submit so the caller's thread is the simulator's owner thread.
-  std::unique_ptr<Engine> inline_engine;
-
-  Shard() { stats = snapshot; }
 
   // Queue primitives (m held by the caller).
   std::size_t unresolved_of(std::size_t slot) const {
@@ -202,7 +192,6 @@ struct Farm::Shard {
     if (job.slot != 0) {
       ++t.unresolved;
     }
-    ++unresolved;
     if (t.queue.empty()) {
       rr.push_back(job.slot);
     }
@@ -230,25 +219,29 @@ struct Farm::Shard {
   }
 
   // Job resolution (worker thread; inline mode: the submitting thread).
-  void resolve_success(Job& job, std::vector<msg::Response>&& responses);
-  void resolve_failure(Job& job, std::exception_ptr err);
+  /// Resolve `job`: failed when `err` is set, else with `responses`.
+  void resolve(Job& job, std::vector<msg::Response>&& responses,
+               std::exception_ptr err);
   void finish_accounting(Job& job);
 
-  void publish_stats(const Engine& engine, bool force);
-  /// Reader side: ask an idle threaded shard for a fresh snapshot and wait
-  /// for it.  A busy shard, an inline one, one shutting down or a call on
-  /// the shard's own worker thread keeps the last snapshot.
-  void refresh();
-  void recover(Engine& engine, const SimError& cause);
+  // Reads (the farm's reads_m_ held).
+  /// Answer `read` now — an inline shard or one whose worker has exited —
+  /// or leave it for the owner thread.
+  void post(Read& read);
+  /// Write this shard's view into `read` (owner thread, or after exit).
+  void answer(Read& read);
+  /// Answer every posted read and wake the readers (owner thread).
+  void answer_posted();
+  void recover(const SimError& cause);
   /// Move queued jobs into `held` until the window would be full.
   void pop_up_to_window();
   /// Issue held jobs into the transport window, FIFO, under the FU-swap
   /// rule.
-  void issue(Engine& engine);
+  void issue();
   /// The shard step, the one submission path of threaded and inline farms
   /// alike: pop, issue, pump until something happens, resolve; recover on
   /// a fault.
-  void step(Engine& engine);
+  void step();
   bool busy() const { return !active.empty() || !held.empty(); }
   /// Thread body of a threaded shard: the step plus engine construction,
   /// the idle wait and stop.
@@ -259,17 +252,17 @@ struct Farm::Shard {
   /// larger than the slot budget — the job is resolved with the retryable
   /// FarmError{kUnitUnavailable} and false is returned; the shard stays
   /// healthy.
-  bool ensure_required(Engine& engine, Job& job) {
+  bool ensure_required(Job& job) {
     try {
-      engine.manager->ensure_resident(job.required);
+      engine->manager->ensure_resident(job.required);
       return true;
     } catch (const SimError& e) {
-      resolve_failure(job,
-                      std::make_exception_ptr(FarmError(
-                          FarmError::Kind::kUnitUnavailable, index,
-                          "farm shard " + std::to_string(index) +
-                              ": required FU set not satisfiable: " +
-                              std::string(e.what()))));
+      resolve(job, {},
+              std::make_exception_ptr(FarmError(
+                  FarmError::Kind::kUnitUnavailable, index,
+                  "farm shard " + std::to_string(index) +
+                      ": required FU set not satisfiable: " +
+                      std::string(e.what()))));
       return false;
     }
   }
@@ -278,8 +271,8 @@ struct Farm::Shard {
   /// can issue: one of its required images is not resident, so making it
   /// resident may drain/evict units that in-flight programs' response
   /// predictions still count on.
-  static bool needs_swap(const Engine& engine, const Job& job) {
-    return job.required.any() && !engine.manager->resident(job.required);
+  bool needs_swap(const Job& job) const {
+    return job.required.any() && !engine->manager->resident(job.required);
   }
 
   /// First kUnitUnavailable error among `responses`, if any: the job raced
@@ -297,60 +290,44 @@ struct Farm::Shard {
     return false;
   }
 
-  /// Stage one completed job's simulated-cycle latency (enqueue stamp to
-  /// now) for the next publication into the ring.
-  void record_latency(const Engine& engine, const Job& job) {
-    const std::uint64_t now = engine.system.simulator().cycle();
-    staged.push_back(now - std::min(job.enqueue_cycle, now));
-  }
-
-  /// Resolve a completed job: success normally, the typed retryable
-  /// failure when a kUnitUnavailable error response surfaced mid-program.
+  /// Record a completed job's simulated-cycle latency (enqueue stamp to
+  /// now) and resolve it: success normally, the typed retryable failure
+  /// when a kUnitUnavailable error response surfaced mid-program.
   void resolve_completion(Job& job, std::vector<msg::Response>&& responses) {
+    const std::uint64_t now = engine->system.simulator().cycle();
+    latency.push(now - std::min(job.enqueue_cycle, now));
     if (hit_unavailable(responses)) {
-      resolve_failure(job,
-                      std::make_exception_ptr(FarmError(
-                          FarmError::Kind::kUnitUnavailable, index,
-                          "farm shard " + std::to_string(index) +
-                              ": a functional unit became unavailable "
-                              "under this job (FU hot swap); retry")));
+      resolve(job, {},
+              std::make_exception_ptr(FarmError(
+                  FarmError::Kind::kUnitUnavailable, index,
+                  "farm shard " + std::to_string(index) +
+                      ": a functional unit became unavailable "
+                      "under this job (FU hot swap); retry")));
       return;
     }
-    resolve_success(job, std::move(responses));
+    resolve(job, std::move(responses), nullptr);
   }
 };
 
-// A future's job is accounted before its value lands, so a caller whose
-// get() returned finds the shard idle and counters() refreshes it.  A
-// callback's job stays unresolved while the callback runs, so a worker
-// never runs user code while a reader waits on it.
-void Farm::Shard::resolve_success(Job& job,
-                                  std::vector<msg::Response>&& responses) {
-  ++jobs_completed;
-  ++unpublished;
-  if (job.callback) {
-    job.callback(std::move(responses), nullptr);
-  } else if (job.done) {
-    job.done(nullptr);
-  } else {
+// A job counts as completed or failed before its callback runs or its
+// value lands, so a read made after that sees it.  A future's job leaves its
+// session's in-flight count before its value lands.
+void Farm::Shard::resolve(Job& job, std::vector<msg::Response>&& responses,
+                          std::exception_ptr err) {
+  ++(err ? jobs_failed : jobs_completed);
+  if (job.promise) {
     finish_accounting(job);
-    job.promise->set_value(std::move(responses));
+    if (err) {
+      job.promise->set_exception(err);
+    } else {
+      job.promise->set_value(std::move(responses));
+    }
     return;
   }
-  finish_accounting(job);
-}
-
-void Farm::Shard::resolve_failure(Job& job, std::exception_ptr err) {
-  ++jobs_failed;
-  ++unpublished;
   if (job.callback) {
-    job.callback({}, err);
-  } else if (job.done) {
-    job.done(err);
+    job.callback(std::move(responses), err);
   } else {
-    finish_accounting(job);
-    job.promise->set_exception(err);
-    return;
+    job.done(err);
   }
   finish_accounting(job);
 }
@@ -358,7 +335,6 @@ void Farm::Shard::resolve_failure(Job& job, std::exception_ptr err) {
 void Farm::Shard::finish_accounting(Job& job) {
   {
     std::lock_guard<std::mutex> lk(m);
-    --unresolved;
     if (job.slot != 0) {
       std::size_t& n = tenants[job.slot].unresolved;
       if (n > 0) {
@@ -369,56 +345,66 @@ void Farm::Shard::finish_accounting(Job& job) {
   cv_space.notify_all();
 }
 
-void Farm::Shard::publish_stats(const Engine& engine, bool force) {
-  if (!force && unpublished < kStatsPublishInterval) {
-    return;  // amortised: at most one snapshot per interval while busy
-  }
-  snapshot.clear();
-  snapshot.merge(engine.transport.counters());
-  snapshot.merge(engine.copro.counters());
-  if (engine.manager) {
-    snapshot.merge(engine.manager->counters());
-  }
-  snapshot.bump(completed_h, jobs_completed);
-  snapshot.bump(failed_h, jobs_failed);
-  snapshot.bump(resets_h, resets);
-  // The shard's simulated clock, so benches can report deterministic
-  // cycles/job alongside wall-clock rates (sums across shards on merge).
-  snapshot.bump(cycles_h, engine.system.simulator().cycle());
-  ++publishes;
-  snapshot.bump(publishes_h, publishes);
-  unpublished = 0;
-  {
-    std::lock_guard<std::mutex> lk(stats_m);
-    std::swap(stats, snapshot);
-    latency.append(staged);
-  }
-  staged.clear();
-}
-
-void Farm::Shard::refresh() {
-  std::unique_lock<std::mutex> lk(m);
-  // `stop` is checked first: shutdown() sets it under m before it joins,
-  // so `thread` is not being joined while it is read here.
-  if (stop || unresolved > 0 || !thread.joinable() ||
-      thread.get_id() == std::this_thread::get_id()) {
+void Farm::Shard::post(Read& read) {
+  if (exited || farm->inline_mode()) {
+    answer(read);
     return;
   }
-  const std::uint64_t seen = refreshes;
-  refresh_wanted = true;
+  reads.push_back(&read);
+  ++read.pending;
+  {
+    std::lock_guard<std::mutex> lk(m);  // an idle worker checks it under m
+    read_hint.store(true, std::memory_order_relaxed);
+  }
   cv_work.notify_one();
-  cv_refreshed.wait(lk, [&] { return refreshes != seen; });
+}
+
+void Farm::Shard::answer(Read& read) {
+  sim::Counters* out = read.counters;
+  if (out != nullptr && exited) {
+    out->merge(final_counters);
+  } else if (out != nullptr) {
+    out->bump("farm.jobs_completed", jobs_completed);
+    out->bump("farm.jobs_failed", jobs_failed);
+    out->bump("farm.shard_resets", resets);
+    out->bump("farm.stats_publishes", ++snapshots);
+    out->bump("farm.jobs_shed", jobs_shed.load());
+    if (engine) {
+      // The shard's simulated clock, so benches can report deterministic
+      // cycles/job alongside wall-clock rates (sums across shards).
+      out->bump("farm.shard_cycles", engine->system.simulator().cycle());
+      out->merge(engine->transport.counters());
+      out->merge(engine->copro.counters());
+      if (engine->manager) {
+        out->merge(engine->manager->counters());
+      }
+    }
+  }
+  if (read.samples != nullptr) {
+    const std::vector<std::uint64_t>& ring = latency.samples();
+    read.samples->insert(read.samples->end(), ring.begin(), ring.end());
+  }
+}
+
+void Farm::Shard::answer_posted() {
+  for (Read* read : reads) {
+    answer(*read);
+    --read->pending;
+  }
+  reads.clear();
+  read_hint.store(false, std::memory_order_relaxed);
+  farm->reads_cv_.notify_all();
 }
 
 /// Fault recovery: reset the shard's hardware so later submissions run on
 /// a clean machine, then fail the in-flight window, the held jobs and
 /// everything queued — all of it was submitted against machine state the
 /// reset just destroyed.  Other shards never notice.
-void Farm::Shard::recover(Engine& engine, const SimError& cause) {
+void Farm::Shard::recover(const SimError& cause) {
   ++resets;
-  engine.transport.abort_in_flight();
-  engine.system.simulator().reset();
-  engine.system.rtm().clear_state();
+  engine->transport.abort_in_flight();
+  engine->system.simulator().reset();
+  engine->system.rtm().clear_state();
   // Snapshot the queue BEFORE resolving any window job: a producer can only
   // learn of the fault through a window job's failure, so anything it
   // submits after that must run on the recovered shard, not die as a
@@ -446,16 +432,16 @@ void Farm::Shard::recover(Engine& engine, const SimError& cause) {
   const std::string why = "farm shard " + std::to_string(index) +
                           " fault: " + std::string(cause.what());
   for (Job& j : window) {
-    resolve_failure(j, std::make_exception_ptr(FarmError(
-                           FarmError::Kind::kShardFault, index, why)));
+    resolve(j, {}, std::make_exception_ptr(FarmError(
+                       FarmError::Kind::kShardFault, index, why)));
   }
   for (Job& j : casualties) {
-    resolve_failure(
-        j, std::make_exception_ptr(FarmError(
-               FarmError::Kind::kShardFault, index,
-               "farm shard " + std::to_string(index) +
-                   " reset by an in-flight fault; queued job failed (its "
-                   "register state is gone)")));
+    resolve(j, {},
+            std::make_exception_ptr(FarmError(
+                FarmError::Kind::kShardFault, index,
+                "farm shard " + std::to_string(index) +
+                    " reset by an in-flight fault; queued job failed (its "
+                    "register state is gone)")));
   }
 }
 
@@ -463,7 +449,7 @@ void Farm::Shard::pop_up_to_window() {
   bool popped = false;
   {
     std::lock_guard<std::mutex> lk(m);
-    while (active.size() + held.size() < cfg->transport.window &&
+    while (active.size() + held.size() < farm->config_.transport.window &&
            pop_locked(held)) {
       popped = true;
     }
@@ -473,37 +459,37 @@ void Farm::Shard::pop_up_to_window() {
   }
 }
 
-void Farm::Shard::issue(Engine& engine) {
+void Farm::Shard::issue() {
   // A job whose required images are all resident issues at once; one that
   // needs a swap waits for the window to drain first — response
   // predictions of in-flight programs were computed against the current FU
   // table, so the table must not change under them.
-  while (!held.empty() && active.size() < cfg->transport.window) {
+  while (!held.empty() && active.size() < farm->config_.transport.window) {
     Job& job = held.front();
-    if (needs_swap(engine, job)) {
-      if (engine.transport.in_flight() > 0) {
+    if (needs_swap(job)) {
+      if (engine->transport.in_flight() > 0) {
         break;  // swap deferred until the window drains
       }
-      if (!ensure_required(engine, job)) {
+      if (!ensure_required(job)) {
         held.pop_front();  // unsatisfiable; job failed typed
         continue;
       }
     } else if (job.required.any()) {
       // All resident: record the hits so the victim rule's recency stays
       // honest.
-      engine.manager->ensure_resident(job.required);
+      engine->manager->ensure_resident(job.required);
     }
-    job.id = engine.transport.submit(job.program, job.budget,
+    job.id = engine->transport.submit(job.program, job.budget,
                                      static_cast<bool>(job.stream));
     active.push_back(std::move(job));
     held.pop_front();
   }
 }
 
-void Farm::Shard::step(Engine& engine) {
+void Farm::Shard::step() {
   pop_up_to_window();
   try {
-    issue(engine);
+    issue();
     if (!busy()) {
       return;
     }
@@ -515,21 +501,28 @@ void Farm::Shard::step(Engine& engine) {
     // next wake, at most Pump::kMaxQuiet cycles away.  Job watchdogs live
     // inside the transport (per-program deadlines), so this loop itself is
     // unbounded.
-    const std::size_t window = cfg->transport.window;
+    const std::size_t window = farm->config_.transport.window;
+    const std::uint64_t start = engine->system.simulator().cycle();
     events.clear();
     comps.clear();
-    engine.copro.pump().run_until(
+    engine->copro.pump().run_until(
         [&] {
-          sim_cycle_hint.store(engine.system.simulator().cycle(),
+          sim_cycle_hint.store(engine->system.simulator().cycle(),
                                std::memory_order_relaxed);
-          engine.transport.service();
-          while (auto e = engine.transport.poll_stream()) {
+          engine->transport.service();
+          while (auto e = engine->transport.poll_stream()) {
             events.push_back(std::move(*e));
           }
-          while (auto c = engine.transport.poll_completed()) {
+          while (auto c = engine->transport.poll_completed()) {
             comps.push_back(std::move(*c));
           }
-          if (!events.empty() || !comps.empty()) {
+          // A posted read is answered between steps: hand the shard back
+          // to the worker now rather than at the next completion, once
+          // the clock has moved in this step, so that a reader polling in
+          // a loop cannot stall the shard.
+          if (!events.empty() || !comps.empty() ||
+              (read_hint.load(std::memory_order_relaxed) &&
+               engine->system.simulator().cycle() != start)) {
             return Wake::done();
           }
           // Pull new queued work only while nothing is held: held jobs
@@ -537,14 +530,14 @@ void Farm::Shard::step(Engine& engine) {
           // there is nothing to do with more work except hold it too —
           // and returning here without stepping would spin the loop
           // without ever letting the in-flight window drain.
-          if ((held.empty() && engine.transport.in_flight() < window &&
+          if ((held.empty() && engine->transport.in_flight() < window &&
                queued_hint.load(std::memory_order_relaxed) > 0) ||
-              engine.transport.in_flight() == 0) {
+              engine->transport.in_flight() == 0) {
             return Wake::done();
           }
-          return engine.transport.next_wake();
+          return engine->transport.next_wake();
         },
-        Deadline::unbounded(engine.system.simulator()), "Farm::shard step");
+        Deadline::unbounded(engine->system.simulator()), "Farm::shard step");
     const auto find = [&](ReliableTransport::ProgramId id) {
       return std::find_if(active.begin(), active.end(),
                           [id](const Job& j) { return j.id == id; });
@@ -558,15 +551,12 @@ void Farm::Shard::step(Engine& engine) {
     for (ReliableTransport::Completion& c : comps) {
       const auto it = find(c.id);
       if (it != active.end()) {
-        record_latency(engine, *it);
         resolve_completion(*it, std::move(c.responses));
         active.erase(it);
       }
     }
-    publish_stats(engine, false);
   } catch (const SimError& e) {
-    recover(engine, e);
-    publish_stats(engine, true);
+    recover(e);
   }
 }
 
@@ -574,55 +564,51 @@ void Farm::Shard::worker() {
   // The System is constructed *here*, on the worker thread, making this
   // thread the simulator's owner (sim::Simulator is thread-affine — see
   // its class comment; debug builds assert it in step()).
-  std::unique_ptr<Engine> engine;
   std::string construct_error;
   try {
-    engine = std::make_unique<Engine>(*cfg);
+    engine = std::make_unique<Engine>(farm->config_);
   } catch (const std::exception& e) {
     construct_error = e.what();
   }
   for (;;) {
+    // Reads are answered between steps, busy or idle.
+    if (read_hint.load(std::memory_order_relaxed)) {
+      std::lock_guard<std::mutex> lk(farm->reads_m_);
+      answer_posted();
+    }
     {
       std::unique_lock<std::mutex> lk(m);
-      for (;;) {
-        // Answered before any further step, so no user code runs while a
-        // reader waits.  A reader that asks during the publication gets
-        // it too: nothing ran in between.
-        if (refresh_wanted) {
-          refresh_wanted = false;
-          if (engine) {
-            lk.unlock();
-            publish_stats(*engine, true);
-            lk.lock();
-          }
-          ++refreshes;
-          cv_refreshed.notify_all();
-        }
-        if (busy() || queued > 0 || stop) {
-          break;
-        }
-        cv_work.wait(lk, [&] { return stop || queued > 0 || refresh_wanted; });
-      }
+      // Woken for a read, the step below finds nothing to do.
+      cv_work.wait(lk, [&] {
+        return stop || queued > 0 || busy() ||
+               read_hint.load(std::memory_order_relaxed);
+      });
       if (stop && queued == 0 && !busy()) {
         break;
       }
     }
     if (engine) {
-      step(*engine);
+      step();
       continue;
     }
     pop_up_to_window();
     for (; !held.empty(); held.pop_front()) {
-      resolve_failure(held.front(),
-                      std::make_exception_ptr(FarmError(
-                          FarmError::Kind::kShardFault, index,
-                          "farm shard " + std::to_string(index) +
-                              " failed to construct: " + construct_error)));
+      resolve(held.front(), {},
+              std::make_exception_ptr(FarmError(
+                  FarmError::Kind::kShardFault, index,
+                  "farm shard " + std::to_string(index) +
+                      " failed to construct: " + construct_error)));
     }
   }
-  if (engine) {
-    publish_stats(*engine, true);
+  {
+    // The last snapshot, for reads from now on.
+    std::lock_guard<std::mutex> lk(farm->reads_m_);
+    answer_posted();
+    Read last{&final_counters};
+    answer(last);
+    exited = true;
   }
+  engine.reset();
 }
 
 Farm::Farm(FarmConfig config) : config_(std::move(config)) {
@@ -650,15 +636,15 @@ Farm::Farm(FarmConfig config) : config_(std::move(config)) {
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
     shards_.back()->index = i;
-    shards_.back()->cfg = &config_;
+    shards_.back()->farm = this;
   }
   if (inline_mode()) {
     return;  // the caller's thread is shard 0's owner; engine built lazily
   }
   for (std::size_t i = 0; i < n; ++i) {
     Shard* shard = shards_[i].get();
-    shard->thread = std::thread([this, shard] {
-      t_stepping = this;
+    shard->thread = std::thread([shard] {
+      Shard::t_stepping = shard;
       shard->worker();
     });
   }
@@ -684,10 +670,6 @@ void Farm::shutdown() {
     if (shard->thread.joinable()) {
       shard->thread.join();
     }
-  }
-  if (inline_mode() && shards_[0]->inline_engine) {
-    // Counters read only; the engine's simulator is not stepped here.
-    shards_[0]->publish_stats(*shards_[0]->inline_engine, true);
   }
   joined_ = true;
 }
@@ -843,7 +825,8 @@ void Farm::enqueue(SessionId session, Job job) {
       // under either policy: blocking would park the thread that frees
       // queue space.
       if (config_.admission == FarmConfig::Admission::kShed ||
-          t_stepping == this) {
+          (Shard::t_stepping != nullptr &&
+           Shard::t_stepping->farm == this)) {
         shard.jobs_shed.fetch_add(1);
         throw FarmError(FarmError::Kind::kOverload, shard.index,
                         "Farm::submit: shard " + std::to_string(shard.index) +
@@ -878,43 +861,56 @@ void Farm::enqueue(SessionId session, Job job) {
   // Inline mode: run the shard step on the calling thread until the shard
   // is idle.  A reentrant submit (from inside a callback) just queues; the
   // outermost call's step loop runs it.
-  if (t_stepping == this) {
+  if (Shard::t_stepping == &shard) {
     return;
   }
   struct Restore {
-    const Farm* outer;
-    ~Restore() { t_stepping = outer; }
-  } restore{std::exchange(t_stepping, this)};
-  if (!shard.inline_engine) {
-    shard.inline_engine = std::make_unique<Shard::Engine>(config_);
+    Shard* outer;
+    ~Restore() { Shard::t_stepping = outer; }
+  } restore{std::exchange(Shard::t_stepping, &shard)};
+  if (!shard.engine) {
+    shard.engine = std::make_unique<Shard::Engine>(config_);
   }
   while (shard.busy() ||
          shard.queued_hint.load(std::memory_order_relaxed) > 0) {
-    shard.step(*shard.inline_engine);
+    shard.step();
+  }
+}
+
+void Farm::read(Read& read) const {
+  std::unique_lock<std::mutex> lk(reads_m_);
+  // On a worker (a completion callback), this thread is the one that
+  // answers its own shard: it answers that shard's reads while it waits
+  // for the others, so callbacks on two shards reading each other do not
+  // deadlock.
+  Shard* own = nullptr;
+  for (const auto& shard : shards_) {
+    shard->post(read);
+    if (shard.get() == Shard::t_stepping) {
+      own = shard.get();
+    }
+  }
+  reads_cv_.notify_all();  // a callback waiting here may own a shard
+  while (read.pending > 0) {
+    if (own != nullptr && !own->reads.empty()) {
+      own->answer_posted();
+    } else {
+      reads_cv_.wait(lk);
+    }
   }
 }
 
 sim::Counters Farm::counters() const {
   sim::Counters out;
-  for (const auto& shard : shards_) {
-    shard->refresh();
-    {
-      std::lock_guard<std::mutex> lk(shard->stats_m);
-      out.merge(shard->stats);
-    }
-    out.bump("farm.jobs_shed", shard->jobs_shed.load());
-  }
+  Read r{&out};
+  read(r);
   return out;
 }
 
 std::vector<std::uint64_t> Farm::job_latency_samples() const {
   std::vector<std::uint64_t> out;
-  for (const auto& shard : shards_) {
-    shard->refresh();
-    std::lock_guard<std::mutex> lk(shard->stats_m);
-    const std::vector<std::uint64_t>& ring = shard->latency.samples();
-    out.insert(out.end(), ring.begin(), ring.end());
-  }
+  Read r{nullptr, &out};
+  read(r);
   return out;
 }
 

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -34,10 +34,10 @@ struct LatencyPercentiles {
 LatencyPercentiles latency_percentiles(std::vector<std::uint64_t> samples);
 
 /// The bounded ring behind Farm::job_latency_samples(): the most recent
-/// `capacity` samples, in storage order — appended in arrival order until
-/// the ring is full, then each new sample overwrites the oldest.  A shard
-/// appends the samples it staged since its last publication, so a
-/// publication costs in proportion to the new samples, not the history.
+/// `capacity` samples, in storage order — pushed in arrival order until the
+/// ring is full, then each new sample overwrites the oldest.  A shard's
+/// worker pushes one sample per completed job and copies the ring only to
+/// answer a read.
 class LatencyRing {
  public:
   /// Reserves the whole ring, so filling it never reallocates (untouched
@@ -46,14 +46,12 @@ class LatencyRing {
     samples_.reserve(capacity);
   }
 
-  void append(std::span<const std::uint64_t> samples) {
-    for (const std::uint64_t s : samples) {
-      if (samples_.size() < capacity_) {
-        samples_.push_back(s);
-      } else {
-        samples_[next_] = s;
-        next_ = (next_ + 1) % capacity_;
-      }
+  void push(std::uint64_t sample) {
+    if (samples_.size() < capacity_) {
+      samples_.push_back(sample);
+    } else {
+      samples_[next_] = sample;
+      next_ = (next_ + 1) % capacity_;
     }
   }
 
@@ -156,8 +154,8 @@ struct FarmConfig {
 /// **Ownership rule.**  The sim::Simulator is thread-affine (see its class
 /// comment): each shard's System is constructed *on* its worker thread and
 /// never touched by any other thread.  The only cross-thread traffic is
-/// the job queue (mutex-protected) and counter snapshots — never live
-/// simulator state.
+/// the job queue (mutex-protected) and reads of the statistics, which the
+/// worker itself answers — never live simulator state.
 ///
 /// **Affinity.**  Registers live per shard, so work that depends on
 /// register state across jobs must stay on one shard: create_session()
@@ -197,12 +195,6 @@ struct FarmConfig {
 class Farm {
  public:
   using SessionId = std::uint64_t;
-  /// Jobs a worker resolves between counter-snapshot publications.  The
-  /// fleet view (counters(), job_latency_samples()) lags by at most this
-  /// many jobs while a shard is busy.  A threaded shard publishes besides
-  /// only when a reader finds it idle (see counters()) and at shutdown();
-  /// it never publishes just for going idle.
-  static constexpr std::size_t kStatsPublishInterval = 16;
   /// Completion callback for submit_async: exactly one of (responses,
   /// error) is meaningful — error is nullptr on success.  Runs on the
   /// shard's worker thread (inline mode: the submitting thread); it must
@@ -288,24 +280,23 @@ class Farm {
   /// farm.* counters merged (sim::Counters::merge) into one snapshot.
   /// farm.jobs_completed / farm.jobs_failed / farm.jobs_shed /
   /// farm.shard_resets count the farm's own lifecycle events;
-  /// farm.stats_publishes counts snapshot publications (amortised to one
-  /// per kStatsPublishInterval jobs, plus one per refresh).
+  /// farm.stats_publishes counts the snapshots a shard took: one per
+  /// counters() read it answered plus one when its worker exits.
   ///
-  /// Before reading, this asks every idle threaded shard (no job queued,
-  /// in flight or resolving) for a fresh snapshot and waits for it, so the
-  /// view is exact once a future's get() has returned for a shard's last
-  /// job.  A busy shard's view lags by at most kStatsPublishInterval
-  /// jobs; so does every shard's when called on that shard's own worker
-  /// thread (a completion callback) and an inline farm's until shutdown().
-  /// After shutdown() the view is exact.
+  /// Every read is exact.  Each threaded shard's worker, busy or idle,
+  /// answers between two steps, at most Pump::kMaxQuiet simulated cycles
+  /// into a step (a running callback delays it), and a job counts before
+  /// its future or callback sees its result.  A read from a completion
+  /// callback answers its own shard's reads while it waits, so callbacks
+  /// on two shards may read each other.  An inline farm is read on its
+  /// owner thread; after shutdown(), the snapshot each worker left.
   sim::Counters counters() const;
 
   /// Simulated-cycle latencies (enqueue to resolution) of recently
   /// completed jobs, merged across shards — the raw samples behind
   /// latency_percentiles().  Each shard keeps a bounded ring of the most
-  /// recent samples (so a long-lived farm's memory stays flat) and
-  /// publishes it with its counter snapshots, refreshed and lagging exactly
-  /// as counters() describes.
+  /// recent samples (so a long-lived farm's memory stays flat), read
+  /// exactly as counters() describes; only this read copies it.
   /// Enqueue stamps come from a worker-published clock hint, so a sample
   /// includes queue wait measured on the shard's own simulated clock.
   std::vector<std::uint64_t> job_latency_samples() const;
@@ -319,6 +310,7 @@ class Farm {
  private:
   struct Shard;
   struct Job;
+  struct Read;
 
   /// Where a session's jobs go: its shard, its dense queue slot on that
   /// shard (slot 0 belongs to session-less jobs) and the image set it
@@ -336,6 +328,8 @@ class Farm {
   SessionId add_session(std::size_t shard, const ImageSet& required);
   /// The session's entry (throws SimError for an id never created).
   Session session_of(SessionId session) const;
+  /// Ask every shard for its view and wait until all have answered.
+  void read(Read& read) const;
 
   FarmConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -343,6 +337,11 @@ class Farm {
   std::atomic<bool> stopping_{false};
   std::mutex shutdown_m_;
   bool joined_ = false;  ///< under shutdown_m_
+
+  /// Every read of the statistics and every answer, across all shards:
+  /// readers post to the shards and wait on reads_cv_ for the answers.
+  mutable std::mutex reads_m_;
+  mutable std::condition_variable reads_cv_;
 
   // -- Sessions and FU-affine placement, under placement_m_ ------------------
   mutable std::mutex placement_m_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -13,11 +15,13 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "host/coprocessor.hpp"
 #include "host/reference_model.hpp"
 #include "isa/assembler.hpp"
+#include "support/stuck_unit.hpp"
 #include "util/rng.hpp"
 
 namespace fpgafu::host {
@@ -407,9 +411,9 @@ TEST(Farm, InlineAndThreadedShardsSpendIdenticalCyclesOnACompletionKeyedStream) 
 }
 
 /// The ring behind job_latency_samples() at a capacity small enough to
-/// wrap many times: appending runs of any length (longer than the ring
-/// too) leaves exactly what appending one sample at a time into a
-/// fill-then-overwrite-the-oldest ring leaves.
+/// wrap many times: after runs of pushes of any length (longer than the
+/// ring too) it holds exactly what a fill-then-overwrite-the-oldest ring
+/// holds.
 TEST(LatencyRing, AppendedRunsWrapLikeOneSampleAtATime) {
   constexpr std::size_t kCapacity = 5;
   LatencyRing ring(kCapacity);
@@ -417,9 +421,8 @@ TEST(LatencyRing, AppendedRunsWrapLikeOneSampleAtATime) {
   std::size_t cursor = 0;
   std::uint64_t next = 1;
   for (const std::size_t run : {0u, 3u, 1u, 4u, 2u, 0u, 7u, 5u, 11u, 1u, 6u}) {
-    std::vector<std::uint64_t> samples;
     for (std::size_t i = 0; i < run; ++i) {
-      samples.push_back(next);
+      ring.push(next);
       if (expect.size() < kCapacity) {
         expect.push_back(next);
       } else {
@@ -428,7 +431,6 @@ TEST(LatencyRing, AppendedRunsWrapLikeOneSampleAtATime) {
       }
       ++next;
     }
-    ring.append(samples);
     ASSERT_EQ(ring.samples(), expect) << "after " << next - 1 << " samples";
   }
   EXPECT_EQ(ring.samples().size(), kCapacity);
@@ -497,9 +499,10 @@ TEST(Farm, StreamingDeliversResponsesInProgramOrder) {
 }
 
 /// Bugfix regression (stats publishing): snapshots used to be copied under
-/// the shard mutex after *every* job.  They are now amortised to one per
-/// Farm::kStatsPublishInterval jobs (plus idle/final flushes), while the
-/// job totals stay exact after shutdown.
+/// the shard mutex after *every* job.  A shard now takes one only to answer
+/// a read and one when its worker exits: with no reader during the run,
+/// the only snapshot is the final one, and the job totals are exact after
+/// shutdown.
 TEST(Farm, StatsPublishingIsAmortisedAcrossJobs) {
   FarmConfig fc;
   fc.shards = 1;
@@ -507,7 +510,7 @@ TEST(Farm, StatsPublishingIsAmortisedAcrossJobs) {
   Farm farm(fc);
   // The first job's callback holds the worker until every other job is
   // queued, so a worker faster than this thread cannot take the jobs one at
-  // a time as they arrive, idling (and flushing) between each.
+  // a time as they arrive, idling between each.
   std::promise<void> gate;
   std::shared_future<void> all_queued = gate.get_future().share();
   auto first_done = std::make_shared<std::promise<void>>();
@@ -530,41 +533,96 @@ TEST(Farm, StatsPublishingIsAmortisedAcrossJobs) {
   farm.shutdown();
   const sim::Counters totals = farm.counters();
   EXPECT_EQ(totals.get("farm.jobs_completed"), 64u);
-  const std::uint64_t publishes = totals.get("farm.stats_publishes");
-  EXPECT_GE(publishes, 1u);
-  // 64 jobs / the interval = 4 interval publishes, plus a handful of
-  // idle/final flushes — far fewer than the old one-per-job.
-  EXPECT_LE(publishes, 64u / Farm::kStatsPublishInterval + 12);
+  EXPECT_EQ(totals.get("farm.stats_publishes"), 1u);
 }
 
 /// Bugfix regression (idle publishing): a worker used to publish a full
 /// snapshot every time it went idle, so one that outpaced its submitter
-/// published once per job and the interval amortised nothing.  Submit,
-/// wait, resubmit: the worker idles after every job, yet publishes once
-/// per interval plus once per reader refresh, and what a reader sees after
-/// a get() is exact.
+/// published once per job.  Submit, wait, read, resubmit: the worker idles
+/// after every job, yet takes exactly one counter snapshot per answered
+/// counters() read and none per job, and what a reader sees after each
+/// get() is exact.
 TEST(Farm, IdleWorkerPublishesPerIntervalNotPerJob) {
   constexpr std::uint64_t kJobs = 64;
-  constexpr std::uint64_t kCheckAt = 10;  // not a multiple of the interval
   FarmConfig fc;
   fc.shards = 1;
   Farm farm(fc);
   for (std::uint64_t k = 1; k <= kJobs; ++k) {
     const isa::Program p = selfcontained_program(1600 + k);
     ASSERT_EQ(farm.submit(p).get(), reference_run(p));
-    if (k == kCheckAt) {
-      EXPECT_EQ(farm.counters().get("farm.jobs_completed"), kCheckAt);
-      EXPECT_EQ(farm.job_latency_samples().size(), kCheckAt);
-    }
+    const sim::Counters c = farm.counters();
+    EXPECT_EQ(c.get("farm.jobs_completed"), k);
+    EXPECT_EQ(c.get("farm.stats_publishes"), k);  // this read's snapshot
+    EXPECT_EQ(farm.job_latency_samples().size(), k);
   }
   const sim::Counters c = farm.counters();
-  EXPECT_EQ(c.get("farm.jobs_completed"), kJobs);
-  EXPECT_EQ(farm.job_latency_samples().size(), kJobs);
-  EXPECT_LE(c.get("farm.stats_publishes"),
-            kJobs / Farm::kStatsPublishInterval + 2);
+  EXPECT_EQ(c.get("farm.stats_publishes"), kJobs + 1);
   // An idle shard's clock stands still, so a second read agrees.
   EXPECT_EQ(farm.counters().get("farm.shard_cycles"),
             c.get("farm.shard_cycles"));
+}
+
+/// A read on a busy shard is exact.  A job behind a unit that never takes
+/// an instruction keeps the shard pumping for its whole budget; the worker
+/// answers each read between two pump wakes instead of at its next
+/// completion, so every read sees all the jobs resolved before it.  Prints
+/// the longest wait of a read.
+TEST(Farm, ReaderOnABusyShardSeesEveryResolvedJob) {
+  constexpr std::uint64_t kJobs = 20;
+  constexpr std::uint64_t kStuckBudget = 1'000'000;
+  FarmConfig fc;
+  fc.shards = 1;
+  fc.system = testing::stuck_config();
+  fc.fu_slots = 1;
+  fc.fu_images.push_back(testing::stuck_image());
+  Farm farm(fc);
+  const Farm::SessionId stuck = farm.create_session({"stuck"});
+  for (std::uint64_t k = 0; k < kJobs; ++k) {
+    const isa::Program p = selfcontained_program(1800 + k);
+    ASSERT_EQ(farm.submit(p).get(), reference_run(p));
+  }
+  auto wedged = farm.submit(stuck, testing::stuck_program(), kStuckBudget);
+
+  using Clock = std::chrono::steady_clock;
+  Clock::duration longest{};
+  const auto timed = [&](auto read) {
+    const Clock::time_point t0 = Clock::now();
+    auto result = read();
+    longest = std::max(longest, Clock::now() - t0);
+    return result;
+  };
+  // Read until the shard's clock has moved between two reads kMoves times
+  // (the stuck job is on the wire and the worker inside its pump loop) or
+  // the stuck job fails.  A read counts only if the stuck job was still
+  // unresolved after it returned; on a loaded host the budget may run out
+  // first, but the clock must have moved at least once.
+  constexpr int kMoves = 16;
+  std::uint64_t cycles = 0;
+  int moved = 0;
+  while (moved < kMoves) {
+    const sim::Counters c = timed([&] { return farm.counters(); });
+    const std::size_t samples =
+        timed([&] { return farm.job_latency_samples(); }).size();
+    if (farm.in_flight(stuck) == 0) {
+      break;
+    }
+    EXPECT_EQ(c.get("farm.jobs_completed"), kJobs);
+    EXPECT_EQ(c.get("farm.jobs_failed"), 0u);
+    EXPECT_EQ(samples, kJobs);
+    if (cycles > 0 && c.get("farm.shard_cycles") > cycles) {
+      ++moved;
+    }
+    cycles = c.get("farm.shard_cycles");
+  }
+  EXPECT_GE(moved, 1) << "no read saw the stuck job's shard pumping";
+  std::printf("longest read on a busy shard: %.1f us\n",
+              std::chrono::duration<double, std::micro>(longest).count());
+  try {
+    wedged.get();
+    FAIL() << "a job behind a stuck unit must fail";
+  } catch (const FarmError& e) {
+    EXPECT_EQ(e.kind(), FarmError::Kind::kShardFault);
+  }
 }
 
 /// A callback runs on its shard's worker, the only thread that frees queue
@@ -604,9 +662,9 @@ TEST(Farm, CallbackSubmitIntoAFullBlockingQueueShedsInsteadOfBlocking) {
   EXPECT_EQ(totals.get("farm.jobs_completed"), 2u);
 }
 
-/// A completion callback reading the fleet view gets its own shard's last
-/// snapshot instead of waiting on the worker that runs it, and still gets
-/// a fresh one from an idle peer.
+/// A completion callback reading the fleet view answers its own shard's
+/// read itself instead of waiting on the worker that runs it, so its own
+/// job is in the view, and an idle peer answers too.
 TEST(Farm, CountersReadInsideACallbackDoNotWaitOnTheirOwnShard) {
   FarmConfig fc;
   fc.shards = 2;
@@ -616,21 +674,56 @@ TEST(Farm, CountersReadInsideACallbackDoNotWaitOnTheirOwnShard) {
   ASSERT_NE(farm.shard_of(on_0), farm.shard_of(on_1));
   const isa::Program p = selfcontained_program(1700);
   ASSERT_EQ(farm.submit(on_1, p).get(), reference_run(p));
-  std::promise<std::uint64_t> seen;
+  std::promise<std::pair<std::uint64_t, std::size_t>> seen;
   farm.submit_async(on_0, p,
                     [&](std::vector<msg::Response>, std::exception_ptr) {
                       seen.set_value(
-                          farm.counters().get("farm.jobs_completed"));
-                      farm.job_latency_samples();
+                          {farm.counters().get("farm.jobs_completed"),
+                           farm.job_latency_samples().size()});
                     });
-  // Shard 1's job is always in the view (it was idle, so refreshed); shard
-  // 0's own job may not be yet.
-  const std::uint64_t completed = seen.get_future().get();
-  EXPECT_GE(completed, 1u);
-  EXPECT_LE(completed, 2u);
-  // A future's get() leaves its shard idle: both shards refresh.
+  const auto [completed, samples] = seen.get_future().get();
+  EXPECT_EQ(completed, 2u);
+  EXPECT_EQ(samples, 2u);
   ASSERT_EQ(farm.submit(on_0, p).get(), reference_run(p));
   EXPECT_EQ(farm.counters().get("farm.jobs_completed"), 3u);
+}
+
+/// The one deadlock a pull-only fleet view could bring: callbacks on two
+/// shards, both running at once, each reading the farm and so waiting for
+/// the other's worker — which is running the other callback.  Each answers
+/// its own shard's reads while it waits, so both return, and each sees
+/// both jobs.
+TEST(Farm, CallbacksOnTwoShardsReadEachOtherWithoutDeadlock) {
+  FarmConfig fc;
+  fc.shards = 2;
+  Farm farm(fc);
+  const std::array<Farm::SessionId, 2> sessions = {farm.create_session(),
+                                                    farm.create_session()};
+  ASSERT_NE(farm.shard_of(sessions[0]), farm.shard_of(sessions[1]));
+  const isa::Program p = selfcontained_program(1750);
+  std::atomic<int> running{0};
+  std::array<std::promise<std::pair<std::uint64_t, std::size_t>>, 2> seen;
+  for (std::size_t i = 0; i < 2; ++i) {
+    farm.submit_async(sessions[i], p,
+                      [&, i](std::vector<msg::Response>, std::exception_ptr) {
+                        running.fetch_add(1);
+                        while (running.load() < 2) {
+                          std::this_thread::yield();
+                        }
+                        seen[i].set_value(
+                            {farm.counters().get("farm.jobs_completed"),
+                             farm.job_latency_samples().size()});
+                      });
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    auto view = seen[i].get_future();
+    ASSERT_EQ(view.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "callback " << i << " is still waiting on its read";
+    const auto [completed, samples] = view.get();
+    EXPECT_EQ(completed, 2u) << "callback " << i;
+    EXPECT_EQ(samples, 2u) << "callback " << i;
+  }
 }
 
 /// Bugfix regression (admission unification): the inline path used to

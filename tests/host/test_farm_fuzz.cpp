@@ -15,7 +15,11 @@
 //  * every refusal is a typed FarmError{kOverload} the case allows: under
 //    block admission only a follow-up meeting a full queue or a session job
 //    meeting its in-flight bound is refused;
-//  * no job fails, and the farm finishes inside a simulated-cycle budget.
+//  * no job fails, and the farm finishes inside a simulated-cycle budget;
+//  * once every accepted job has resolved, the live counters() equal the
+//    tally and job_latency_samples() holds one sample per completed job;
+//  * in threaded cases, a reader thread polling counters() for the whole
+//    case never sees farm.jobs_completed or farm.shard_cycles go down.
 //
 // FPGAFU_FARM_SOAK_JOBS scales the jobs per case (default 24), as it does
 // the windowed farm soak.
@@ -24,12 +28,16 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fu/stateless_units.hpp"
@@ -207,6 +215,7 @@ struct Tally {
   std::size_t refused = 0;
   std::size_t mismatched = 0;
   std::size_t failed = 0;
+  std::size_t errored = 0;  ///< resolved with an error (counted in failed)
   std::vector<std::string> notes;  ///< first few problems, for the report
 
   void note(const std::string& what) {
@@ -240,6 +249,7 @@ struct Tally {
     std::lock_guard<std::mutex> lk(m);
     if (err) {
       ++failed;
+      ++errored;
       try {
         std::rethrow_exception(err);
       } catch (const std::exception& e) {
@@ -252,6 +262,45 @@ struct Tally {
     ++resolved;
     cv.notify_all();
   }
+};
+
+/// Polls a threaded farm's counters() from its own thread, with a short
+/// sleep between reads, until stopped; counts the reads in which
+/// farm.jobs_completed or farm.shard_cycles went down.
+class MonotonicReader {
+ public:
+  explicit MonotonicReader(const Farm& farm)
+      : thread_([this, &farm] { poll(farm); }) {}
+  ~MonotonicReader() { stop(); }
+
+  /// Stop polling; returns the reads that saw a counter go down.
+  std::size_t stop() {
+    running_.store(false);
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+    return decreases_;
+  }
+
+ private:
+  void poll(const Farm& farm) {
+    std::uint64_t completed = 0;
+    std::uint64_t cycles = 0;
+    while (running_.load()) {
+      const sim::Counters c = farm.counters();
+      if (c.get("farm.jobs_completed") < completed ||
+          c.get("farm.shard_cycles") < cycles) {
+        ++decreases_;
+      }
+      completed = c.get("farm.jobs_completed");
+      cycles = c.get("farm.shard_cycles");
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+
+  std::atomic<bool> running_{true};
+  std::size_t decreases_ = 0;  ///< written by the thread, read after join
+  std::thread thread_;
 };
 
 struct Case {
@@ -366,6 +415,10 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
     Tally tally;
     std::mutex rng_m;  // callbacks draw follow-up jobs from worker threads
     Farm farm(c.config);
+    std::optional<MonotonicReader> reader;
+    if (!farm.inline_mode()) {
+      reader.emplace(farm);
+    }
 
     struct Session {
       Farm::SessionId id;
@@ -470,8 +523,23 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
       std::unique_lock<std::mutex> lk(tally.m);
       tally.cv.wait(lk, [&] { return tally.resolved == tally.accepted; });
     }
+    // Every job is resolved and nothing more will be submitted, so the
+    // live view is exact: a job counts before its callback runs.
+    const sim::Counters live = farm.counters();
+    EXPECT_EQ(live.get("farm.jobs_completed"), tally.resolved - tally.errored);
+    EXPECT_EQ(live.get("farm.jobs_failed"), tally.errored);
+    EXPECT_EQ(live.get("farm.jobs_shed"), tally.refused);
+    // Every job that completed left its latency sample (a failed job fails
+    // the case above).
+    EXPECT_EQ(farm.job_latency_samples().size(),
+              tally.resolved - tally.errored);
     farm.shutdown();
     const sim::Counters totals = farm.counters();
+    if (reader) {
+      EXPECT_EQ(reader->stop(), 0u)
+          << "a concurrent read saw farm.jobs_completed or "
+             "farm.shard_cycles go down";
+    }
     for (const std::string& n : tally.notes) {
       ADD_FAILURE() << n;
     }

@@ -10,45 +10,23 @@
 #include <optional>
 #include <string>
 
-#include "fu/functional_unit.hpp"
 #include "host/algod.hpp"
 #include "host/coprocessor.hpp"
 #include "host/farm.hpp"
 #include "host/reference_model.hpp"
 #include "host/reliable_transport.hpp"
 #include "isa/assembler.hpp"
+#include "support/stuck_unit.hpp"
 #include "top/system.hpp"
 #include "util/error.hpp"
 
 namespace fpgafu::host {
 namespace {
 
-/// A functional unit that never asserts `idle`: the dispatcher stalls on
-/// it for ever, so nothing behind its first instruction is taken off the
-/// link.
-class StuckUnit : public fu::FunctionalUnit {
- public:
-  using FunctionalUnit::FunctionalUnit;
-};
-
-/// The logic code is left free for the stuck unit; the downlink holds two
-/// link words, so the host's sends back up almost at once.
-top::SystemConfig stuck_config() {
-  top::SystemConfig cfg;
-  cfg.with_logic = false;
-  cfg.link_down_capacity = 2;
-  return cfg;
-}
-
-/// 64 instructions for the stuck unit, then a GET.
-isa::Program stuck_program() {
-  std::string text;
-  for (int i = 0; i < 64; ++i) {
-    text += "XOR r3, r1, r2\n";
-  }
-  text += "GET r1\n";
-  return isa::Assembler::assemble(text);
-}
+using testing::stuck_config;
+using testing::stuck_image;
+using testing::stuck_program;
+using testing::StuckUnit;
 
 constexpr std::uint64_t kBudget = 5000;
 
@@ -78,14 +56,7 @@ TEST(SendPath, InlineFarmJobBehindAStuckUnitFailsWithAShardFault) {
   fc.shards = 0;
   fc.system = stuck_config();
   fc.fu_slots = 1;
-  AlgorithmImage img;
-  img.name = "stuck";
-  img.codes = {isa::fc::kLogic};
-  img.load_cycles = 10;
-  img.factory = [](sim::Simulator& sim, isa::FunctionCode) {
-    return std::make_unique<StuckUnit>(sim, "stuck");
-  };
-  fc.fu_images.push_back(std::move(img));
+  fc.fu_images.push_back(stuck_image());
   Farm farm(fc);
   const Farm::SessionId session = farm.create_session({"stuck"});
   auto result = farm.submit(session, stuck_program(), kBudget);
