@@ -43,8 +43,7 @@ LatencyPercentiles latency_percentiles(std::vector<std::uint64_t> samples) {
 
 /// One farm job: the program, its budget, which tenant it counts against,
 /// the algorithm images it requires resident, and exactly one completion
-/// surface — a promise (submit), a callback (submit_async) or a
-/// stream/done pair (submit_stream).
+/// surface — a promise (submit) or a callback (submit_async).
 struct Farm::Job {
   isa::Program program;
   std::uint64_t budget = 0;
@@ -58,12 +57,9 @@ struct Farm::Job {
   /// ensures them resident (swapping on an empty window) before the job
   /// issues.  Empty = no requirement.
   ImageSet required;
-  /// Emplaced by submit() only, so callback and stream jobs (and the
-  /// worker's scratch Job) allocate no shared state.
+  /// Emplaced by submit() only, so callback jobs allocate no shared state.
   std::optional<std::promise<std::vector<msg::Response>>> promise;
   Callback callback;
-  ResponseFn stream;
-  DoneFn done;
   /// The job's transport ticket while it is in the window.
   ReliableTransport::ProgramId id = 0;
 };
@@ -166,12 +162,10 @@ struct Farm::Shard {
   /// semantics.
   CompactingQueue<Job> held;
   // Scratch reused across steps, so a step allocates nothing once warm.
-  std::vector<ReliableTransport::StreamEvent> events;
   std::vector<ReliableTransport::Completion> comps;
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
   std::uint64_t resets = 0;
-  std::uint64_t snapshots = 0;  ///< counter reads answered, plus the last
   LatencyRing latency{kLatencyRingCapacity};
 
   /// Built by the owner thread: the worker at its start, an inline farm's
@@ -324,11 +318,7 @@ void Farm::Shard::resolve(Job& job, std::vector<msg::Response>&& responses,
     }
     return;
   }
-  if (job.callback) {
-    job.callback(std::move(responses), err);
-  } else {
-    job.done(err);
-  }
+  job.callback(std::move(responses), err);
   finish_accounting(job);
 }
 
@@ -367,7 +357,6 @@ void Farm::Shard::answer(Read& read) {
     out->bump("farm.jobs_completed", jobs_completed);
     out->bump("farm.jobs_failed", jobs_failed);
     out->bump("farm.shard_resets", resets);
-    out->bump("farm.stats_publishes", ++snapshots);
     out->bump("farm.jobs_shed", jobs_shed.load());
     if (engine) {
       // The shard's simulated clock, so benches can report deterministic
@@ -479,8 +468,7 @@ void Farm::Shard::issue() {
       // honest.
       engine->manager->ensure_resident(job.required);
     }
-    job.id = engine->transport.submit(job.program, job.budget,
-                                     static_cast<bool>(job.stream));
+    job.id = engine->transport.submit(job.program, job.budget);
     active.push_back(std::move(job));
     held.pop_front();
   }
@@ -494,25 +482,21 @@ void Farm::Shard::step() {
       return;
     }
     // Pump the shard's clock until there is something to act on: a
-    // completion or stream event surfaced, the window has space and new
-    // work is queued (queued_hint — no lock on the hot path), or the
-    // window drained.  In between, the pump wakes only for the
-    // transport's own events; work queued by other threads is seen at the
-    // next wake, at most Pump::kMaxQuiet cycles away.  Job watchdogs live
+    // completion surfaced, the window has space and new work is queued
+    // (queued_hint — no lock on the hot path), or the window drained.  In
+    // between, the pump wakes only for the transport's own events; work
+    // queued by other threads is seen at the next wake, at most
+    // Pump::kMaxQuiet cycles away.  Job watchdogs live
     // inside the transport (per-program deadlines), so this loop itself is
     // unbounded.
     const std::size_t window = farm->config_.transport.window;
     const std::uint64_t start = engine->system.simulator().cycle();
-    events.clear();
     comps.clear();
     engine->copro.pump().run_until(
         [&] {
           sim_cycle_hint.store(engine->system.simulator().cycle(),
                                std::memory_order_relaxed);
           engine->transport.service();
-          while (auto e = engine->transport.poll_stream()) {
-            events.push_back(std::move(*e));
-          }
           while (auto c = engine->transport.poll_completed()) {
             comps.push_back(std::move(*c));
           }
@@ -520,7 +504,7 @@ void Farm::Shard::step() {
           // to the worker now rather than at the next completion, once
           // the clock has moved in this step, so that a reader polling in
           // a loop cannot stall the shard.
-          if (!events.empty() || !comps.empty() ||
+          if (!comps.empty() ||
               (read_hint.load(std::memory_order_relaxed) &&
                engine->system.simulator().cycle() != start)) {
             return Wake::done();
@@ -538,18 +522,10 @@ void Farm::Shard::step() {
           return engine->transport.next_wake();
         },
         Deadline::unbounded(engine->system.simulator()), "Farm::shard step");
-    const auto find = [&](ReliableTransport::ProgramId id) {
-      return std::find_if(active.begin(), active.end(),
-                          [id](const Job& j) { return j.id == id; });
-    };
-    for (ReliableTransport::StreamEvent& e : events) {
-      const auto it = find(e.id);
-      if (it != active.end() && it->stream) {
-        it->stream(e.response);
-      }
-    }
     for (ReliableTransport::Completion& c : comps) {
-      const auto it = find(c.id);
+      const auto it =
+          std::find_if(active.begin(), active.end(),
+                       [&c](const Job& j) { return j.id == c.id; });
       if (it != active.end()) {
         resolve_completion(*it, std::move(c.responses));
         active.erase(it);
@@ -763,24 +739,6 @@ void Farm::submit_async(SessionId session, isa::Program program, Callback done,
   check(static_cast<bool>(done), "Farm::submit_async requires a callback");
   Job job = make_job(std::move(program), budget_cycles);
   job.callback = std::move(done);
-  enqueue(session, std::move(job));
-}
-
-void Farm::submit_stream(isa::Program program, ResponseFn on_response,
-                         DoneFn on_done,
-                         std::optional<std::uint64_t> budget_cycles) {
-  submit_stream(kNoSession, std::move(program), std::move(on_response),
-                std::move(on_done), budget_cycles);
-}
-
-void Farm::submit_stream(SessionId session, isa::Program program,
-                         ResponseFn on_response, DoneFn on_done,
-                         std::optional<std::uint64_t> budget_cycles) {
-  check(static_cast<bool>(on_response) && static_cast<bool>(on_done),
-        "Farm::submit_stream requires both callbacks");
-  Job job = make_job(std::move(program), budget_cycles);
-  job.stream = std::move(on_response);
-  job.done = std::move(on_done);
   enqueue(session, std::move(job));
 }
 

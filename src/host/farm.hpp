@@ -204,14 +204,6 @@ class Farm {
   /// wait on is the one that frees queue space.
   using Callback =
       std::function<void(std::vector<msg::Response>, std::exception_ptr)>;
-  /// Streaming consumer for submit_stream: invoked once per response, in
-  /// program order, as each instruction group (e.g. one GETV burst)
-  /// completes — a long read streams out while the program's tail is
-  /// still executing.  Same threading rules as Callback.
-  using ResponseFn = std::function<void(const msg::Response&)>;
-  /// End-of-stream for submit_stream: nullptr on success, the failure
-  /// otherwise.  No ResponseFn invocation follows it.
-  using DoneFn = std::function<void(std::exception_ptr)>;
 
   explicit Farm(FarmConfig config);
   ~Farm();
@@ -238,16 +230,6 @@ class Farm {
                     std::optional<std::uint64_t> budget_cycles = std::nullopt);
   void submit_async(SessionId session, isa::Program program, Callback done,
                     std::optional<std::uint64_t> budget_cycles = std::nullopt);
-
-  /// Streaming flavour: `on_response` receives every response in program
-  /// order as its group completes (GETV bursts stream incrementally),
-  /// then `on_done` fires exactly once.
-  void submit_stream(isa::Program program, ResponseFn on_response,
-                     DoneFn on_done,
-                     std::optional<std::uint64_t> budget_cycles = std::nullopt);
-  void submit_stream(SessionId session, isa::Program program,
-                     ResponseFn on_response, DoneFn on_done,
-                     std::optional<std::uint64_t> budget_cycles = std::nullopt);
 
   /// New session id with a sticky shard assignment (round-robin over
   /// shards at creation).
@@ -279,9 +261,7 @@ class Farm {
   /// Aggregated fleet statistics: every shard's transport.*, host.* and
   /// farm.* counters merged (sim::Counters::merge) into one snapshot.
   /// farm.jobs_completed / farm.jobs_failed / farm.jobs_shed /
-  /// farm.shard_resets count the farm's own lifecycle events;
-  /// farm.stats_publishes counts the snapshots a shard took: one per
-  /// counters() read it answered plus one when its worker exits.
+  /// farm.shard_resets count the farm's own lifecycle events.
   ///
   /// Every read is exact.  Each threaded shard's worker, busy or idle,
   /// answers between two steps, at most Pump::kMaxQuiet simulated cycles

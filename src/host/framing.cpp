@@ -29,12 +29,6 @@ void split_groups_into(const isa::Program& program,
   }
 }
 
-std::vector<InstructionGroup> split_groups(const isa::Program& program) {
-  std::vector<InstructionGroup> groups;
-  split_groups_into(program, groups);
-  return groups;
-}
-
 GroupPrediction predict(const isa::Instruction& inst,
                         const rtm::RtmConfig& config,
                         const rtm::FunctionalUnitTable& table) {

@@ -28,10 +28,6 @@ struct InstructionGroup {
 void split_groups_into(const isa::Program& program,
                        std::vector<InstructionGroup>& out);
 
-/// Split a program into instruction groups (split_groups_into on a fresh
-/// vector).
-std::vector<InstructionGroup> split_groups(const isa::Program& program);
-
 /// What one instruction group will do, predicted host-side: how many
 /// responses it sends back and which registers it touches.
 ///

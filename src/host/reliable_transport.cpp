@@ -56,8 +56,7 @@ void ReliableTransport::sync_generation() {
 }
 
 ReliableTransport::ProgramId ReliableTransport::submit(
-    const isa::Program& program, std::optional<std::uint64_t> budget_cycles,
-    bool stream) {
+    const isa::Program& program, std::optional<std::uint64_t> budget_cycles) {
   if (window_full()) {
     throw SimError("ReliableTransport::submit: window is full (" +
                    std::to_string(config_.window) + " programs in flight)");
@@ -74,22 +73,17 @@ ReliableTransport::ProgramId ReliableTransport::submit(
   const rtm::Rtm& rtm = copro_->system().rtm();
   f.layout.assign(program, rtm.config(), rtm.table());
   f.slots.clear();
-  f.got.clear();
-  for (std::size_t i = 0; i < f.layout.groups.size(); ++i) {
-    const GroupPrediction& pred = f.layout.predictions[i];
-    GroupSlot s;
-    s.program_seq = static_cast<std::uint16_t>(i);
-    s.first_response = f.got.size();
-    s.done = pred.count == 0;
-    f.slots.push_back(s);
-    f.got.resize(f.got.size() + pred.count);
+  std::size_t responses = 0;
+  for (const GroupPrediction& pred : f.layout.predictions) {
+    f.slots.push_back({responses, 0});
+    responses += pred.count;
   }
+  // One allocation per program: `got` is sized once, here, and leaves as
+  // the Completion's response vector.
+  f.got.assign(responses, msg::Response{});
+  f.missing = responses;
   f.id = next_program_id_++;
-  f.out.clear();
-  f.out.reserve(f.got.size());
-  f.stream = stream;
   f.next_group = 0;
-  f.emit_cursor = 0;
   f.budget = budget_cycles.value_or(kDefaultBudgetCycles);
   f.deadline.reset();
   // An empty program is complete at once; any other completes when its
@@ -312,9 +306,14 @@ void ReliableTransport::handle_response(const msg::Response& r) {
     sample_latency(copro_->system().simulator().cycle() - o.sent);
   }
   Outstanding& front = outstanding_.front();
-  f->got[s.first_response + burst] = r;
-  f->got[s.first_response + burst].burst = static_cast<std::uint16_t>(burst);
+  msg::Response& landed = f->got[s.first_response + burst];
+  landed = r;
+  // Renumber wire order back to program order: the reference model numbers
+  // each group by its index in the program (mod 2^16).
+  landed.seq = static_cast<std::uint16_t>(slot);
+  landed.burst = static_cast<std::uint16_t>(burst);
   ++s.received;
+  --f->missing;
   front.next = burst + 1;
   // Progress: the attempt counter tracks consecutive attempts that
   // delivered nothing, so a long burst is not charged for earlier losses
@@ -324,8 +323,7 @@ void ReliableTransport::handle_response(const msg::Response& r) {
     outstanding_.pop_front();
     try_issue_ = true;
   }
-  if (s.received == f->layout.predictions[slot].count) {
-    s.done = true;
+  if (f->missing == 0) {
     emit_pending_ = true;
   }
   arm_front();
@@ -334,24 +332,11 @@ void ReliableTransport::handle_response(const msg::Response& r) {
 void ReliableTransport::emit_ready() {
   for (std::size_t fi = 0; fi < window_.size();) {
     Flight& f = window_[fi];
-    while (f.emit_cursor < f.slots.size() && f.slots[f.emit_cursor].done) {
-      const GroupSlot& s = f.slots[f.emit_cursor];
-      for (std::size_t k = 0; k < s.received; ++k) {
-        msg::Response r = f.got[s.first_response + k];
-        r.seq = s.program_seq;  // renumber wire order back to program order
-        if (f.stream) {
-          stream_events_.push_back({f.id, r});
-        }
-        f.out.push_back(r);
-      }
-      ++f.emit_cursor;
-    }
-    // Done once every group reached the wire and every slot emitted.
-    // (Write slots are born done, so the issue condition is the binding
-    // one for pure-write programs.)
-    const std::size_t groups = f.slots.size();
-    if (f.emit_cursor == groups && f.next_group == groups) {
-      completed_.push_back({f.id, std::move(f.out)});
+    // Done once every group reached the wire and every response landed.
+    // (Write groups expect none, so the issue condition is the binding one
+    // for pure-write programs.)
+    if (f.missing == 0 && f.next_group == f.slots.size()) {
+      completed_.push_back({f.id, std::move(f.got)});
       spare_.push_back(std::move(f));
       window_.erase(window_.begin() + static_cast<std::ptrdiff_t>(fi));
     } else {
@@ -474,7 +459,7 @@ void ReliableTransport::service() {
 }
 
 Wake ReliableTransport::next_wake() const {
-  if (!completed_.empty() || !stream_events_.empty() || emit_pending_ ||
+  if (!completed_.empty() || emit_pending_ ||
       (unissued_ && try_issue_)) {
     return Wake::at(copro_->system().simulator().cycle());
   }
@@ -495,15 +480,6 @@ ReliableTransport::poll_completed() {
   return c;
 }
 
-std::optional<ReliableTransport::StreamEvent> ReliableTransport::poll_stream() {
-  if (stream_events_.empty()) {
-    return std::nullopt;
-  }
-  StreamEvent e = stream_events_.front();
-  stream_events_.pop_front();
-  return e;
-}
-
 void ReliableTransport::abort_in_flight() {
   for (Flight& f : window_) {
     spare_.push_back(std::move(f));
@@ -511,7 +487,6 @@ void ReliableTransport::abort_in_flight() {
   window_.clear();
   outstanding_.clear();
   completed_.clear();
-  stream_events_.clear();
   unissued_ = false;
   try_issue_ = false;
   emit_pending_ = false;

@@ -89,24 +89,26 @@ std::uint64_t probe_interval(std::uint64_t first, unsigned n);
 ///    observe a newer write.  The barrier spans *programs*: a later
 ///    program's groups never overtake an earlier program's unsubmitted
 ///    write;
-///  * results are re-numbered to *program-order* sequence numbers before
-///    being returned, so the output is bit-comparable with
-///    host::ReferenceModel::run on the same program.
+///  * each response lands in its program-order slot and is re-numbered to
+///    its *program-order* sequence number as it lands, so a program's
+///    result is bit-comparable with host::ReferenceModel::run on the same
+///    program.
 ///
-/// Two interfaces share that state machine:
+/// Two interfaces share that state machine, and each program has exactly
+/// one result, its Completion (call() returns its responses).
 ///  * `call()` — submit one program and block until it completes
 ///    (call-and-wait, the historical interface);
 ///  * the *pipelined window* — `submit()` up to `config().window` programs,
-///    drive `service()` from a pump loop, and consume results via
-///    `poll_completed()` (whole programs) and `poll_stream()` (per-response
-///    streaming in program order, for long GETV bursts).  Programs issue
-///    strictly in submission order; completions surface as each program's
-///    last response lands, so one program's round-trip tail overlaps the
-///    next program's issue.  A retry give-up or a per-program watchdog
-///    expiry aborts the *whole* window (the recovery reset destroys the
-///    machine state every in-flight program depends on): service() throws
-///    and the caller is expected to abort_in_flight() and re-submit or
-///    fail upwards (host::Farm fails the window as shard casualties).
+///    drive `service()` from a pump loop, and consume each program's
+///    Completion via `poll_completed()`.  Programs issue strictly in
+///    submission order; a program completes once all its groups are on the
+///    wire and its last response lands, so one program's round-trip tail
+///    overlaps the next program's issue.  A retry give-up or a per-program
+///    watchdog expiry aborts the *whole* window (the recovery reset
+///    destroys the machine state every in-flight program depends on):
+///    service() throws and the caller is expected to abort_in_flight() and
+///    re-submit or fail upwards (host::Farm fails the window as shard
+///    casualties).
 ///
 /// One program, one flight: each submit() occupies one window slot with
 /// one watchdog and one FrameLayout (docs/PROTOCOL.md, "One program, one
@@ -126,14 +128,6 @@ class ReliableTransport {
   struct Completion {
     ProgramId id = 0;
     std::vector<msg::Response> responses;
-  };
-
-  /// One streamed response of a program submitted with stream = true,
-  /// delivered in program order as its group completes — a long GETV burst
-  /// surfaces incrementally instead of only at program completion.
-  struct StreamEvent {
-    ProgramId id = 0;
-    msg::Response response;
   };
 
   /// A program's watchdog when submit()/call() is given no budget: twice a
@@ -162,12 +156,9 @@ class ReliableTransport {
   /// window is full — poll capacity with window_full()).  Its instructions
   /// issue, in submission order, as service() runs; its per-program
   /// watchdog (`budget_cycles`, default kDefaultBudgetCycles) arms when its
-  /// first group reaches the wire.  With stream = true every response is
-  /// additionally delivered through poll_stream() as soon as its group
-  /// completes.
+  /// first group reaches the wire.
   ProgramId submit(const isa::Program& program,
-                   std::optional<std::uint64_t> budget_cycles = std::nullopt,
-                   bool stream = false);
+                   std::optional<std::uint64_t> budget_cycles = std::nullopt);
 
   /// One service quantum of the retry state machine: issue groups (window
   /// order, write barrier permitting), consume arrived responses, run gap
@@ -181,7 +172,7 @@ class ReliableTransport {
 
   /// When service() next has work that no link event announces (the
   /// host's next-event contract, docs/PROTOCOL.md): the next cycle while
-  /// completions, stream events or an emit are pending, or while a program
+  /// completions or a completion scan are pending, or while a program
   /// waiting to issue may get further (it was just submitted, or an
   /// outstanding read retired or was re-sent since the write barrier held
   /// it); otherwise the earlier of the tail probe and the per-program
@@ -196,13 +187,10 @@ class ReliableTransport {
   /// Next completed program, if any (completion order).
   std::optional<Completion> poll_completed();
 
-  /// Next streamed response, if any (program order within each program).
-  std::optional<StreamEvent> poll_stream();
-
-  /// Drop every in-flight program, pending completion and stream event,
-  /// and realign the driver.  The recovery path after service() threw —
-  /// in-flight results are unrecoverable (the reset destroyed the machine
-  /// state behind them); the caller owns failing them upwards.
+  /// Drop every in-flight program and pending completion, and realign the
+  /// driver.  The recovery path after service() threw — in-flight results
+  /// are unrecoverable (the reset destroyed the machine state behind them);
+  /// the caller owns failing them upwards.
   void abort_in_flight();
 
   /// transport.{retries,gap_retries,dup_dropped,stale_dropped,failures,
@@ -215,27 +203,23 @@ class ReliableTransport {
  private:
   /// Per-group progress; the group itself, its prediction and its register
   /// footprint live in the flight's FrameLayout at the same index.
-  /// program_seq is the sequence number the reference model assigns — the
-  /// group index in program order (mod 2^16).
   struct GroupSlot {
-    std::uint16_t program_seq = 0;
     std::size_t first_response = 0;  ///< this group's range in Flight::got
     std::size_t received = 0;        ///< responses landed so far
-    bool done = false;
   };
 
   /// One program in the window: one watchdog, one window slot.  Flights
-  /// are recycled (spare_), so every vector keeps its capacity.
+  /// are recycled (spare_), so their vectors keep their capacity — all but
+  /// `got`, which leaves as the Completion's response vector.
   struct Flight {
     ProgramId id = 0;
     FrameLayout layout;
     std::vector<GroupSlot> slots;
-    /// Every group's predicted responses, side by side (GroupSlot ranges).
+    /// Every group's predicted responses, side by side in program order
+    /// (GroupSlot ranges), each renumbered as it lands.
     std::vector<msg::Response> got;
-    std::vector<msg::Response> out;  ///< renumbered responses, program order
-    bool stream = false;
-    std::size_t next_group = 0;    ///< next group to put on the wire
-    std::size_t emit_cursor = 0;   ///< slots already emitted in program order
+    std::size_t missing = 0;     ///< predicted responses not landed yet
+    std::size_t next_group = 0;  ///< next group to put on the wire
     std::uint64_t budget = 0;
     std::optional<Deadline> deadline;  ///< armed at first transmission
   };
@@ -297,8 +281,8 @@ class ReliableTransport {
   /// Check every armed per-program watchdog (throws on expiry) and cache
   /// the earliest cycle one could next fire in watchdog_due_.
   void check_watchdogs();
-  /// Advance each flight's program-order emit cursor over completed slots,
-  /// then surface it as a Completion once it is fully issued and emitted.
+  /// Turn every flight whose groups are all on the wire and whose responses
+  /// have all landed into a Completion, in window order.
   void emit_ready();
 
   Coprocessor* copro_;
@@ -310,7 +294,6 @@ class ReliableTransport {
   std::vector<Flight> spare_;   ///< retired flights, storage kept
   CompactingQueue<Outstanding> outstanding_;
   CompactingQueue<Completion> completed_;
-  CompactingQueue<StreamEvent> stream_events_;
   // service() can run on any cycle, so its quiet-cycle cost must stay O(1)
   // in the window depth (a deep window would otherwise pay for its own
   // bookkeeping faster than the pipelining saves wire time).  These caches
@@ -320,7 +303,7 @@ class ReliableTransport {
   /// submitted, or an outstanding entry left the FIFO, so a write held at
   /// the barrier may pass (a new entry only adds reads to conflict with).
   bool try_issue_ = false;
-  bool emit_pending_ = false;   ///< a flight may complete: run the emit scan
+  bool emit_pending_ = false;   ///< a flight may complete: run emit_ready()
   std::uint64_t watchdog_due_ = 0;  ///< earliest watchdog expiry (0 = dirty)
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};
   // Response latency, RFC 6298, in cycles and scaled (8*SRTT, 4*RTTVAR) so

@@ -33,8 +33,6 @@ class Decoder : public sim::Component {
 
   void bind(sim::Handshake<isa::Word>& stream) { in = &stream; }
 
-  std::uint64_t decoded_count() const { return decoded_; }
-
   /// True while an instruction (or an unfinished burst) is held.
   bool busy() const {
     return have_ || mode_ != Mode::kInstruction;
@@ -93,7 +91,6 @@ class Decoder : public sim::Component {
     mode_ = Mode::kInstruction;
     held_ = DecodedInst{};
     seq_ = 0;
-    decoded_ = 0;
     vec_remaining_ = 0;
     vec_base_ = 0;
     vec_index_ = 0;
@@ -114,7 +111,6 @@ class Decoder : public sim::Component {
     DecodedInst di;
     di.inst = isa::Instruction::decode(word);
     di.seq = seq_++;
-    ++decoded_;
     di.error = validate(di.inst);
 
     using isa::RtmOp;
@@ -266,7 +262,6 @@ class Decoder : public sim::Component {
   bool vec_discard_ = false;
   std::uint16_t vec_seq_ = 0;
   std::uint16_t seq_ = 0;
-  std::uint64_t decoded_ = 0;
 };
 
 }  // namespace fpgafu::rtm

@@ -200,10 +200,6 @@ class Rtm {
     return counters_;
   }
 
-  std::uint64_t instructions_decoded() const {
-    return decoder_.decoded_count();
-  }
-
  private:
   /// True while the unit at table `index` still owns any register lock —
   /// i.e. a dispatched instruction's writeback has not retired yet.

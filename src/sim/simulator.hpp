@@ -166,10 +166,8 @@ class Simulator {
     return settling_ ? count(eval_bits_) : 0;
   }
 
-  /// Event-kernel introspection: components that will be evaluated on the
-  /// next cycle's first sweep (wake set) and have commit() run next cycle
-  /// (commit set).
-  std::size_t wake_set_size() const { return count(eval_bits_); }
+  /// Event-kernel introspection: components that will have commit() run
+  /// next cycle (commit set).
   std::size_t commit_set_size() const { return count(commit_bits_); }
 
   /// The thread this simulator is affine to (see the class comment).

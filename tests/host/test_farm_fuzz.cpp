@@ -490,29 +490,15 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
       const bool follow_up = c.reentrant && roll % 2 == 0;
       tally.admit();
       try {
-        if (roll < 6) {
-          // Streamed: the responses arrive one by one, then on_done.
-          auto streamed = std::make_shared<std::vector<msg::Response>>();
-          farm.submit_stream(
-              sessions[s].id, p,
-              [streamed](const msg::Response& r) { streamed->push_back(r); },
-              [&, streamed, want, who, follow_up](std::exception_ptr err) {
-                if (follow_up) {
-                  submit_scratch(who + " follow-up", true);
-                }
-                tally.resolve(*streamed, err, want, who + " (streamed)");
-              });
-        } else {
-          farm.submit_async(
-              sessions[s].id, p,
-              [&, want, who, follow_up](std::vector<msg::Response> rs,
-                                        std::exception_ptr err) {
-                if (follow_up) {
-                  submit_scratch(who + " follow-up", true);
-                }
-                tally.resolve(rs, err, want, who);
-              });
-        }
+        farm.submit_async(
+            sessions[s].id, p,
+            [&, want, who, follow_up](std::vector<msg::Response> rs,
+                                      std::exception_ptr err) {
+              if (follow_up) {
+                submit_scratch(who + " follow-up", true);
+              }
+              tally.resolve(rs, err, want, who);
+            });
         sessions[s].regs = after;
       } catch (const FarmError& e) {
         tally.refuse(e, shed || capped);

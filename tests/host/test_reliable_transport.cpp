@@ -36,8 +36,10 @@ TEST(Framing, PredictMatchesReferenceModelCounts) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const isa::Program p = fpgafu::testing::random_program(
         small_rtm(), seed, {.instructions = 50, .include_errors = true});
+    std::vector<InstructionGroup> groups;
+    split_groups_into(p, groups);
     std::size_t predicted = 0;
-    for (const InstructionGroup& g : split_groups(p)) {
+    for (const InstructionGroup& g : groups) {
       predicted += predict(g.inst, sys.rtm().config(), sys.rtm().table()).count;
     }
     const auto expected = ReferenceModel(small_rtm()).run(p);
@@ -380,8 +382,8 @@ TEST(ReliableTransport, PlainFlightWriteToAnotherRegisterOvertakesARetriedRead) 
   EXPECT_EQ(run.readback[1].payload, 42u);
 }
 
-/// Streamed responses arrive in program order, begin before the program
-/// completes, and in total equal the completion's responses.
+/// A program's one result is its completion: through the pipelined window,
+/// every response of a 25-instruction program, in program order.
 TEST(ReliableTransport, StreamedResponsesMatchTheCompletion) {
   top::SystemConfig cfg;
   cfg.rtm = small_rtm();
@@ -390,30 +392,21 @@ TEST(ReliableTransport, StreamedResponsesMatchTheCompletion) {
   ReliableTransport transport(copro);
   const isa::Program p = fpgafu::testing::random_program(small_rtm(), 55,
                                                          {.instructions = 25});
-  const auto id = transport.submit(p, std::nullopt, /*stream=*/true);
-  std::vector<msg::Response> streamed;
+  const auto id = transport.submit(p);
   std::optional<ReliableTransport::Completion> done;
-  bool streamed_before_completion = false;
   copro.pump().run_until(
       [&] {
         transport.service();
-        while (auto e = transport.poll_stream()) {
-          EXPECT_EQ(e->id, id);
-          streamed.push_back(e->response);
-          if (transport.in_flight() > 0) {
-            streamed_before_completion = true;
-          }
-        }
         if (auto c = transport.poll_completed()) {
           done = std::move(*c);
         }
         return done.has_value() ? Wake::done() : transport.next_wake();
       },
-      Deadline(sys.simulator(), 10'000'000), "stream test");
+      Deadline(sys.simulator(), 10'000'000), "completion test");
 
-  EXPECT_EQ(streamed, done->responses);
-  EXPECT_EQ(streamed, ReferenceModel(small_rtm()).run(p));
-  EXPECT_TRUE(streamed_before_completion);
+  EXPECT_EQ(done->id, id);
+  EXPECT_EQ(done->responses, ReferenceModel(small_rtm()).run(p));
+  EXPECT_EQ(transport.in_flight(), 0u);
 }
 
 /// The windowed retry machinery (gap detection, burst re-reads, probes)
@@ -511,7 +504,9 @@ TEST(ReliableTransport, WireSequenceWrapsInsideAWindow) {
         ", 2\nPUT " + a + ", #" + std::to_string(3000 + k) + "\nGET " + a));
     expected.push_back(ReferenceModel(small_rtm()).run(kinds.back()));
   }
-  const std::size_t groups_per_program = split_groups(kinds[0]).size();
+  std::vector<InstructionGroup> groups;
+  split_groups_into(kinds[0], groups);
+  const std::size_t groups_per_program = groups.size();
   ASSERT_EQ(groups_per_program, 6u);
   const std::size_t programs = (std::size_t{1} << 16) / groups_per_program + 64;
 
@@ -560,7 +555,7 @@ TEST(ReliableTransport, WireSequenceWrapsInsideAWindow) {
 // them on the wire.  The FrameLayout suite pins the per-program layout; the
 // Coalescing suite pins what programs must get right when they share a
 // window — empty and error-only neighbours, GETV bursts at a program
-// boundary, conflicting writes, streaming, faults and cycle cost.
+// boundary, conflicting writes, completion order, faults and cycle cost.
 
 /// Sum of a layout's predicted responses.
 std::size_t predicted_responses(const FrameLayout& frame) {
@@ -686,7 +681,9 @@ TEST(FrameLayout, PredictionsMatchReferenceCountsPerMember) {
     const isa::Program p = fpgafu::testing::random_program(
         small_rtm(), seed, {.instructions = 12, .include_errors = true});
     frame.assign(p, sys.rtm().config(), sys.rtm().table());
-    EXPECT_EQ(frame.groups.size(), split_groups(p).size()) << "seed " << seed;
+    std::vector<InstructionGroup> groups;
+    split_groups_into(p, groups);
+    EXPECT_EQ(frame.groups.size(), groups.size()) << "seed " << seed;
     EXPECT_EQ(predicted_responses(frame),
               ReferenceModel(small_rtm()).run(p).size())
         << "seed " << seed;
@@ -796,9 +793,8 @@ TEST(Coalescing, IntraFrameWriteOrderIsPreservedOnConflicts) {
   EXPECT_EQ(got[2][0].payload, 42u);
 }
 
-/// A streamed program shares the window with plain neighbours: only its
-/// responses surface as stream events, they equal its completion, and
-/// the neighbours complete with their own responses.
+/// A program reading its neighbour's register shares the window with it:
+/// each of the three completes with exactly its own responses.
 TEST(Coalescing, StreamedMemberInterleavesWithItsNeighbours) {
   top::SystemConfig cfg;
   cfg.rtm = small_rtm();
@@ -811,31 +807,85 @@ TEST(Coalescing, StreamedMemberInterleavesWithItsNeighbours) {
       isa::Assembler::assemble("PUT r2, #4\nGET r2\nGETV r1, 2");
   const isa::Program c = isa::Assembler::assemble("PUT r3, #5\nGET r3");
   const std::vector<ReliableTransport::ProgramId> ids = {
-      transport.submit(a), transport.submit(b, std::nullopt, /*stream=*/true),
-      transport.submit(c)};
-  std::vector<msg::Response> streamed;
+      transport.submit(a), transport.submit(b), transport.submit(c)};
   std::map<ReliableTransport::ProgramId, std::vector<msg::Response>> got;
   copro.pump().run_until(
       [&] {
         transport.service();
-        while (auto e = transport.poll_stream()) {
-          EXPECT_EQ(e->id, ids[1]);  // only the streaming program surfaces
-          streamed.push_back(e->response);
-        }
         while (auto comp = transport.poll_completed()) {
           got[comp->id] = std::move(comp->responses);
         }
         return got.size() == ids.size() ? Wake::done() : transport.next_wake();
       },
-      Deadline(sys.simulator(), 10'000'000), "shared window stream test");
-  ASSERT_EQ(streamed.size(), 3u);
-  EXPECT_EQ(streamed, got[ids[1]]);
-  EXPECT_EQ(streamed[0].payload, 4u);
-  EXPECT_EQ(streamed[1].payload, 3u);  // a's write landed before b's GETV
+      Deadline(sys.simulator(), 10'000'000), "shared window test");
+  ASSERT_EQ(got[ids[1]].size(), 3u);
+  EXPECT_EQ(got[ids[1]][0].payload, 4u);
+  EXPECT_EQ(got[ids[1]][1].payload, 3u);  // a's write landed before b's GETV
+  EXPECT_EQ(got[ids[1]][2].payload, 4u);
   ASSERT_EQ(got[ids[0]].size(), 1u);
   EXPECT_EQ(got[ids[0]][0].payload, 3u);
   ASSERT_EQ(got[ids[2]].size(), 1u);
   EXPECT_EQ(got[ids[2]][0].payload, 5u);
+}
+
+/// The completion order of a fixed mixed window, one {batch} per service()
+/// call that completed anything (programs numbered in submission order):
+/// a pure write and an empty program complete together on the first
+/// service, in window order, ahead of the read submitted before them.  Once
+/// that read's responses land, the barrier-held program 5 and the write 6
+/// behind it go on the wire; 6 completes at once, ahead of the read 4 still
+/// in flight and of 5.  Each program's responses equal its own reference
+/// run.
+TEST(Coalescing, MixedWindowCompletesInAFixedOrder) {
+  top::SystemConfig cfg;
+  cfg.rtm = small_rtm();
+  top::System sys(cfg);
+  Coprocessor copro(sys);
+  ReliableTransport transport(copro, window_of(6));
+
+  const std::vector<isa::Program> programs = {
+      isa::Assembler::assemble("GETV r1, 4"),          // long read
+      isa::Assembler::assemble("PUT r6, #9"),          // pure write
+      isa::Program{},                                  // empty
+      isa::Assembler::assemble("GET r5"),              // read
+      isa::Assembler::assemble("PUT r1, #7\nGET r1"),  // held at the barrier
+      isa::Assembler::assemble("PUT r7, #1"),          // queued behind it
+  };
+  std::vector<ReliableTransport::ProgramId> ids;
+  for (const isa::Program& p : programs) {
+    ids.push_back(transport.submit(p));
+  }
+  std::vector<std::vector<ReliableTransport::ProgramId>> batches;
+  std::map<ReliableTransport::ProgramId, std::vector<msg::Response>> got;
+  copro.pump().run_until(
+      [&] {
+        transport.service();
+        std::vector<ReliableTransport::ProgramId> batch;
+        while (auto c = transport.poll_completed()) {
+          batch.push_back(c->id);
+          got[c->id] = std::move(c->responses);
+        }
+        if (!batch.empty()) {
+          batches.push_back(std::move(batch));
+        }
+        return got.size() == ids.size() ? Wake::done() : transport.next_wake();
+      },
+      Deadline(sys.simulator(), 10'000'000), "mixed window order test");
+
+  std::string order;
+  for (const auto& batch : batches) {
+    order += "{";
+    for (const auto id : batch) {
+      order += std::to_string(id - ids[0] + 1);
+      order += id == batch.back() ? "" : ",";
+    }
+    order += "}";
+  }
+  EXPECT_EQ(order, "{2,3}{1}{6}{4}{5}");
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    EXPECT_EQ(got[ids[i]], ReferenceModel(small_rtm()).run(programs[i]))
+        << "program " << i;
+  }
 }
 
 /// Programs of one window chain through the SAME registers over a lossy
