@@ -15,7 +15,7 @@ namespace fpgafu::host {
 
 namespace {
 /// Tenant bucket for session-less submissions.  Round-robin fairness treats
-/// all of them as one tenant; they are exempt from per-session bounds.
+/// all of them as one tenant.
 constexpr Farm::SessionId kNoSession = ~std::uint64_t{0};
 /// Most recent per-shard job-latency samples kept for job_latency_samples()
 /// (a bounded ring, so a long-lived farm's footprint stays flat).
@@ -41,14 +41,13 @@ LatencyPercentiles latency_percentiles(std::vector<std::uint64_t> samples) {
   return p;
 }
 
-/// One farm job: the program, its budget, which tenant it counts against,
+/// One farm job: the program, its budget, which tenant's queue it waits in,
 /// the algorithm images it requires resident, and exactly one completion
 /// surface — a promise (submit) or a callback (submit_async).
 struct Farm::Job {
   isa::Program program;
   std::uint64_t budget = 0;
-  /// The session's queue slot on its shard (0 = session-less: exempt from
-  /// per-session bounds).
+  /// The session's queue slot on its shard (0 = session-less).
   std::size_t slot = 0;
   /// Shard clock (sim_cycle_hint) at enqueue; the baseline of this job's
   /// simulated-cycle latency sample.
@@ -106,13 +105,6 @@ struct Farm::Shard {
   std::size_t index = 0;
   const Farm* farm = nullptr;
 
-  /// One tenant's sub-queue and unresolved count (queued + in flight +
-  /// resolving), in the dense slot its session was given at creation.
-  struct Tenant {
-    CompactingQueue<Job> queue;
-    std::size_t unresolved = 0;
-  };
-
   /// The shard whose step this thread runs: set for life on a worker
   /// thread, and for the step loop on an inline farm's submitting thread.
   /// A submit from such a thread (a callback's follow-up) must not wait for
@@ -125,9 +117,10 @@ struct Farm::Shard {
   /// Worker waits: job queued, read posted or stop.
   std::condition_variable cv_work;
   std::condition_variable cv_space;  ///< producers wait: queue below capacity
-  /// Tenants by slot; slot 0 is every session-less job.  A slot outlives
-  /// its empty queue, so a steadily busy session reuses its storage.
-  std::vector<Tenant> tenants;
+  /// Tenants' queues by the dense slot each session was given at creation;
+  /// slot 0 is every session-less job.  A slot outlives its empty queue, so
+  /// a steadily busy session reuses its storage.
+  std::vector<CompactingQueue<Job>> tenants;
   CompactingQueue<std::size_t> rr;  ///< round-robin rotation of queued slots
   std::size_t queued = 0;           ///< total queued jobs (bounded by capacity)
   bool stop = false;
@@ -175,21 +168,15 @@ struct Farm::Shard {
   std::thread thread;
 
   // Queue primitives (m held by the caller).
-  std::size_t unresolved_of(std::size_t slot) const {
-    return slot < tenants.size() ? tenants[slot].unresolved : 0;
-  }
   void push_locked(Job&& job) {
     if (job.slot >= tenants.size()) {
       tenants.resize(job.slot + 1);
     }
-    Tenant& t = tenants[job.slot];
-    if (job.slot != 0) {
-      ++t.unresolved;
-    }
-    if (t.queue.empty()) {
+    CompactingQueue<Job>& q = tenants[job.slot];
+    if (q.empty()) {
       rr.push_back(job.slot);
     }
-    t.queue.push_back(std::move(job));
+    q.push_back(std::move(job));
     ++queued;
     queued_hint.store(queued, std::memory_order_relaxed);
   }
@@ -201,7 +188,7 @@ struct Farm::Shard {
     }
     const std::size_t slot = rr.front();
     rr.pop_front();
-    CompactingQueue<Job>& q = tenants[slot].queue;
+    CompactingQueue<Job>& q = tenants[slot];
     into.push_back(std::move(q.front()));
     q.pop_front();
     if (!q.empty()) {
@@ -216,7 +203,6 @@ struct Farm::Shard {
   /// Resolve `job`: failed when `err` is set, else with `responses`.
   void resolve(Job& job, std::vector<msg::Response>&& responses,
                std::exception_ptr err);
-  void finish_accounting(Job& job);
 
   // Reads (the farm's reads_m_ held).
   /// Answer `read` now — an inline shard or one whose worker has exited —
@@ -304,35 +290,17 @@ struct Farm::Shard {
 };
 
 // A job counts as completed or failed before its callback runs or its
-// value lands, so a read made after that sees it.  A future's job leaves its
-// session's in-flight count before its value lands.
+// value lands, so a read made after that sees it.
 void Farm::Shard::resolve(Job& job, std::vector<msg::Response>&& responses,
                           std::exception_ptr err) {
   ++(err ? jobs_failed : jobs_completed);
-  if (job.promise) {
-    finish_accounting(job);
-    if (err) {
-      job.promise->set_exception(err);
-    } else {
-      job.promise->set_value(std::move(responses));
-    }
-    return;
+  if (!job.promise) {
+    job.callback(std::move(responses), err);
+  } else if (err) {
+    job.promise->set_exception(err);
+  } else {
+    job.promise->set_value(std::move(responses));
   }
-  job.callback(std::move(responses), err);
-  finish_accounting(job);
-}
-
-void Farm::Shard::finish_accounting(Job& job) {
-  {
-    std::lock_guard<std::mutex> lk(m);
-    if (job.slot != 0) {
-      std::size_t& n = tenants[job.slot].unresolved;
-      if (n > 0) {
-        --n;
-      }
-    }
-  }
-  cv_space.notify_all();
 }
 
 void Farm::Shard::post(Read& read) {
@@ -408,9 +376,9 @@ void Farm::Shard::recover(const SimError& cause) {
   }
   {
     std::lock_guard<std::mutex> lk(m);
-    for (Tenant& t : tenants) {
-      for (; !t.queue.empty(); t.queue.pop_front()) {
-        casualties.push_back(std::move(t.queue.front()));
+    for (CompactingQueue<Job>& q : tenants) {
+      for (; !q.empty(); q.pop_front()) {
+        casualties.push_back(std::move(q.front()));
       }
     }
     rr.clear();
@@ -699,13 +667,6 @@ std::size_t Farm::shard_of(SessionId session) const {
   return session_of(session).shard;
 }
 
-std::size_t Farm::in_flight(SessionId session) const {
-  const Session entry = session_of(session);
-  Shard& shard = *shards_[entry.shard];
-  std::lock_guard<std::mutex> lk(shard.m);
-  return shard.unresolved_of(entry.slot);
-}
-
 Farm::Job Farm::make_job(isa::Program program,
                          std::optional<std::uint64_t> budget_cycles) const {
   Job job;
@@ -743,9 +704,8 @@ void Farm::submit_async(SessionId session, isa::Program program, Callback done,
 }
 
 /// The admission front end, shared by both execution modes: typed
-/// shutdown/overload refusals and per-session accounting happen here, so
-/// inline and threaded farms reject identically.  Session-less jobs
-/// round-robin across shards.
+/// shutdown/overload refusals happen here, so inline and threaded farms
+/// reject identically.  Session-less jobs round-robin across shards.
 void Farm::enqueue(SessionId session, Job job) {
   std::size_t target = 0;
   if (session == kNoSession) {
@@ -757,7 +717,6 @@ void Farm::enqueue(SessionId session, Job job) {
     job.required = entry.required;
   }
   Shard& shard = *shards_[target];
-  const bool bounded = job.slot != 0 && config_.max_inflight_per_session > 0;
   // Stamp the arrival against the worker-published clock mirror; slightly
   // stale is fine (latency samples only get conservative).
   job.enqueue_cycle =
@@ -769,22 +728,10 @@ void Farm::enqueue(SessionId session, Job job) {
       throw FarmError(FarmError::Kind::kShutdown, shard.index,
                       "Farm::submit on a farm that is shutting down");
     }
-    if (bounded &&
-        shard.unresolved_of(job.slot) >= config_.max_inflight_per_session) {
-      shard.jobs_shed.fetch_add(1);
-      throw FarmError(FarmError::Kind::kOverload, shard.index,
-                      "Farm::submit: session " + std::to_string(session) +
-                          " is at its in-flight bound (" +
-                          std::to_string(config_.max_inflight_per_session) +
-                          ")");
-    }
     if (shard.queued >= config_.queue_capacity) {
-      // A submit from a thread that steps this farm (a callback) sheds
-      // under either policy: blocking would park the thread that frees
-      // queue space.
-      if (config_.admission == FarmConfig::Admission::kShed ||
-          (Shard::t_stepping != nullptr &&
-           Shard::t_stepping->farm == this)) {
+      // A submit from a thread that steps this farm (a callback) is shed:
+      // blocking would park the thread that frees queue space.
+      if (Shard::t_stepping != nullptr && Shard::t_stepping->farm == this) {
         shard.jobs_shed.fetch_add(1);
         throw FarmError(FarmError::Kind::kOverload, shard.index,
                         "Farm::submit: shard " + std::to_string(shard.index) +
@@ -798,14 +745,6 @@ void Farm::enqueue(SessionId session, Job job) {
       if (shard.stop) {
         throw FarmError(FarmError::Kind::kShutdown, shard.index,
                         "Farm::submit on a farm that is shutting down");
-      }
-      if (bounded && shard.unresolved_of(job.slot) >=
-                         config_.max_inflight_per_session) {
-        shard.jobs_shed.fetch_add(1);
-        throw FarmError(FarmError::Kind::kOverload, shard.index,
-                        "Farm::submit: session " + std::to_string(session) +
-                            " reached its in-flight bound while waiting for "
-                            "queue space");
       }
     }
     shard.push_locked(std::move(job));

@@ -72,8 +72,7 @@ class FarmError : public SimError {
     kShardFault,  ///< the shard's watchdog tripped (or retries exhausted);
                   ///< the shard was reset and this job's result is lost
     kShutdown,    ///< submitted against a farm that is shutting down
-    kOverload,    ///< load shed: the shard's queue is full (Admission::kShed)
-                  ///< or the session is at its in-flight bound
+    kOverload,    ///< load shed: a callback's submit met a full queue
     kUnitUnavailable,  ///< a required functional unit could not be made (or
                        ///< did not stay) resident — an unregistered or
                        ///< oversized required set, or an eviction racing
@@ -94,13 +93,6 @@ class FarmError : public SimError {
 
 /// Configuration of a coprocessor farm.
 struct FarmConfig {
-  /// What submit() does when a shard's bounded queue is full.
-  enum class Admission {
-    kBlock,  ///< block the producer until space frees (backpressure);
-             ///< a submit from a callback is shed instead
-    kShed,   ///< fail fast with FarmError{kOverload} (load shedding)
-  };
-
   /// Worker shards.  Each shard is an independent top::System +
   /// ReliableTransport owned by one worker thread.  0 means *inline*: no
   /// threads, one shard owned by the calling thread, and submit() runs the
@@ -116,17 +108,9 @@ struct FarmConfig {
   /// instead of one call-and-wait round trip per job.
   TransportConfig transport;
   /// Bounded submission queue depth per shard (jobs waiting for a window
-  /// slot; in-flight jobs are not counted against it).
+  /// slot; in-flight jobs are not counted against it).  A producer meeting
+  /// a full queue blocks until space frees (see Farm, "Admission").
   std::size_t queue_capacity = 64;
-  /// Full-queue policy: block the producer (default, backpressure) or
-  /// reject with FarmError{kOverload} (load shedding for latency-sensitive
-  /// front ends that would rather drop than queue).
-  Admission admission = Admission::kBlock;
-  /// Per-session cap on unresolved jobs (queued + in flight + resolving).
-  /// A session at its bound is refused with FarmError{kOverload} — under
-  /// either admission policy — so one tenant cannot monopolise a shard's
-  /// queue.  0 = unbounded.  Session-less submissions are never counted.
-  std::size_t max_inflight_per_session = 0;
 
   // -- Algorithm-on-demand ---------------------------------------------------
   /// Loadable algorithm images, registered on every shard's FuManager (each
@@ -172,14 +156,13 @@ struct FarmConfig {
 /// *different* sessions interleave freely inside a window.
 ///
 /// **Admission.**  Each shard's queue is bounded
-/// (FarmConfig::queue_capacity).  A full queue blocks the producer
-/// (Admission::kBlock) or sheds the job with FarmError{kOverload}
-/// (Admission::kShed); a submit from one of the farm's own worker threads
-/// (a callback's follow-up) is always shed, never blocked.  Sessions are
-/// optionally capped at `max_inflight_per_session` unresolved jobs —
-/// exceeding the cap is refused with kOverload under either policy.
-/// Queued jobs are dequeued *round-robin across sessions* (FIFO within a
-/// session), so one tenant's burst cannot starve the others.
+/// (FarmConfig::queue_capacity), and a full queue blocks the producer until
+/// space frees.  A submit from a thread that steps the farm — a completion
+/// callback's worker, or an inline farm's caller inside its step — is
+/// refused with FarmError{kOverload} instead: blocking would park the
+/// thread that frees the space.  Queued jobs are dequeued *round-robin
+/// across sessions* (FIFO within a session), so one tenant's burst cannot
+/// starve the others.
 ///
 /// **Failure semantics.**  A job that trips its watchdog (or exhausts
 /// transport retries) fails *and* takes the window with it: every job in
@@ -199,9 +182,9 @@ class Farm {
   /// error) is meaningful — error is nullptr on success.  Runs on the
   /// shard's worker thread (inline mode: the submitting thread); it must
   /// not block and must not throw.  It may submit follow-up jobs; such a
-  /// submit never blocks, under either admission policy: a full queue
-  /// refuses it with FarmError{kOverload}, because the thread it would
-  /// wait on is the one that frees queue space.
+  /// submit never blocks: a full queue refuses it with
+  /// FarmError{kOverload}, because the thread it would wait on is the one
+  /// that frees queue space.
   using Callback =
       std::function<void(std::vector<msg::Response>, std::exception_ptr)>;
 
@@ -248,10 +231,6 @@ class Farm {
 
   /// The shard a session's jobs run on.
   std::size_t shard_of(SessionId session) const;
-
-  /// Unresolved jobs (queued + in flight + resolving) of a session — the
-  /// quantity max_inflight_per_session bounds.
-  std::size_t in_flight(SessionId session) const;
 
   /// Shards serving jobs (1 for an inline farm — FarmConfig::shards == 0).
   std::size_t shard_count() const;

@@ -11,7 +11,6 @@
 namespace fpgafu::host {
 
 void TransportConfig::validate() const {
-  check(max_attempts > 0, "TransportConfig::max_attempts must be > 0");
   check(window > 0, "TransportConfig::window must be > 0");
   // Outstanding groups are matched by 16-bit wire sequence number; a window
   // anywhere near the sequence space would make matches ambiguous.
@@ -217,12 +216,12 @@ void ReliableTransport::resend(const Outstanding& o, std::size_t hi,
   Flight* f = flight(o.program);
   check(f != nullptr, "ReliableTransport: outstanding entry for a program "
                       "that is no longer in flight");
-  if (o.attempts >= config_.max_attempts) {
+  if (o.attempts >= kMaxAttempts) {
     stats_.bump(failures_);
     copro_->reset();
     throw SimError("ReliableTransport: program " + std::to_string(o.program) +
                    " group " + std::to_string(o.slot) + " exhausted " +
-                   std::to_string(config_.max_attempts) + " attempts");
+                   std::to_string(kMaxAttempts) + " attempts");
   }
   stats_.bump(retries_);
   transmit(*f, o.slot, o.next, hi, o.attempts + 1);
@@ -525,7 +524,7 @@ std::vector<msg::Response> ReliableTransport::call(
         },
         Deadline(sim, budget), "ReliableTransport::call");
   } catch (const SimError&) {
-    // Watchdog (or max-attempts give-up) aborted mid-exchange or
+    // Watchdog (or retry give-up) aborted mid-exchange or
     // mid-drain; drop the poisoned window and realign the deframer so the
     // next call starts clean.
     abort_in_flight();

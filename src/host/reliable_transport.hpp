@@ -14,9 +14,6 @@ namespace fpgafu::host {
 
 /// Tuning knobs for ReliableTransport.
 struct TransportConfig {
-  /// Consecutive submissions of one outstanding entry that delivered
-  /// nothing before giving up (the first send and its re-sends).
-  unsigned max_attempts = 10;
   /// Programs the pipelined interface keeps in flight at once, one window
   /// slot each.  1 is call-and-wait; larger windows overlap one program's
   /// tail with the next program's issue (the RTM pipelines instructions
@@ -25,8 +22,8 @@ struct TransportConfig {
   /// step from it.
   std::size_t window = 1;
 
-  /// Throw SimError on nonsensical settings (zero attempts or window, a
-  /// window near the sequence space).  ReliableTransport and host::Farm
+  /// Throw SimError on nonsensical settings (a zero window, or one near
+  /// the sequence space).  ReliableTransport and host::Farm
   /// run this on construction so misconfiguration surfaces on the
   /// caller's thread.
   void validate() const;
@@ -81,7 +78,7 @@ std::uint64_t probe_interval(std::uint64_t first, unsigned n);
 ///    (transport.probes).  The probe is the only loss detector: it needs
 ///    no bound on how long a unit may take, so a slow unit costs O(log)
 ///    probe words and no retry.  A link that answers nothing at all gives
-///    up on the per-program watchdog; `max_attempts` bounds consecutive
+///    up on the per-program watchdog; `kMaxAttempts` bounds consecutive
 ///    re-sends of one entry that delivered nothing;
 ///  * groups that produce no responses (register writes) are submitted only
 ///    once no outstanding read covers a register they write (per-register
@@ -136,12 +133,17 @@ class ReliableTransport {
   static constexpr std::uint64_t kDefaultBudgetCycles =
       2 * kDefaultCallBudgetCycles;
 
+  /// Consecutive submissions of one outstanding entry that delivered
+  /// nothing before giving up (the first send and its re-sends), sized
+  /// for the 5 % upstream fault rates the soak and fuzz tests inject.
+  static constexpr unsigned kMaxAttempts = 25;
+
   explicit ReliableTransport(Coprocessor& copro, TransportConfig config = {});
 
   /// Submit `program` and block until every expected response has been
   /// received (retrying as needed) and the system has drained.  Returns
   /// responses renumbered to program order.  Throws SimError when an entry
-  /// exhausts max_attempts or the overall watchdog fires; one pump loop
+  /// exhausts kMaxAttempts or the overall watchdog fires; one pump loop
   /// under one Deadline covers the sends, the exchange and the drain.
   /// `budget_cycles`, when given, overrides kDefaultBudgetCycles for this
   /// one call (the Farm uses it for per-job deadlines).  Requires an empty
@@ -269,7 +271,7 @@ class ReliableTransport {
   /// Send a SYNC tail probe (superseding a live one) and arm the re-probe.
   void send_probe();
   /// Re-read `o`'s sub-responses [o.next, hi) as a new entry at the FIFO
-  /// tail, or give up (throw) once `o` used its max_attempts.
+  /// tail, or give up (throw) once `o` used its kMaxAttempts.
   void resend(const Outstanding& o, std::size_t hi,
               sim::Counters::Handle reason);
   /// Drop the front outstanding entry and re-read what it still misses.

@@ -1,20 +1,20 @@
 // Host-stack differential fuzzer.  Each case draws a seeded FarmConfig over
 // every knob the farm has — inline or threaded (shards 0, 1 or 2), transport
-// window 1-16, block or shed admission, a per-session in-flight bound and a
-// queue capacity — then streams random jobs at it: stateful jobs on random
-// sessions, self-contained session-less jobs, and follow-up jobs submitted
-// reentrantly from completion callbacks.  Half the cases run over a link
-// that drops, corrupts and duplicates 5% of upstream words.  About half
-// also draw an algorithm-on-demand catalogue (fu_images over the logic,
-// shift, muldiv, float and trig codes, an fu_slots budget of 1-3 and either
-// victim rule); their sessions declare required image sets and their jobs
-// use those images' units, so swaps interleave with windowed traffic.
+// window 1-16 and a queue capacity — then streams random jobs at it:
+// stateful jobs on random sessions, self-contained session-less jobs, and
+// follow-up jobs submitted reentrantly from completion callbacks.  Half the
+// cases run over a link that drops, corrupts and duplicates 5% of upstream
+// words.  About half also draw an algorithm-on-demand catalogue (fu_images
+// over the logic, shift, muldiv, float and trig codes, an fu_slots budget of
+// 1-3 and either victim rule); their sessions declare required image sets
+// and their jobs use those images' units, so swaps interleave with windowed
+// traffic.
 //
 // Checked for every case:
 //  * every completed job equals host::ReferenceModel;
-//  * every refusal is a typed FarmError{kOverload} the case allows: under
-//    block admission only a follow-up meeting a full queue or a session job
-//    meeting its in-flight bound is refused;
+//  * every refusal is a typed FarmError{kOverload}, and only a callback's
+//    follow-up meeting a full queue is refused (the test thread's submits
+//    block for space instead);
 //  * no job fails, and the farm finishes inside a simulated-cycle budget;
 //  * once every accepted job has resolved, the live counters() equal the
 //    tally and job_latency_samples() holds one sample per completed job;
@@ -310,9 +310,6 @@ struct Case {
   std::string describe() const {
     return "shards=" + std::to_string(config.shards) +
            " window=" + std::to_string(config.transport.window) +
-           (config.admission == FarmConfig::Admission::kShed ? " shed"
-                                                             : " block") +
-           " session_cap=" + std::to_string(config.max_inflight_per_session) +
            " queue=" + std::to_string(config.queue_capacity) +
            (reentrant ? " reentrant" : "") + (faulty ? " faulty" : "") +
            (config.fu_images.empty()
@@ -329,17 +326,16 @@ Case draw_case(std::size_t index) {
   FarmConfig& fc = c.config;
   fc.shards = rng.below(3);
   fc.transport.window = 1 + rng.below(16);
-  fc.admission = rng.below(2) == 0 ? FarmConfig::Admission::kBlock
-                                   : FarmConfig::Admission::kShed;
-  const std::size_t caps[] = {0, 1, 2, 4};
-  fc.max_inflight_per_session = caps[rng.below(4)];
+  // Two draws that once picked a full-queue policy and a per-session cap,
+  // kept so that every case's config and job stream stay as they were.
+  rng.below(2);
+  rng.below(4);
   const std::size_t depths[] = {1, 2, 4, 8, 64};
   fc.queue_capacity = depths[rng.below(5)];
   c.reentrant = rng.below(2) == 0;
   c.faulty = index % 2 == 1;
   if (c.faulty) {
     // The windowed farm soak's fault mix.
-    fc.transport.max_attempts = 25;
     msg::FaultConfig f;
     f.seed = 0xf022 + index;
     f.up.drop_ppm = 50'000;
@@ -437,13 +433,6 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
       sessions.push_back(std::move(session));
     }
 
-    // Which refusals the case allows.  Under kShed any submit may meet a
-    // full queue.  Under kBlock only a follow-up may (a callback's submit
-    // sheds rather than block its worker), and a session job may meet its
-    // session's in-flight bound under either policy.
-    const bool shed = c.config.admission == FarmConfig::Admission::kShed;
-    const bool capped = c.config.max_inflight_per_session > 0;
-
     // A session-less scratch job; its callback checks it against a fresh
     // model.  Called from the test thread and, as a follow-up, from
     // callbacks.
@@ -461,7 +450,9 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
           tally.resolve(rs, err, want, who);
         });
       } catch (const FarmError& e) {
-        tally.refuse(e, shed || follow_up);
+        // Only a follow-up may be refused: a callback's submit sheds
+        // rather than block its worker.
+        tally.refuse(e, follow_up);
       }
     };
 
@@ -501,7 +492,7 @@ TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
             });
         sessions[s].regs = after;
       } catch (const FarmError& e) {
-        tally.refuse(e, shed || capped);
+        tally.refuse(e, false);
       }
     }
 

@@ -110,15 +110,13 @@ isa::Program get_r1() {
 
 /// A link that loses every data response but carries the SYNC answers:
 /// each tail probe's answer proves the GET lost and re-sends it, and the
-/// max_attempts-th send that delivers nothing makes the transport give up.
+/// kMaxAttempts-th send that delivers nothing makes the transport give up.
 TEST(ReliableTransport, GivesUpAfterMaxAttempts) {
   top::SystemConfig cfg;
   cfg.rtm = small_rtm();
   top::System sys(cfg);
   Coprocessor copro(sys);
-  TransportConfig tcfg;
-  tcfg.max_attempts = 3;
-  ReliableTransport transport(copro, tcfg);
+  ReliableTransport transport(copro);
 
   transport.submit(get_r1());
   // The RTM answers in issue order, and every send of the GET goes out
@@ -142,11 +140,11 @@ TEST(ReliableTransport, GivesUpAfterMaxAttempts) {
   }
   ASSERT_TRUE(threw);
   transport.abort_in_flight();
-  EXPECT_EQ(stolen, tcfg.max_attempts * msg::kLinkWordsPerResponse);
-  EXPECT_EQ(transport.counters().get("transport.retries"),
-            tcfg.max_attempts - 1);
+  constexpr unsigned kAttempts = ReliableTransport::kMaxAttempts;
+  EXPECT_EQ(stolen, kAttempts * msg::kLinkWordsPerResponse);
+  EXPECT_EQ(transport.counters().get("transport.retries"), kAttempts - 1);
   EXPECT_EQ(transport.counters().get("transport.failures"), 1u);
-  EXPECT_GE(transport.counters().get("transport.probes"), tcfg.max_attempts);
+  EXPECT_GE(transport.counters().get("transport.probes"), kAttempts);
 }
 
 /// Pins the tail probe's schedule, pto * 2^n: it doubles with every probe
@@ -425,7 +423,6 @@ TEST(ReliableTransport, PipelinedWindowRecoversFromFaults) {
   Coprocessor copro(sys);
   TransportConfig tcfg;
   tcfg.window = 4;
-  tcfg.max_attempts = 25;
   ReliableTransport transport(copro, tcfg);
 
   // The oracle: the same programs run sequentially over a clean link.
@@ -904,9 +901,7 @@ TEST(Coalescing, FaultyLinkRecoversBitExactAcrossConflictingMembers) {
     cfg.link_faults = f;
     top::System sys(cfg);
     Coprocessor copro(sys);
-    TransportConfig tcfg = window_of(6);
-    tcfg.max_attempts = 25;
-    ReliableTransport transport(copro, tcfg);
+    ReliableTransport transport(copro, window_of(6));
 
     top::SystemConfig clean_cfg;
     clean_cfg.rtm = small_rtm();
@@ -1440,9 +1435,7 @@ TEST(PartialBurst, DuplicatesOfKeptFramesAreDropped) {
 TEST(TailProbe, DeadLinkProbesStayUnderTheCapPerAttempt) {
   top::System sys(top::SystemConfig{});
   Coprocessor copro(sys);
-  TransportConfig tcfg;
-  tcfg.max_attempts = 3;
-  ReliableTransport transport(copro, tcfg);
+  ReliableTransport transport(copro);
   warm_up(transport);
 
   constexpr std::uint64_t kBudget = 50'000;

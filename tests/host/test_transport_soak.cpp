@@ -49,10 +49,7 @@ TEST(TransportSoak, RandomProgramsSurviveFivePercentFaultRates) {
     cfg.link_faults = f;
     top::System sys(cfg);
     Coprocessor copro(sys);
-    TransportConfig tcfg;
-    // At 5% loss per word a long GETV needs many incremental attempts.
-    tcfg.max_attempts = 25;
-    ReliableTransport transport(copro, tcfg);
+    ReliableTransport transport(copro);
 
     const isa::Program p = fpgafu::testing::random_program(
         rcfg, kBaseSeed ^ (i * 2654435761u), {.instructions = 30});

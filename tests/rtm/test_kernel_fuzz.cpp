@@ -278,9 +278,7 @@ FuzzRun run_spec_or_throw(const FuzzSpec& s, Simulator::Kernel kernel) {
     sys.attach(kScratchCode, *scratch);
   }
   host::Coprocessor copro(sys);
-  host::TransportConfig tcfg;
-  tcfg.max_attempts = 25;
-  host::ReliableTransport transport(copro, tcfg);
+  host::ReliableTransport transport(copro);
 
   std::ostringstream vcd_os;
   std::unique_ptr<sim::VcdWriter> vcd;
@@ -487,9 +485,7 @@ FuzzRun run_managed_or_throw(const ManagedSpec& s, Simulator::Kernel kernel) {
   top::System sys(s.config);
   sys.simulator().set_kernel(kernel);
   host::Coprocessor copro(sys);
-  host::TransportConfig tcfg;
-  tcfg.max_attempts = 25;
-  host::ReliableTransport transport(copro, tcfg);
+  host::ReliableTransport transport(copro);
 
   host::FuManagerConfig mcfg;
   mcfg.slots = 1;  // one physical slot: every image change is a full swap
