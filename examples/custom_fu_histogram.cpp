@@ -1,18 +1,24 @@
 // Developing an application (paper §IV): a user-defined *stateful*
 // functional unit.  The paper names "histogram calculators" as a canonical
-// stateful unit; this example implements one against the framework's
-// standard signal protocol, attaches it under a user function code, and
-// drives it from the host.
+// stateful unit; this example builds one on the framework's minimal
+// skeleton, attaches it under a user function code, and drives it from the
+// host.
 //
 // This is the complete recipe a framework user follows:
-//   1. derive from fu::FunctionalUnit and implement eval()/commit() against
-//      the dispatch/idle/data_ready/data_acknowledge protocol;
-//   2. attach it to the System under a function code >= isa::fc::kUserBase;
-//   3. issue instructions with that function code from the host.
+//   1. write the datapath as a core: a function of variety code and
+//      operands that returns the operation's output, updating the unit's
+//      state on the way (the skeleton calls it once per operation);
+//   2. pick a skeleton — here fu::MinimalFu, one operation in flight — and
+//      hand it the core; the skeleton speaks the dispatch/idle/data_ready/
+//      data_acknowledge protocol;
+//   3. attach the unit to the System under a function code >=
+//      isa::fc::kUserBase and issue instructions with that code from the
+//      host.
 
 #include <cstdio>
 #include <vector>
 
+#include "fu/minimal_fu.hpp"
 #include "host/coprocessor.hpp"
 #include "isa/program.hpp"
 #include "isa/rtm_ops.hpp"
@@ -26,74 +32,50 @@ using namespace fpgafu;
 /// Histogram unit: 16 bins of persistent state.
 /// Variety codes: 0 = clear all bins; 1 = insert operand1 (bin = value
 /// mod 16); 2 = read bin[operand1]; 3 = read total insert count.
-class HistogramUnit : public fu::FunctionalUnit {
+class HistogramUnit : public fu::MinimalFu {
  public:
-  HistogramUnit(sim::Simulator& sim) : FunctionalUnit(sim, "histogram") {}
+  explicit HistogramUnit(sim::Simulator& sim)
+      : MinimalFu(sim, "histogram",
+                  [this](isa::VarietyCode v, isa::Word a, isa::Word,
+                         isa::FlagWord) { return execute(v, a); }) {}
 
   static constexpr isa::VarietyCode kClear = 0;
   static constexpr isa::VarietyCode kInsert = 1;
   static constexpr isa::VarietyCode kReadBin = 2;
   static constexpr isa::VarietyCode kTotal = 3;
 
-  void eval() override {
-    ports.idle.set(!pending_);
-    ports.data_ready.set(pending_);
-    ports.result.set(out_);
-  }
-
-  void commit() override {
-    if (pending_ && ports.data_acknowledge.get()) {
-      pending_ = false;
-      ++completed_;
-      // All state here lives in plain members the simulator cannot watch:
-      // self-report the activity so the event kernel keeps us scheduled.
-      mark_active();
-    }
-    if (ports.dispatch.get() && !pending_) {
-      const fu::FuRequest req = ports.request.get();
-      isa::Word result = 0;
-      switch (req.variety) {
-        case kClear:
-          bins_.assign(bins_.size(), 0);
-          total_ = 0;
-          break;
-        case kInsert:
-          ++bins_[req.operand1 % bins_.size()];
-          ++total_;
-          result = total_;
-          break;
-        case kReadBin:
-          result = bins_[req.operand1 % bins_.size()];
-          break;
-        case kTotal:
-        default:
-          result = total_;
-          break;
-      }
-      out_.data = result;
-      out_.flags = result == 0 ? isa::FlagWord{1} << isa::flag::kZero
-                               : isa::FlagWord{0};
-      out_.dst_reg = req.dst_reg;
-      out_.dst_flag_reg = req.dst_flag_reg;
-      out_.write_data = true;
-      out_.write_flags = true;
-      pending_ = true;
-      mark_active();
-    }
-  }
-
   void reset() override {
-    FunctionalUnit::reset();
+    MinimalFu::reset();
     bins_.assign(bins_.size(), 0);
     total_ = 0;
-    pending_ = false;
   }
 
  private:
+  /// The datapath core.
+  fu::StatelessOut execute(isa::VarietyCode variety, isa::Word value) {
+    isa::Word result = 0;
+    switch (variety) {
+      case kClear:
+        bins_.assign(bins_.size(), 0);
+        total_ = 0;
+        break;
+      case kInsert:
+        ++bins_[value % bins_.size()];
+        result = ++total_;
+        break;
+      case kReadBin:
+        result = bins_[value % bins_.size()];
+        break;
+      case kTotal:
+      default:
+        result = total_;
+        break;
+    }
+    return fu::word_out(result, /*error=*/false);
+  }
+
   std::vector<std::uint64_t> bins_ = std::vector<std::uint64_t>(16, 0);
   std::uint64_t total_ = 0;
-  bool pending_ = false;
-  fu::FuResult out_;
 };
 
 constexpr isa::FunctionCode kHistogramCode = isa::fc::kUserBase + 1;

@@ -3,8 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "fu/functional_unit.hpp"
-#include "util/bits.hpp"
+#include "fu/minimal_fu.hpp"
 #include "util/error.hpp"
 
 namespace fpgafu::fu {
@@ -16,18 +15,19 @@ namespace fpgafu::fu {
 /// hardware every entry compares its key against the broadcast search key
 /// simultaneously, so a lookup costs one cycle *regardless of capacity* —
 /// the same circuit-parallelism story as the χ-sort cell array; the model
-/// preserves that single-cycle timing.
+/// preserves that single-cycle timing with a minimal skeleton whose core
+/// searches and updates the table.
 ///
 /// Operations (variety code; key in operand1, value in operand2):
 ///   kClear  — invalidate every entry;
 ///   kInsert — update the entry matching the key, or claim a free slot;
 ///             sets kError (and changes nothing) when the table is full;
 ///   kErase  — invalidate the entry matching the key (a miss is a no-op
-///             with kZero cleared);
+///             that reports kZero);
 ///   kLookup — return the value for the key; kCarry = hit, kZero = miss;
 ///   kCount  — return the number of valid entries (a population-count
 ///             tree in hardware).
-class CamUnit : public FunctionalUnit {
+class CamUnit : public MinimalFu {
  public:
   static constexpr isa::VarietyCode kClear = 0x01;
   static constexpr isa::VarietyCode kInsert = 0x02;
@@ -36,40 +36,20 @@ class CamUnit : public FunctionalUnit {
   static constexpr isa::VarietyCode kCount = 0x05;
 
   CamUnit(sim::Simulator& sim, std::string name, std::size_t capacity)
-      : FunctionalUnit(sim, std::move(name)), entries_(capacity) {
+      : MinimalFu(sim, std::move(name),
+                  [this](isa::VarietyCode v, isa::Word key, isa::Word value,
+                         isa::FlagWord) { return execute(v, key, value); }),
+        entries_(capacity) {
     check(capacity >= 1, "CAM needs at least one entry");
   }
 
   std::size_t capacity() const { return entries_.size(); }
 
-  void eval() override {
-    ports.idle.set(!pending_);
-    ports.data_ready.set(pending_);
-    ports.result.set(out_);
-  }
-
-  void commit() override {
-    if (pending_ || ports.dispatch.get()) {
-      mark_active();  // pending_/out_/entries_ are plain clocked state
-    }
-    if (pending_ && ports.data_acknowledge.get()) {
-      pending_ = false;
-      ++completed_;
-    }
-    if (ports.dispatch.get() && !pending_) {
-      const FuRequest req = ports.request.get();
-      execute(req);
-      pending_ = true;
-    }
-  }
-
   void reset() override {
-    FunctionalUnit::reset();
+    MinimalFu::reset();
     for (Entry& e : entries_) {
       e = Entry{};
     }
-    pending_ = false;
-    out_ = FuResult{};
   }
 
  private:
@@ -79,18 +59,19 @@ class CamUnit : public FunctionalUnit {
     bool valid = false;
   };
 
-  void execute(const FuRequest& req) {
+  StatelessOut execute(isa::VarietyCode variety, isa::Word key,
+                       isa::Word new_value) {
     isa::Word value = 0;
     bool hit = false;
     bool error = false;
-    switch (req.variety) {
+    switch (variety) {
       case kClear:
         for (Entry& e : entries_) {
           e.valid = false;
         }
         break;
       case kInsert: {
-        Entry* slot = find(req.operand1);
+        Entry* slot = find(key);
         if (slot == nullptr) {
           for (Entry& e : entries_) {
             if (!e.valid) {
@@ -102,21 +83,21 @@ class CamUnit : public FunctionalUnit {
         if (slot == nullptr) {
           error = true;  // table full: destination undefined by convention
         } else {
-          slot->key = req.operand1;
-          slot->value = req.operand2;
+          slot->key = key;
+          slot->value = new_value;
           slot->valid = true;
           hit = true;
         }
         break;
       }
       case kErase:
-        if (Entry* e = find(req.operand1)) {
+        if (Entry* e = find(key)) {
           e->valid = false;
           hit = true;
         }
         break;
       case kLookup:
-        if (const Entry* e = find(req.operand1)) {
+        if (const Entry* e = find(key)) {
           value = e->value;
           hit = true;
         }
@@ -131,20 +112,13 @@ class CamUnit : public FunctionalUnit {
         error = true;
         break;
     }
-    out_.data = value;
-    out_.flags = 0;
-    if (!hit) {
-      out_.flags |= isa::FlagWord{1} << isa::flag::kZero;  // miss
-    } else {
-      out_.flags |= isa::FlagWord{1} << isa::flag::kCarry;  // hit
-    }
+    isa::FlagWord flags = isa::FlagWord{1}
+                          << (hit ? isa::flag::kCarry : isa::flag::kZero);
     if (error) {
-      out_.flags |= isa::FlagWord{1} << isa::flag::kError;
+      flags |= isa::FlagWord{1} << isa::flag::kError;
     }
-    out_.dst_reg = req.dst_reg;
-    out_.dst_flag_reg = req.dst_flag_reg;
-    out_.write_data = true;
-    out_.write_flags = true;
+    return StatelessOut{value, flags, /*write_data=*/true,
+                        /*write_flags=*/true};
   }
 
   Entry* find(isa::Word key) {
@@ -157,8 +131,6 @@ class CamUnit : public FunctionalUnit {
   }
 
   std::vector<Entry> entries_;
-  bool pending_ = false;
-  FuResult out_;
 };
 
 }  // namespace fpgafu::fu

@@ -8,7 +8,7 @@
 
 namespace fpgafu::fu {
 
-/// Data-path output of a stateless operation (before destination routing).
+/// Data-path output of one operation (before destination routing).
 struct StatelessOut {
   isa::Word value = 0;
   isa::FlagWord flags = 0;
@@ -22,12 +22,29 @@ struct StatelessOut {
   bool has_second = false;
 };
 
-/// The combinational core of a stateless functional unit: a pure function
-/// of variety code, two operands and an input flag vector — the "black box
-/// circuit" of paper Fig. 5.
+/// The datapath core of a functional unit: variety code, two operands and
+/// an input flag vector in, one output — the "black box circuit" of paper
+/// Fig. 5.  A stateless unit's core is a pure function.  A stateful unit's
+/// core may also update state the unit owns (a memory, a PRNG register, a
+/// CAM table): every skeleton calls its core exactly once per accepted
+/// operation, in accept order, from `commit()` — never from `eval()` — so
+/// the state advances once per operation under every settle kernel.
 using StatelessFn =
     std::function<StatelessOut(isa::VarietyCode, isa::Word, isa::Word,
                                isa::FlagWord)>;
+
+/// The output of an operation that returns one word to both destinations:
+/// kZero when `value` is zero, kError when `error` is set.
+inline StatelessOut word_out(isa::Word value, bool error) {
+  isa::FlagWord flags = 0;
+  if (value == 0) {
+    flags |= isa::FlagWord{1} << isa::flag::kZero;
+  }
+  if (error) {
+    flags |= isa::FlagWord{1} << isa::flag::kError;
+  }
+  return StatelessOut{value, flags, /*write_data=*/true, /*write_flags=*/true};
+}
 
 /// Route a stateless core's output to the request's destinations: the
 /// first (or only) completion record of every stateless skeleton.

@@ -201,20 +201,7 @@ class GemmUnit : public PipelineCore {
         error = true;
         break;
     }
-    FuResult r;
-    r.data = result;
-    r.flags = 0;
-    if (result == 0) {
-      r.flags |= isa::FlagWord{1} << isa::flag::kZero;
-    }
-    if (error) {
-      r.flags |= isa::FlagWord{1} << isa::flag::kError;
-    }
-    r.dst_reg = req.dst_reg;
-    r.dst_flag_reg = req.dst_flag_reg;
-    r.write_data = true;
-    r.write_flags = true;
-    return r;
+    return stateless_result(req, word_out(result, error));
   }
 
   std::vector<isa::Word> a_;

@@ -18,6 +18,10 @@ namespace fpgafu::fu {
 /// the arbiter's acknowledgement combinationally into `idle`, reaching one
 /// instruction per cycle at the cost of a longer combinational path —
 /// exactly the trade-off the thesis describes.
+///
+/// The core runs once per accepted operation, from `commit()`, so it may
+/// keep state: the scratchpad, PRNG and CAM units are this skeleton around
+/// a core that updates their memory, xorshift register or CAM table.
 class MinimalFu : public FunctionalUnit {
  public:
   MinimalFu(sim::Simulator& sim, std::string name, StatelessFn fn,
@@ -27,10 +31,11 @@ class MinimalFu : public FunctionalUnit {
         ack_forward_(ack_forward) {}
 
   void eval() override {
-    // idle: no output pending, or pending output acknowledged this cycle
-    // (the combinational forward mechanism).
-    const bool acked = ready_ && ports.data_acknowledge.get();
-    ports.idle.set(!ready_ || (ack_forward_ && acked));
+    // idle: no output pending, or (the combinational forward mechanism)
+    // the pending output is acknowledged this cycle.  Only a forwarding
+    // unit reads the ack here; any other samples it in commit() alone, so
+    // an ack edge arms its commit without re-running this eval.
+    ports.idle.set(!ready_ || (ack_forward_ && ports.data_acknowledge.get()));
     ports.data_ready.set(ready_);
     ports.result.set(out_);
   }

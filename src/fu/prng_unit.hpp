@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "fu/functional_unit.hpp"
+#include "fu/minimal_fu.hpp"
 #include "util/bits.hpp"
 
 namespace fpgafu::fu {
@@ -14,76 +14,26 @@ namespace fpgafu::fu {
 ///
 /// The persistent state is a 64-bit xorshift64 register (three shift-XOR
 /// stages — exactly the LFSR-style datapath an FPGA implementation would
-/// use).  Operations (variety code):
+/// use), updated by the core of a minimal skeleton.  Operations (variety
+/// code):
 ///   kSeed — state <- operand1 (0 is replaced by a fixed nonzero constant);
 ///   kNext — advance and return the new state masked to `width` bits;
 ///   kPeek — return the current state without advancing.
-class PrngUnit : public FunctionalUnit {
+class PrngUnit : public MinimalFu {
  public:
   static constexpr isa::VarietyCode kSeed = 0x01;
   static constexpr isa::VarietyCode kNext = 0x02;
   static constexpr isa::VarietyCode kPeek = 0x03;
 
   PrngUnit(sim::Simulator& sim, std::string name, unsigned width = 32)
-      : FunctionalUnit(sim, std::move(name)), width_(width) {}
-
-  void eval() override {
-    ports.idle.set(!pending_);
-    ports.data_ready.set(pending_);
-    ports.result.set(out_);
-  }
-
-  void commit() override {
-    if (pending_ || ports.dispatch.get()) {
-      mark_active();  // pending_/out_/state_ are plain clocked state
-    }
-    if (pending_ && ports.data_acknowledge.get()) {
-      pending_ = false;
-      ++completed_;
-    }
-    if (ports.dispatch.get() && !pending_) {
-      const FuRequest req = ports.request.get();
-      isa::Word value = 0;
-      bool error = false;
-      switch (req.variety) {
-        case kSeed:
-          state_ = req.operand1 != 0 ? req.operand1 : kDefaultSeed;
-          value = 0;
-          break;
-        case kNext:
-          state_ ^= state_ << 13;
-          state_ ^= state_ >> 7;
-          state_ ^= state_ << 17;
-          value = state_ & bits::mask(width_);
-          break;
-        case kPeek:
-          value = state_ & bits::mask(width_);
-          break;
-        default:
-          error = true;
-          break;
-      }
-      out_.data = value;
-      out_.flags = 0;
-      if (value == 0) {
-        out_.flags |= isa::FlagWord{1} << isa::flag::kZero;
-      }
-      if (error) {
-        out_.flags |= isa::FlagWord{1} << isa::flag::kError;
-      }
-      out_.dst_reg = req.dst_reg;
-      out_.dst_flag_reg = req.dst_flag_reg;
-      out_.write_data = true;
-      out_.write_flags = true;
-      pending_ = true;
-    }
-  }
+      : MinimalFu(sim, std::move(name),
+                  [this](isa::VarietyCode v, isa::Word seed, isa::Word,
+                         isa::FlagWord) { return execute(v, seed); }),
+        width_(width) {}
 
   void reset() override {
-    FunctionalUnit::reset();
+    MinimalFu::reset();
     state_ = kDefaultSeed;
-    pending_ = false;
-    out_ = FuResult{};
   }
 
   std::uint64_t state() const { return state_; }
@@ -91,10 +41,25 @@ class PrngUnit : public FunctionalUnit {
  private:
   static constexpr std::uint64_t kDefaultSeed = 0x2545f4914f6cdd1dULL;
 
+  StatelessOut execute(isa::VarietyCode variety, isa::Word seed) {
+    switch (variety) {
+      case kSeed:
+        state_ = seed != 0 ? seed : kDefaultSeed;
+        return word_out(0, false);
+      case kNext:
+        state_ ^= state_ << 13;
+        state_ ^= state_ >> 7;
+        state_ ^= state_ << 17;
+        return word_out(state_ & bits::mask(width_), false);
+      case kPeek:
+        return word_out(state_ & bits::mask(width_), false);
+      default:
+        return word_out(0, /*error=*/true);
+    }
+  }
+
   unsigned width_;
   std::uint64_t state_ = kDefaultSeed;
-  bool pending_ = false;
-  FuResult out_;
 };
 
 }  // namespace fpgafu::fu

@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "fu/functional_unit.hpp"
+#include "fu/minimal_fu.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 
@@ -27,9 +27,10 @@ namespace fpgafu::fu {
 ///   kSize  — result = capacity in words.
 /// Out-of-range addresses set the error flag (destination undefined).
 ///
-/// Timing: one cycle per operation (single-ported BRAM); kFill is also one
-/// dispatch (hardware fill logic), which the model preserves.
-class ScratchpadUnit : public FunctionalUnit {
+/// Timing: the minimal skeleton around a single-ported BRAM, one cycle per
+/// operation; kFill is also one dispatch (hardware fill logic), which the
+/// model preserves.
+class ScratchpadUnit : public MinimalFu {
  public:
   static constexpr isa::VarietyCode kWrite = 0x01;
   static constexpr isa::VarietyCode kRead = 0x02;
@@ -38,7 +39,11 @@ class ScratchpadUnit : public FunctionalUnit {
 
   ScratchpadUnit(sim::Simulator& sim, std::string name, std::size_t words,
                  unsigned width = 32)
-      : FunctionalUnit(sim, std::move(name)), mem_(words, 0), width_(width) {
+      : MinimalFu(sim, std::move(name),
+                  [this](isa::VarietyCode v, isa::Word addr, isa::Word data,
+                         isa::FlagWord) { return execute(v, addr, data); }),
+        mem_(words, 0),
+        width_(width) {
     check(words >= 1, "scratchpad needs at least one word");
   }
 
@@ -47,81 +52,39 @@ class ScratchpadUnit : public FunctionalUnit {
   /// Direct test/debug access (the host path goes through instructions).
   isa::Word peek(std::size_t addr) const { return mem_.at(addr); }
 
-  void eval() override {
-    ports.idle.set(!pending_);
-    ports.data_ready.set(pending_);
-    ports.result.set(out_);
-  }
-
-  void commit() override {
-    if (pending_ || ports.dispatch.get()) {
-      mark_active();  // pending_/out_/mem_ are plain clocked state
-    }
-    if (pending_ && ports.data_acknowledge.get()) {
-      pending_ = false;
-      ++completed_;
-    }
-    if (ports.dispatch.get() && !pending_) {
-      const FuRequest req = ports.request.get();
-      const isa::Word addr = req.operand1;
-      const isa::Word data = req.operand2 & bits::mask(width_);
-      isa::Word result = 0;
-      bool error = false;
-      switch (req.variety) {
-        case kWrite:
-          if (addr < mem_.size()) {
-            mem_[addr] = data;
-            result = data;
-          } else {
-            error = true;
-          }
-          break;
-        case kRead:
-          if (addr < mem_.size()) {
-            result = mem_[addr];
-          } else {
-            error = true;
-          }
-          break;
-        case kFill:
-          mem_.assign(mem_.size(), data);
-          result = data;
-          break;
-        case kSize:
-          result = mem_.size();
-          break;
-        default:
-          error = true;
-          break;
-      }
-      out_.data = result;
-      out_.flags = 0;
-      if (result == 0) {
-        out_.flags |= isa::FlagWord{1} << isa::flag::kZero;
-      }
-      if (error) {
-        out_.flags |= isa::FlagWord{1} << isa::flag::kError;
-      }
-      out_.dst_reg = req.dst_reg;
-      out_.dst_flag_reg = req.dst_flag_reg;
-      out_.write_data = true;
-      out_.write_flags = true;
-      pending_ = true;
-    }
-  }
-
   void reset() override {
-    FunctionalUnit::reset();
+    MinimalFu::reset();
     mem_.assign(mem_.size(), 0);
-    pending_ = false;
-    out_ = FuResult{};
   }
 
  private:
+  StatelessOut execute(isa::VarietyCode variety, isa::Word addr,
+                       isa::Word data) {
+    data &= bits::mask(width_);
+    switch (variety) {
+      case kWrite:
+        if (addr >= mem_.size()) {
+          return word_out(0, /*error=*/true);
+        }
+        mem_[addr] = data;
+        return word_out(data, false);
+      case kRead:
+        if (addr >= mem_.size()) {
+          return word_out(0, /*error=*/true);
+        }
+        return word_out(mem_[addr], false);
+      case kFill:
+        mem_.assign(mem_.size(), data);
+        return word_out(data, false);
+      case kSize:
+        return word_out(mem_.size(), false);
+      default:
+        return word_out(0, /*error=*/true);
+    }
+  }
+
   std::vector<isa::Word> mem_;
   unsigned width_;
-  bool pending_ = false;
-  FuResult out_;
 };
 
 }  // namespace fpgafu::fu

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "fu/cam_unit.hpp"
 #include "fu/conformance.hpp"
 #include "fu/fsm_fu.hpp"
 #include "fu/minimal_fu.hpp"
 #include "fu/pipelined_fu.hpp"
+#include "fu/prng_unit.hpp"
+#include "fu/scratchpad_unit.hpp"
+#include "fu/stateless_units.hpp"
 #include "support/fu_harness.hpp"
 
 namespace fpgafu::fu {
@@ -33,6 +39,60 @@ FuRequest req(isa::Word a, isa::Word b, isa::RegNum dst = 1) {
   r.dst_reg = dst;
   return r;
 }
+
+/// A unit that counts its own eval() and commit() calls.
+template <typename Unit>
+class Counted : public Unit {
+ public:
+  using Unit::Unit;
+
+  void eval() override {
+    ++evals;
+    Unit::eval();
+  }
+  void commit() override {
+    ++commits;
+    Unit::commit();
+  }
+
+  std::uint64_t evals = 0;
+  std::uint64_t commits = 0;
+};
+
+/// Dispatcher and write arbiter in one, with an acknowledgement the test
+/// switches on and off (FuDriver draws its acknowledgements from a duty
+/// cycle).
+class HandDriver : public sim::Component {
+ public:
+  HandDriver(sim::Simulator& sim, FuPorts& ports)
+      : Component(sim, "hand"), ports_(&ports) {
+    make_always_active();  // `ack` is host state the kernel cannot see
+  }
+
+  void eval() override {
+    ports_->dispatch.set(!queue.empty() && ports_->idle.get());
+    if (!queue.empty()) {
+      ports_->request.set(queue.front());
+    }
+    ports_->data_acknowledge.set(ack && ports_->data_ready.get());
+  }
+
+  void commit() override {
+    if (ports_->dispatch.get() && ports_->idle.get()) {
+      queue.pop_front();
+    }
+    if (ports_->data_ready.get() && ports_->data_acknowledge.get()) {
+      completions.push_back(ports_->result.get());
+    }
+  }
+
+  std::deque<FuRequest> queue;
+  bool ack = false;
+  std::vector<FuResult> completions;
+
+ private:
+  FuPorts* ports_;
+};
 
 // ---------------------------------------------------------------------------
 // Minimal skeleton (paper Fig. 5).
@@ -103,6 +163,35 @@ TEST(MinimalFu, HoldsResultUntilAcknowledged) {
   }
   mon.check_drained();
   EXPECT_TRUE(mon.violations().empty()) << mon.violations().front();
+}
+
+TEST(MinimalFu, AckEdgeReevaluatesOnlyAForwardingUnit) {
+  // Only the forwarding unit's idle depends on the acknowledgement; any
+  // other samples it in commit() alone, so the ack edge that retires its
+  // result arms its commit and leaves its eval asleep.
+  for (const bool forward : {false, true}) {
+    SCOPED_TRACE(forward ? "forwarding" : "not forwarding");
+    sim::Simulator sim;
+    Counted<MinimalFu> fu(sim, "fu", adder_core(), forward);
+    HandDriver drv(sim, fu.ports);
+    drv.queue.push_back(req(40, 2));
+    for (int i = 0; i < 4; ++i) {
+      sim.step();  // accept, then wait on the withheld acknowledgement
+    }
+    ASSERT_TRUE(fu.ports.data_ready.peek());
+    const std::uint64_t evals = fu.evals;
+    const std::uint64_t commits = fu.commits;
+    drv.ack = true;
+    sim.step();
+    ASSERT_EQ(drv.completions.size(), 1u);
+    EXPECT_EQ(drv.completions.front().data, 42u);
+    EXPECT_EQ(fu.commits, commits + 1);
+    if (forward) {
+      EXPECT_GT(fu.evals, evals);
+    } else {
+      EXPECT_EQ(fu.evals, evals);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +364,110 @@ TEST(Skeletons, AgreeOnResults) {
   EXPECT_EQ(outputs[0], outputs[1]);
   EXPECT_EQ(outputs[0], outputs[2]);
   EXPECT_EQ(outputs[0], outputs[3]);
+}
+
+// ---------------------------------------------------------------------------
+// Stateful cores: every skeleton calls its core exactly once per accepted
+// operation, from commit(), under every kernel.
+
+TEST(Skeletons, StatefulCoreRunsOncePerAcceptedOperation) {
+  constexpr std::size_t kOps = 60;
+  for (const sim::Simulator::Kernel kernel : sim::Simulator::kAllKernels) {
+    for (const Skeleton skeleton : {Skeleton::kMinimal, Skeleton::kMinimalFwd,
+                                    Skeleton::kFsm, Skeleton::kPipelined}) {
+      SCOPED_TRACE(std::string(sim::Simulator::kernel_name(kernel)) +
+                   " kernel, skeleton " +
+                   std::to_string(static_cast<int>(skeleton)));
+      // The core folds every operand into an accumulator and returns it:
+      // a second call for one operation would show in both.
+      std::uint64_t calls = 0;
+      isa::Word acc = 0;
+      const StatelessFn core = [&](isa::VarietyCode, isa::Word a, isa::Word,
+                                   isa::FlagWord) {
+        ++calls;
+        acc = acc * 31 + a;
+        return StatelessOut{acc, 0, true, false};
+      };
+      StatelessConfig cfg;
+      cfg.skeleton = skeleton;
+      cfg.execute_cycles = 3;
+      cfg.pipeline_depth = 3;
+      cfg.fifo_capacity = 5;
+      sim::Simulator sim;
+      sim.set_kernel(kernel);
+      const std::unique_ptr<FunctionalUnit> fu =
+          make_stateless_unit(sim, "fu", core, cfg);
+      FuDriver drv(sim, "drv", fu->ports, 2, 3, 17);
+      ConformanceMonitor mon(sim, "mon", fu->ports);
+
+      Xoshiro256 rng(99);
+      isa::Word oracle = 0;
+      std::vector<isa::Word> want;
+      for (std::size_t i = 0; i < kOps; ++i) {
+        const isa::Word a = rng.below(1 << 20);
+        oracle = oracle * 31 + a;
+        want.push_back(oracle);
+        drv.enqueue(req(a, 0));
+      }
+      sim.run_until([&] { return drv.completions().size() == kOps; }, 5000);
+      ASSERT_EQ(drv.completions().size(), kOps);
+      EXPECT_EQ(calls, kOps);
+      EXPECT_EQ(acc, oracle);
+      for (std::size_t i = 0; i < kOps; ++i) {
+        EXPECT_EQ(drv.completions()[i].result.data, want[i]) << "op " << i;
+      }
+      mon.check_drained();
+      EXPECT_TRUE(mon.violations().empty()) << mon.violations().front();
+    }
+  }
+}
+
+TEST(Skeletons, StatefulUnitWaitingOnTheArbiterCostsNoCommits) {
+  // A result the arbiter holds back changes nothing in the unit, so the
+  // event kernel leaves it asleep until the acknowledgement arrives.
+  const auto wait_then_retire = [](auto& unit, FuRequest request) {
+    HandDriver drv(unit.simulator(), unit.ports);
+    drv.queue.push_back(request);
+    sim::Simulator& sim = unit.simulator();
+    sim.step();  // accept
+    sim.step();  // the result is pending
+    ASSERT_TRUE(unit.ports.data_ready.peek());
+    const std::uint64_t commits = unit.commits;
+    for (int i = 0; i < 20; ++i) {
+      sim.step();
+    }
+    EXPECT_EQ(unit.commits, commits);
+    drv.ack = true;
+    sim.step();
+    EXPECT_EQ(unit.commits, commits + 1);
+    EXPECT_EQ(drv.completions.size(), 1u);
+    EXPECT_EQ(unit.completed(), 1u);
+  };
+  sim::Simulator sim;
+  {
+    SCOPED_TRACE("scratchpad");
+    Counted<ScratchpadUnit> sp(sim, "sp", 16);
+    FuRequest r = req(3, 77);
+    r.variety = ScratchpadUnit::kWrite;
+    wait_then_retire(sp, r);
+    EXPECT_EQ(sp.peek(3), 77u);
+  }
+  {
+    SCOPED_TRACE("prng");
+    Counted<PrngUnit> prng(sim, "prng");
+    FuRequest r = req(0, 0);
+    r.variety = PrngUnit::kNext;
+    const std::uint64_t before = prng.state();
+    wait_then_retire(prng, r);
+    EXPECT_NE(prng.state(), before);
+  }
+  {
+    SCOPED_TRACE("cam");
+    Counted<CamUnit> cam(sim, "cam", 4);
+    FuRequest r = req(5, 50);
+    r.variety = CamUnit::kInsert;
+    wait_then_retire(cam, r);
+  }
 }
 
 }  // namespace

@@ -22,7 +22,12 @@
 //    case never sees farm.jobs_completed or farm.shard_cycles go down.
 //
 // FPGAFU_FARM_SOAK_JOBS scales the jobs per case (default 24), as it does
-// the windowed farm soak.
+// the windowed farm soak.  FPGAFU_FARM_FUZZ_CASE=<n> runs case n alone;
+// every case draws from its own seeds, so it runs exactly as it does in the
+// full sweep.  Reproducer of the CRC-16 torn frame (ROADMAP item 1), which
+// fails at case 19, job 871:
+//
+//   FPGAFU_FARM_SOAK_JOBS=8000 FPGAFU_FARM_FUZZ_CASE=19 test_farm --gtest_filter='FarmFuzz.*'
 
 #include <gtest/gtest.h>
 
@@ -64,6 +69,19 @@ std::size_t jobs_per_case() {
     }
   }
   return 24;
+}
+
+/// The one case FPGAFU_FARM_FUZZ_CASE selects, or kCases to run them all.
+std::size_t only_case() {
+  if (const char* env = std::getenv("FPGAFU_FARM_FUZZ_CASE")) {
+    char* end = nullptr;
+    const long n = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && n >= 0 &&
+        static_cast<std::size_t>(n) < kCases) {
+      return static_cast<std::size_t>(n);
+    }
+  }
+  return kCases;
 }
 
 std::string reg(std::uint64_t r) {
@@ -403,7 +421,11 @@ std::vector<std::string> draw_required(Xoshiro256& rng, const FarmConfig& fc,
 
 TEST(FarmFuzz, RandomConfigsMatchTheReferenceModelAndStayLive) {
   const std::size_t jobs = jobs_per_case();
+  const std::size_t only = only_case();
   for (std::size_t index = 0; index < kCases; ++index) {
+    if (only != kCases && index != only) {
+      continue;
+    }
     const Case c = draw_case(index);
     SCOPED_TRACE("case " + std::to_string(index) + ": " + c.describe());
     const rtm::RtmConfig rtm = c.config.system.rtm;

@@ -11,7 +11,10 @@ namespace fpgafu::host {
 namespace {
 
 /// Iteration count: default 100 random programs; CI jobs export
-/// FPGAFU_SOAK_PROGRAMS to abbreviate the run.
+/// FPGAFU_SOAK_PROGRAMS to abbreviate the run.  A long run reproduces the
+/// CRC-16 torn response frame of ROADMAP item 1, at program 4548:
+///
+///   FPGAFU_SOAK_PROGRAMS=5000 test_transport_soak
 std::size_t soak_programs() {
   if (const char* env = std::getenv("FPGAFU_SOAK_PROGRAMS")) {
     const long n = std::atol(env);
