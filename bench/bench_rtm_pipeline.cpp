@@ -138,8 +138,10 @@ void print_arbiter_ablation() {
     fu::StatelessConfig c2{.width = 32, .skeleton = fu::Skeleton::kPipelined,
                            .pipeline_depth = 2, .fifo_capacity = 12};
     auto u0 = fu::make_arithmetic_unit(sys.simulator(), c6, "arith_d6");
-    auto u1 = fu::make_logic_unit(sys.simulator(), c4, "logic_d4");
-    auto u2 = fu::make_shift_unit(sys.simulator(), c2, "shift_d2");
+    auto u1 =
+        fu::make_stock_unit(sys.simulator(), isa::fc::kLogic, c4, "logic_d4");
+    auto u2 =
+        fu::make_stock_unit(sys.simulator(), isa::fc::kShift, c2, "shift_d2");
     sys.attach(isa::fc::kArith, *u0);
     sys.attach(isa::fc::kLogic, *u1);
     sys.attach(isa::fc::kShift, *u2);
@@ -191,7 +193,8 @@ void print_ooo_evidence() {
                            .execute_cycles = 32};
   fu::StatelessConfig fast{.width = 32, .skeleton = fu::Skeleton::kMinimal};
   auto slow_u = fu::make_arithmetic_unit(sys.simulator(), slow, "slow_arith");
-  auto fast_u = fu::make_logic_unit(sys.simulator(), fast, "fast_logic");
+  auto fast_u = fu::make_stock_unit(sys.simulator(), isa::fc::kLogic, fast,
+                                    "fast_logic");
   sys.attach(isa::fc::kArith, *slow_u);
   sys.attach(isa::fc::kLogic, *fast_u);
   host::Coprocessor copro(sys);

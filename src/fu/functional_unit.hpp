@@ -8,19 +8,10 @@
 
 namespace fpgafu::fu {
 
-/// Data-path output of one operation (before destination routing).
-struct StatelessOut {
-  isa::Word value = 0;
-  isa::FlagWord flags = 0;
-  bool write_data = false;
-  bool write_flags = true;
-  /// Second data result for the thesis Fig. 2.18 two-record completion
-  /// (DIVMOD's remainder, routed to request.dst_reg2).  Only an FsmFu
-  /// built with a `writes_second` predicate retires it; every other
-  /// skeleton drops it.
-  isa::Word second = 0;
-  bool has_second = false;
-};
+/// Data-path output of one operation (before destination routing): the
+/// ISA's one result type.  An FsmFu built with a `writes_second` predicate
+/// routes `second` to request.dst_reg2.
+using StatelessOut = isa::Result;
 
 /// The datapath core of a functional unit: variety code, two operands and
 /// an input flag vector in, one output — the "black box circuit" of paper

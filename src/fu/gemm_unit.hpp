@@ -90,8 +90,6 @@ class GemmUnit : public PipelineCore {
 
   /// Direct test/debug access (the host path goes through instructions).
   isa::Word peek_a(std::size_t addr) const { return a_.at(addr); }
-  isa::Word peek_b(std::size_t addr) const { return b_.at(addr); }
-  isa::Word peek_c(std::size_t addr) const { return c_.at(addr); }
 
   void reset() override {
     PipelineCore::reset();

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "fu/functional_unit.hpp"
+#include "isa/stock_units.hpp"
 
 namespace fpgafu::fu {
 
@@ -25,47 +26,29 @@ struct StatelessConfig {
   std::uint32_t initiation_interval = 1;  ///< kPipelined
 };
 
-/// The combinational cores of the case-study units (thesis §3.2.2), bound
-/// to a datapath width.  Exposed so custom units can reuse them.
-StatelessFn arithmetic_core(unsigned width);
-StatelessFn logic_core(unsigned width);
-StatelessFn shift_core(unsigned width);
-StatelessFn muldiv_core(unsigned width);
-StatelessFn fp32_core();
-StatelessFn trig_core();
+/// The combinational core of a stock unit (isa/stock_units.hpp), bound to
+/// a datapath width.  Exposed so custom units can reuse it.
+StatelessFn stock_core(const isa::StockUnit& unit, unsigned width);
 
-/// Factories: the thesis' arithmetic unit (Table 3.1), logic unit
-/// (Table 3.2) and the shift-unit extension, each wrapped in the chosen
-/// protocol skeleton.
+/// The stock unit serving `code`, named after its row unless `name` is
+/// given, on the skeleton rules top::System builds with:
+///  * a unit with a second record (multiply/divide's DIVMOD) is always on
+///    the FSM skeleton, the only one that retires two records;
+///  * a unit whose datapath iterates (multiply/divide, trig) moves from a
+///    minimal skeleton to the FSM skeleton;
+///  * on the FSM skeleton an iterating unit spends its row's iteration
+///    count in Execute (the word width, or the CORDIC iterations), and
+///    any other unit `cfg.execute_cycles`.
+/// Throws SimError for a code no stock unit serves.
+std::unique_ptr<FunctionalUnit> make_stock_unit(sim::Simulator& sim,
+                                                isa::FunctionCode code,
+                                                StatelessConfig cfg,
+                                                std::string name = {});
+
+/// The thesis' arithmetic unit (Table 3.1): the stock unit of fc::kArith.
 std::unique_ptr<FunctionalUnit> make_arithmetic_unit(sim::Simulator& sim,
                                                      const StatelessConfig& cfg,
                                                      std::string name = "arith");
-std::unique_ptr<FunctionalUnit> make_logic_unit(sim::Simulator& sim,
-                                                const StatelessConfig& cfg,
-                                                std::string name = "logic");
-std::unique_ptr<FunctionalUnit> make_shift_unit(sim::Simulator& sim,
-                                                const StatelessConfig& cfg,
-                                                std::string name = "shift");
-
-/// Multiply/divide unit.  This is the canonical *multi-cycle* unit: a
-/// sequential shift-add multiplier / restoring divider iterating one bit
-/// per clock.  When built on the FSM skeleton, `execute_cycles` defaults to
-/// the datapath width to model that iteration.
-std::unique_ptr<FunctionalUnit> make_muldiv_unit(sim::Simulator& sim,
-                                                 StatelessConfig cfg,
-                                                 std::string name = "muldiv");
-
-/// IEEE-754 single-precision floating-point unit (soft-float core).
-std::unique_ptr<FunctionalUnit> make_fp32_unit(sim::Simulator& sim,
-                                               const StatelessConfig& cfg,
-                                               std::string name = "fp32");
-
-/// CORDIC trigonometric unit (sin/cos; the paper's "trigonometric function
-/// calculators").  On the FSM skeleton, `execute_cycles` defaults to the
-/// CORDIC iteration count — one micro-rotation per clock.
-std::unique_ptr<FunctionalUnit> make_trig_unit(sim::Simulator& sim,
-                                               StatelessConfig cfg,
-                                               std::string name = "trig");
 
 /// Wrap an arbitrary combinational core in the chosen skeleton.
 std::unique_ptr<FunctionalUnit> make_stateless_unit(sim::Simulator& sim,

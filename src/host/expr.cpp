@@ -1,6 +1,5 @@
 #include "host/expr.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "host/coprocessor.hpp"
@@ -231,10 +230,6 @@ CompiledExpr ExprCompiler::compile(const Expr& root) const {
       case Node::Kind::kInput:
         step.kind = CompiledExpr::Step::Kind::kPutInput;
         step.input_name = n->name;
-        if (std::find(out.input_names_.begin(), out.input_names_.end(),
-                      n->name) == out.input_names_.end()) {
-          out.input_names_.push_back(n->name);
-        }
         break;
       case Node::Kind::kOp: {
         const Node* a = canon.at(n->lhs.get());

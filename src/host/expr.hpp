@@ -81,7 +81,6 @@ class CompiledExpr {
   /// Compilation statistics.
   std::size_t operation_count() const { return op_count_; }
   std::size_t registers_used() const { return registers_used_; }
-  const std::vector<std::string>& input_names() const { return input_names_; }
 
  private:
   friend class ExprCompiler;
@@ -105,7 +104,6 @@ class CompiledExpr {
   std::size_t op_count_ = 0;
   isa::RegNum result_reg_ = 0;
   std::size_t registers_used_ = 0;
-  std::vector<std::string> input_names_;
 };
 
 /// Compiles expression DAGs: hash-consed common-subexpression elimination,

@@ -1,12 +1,7 @@
 #include "host/reference_model.hpp"
 
-#include "isa/arith.hpp"
-#include "isa/fp32.hpp"
-#include "isa/logic.hpp"
-#include "isa/muldiv.hpp"
 #include "isa/rtm_ops.hpp"
-#include "isa/shift.hpp"
-#include "isa/trig.hpp"
+#include "isa/stock_units.hpp"
 #include "util/bits.hpp"
 
 namespace fpgafu::host {
@@ -188,7 +183,7 @@ void ReferenceModel::execute(const isa::Instruction& inst, std::uint16_t seq) {
     return error(msg::ErrorCode::kUnknownFunction);
   }
 
-  // Stateless functional-unit instruction.
+  // Stock functional-unit instruction.
   if (!data_ok(inst.dst1) || !data_ok(inst.src1) || !data_ok(inst.src2) ||
       !flag_ok(inst.dst_flag) || !flag_ok(inst.src_flag)) {
     return error(msg::ErrorCode::kBadRegister);
@@ -197,63 +192,23 @@ void ReferenceModel::execute(const isa::Instruction& inst, std::uint16_t seq) {
   const isa::Word a = regs_[inst.src1];
   const isa::Word b = regs_[inst.src2];
   const isa::FlagWord f = flags_[inst.src_flag];
-  if (inst.function == isa::fc::kArith) {
-    const auto r = isa::arith::evaluate(inst.variety, a, b, f, width);
-    if (r.write_data) {
-      regs_[inst.dst1] = r.value;
-    }
-    flags_[inst.dst_flag] = r.flags;
-    return;
+  const isa::StockUnit* unit = isa::stock_unit(inst.function);
+  if (unit == nullptr) {
+    return error(msg::ErrorCode::kUnknownFunction);
   }
-  if (inst.function == isa::fc::kLogic) {
-    const auto r = isa::logic::evaluate(inst.variety, a, b, width);
-    if (r.write_data) {
-      regs_[inst.dst1] = r.value;
+  const isa::Result r = unit->evaluate(inst.variety, a, b, f, width);
+  if (r.has_second) {
+    // Dual-output operation: the second destination (aux) must exist and
+    // differ from dst1, mirroring the dispatcher's check.
+    if (inst.aux >= regs_.size() || inst.aux == inst.dst1) {
+      return error(msg::ErrorCode::kBadRegister);
     }
-    flags_[inst.dst_flag] = r.flags;
-    return;
+    regs_[inst.aux] = r.second & bits::mask(width);
   }
-  if (inst.function == isa::fc::kShift) {
-    const auto r = isa::shift::evaluate(inst.variety, a, b, width);
-    if (r.write_data) {
-      regs_[inst.dst1] = r.value;
-    }
-    flags_[inst.dst_flag] = r.flags;
-    return;
+  if (r.write_data) {
+    regs_[inst.dst1] = r.value;
   }
-  if (inst.function == isa::fc::kMulDiv) {
-    const auto r = isa::muldiv::evaluate(inst.variety, a, b, width);
-    if (r.has_second) {
-      // Dual-output operation: the second destination (aux) must exist and
-      // differ from dst1, mirroring the dispatcher's check.
-      if (inst.aux >= regs_.size() || inst.aux == inst.dst1) {
-        return error(msg::ErrorCode::kBadRegister);
-      }
-      regs_[inst.aux] = r.value2 & bits::mask(width);
-    }
-    if (r.write_data) {
-      regs_[inst.dst1] = r.value;
-    }
-    flags_[inst.dst_flag] = r.flags;
-    return;
-  }
-  if (inst.function == isa::fc::kFloat) {
-    const auto r = isa::fp32::evaluate(inst.variety, a, b);
-    if (r.write_data) {
-      regs_[inst.dst1] = r.value;
-    }
-    flags_[inst.dst_flag] = r.flags;
-    return;
-  }
-  if (inst.function == isa::fc::kTrig) {
-    const auto r = isa::trig::evaluate(inst.variety, a, b);
-    if (r.write_data) {
-      regs_[inst.dst1] = r.value;
-    }
-    flags_[inst.dst_flag] = r.flags;
-    return;
-  }
-  return error(msg::ErrorCode::kUnknownFunction);
+  flags_[inst.dst_flag] = r.flags;
 }
 
 }  // namespace fpgafu::host

@@ -85,15 +85,9 @@ constexpr std::string_view to_string(Op op) {
   return "?";
 }
 
-/// Result of evaluating the arithmetic datapath for one instruction.
-struct Result {
-  Word value = 0;        ///< adder output (masked to the configured width)
-  FlagWord flags = 0;    ///< carry/zero/negative/overflow
-  bool write_data = false;  ///< kOutputData was set
-};
-
 /// Reference semantics of the arithmetic datapath: a single `width`-bit
-/// adder fed through the variety-code input muxing.  This is both the
+/// adder fed through the variety-code input muxing; flags are
+/// carry/zero/negative/overflow.  This is both the
 /// golden oracle used by the tests and the combinational core reused by the
 /// hardware ArithmeticUnit component.
 Result evaluate(VarietyCode variety, Word a, Word b, FlagWord flags_in,

@@ -7,13 +7,7 @@
 #include <map>
 #include <optional>
 
-#include "isa/arith.hpp"
-#include "isa/fp32.hpp"
-#include "isa/logic.hpp"
-#include "isa/muldiv.hpp"
-#include "isa/shift.hpp"
-#include "isa/trig.hpp"
-#include "util/bits.hpp"
+#include "isa/stock_units.hpp"
 #include "util/error.hpp"
 
 namespace fpgafu::isa {
@@ -39,6 +33,23 @@ struct Signature {
   std::vector<Slot> optional;  // may be present as a trailing suffix
 };
 
+/// The operand slots of a unit instruction, in assembler order.
+std::vector<Slot> slots(Operands form) {
+  switch (form) {
+    case Operands::kDab: return {Slot::kDst, Slot::kSrc1, Slot::kSrc2};
+    case Operands::kDabS:
+      return {Slot::kDst, Slot::kSrc1, Slot::kSrc2, Slot::kSrcFlag};
+    case Operands::kDa: return {Slot::kDst, Slot::kSrc1};
+    case Operands::kDb: return {Slot::kDst, Slot::kSrc2};
+    case Operands::kAb: return {Slot::kSrc1, Slot::kSrc2};
+    case Operands::kAbS: return {Slot::kSrc1, Slot::kSrc2, Slot::kSrcFlag};
+    case Operands::kD: return {Slot::kDst};
+    case Operands::kQRab:
+      return {Slot::kDst, Slot::kDst2, Slot::kSrc1, Slot::kSrc2};
+  }
+  return {};
+}
+
 const std::map<std::string, Signature, std::less<>>& mnemonic_table() {
   static const auto* table = [] {
     auto* t = new std::map<std::string, Signature, std::less<>>;
@@ -58,69 +69,11 @@ const std::map<std::string, Signature, std::less<>>& mnemonic_table() {
     rtm("PUTV", RtmOp::kPutVec, {Slot::kDst, Slot::kImmAux});
     rtm("GETV", RtmOp::kGetVec, {Slot::kSrc1, Slot::kImmAux});
 
-    auto unit = [&](std::string name, FunctionCode function, VarietyCode v,
-                    std::vector<Slot> req) {
-      (*t)[std::move(name)] =
-          Signature{function, v, std::move(req), {Slot::kDstFlag}};
-    };
-    using arith::Op;
-    const std::vector<Slot> dab = {Slot::kDst, Slot::kSrc1, Slot::kSrc2};
-    const std::vector<Slot> dabf = {Slot::kDst, Slot::kSrc1, Slot::kSrc2,
-                                    Slot::kSrcFlag};
-    unit("ADD", fc::kArith, arith::variety(Op::kAdd), dab);
-    unit("ADC", fc::kArith, arith::variety(Op::kAdc), dabf);
-    unit("SUB", fc::kArith, arith::variety(Op::kSub), dab);
-    unit("SBB", fc::kArith, arith::variety(Op::kSbb), dabf);
-    unit("INC", fc::kArith, arith::variety(Op::kInc), {Slot::kDst, Slot::kSrc1});
-    unit("DEC", fc::kArith, arith::variety(Op::kDec), {Slot::kDst, Slot::kSrc1});
-    unit("NEG", fc::kArith, arith::variety(Op::kNeg), {Slot::kDst, Slot::kSrc2});
-    unit("CMP", fc::kArith, arith::variety(Op::kCmp), {Slot::kSrc1, Slot::kSrc2});
-    unit("CMPB", fc::kArith, arith::variety(Op::kCmpb),
-         {Slot::kSrc1, Slot::kSrc2, Slot::kSrcFlag});
-
-    for (logic::Op op : logic::kAllOps) {
-      std::vector<Slot> req;
-      switch (op) {
-        case logic::Op::kNot:
-          req = {Slot::kDst, Slot::kSrc2};
-          break;
-        case logic::Op::kPass:
-          req = {Slot::kDst, Slot::kSrc1};
-          break;
-        case logic::Op::kClear:
-        case logic::Op::kSet:
-          req = {Slot::kDst};
-          break;
-        default:
-          req = dab;
-          break;
+    for (const StockUnit& unit : kStockUnits) {
+      for (const StockOp& op : unit.ops) {
+        (*t)[std::string(op.mnemonic)] = Signature{
+            unit.code, op.variety, slots(op.operands), {Slot::kDstFlag}};
       }
-      unit(std::string(logic::to_string(op)), fc::kLogic, logic::variety(op),
-           std::move(req));
-    }
-    for (shift::Op op : shift::kAllOps) {
-      unit(std::string(shift::to_string(op)), fc::kShift, shift::variety(op),
-           dab);
-    }
-    for (muldiv::Op op : muldiv::kAllOps) {
-      unit(std::string(muldiv::to_string(op)), fc::kMulDiv,
-           muldiv::variety(op),
-           op == muldiv::Op::kDivMod
-               // DIVMOD rQ, rR, rA, rB: quotient, remainder, dividend,
-               // divisor (the remainder register travels in aux).
-               ? std::vector<Slot>{Slot::kDst, Slot::kDst2, Slot::kSrc1,
-                                   Slot::kSrc2}
-               : dab);
-    }
-    for (fp32::Op op : fp32::kAllOps) {
-      unit(std::string(fp32::to_string(op)), fc::kFloat, fp32::variety(op),
-           op == fp32::Op::kFcmp
-               ? std::vector<Slot>{Slot::kSrc1, Slot::kSrc2}
-               : dab);
-    }
-    for (trig::Op op : trig::kAllOps) {
-      unit(std::string(trig::to_string(op)), fc::kTrig, trig::variety(op),
-           {Slot::kDst, Slot::kSrc1});
     }
     return t;
   }();
@@ -311,40 +264,10 @@ namespace {
 
 /// Find a named operation matching a decoded variety code.
 std::string unit_mnemonic(const Instruction& inst) {
-  if (inst.function == fc::kArith) {
-    for (arith::Op op : arith::kAllOps) {
-      if (arith::variety(op) == inst.variety) {
-        return std::string(arith::to_string(op));
-      }
-    }
-  } else if (inst.function == fc::kLogic) {
-    for (logic::Op op : logic::kAllOps) {
-      if (logic::variety(op) == inst.variety) {
-        return std::string(logic::to_string(op));
-      }
-    }
-  } else if (inst.function == fc::kShift) {
-    for (shift::Op op : shift::kAllOps) {
-      if (shift::variety(op) == inst.variety) {
-        return std::string(shift::to_string(op));
-      }
-    }
-  } else if (inst.function == fc::kMulDiv) {
-    for (muldiv::Op op : muldiv::kAllOps) {
-      if (muldiv::variety(op) == inst.variety) {
-        return std::string(muldiv::to_string(op));
-      }
-    }
-  } else if (inst.function == fc::kFloat) {
-    for (fp32::Op op : fp32::kAllOps) {
-      if (fp32::variety(op) == inst.variety) {
-        return std::string(fp32::to_string(op));
-      }
-    }
-  } else if (inst.function == fc::kTrig) {
-    for (trig::Op op : trig::kAllOps) {
-      if (trig::variety(op) == inst.variety) {
-        return std::string(trig::to_string(op));
+  if (const StockUnit* unit = stock_unit(inst.function)) {
+    for (const StockOp& op : unit->ops) {
+      if (op.variety == inst.variety) {
+        return std::string(op.mnemonic);
       }
     }
   }

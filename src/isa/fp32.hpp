@@ -59,14 +59,8 @@ constexpr std::string_view to_string(Op op) {
   return "?";
 }
 
-struct Result {
-  Word value = 0;  ///< raw IEEE-754 bit pattern in the low 32 bits
-  FlagWord flags = 0;
-  bool write_data = false;
-};
-
 /// Evaluate one operation on raw IEEE-754 bit patterns (low 32 bits of the
-/// operands).
+/// operands and of the result).
 Result evaluate(VarietyCode variety, Word a, Word b);
 
 // Low-level soft-float primitives, exposed for the tests.

@@ -84,12 +84,6 @@ constexpr std::string_view to_string(Op op) {
   return "?";
 }
 
-struct Result {
-  Word value = 0;
-  FlagWord flags = 0;  ///< zero / negative
-  bool write_data = false;
-};
-
 /// Reference semantics: bitwise LUT2 application plus zero/negative flags.
 Result evaluate(VarietyCode variety, Word a, Word b, unsigned width);
 

@@ -83,10 +83,10 @@ Result evaluate(VarietyCode v, Word a, Word b, unsigned width) {
       if (b == 0) {
         error = true;
         value = m;
-        r.value2 = m;
+        r.second = m;
       } else {
         value = a / b;
-        r.value2 = a % b;
+        r.second = a % b;
       }
       break;
     case Op::kSdiv:

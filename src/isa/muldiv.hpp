@@ -64,15 +64,7 @@ constexpr std::string_view to_string(Op op) {
   return "?";
 }
 
-struct Result {
-  Word value = 0;
-  FlagWord flags = 0;  ///< zero / negative / error (divide-by-zero, MIN/-1)
-  bool write_data = false;
-  Word value2 = 0;          ///< second result (kDivMod's remainder)
-  bool has_second = false;  ///< whether value2 is produced
-};
-
-/// True for the varieties whose Result has `has_second` (DIVMOD).  A unit
+/// True for the varieties whose result has `has_second` (DIVMOD).  A unit
 /// that retires the second result writes a second destination register
 /// through a second write-arbiter record, and the dispatcher locks that
 /// register at dispatch.
@@ -81,9 +73,10 @@ constexpr bool writes_second(VarietyCode variety) {
          Op::kDivMod;
 }
 
-/// Reference semantics.  The 64x64 -> 128 bit products are built from
-/// 32-bit limbs (no compiler extensions), the same decomposition the
-/// sequential hardware uses.
+/// Reference semantics; flags are zero / negative / error (divide by zero,
+/// MIN/-1), and DIVMOD's remainder is `second`.  The 64x64 -> 128 bit
+/// products are built from 32-bit limbs (no compiler extensions), the same
+/// decomposition the sequential hardware uses.
 Result evaluate(VarietyCode variety, Word a, Word b, unsigned width);
 
 /// Full product of two width-bit unsigned values: {low word, high word}.

@@ -45,13 +45,8 @@ constexpr std::string_view to_string(Op op) {
   return "?";
 }
 
-struct Result {
-  Word value = 0;
-  FlagWord flags = 0;  ///< zero / negative / carry (last bit shifted out)
-  bool write_data = false;
-};
-
-/// Reference semantics of the barrel shifter.
+/// Reference semantics of the barrel shifter; flags are zero / negative /
+/// carry (the last bit shifted out).
 Result evaluate(VarietyCode variety, Word a, Word amount, unsigned width);
 
 }  // namespace fpgafu::isa::shift

@@ -52,13 +52,8 @@ constexpr std::string_view to_string(Op op) {
 /// Number of CORDIC iterations (one clock each on the FSM skeleton).
 inline constexpr unsigned kIterations = 30;
 
-struct Result {
-  Word value = 0;  ///< signed Q1.30 in the low 32 bits
-  FlagWord flags = 0;
-  bool write_data = false;
-};
-
-/// Reference semantics: integer-only CORDIC.
+/// Reference semantics: integer-only CORDIC, the result signed Q1.30 in the
+/// low 32 bits.
 Result evaluate(VarietyCode variety, Word a, Word b);
 
 /// Raw kernel, exposed for the tests: sine and cosine (Q1.30) of a BAM

@@ -38,6 +38,22 @@ inline constexpr unsigned kOverflow = 3;  ///< signed overflow
 inline constexpr unsigned kError = 4;     ///< unit-defined error (destination contents undefined when set)
 }  // namespace flag
 
+/// The datapath output of one operation: what every stock unit's
+/// `evaluate` returns, and what a functional unit's core hands its skeleton
+/// (fu::StatelessOut).
+struct Result {
+  Word value = 0;
+  FlagWord flags = 0;
+  bool write_data = false;  ///< write `value` to destination register #1
+  bool write_flags = true;  ///< write `flags` to the destination flag register
+  /// Second data result for the thesis Fig. 2.18 two-record completion
+  /// (DIVMOD's remainder, routed to the aux register).  Only an FSM unit
+  /// built with a `writes_second` predicate retires it; every other
+  /// skeleton drops it.
+  Word second = 0;
+  bool has_second = false;
+};
+
 /// Well-known function codes.  User-defined units occupy kUserBase and up.
 namespace fc {
 inline constexpr FunctionCode kRtm = 0x00;    ///< executed directly in the RTM main pipeline

@@ -157,9 +157,6 @@ class FunctionalUnitTable final : public sim::WireWatcher {
   bool slot_active(std::uint32_t index) const {
     return entries_.at(index).unit != nullptr;
   }
-  bool slot_draining(std::uint32_t index) const {
-    return entries_.at(index).draining;
-  }
   fu::FunctionalUnit& unit(std::uint32_t index) const {
     check(entries_.at(index).unit != nullptr, "detached unit slot");
     return *entries_[index].unit;

@@ -60,9 +60,6 @@ class Component {
   /// Idempotent and cheap; safe to call at any time, from any phase.
   void wake() { sim_.wake(*this); }
 
-  /// True if this component opted out of event-kernel demotion.
-  bool always_active() const { return always_active_; }
-
  protected:
   /// Announce from `commit()` that clocked state changed (or that a clocked
   /// side effect — counter bump, buffer mutation — happened),

@@ -170,9 +170,6 @@ class Simulator {
   /// next cycle (commit set).
   std::size_t commit_set_size() const { return count(commit_bits_); }
 
-  /// The thread this simulator is affine to (see the class comment).
-  std::thread::id owner_thread() const { return owner_; }
-
   /// Transfer ownership to the calling thread.  Legal only at a quiescent
   /// hand-off — the previous owner must have stopped touching the simulator
   /// (and everything built on it) before the new owner starts.

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fu/stateless_units.hpp"
@@ -34,8 +35,9 @@ struct SystemConfig {
   /// ran "at approximately 50 MHz".
   double clock_mhz = 50.0;
 
-  /// Which stateless case-study units to attach (thesis §3.2), and with
-  /// which skeleton.
+  /// Which stock units to attach (thesis §3.2), and with which skeleton;
+  /// fu::make_stock_unit applies it (multiply/divide always runs on the
+  /// FSM skeleton, and trig moves there from a minimal one).
   bool with_arithmetic = true;
   bool with_logic = true;
   bool with_shift = true;
@@ -92,40 +94,18 @@ class System {
     fu::StatelessConfig ucfg;
     ucfg.width = config.rtm.word_width;
     ucfg.skeleton = config.stateless_skeleton;
-    if (config.with_arithmetic) {
-      units_.push_back(fu::make_arithmetic_unit(sim_, ucfg));
-      rtm_.attach(isa::fc::kArith, *units_.back());
-    }
-    if (config.with_logic) {
-      units_.push_back(fu::make_logic_unit(sim_, ucfg));
-      rtm_.attach(isa::fc::kLogic, *units_.back());
-    }
-    if (config.with_shift) {
-      units_.push_back(fu::make_shift_unit(sim_, ucfg));
-      rtm_.attach(isa::fc::kShift, *units_.back());
-    }
-    if (config.with_muldiv) {
-      // Always the FSM skeleton: the sequential divider is multi-cycle by
-      // nature and only the FSM variant retires DIVMOD's two records.
-      fu::StatelessConfig mcfg = ucfg;
-      mcfg.skeleton = fu::Skeleton::kFsm;
-      mcfg.execute_cycles = 0;  // factory default: one bit per clock
-      units_.push_back(fu::make_muldiv_unit(sim_, mcfg));
-      rtm_.attach(isa::fc::kMulDiv, *units_.back());
-    }
-    if (config.with_float) {
-      units_.push_back(fu::make_fp32_unit(sim_, ucfg));
-      rtm_.attach(isa::fc::kFloat, *units_.back());
-    }
-    if (config.with_trig) {
-      fu::StatelessConfig tcfg = ucfg;
-      if (tcfg.skeleton == fu::Skeleton::kMinimal ||
-          tcfg.skeleton == fu::Skeleton::kMinimalFwd) {
-        tcfg.skeleton = fu::Skeleton::kFsm;
-        tcfg.execute_cycles = 0;  // factory default: one rotation per clock
+    const std::pair<isa::FunctionCode, bool> stock[] = {
+        {isa::fc::kArith, config.with_arithmetic},
+        {isa::fc::kLogic, config.with_logic},
+        {isa::fc::kShift, config.with_shift},
+        {isa::fc::kMulDiv, config.with_muldiv},
+        {isa::fc::kFloat, config.with_float},
+        {isa::fc::kTrig, config.with_trig}};
+    for (const auto& [code, wanted] : stock) {
+      if (wanted) {
+        units_.push_back(fu::make_stock_unit(sim_, code, ucfg));
+        rtm_.attach(code, *units_.back());
       }
-      units_.push_back(fu::make_trig_unit(sim_, tcfg));
-      rtm_.attach(isa::fc::kTrig, *units_.back());
     }
     if (config.with_xsort) {
       xsort_ = std::make_unique<xsort::XsortUnit>(sim_, "xsort", config.xsort);

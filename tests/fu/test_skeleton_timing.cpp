@@ -34,6 +34,11 @@ using Kernel = sim::Simulator::Kernel;
 using MakeUnit =
     std::function<std::unique_ptr<FunctionalUnit>(sim::Simulator&)>;
 
+/// The 32-bit core of the stock unit serving `code`.
+StatelessFn core_of(isa::FunctionCode code) {
+  return stock_core(*isa::stock_unit(code), 32);
+}
+
 /// What a stream of requests did, cycle by cycle.
 struct Timeline {
   std::vector<std::uint64_t> dispatches;
@@ -100,8 +105,8 @@ TEST(SkeletonTiming, MinimalAgreesAcrossKernels) {
     SCOPED_TRACE(forward ? "ack forwarding" : "no forwarding");
     expect_kernels_agree(
         [&](sim::Simulator& sim) {
-          return std::make_unique<MinimalFu>(sim, "min", muldiv_core(32),
-                                             forward);
+          return std::make_unique<MinimalFu>(
+              sim, "min", core_of(isa::fc::kMulDiv), forward);
         },
         muldiv_requests());
   }
@@ -116,7 +121,7 @@ TEST(SkeletonTiming, FsmAgreesAcrossKernelsWithAndWithoutSecondRecord) {
       const Timeline t = expect_kernels_agree(
           [&](sim::Simulator& sim) {
             return std::make_unique<FsmFu>(
-                sim, "fsm", muldiv_core(32), k,
+                sim, "fsm", core_of(isa::fc::kMulDiv), k,
                 second ? FsmFu::SecondPredicate(isa::muldiv::writes_second)
                        : nullptr);
           },
@@ -136,9 +141,9 @@ TEST(SkeletonTiming, PipelineAgreesAcrossKernelsAndHonoursTheInterval) {
     SCOPED_TRACE("II=" + std::to_string(interval));
     const Timeline t = expect_kernels_agree(
         [&](sim::Simulator& sim) {
-          return std::make_unique<PipelinedFu>(sim, "pipe", muldiv_core(32),
-                                               /*depth=*/2, /*fifo=*/8,
-                                               interval);
+          return std::make_unique<PipelinedFu>(
+              sim, "pipe", core_of(isa::fc::kMulDiv), /*depth=*/2,
+              /*fifo=*/8, interval);
         },
         muldiv_requests());
     for (std::size_t i = 1; i < t.dispatches.size(); ++i) {
@@ -265,7 +270,7 @@ TEST(SkeletonSleep, GemmSweepCostsAConstantNumberOfCommits) {
 TEST(SkeletonSleep, DeepPipelineCostsAConstantNumberOfCommits) {
   sim::Simulator sim;
   sim.set_kernel(Kernel::kEvent);
-  PipelinedFu pipe(sim, "pipe", arithmetic_core(32), /*depth=*/16,
+  PipelinedFu pipe(sim, "pipe", core_of(isa::fc::kArith), /*depth=*/16,
                    /*fifo=*/17);
   FuRequest req;
   req.variety = 0;

@@ -86,7 +86,8 @@ TEST_P(StatelessUnitSweep, ArithmeticUnitMatchesOracle) {
 TEST_P(StatelessUnitSweep, LogicUnitMatchesOracle) {
   const unsigned width = 32;
   sim::Simulator sim;
-  auto fu = make_logic_unit(sim, config_for(GetParam(), width));
+  auto fu =
+      make_stock_unit(sim, isa::fc::kLogic, config_for(GetParam(), width));
   FuDriver drv(sim, "drv", fu->ports, 3, 4, 13);
   Xoshiro256 rng(99);
   std::vector<FuRequest> sent;
@@ -111,7 +112,8 @@ TEST_P(StatelessUnitSweep, LogicUnitMatchesOracle) {
 TEST_P(StatelessUnitSweep, ShiftUnitMatchesOracle) {
   const unsigned width = 64;
   sim::Simulator sim;
-  auto fu = make_shift_unit(sim, config_for(GetParam(), width));
+  auto fu =
+      make_stock_unit(sim, isa::fc::kShift, config_for(GetParam(), width));
   FuDriver drv(sim, "drv", fu->ports, 3, 4, 17);
   Xoshiro256 rng(7);
   std::vector<FuRequest> sent;

@@ -35,32 +35,11 @@ top::SystemConfig bare_system() {
   return sc;
 }
 
-/// Factory covering the six stateless case-study units, so images can be
+/// The stock unit of `code`, built as top::System builds it, so images are
 /// declared over codes the ReferenceModel knows the semantics of.
 std::unique_ptr<fu::FunctionalUnit> make_unit_for(sim::Simulator& sim,
                                                   isa::FunctionCode code) {
-  fu::StatelessConfig ucfg;
-  ucfg.width = 32;
-  switch (code) {
-    case isa::fc::kArith:
-      return fu::make_arithmetic_unit(sim, ucfg);
-    case isa::fc::kLogic:
-      return fu::make_logic_unit(sim, ucfg);
-    case isa::fc::kShift:
-      return fu::make_shift_unit(sim, ucfg);
-    case isa::fc::kMulDiv:
-      ucfg.skeleton = fu::Skeleton::kFsm;
-      ucfg.execute_cycles = 0;
-      return fu::make_muldiv_unit(sim, ucfg);
-    case isa::fc::kFloat:
-      return fu::make_fp32_unit(sim, ucfg);
-    case isa::fc::kTrig:
-      ucfg.skeleton = fu::Skeleton::kFsm;
-      ucfg.execute_cycles = 0;
-      return fu::make_trig_unit(sim, ucfg);
-    default:
-      return nullptr;
-  }
+  return fu::make_stock_unit(sim, code, fu::StatelessConfig{});
 }
 
 AlgorithmImage image_of(const std::string& name, isa::FunctionCode code,

@@ -164,28 +164,11 @@ isa::Program session_job(Xoshiro256& rng, unsigned base,
   return isa::Assembler::assemble(src);
 }
 
-/// Units for the algod axis's images: the stateless case-study units, so
-/// the reference model knows their semantics.
+/// The stock unit of `code`, built as top::System builds it, so images are
+/// declared over codes the ReferenceModel knows the semantics of.
 std::unique_ptr<fu::FunctionalUnit> make_unit_for(sim::Simulator& sim,
                                                   isa::FunctionCode code) {
-  fu::StatelessConfig ucfg;
-  ucfg.width = 32;
-  switch (code) {
-    case isa::fc::kLogic:
-      return fu::make_logic_unit(sim, ucfg);
-    case isa::fc::kShift:
-      return fu::make_shift_unit(sim, ucfg);
-    case isa::fc::kMulDiv:
-      ucfg.skeleton = fu::Skeleton::kFsm;
-      ucfg.execute_cycles = 0;
-      return fu::make_muldiv_unit(sim, ucfg);
-    case isa::fc::kFloat:
-      return fu::make_fp32_unit(sim, ucfg);
-    default:
-      ucfg.skeleton = fu::Skeleton::kFsm;
-      ucfg.execute_cycles = 0;
-      return fu::make_trig_unit(sim, ucfg);
-  }
+  return fu::make_stock_unit(sim, code, fu::StatelessConfig{});
 }
 
 /// A self-contained job on the scratch registers: it writes everything it

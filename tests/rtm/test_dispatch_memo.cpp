@@ -311,7 +311,8 @@ TEST(DispatchMemo, AttachDispatchesAWaitingUnavailableInstruction) {
     rig.feed(Assembler::assemble(backed_up("XOR r3, r5, r0\nGET r3")));
     rig.run_until_waiting();
     ASSERT_EQ(rig.count("dispatch.exec"), kLaunched);
-    const auto logic = fu::make_logic_unit(rig.sim, fu::StatelessConfig{});
+    const auto logic =
+        fu::make_stock_unit(rig.sim, isa::fc::kLogic, fu::StatelessConfig{});
     rig.rtm.attach(isa::fc::kLogic, *logic);
     rig.sim.run(3);
     const auto& got = rig.drain(kResponses);

@@ -232,7 +232,8 @@ TEST(RtmPipeline, OutOfOrderCompletionIsArchitecturallyInvisible) {
   fu::StatelessConfig fast_cfg{.width = 32,
                                .skeleton = fu::Skeleton::kMinimal};
   rig.units.push_back(fu::make_arithmetic_unit(rig.sim, slow_cfg, "slow"));
-  rig.units.push_back(fu::make_logic_unit(rig.sim, fast_cfg, "fast"));
+  rig.units.push_back(
+      fu::make_stock_unit(rig.sim, isa::fc::kLogic, fast_cfg, "fast"));
   rig.rtm.attach(isa::fc::kArith, *rig.units[0]);
   rig.rtm.attach(isa::fc::kLogic, *rig.units[1]);
 

@@ -8,8 +8,7 @@
 
 #include "fu/fsm_fu.hpp"
 #include "fu/stateless_units.hpp"
-#include "isa/muldiv.hpp"
-#include "isa/types.hpp"
+#include "isa/stock_units.hpp"
 
 namespace fpgafu::testing {
 
@@ -17,37 +16,24 @@ namespace fpgafu::testing {
 using CodedUnit =
     std::pair<isa::FunctionCode, std::unique_ptr<fu::FunctionalUnit>>;
 
-/// The stateless function codes, in the order make_fsm_units builds them.
-inline constexpr std::array<isa::FunctionCode, 6> kFsmUnitCodes = {
-    isa::fc::kArith, isa::fc::kLogic, isa::fc::kShift,
-    isa::fc::kMulDiv, isa::fc::kFloat, isa::fc::kTrig};
-
-/// One FSM-skeleton unit per stateless function code, unit i spending
+/// One FSM-skeleton unit per stock unit, in table order, unit i spending
 /// `cycles[i]` clocks in its Execute state — the units that sleep through
-/// Execute on a timed wake.  Multiply/divide retires DIVMOD as two records
-/// (the `writes_second` predicate); it is built here rather than by
-/// make_muldiv_unit, which reads an iteration count of 1 as "one bit per
-/// clock".
+/// Execute on a timed wake.  A unit with a second record retires it
+/// (multiply/divide's DIVMOD).  Built here rather than by
+/// fu::make_stock_unit, which gives an iterating unit its own iteration
+/// count.
 inline std::vector<CodedUnit> make_fsm_units(
     sim::Simulator& sim, unsigned width,
-    const std::array<std::uint32_t, 6>& cycles) {
-  const auto fsm = [&](fu::StatelessFn fn, std::uint32_t n) {
-    return std::make_unique<fu::FsmFu>(sim, "fsm", std::move(fn), n);
-  };
+    const std::array<std::uint32_t, isa::kStockUnits.size()>& cycles) {
   std::vector<CodedUnit> units;
-  units.emplace_back(kFsmUnitCodes[0],
-                     fsm(fu::arithmetic_core(width), cycles[0]));
-  units.emplace_back(kFsmUnitCodes[1],
-                     fsm(fu::logic_core(width), cycles[1]));
-  units.emplace_back(kFsmUnitCodes[2],
-                     fsm(fu::shift_core(width), cycles[2]));
-  units.emplace_back(kFsmUnitCodes[3],
-                     std::make_unique<fu::FsmFu>(sim, "dual_fsm",
-                                                 fu::muldiv_core(width),
-                                                 cycles[3],
-                                                 isa::muldiv::writes_second));
-  units.emplace_back(kFsmUnitCodes[4], fsm(fu::fp32_core(), cycles[4]));
-  units.emplace_back(kFsmUnitCodes[5], fsm(fu::trig_core(), cycles[5]));
+  for (std::size_t i = 0; i < cycles.size(); ++i) {
+    const isa::StockUnit& row = isa::kStockUnits[i];
+    units.emplace_back(
+        row.code, std::make_unique<fu::FsmFu>(
+                      sim, row.writes_second != nullptr ? "dual_fsm" : "fsm",
+                      fu::stock_core(row, width), cycles[i],
+                      row.writes_second));
+  }
   return units;
 }
 

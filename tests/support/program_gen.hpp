@@ -3,13 +3,9 @@
 #include <cstdint>
 
 #include "isa/arith.hpp"
-#include "isa/fp32.hpp"
-#include "isa/logic.hpp"
-#include "isa/muldiv.hpp"
 #include "isa/program.hpp"
 #include "isa/rtm_ops.hpp"
-#include "isa/shift.hpp"
-#include "isa/trig.hpp"
+#include "isa/stock_units.hpp"
 #include "rtm/rtm.hpp"
 #include "util/rng.hpp"
 
@@ -143,35 +139,15 @@ inline isa::Program random_program(const rtm::RtmConfig& cfg, std::uint64_t seed
       inst.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kSync);
       p.emit(inst);
     } else {
-      // Functional-unit op: arithmetic, logic, shift, mul/div, float or trig.
-      const std::uint64_t unit = rng.below(6);
-      if (unit == 0) {
-        inst.function = isa::fc::kArith;
-        inst.variety = isa::arith::variety(
-            isa::arith::kAllOps[rng.below(isa::arith::kAllOps.size())]);
-      } else if (unit == 1) {
-        inst.function = isa::fc::kLogic;
-        inst.variety = isa::logic::variety(
-            isa::logic::kAllOps[rng.below(isa::logic::kAllOps.size())]);
-      } else if (unit == 2) {
-        inst.function = isa::fc::kShift;
-        inst.variety = isa::shift::variety(
-            isa::shift::kAllOps[rng.below(isa::shift::kAllOps.size())]);
-      } else if (unit == 3) {
-        inst.function = isa::fc::kMulDiv;
-        inst.variety = isa::muldiv::variety(
-            isa::muldiv::kAllOps[rng.below(isa::muldiv::kAllOps.size())]);
+      // Functional-unit op: any variety of any stock unit.
+      const isa::StockUnit& unit =
+          isa::kStockUnits[rng.below(isa::kStockUnits.size())];
+      inst.function = unit.code;
+      inst.variety = unit.ops[rng.below(unit.ops.size())].variety;
+      if (unit.writes_second != nullptr) {
         // DIVMOD's second destination travels in aux; sometimes collide it
         // with dst1 (a fault the dispatcher must report).
         inst.aux = static_cast<std::uint8_t>(data_reg());
-      } else if (unit == 4) {
-        inst.function = isa::fc::kFloat;
-        inst.variety = isa::fp32::variety(
-            isa::fp32::kAllOps[rng.below(isa::fp32::kAllOps.size())]);
-      } else {
-        inst.function = isa::fc::kTrig;
-        inst.variety = isa::trig::variety(
-            isa::trig::kAllOps[rng.below(isa::trig::kAllOps.size())]);
       }
       inst.dst1 = data_reg();
       inst.src1 = data_reg();

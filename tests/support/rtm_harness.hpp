@@ -41,23 +41,10 @@ struct RtmRig {
       fu::StatelessConfig ucfg;
       ucfg.width = cfg.word_width;
       ucfg.skeleton = skeleton;
-      units.push_back(fu::make_arithmetic_unit(sim, ucfg));
-      units.push_back(fu::make_logic_unit(sim, ucfg));
-      units.push_back(fu::make_shift_unit(sim, ucfg));
-      rtm.attach(isa::fc::kArith, *units[0]);
-      rtm.attach(isa::fc::kLogic, *units[1]);
-      rtm.attach(isa::fc::kShift, *units[2]);
-      // Extension units: multi-cycle mul/div (always FSM — only that
-      // variant retires DIVMOD's two records), soft-float and CORDIC.
-      fu::StatelessConfig mcfg = ucfg;
-      mcfg.skeleton = fu::Skeleton::kFsm;
-      mcfg.execute_cycles = 0;
-      units.push_back(fu::make_muldiv_unit(sim, mcfg));
-      units.push_back(fu::make_fp32_unit(sim, ucfg));
-      units.push_back(fu::make_trig_unit(sim, mcfg));
-      rtm.attach(isa::fc::kMulDiv, *units[3]);
-      rtm.attach(isa::fc::kFloat, *units[4]);
-      rtm.attach(isa::fc::kTrig, *units[5]);
+      for (const isa::StockUnit& row : isa::kStockUnits) {
+        units.push_back(fu::make_stock_unit(sim, row.code, ucfg));
+        rtm.attach(row.code, *units.back());
+      }
     }
   }
 

@@ -493,7 +493,7 @@ TEST(FarmAllocGuard, ResidentRequiredImageCostsNoAllocationPerJob) {
   logic.codes = {isa::fc::kLogic};
   logic.load_cycles = 10;
   logic.factory = [](sim::Simulator& sim, isa::FunctionCode) {
-    return fu::make_logic_unit(sim, fu::StatelessConfig{});
+    return fu::make_stock_unit(sim, isa::fc::kLogic, fu::StatelessConfig{});
   };
   fc.fu_images = {logic};
   fc.fu_slots = 1;

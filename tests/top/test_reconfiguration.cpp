@@ -56,7 +56,8 @@ TEST(Reconfiguration, SwapUnitUnderSameFunctionCode) {
   sys.detach(isa::fc::kArith);
   fu::StatelessConfig cfg{.width = 32};
   auto replacement =
-      fu::make_logic_unit(sys.simulator(), cfg, "arith_replacement");
+      fu::make_stock_unit(sys.simulator(), isa::fc::kLogic, cfg,
+                          "arith_replacement");
   sys.attach(isa::fc::kArith, *replacement);
 
   // Same instruction word; ADD's variety (0b000100) as a LUT2 table is
@@ -125,7 +126,8 @@ TEST(Reconfiguration, SlotReuseKeepsOtherUnitsWorking) {
   EXPECT_EQ(r[0].payload, 5u);
   // Reattach into the freed slot.
   fu::StatelessConfig cfg{.width = 32};
-  auto logic2 = fu::make_logic_unit(sys.simulator(), cfg, "logic2");
+  auto logic2 =
+      fu::make_stock_unit(sys.simulator(), isa::fc::kLogic, cfg, "logic2");
   sys.attach(isa::fc::kLogic, *logic2);
   auto r2 = copro.call(Assembler::assemble("XOR r4, r1, r2\nGET r4"));
   EXPECT_EQ(r2[0].payload, 13u);
