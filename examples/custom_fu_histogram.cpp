@@ -120,9 +120,7 @@ int main() {
     isa::Program read;
     read.emit_put(1, bin);
     read.emit(histogram_op(HistogramUnit::kReadBin, 1, 2));
-    isa::Instruction get;
-    get.function = isa::fc::kRtm;
-    get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+    isa::Instruction get = isa::rtm_instruction(isa::RtmOp::kGet);
     get.src1 = 2;
     read.emit(get);
     const auto responses = copro.call(read);

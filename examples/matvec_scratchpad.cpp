@@ -81,9 +81,7 @@ int main() {
   // r1 = address, r5 = matrix element, r6 = product.
   isa::Program compute;
   for (int row = 0; row < kN; ++row) {
-    isa::Instruction zero;
-    zero.function = isa::fc::kRtm;
-    zero.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kPutImm);
+    isa::Instruction zero = isa::rtm_instruction(isa::RtmOp::kPutImm);
     zero.dst1 = 4;
     zero.aux = 0;
     compute.emit(zero);
@@ -96,9 +94,7 @@ int main() {
       compute.emit(alu(isa::fc::kArith,
                        isa::arith::variety(isa::arith::Op::kAdd), 4, 4, 6));
     }
-    isa::Instruction get;
-    get.function = isa::fc::kRtm;
-    get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+    isa::Instruction get = isa::rtm_instruction(isa::RtmOp::kGet);
     get.src1 = 4;
     compute.emit(get);
   }

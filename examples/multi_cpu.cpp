@@ -36,9 +36,7 @@ isa::Program sum_program(isa::RegNum base, int limit) {
     add.src2 = static_cast<isa::RegNum>(base + 1);
     p.emit(add);
   }
-  isa::Instruction get;
-  get.function = isa::fc::kRtm;
-  get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+  isa::Instruction get = isa::rtm_instruction(isa::RtmOp::kGet);
   get.src1 = base;
   p.emit(get);
   return p;

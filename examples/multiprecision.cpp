@@ -74,9 +74,7 @@ isa::Program bignum_program(const BigInt& a, const BigInt& b, bool subtract) {
     p.emit(inst);
   }
   for (int i = 0; i < kLimbs; ++i) {
-    isa::Instruction get;
-    get.function = isa::fc::kRtm;
-    get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+    isa::Instruction get = isa::rtm_instruction(isa::RtmOp::kGet);
     get.src1 = static_cast<isa::RegNum>(17 + i);
     p.emit(get);
   }

@@ -19,6 +19,7 @@ void Coprocessor::submit(std::span<const isa::Word> words) {
 
 std::vector<msg::Response> Coprocessor::call(const isa::Program& program,
                                              std::uint64_t max_cycles) {
+  program.check_complete();
   driver_.enqueue(program);
   std::vector<msg::Response> responses;
   try {
@@ -86,17 +87,13 @@ msg::Response Coprocessor::exchange(const isa::Instruction& inst,
 }
 
 isa::Word Coprocessor::read_reg(isa::RegNum reg) {
-  isa::Instruction get;
-  get.function = isa::fc::kRtm;
-  get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+  isa::Instruction get = isa::rtm_instruction(isa::RtmOp::kGet);
   get.src1 = reg;
   return exchange(get, msg::Response::Type::kData, "read_reg").payload;
 }
 
 isa::FlagWord Coprocessor::read_flags(isa::RegNum flag_reg) {
-  isa::Instruction getf;
-  getf.function = isa::fc::kRtm;
-  getf.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGetFlags);
+  isa::Instruction getf = isa::rtm_instruction(isa::RtmOp::kGetFlags);
   getf.src_flag = flag_reg;
   return exchange(getf, msg::Response::Type::kFlags, "read_flags").code;
 }
@@ -126,10 +123,8 @@ std::vector<isa::Word> Coprocessor::read_regs(isa::RegNum base,
 }
 
 void Coprocessor::sync() {
-  isa::Instruction s;
-  s.function = isa::fc::kRtm;
-  s.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kSync);
-  exchange(s, msg::Response::Type::kSyncDone, "sync");
+  exchange(isa::rtm_instruction(isa::RtmOp::kSync),
+           msg::Response::Type::kSyncDone, "sync");
 }
 
 }  // namespace fpgafu::host

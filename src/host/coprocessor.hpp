@@ -44,8 +44,12 @@ class Coprocessor {
   /// rest are sent; SimError after kDefaultCallBudgetCycles.
   void submit(std::span<const isa::Word> words);
 
-  /// Send a whole program.
-  void submit(const isa::Program& program) { submit(program.words()); }
+  /// Send a whole program; one that ends inside a PUT/PUTV payload throws
+  /// SimError before a word is sent.
+  void submit(const isa::Program& program) {
+    program.check_complete();
+    submit(program.words());
+  }
 
   /// Non-blocking: return the next response whose complete frame has
   /// arrived and verified.
@@ -61,7 +65,8 @@ class Coprocessor {
   /// Send a program and run the clock until all of its responses arrived
   /// (plus any extra error responses — collected until the system drains).
   /// `max_cycles` covers the send too: words a bounded downlink refuses
-  /// leave from the same loop.
+  /// leave from the same loop.  A program that ends inside a PUT/PUTV
+  /// payload throws SimError before a word is sent.
   std::vector<msg::Response> call(
       const isa::Program& program,
       std::uint64_t max_cycles = kDefaultCallBudgetCycles);

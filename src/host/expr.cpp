@@ -281,9 +281,7 @@ isa::Program CompiledExpr::program(
       }
     }
   }
-  isa::Instruction get;
-  get.function = isa::fc::kRtm;
-  get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+  isa::Instruction get = isa::rtm_instruction(isa::RtmOp::kGet);
   get.src1 = result_reg_;
   p.emit(get);
   return p;

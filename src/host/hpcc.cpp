@@ -51,21 +51,14 @@ isa::Instruction fu_op(isa::FunctionCode f, isa::VarietyCode v, isa::RegNum dst,
   return inst;
 }
 
-isa::Instruction rtm_op(isa::RtmOp op) {
-  isa::Instruction inst;
-  inst.function = isa::fc::kRtm;
-  inst.variety = static_cast<isa::VarietyCode>(op);
-  return inst;
-}
-
 isa::Instruction get_reg(isa::RegNum src) {
-  isa::Instruction inst = rtm_op(isa::RtmOp::kGet);
+  isa::Instruction inst = isa::rtm_instruction(isa::RtmOp::kGet);
   inst.src1 = src;
   return inst;
 }
 
 isa::Instruction get_flags(isa::RegNum src_flag) {
-  isa::Instruction inst = rtm_op(isa::RtmOp::kGetFlags);
+  isa::Instruction inst = isa::rtm_instruction(isa::RtmOp::kGetFlags);
   inst.src_flag = src_flag;
   return inst;
 }
@@ -285,7 +278,7 @@ std::vector<WorkloadResult> run_stream(Kernel kernel, const StreamConfig& cfg) {
       read_block(p, kA, off, kRx);
       write_block(p, kC, off, kRx);
     }
-    p.emit(rtm_op(isa::RtmOp::kSync));
+    p.emit(isa::rtm_instruction(isa::RtmOp::kSync));
     results.push_back(measure("stream_copy", 2 * n, p));
     c = a;
     verify_vector(read_back_ram(copro, kC, n, fl), c, results.back());
@@ -298,7 +291,7 @@ std::vector<WorkloadResult> run_stream(Kernel kernel, const StreamConfig& cfg) {
       alu_block(p, isa::fc::kMulDiv, kMul, kRy, kRx, 0, true);
       write_block(p, kB, off, kRy);
     }
-    p.emit(rtm_op(isa::RtmOp::kSync));
+    p.emit(isa::rtm_instruction(isa::RtmOp::kSync));
     results.push_back(measure("stream_scale", 2 * n, p));
     for (std::size_t i = 0; i < n; ++i) {
       b[i] = cfg.scalar * c[i];
@@ -314,7 +307,7 @@ std::vector<WorkloadResult> run_stream(Kernel kernel, const StreamConfig& cfg) {
       alu_block(p, isa::fc::kArith, kAdd, kRz, kRx, kRy, false);
       write_block(p, kC, off, kRz);
     }
-    p.emit(rtm_op(isa::RtmOp::kSync));
+    p.emit(isa::rtm_instruction(isa::RtmOp::kSync));
     results.push_back(measure("stream_add", 3 * n, p));
     for (std::size_t i = 0; i < n; ++i) {
       c[i] = a[i] + b[i];
@@ -331,7 +324,7 @@ std::vector<WorkloadResult> run_stream(Kernel kernel, const StreamConfig& cfg) {
       alu_block(p, isa::fc::kArith, kAdd, kRz, kRx, kRz, false);
       write_block(p, kA, off, kRz);
     }
-    p.emit(rtm_op(isa::RtmOp::kSync));
+    p.emit(isa::rtm_instruction(isa::RtmOp::kSync));
     results.push_back(measure("stream_triad", 3 * n, p));
     for (std::size_t i = 0; i < n; ++i) {
       a[i] = b[i] + cfg.scalar * c[i];
@@ -423,7 +416,7 @@ RandomAccessOutcome run_random_access(Kernel kernel,
       expected_samples.push_back(ran);
     }
   }
-  p.emit(rtm_op(isa::RtmOp::kSync));
+  p.emit(isa::rtm_instruction(isa::RtmOp::kSync));
 
   RandomAccessOutcome out;
   out.result.name = "random_access";

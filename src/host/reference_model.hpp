@@ -47,13 +47,9 @@ class ReferenceModel {
   std::vector<isa::FlagWord> flags_;
   std::vector<msg::Response> responses_;
   std::uint16_t seq_ = 0;
-  bool awaiting_put_data_ = false;
-  bool discard_put_data_ = false;
-  isa::Instruction pending_put_;
-  std::uint16_t vec_remaining_ = 0;  ///< outstanding PUTV payload words
-  isa::RegNum vec_base_ = 0;
-  std::uint8_t vec_index_ = 0;
-  bool vec_discard_ = false;
+  unsigned payload_left_ = 0;  ///< PUT/PUTV payload words still to come
+  isa::RegNum payload_reg_ = 0;  ///< the next payload word's register
+  bool payload_discard_ = false;  ///< the instruction faulted
 };
 
 }  // namespace fpgafu::host

@@ -192,12 +192,9 @@ void ReliableTransport::send_probe() {
   // A SYNC: no register traffic (empty register sets, so no barrier waits on
   // it) and exactly one value-independent response, issued behind every
   // group already sent.  Sending one abandons any earlier, overdue probe.
-  isa::Instruction sync;
-  sync.function = isa::fc::kRtm;
-  sync.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kSync);
   probe_seq_ = next_wire_seq_++;
   probe_live_ = true;
-  const isa::Word word = sync.encode();
+  const isa::Word word = isa::rtm_instruction(isa::RtmOp::kSync).encode();
   copro_->driver().enqueue(std::span(&word, 1));
   stats_.bump(probes_);
   ++probes_sent_;

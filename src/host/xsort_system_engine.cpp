@@ -22,9 +22,7 @@ std::uint64_t SystemXsortEngine::op(xsort::XsortOp o, std::uint64_t operand) {
   xop.dst1 = kResultReg;
   p.emit(xop);
 
-  isa::Instruction get;
-  get.function = isa::fc::kRtm;
-  get.variety = static_cast<isa::VarietyCode>(isa::RtmOp::kGet);
+  isa::Instruction get = isa::rtm_instruction(isa::RtmOp::kGet);
   get.src1 = kResultReg;
   p.emit(get);
 

@@ -33,7 +33,7 @@ struct Signature {
   std::vector<Slot> optional;  // may be present as a trailing suffix
 };
 
-/// The operand slots of a unit instruction, in assembler order.
+/// The operand slots of an instruction, in assembler order.
 std::vector<Slot> slots(Operands form) {
   switch (form) {
     case Operands::kDab: return {Slot::kDst, Slot::kSrc1, Slot::kSrc2};
@@ -46,6 +46,15 @@ std::vector<Slot> slots(Operands form) {
     case Operands::kD: return {Slot::kDst};
     case Operands::kQRab:
       return {Slot::kDst, Slot::kDst2, Slot::kSrc1, Slot::kSrc2};
+    case Operands::kNone: return {};
+    case Operands::kA: return {Slot::kSrc1};
+    case Operands::kS: return {Slot::kSrcFlag};
+    case Operands::kFS: return {Slot::kDstFlag, Slot::kSrcFlag};
+    case Operands::kDw: return {Slot::kDst, Slot::kImmWord};
+    case Operands::kDi: return {Slot::kDst, Slot::kImm32};
+    case Operands::kDn: return {Slot::kDst, Slot::kImmAux};
+    case Operands::kAn: return {Slot::kSrc1, Slot::kImmAux};
+    case Operands::kFn: return {Slot::kDstFlag, Slot::kImmAux};
   }
   return {};
 }
@@ -53,22 +62,10 @@ std::vector<Slot> slots(Operands form) {
 const std::map<std::string, Signature, std::less<>>& mnemonic_table() {
   static const auto* table = [] {
     auto* t = new std::map<std::string, Signature, std::less<>>;
-    auto rtm = [&](std::string name, RtmOp op, std::vector<Slot> req) {
-      (*t)[std::move(name)] =
-          Signature{fc::kRtm, static_cast<VarietyCode>(op), std::move(req), {}};
-    };
-    rtm("NOP", RtmOp::kNop, {});
-    rtm("SYNC", RtmOp::kSync, {});
-    rtm("COPY", RtmOp::kCopy, {Slot::kDst, Slot::kSrc1});
-    rtm("COPYF", RtmOp::kCopyFlags, {Slot::kDstFlag, Slot::kSrcFlag});
-    rtm("PUT", RtmOp::kPut, {Slot::kDst, Slot::kImmWord});
-    rtm("PUTI", RtmOp::kPutImm, {Slot::kDst, Slot::kImm32});
-    rtm("PUTF", RtmOp::kPutFlags, {Slot::kDstFlag, Slot::kImmAux});
-    rtm("GET", RtmOp::kGet, {Slot::kSrc1});
-    rtm("GETF", RtmOp::kGetFlags, {Slot::kSrcFlag});
-    rtm("PUTV", RtmOp::kPutVec, {Slot::kDst, Slot::kImmAux});
-    rtm("GETV", RtmOp::kGetVec, {Slot::kSrc1, Slot::kImmAux});
-
+    for (const RtmPrimitive& row : kRtmOps) {
+      (*t)[std::string(row.mnemonic)] = Signature{
+          fc::kRtm, static_cast<VarietyCode>(row.op), slots(row.operands), {}};
+    }
     for (const StockUnit& unit : kStockUnits) {
       for (const StockOp& op : unit.ops) {
         (*t)[std::string(op.mnemonic)] = Signature{
@@ -242,111 +239,93 @@ void Assembler::assemble_line(std::string_view line, Program& program) {
 
 Program Assembler::assemble(std::string_view source) {
   Program program;
-  std::size_t line_no = 1;
+  std::size_t line_no = 0;
+  auto at_line = [&](auto&& step) {
+    try {
+      step();
+    } catch (const SimError& e) {
+      throw SimError("line " + std::to_string(line_no) + ": " + e.what());
+    }
+  };
   std::size_t start = 0;
   while (start <= source.size()) {
     std::size_t end = source.find('\n', start);
     if (end == std::string_view::npos) {
       end = source.size();
     }
-    try {
-      assemble_line(source.substr(start, end - start), program);
-    } catch (const SimError& e) {
-      throw SimError("line " + std::to_string(line_no) + ": " + e.what());
-    }
-    start = end + 1;
     ++line_no;
+    at_line([&] { assemble_line(source.substr(start, end - start), program); });
+    start = end + 1;
   }
+  // The input must not end inside a PUT/PUTV payload.
+  at_line([&] { program.check_complete(); });
   return program;
 }
 
 namespace {
 
-/// Find a named operation matching a decoded variety code.
-std::string unit_mnemonic(const Instruction& inst) {
+/// The mnemonic spelling `inst`'s function and variety, or empty when none
+/// does.
+std::string_view mnemonic(const Instruction& inst) {
+  if (inst.function == fc::kRtm) {
+    const RtmPrimitive* row = rtm_primitive(inst.variety);
+    return row != nullptr ? row->mnemonic : std::string_view{};
+  }
   if (const StockUnit* unit = stock_unit(inst.function)) {
     for (const StockOp& op : unit->ops) {
       if (op.variety == inst.variety) {
-        return std::string(op.mnemonic);
+        return op.mnemonic;
       }
     }
   }
   return {};
 }
 
-/// Render one operand slot from a decoded instruction.
-std::string render_slot(Slot slot, const Instruction& inst) {
-  char buf[16];
-  switch (slot) {
-    case Slot::kDst:
-      std::snprintf(buf, sizeof buf, "r%u", inst.dst1);
-      break;
-    case Slot::kDst2:
-      std::snprintf(buf, sizeof buf, "r%u", inst.aux);
-      break;
-    case Slot::kSrc1:
-      std::snprintf(buf, sizeof buf, "r%u", inst.src1);
-      break;
-    case Slot::kSrc2:
-      std::snprintf(buf, sizeof buf, "r%u", inst.src2);
-      break;
-    case Slot::kSrcFlag:
-      std::snprintf(buf, sizeof buf, "f%u", inst.src_flag);
-      break;
-    case Slot::kDstFlag:
-      std::snprintf(buf, sizeof buf, "f%u", inst.dst_flag);
-      break;
-    case Slot::kImmAux:
-      std::snprintf(buf, sizeof buf, "%u", inst.aux);
-      break;
-    case Slot::kImm32:
-      std::snprintf(buf, sizeof buf, "%u", inst.imm32());
-      break;
-    case Slot::kImmWord:
-      return "#<next-word>";
-  }
+/// `#0x...`: a 64-bit literal.
+std::string literal(Word word) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "#0x%llx",
+                static_cast<unsigned long long>(word));
   return buf;
 }
 
-}  // namespace
+/// A `.word` line carrying `word` verbatim.
+std::string raw_word(Word word) { return ".word " + literal(word); }
 
-std::string disassemble_one(const Instruction& inst) {
-  std::string name;
-  if (inst.function == fc::kRtm) {
-    bool known = false;
-    switch (static_cast<RtmOp>(inst.variety)) {
-      case RtmOp::kNop:
-      case RtmOp::kCopy:
-      case RtmOp::kCopyFlags:
-      case RtmOp::kPut:
-      case RtmOp::kPutFlags:
-      case RtmOp::kPutImm:
-      case RtmOp::kGet:
-      case RtmOp::kGetFlags:
-      case RtmOp::kSync:
-      case RtmOp::kPutVec:
-      case RtmOp::kGetVec:
-        known = true;
-        break;
-    }
-    if (known) {
-      name = std::string(to_string(static_cast<RtmOp>(inst.variety)));
-    }
-  } else {
-    name = unit_mnemonic(inst);
+/// Render one operand slot from a decoded instruction; a PUT's `#imm64`
+/// reads `payload` (its data word), when known.
+std::string render_slot(Slot slot, const Instruction& inst,
+                        const Word* payload) {
+  switch (slot) {
+    case Slot::kDst: return "r" + std::to_string(inst.dst1);
+    case Slot::kDst2: return "r" + std::to_string(inst.aux);
+    case Slot::kSrc1: return "r" + std::to_string(inst.src1);
+    case Slot::kSrc2: return "r" + std::to_string(inst.src2);
+    case Slot::kSrcFlag: return "f" + std::to_string(inst.src_flag);
+    case Slot::kDstFlag: return "f" + std::to_string(inst.dst_flag);
+    case Slot::kImmAux: return std::to_string(inst.aux);
+    case Slot::kImm32: return std::to_string(inst.imm32());
+    case Slot::kImmWord:
+      return payload != nullptr ? literal(*payload) : "#<next-word>";
   }
+  return {};
+}
+
+/// The statement spelling `inst` by its mnemonic's own signature, or a
+/// `.word` line (with the decoded fields as a comment) when no mnemonic
+/// does.
+std::string render(const Instruction& inst, const Word* payload) {
+  const std::string_view name = mnemonic(inst);
   if (name.empty()) {
-    return ".word " + to_string(inst);
+    return raw_word(inst.encode()) + "  ; " + to_string(inst);
   }
-  // Render operands following the mnemonic's own signature, so that
-  // re-assembling the output reproduces the identical encoding.
-  const Signature& sig = mnemonic_table().at(name);
-  std::string out = name;
+  const Signature& sig = mnemonic_table().find(name)->second;
+  std::string out(name);
   bool first = true;
   auto append = [&](Slot slot) {
     out += first ? " " : ", ";
     first = false;
-    out += render_slot(slot, inst);
+    out += render_slot(slot, inst, payload);
   };
   for (const Slot slot : sig.required) {
     append(slot);
@@ -357,35 +336,36 @@ std::string disassemble_one(const Instruction& inst) {
   return out;
 }
 
+}  // namespace
+
+std::string disassemble_one(const Instruction& inst) {
+  return render(inst, nullptr);
+}
+
 std::vector<std::string> disassemble(const std::vector<Word>& words) {
   std::vector<std::string> out;
-  for (std::size_t i = 0; i < words.size(); ++i) {
+  for (std::size_t i = 0; i < words.size();) {
     const Instruction inst = Instruction::decode(words[i]);
-    if (inst.function == fc::kRtm &&
-        static_cast<RtmOp>(inst.variety) == RtmOp::kPut) {
-      check(i + 1 < words.size(), "PUT at end of stream has no data word");
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "PUT r%u, #0x%llx", inst.dst1,
-                    static_cast<unsigned long long>(words[i + 1]));
-      out.emplace_back(buf);
-      ++i;
-      continue;
+    const std::size_t group = group_words(inst, words.size() - i);
+    const auto first = words.begin() + static_cast<std::ptrdiff_t>(i);
+    // A PUT's line takes its data word; other payload words follow as
+    // `.word` lines.  A line that would re-assemble to other words (a
+    // two-word PUT of a value PUTI holds, a field its operands do not name)
+    // gives way to the raw instruction word, so every stream round-trips.
+    std::string line = render(inst, group > 1 ? &words[i + 1] : nullptr);
+    Program again;
+    Assembler::assemble_line(line, again);
+    std::size_t taken = again.size_words();
+    if (taken > group ||
+        !std::equal(again.words().begin(), again.words().end(), first)) {
+      line = raw_word(words[i]) + "  ; " + line;
+      taken = 1;
     }
-    if (inst.function == fc::kRtm &&
-        static_cast<RtmOp>(inst.variety) == RtmOp::kPutVec) {
-      check(i + inst.aux < words.size(),
-            "PUTV burst truncated at end of stream");
-      out.push_back(disassemble_one(inst));
-      char buf[48];
-      for (unsigned k = 0; k < inst.aux; ++k) {
-        std::snprintf(buf, sizeof buf, ".word #0x%llx",
-                      static_cast<unsigned long long>(words[i + 1 + k]));
-        out.emplace_back(buf);
-      }
-      i += inst.aux;
-      continue;
+    out.push_back(std::move(line));
+    for (std::size_t k = taken; k < group; ++k) {
+      out.push_back(raw_word(words[i + k]));
     }
-    out.push_back(disassemble_one(inst));
+    i += group;
   }
   return out;
 }

@@ -39,10 +39,17 @@ class Program {
   /// Number of *instructions* (inline data words excluded).
   std::size_t instruction_count() const { return instructions_; }
 
-  /// Number of responses this program will generate (GET/GETF/SYNC each
-  /// produce exactly one).  The host driver uses this to know how many
-  /// responses to collect.
+  /// Number of responses the program generates when nothing faults: each
+  /// instruction's kRtmOps response count (a GETV counts aux).  Error
+  /// responses are not counted — whether an instruction faults depends on
+  /// the configuration it runs on — so Coprocessor::call, having collected
+  /// this many, still waits for idle() to drain any others.
   std::size_t expected_responses() const { return responses_; }
+
+  /// Throws SimError when the program ends inside a PUT/PUTV payload: the
+  /// decoder would wait for the missing words and take the next program's
+  /// first words for them.
+  void check_complete() const;
 
   void clear();
 
@@ -51,5 +58,10 @@ class Program {
   std::size_t instructions_ = 0;
   std::size_t responses_ = 0;
 };
+
+/// Stream words in the instruction group `head` starts: the instruction
+/// word plus its payload (kRtmOps' payload column).  Throws SimError when
+/// the stream has fewer than that many words `left`, head included.
+std::size_t group_words(const Instruction& head, std::size_t left);
 
 }  // namespace fpgafu::isa

@@ -9,21 +9,6 @@
 
 namespace fpgafu::isa {
 
-/// The operands an instruction's mnemonic takes, in assembler order: `rD`
-/// is the destination, `rA`/`rB` the sources, `fS` the source flag
-/// register.  Every unit instruction also takes an optional trailing
-/// destination flag register `fD`.
-enum class Operands : std::uint8_t {
-  kDab,   ///< rD, rA, rB
-  kDabS,  ///< rD, rA, rB, fS  (ADC, SBB)
-  kDa,    ///< rD, rA          (INC, DEC, PASS, SIN, COS)
-  kDb,    ///< rD, rB          (NEG, NOT: second-operand ops)
-  kAb,    ///< rA, rB          (CMP, FCMP: flags only)
-  kAbS,   ///< rA, rB, fS      (CMPB)
-  kD,     ///< rD              (CLEAR, SET)
-  kQRab,  ///< rQ, rR, rA, rB  (DIVMOD: the remainder register rides in aux)
-};
-
 /// One variety of a stock unit, as the assembler spells it.
 struct StockOp {
   std::string_view mnemonic;

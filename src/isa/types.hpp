@@ -29,6 +29,30 @@ using FunctionCode = std::uint8_t;
 /// logic unit the low nibble is the 2-input truth table (an FPGA LUT2 init).
 using VarietyCode = std::uint8_t;
 
+/// The operands an instruction's mnemonic takes, in assembler order: `rD`
+/// is the destination, `rA`/`rB` the sources, `fD`/`fS` the destination and
+/// source flag registers, `n` an 8-bit count or immediate in aux.  Every
+/// unit instruction also takes an optional trailing `fD`.
+enum class Operands : std::uint8_t {
+  kDab,   ///< rD, rA, rB
+  kDabS,  ///< rD, rA, rB, fS  (ADC, SBB)
+  kDa,    ///< rD, rA          (INC, DEC, PASS, SIN, COS; COPY)
+  kDb,    ///< rD, rB          (NEG, NOT: second-operand ops)
+  kAb,    ///< rA, rB          (CMP, FCMP: flags only)
+  kAbS,   ///< rA, rB, fS      (CMPB)
+  kD,     ///< rD              (CLEAR, SET)
+  kQRab,  ///< rQ, rR, rA, rB  (DIVMOD: the remainder register rides in aux)
+  kNone,  ///<                 (NOP, SYNC)
+  kA,     ///< rA              (GET)
+  kS,     ///< fS              (GETF)
+  kFS,    ///< fD, fS          (COPYF)
+  kDw,    ///< rD, #imm64      (PUT: the value rides in a payload word)
+  kDi,    ///< rD, imm32       (PUTI)
+  kDn,    ///< rD, n           (PUTV)
+  kAn,    ///< rA, n           (GETV)
+  kFn,    ///< fD, n           (PUTF)
+};
+
 /// Flag bit positions within a FlagWord.
 namespace flag {
 inline constexpr unsigned kCarry = 0;     ///< carry out (ARM convention: subtract sets carry when no borrow)

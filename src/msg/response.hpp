@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "isa/rtm_ops.hpp"
 #include "isa/types.hpp"
 
 namespace fpgafu::msg {
@@ -35,9 +36,12 @@ enum class ErrorCode : std::uint8_t {
 /// this struct is that standard vector.
 struct Response {
   enum class Type : std::uint8_t {
-    kData = 1,      ///< payload = register value (GET)
-    kFlags = 2,     ///< code = flag vector (GETF)
-    kSyncDone = 3,  ///< barrier completed (SYNC)
+    /// payload = register value (GET)
+    kData = static_cast<std::uint8_t>(isa::Reply::kData),
+    /// code = flag vector (GETF)
+    kFlags = static_cast<std::uint8_t>(isa::Reply::kFlags),
+    /// barrier completed (SYNC)
+    kSyncDone = static_cast<std::uint8_t>(isa::Reply::kSyncDone),
     kError = 0x7f,  ///< code = ErrorCode; seq identifies the instruction
   };
 

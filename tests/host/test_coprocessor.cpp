@@ -7,6 +7,7 @@
 
 #include "fu/cam_unit.hpp"
 #include "fu/prng_unit.hpp"
+#include "host/reference_model.hpp"
 #include "host/reliable_transport.hpp"
 #include "isa/assembler.hpp"
 #include "isa/rtm_ops.hpp"
@@ -52,6 +53,33 @@ TEST(Coprocessor, ReadRegOfBadRegisterThrows) {
   Coprocessor copro(sys);
   // The error response does not match the expected data record.
   EXPECT_THROW(copro.read_reg(200), SimError);
+}
+
+TEST(Coprocessor, RefusesAProgramEndingInsideAPayload) {
+  top::System sys({});
+  Coprocessor copro(sys);
+  ReferenceModel model(sys.config().rtm);
+  const isa::Program setup =
+      isa::Assembler::assemble("PUT r1, #11\nPUT r2, #22\nPUT r3, #33");
+  EXPECT_TRUE(copro.call(setup).empty());
+  model.run(setup);
+
+  // PUTV r1, 2 with one of its two payload words.
+  isa::Program cut;
+  isa::Instruction putv = isa::rtm_instruction(isa::RtmOp::kPutVec);
+  putv.dst1 = 1;
+  putv.aux = 2;
+  cut.emit(putv);
+  cut.emit_raw(7);
+  const std::uint64_t cycle = sys.simulator().cycle();
+  EXPECT_THROW(copro.call(cut), SimError);
+  EXPECT_THROW(copro.submit(cut), SimError);
+  EXPECT_EQ(sys.simulator().cycle(), cycle);
+
+  // No word of it reached the decoder, so the next call's GETs are
+  // instructions, not the missing payload.
+  const isa::Program gets = isa::Assembler::assemble("GET r1\nGET r2\nGET r3");
+  EXPECT_EQ(copro.call(gets), model.run(gets));
 }
 
 TEST(Coprocessor, AsyncSubmitPollOverlap) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "isa/arith.hpp"
 #include "isa/logic.hpp"
 #include "isa/rtm_ops.hpp"
@@ -142,16 +144,49 @@ CMP r3, r1
 GET r3
 GETF f1
 SYNC)";
-  Program p = Assembler::assemble(source);
-  const auto lines = disassemble(p.words());
-  ASSERT_EQ(lines.size(), p.instruction_count());
-  // Re-assembling the disassembly yields the identical word stream.
-  std::string rejoined;
-  for (const auto& line : lines) {
-    rejoined += line + "\n";
+  const Program assembled = Assembler::assemble(source);
+  EXPECT_EQ(disassemble(assembled.words()).size(),
+            assembled.instruction_count());
+  // A two-word PUT of a value PUTI holds: legal, though the assembler
+  // never writes one.
+  Program two_word_put;
+  Instruction put = rtm_instruction(RtmOp::kPut);
+  put.dst1 = 1;
+  two_word_put.emit(put);
+  two_word_put.emit_raw(5);
+  // Fields no operand names, and a word no mnemonic spells.
+  Program stray_fields;
+  Instruction nop = rtm_instruction(RtmOp::kNop);
+  nop.src2 = 9;
+  stray_fields.emit(nop);
+  Instruction get = rtm_instruction(RtmOp::kGet);
+  get.src1 = 3;
+  get.aux = 1;
+  stray_fields.emit(get);
+  stray_fields.emit_raw(0x73ull << 56);
+  for (const Program& p : std::array<Program, 3>{assembled, two_word_put,
+                                                 stray_fields}) {
+    // Re-assembling the disassembly yields the identical word stream.
+    std::string rejoined;
+    for (const auto& line : disassemble(p.words())) {
+      rejoined += line + "\n";
+    }
+    EXPECT_EQ(Assembler::assemble(rejoined).words(), p.words()) << rejoined;
   }
-  Program p2 = Assembler::assemble(rejoined);
-  EXPECT_EQ(p2.words(), p.words());
+}
+
+TEST(Assembler, RejectsAProgramEndingInsideAPayload) {
+  try {
+    Assembler::assemble("PUTV r1, 2\n.word #7");
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("payload"), std::string::npos);
+  }
+  Program cut;
+  cut.emit(rtm_instruction(RtmOp::kPut));
+  EXPECT_THROW(disassemble(cut.words()), SimError);
+  EXPECT_THROW(cut.check_complete(), SimError);
 }
 
 TEST(Assembler, DisassembleUnknownWordsAsRaw) {
